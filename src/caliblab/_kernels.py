@@ -1,10 +1,11 @@
-"""Hot numeric kernels with numba-accelerated and pure-numpy variants.
+"""Hot numeric kernels.
 
-Every kernel exists in two implementations that produce bit-identical
-results: a numba ``@njit`` version and a vectorized (or, where the logic
-is inherently sequential, looped) numpy version.  The active variant is
-chosen once at import time: numba is used when it is importable unless
-the environment variable ``CALIBLAB_BACKEND`` is set to ``numpy``.
+The FWHT butterflies and the first-return walk have a numba ``@njit``
+version and a vectorized numpy version that produce bit-identical
+results.  The active variant is chosen once at import time: numba is
+used when it is importable unless the environment variable
+``CALIBLAB_BACKEND`` is set to ``numpy``.  Bucketing has one loop-free
+numpy implementation on every backend.
 
 Randomness is always drawn outside the kernels (Philox streams, see
 ``environments.substream``) and passed in as arrays, so results do not
@@ -125,10 +126,18 @@ first_return_batch = _first_return_batch_numba if USE_NUMBA else _first_return_b
 #                             bucket 0 if none has a zero sum
 #
 # Per replicate the kernel reports (sum_v |B_v|, sum_v sqrt(n_v), L_eps)
-# with B_v kept in units of the increment h (exact integers).
+# with B_v kept in units of the increment h (exact integers), and
+# sqrt(n_v) added sequentially in bucket order (cumsum, never the pairwise
+# sum).  With +-1 steps the adaptive strategies never hold more than one
+# bucket with a nonzero sum, which reduces each of them to one cumsum:
+#   2, 3  the open bucket's sum is the global walk w; each zero of
+#         w[:, :-1] closes an excursion, and excursion e goes to bucket e
+#         (strategy 2) or e mod n_pool (strategy 3).
+#   4     the first P = min(L, n_pool) steps each open a fresh bucket;
+#         every later step lands on bucket 0, which carries sign[0].
 # ---------------------------------------------------------------------------
 
-def _bucketing_fixed_numpy(signs, n_pool):
+def _bucketing_fixed(signs, n_pool):
     # Non-adaptive strategies: bucket b sees the sign subsequence at
     # positions b, b + n_pool, ...  Vectorize per bucket.
     reps, horizon = signs.shape
@@ -148,127 +157,52 @@ def _bucketing_fixed_numpy(signs, n_pool):
     return sum_abs, sum_sqrt, l_eps
 
 
-def _bucketing_batch_python(signs, strategy, n_pool):
-    if strategy == 0:
-        return _bucketing_fixed_numpy(signs, 1)
-    if strategy == 1:
-        return _bucketing_fixed_numpy(signs, n_pool)
+def _bucketing_excursions(signs, n_pool):
+    # Strategies 2 (n_pool = L, so never recycled) and 3: one bucket per
+    # excursion of the global walk, recycled modulo n_pool.
     reps, horizon = signs.shape
-    sum_abs = np.empty(reps, dtype=np.int64)
-    sum_sqrt = np.empty(reps, dtype=np.float64)
-    l_eps = np.empty(reps, dtype=np.int64)
-    max_buckets = horizon + 1 if strategy == 2 else max(n_pool, 1)
-    for r in range(reps):
-        row = signs[r].tolist()
-        sums = [0] * max_buckets
-        counts = [0] * max_buckets
-        returns = 0
-        current = 0
-        rot = 0
-        stack = list(range(n_pool - 1, -1, -1)) if strategy == 4 else []
-        for t in range(horizon):
-            if strategy == 2:
-                v = current
-            elif strategy == 3:
-                while stack and sums[stack[-1]] == 0:
-                    stack.pop()
-                if stack:
-                    v = stack[-1]
-                else:
-                    v = rot
-                    rot = (rot + 1) % n_pool
-            else:
-                while stack and sums[stack[-1]] != 0:
-                    stack.pop()
-                v = stack[-1] if stack else 0
-            was_zero = sums[v] == 0
-            if was_zero:
-                returns += 1
-            sums[v] += row[t]
-            counts[v] += 1
-            if strategy == 2 and sums[v] == 0:
-                current += 1
-            if strategy == 3 and was_zero and sums[v] != 0:
-                stack.append(v)
-            if strategy == 4 and not was_zero and sums[v] == 0:
-                stack.append(v)
-        sum_abs[r] = sum(abs(s) for s in sums)
-        sum_sqrt[r] = sum(np.sqrt(c) for c in counts if c > 0)
-        l_eps[r] = returns
-    return sum_abs, sum_sqrt, l_eps
+    walk = signs.cumsum(axis=1, dtype=np.int32)
+    ends = walk == 0
+    ends[:, -1] = True  # the last step closes the open excursion
+    rows, cols = np.divmod(np.flatnonzero(ends), horizon)
+    l_eps = np.bincount(rows, minlength=reps)
+    offsets = np.cumsum(l_eps) - l_eps
+    excursion = np.arange(rows.size) - offsets[rows]
+    starts = np.empty_like(cols)
+    starts[1:] = cols[:-1]
+    starts[offsets] = -1
+    width = min(n_pool, int(l_eps.max()))
+    counts = np.bincount(rows * width + excursion % n_pool, weights=cols - starts, minlength=reps * width)
+    sum_sqrt = np.sqrt(counts.reshape(reps, width)).cumsum(axis=1)[:, -1]
+    return np.abs(walk[:, -1]).astype(np.int64), sum_sqrt, l_eps.astype(np.int64)
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _bucketing_batch_numba(signs, strategy, n_pool):  # pragma: no cover
-        reps, horizon = signs.shape
-        sum_abs = np.empty(reps, dtype=np.int64)
-        sum_sqrt = np.empty(reps, dtype=np.float64)
-        l_eps = np.empty(reps, dtype=np.int64)
-        max_buckets = horizon + 1 if strategy == 2 else max(n_pool, 1)
-        sums = np.zeros(max_buckets, dtype=np.int64)
-        counts = np.zeros(max_buckets, dtype=np.int64)
-        stack = np.zeros(max_buckets + horizon, dtype=np.int64)
-        for r in range(reps):
-            sums[:] = 0
-            counts[:] = 0
-            returns = 0
-            current = 0
-            rot = 0
-            stack_top = 0
-            if strategy == 4:
-                for b in range(n_pool - 1, -1, -1):
-                    stack[stack_top] = b
-                    stack_top += 1
-            for t in range(horizon):
-                if strategy == 0:
-                    v = 0
-                elif strategy == 1:
-                    v = t % n_pool
-                elif strategy == 2:
-                    v = current
-                elif strategy == 3:
-                    while stack_top > 0 and sums[stack[stack_top - 1]] == 0:
-                        stack_top -= 1
-                    if stack_top > 0:
-                        v = stack[stack_top - 1]
-                    else:
-                        v = rot
-                        rot = (rot + 1) % n_pool
-                else:
-                    while stack_top > 0 and sums[stack[stack_top - 1]] != 0:
-                        stack_top -= 1
-                    v = stack[stack_top - 1] if stack_top > 0 else 0
-                if sums[v] == 0:
-                    returns += 1
-                was_zero = sums[v] == 0
-                sums[v] += signs[r, t]
-                counts[v] += 1
-                if strategy == 2 and sums[v] == 0:
-                    current += 1
-                if strategy == 3 and was_zero and sums[v] != 0:
-                    stack[stack_top] = v
-                    stack_top += 1
-                if strategy == 4 and (not was_zero) and sums[v] == 0:
-                    stack[stack_top] = v
-                    stack_top += 1
-            acc_abs = 0
-            acc_sqrt = 0.0
-            for b in range(max_buckets):
-                if sums[b] > 0:
-                    acc_abs += sums[b]
-                else:
-                    acc_abs -= sums[b]
-                if counts[b] > 0:
-                    acc_sqrt += np.sqrt(counts[b])
-            sum_abs[r] = acc_abs
-            sum_sqrt[r] = acc_sqrt
-            l_eps[r] = returns
-        return sum_abs, sum_sqrt, l_eps
+def _bucketing_zero_seeking(signs, n_pool):
+    reps, horizon = signs.shape
+    fresh = min(horizon, n_pool)
+    first = signs[:, 0].astype(np.int64)
+    # bucket 0's walk over the steps after the fresh ones, offset by sign[0]
+    tail = signs[:, fresh:].cumsum(axis=1, dtype=np.int32)
+    final = first + (tail[:, -1] if horizon > fresh else 0)
+    l_eps = fresh + (tail[:, :-1] == -first[:, None]).sum(axis=1, dtype=np.int64)
+    # bucket 0 holds sign[0] and every later step; buckets 1..P-1 one step
+    counts = np.r_[horizon - fresh + 1, np.ones(fresh - 1)]
+    sum_sqrt = np.full(reps, np.sqrt(counts).cumsum()[-1])
+    return np.abs(final) + (fresh - 1), sum_sqrt, l_eps
 
 
-bucketing_batch = _bucketing_batch_numba if USE_NUMBA else _bucketing_batch_python
+def bucketing_batch(signs, strategy, n_pool):
+    """(sum_abs, sum_sqrt, l_eps) per row of a +-1 sign batch (reps, L)."""
+    if signs.shape[1] == 0 or np.any(np.abs(signs) != 1):
+        raise ValueError("bucketing needs a nonempty batch of +-1 signs")
+    if n_pool < 1:
+        raise ValueError(f"bucketing needs n_pool >= 1, got {n_pool}")
+    if strategy in (0, 1):
+        return _bucketing_fixed(signs, n_pool if strategy == 1 else 1)
+    if strategy == 4:
+        return _bucketing_zero_seeking(signs, n_pool)
+    return _bucketing_excursions(signs, n_pool if strategy == 3 else signs.shape[1])
+
 
 BUCKETING_STRATEGY_CODES = {
     "single_bucket": 0,

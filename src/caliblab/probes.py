@@ -81,6 +81,11 @@ def truncated_root_return_expectation(L: int) -> float:
     return total
 
 
+def _draw_signs(rng: np.random.Generator, shape) -> np.ndarray:
+    """+-1 steps as int8: -1 where a uniform draw falls below 1/2."""
+    return (rng.random(shape) >= 0.5).view(np.int8) * 2 - 1
+
+
 def simulate_first_returns(L: int, replicates: int, seed: int, stream: int = 0) -> np.ndarray:
     """min(tau_0, L) for `replicates` independent +-1 walks."""
     rng = substream(seed, stream)
@@ -89,8 +94,7 @@ def simulate_first_returns(L: int, replicates: int, seed: int, stream: int = 0) 
     done = 0
     while done < replicates:
         b = min(batch, replicates - done)
-        signs = np.where(rng.random((b, L)) < 0.5, -1, 1).astype(np.int8)
-        out[done : done + b] = first_return_batch(signs)
+        out[done : done + b] = first_return_batch(_draw_signs(rng, (b, L)))
         done += b
     return out
 
@@ -270,7 +274,7 @@ def bucketing_probe(
     done = 0
     while done < replicates:
         b = min(batch, replicates - done)
-        signs = np.where(rng.random((b, L)) < 0.5, -1, 1).astype(np.int8)
+        signs = _draw_signs(rng, (b, L))
         if user_policy:
             sa, ss, le = _bucketing_batch_user(signs, strategy, pool, rng)
         else:
@@ -368,12 +372,14 @@ def bucketing_trace(signs: np.ndarray, strategy: str, n_pool: int) -> dict:
     for v, rem in open_len.items():
         if rem:
             excursions.setdefault(v, []).append(rem)
+    root_sum = math.fsum(math.sqrt(c) for c in counts.values())
     assert returns == int(l_eps), "kernel and reference disagree on L_eps"
     assert sum(abs(s) for s in sums.values()) == int(sum_abs)
+    assert math.isclose(root_sum, float(sum_sqrt), rel_tol=1e-12), "kernel and reference disagree on sum_sqrt"
     return {
         "counts": counts,
         "sums": sums,
         "returns": returns,
         "excursions": excursions,
-        "sum_sqrt": float(sum_sqrt),
+        "sum_sqrt": root_sum,
     }

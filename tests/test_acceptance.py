@@ -1,11 +1,10 @@
 """Acceptance suite: one test per criterion, one pass/fail line each.
 
 Criteria pin the tolerances and scales; these tests are the exit bar for
-the package and run in a few minutes on a desktop (the heavy Monte Carlo
-lives in the numba kernels).  Constants mirror the experiment defaults:
-identity caps (1024/4096/1024/256), the honest-scaling exponent window
-[0.60, 0.78], the calibrated probe floors, and the oracle bound value
-(1/8)(1 - m/N) T / N^2.
+the package and run in a few minutes on a desktop.  Constants mirror the
+experiment defaults: identity caps (1024/4096/1024/256), the
+honest-scaling exponent window [0.60, 0.78], the calibrated probe floors,
+and the oracle bound value (1/8)(1 - m/N) T / N^2.
 """
 
 import math

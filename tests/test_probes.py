@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caliblab._kernels import (
     BUCKETING_STRATEGY_CODES,
     HAVE_NUMBA,
-    _bucketing_batch_python,
     _first_return_batch_numpy,
     _fwht_inplace_numpy,
     bucketing_batch,
@@ -94,16 +95,31 @@ def test_backends_agree_first_return():
     assert np.array_equal(first_return_batch(signs), _first_return_batch_numpy(signs))
 
 
-def test_backends_agree_bucketing():
-    if not HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    rng = substream(12, 0)
-    signs = np.where(rng.random((50, 128)) < 0.5, -1, 1).astype(np.int8)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bucketing_batch_matches_trace(data):
+    # random +-1 rows; small pools recycle buckets, large ones exceed L
+    L = data.draw(st.integers(1, 300), label="L")
+    n_pool = data.draw(st.integers(1, 8) | st.integers(1, L + 2), label="n_pool")
+    rows = data.draw(st.lists(st.lists(st.booleans(), min_size=L, max_size=L), min_size=1, max_size=4))
+    signs = np.where(np.array(rows), 1, -1).astype(np.int8)
     for name, code in BUCKETING_STRATEGY_CODES.items():
-        a = bucketing_batch(signs, code, 8)
-        b = _bucketing_batch_python(signs, code, 8)
-        for x, y in zip(a, b):
-            assert np.array_equal(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)), name
+        sum_abs, sum_sqrt, l_eps = bucketing_batch(signs, code, n_pool)
+        assert (sum_abs.dtype, sum_sqrt.dtype, l_eps.dtype) == (np.int64, np.float64, np.int64)
+        for r, row in enumerate(signs):
+            ref = bucketing_trace(row, name, n_pool)
+            assert int(sum_abs[r]) == sum(abs(v) for v in ref["sums"].values()), name
+            assert int(l_eps[r]) == ref["returns"], name
+            assert math.isclose(float(sum_sqrt[r]), ref["sum_sqrt"], rel_tol=1e-12), name
+
+
+def test_bucketing_batch_rejects_bad_input():
+    for bad in ([[1, 0, -1]], [[1, 2, -1]], [[-128, 1, 1]]):
+        for code in BUCKETING_STRATEGY_CODES.values():
+            with pytest.raises(ValueError, match="signs"):
+                bucketing_batch(np.array(bad, dtype=np.int8), code, 2)
+    with pytest.raises(ValueError, match="n_pool"):
+        bucketing_batch(np.ones((1, 3), dtype=np.int8), 1, 0)
 
 
 def test_backends_agree_fwht():
