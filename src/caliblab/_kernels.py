@@ -139,21 +139,21 @@ first_return_batch = _first_return_batch_numba if USE_NUMBA else _first_return_b
 
 def _bucketing_fixed(signs, n_pool):
     # Non-adaptive strategies: bucket b sees the sign subsequence at
-    # positions b, b + n_pool, ...  Vectorize per bucket.
+    # positions b, b + P, ... (P = min(L, n_pool) buckets ever used).
+    # Column b of the zero-padded (reps, rows, P) reshape is bucket b's
+    # walk; padded rows repeat its final sum.
     reps, horizon = signs.shape
-    sum_abs = np.zeros(reps, dtype=np.int64)
-    sum_sqrt = np.zeros(reps, dtype=np.float64)
-    l_eps = np.zeros(reps, dtype=np.int64)
-    for b in range(n_pool):
-        sub = signs[:, b::n_pool]
-        if sub.shape[1] == 0:
-            continue
-        walk = sub.cumsum(axis=1, dtype=np.int64)
-        sum_abs += np.abs(walk[:, -1])
-        sum_sqrt += np.sqrt(sub.shape[1])
-        # steps taken from a zero bucket sum: the first step plus every
-        # step following an interior return to zero
-        l_eps += 1 + (walk[:, :-1] == 0).sum(axis=1)
+    pool = min(horizon, n_pool)
+    rows = -(-horizon // pool)
+    padded = np.pad(signs, ((0, 0), (0, rows * pool - horizon))) if horizon % pool else signs
+    walk = padded.reshape(reps, rows, pool).cumsum(axis=1, dtype=np.int32)
+    lengths = (horizon - np.arange(pool) + pool - 1) // pool
+    sum_abs = np.abs(walk[:, -1, :]).sum(axis=1, dtype=np.int64)
+    # steps taken from a zero bucket sum: the first step plus every step
+    # following an interior return to zero (rows below len_b - 1)
+    interior = np.arange(rows)[:, None] < (lengths - 1)
+    l_eps = pool + ((walk == 0) & interior).sum(axis=(1, 2), dtype=np.int64)
+    sum_sqrt = np.full(reps, np.sqrt(lengths).cumsum()[-1])
     return sum_abs, sum_sqrt, l_eps
 
 

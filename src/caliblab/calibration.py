@@ -1,10 +1,15 @@
-"""Bias ledgers, Err/MCerr reports, deviation statistics, block decompositions.
+"""Scaled runs, bias ledgers, Err/MCerr reports, deviation statistics,
+block decompositions.
 
 Biases accumulate exactly.  The streaming ledger works in Fractions; the
-vectorized run accumulator works in integer numerators over one common
-scale, which stays exact because every partial sum is bounded well below
-2^53 (asserted).  Reports convert to float64 only at the end, so an
-exactly-zero calibration error is reported as exactly 0.0.
+vectorized path works in integer numerators over one common scale.
+``ScaledRun`` is the one place where that scale, the scaled prediction,
+context-mean and outcome arrays, the prediction-bucket index and the
+exact-sum guard (every partial sum stays below 2^53) live; the
+accumulator, the deviation statistics, the block decomposition and the
+bit-environment checks all read one ``ScaledRun`` per run.  Reports
+convert to float64 only at the end, so an exactly-zero calibration error
+is reported as exactly 0.0.
 
 Signed functionals (differences of two half-groups) are measured from
 the signed weights directly, never by subtracting two separately rounded
@@ -15,8 +20,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -141,23 +147,70 @@ class BiasLedger:
         return CalibrationReport.from_err(err)
 
 
-def common_scale(traj: Trajectory, pred: Predictions, family: Optional[GroupFamily] = None) -> int:
-    dens = [traj.den, pred.den]
-    if family is not None:
-        dens.extend(family.required_denominators())
-    scale = math.lcm(*dens)
-    if 4 * traj.T * scale >= _EXACT_SUM_LIMIT:
-        raise ValueError(
-            f"scaled accumulation would overflow exact float range: T={traj.T}, scale={scale}"
+@dataclass(frozen=True, eq=False)
+class ScaledRun:
+    """One run over one common scale: the lcm of the trajectory's and the
+    predictions' denominators and of any extra ones (a family's
+    ``required_denominators()``, eta).  ``p``, ``x``, ``y`` are predictions,
+    context means and outcomes over ``scale``; round t falls in bucket
+    ``bucket_idx[t]`` of value ``bucket_scaled[.]`` and size ``bucket_counts[.]``.
+    """
+
+    traj: Trajectory
+    T: int
+    scale: int
+    p: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    bucket_scaled: np.ndarray
+    bucket_idx: np.ndarray
+    bucket_counts: np.ndarray
+    _resid_coeffs: dict = field(default_factory=dict, repr=False)
+
+    @classmethod
+    def build(cls, traj: Trajectory, pred: Predictions, *dens: int) -> "ScaledRun":
+        if pred.T != traj.T:
+            raise ValueError(f"prediction length {pred.T} does not match T={traj.T}")
+        scale = math.lcm(traj.den, pred.den, *dens)
+        if 4 * traj.T * scale >= _EXACT_SUM_LIMIT:
+            raise ValueError(f"scaled sums would overflow exact float range: T={traj.T}, scale={scale}")
+        p = pred.num * (scale // pred.den)
+        unit = scale // traj.den
+        buckets, idx, counts = np.unique(p, return_inverse=True, return_counts=True)
+        return cls(traj, traj.T, scale, p, traj.x_num * unit, traj.y_num * unit, buckets, idx, counts)
+
+    @cached_property
+    def resid(self) -> np.ndarray:
+        return self.p - self.y
+
+    @cached_property
+    def sq_loss(self) -> float:
+        """sum_t (p_t - y_t)^2 in float64."""
+        return float(np.sum((self.resid / self.scale) ** 2))
+
+    @cached_property
+    def in_interval(self) -> np.ndarray:
+        """Bit environment: p_t in J_val = [val/N, (val+1)/N), J_{N-1} closed at 1."""
+        n = 1 << self.traj.params["k"]
+        val = self.traj.grid_idx
+        unit = self.scale // n
+        return (self.p >= val * unit) & (
+            (self.p < (val + 1) * unit) | ((val == n - 1) & (self.p == self.scale))
         )
-    return scale
 
+    def bucket_sums(self, values: np.ndarray, idx=None, n=None) -> np.ndarray:
+        """Exact int64 sums of integer ``values`` per bucket (per class of ``idx`` if given)."""
+        if idx is None:
+            idx, n = self.bucket_idx, len(self.bucket_scaled)
+        # float64 bincount is exact: all partial sums are < 2^53 by the build guard
+        out = np.bincount(idx, weights=values.astype(np.float64), minlength=n)
+        return np.rint(out).astype(np.int64)
 
-def _exact_bincount(idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    # float64 bincount is exact here: all partial sums are < 2^53 by the
-    # common_scale guard
-    out = np.bincount(idx, weights=values.astype(np.float64), minlength=n)
-    return np.rint(out).astype(np.int64)
+    def resid_coefficients(self, layout: BlockLayout) -> dict:
+        """``_block_coefficients`` of the residual p - y, memoised per layout."""
+        if layout not in self._resid_coeffs:
+            self._resid_coeffs[layout] = _block_coefficients(self, layout, self.resid)
+        return self._resid_coeffs[layout]
 
 
 @dataclass
@@ -171,15 +224,15 @@ class RunLedger:
     """
 
     family: GroupFamily
-    scale: int
-    bucket_scaled: np.ndarray
-    bucket_idx: np.ndarray
-    resid: np.ndarray
+    scaled: ScaledRun
     bias: dict
     block_plus_abs: dict
     block_minus_abs: dict
     block_coeff_abs: dict
-    T: int
+
+    scale = property(lambda self: self.scaled.scale)
+    T = property(lambda self: self.scaled.T)
+    bucket_scaled = property(lambda self: self.scaled.bucket_scaled)
 
     def bucket_fractions(self) -> list[Fraction]:
         return [Fraction(int(v), self.scale) for v in self.bucket_scaled]
@@ -207,36 +260,25 @@ class RunLedger:
         return CalibrationReport.from_err(self.err_float())
 
     def telescoped(self) -> Fraction:
-        return Fraction(int(self.resid.sum()), self.scale)
+        return Fraction(int(self.scaled.resid.sum()), self.scale)
 
 
-def accumulate_run(traj: Trajectory, pred: Predictions, family: GroupFamily) -> RunLedger:
-    """Post-hoc exact accumulation of a whole run against a family."""
-    if pred.T != traj.T:
-        raise ValueError(f"prediction length {pred.T} does not match T={traj.T}")
-    scale = common_scale(traj, pred, family)
-    p_scaled = pred.num * (scale // pred.den)
-    y_scaled = traj.y_num * (scale // traj.den)
-    resid = p_scaled - y_scaled
-    bucket_scaled, bucket_idx = np.unique(p_scaled, return_inverse=True)
-    nb = len(bucket_scaled)
+def accumulate_run(run: ScaledRun, family: GroupFamily) -> RunLedger:
+    """Post-hoc exact accumulation of a whole run against a family.
 
+    ``run`` must be built with the family's ``required_denominators()``.
+    """
     direct = [g for g in family if not isinstance(g, BlockHadamardHalfGroup)]
     blocks = [g for g in family if isinstance(g, BlockHadamardHalfGroup)]
 
-    bias = {}
-    for g in direct:
-        w = g.weights(traj, p_scaled, scale)
-        bias[g.id] = _exact_bincount(bucket_idx, w.astype(np.int64) * resid, nb)
+    bias = {g.id: run.bucket_sums(g.weights(run).astype(np.int64) * run.resid) for g in direct}
 
     block_plus_abs: dict = {}
     block_minus_abs: dict = {}
     block_coeff_abs: dict = {}
     if blocks:
-        layout = blocks[0].layout
-        coeffs = _block_coefficients(layout, bucket_idx, resid, traj.T)
         wanted = {(g.a, g.j, g.sign) for g in blocks}
-        for a, (_, c) in coeffs.items():
+        for a, (_, c) in run.resid_coefficients(blocks[0].layout).items():
             # c has shape (buckets in block, L); column j holds the signed
             # functional bias, and the half-group biases are (c0 +- cj)/2
             c0 = c[:, :1]
@@ -252,21 +294,15 @@ def accumulate_run(traj: Trajectory, pred: Predictions, family: GroupFamily) -> 
 
     return RunLedger(
         family=family,
-        scale=scale,
-        bucket_scaled=bucket_scaled,
-        bucket_idx=bucket_idx,
-        resid=resid,
+        scaled=run,
         bias=bias,
         block_plus_abs=block_plus_abs,
         block_minus_abs=block_minus_abs,
         block_coeff_abs=block_coeff_abs,
-        T=traj.T,
     )
 
 
-def _block_coefficients(
-    layout: BlockLayout, bucket_idx: np.ndarray, values: np.ndarray, T: int
-) -> dict:
+def _block_coefficients(run: ScaledRun, layout: BlockLayout, values: np.ndarray) -> dict:
     """Per block: transform of the bucket-masked value rows.
 
     Returns {a: (present_buckets, coeffs)} where coeffs[r, j] is the
@@ -277,16 +313,15 @@ def _block_coefficients(
     out = {}
     for a in range(1, layout.K + 1):
         lo = (a - 1) * layout.L
-        hi = min(a * layout.L, T)
+        hi = min(a * layout.L, run.T)
         if lo >= hi:
             out[a] = (np.zeros(0, dtype=np.int64), np.zeros((0, layout.L), dtype=np.int64))
             continue
-        local_idx = bucket_idx[lo:hi]
-        local_vals = values[lo:hi]
+        local_idx = run.bucket_idx[lo:hi]
         present = np.unique(local_idx)
         rows = np.zeros((len(present), layout.L), dtype=np.int64)
         pos = np.searchsorted(present, local_idx)
-        rows[pos, np.arange(hi - lo)] = local_vals
+        rows[pos, np.arange(hi - lo)] = values[lo:hi]
         out[a] = (present, fwht(rows))
     return out
 
@@ -324,8 +359,7 @@ class DeviationStats:
 
 
 def deviation_stats(
-    traj: Trajectory,
-    pred: Predictions,
+    run: ScaledRun,
     layout: Optional[BlockLayout] = None,
     eta: Optional[Fraction] = None,
 ) -> DeviationStats:
@@ -333,25 +367,23 @@ def deviation_stats(
 
     With a layout, statistics cover rounds 1..T' = K L; otherwise all T.
     Per-context noise/drift splits (N_x, R_x over eta-honest rounds) are
-    computed only when ``eta`` is given.
+    computed only when ``eta`` is given; ``run`` must then be built with
+    eta's denominator.
     """
-    if pred.T != traj.T:
-        raise ValueError(f"prediction length {pred.T} does not match T={traj.T}")
-    dens = [traj.den, pred.den]
-    if eta is not None:
-        dens.append(Fraction(eta).denominator)
-    scale = math.lcm(*dens)
-    if 4 * traj.T * scale >= _EXACT_SUM_LIMIT:
-        raise ValueError("scale overflow in deviation_stats")
-    tp = layout.T_prime if layout is not None else traj.T
-    p_scaled = (pred.num * (scale // pred.den))[:tp]
-    x_scaled = (traj.x_num * (scale // traj.den))[:tp]
-    y_scaled = (traj.y_num * (scale // traj.den))[:tp]
-    delta = p_scaled - x_scaled
+    scale = run.scale
+    tp = layout.T_prime if layout is not None else run.T
+    x_scaled = run.x[:tp]
+    delta = run.p[:tp] - x_scaled
 
     a_num = int(np.abs(delta).sum())
     s_val = float(np.sum((delta / scale).astype(np.float64) ** 2))
-    _, bucket_idx, n_v = np.unique(p_scaled, return_inverse=True, return_counts=True)
+    bucket_idx = run.bucket_idx[:tp]
+    if tp == run.T:
+        n_v = run.bucket_counts
+    else:
+        # prefix counts in bucket (= value) order, unrealized buckets dropped
+        n_v = np.bincount(bucket_idx)
+        n_v = n_v[n_v > 0]
     n_big = float(np.sqrt(n_v).sum())
 
     n_a = e_a = q_a = None
@@ -372,11 +404,11 @@ def deviation_stats(
         if eta_scaled.denominator != 1:
             raise ValueError("scale does not absorb eta's denominator")
         honest = np.abs(delta) < int(eta_scaled)
-        gidx = traj.grid_idx[:tp]
-        n_grid = len(traj.grid)
-        n_x = _exact_bincount(gidx[honest], (x_scaled - y_scaled)[honest], n_grid)
-        r_x = _exact_bincount(gidx[honest], delta[honest], n_grid)
-        honest_counts = np.bincount(gidx[honest], minlength=n_grid)
+        gidx = run.traj.grid_idx[:tp][honest]
+        n_grid = len(run.traj.grid)
+        n_x = run.bucket_sums((x_scaled - run.y[:tp])[honest], gidx, n_grid)
+        r_x = run.bucket_sums(delta[honest], gidx, n_grid)
+        honest_counts = np.bincount(gidx, minlength=n_grid)
 
     return DeviationStats(
         scale=scale,
@@ -451,22 +483,17 @@ class BlockDecomposition:
                         )
 
 
-def block_decompose(traj: Trajectory, pred: Predictions, layout: BlockLayout) -> BlockDecomposition:
-    """Transform the bias (p - x) and noise (x - y) streams per (block, bucket)."""
-    if pred.T != traj.T:
-        raise ValueError(f"prediction length {pred.T} does not match T={traj.T}")
-    if layout.T_prime > traj.T:
+def block_decompose(run: ScaledRun, layout: BlockLayout) -> BlockDecomposition:
+    """Transform the bias (p - x) and noise (x - y) streams per (block, bucket).
+
+    Nz follows by linearity as coeffs(p - y) - D, from the residual
+    transform the run memoises per layout (shared with ``accumulate_run``).
+    """
+    if layout.T_prime > run.T:
         raise ValueError("layout covers more rounds than the trajectory")
-    scale = math.lcm(traj.den, pred.den)
-    if 4 * traj.T * scale >= _EXACT_SUM_LIMIT:
-        raise ValueError("scale overflow in block_decompose")
-    p_scaled = pred.num * (scale // pred.den)
-    x_scaled = traj.x_num * (scale // traj.den)
-    y_scaled = traj.y_num * (scale // traj.den)
-    _, bucket_idx = np.unique(p_scaled, return_inverse=True)
-    d = _block_coefficients(layout, bucket_idx, p_scaled - x_scaled, traj.T)
-    nz = _block_coefficients(layout, bucket_idx, x_scaled - y_scaled, traj.T)
-    return BlockDecomposition(layout=layout, scale=scale, D=d, Nz=nz)
+    d = _block_coefficients(run, layout, run.p - run.x)
+    nz = {a: (present, c - d[a][1]) for a, (present, c) in run.resid_coefficients(layout).items()}
+    return BlockDecomposition(layout=layout, scale=run.scale, D=d, Nz=nz)
 
 
 # ---------------------------------------------------------------------------
@@ -494,15 +521,12 @@ def _ge(name: str, lhs: float, rhs: float, exact: bool = False) -> CheckResult:
 
 def check_telescoping(ledger: RunLedger) -> CheckResult:
     """sum_v B(v, g_all) telescopes to sum_t (p_t - y_t), exactly."""
+    run = ledger.scaled
     if "g_all" in ledger.bias:
         lhs = int(ledger.bias["g_all"].sum())
     else:
-        lhs = int(
-            _exact_bincount(
-                ledger.bucket_idx, ledger.resid, len(ledger.bucket_scaled)
-            ).sum()
-        )
-    rhs = int(ledger.resid.sum())
+        lhs = int(run.bucket_sums(run.resid).sum())
+    rhs = int(run.resid.sum())
     return CheckResult("telescoping", lhs == rhs, lhs / ledger.scale, rhs / ledger.scale)
 
 
@@ -585,43 +609,23 @@ def check_block_parseval(decomp: BlockDecomposition, stats: DeviationStats) -> C
     return CheckResult("block_parseval", gap <= REL_TOL, gap, REL_TOL)
 
 
-def check_bits_mse(
-    traj: Trajectory, pred: Predictions, report: CalibrationReport
-) -> list[CheckResult]:
+def check_bits_mse(run: ScaledRun, report: CalibrationReport) -> list[CheckResult]:
     """Appendix-style squared loss controls for the bit environment:
     per-round miss penalty (exact) and squared loss <= (2 - 1/(2N)) MCerr."""
-    n = 1 << traj.params["k"]
-    scale = math.lcm(traj.den, pred.den)
-    p_scaled = pred.num * (scale // pred.den)
-    y_scaled = traj.y_num * (scale // traj.den)
-    val = traj.grid_idx
-    # p in J_val: val/N <= p < (val+1)/N, last interval closed at 1
-    unit = scale // n
-    in_interval = (p_scaled >= val * unit) & (
-        (p_scaled < (val + 1) * unit) | ((val == n - 1) & (p_scaled == scale))
-    )
-    diff = p_scaled - y_scaled
+    n = 1 << run.traj.params["k"]
+    scale = run.scale
     # exact per-round penalty: a miss means (p - y)^2 >= 1/(4 N^2),
     # i.e. (2 N scaled diff)^2 >= scale^2 in integers
-    miss_sq = diff[~in_interval] ** 2
+    miss_sq = run.resid[~run.in_interval] ** 2
     floor_sq = (scale // (2 * n)) ** 2
     miss_ok = bool(np.all(miss_sq >= floor_sq))
     worst = float(miss_sq.min(initial=floor_sq)) / scale**2
     results = [CheckResult("bits_miss_penalty", miss_ok, worst, floor_sq / scale**2)]
-    lhs = float(np.sum((diff / scale).astype(np.float64) ** 2))
     rhs = (2.0 - 1.0 / (2 * n)) * report.mcerr
-    results.append(_ge("bits_mse_vs_mcerr", rhs, lhs))
+    results.append(_ge("bits_mse_vs_mcerr", rhs, run.sq_loss))
     return results
 
 
-def miss_count(traj: Trajectory, pred: Predictions) -> int:
+def miss_count(run: ScaledRun) -> int:
     """Rounds whose prediction lands outside the context's interval J_val."""
-    n = 1 << traj.params["k"]
-    scale = math.lcm(traj.den, pred.den)
-    p_scaled = pred.num * (scale // pred.den)
-    val = traj.grid_idx
-    unit = scale // n
-    in_interval = (p_scaled >= val * unit) & (
-        (p_scaled < (val + 1) * unit) | ((val == n - 1) & (p_scaled == scale))
-    )
-    return int((~in_interval).sum())
+    return int((~run.in_interval).sum())

@@ -28,6 +28,7 @@ import numpy as np
 
 from .calibration import (
     Predictions,
+    ScaledRun,
     accumulate_run,
     block_decompose,
     check_bias_averaging,
@@ -233,8 +234,9 @@ def run_replicate(config: ExperimentConfig, T: int, rep: int) -> dict:
     rng = substream(config.seed, stream | _FORECASTER_STREAM_BIT)
     pred = run_forecaster(traj, forecaster, rng)
 
-    run = accumulate_run(traj, pred, family)
-    report = run.report()
+    run = ScaledRun.build(traj, pred, *family.required_denominators())
+    ledger = accumulate_run(run, family)
+    report = ledger.report()
     out = {
         "mcerr": report.mcerr,
         "err": report.err,
@@ -245,29 +247,26 @@ def run_replicate(config: ExperimentConfig, T: int, rep: int) -> dict:
     if not config.checks:
         return out
 
-    checks = [check_telescoping(run)]
-    checks.extend(check_diff_two(run))
-    stats = None
+    checks = [check_telescoping(ledger)]
+    checks.extend(check_diff_two(ledger))
     if family.kind == "pred_threshold":
-        stats = deviation_stats(traj, pred, eta=eta)
-        checks.append(check_g4_context_decomp(run, stats, eta, m_env))
+        stats = deviation_stats(run, eta=eta)
+        checks.append(check_g4_context_decomp(ledger, stats, eta, m_env))
         out["extras"]["sum_abs_nx"] = float(np.abs(stats.N_x_num).sum()) / stats.scale
     if config.env == "rademacher":
-        stats = deviation_stats(traj, pred, layout=layout)
+        stats = deviation_stats(run, layout=layout)
         checks.append(check_l1_quantization(stats, m_env))
         checks.append(check_n_from_a(stats, m_env))
         out["extras"]["A"] = float(stats.A)
         if layout is not None:
             checks.extend(check_block_mass(stats))
-            decomp = block_decompose(traj, pred, layout)
+            decomp = block_decompose(run, layout)
             checks.append(check_block_parseval(decomp, stats))
             checks.extend(check_bias_averaging(decomp, stats))
     if config.env == "bits":
-        checks.extend(check_bits_mse(traj, pred, report))
-        scale = math.lcm(traj.den, pred.den)
-        diff = pred.num * (scale // pred.den) - traj.y_num * (scale // traj.den)
-        out["extras"]["sq_loss"] = float(np.sum((diff / scale) ** 2))
-        out["extras"]["misses"] = float(miss_count(traj, pred))
+        checks.extend(check_bits_mse(run, report))
+        out["extras"]["sq_loss"] = run.sq_loss
+        out["extras"]["misses"] = float(miss_count(run))
     out["violations"] = [c.name for c in checks if not c.ok]
     return out
 
@@ -421,14 +420,12 @@ def run_oracle_bound(
         reduction = ProperReduction(factory, m_copies, update_policy=update)
         rng = substream(seed, rep | _FORECASTER_STREAM_BIT)
         pred = run_forecaster(traj, reduction, rng)
-        run = accumulate_run(traj, pred, family)
-        report = run.report()
+        run = ScaledRun.build(traj, pred, *family.required_denominators())
+        report = accumulate_run(run, family).report()
         mcerrs[rep] = report.mcerr
-        scale = math.lcm(traj.den, pred.den)
-        diff = pred.num * (scale // pred.den) - traj.y_num * (scale // traj.den)
-        sq_losses[rep] = float(np.sum((diff / scale) ** 2))
-        misses[rep] = miss_count(traj, pred)
-        violations += sum(not c.ok for c in check_bits_mse(traj, pred, report))
+        sq_losses[rep] = run.sq_loss
+        misses[rep] = miss_count(run)
+        violations += sum(not c.ok for c in check_bits_mse(run, report))
 
     mean_mcerr = float(mcerrs.mean())
     se = float(mcerrs.std(ddof=1) / math.sqrt(replicates))
@@ -536,8 +533,9 @@ def run_reduction_bound(
             router = PatternRouter(factory, family.groups)
             rng = substream(seed, _cell_stream(T, rep) | _FORECASTER_STREAM_BIT)
             pred = run_forecaster(traj, router, rng)
-            run = accumulate_run(traj, pred, family)
-            report = run.report()
+            run = ScaledRun.build(traj, pred, *family.required_denominators())
+            ledger = accumulate_run(run, family)
+            report = ledger.report()
             mcerrs[rep] = report.mcerr
             cell_err = {z: router.cell_err(z) for z in router.cells}
             if rep == 0:
@@ -547,7 +545,7 @@ def run_reduction_bound(
                 bound_j = sum(
                     (e for z, e in cell_err.items() if z[j] == 1), Fraction(0)
                 )
-                if run.err_exact(g.id) > bound_j:
+                if ledger.err_exact(g.id) > bound_j:
                     pathwise_bad += 1
         cell_lengths = details["per_T"][T]["cell_lengths"]
         envelope_sum = sum(c * t_z**beta for t_z in cell_lengths)
@@ -579,13 +577,8 @@ def _standalone_cell_err(cell_grid, t_z, factory, seed, replicates) -> tuple[flo
     for rep in range(replicates):
         traj = sample_bernoulli_on_grid(cell_grid, t_z, seed, stream=rep)
         rng = substream(seed, rep | _FORECASTER_STREAM_BIT)
-        pred = run_forecaster(traj, factory(), rng)
-        scale = math.lcm(traj.den, pred.den)
-        p_scaled = pred.num * (scale // pred.den)
-        resid = p_scaled - traj.y_num * (scale // traj.den)
-        buckets, inverse = np.unique(p_scaled, return_inverse=True)
-        sums = np.bincount(inverse, weights=resid.astype(np.float64))
-        errs[rep] = np.abs(sums).sum() / scale
+        run = ScaledRun.build(traj, run_forecaster(traj, factory(), rng))
+        errs[rep] = np.abs(run.bucket_sums(run.resid)).sum() / run.scale
     return float(errs.mean()), float(errs.std(ddof=1) / math.sqrt(replicates))
 
 
@@ -654,11 +647,9 @@ def run_identity_suite(
         T = 2 * L
         traj = sample_rademacher_env(T, seed, m=2)
         _, fam = build_block_hadamard_family(T=T, K=2)
-        zeros = np.zeros(T, dtype=np.int64)
+        run = ScaledRun.build(traj, Predictions(num=np.zeros(T, dtype=np.int64), den=1))
         for plus, minus in fam.signed_pairs():
-            w = plus.weights(traj, zeros, traj.den).astype(np.int64) + minus.weights(
-                traj, zeros, traj.den
-            )
+            w = plus.weights(run).astype(np.int64) + minus.weights(run)
             expected = np.zeros(T, dtype=np.int64)
             expected[(plus.a - 1) * L : plus.a * L] = 1
             bad += int(np.count_nonzero(w != expected))
@@ -723,9 +714,9 @@ def noise_floor_diagnostic(T: int, K: int, replicates: int, seed: int) -> dict:
     n_a_sum = np.zeros(layout.K)
     for rep in range(replicates):
         traj = sample_rademacher_env(T, seed, m=m_env, stream=rep)
-        pred = Predictions(num=traj.x_num.copy(), den=traj.den)
-        dec = block_decompose(traj, pred, layout)
-        stats = deviation_stats(traj, pred, layout=layout)
+        run = ScaledRun.build(traj, Predictions(num=traj.x_num.copy(), den=traj.den))
+        dec = block_decompose(run, layout)
+        stats = deviation_stats(run, layout=layout)
         n_a_sum += stats.N_a
         block = np.empty((layout.K, layout.L))
         for a in range(1, layout.K + 1):

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .calibration import Predictions
+from .calibration import Predictions, ScaledRun
 from .environments import ContextRecord, Trajectory
 
 DUMMY_CONTEXT = ContextRecord(mean=Fraction(1, 2))
@@ -419,8 +419,8 @@ class PatternRouter(Forecaster):
         probe = self.oracle_factory()
         if getattr(probe, "predict_sequence", None) is None or not probe.deterministic:
             return None
-        zeros = np.zeros(traj.T, dtype=np.int64)
-        weight_rows = np.stack([g.weights(traj, zeros, traj.den) for g in self.groups])
+        run = ScaledRun.build(traj, Predictions(num=np.zeros(traj.T, dtype=np.int64), den=1))
+        weight_rows = np.stack([g.weights(run) for g in self.groups])
         patterns, inverse = np.unique(weight_rows.T, axis=0, return_inverse=True)
         dens = []
         parts = []

@@ -6,10 +6,11 @@ binary half-groups, never as standalone [-1,1] groups, matching how the
 bound constructions are assembled.
 
 Each group supports exact scalar evaluation on (ContextRecord, Fraction)
-plus a vectorized ``weights`` path over a whole trajectory, used by the
-calibration accumulators.  The vectorized path works in scaled-integer
-arithmetic: predictions arrive as numerators over a common ``scale`` that
-the family's ``required_denominators`` have been folded into.
+plus a vectorized ``weights`` path over a whole run, used by the
+calibration accumulators.  The vectorized path reads a
+``calibration.ScaledRun``: predictions and context means arrive as
+numerators over one common ``scale`` that the family's
+``required_denominators`` have been folded into.
 """
 
 from __future__ import annotations
@@ -17,12 +18,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .environments import ContextRecord, Trajectory, pow2_floor
+from .environments import ContextRecord, pow2_floor
 from .orthogonal import walsh_row, walsh_sign
+
+if TYPE_CHECKING:
+    from .calibration import ScaledRun
 
 
 def default_eta(m: int, T: int) -> Fraction:
@@ -92,7 +96,7 @@ class GroupFunction:
     def evaluate(self, ctx: ContextRecord, p: Optional[Fraction]):
         raise NotImplementedError
 
-    def weights(self, traj: Trajectory, p_scaled: np.ndarray, scale: int) -> np.ndarray:
+    def weights(self, run: ScaledRun) -> np.ndarray:
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -109,8 +113,8 @@ class ConstantGroup(GroupFunction):
     def evaluate(self, ctx, p):
         return 1
 
-    def weights(self, traj, p_scaled, scale):
-        return np.ones(traj.T, dtype=np.int8)
+    def weights(self, run):
+        return np.ones(run.T, dtype=np.int8)
 
     def describe(self):
         return "constant 1"
@@ -139,18 +143,17 @@ class ThresholdGroup(GroupFunction):
             return 1 if p <= x - self.eta else 0
         return 1 if abs(p - x) < self.eta else 0
 
-    def weights(self, traj, p_scaled, scale):
-        x_scaled = traj.x_num * (scale // traj.den)
-        eta_scaled = self.eta * scale
+    def weights(self, run):
+        eta_scaled = self.eta * run.scale
         if eta_scaled.denominator != 1:
             raise ValueError("scale does not absorb eta's denominator")
         e = int(eta_scaled)
         if self.which == 1:
-            mask = p_scaled >= x_scaled + e
+            mask = run.p >= run.x + e
         elif self.which == 2:
-            mask = p_scaled <= x_scaled - e
+            mask = run.p <= run.x - e
         else:
-            mask = np.abs(p_scaled - x_scaled) < e
+            mask = np.abs(run.p - run.x) < e
         return mask.astype(np.int8)
 
     def describe(self):
@@ -179,10 +182,10 @@ class WalshHalfGroup(GroupFunction):
     def evaluate(self, ctx, p):
         return (1 + self.sign * self.feature_sign(ctx)) // 2
 
-    def weights(self, traj, p_scaled, scale):
-        if len(traj.grid) != self.m:
+    def weights(self, run):
+        if len(run.traj.grid) != self.m:
             raise ValueError("trajectory grid does not match the Walsh family grid")
-        signs = self._row[traj.grid_idx]
+        signs = self._row[run.traj.grid_idx]
         return ((1 + self.sign * signs) // 2).astype(np.int8)
 
     def describe(self):
@@ -214,11 +217,11 @@ class BlockHadamardHalfGroup(GroupFunction):
         s = self.layout.local_time(t)
         return (1 + self.sign * walsh_sign(self.j, s, self.layout.L)) // 2
 
-    def weights(self, traj, p_scaled, scale):
+    def weights(self, run):
         lay = self.layout
-        out = np.zeros(traj.T, dtype=np.int8)
+        out = np.zeros(run.T, dtype=np.int8)
         lo = (self.a - 1) * lay.L
-        hi = min(self.a * lay.L, traj.T)
+        hi = min(self.a * lay.L, run.T)
         if lo < hi:
             row = walsh_row(self.j, lay.L)[: hi - lo]
             out[lo:hi] = (1 + self.sign * row) // 2
@@ -244,12 +247,12 @@ class BitGroup(GroupFunction):
             raise ValueError("bit groups need bit contexts")
         return int(ctx.bits[self.r - 1])
 
-    def weights(self, traj, p_scaled, scale):
+    def weights(self, run):
         if self.r == 0:
-            return np.ones(traj.T, dtype=np.int8)
-        if traj.bits is None:
+            return np.ones(run.T, dtype=np.int8)
+        if run.traj.bits is None:
             raise ValueError("bit groups need a bit-context trajectory")
-        return traj.bits[:, self.r - 1].astype(np.int8)
+        return run.traj.bits[:, self.r - 1].astype(np.int8)
 
     def describe(self):
         return f"r={self.r}"
@@ -272,8 +275,8 @@ class GridRangeGroup(GroupFunction):
             return 0
         return 1 if self.lo <= idx - 1 <= self.hi else 0
 
-    def weights(self, traj, p_scaled, scale):
-        return ((traj.grid_idx >= self.lo) & (traj.grid_idx <= self.hi)).astype(np.int8)
+    def weights(self, run):
+        return ((run.traj.grid_idx >= self.lo) & (run.traj.grid_idx <= self.hi)).astype(np.int8)
 
     def describe(self):
         return f"lo={self.lo};hi={self.hi}"
@@ -296,10 +299,8 @@ class SignedDiffGroup(GroupFunction):
     def evaluate(self, ctx, p):
         return self.plus.evaluate(ctx, p) - self.minus.evaluate(ctx, p)
 
-    def weights(self, traj, p_scaled, scale):
-        return self.plus.weights(traj, p_scaled, scale).astype(np.int8) - self.minus.weights(
-            traj, p_scaled, scale
-        )
+    def weights(self, run):
+        return self.plus.weights(run).astype(np.int8) - self.minus.weights(run)
 
     def describe(self):
         return f"plus={self.plus.id};minus={self.minus.id}"
@@ -307,11 +308,6 @@ class SignedDiffGroup(GroupFunction):
 
 def signed_diff(plus: GroupFunction, minus: GroupFunction) -> SignedDiffGroup:
     return SignedDiffGroup(plus, minus)
-
-
-def eval_threshold_group(which: int, eta: Fraction, x: Fraction, v: Fraction) -> int:
-    """One-shot evaluation of g1/g2/g3 at context mean x and prediction v."""
-    return ThresholdGroup(which, eta).evaluate(ContextRecord(mean=Fraction(x)), Fraction(v))
 
 
 @dataclass

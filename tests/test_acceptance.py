@@ -14,7 +14,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from caliblab.calibration import Predictions, check_block_parseval, deviation_stats, block_decompose
+from caliblab.calibration import (
+    Predictions,
+    ScaledRun,
+    block_decompose,
+    check_block_parseval,
+    deviation_stats,
+)
 from caliblab.cli import EXIT_OK, main
 from caliblab.environments import (
     sample_rademacher_env,
@@ -84,8 +90,9 @@ def test_criterion_03_block_parseval():
         layout = build_block_layout(T, k)
         den = 2 ** int(rng.integers(2, 6))
         pred = Predictions(num=rng.integers(0, den + 1, size=T), den=den)
-        dec = block_decompose(traj, pred, layout)
-        stats = deviation_stats(traj, pred, layout=layout)
+        scaled = ScaledRun.build(traj, pred)
+        dec = block_decompose(scaled, layout)
+        stats = deviation_stats(scaled, layout=layout)
         gap = dec.block_parseval_gap(stats.E_a)
         worst = max(worst, gap)
         assert check_block_parseval(dec, stats).ok

@@ -1,12 +1,16 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caliblab.calibration import (
     BiasLedger,
     CalibrationReport,
     Predictions,
+    ScaledRun,
     accumulate_run,
     block_decompose,
     check_bias_averaging,
@@ -33,10 +37,12 @@ from caliblab.groups import (
     build_block_hadamard_family,
     build_block_layout,
     build_full_walsh_family,
+    build_grid_range_family,
     build_pred_threshold_family,
     build_walsh_family,
     default_eta,
 )
+from caliblab.orthogonal import walsh_matrix
 
 HALF = Fraction(1, 2)
 
@@ -47,6 +53,10 @@ def honest_predictions(traj) -> Predictions:
 
 def random_predictions(traj, rng, den=16) -> Predictions:
     return Predictions(num=rng.integers(0, den + 1, size=traj.T), den=den)
+
+
+def ledger_of(traj, pred, fam):
+    return accumulate_run(ScaledRun.build(traj, pred, *fam.required_denominators()), fam)
 
 
 def test_record_round_examples():
@@ -95,7 +105,7 @@ def test_honest_err_g1_g2_zero_exact():
     traj = sample_bernoulli_env(T=4000, m=10, seed=3)
     eta = default_eta(10, 4000)
     fam = build_pred_threshold_family(10, eta)
-    run = accumulate_run(traj, honest_predictions(traj), fam)
+    run = ledger_of(traj, honest_predictions(traj), fam)
     g1, g2, g3 = fam.ids()
     assert run.err_exact(g1) == 0
     assert run.err_exact(g2) == 0
@@ -114,7 +124,7 @@ def test_streaming_matches_vectorized():
     ledger = BiasLedger(fam)
     for t in range(traj.T):
         ledger.record_round(traj.context(t), pred.fraction(t), traj.outcome(t))
-    run = accumulate_run(traj, pred, fam)
+    run = ledger_of(traj, pred, fam)
     for gid in fam.ids():
         assert ledger.err_exact(gid) == run.err_exact(gid)
     # and bucketwise
@@ -130,9 +140,55 @@ def test_streaming_matches_vectorized_walsh():
     ledger = BiasLedger(fam)
     for t in range(traj.T):
         ledger.record_round(traj.context(t), pred.fraction(t), traj.outcome(t))
-    run = accumulate_run(traj, pred, fam)
+    run = ledger_of(traj, pred, fam)
     for gid in fam.ids():
         assert ledger.err_exact(gid) == run.err_exact(gid)
+
+
+def _random_case(kind, data):
+    """A small (trajectory, family) pair of the given family kind."""
+    seed = data.draw(st.integers(0, 2**16))
+    if kind in ("threshold", "grid_ranges"):
+        m = data.draw(st.integers(8, 16))
+        traj = sample_bernoulli_env(T=data.draw(st.integers(1, 48)), m=m, seed=seed)
+        if kind == "grid_ranges":
+            pieces = data.draw(st.integers(1, len(traj.grid)))
+            return traj, build_grid_range_family(list(traj.grid), pieces)
+        eta = Fraction(data.draw(st.integers(1, 9)), 18 * m)  # <= 1/(2m)
+        return traj, build_pred_threshold_family(m, eta)
+    if kind == "walsh":
+        m = data.draw(st.sampled_from([2, 4, 8]))
+        traj = sample_rademacher_env(T=data.draw(st.integers(2, 48)), seed=seed, m=m)
+        return traj, build_walsh_family(m)
+    if kind == "block_hadamard":
+        T = data.draw(st.integers(4, 48))
+        traj = sample_rademacher_env(T=T, seed=seed, m=4)
+        return traj, build_block_hadamard_family(T, data.draw(st.integers(1, T // 4)))[1]
+    k = data.draw(st.integers(1, 3))
+    return sample_bit_env(T=data.draw(st.integers(1, 48)), k=k, seed=seed), build_bit_family(k)
+
+
+@pytest.mark.parametrize("kind", ["threshold", "walsh", "block_hadamard", "bits", "grid_ranges"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_streaming_ledger_matches_accumulate_run(kind, data):
+    traj, fam = _random_case(kind, data)
+    # the trajectory's own denominator (with eta's) makes p = x +- eta reachable
+    natural = math.lcm(traj.den, *fam.required_denominators())
+    den = data.draw(st.one_of(st.integers(1, 24), st.just(natural)))
+    num = data.draw(st.lists(st.integers(0, den), min_size=traj.T, max_size=traj.T))
+    pred = Predictions(num=np.array(num, dtype=np.int64), den=den)
+    ledger = BiasLedger(fam, streaming_limit=len(fam))
+    for t in range(traj.T):
+        ledger.record_round(traj.context(t), pred.fraction(t), traj.outcome(t))
+    run = ledger_of(traj, pred, fam)
+    for gid in fam.ids():
+        assert ledger.err_exact(gid) == run.err_exact(gid), gid
+    buckets = run.bucket_fractions()
+    assert {p for _, p in ledger.entries} <= set(buckets)
+    for gid, bias in run.bias.items():
+        for b, frac in zip(bias, buckets):
+            assert Fraction(int(b), run.scale) == ledger.bias(gid, frac), (gid, frac)
 
 
 def test_block_groups_match_direct_evaluation():
@@ -144,7 +200,7 @@ def test_block_groups_match_direct_evaluation():
     ledger = BiasLedger(fam, streaming_limit=10_000)
     for t in range(traj.T):
         ledger.record_round(traj.context(t), pred.fraction(t), traj.outcome(t))
-    run = accumulate_run(traj, pred, fam)
+    run = ledger_of(traj, pred, fam)
     for gid in fam.ids():
         assert ledger.err_exact(gid) == run.err_exact(gid), gid
 
@@ -156,7 +212,7 @@ def test_telescoping_exact():
         fam = build_pred_threshold_family(9, Fraction(1, 18))
         fam.groups.append(ConstantGroup())
         pred = random_predictions(traj, rng)
-        run = accumulate_run(traj, pred, fam)
+        run = ledger_of(traj, pred, fam)
         chk = check_telescoping(run)
         assert chk.ok
         assert run.telescoped() == sum(
@@ -166,7 +222,8 @@ def test_telescoping_exact():
 
 def test_deviation_stats_honest():
     traj = sample_bernoulli_env(T=100, m=8, seed=1)
-    stats = deviation_stats(traj, honest_predictions(traj), eta=Fraction(1, 16))
+    eta = Fraction(1, 16)
+    stats = deviation_stats(ScaledRun.build(traj, honest_predictions(traj), eta.denominator), eta=eta)
     assert stats.A == 0
     assert stats.S == 0.0
     counts = traj.context_counts()
@@ -179,7 +236,7 @@ def test_deviation_stats_honest():
 def test_deviation_stats_constant_predictor():
     traj = sample_bernoulli_env(T=100, m=8, seed=2)
     pred = Predictions(num=np.full(100, 1, dtype=np.int64), den=2)
-    stats = deviation_stats(traj, pred)
+    stats = deviation_stats(ScaledRun.build(traj, pred))
     assert len(stats.n_v) == 1
     assert stats.N == pytest.approx(np.sqrt(100))
 
@@ -190,7 +247,7 @@ def test_l1_quantization_on_random_sequences():
     traj = sample_rademacher_env(T=256, seed=8, m=8)
     for _ in range(100):
         pred = random_predictions(traj, rng, den=32)
-        stats = deviation_stats(traj, pred)
+        stats = deviation_stats(ScaledRun.build(traj, pred))
         assert check_l1_quantization(stats, m=8).ok
         assert check_n_from_a(stats, m=8).ok
 
@@ -211,7 +268,7 @@ def test_block_mass_inequalities():
     layout = build_block_layout(512, 4)
     for _ in range(20):
         pred = random_predictions(traj, rng, den=16)
-        stats = deviation_stats(traj, pred, layout=layout)
+        stats = deviation_stats(ScaledRun.build(traj, pred), layout=layout)
         for chk in check_block_mass(stats):
             assert chk.ok
 
@@ -220,7 +277,7 @@ def test_block_decompose_honest():
     traj = sample_rademacher_env(T=128, seed=10, m=4)
     layout = build_block_layout(128, 2)
     pred = honest_predictions(traj)
-    dec = block_decompose(traj, pred, layout)
+    dec = block_decompose(ScaledRun.build(traj, pred), layout)
     for a in (1, 2):
         _, d = dec.D[a]
         assert np.all(d == 0)
@@ -233,7 +290,7 @@ def test_block_decompose_constant_bias():
     traj = sample_rademacher_env(T=64, seed=11, m=2)
     layout = build_block_layout(64, 1)
     pred = Predictions(num=np.full(64, 5, dtype=np.int64), den=8)
-    dec = block_decompose(traj, pred, layout)
+    dec = block_decompose(ScaledRun.build(traj, pred), layout)
     buckets, d = dec.D[1]
     assert len(buckets) == 1
     delta = (
@@ -250,9 +307,9 @@ def test_block_decompose_identity_and_parseval():
     _, fam = build_block_hadamard_family(T=256, K=2)
     for _ in range(5):
         pred = random_predictions(traj, rng, den=8)
-        dec = block_decompose(traj, pred, layout)
-        run = accumulate_run(traj, pred, fam)
-        stats = deviation_stats(traj, pred, layout=layout)
+        dec = block_decompose(ScaledRun.build(traj, pred), layout)
+        run = ledger_of(traj, pred, fam)
+        stats = deviation_stats(ScaledRun.build(traj, pred), layout=layout)
         # D + Nz equals the signed ledger bias exactly
         for a in (1, 2):
             for j in (0, 1, layout.L - 1):
@@ -264,6 +321,29 @@ def test_block_decompose_identity_and_parseval():
             assert chk.ok
 
 
+@pytest.mark.parametrize("T,K,den", [(8, 1, 2), (32, 2, 4), (48, 3, 3), (100, 4, 8)])
+def test_block_decompose_noise_matches_direct_transform(T, K, den):
+    # Nz is derived by linearity; check it against the transform of the
+    # bucket-masked x - y rows, built here round by round
+    rng = np.random.default_rng(T)
+    traj = sample_rademacher_env(T=T, seed=K, m=4)
+    layout = build_block_layout(T, K)
+    pred = random_predictions(traj, rng, den=den)
+    dec = block_decompose(ScaledRun.build(traj, pred), layout)
+    psi = walsh_matrix(layout.L).astype(np.int64)
+    for a in range(1, layout.K + 1):
+        rounds = range((a - 1) * layout.L, a * layout.L)
+        values = sorted({pred.fraction(t) for t in rounds})
+        rows = np.zeros((len(values), layout.L), dtype=np.int64)
+        for s, t in enumerate(rounds):
+            noise = (traj.context(t).mean - traj.outcome(t)) * dec.scale
+            assert noise.denominator == 1
+            rows[values.index(pred.fraction(t)), s] = int(noise)
+        buckets, z = dec.Nz[a]
+        assert len(buckets) == len(values)
+        assert np.array_equal(z, rows @ psi.T)
+
+
 def test_g4_context_decomposition():
     rng = np.random.default_rng(20)
     m = 8
@@ -272,8 +352,8 @@ def test_g4_context_decomposition():
     fam = build_pred_threshold_family(m, eta)
     for _ in range(20):
         pred = random_predictions(traj, rng, den=64)
-        run = accumulate_run(traj, pred, fam)
-        stats = deviation_stats(traj, pred, eta=eta)
+        run = ledger_of(traj, pred, fam)
+        stats = deviation_stats(ScaledRun.build(traj, pred, eta.denominator), eta=eta)
         assert check_g4_context_decomp(run, stats, eta, m).ok
 
 
@@ -283,7 +363,7 @@ def test_diff_two_pathwise():
     _, fam = build_full_walsh_family(T=128, m=4, K=2)
     for _ in range(10):
         pred = random_predictions(traj, rng, den=8)
-        run = accumulate_run(traj, pred, fam)
+        run = ledger_of(traj, pred, fam)
         checks = check_diff_two(run)
         assert len(checks) > 0
         assert all(c.ok for c in checks)
@@ -294,13 +374,13 @@ def test_bits_mse_checks():
     traj = sample_bit_env(T=500, k=3, seed=15)
     fam = build_bit_family(3)
     pred = random_predictions(traj, rng, den=7)
-    run = accumulate_run(traj, pred, fam)
-    for chk in check_bits_mse(traj, pred, run.report()):
+    run = ledger_of(traj, pred, fam)
+    for chk in check_bits_mse(run.scaled, run.report()):
         assert chk.ok
-    assert 0 <= miss_count(traj, pred) <= traj.T
+    assert 0 <= miss_count(run.scaled) <= traj.T
     # honest predictions never miss and have zero loss
     honest = honest_predictions(traj)
-    assert miss_count(traj, honest) == 0
+    assert miss_count(ScaledRun.build(traj, honest)) == 0
 
 
 def test_report_csv(tmp_path):
@@ -316,7 +396,7 @@ def test_decomposition_csv(tmp_path):
     traj = sample_rademacher_env(T=32, seed=20, m=2)
     layout = build_block_layout(32, 2)
     pred = honest_predictions(traj)
-    dec = block_decompose(traj, pred, layout)
+    dec = block_decompose(ScaledRun.build(traj, pred), layout)
     path = tmp_path / "dec.csv"
     dec.write_csv(path)
     lines = path.read_text().splitlines()

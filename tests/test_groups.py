@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from caliblab.calibration import Predictions, ScaledRun
 from caliblab.environments import (
     ContextRecord,
     grid_section4,
@@ -21,7 +22,6 @@ from caliblab.groups import (
     build_walsh_family,
     default_block_count,
     default_eta,
-    eval_threshold_group,
     signed_diff,
     ThresholdGroup,
 )
@@ -35,6 +35,10 @@ def ctx_timed(x, t) -> ContextRecord:
     return ContextRecord(mean=Fraction(x), time=t)
 
 
+def zero_run(traj) -> ScaledRun:
+    return ScaledRun.build(traj, Predictions(num=np.zeros(traj.T, dtype=np.int64), den=1))
+
+
 def test_threshold_examples():
     eta = Fraction(1, 10)
     g1, g2, g3 = (ThresholdGroup(w, eta) for w in (1, 2, 3))
@@ -43,9 +47,12 @@ def test_threshold_examples():
     assert g3.evaluate(c, Fraction(1, 2)) == 1
     assert g1.evaluate(c, Fraction(1, 2)) == 0
     assert g2.evaluate(c, Fraction(1, 2)) == 0
+    assert g2.evaluate(c, Fraction(2, 5)) == 1  # undershoot by 1/10
     # closed inequality at the boundary
     assert g1.evaluate(c, Fraction(3, 5)) == 1
     assert g3.evaluate(c, Fraction(3, 5)) == 0
+    with pytest.raises(ValueError):
+        ThresholdGroup(4, eta)
 
 
 def test_threshold_partition():
@@ -64,15 +71,6 @@ def test_threshold_rejects_bad_eta():
         ThresholdGroup(1, Fraction(0))
     with pytest.raises(ValueError):
         ThresholdGroup(1, Fraction(-1, 4))
-
-
-def test_eval_threshold_group_function():
-    eta, x = Fraction(1, 10), Fraction(1, 2)
-    assert eval_threshold_group(1, eta, x, Fraction(13, 20)) == 1
-    assert eval_threshold_group(3, eta, x, x) == 1
-    assert eval_threshold_group(2, eta, x, Fraction(2, 5)) == 1
-    with pytest.raises(ValueError):
-        eval_threshold_group(4, eta, x, x)
 
 
 def test_default_eta():
@@ -178,10 +176,10 @@ def test_complementarity_exhaustive_vectorized():
         traj = sample_rademacher_env(T=T, seed=1)
         layout, fam = build_block_hadamard_family(T=T, K=K)
         assert layout.L <= 256
-        p = np.zeros(T, dtype=np.int64)
+        run = zero_run(traj)
         total = np.zeros(T, dtype=np.int64)
         for plus, minus in fam.signed_pairs():
-            w = plus.weights(traj, p, traj.den) + minus.weights(traj, p, traj.den)
+            w = plus.weights(run) + minus.weights(run)
             block = np.zeros(T, dtype=np.int64)
             lo = (plus.a - 1) * layout.L
             block[lo : plus.a * layout.L] = 1
@@ -196,8 +194,7 @@ def test_bit_family():
     c = ContextRecord(bits=(1, 0))
     assert [g.evaluate(c, None) for g in fam] == [1, 1, 0]
     traj = sample_bit_env(T=50, k=2, seed=4)
-    p = np.zeros(50, dtype=np.int64)
-    w = fam.by_id("bit/2").weights(traj, p, traj.den)
+    w = fam.by_id("bit/2").weights(zero_run(traj))
     assert np.array_equal(w, traj.bits[:, 1])
 
 
@@ -238,8 +235,8 @@ def test_grid_range_family():
     traj = sample_bernoulli_env(T=100, m=12, seed=0)
     fam = build_grid_range_family(list(traj.grid), pieces=3)
     assert len(fam) == 3
-    p = np.zeros(100, dtype=np.int64)
-    total = sum(g.weights(traj, p, traj.den).astype(int) for g in fam)
+    run = zero_run(traj)
+    total = sum(g.weights(run).astype(int) for g in fam)
     assert np.array_equal(total, np.ones(100, dtype=int))
 
 
@@ -250,10 +247,9 @@ def test_threshold_vector_weights_match_scalar():
     rng = np.random.default_rng(1)
     p_den = 16
     p_num16 = rng.integers(0, p_den + 1, size=64)
-    scale = np.lcm(np.lcm(traj.den, p_den), eta.denominator)
-    p_scaled = p_num16 * (scale // p_den)
+    run = ScaledRun.build(traj, Predictions(num=p_num16, den=p_den), eta.denominator)
     for g in fam:
-        w = g.weights(traj, p_scaled, int(scale))
+        w = g.weights(run)
         for t in range(64):
             wanted = g.evaluate(traj.context(t), Fraction(int(p_num16[t]), p_den))
             assert int(w[t]) == wanted
