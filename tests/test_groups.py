@@ -47,12 +47,9 @@ def test_threshold_examples():
     assert g3.evaluate(c, Fraction(1, 2)) == 1
     assert g1.evaluate(c, Fraction(1, 2)) == 0
     assert g2.evaluate(c, Fraction(1, 2)) == 0
-    assert g2.evaluate(c, Fraction(2, 5)) == 1  # undershoot by 1/10
     # closed inequality at the boundary
     assert g1.evaluate(c, Fraction(3, 5)) == 1
     assert g3.evaluate(c, Fraction(3, 5)) == 0
-    with pytest.raises(ValueError):
-        ThresholdGroup(4, eta)
 
 
 def test_threshold_partition():
@@ -71,6 +68,16 @@ def test_threshold_rejects_bad_eta():
         ThresholdGroup(1, Fraction(0))
     with pytest.raises(ValueError):
         ThresholdGroup(1, Fraction(-1, 4))
+
+
+def test_eval_threshold_group_function():
+    eta, x = Fraction(1, 10), Fraction(1, 2)
+    c = ctx_mean(x)
+    assert ThresholdGroup(1, eta).evaluate(c, Fraction(13, 20)) == 1
+    assert ThresholdGroup(3, eta).evaluate(c, x) == 1
+    assert ThresholdGroup(2, eta).evaluate(c, Fraction(2, 5)) == 1
+    with pytest.raises(ValueError):
+        ThresholdGroup(4, eta)
 
 
 def test_default_eta():
