@@ -13,7 +13,10 @@ is reported as exactly 0.0.
 
 Signed functionals (differences of two half-groups) are measured from
 the signed weights directly, never by subtracting two separately rounded
-reports, so the bias + noise = ledger-bias identity is exact.
+reports, so the bias + noise = ledger-bias identity is exact.  A family's
+blockwise Hadamard half-groups are never evaluated one by one: their
+Err numerators and difference-of-two checks are (K, L) arrays computed
+from the per-block transform of the residual.
 """
 
 from __future__ import annotations
@@ -23,17 +26,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
 from .environments import ContextRecord, Trajectory
-from .groups import (
-    BlockHadamardHalfGroup,
-    BlockLayout,
-    GroupFamily,
-    ThresholdGroup,
-)
+from .groups import BlockLayout, GroupFamily, ThresholdGroup
 from .orthogonal import fwht
 
 STREAMING_FAMILY_LIMIT = 64
@@ -218,17 +217,18 @@ class RunLedger:
     """Exact per-(group, bucket) biases for one run, vectorized.
 
     Direct groups carry an int64 bias vector over the realized buckets
-    (numerators over ``scale``).  Blockwise Hadamard half-groups are
-    evaluated collectively through the transform; their Err numerators
-    live in ``block_abs`` over ``2 * scale``.
+    (numerators over ``scale``).  The family's block half-groups are
+    evaluated through the transform into (K, L) arrays at [a - 1, j]: the
+    Err numerators of had+/a/j and had-/a/j over ``2 * scale``, and of the
+    signed functional over ``scale``; None when the family has no layout.
     """
 
     family: GroupFamily
     scaled: ScaledRun
     bias: dict
-    block_plus_abs: dict
-    block_minus_abs: dict
-    block_coeff_abs: dict
+    block_plus_abs: Optional[np.ndarray] = None
+    block_minus_abs: Optional[np.ndarray] = None
+    block_coeff_abs: Optional[np.ndarray] = None
 
     scale = property(lambda self: self.scaled.scale)
     T = property(lambda self: self.scaled.T)
@@ -240,20 +240,16 @@ class RunLedger:
     def err_exact(self, gid: str) -> Fraction:
         if gid in self.bias:
             return Fraction(int(np.abs(self.bias[gid]).sum()), self.scale)
-        if gid in self.block_plus_abs:
-            return Fraction(int(self.block_plus_abs[gid]), 2 * self.scale)
-        if gid in self.block_minus_abs:
-            return Fraction(int(self.block_minus_abs[gid]), 2 * self.scale)
-        raise KeyError(gid)
+        a, j, sign = self.family.block_keys[gid]
+        half = self.block_plus_abs if sign == 1 else self.block_minus_abs
+        return Fraction(int(half[a - 1, j]), 2 * self.scale)
 
     def err_float(self) -> dict:
-        err = {}
-        for gid, b in self.bias.items():
-            err[gid] = float(np.abs(b).sum()) / self.scale
-        for gid, v in self.block_plus_abs.items():
-            err[gid] = v / (2.0 * self.scale)
-        for gid, v in self.block_minus_abs.items():
-            err[gid] = v / (2.0 * self.scale)
+        err = {gid: float(np.abs(b).sum()) / self.scale for gid, b in self.bias.items()}
+        if self.block_plus_abs is not None:
+            # (K, L, 2) in family order: a, then j, then +/-
+            halves = np.stack([self.block_plus_abs, self.block_minus_abs], axis=-1)
+            err.update(zip(self.family.block_ids, (halves.ravel() / (2.0 * self.scale)).tolist()))
         return err
 
     def report(self) -> CalibrationReport:
@@ -268,38 +264,20 @@ def accumulate_run(run: ScaledRun, family: GroupFamily) -> RunLedger:
 
     ``run`` must be built with the family's ``required_denominators()``.
     """
-    direct = [g for g in family if not isinstance(g, BlockHadamardHalfGroup)]
-    blocks = [g for g in family if isinstance(g, BlockHadamardHalfGroup)]
-
-    bias = {g.id: run.bucket_sums(g.weights(run).astype(np.int64) * run.resid) for g in direct}
-
-    block_plus_abs: dict = {}
-    block_minus_abs: dict = {}
-    block_coeff_abs: dict = {}
-    if blocks:
-        wanted = {(g.a, g.j, g.sign) for g in blocks}
-        for a, (_, c) in run.resid_coefficients(blocks[0].layout).items():
+    bias = {g.id: run.bucket_sums(g.weights(run).astype(np.int64) * run.resid) for g in family.groups}
+    ledger = RunLedger(family=family, scaled=run, bias=bias)
+    lay = family.layout
+    if lay is not None:
+        plus, minus, habs = (np.zeros((lay.K, lay.L), dtype=np.int64) for _ in range(3))
+        for a, (_, c) in run.resid_coefficients(lay).items():
             # c has shape (buckets in block, L); column j holds the signed
             # functional bias, and the half-group biases are (c0 +- cj)/2
             c0 = c[:, :1]
-            plus = np.abs(c0 + c).sum(axis=0)
-            minus = np.abs(c0 - c).sum(axis=0)
-            habs = np.abs(c).sum(axis=0)
-            for j in range(c.shape[1]):
-                if (a, j, 1) in wanted:
-                    block_plus_abs[f"had+/{a}/{j}"] = int(plus[j])
-                if (a, j, -1) in wanted:
-                    block_minus_abs[f"had-/{a}/{j}"] = int(minus[j])
-                block_coeff_abs[(a, j)] = int(habs[j])
-
-    return RunLedger(
-        family=family,
-        scaled=run,
-        bias=bias,
-        block_plus_abs=block_plus_abs,
-        block_minus_abs=block_minus_abs,
-        block_coeff_abs=block_coeff_abs,
-    )
+            plus[a - 1] = np.abs(c0 + c).sum(axis=0)
+            minus[a - 1] = np.abs(c0 - c).sum(axis=0)
+            habs[a - 1] = np.abs(c).sum(axis=0)
+        ledger.block_plus_abs, ledger.block_minus_abs, ledger.block_coeff_abs = plus, minus, habs
+    return ledger
 
 
 def _block_coefficients(run: ScaledRun, layout: BlockLayout, values: np.ndarray) -> dict:
@@ -533,21 +511,18 @@ def check_telescoping(ledger: RunLedger) -> CheckResult:
 def check_diff_two(ledger: RunLedger) -> list[CheckResult]:
     """Err(g+ - g-) <= Err(g+) + Err(g-) for every constructed pair."""
     out = []
-    for plus, minus in ledger.family.signed_pairs():
-        if plus.id in ledger.bias and minus.id in ledger.bias:
-            signed = Fraction(
-                int(np.abs(ledger.bias[plus.id] - ledger.bias[minus.id]).sum()), ledger.scale
-            )
-            bound = ledger.err_exact(plus.id) + ledger.err_exact(minus.id)
-            out.append(
-                CheckResult("diff_two", signed <= bound, float(signed), float(bound))
-            )
-    for (a, j), habs in ledger.block_coeff_abs.items():
-        pid, mid = f"had+/{a}/{j}", f"had-/{a}/{j}"
-        if pid in ledger.block_plus_abs and mid in ledger.block_minus_abs:
-            lhs = 2 * habs  # over 2*scale
-            rhs = ledger.block_plus_abs[pid] + ledger.block_minus_abs[mid]
-            out.append(CheckResult("diff_two", lhs <= rhs, lhs / 2 / ledger.scale, rhs / 2 / ledger.scale))
+    for plus, minus in ledger.family.direct_pairs():
+        signed = Fraction(int(np.abs(ledger.bias[plus.id] - ledger.bias[minus.id]).sum()), ledger.scale)
+        bound = ledger.err_exact(plus.id) + ledger.err_exact(minus.id)
+        out.append(CheckResult("diff_two", signed <= bound, float(signed), float(bound)))
+    if ledger.block_coeff_abs is not None:
+        # one result per (a, j), in family order; both sides over 2 * scale
+        lhs = 2 * ledger.block_coeff_abs.ravel()
+        rhs = (ledger.block_plus_abs + ledger.block_minus_abs).ravel()
+        half = 2 * ledger.scale
+        out.extend(
+            map(CheckResult, repeat("diff_two"), (lhs <= rhs).tolist(), (lhs / half).tolist(), (rhs / half).tolist())
+        )
     return out
 
 

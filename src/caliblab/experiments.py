@@ -280,7 +280,15 @@ def _maybe_eta(config: ExperimentConfig, m_env: int, T: int) -> Optional[Fractio
 def _scaling_batch(args) -> list:
     config_dict, T, lo, hi = args
     config = ExperimentConfig(**config_dict)
-    return [(T, rep, run_replicate(config, T, rep)) for rep in range(lo, hi)]
+    out = []
+    for rep in range(lo, hi):
+        try:
+            out.append((T, rep, run_replicate(config, T, rep)))
+        except Exception as exc:
+            # same exception type, so callers' handlers still apply; the message names the cell
+            exc.args = (f"{config.experiment_id}: cell T={T} rep={rep} stream={_cell_stream(T, rep)}: {exc}",)
+            raise
+    return out
 
 
 @dataclass
@@ -334,11 +342,10 @@ def run_scaling(config: ExperimentConfig) -> ScalingResult:
         results = [r for (t, _, r) in cells if t == T]
         mcerrs = np.array([r["mcerr"] for r in results])
         group_ids = sorted(results[0]["err"])
-        per_group = {
-            gid: float(np.mean([r["err"][gid] for r in results])) for gid in group_ids
-        }
-        top = max(per_group.values())
-        argmax = min(g for g, v in per_group.items() if v == top)
+        # C-contiguous (groups, replicates): each row mean sums in np.mean's order
+        means = np.array([[r["err"][gid] for r in results] for gid in group_ids]).mean(axis=-1)
+        per_group = dict(zip(group_ids, means.tolist()))
+        argmax = group_ids[int(np.argmax(means))]  # ids are sorted: ties go to the smallest
         extras_mean = {
             key: float(np.mean([r["extras"][key] for r in results]))
             for key in results[0]["extras"]
@@ -489,7 +496,7 @@ def run_reduction_bound(
             m_probe,
             tuple(grid_section3(m_probe)),
         )
-        PatternRouter(factory, probe_family.groups)
+        PatternRouter(factory, probe_family)
         raise ValueError(
             f"reduction bound runs on grid_ranges group families, got {groups_kind!r}"
         )
@@ -530,7 +537,7 @@ def run_reduction_bound(
         pathwise_bad = 0
         for rep in range(replicates):
             traj = sample_bernoulli_env(T, m_env, seed, stream=_cell_stream(T, rep))
-            router = PatternRouter(factory, family.groups)
+            router = PatternRouter(factory, family)
             rng = substream(seed, _cell_stream(T, rep) | _FORECASTER_STREAM_BIT)
             pred = run_forecaster(traj, router, rng)
             run = ScaledRun.build(traj, pred, *family.required_denominators())

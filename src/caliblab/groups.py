@@ -11,13 +11,23 @@ calibration accumulators.  The vectorized path reads a
 ``calibration.ScaledRun``: predictions and context means arrive as
 numerators over one common ``scale`` that the family's
 ``required_denominators`` have been folded into.
+
+A ``GroupFamily`` keeps only its direct groups (constant, Walsh halves,
+thresholds, bits, ranges) as objects.  The 2 K L blockwise Hadamard
+half-groups of ``block_hadamard`` and ``full_walsh`` families are the
+family's ``layout``: ids, length, manifest and signed pairs derive from
+it, the ledger evaluates them as (K, L) arrays, and a
+``BlockHadamardHalfGroup`` object is created only when the family is
+iterated or looked up by id.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -44,14 +54,12 @@ def default_eta(m: int, T: int) -> Fraction:
 
 
 def default_block_count(T: int) -> int:
-    """Desk-scale block count max{2, ceil(log2(T+1))}."""
+    """Desk-scale block count max{2, ceil(log2(T+1))}.
+
+    The asymptotic construction uses ceil(log2(T+1)^10) blocks, which
+    exceeds T at every desk-scale T (about 10^11 at T = 2^14).
+    """
     return max(2, math.ceil(math.log2(T + 1)))
-
-
-def asymptotic_block_count(T: int) -> int:
-    """The ceil(log^10(T+1)) schedule (base 2).  Exceeds T at desk scale;
-    kept for documentation parity, not used by default."""
-    return math.ceil(math.log2(T + 1) ** 10)
 
 
 @dataclass(frozen=True)
@@ -312,7 +320,8 @@ def signed_diff(plus: GroupFunction, minus: GroupFunction) -> SignedDiffGroup:
 
 @dataclass
 class GroupFamily:
-    """An immutable collection of groups with identity metadata."""
+    """An immutable collection of groups with identity metadata: the direct
+    ``groups``, then the ``layout``'s block half-groups in (a, j, +/-) order."""
 
     kind: str
     groups: list
@@ -323,40 +332,58 @@ class GroupFamily:
     grid: Optional[tuple] = None
 
     def __len__(self):
-        return len(self.groups)
+        return len(self.groups) + len(self.block_ids)
 
     def __iter__(self):
-        return iter(self.groups)
+        return itertools.chain(self.groups, self._block_groups())
+
+    def _block_groups(self):
+        return (BlockHadamardHalfGroup(*key, self.layout) for key in self.block_keys.values())
+
+    @cached_property
+    def block_ids(self) -> list[str]:
+        """Ids of the block half-groups, in family order."""
+        lay = self.layout
+        if lay is None:
+            return []
+        heads = [(f"had+/{a}/", f"had-/{a}/") for a in range(1, lay.K + 1)]
+        tails = [str(j) for j in range(lay.L)]
+        return [head + tail for pair in heads for tail in tails for head in pair]
+
+    @cached_property
+    def block_keys(self) -> dict:
+        """Block half-group id -> (a, j, sign), in family order."""
+        lay = self.layout
+        if lay is None:
+            return {}
+        return dict(zip(self.block_ids, itertools.product(range(1, lay.K + 1), range(lay.L), (1, -1))))
 
     def ids(self) -> list[str]:
-        return [g.id for g in self.groups]
+        return [g.id for g in self.groups] + self.block_ids
 
     def by_id(self, gid: str) -> GroupFunction:
         for g in self.groups:
             if g.id == gid:
                 return g
-        raise KeyError(gid)
+        return BlockHadamardHalfGroup(*self.block_keys[gid], self.layout)
 
     def required_denominators(self) -> list[int]:
-        dens = []
-        for g in self.groups:
-            if isinstance(g, ThresholdGroup):
-                dens.append(g.eta.denominator)
-        return dens
+        return [g.eta.denominator for g in self.groups if isinstance(g, ThresholdGroup)]
 
     def manifest_lines(self) -> list[str]:
-        return [f"{g.id},{type(g).__name__},{g.describe()}" for g in self.groups]
+        return [f"{g.id},{type(g).__name__},{g.describe()}" for g in self]
+
+    def direct_pairs(self) -> list[tuple[GroupFunction, GroupFunction]]:
+        """(plus, minus) half-group pairs among the direct groups, in family order."""
+        by_id = {g.id: g for g in self.groups}
+        pairs = [(by_id.get(g.id.replace("-", "+", 1)), g) for g in self.groups if g.id[:4] in ("wal-", "had-")]
+        return [(plus, minus) for plus, minus in pairs if plus is not None]
 
     def signed_pairs(self) -> list[tuple[GroupFunction, GroupFunction]]:
         """(plus, minus) half-group pairs, in family order."""
-        plus = {g.id: g for g in self.groups if g.id.startswith(("wal+", "had+"))}
-        pairs = []
-        for g in self.groups:
-            if g.id.startswith(("wal-", "had-")):
-                other = plus.get(g.id.replace("-", "+", 1))
-                if other is not None:
-                    pairs.append((other, g))
-        return pairs
+        blocks = self._block_groups()
+        # zip over one iterator pairs each had+/a/j with the had-/a/j after it
+        return self.direct_pairs() + list(zip(blocks, blocks))
 
 
 def build_pred_threshold_family(m: int, eta: Fraction) -> GroupFamily:
@@ -392,12 +419,7 @@ def build_walsh_family(m: int, grid: Optional[list[Fraction]] = None) -> GroupFa
 def build_block_hadamard_family(T: int, K: int) -> tuple[BlockLayout, GroupFamily]:
     """2 K L blockwise Hadamard half-groups over the derived layout."""
     layout = build_block_layout(T, K)
-    groups: list[GroupFunction] = []
-    for a in range(1, layout.K + 1):
-        for j in range(layout.L):
-            groups.append(BlockHadamardHalfGroup(a, j, +1, layout))
-            groups.append(BlockHadamardHalfGroup(a, j, -1, layout))
-    return layout, GroupFamily(kind="block_hadamard", groups=groups, layout=layout)
+    return layout, GroupFamily(kind="block_hadamard", groups=[], layout=layout)
 
 
 def build_bit_family(k: int) -> GroupFamily:
@@ -411,15 +433,8 @@ def build_full_walsh_family(T: int, m: int, K: int, grid=None) -> tuple[BlockLay
     """The complete prediction-independent family: constant + global Walsh
     half-groups + blockwise Hadamard half-groups."""
     walsh = build_walsh_family(m, grid=grid)
-    layout, block = build_block_hadamard_family(T, K)
-    fam = GroupFamily(
-        kind="full_walsh",
-        groups=list(walsh.groups) + list(block.groups),
-        m=m,
-        layout=layout,
-        grid=walsh.grid,
-    )
-    return layout, fam
+    layout = build_block_layout(T, K)
+    return layout, GroupFamily(kind="full_walsh", groups=walsh.groups, m=m, layout=layout, grid=walsh.grid)
 
 
 def build_grid_range_family(grid: list[Fraction], pieces: int = 3) -> GroupFamily:

@@ -314,7 +314,7 @@ def test_block_decompose_identity_and_parseval():
         for a in (1, 2):
             for j in (0, 1, layout.L - 1):
                 lhs = dec.signed_err(a, j)
-                rhs = Fraction(run.block_coeff_abs[(a, j)], run.scale)
+                rhs = Fraction(int(run.block_coeff_abs[a - 1, j]), run.scale)
                 assert lhs == rhs
         assert check_block_parseval(dec, stats).ok
         for chk in check_bias_averaging(dec, stats):
@@ -367,6 +367,37 @@ def test_diff_two_pathwise():
         checks = check_diff_two(run)
         assert len(checks) > 0
         assert all(c.ok for c in checks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_diff_two_matches_per_pair_reference(data):
+    # scalar reference per pair, from the half-groups' own weights
+    T = data.draw(st.integers(4, 80))
+    m = data.draw(st.sampled_from([2, 4]))
+    traj = sample_rademacher_env(T=T, seed=data.draw(st.integers(0, 2**16)), m=m)
+    _, fam = build_full_walsh_family(T, m, data.draw(st.integers(1, T // 4)))
+    den = data.draw(st.integers(1, 12))
+    num = data.draw(st.lists(st.integers(0, den), min_size=T, max_size=T))
+    ledger = ledger_of(traj, Predictions(num=np.array(num, dtype=np.int64), den=den), fam)
+    run = ledger.scaled
+
+    def err_of(w):
+        return Fraction(int(np.abs(run.bucket_sums(w.astype(np.int64) * run.resid)).sum()), run.scale)
+
+    pairs = fam.signed_pairs()
+    checks = check_diff_two(ledger)
+    assert len(checks) == len(pairs)
+    err = ledger.err_float()
+    for (plus, minus), chk in zip(pairs, checks):
+        wp, wm = plus.weights(run), minus.weights(run)
+        assert ledger.err_exact(plus.id) == err_of(wp), plus.id
+        assert ledger.err_exact(minus.id) == err_of(wm), minus.id
+        signed, bound = err_of(wp.astype(np.int64) - wm), err_of(wp) + err_of(wm)
+        assert (chk.name, chk.ok) == ("diff_two", signed <= bound)
+        assert (chk.lhs, chk.rhs) == (float(signed), float(bound))
+    assert list(err) == fam.ids()
+    assert all(err[gid] == float(ledger.err_exact(gid)) for gid in fam.ids())
 
 
 def test_bits_mse_checks():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from caliblab import experiments
 from caliblab.experiments import (
     ExperimentConfig,
     fit_exponent,
@@ -93,6 +94,22 @@ def test_scaling_workers_deterministic():
     parallel = run_scaling(ExperimentConfig(**base, workers=2))
     assert serial.rows[0].mean_mcerr == parallel.rows[0].mean_mcerr
     assert serial.rows[0].per_group_mean == parallel.rows[0].per_group_mean
+
+
+def test_cell_failure_names_the_cell(monkeypatch):
+    sample = experiments._sample_env
+    broken = experiments._cell_stream(64, 1)
+
+    def sample_env(config, T, m_env, stream):
+        if stream == broken:
+            raise ValueError("sampler broke")
+        return sample(config, T, m_env, stream)
+
+    monkeypatch.setattr(experiments, "_sample_env", sample_env)
+    cfg = ExperimentConfig(experiment_id="boom", T_list=(64,), replicates=3, seed=5)
+    with pytest.raises(ValueError) as info:
+        run_scaling(cfg)
+    assert str(info.value) == f"boom: cell T=64 rep=1 stream={broken}: sampler broke"
 
 
 def test_synthetic_exponent_injection():

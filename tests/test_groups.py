@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caliblab.calibration import Predictions, ScaledRun
 from caliblab.environments import (
@@ -12,7 +14,7 @@ from caliblab.environments import (
     sample_rademacher_env,
 )
 from caliblab.groups import (
-    asymptotic_block_count,
+    BlockHadamardHalfGroup,
     build_bit_family,
     build_block_hadamard_family,
     build_block_layout,
@@ -232,10 +234,47 @@ def test_full_family_and_manifest():
     assert lines[0].startswith("g_all,ConstantGroup")
 
 
+def _eager_family(T, K, m=None):
+    """Reference list with one object per group, in family order."""
+    layout = build_block_layout(T, K)
+    groups = list(build_walsh_family(m).groups) if m is not None else []
+    for a in range(1, layout.K + 1):
+        for j in range(layout.L):
+            groups += [BlockHadamardHalfGroup(a, j, s, layout) for s in (1, -1)]
+    return groups
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_block_family_matches_eager_reference(data):
+    T = data.draw(st.integers(4, 96))
+    K = data.draw(st.integers(1, T // 4))
+    m = data.draw(st.sampled_from([None, 2, 4, 8]))
+    if m is None:
+        layout, fam = build_block_hadamard_family(T, K)
+    else:
+        layout, fam = build_full_walsh_family(T, m, K)
+    ref = _eager_family(T, K, m)
+    assert len(fam) == len(ref)
+    assert fam.ids() == [g.id for g in ref]
+    assert fam.manifest_lines() == [f"{g.id},{type(g).__name__},{g.describe()}" for g in ref]
+    assert fam.required_denominators() == []
+    plus = {g.id: g for g in ref if g.id[3] == "+"}
+    pairs = [(plus[g.id.replace("-", "+", 1)].id, g.id) for g in ref if g.id[3] == "-"]
+    assert [(p.id, q.id) for p, q in fam.signed_pairs()] == pairs
+    grid = grid_section4(m) if m is not None else [Fraction(1, 2)]
+    for _ in range(8):
+        g = data.draw(st.sampled_from(ref))
+        ctx = ctx_timed(data.draw(st.sampled_from(grid)), data.draw(st.integers(1, T)))
+        assert fam.by_id(g.id).evaluate(ctx, None) == g.evaluate(ctx, None), g.id
+    for bad in (f"had+/{layout.K + 1}/0", f"had-/1/{layout.L}", "had+/01/0", "had+/0/0", "wal+/0"):
+        with pytest.raises(KeyError):
+            fam.by_id(bad)
+
+
 def test_block_count_defaults():
     assert default_block_count(2**14) == 15
     assert default_block_count(2) == 2
-    assert asymptotic_block_count(2**14) > 2**14  # infeasible at desk scale
 
 
 def test_grid_range_family():
