@@ -265,19 +265,16 @@ def accumulate_run(run: ScaledRun, family: GroupFamily) -> RunLedger:
     ``run`` must be built with the family's ``required_denominators()``.
     """
     bias = {g.id: run.bucket_sums(g.weights(run).astype(np.int64) * run.resid) for g in family.groups}
-    ledger = RunLedger(family=family, scaled=run, bias=bias)
     lay = family.layout
-    if lay is not None:
-        plus, minus, habs = (np.zeros((lay.K, lay.L), dtype=np.int64) for _ in range(3))
-        for a, (_, c) in run.resid_coefficients(lay).items():
-            # c has shape (buckets in block, L); column j holds the signed
-            # functional bias, and the half-group biases are (c0 +- cj)/2
-            c0 = c[:, :1]
-            plus[a - 1] = np.abs(c0 + c).sum(axis=0)
-            minus[a - 1] = np.abs(c0 - c).sum(axis=0)
-            habs[a - 1] = np.abs(c).sum(axis=0)
-        ledger.block_plus_abs, ledger.block_minus_abs, ledger.block_coeff_abs = plus, minus, habs
-    return ledger
+    if lay is None:
+        return RunLedger(family=family, scaled=run, bias=bias)
+    block_abs = np.zeros((3, lay.K, lay.L), dtype=np.int64)  # plus, minus, signed
+    for a, (_, c) in run.resid_coefficients(lay).items():
+        # c has shape (buckets in block, L); column j holds the signed
+        # functional bias, and the half-group biases are (c0 +- cj)/2
+        c0 = c[:, :1]
+        block_abs[:, a - 1] = (np.abs(c0 + c).sum(axis=0), np.abs(c0 - c).sum(axis=0), np.abs(c).sum(axis=0))
+    return RunLedger(family, run, bias, *block_abs)
 
 
 def _block_coefficients(run: ScaledRun, layout: BlockLayout, values: np.ndarray) -> dict:
