@@ -516,9 +516,9 @@ def check_diff_two(ledger: RunLedger) -> list[CheckResult]:
         # one result per (a, j), in family order; both sides over 2 * scale
         lhs = 2 * ledger.block_coeff_abs.ravel()
         rhs = (ledger.block_plus_abs + ledger.block_minus_abs).ravel()
-        half = 2 * ledger.scale
+        den = 2 * ledger.scale
         out.extend(
-            map(CheckResult, repeat("diff_two"), (lhs <= rhs).tolist(), (lhs / half).tolist(), (rhs / half).tolist())
+            map(CheckResult, repeat("diff_two"), (lhs <= rhs).tolist(), (lhs / den).tolist(), (rhs / den).tolist())
         )
     return out
 
