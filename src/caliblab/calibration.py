@@ -69,6 +69,30 @@ class Predictions:
         return cls(num=num, den=den)
 
 
+def marginal_err(p_num: np.ndarray, p_den: int, y_num: np.ndarray, y_den: int) -> Fraction:
+    """Exact marginal calibration error sum_v |sum_{t: p_t = v} (p_t - y_t)|
+    of predictions ``p_num / p_den`` against outcomes ``y_num / y_den``.
+
+    Each round contributes d_t = p_t y_den - y_t p_den, an int64 of
+    magnitude at most p_den y_den; the rounds are stably sorted by
+    prediction and each run of equal predictions summed by
+    ``np.add.reduceat``.  Every partial sum is bounded by T p_den y_den,
+    which is checked below 2^63 in Python integers first.
+    """
+    t = len(p_num)
+    if t * p_den * y_den >= 2**63:
+        raise OverflowError(
+            f"int64 cell sums could overflow: T={t} * p_den={p_den} * y_den={y_den} >= 2^63"
+        )
+    if t == 0:
+        return Fraction(0)
+    order = np.argsort(p_num, kind="stable")
+    p = np.asarray(p_num, dtype=np.int64)[order]
+    d = p * y_den - np.asarray(y_num, dtype=np.int64)[order] * p_den
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(p)) + 1))
+    return Fraction(int(np.abs(np.add.reduceat(d, starts)).sum()), p_den * y_den)
+
+
 def _check_unit_interval(value: Fraction, what: str) -> Fraction:
     value = Fraction(value)
     if not 0 <= value <= 1:

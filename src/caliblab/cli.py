@@ -159,6 +159,7 @@ class Manifest:
     seed: int
     started: float
     outputs: list = field(default_factory=list)
+    notes: list = field(default_factory=list)  # extra key=value lines
 
     def write(self, path) -> None:
         lines = [
@@ -168,6 +169,7 @@ class Manifest:
             f"started={time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime(self.started))}",
             f"finished={time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime(time.time()))}",
             "outputs=" + ",".join(str(p) for p in self.outputs),
+            *self.notes,
         ]
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -368,6 +370,12 @@ def cmd_bounds(args, overrides) -> int:
                 for pattern, t_z, err in info.get("cells", []):
                     w.writerow([T, pattern, t_z, format_float(err)])
         manifest.outputs.append(cells_path.name)
+        for T, info in sorted(details["per_T"].items()):
+            manifest.notes.append(f"pathwise_min_slack@T={T}={format_float(info['pathwise_min_slack'])}")
+            manifest.notes += [
+                f"pathwise_violation@T={T}=rep={v['rep']};group={v['group']};err={v['err']};bound={v['bound']}"
+                for v in info["pathwise_violations"]
+            ]
     manifest.write(out_dir / f"bounds_{args.which}_manifest.txt")
     for r in records:
         print(f"{r.check_id}: measured={r.measured:.6g} bound={r.bound:.6g} {'pass' if r.passed else 'FAIL'}")

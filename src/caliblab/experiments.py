@@ -42,6 +42,7 @@ from .calibration import (
     check_telescoping,
     deviation_stats,
     format_float,
+    marginal_err,
     miss_count,
 )
 from .environments import (
@@ -504,22 +505,18 @@ def run_reduction_bound(
     details: dict = {"per_T": {}}
     envelope_points = []
     standalone: dict = {}
+    setups: dict = {}
 
     for T in T_list:
         m_env = section3_grid_count(T)
         grid = grid_section3(m_env)
         family = build_grid_range_family(grid, pieces)
-        cell_grids = [
-            [grid[i] for i in range(len(grid)) if g.lo <= i <= g.hi] for g in family
-        ]
         # realized cell lengths are deterministic under round-robin contexts
         counts = np.bincount(np.arange(T) % len(grid), minlength=len(grid))
-        cell_lengths = [
-            int(sum(counts[i] for i in range(len(grid)) if g.lo <= i <= g.hi))
-            for g in family
-        ]
-        for z, (cg, t_z) in enumerate(zip(cell_grids, cell_lengths)):
-            mean, se = _standalone_cell_err(cg, t_z, factory, seed + 1000 + z, replicates)
+        cell_lengths = [int(counts[g.lo : g.hi + 1].sum()) for g in family]
+        setups[T] = (m_env, family)
+        for z, (g, t_z) in enumerate(zip(family, cell_lengths)):
+            mean, se = _standalone_cell_err(grid[g.lo : g.hi + 1], t_z, factory, seed + 1000 + z, replicates)
             standalone[(T, z)] = (mean, se)
             envelope_points.append((t_z, mean))
         details["per_T"][T] = {"cell_lengths": cell_lengths}
@@ -528,13 +525,11 @@ def run_reduction_bound(
     details["envelope"] = {"c": c, "beta": beta}
 
     for T in T_list:
-        m_env = section3_grid_count(T)
-        grid = grid_section3(m_env)
-        family = build_grid_range_family(grid, pieces)
-        k = len(family)
+        m_env, family = setups[T]
         mcerrs = np.empty(replicates)
         per_group = {g.id: np.empty(replicates) for g in family}
-        pathwise_bad = 0
+        violations = []
+        min_slack = None
         for rep in range(replicates):
             traj = sample_bernoulli_env(T, m_env, seed, stream=_cell_stream(T, rep))
             router = PatternRouter(factory, family)
@@ -546,20 +541,21 @@ def run_reduction_bound(
             mcerrs[rep] = report.mcerr
             cell_err = {z: router.cell_err(z) for z in router.cells}
             if rep == 0:
-                details["per_T"][T]["cells"] = router.cell_summary()
+                details["per_T"][T]["cells"] = router.cell_summary(cell_err)
             for j, g in enumerate(family):
                 per_group[g.id][rep] = report.err[g.id]
-                bound_j = sum(
-                    (e for z, e in cell_err.items() if z[j] == 1), Fraction(0)
-                )
-                if ledger.err_exact(g.id) > bound_j:
-                    pathwise_bad += 1
+                bound_j = sum((e for z, e in cell_err.items() if z[j] == 1), Fraction(0))
+                err_j = ledger.err_exact(g.id)
+                slack = bound_j - err_j
+                min_slack = slack if min_slack is None else min(min_slack, slack)
+                if slack < 0:
+                    violations.append({"T": T, "rep": rep, "group": g.id, "err": err_j, "bound": bound_j})
         cell_lengths = details["per_T"][T]["cell_lengths"]
         envelope_sum = sum(c * t_z**beta for t_z in cell_lengths)
         mean_mcerr = float(mcerrs.mean())
         se = float(mcerrs.std(ddof=1) / math.sqrt(replicates))
         records.append(BoundRecord(f"reduction_mcerr_vs_cells@T={T}", mean_mcerr, envelope_sum, "le"))
-        records.append(BoundRecord(f"reduction_pathwise@T={T}", float(pathwise_bad), 0.0, "le"))
+        records.append(BoundRecord(f"reduction_pathwise@T={T}", float(len(violations)), 0.0, "le"))
         matched = []
         for j, g in enumerate(family):
             z = j  # disjoint groups: cell index == group index
@@ -571,7 +567,12 @@ def run_reduction_bound(
             matched.append((g.id, rmean, smean, gap, tol))
             records.append(BoundRecord(f"reduction_matched@T={T}/{g.id}", gap, tol, "le"))
         details["per_T"][T].update(
-            mean_mcerr=mean_mcerr, stderr=se, envelope_sum=envelope_sum, matched=matched
+            mean_mcerr=mean_mcerr,
+            stderr=se,
+            envelope_sum=envelope_sum,
+            matched=matched,
+            pathwise_min_slack=float(min_slack),
+            pathwise_violations=violations,
         )
     return records, details
 
@@ -584,8 +585,8 @@ def _standalone_cell_err(cell_grid, t_z, factory, seed, replicates) -> tuple[flo
     for rep in range(replicates):
         traj = sample_bernoulli_on_grid(cell_grid, t_z, seed, stream=rep)
         rng = substream(seed, rep | _FORECASTER_STREAM_BIT)
-        run = ScaledRun.build(traj, run_forecaster(traj, factory(), rng))
-        errs[rep] = np.abs(run.bucket_sums(run.resid)).sum() / run.scale
+        pred = run_forecaster(traj, factory(), rng)
+        errs[rep] = float(marginal_err(pred.num, pred.den, traj.y_num, traj.den))
     return float(errs.mean()), float(errs.std(ddof=1) / math.sqrt(replicates))
 
 
@@ -599,6 +600,24 @@ def _powers_of_two(lo: int, hi: int):
     while n <= hi:
         yield n
         n *= 2
+
+
+def walsh_prefix_violations(n: int, bounds: np.ndarray, block_rows: int = 256) -> int:
+    """Rows j = 1..n-1 of the length-``n`` Walsh system whose largest
+    |prefix sum| exceeds ``bounds[j - 1]``.
+
+    Rows are built ``block_rows`` at a time with int32 prefix sums
+    (|prefix| <= n), so memory stays O(block_rows * n), not O(n^2).
+    """
+    s = np.arange(n, dtype=np.uint32)
+    bad = 0
+    for lo in range(1, n, block_rows):
+        hi = min(lo + block_rows, n)
+        parity = np.bitwise_count(np.arange(lo, hi, dtype=np.uint32)[:, None] & s) & 1
+        signs = 1 - 2 * parity.astype(np.int8)
+        prefix_max_abs = np.abs(np.cumsum(signs, axis=1, dtype=np.int32)).max(axis=1)
+        bad += int(np.count_nonzero(prefix_max_abs > bounds[lo - 1 : hi - 1]))
+    return bad
 
 
 def run_identity_suite(
@@ -632,10 +651,8 @@ def run_identity_suite(
 
     bad = 0
     for n in _powers_of_two(2, prefix_max):
-        w = walsh_matrix(n).astype(np.int32)
-        prefix_max_abs = np.abs(np.cumsum(w, axis=1)).max(axis=1)
         bounds = np.array([1 << trailing_zeros(j) for j in range(1, n)])
-        bad += int(np.count_nonzero(prefix_max_abs[1:] > bounds))
+        bad += walsh_prefix_violations(n, bounds)
     records.append(BoundRecord("identity_walsh_prefix", float(bad), 0.0, "le"))
 
     bad = 0

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .calibration import Predictions, ScaledRun
+from .calibration import Predictions, ScaledRun, marginal_err
 from .environments import ContextRecord, Trajectory
 
 DUMMY_CONTEXT = ContextRecord(mean=Fraction(1, 2))
@@ -373,11 +373,34 @@ class ProperReduction(Forecaster):
         return Predictions(num=num, den=den)
 
 
+@dataclass(frozen=True, eq=False)
+class RoutedCell:
+    """One routed cell's transcript in round order: predictions and the
+    outcome numerators ``y_num`` over ``y_den``."""
+
+    p: Predictions
+    y_num: np.ndarray
+    y_den: int
+
+    @classmethod
+    def from_rounds(cls, rounds) -> "RoutedCell":
+        """Convert a looped cell history of (context, p, y) records once."""
+        y = Predictions.from_fractions(y for _, _, y in rounds)
+        return cls(Predictions.from_fractions(p for _, p, _ in rounds), y.num, y.den)
+
+
+# pattern codes are int64 with one bit per group
+_MAX_CODE_BITS = 62
+
+
 class PatternRouter(Forecaster):
     """Routes each round to a fresh oracle copy per realized group pattern.
 
     Only binary prediction-independent families are admissible: the
-    routing pattern must be known before the prediction is made.
+    routing pattern must be known before the prediction is made.  The
+    whole-run path keys rounds by an int64 code of the k weight bits,
+    group 0 most significant, so ascending codes are the lexicographic
+    pattern order in which cells are created and draw from ``rng``.
     """
 
     def __init__(self, oracle_factory: Callable[[], Forecaster], groups):
@@ -390,8 +413,16 @@ class PatternRouter(Forecaster):
         self.oracle_factory = oracle_factory
         self.copies: dict = {}
         self._histories: dict = {}
-        self.cells: dict = {}
+        self._cells: dict = {}
         self.id = f"pattern_router(k={len(self.groups)})"
+
+    @property
+    def cells(self) -> dict:
+        """Pattern -> ``RoutedCell``; looped histories convert on first read."""
+        for z, history in self._histories.items():
+            if z not in self._cells:
+                self._cells[z] = RoutedCell.from_rounds(history)
+        return self._cells
 
     def _pattern(self, ctx) -> tuple:
         return tuple(int(g.evaluate(ctx, None)) for g in self.groups)
@@ -400,7 +431,6 @@ class PatternRouter(Forecaster):
         if z not in self.copies:
             self.copies[z] = self.oracle_factory()
             self._histories[z] = HistoryView()
-            self.cells[z] = {"p": [], "y": []}
         return self.copies[z], self._histories[z]
 
     def propose(self, ctx, history):
@@ -412,53 +442,48 @@ class PatternRouter(Forecaster):
         copy, cell_history = self._copy_for(z)
         copy.observe(ctx, p, y)
         cell_history._append((ctx, p, y))
-        self.cells[z]["p"].append(p)
-        self.cells[z]["y"].append(y)
+        self._cells.pop(z, None)
 
     def predict_all(self, traj, rng):
         probe = self.oracle_factory()
-        if getattr(probe, "predict_sequence", None) is None or not probe.deterministic:
+        k = len(self.groups)
+        if getattr(probe, "predict_sequence", None) is None or not probe.deterministic or k > _MAX_CODE_BITS:
             return None
         run = ScaledRun.build(traj, Predictions(num=np.zeros(traj.T, dtype=np.int64), den=1))
-        weight_rows = np.stack([g.weights(run) for g in self.groups])
-        patterns, inverse = np.unique(weight_rows.T, axis=0, return_inverse=True)
-        dens = []
+        codes = np.zeros(traj.T, dtype=np.int64)
+        for g in self.groups:
+            codes = (codes << 1) | g.weights(run)
+        order = np.argsort(codes, kind="stable")
         parts = []
-        for c in range(len(patterns)):
-            idx = np.flatnonzero(inverse == c)
+        for idx in np.split(order, np.flatnonzero(np.diff(codes[order])) + 1) if traj.T else ():
+            code = int(codes[idx[0]])
+            z = tuple((code >> (k - 1 - j)) & 1 for j in range(k))
             copy = self.oracle_factory()
-            num, den = copy.predict_sequence(traj.y_num[idx], traj.den, rng)
-            z = tuple(int(b) for b in patterns[c])
+            y_num = traj.y_num[idx]
+            num, den = copy.predict_sequence(y_num, traj.den, rng)
             self.copies[z] = copy
-            self.cells[z] = {
-                "p": [Fraction(int(v), den) for v in num],
-                "y": [Fraction(int(traj.y_num[i]), traj.den) for i in idx],
-            }
-            dens.append(den)
+            self._cells[z] = RoutedCell(Predictions(num=num, den=den), y_num, traj.den)
             parts.append((idx, num, den))
-        den = math.lcm(*dens)
+        den = math.lcm(*(part_den for _, _, part_den in parts))
         out = np.empty(traj.T, dtype=np.int64)
         for idx, num, part_den in parts:
             out[idx] = num * (den // part_den)
         return Predictions(num=out, den=den)
 
     def cell_sizes(self) -> dict:
-        return {z: len(rec["p"]) for z, rec in self.cells.items()}
+        return {z: cell.p.T for z, cell in self.cells.items()}
 
     def cell_err(self, z: tuple) -> Fraction:
         """Marginal calibration error of one cell's transcript."""
-        rec = self.cells[z]
-        biases: dict = {}
-        for p, y in zip(rec["p"], rec["y"]):
-            biases[p] = biases.get(p, Fraction(0)) + (p - y)
-        return sum((abs(b) for b in biases.values()), Fraction(0))
+        cell = self.cells[z]
+        return marginal_err(cell.p.num, cell.p.den, cell.y_num, cell.y_den)
 
-    def cell_summary(self) -> list[tuple]:
-        """(pattern string, T_z, cell Err) rows, sorted by pattern."""
-        rows = []
-        for z in sorted(self.cells):
-            rows.append(("".join(map(str, z)), len(self.cells[z]["p"]), float(self.cell_err(z))))
-        return rows
+    def cell_summary(self, errs: Optional[dict] = None) -> list[tuple]:
+        """(pattern string, T_z, cell Err) rows, sorted by pattern; ``errs``
+        holds cell errors already computed."""
+        errs = errs if errs is not None else {z: self.cell_err(z) for z in self.cells}
+        sizes = self.cell_sizes()
+        return [("".join(map(str, z)), sizes[z], float(errs[z])) for z in sorted(errs)]
 
 
 def run_forecaster(

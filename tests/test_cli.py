@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from caliblab.cli import (
@@ -206,3 +211,24 @@ def test_bounds_reduction_and_guard(tmp_path):
     cfg2 = tmp_path / "r2.cfg"
     cfg2.write_text("reduction.T_list=512\nreduction.groups=pred_threshold\nrun.replicates=2\n")
     assert main(["bounds", "reduction", "--config", str(cfg2)]) == EXIT_UNRESOLVED
+
+
+def test_bounds_reduction_manifest_records_min_slack(tmp_path):
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text("reduction.T_list=256,512\nrun.replicates=3\nrun.seed=5\n")
+    assert main(["bounds", "reduction", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    lines = (tmp_path / "bounds_reduction_manifest.txt").read_text().splitlines()
+    assert "pathwise_min_slack@T=256=0" in lines
+    assert "pathwise_min_slack@T=512=0" in lines
+    assert not any(line.startswith("pathwise_violation@") for line in lines)
+
+
+def test_module_entry_point_help():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-m", "caliblab", "--help"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("usage: caliblab")
+    assert "bounds" in out.stdout

@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from caliblab import experiments
+from caliblab.forecasters import PatternRouter
 from caliblab.experiments import (
     ExperimentConfig,
     fit_exponent,
@@ -14,6 +16,7 @@ from caliblab.experiments import (
     run_oracle_bound,
     run_reduction_bound,
     run_scaling,
+    walsh_prefix_violations,
     write_bounds_csv,
     write_per_group_csv,
     write_scaling_csv,
@@ -223,6 +226,25 @@ def test_reduction_bound_small():
     assert 0 < beta <= 1.0 and c > 0
 
 
+def test_reduction_pathwise_slack_and_named_violations(monkeypatch):
+    records, details = run_reduction_bound(T_list=(256, 512), replicates=3, seed=31)
+    for T in (256, 512):
+        info = details["per_T"][T]
+        # disjoint groups: each group is one cell, so the triangle bound is tight
+        assert info["pathwise_min_slack"] == 0.0
+        assert info["pathwise_violations"] == []
+    # cells that claim zero error make every group with Err > 0 a violation
+    monkeypatch.setattr(PatternRouter, "cell_err", lambda self, z: Fraction(0))
+    records, details = run_reduction_bound(T_list=(256,), replicates=3, seed=31)
+    info = details["per_T"][256]
+    bad = info["pathwise_violations"]
+    assert bad and {r.check_id: r.measured for r in records}["reduction_pathwise@T=256"] == len(bad)
+    first = bad[0]
+    assert first["T"] == 256 and first["rep"] == 0 and first["bound"] == 0
+    assert first["group"].startswith("range/") and first["err"] > 0
+    assert info["pathwise_min_slack"] == -max(float(v["err"]) for v in bad)
+
+
 def test_reduction_rejects_prediction_dependent_groups():
     with pytest.raises(ValueError, match="routing is invalid"):
         run_reduction_bound(T_list=(512,), replicates=2, seed=1, groups_kind="pred_threshold")
@@ -232,6 +254,18 @@ def test_identity_suite_small():
     records = run_identity_suite(h1_max=64, prefix_max=128, expansion_max=64, block_max=32)
     assert all(r.passed for r in records)
     assert len(records) == 5
+
+
+def test_walsh_prefix_check_flags_a_bound_one_too_small():
+    n = 64
+    bounds = np.array([1 << ((j & -j).bit_length() - 1) for j in range(1, n)])
+    # the dyadic bound 2^tz(j) is attained, so every row is tight
+    assert walsh_prefix_violations(n, bounds, block_rows=5) == 0
+    for j in (1, 4, 5, 32, 63):  # inside and at the edges of 5-row blocks
+        tight = bounds.copy()
+        tight[j - 1] -= 1
+        assert walsh_prefix_violations(n, tight, block_rows=5) == 1
+        assert walsh_prefix_violations(n, tight) == 1
 
 
 def test_csv_writers(tmp_path):

@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from caliblab.calibration import marginal_err
 from caliblab.environments import (
     ContextRecord,
     sample_bernoulli_env,
@@ -26,7 +29,7 @@ from caliblab.forecasters import (
     run_forecaster,
     simple_marginal_oracles,
 )
-from caliblab.groups import build_grid_range_family, build_pred_threshold_family
+from caliblab.groups import GridRangeGroup, build_grid_range_family, build_pred_threshold_family
 
 HALF = Fraction(1, 2)
 
@@ -188,7 +191,7 @@ def test_router_lazy_instantiation_and_partition():
     sizes = router.cell_sizes()
     assert sum(sizes.values()) == traj.T
     # multiset union of cell transcripts equals the full transcript
-    all_p = sorted(p for rec in router.cells.values() for p in rec["p"])
+    all_p = sorted(cell.p.fraction(t) for cell in router.cells.values() for t in range(cell.p.T))
     assert all_p == sorted(pred.fraction(t) for t in range(traj.T))
 
 
@@ -204,6 +207,69 @@ def test_router_vectorized_matches_loop():
     assert fast.cell_sizes() == slow.cell_sizes()
     for z in fast.cells:
         assert fast.cell_err(z) == slow.cell_err(z)
+
+
+def _reference_err(pairs) -> Fraction:
+    """Scalar reference: sum over prediction values of |sum of (p - y)|."""
+    biases: dict = {}
+    for p, y in pairs:
+        biases[p] = biases.get(p, Fraction(0)) + (p - y)
+    return sum((abs(b) for b in biases.values()), Fraction(0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_router_vectorized_looped_and_scalar_reference_agree(data):
+    T = data.draw(st.integers(1, 300))
+    m = data.draw(st.integers(8, 30))
+    traj = sample_bernoulli_env(T=T, m=m, seed=data.draw(st.integers(0, 2**16)))
+    fam = build_grid_range_family(list(traj.grid), pieces=data.draw(st.integers(1, 4)))
+    groups = list(fam.groups)
+    if data.draw(st.booleans()):
+        # an overlapping range, so that multi-bit patterns are realized
+        n = len(traj.grid)
+        lo = data.draw(st.integers(0, n - 1))
+        hi = data.draw(st.integers(lo, n - 1))
+        groups.append(GridRangeGroup(lo, hi, {x: i + 1 for i, x in enumerate(traj.grid)}))
+    q = data.draw(st.integers(1, 8))
+    fast = PatternRouter(lambda: EmpiricalMeanBucketOracle(q), groups)
+    slow = PatternRouter(lambda: EmpiricalMeanBucketOracle(q), groups)
+    p_fast = run_forecaster(traj, fast, None, prefer_vectorized=True)
+    p_slow = run_forecaster(traj, slow, None, prefer_vectorized=False)
+    assert [p_fast.fraction(t) for t in range(T)] == [p_slow.fraction(t) for t in range(T)]
+
+    transcripts: dict = {}
+    for t in range(T):
+        z = tuple(int(g.evaluate(traj.context(t), None)) for g in groups)
+        transcripts.setdefault(z, []).append((p_slow.fraction(t), traj.outcome(t)))
+    assert set(fast.cells) == set(slow.cells) == set(transcripts)
+    sizes = {z: len(pairs) for z, pairs in transcripts.items()}
+    assert fast.cell_sizes() == slow.cell_sizes() == sizes
+    for z, pairs in transcripts.items():
+        assert fast.cell_err(z) == slow.cell_err(z) == _reference_err(pairs)
+
+
+def test_marginal_err_matches_scalar_reference():
+    empty = np.zeros(0, dtype=np.int64)
+    assert marginal_err(empty, 4, empty, 9) == 0
+    assert marginal_err(np.array([3]), 4, np.array([0]), 9) == Fraction(3, 4)
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        t = int(rng.integers(1, 60))
+        p_den, y_den = (int(v) for v in rng.integers(1, 50, size=2))
+        p = rng.integers(0, p_den + 1, size=t)
+        y = rng.integers(0, y_den + 1, size=t)
+        pairs = [(Fraction(int(a), p_den), Fraction(int(b), y_den)) for a, b in zip(p, y)]
+        assert marginal_err(p, p_den, y, y_den) == _reference_err(pairs)
+
+
+def test_marginal_err_overflow_guard_names_the_numbers():
+    one = np.ones(1, dtype=np.int64)
+    # T * p_den * y_den = 2^63: the int64 sums could overflow
+    with pytest.raises(OverflowError, match=r"T=1 \* p_den=1099511627776 \* y_den=8388608"):
+        marginal_err(one, 2**40, one, 2**23)
+    # one below the limit is summed exactly
+    assert marginal_err(one, 2**40, one, 2**23 - 1) == abs(Fraction(1, 2**40) - Fraction(1, 2**23 - 1))
 
 
 def test_router_single_cell_equals_standalone():
