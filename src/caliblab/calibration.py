@@ -2,14 +2,18 @@
 block decompositions.
 
 Biases accumulate exactly.  The streaming ledger works in Fractions; the
-vectorized path works in integer numerators over one common scale.
+vectorized path works in int64 numerators over one common scale.
 ``ScaledRun`` is the one place where that scale, the scaled prediction,
-context-mean and outcome arrays, the prediction-bucket index and the
-exact-sum guard (every partial sum stays below 2^53) live; the
+context-mean and outcome arrays and the prediction-bucket index live; the
 accumulator, the deviation statistics, the block decomposition and the
-bit-environment checks all read one ``ScaledRun`` per run.  Reports
-convert to float64 only at the end, so an exactly-zero calibration error
-is reported as exactly 0.0.
+bit-environment checks all read one ``ScaledRun`` per run.  Building it
+checks once, in Python integers, that 2 T scale < 2^63: every per-round
+value summed is at most ``scale`` in magnitude, so every int64 sum (and
+every difference of two, and every half-group numerator over 2 scale)
+is exact by construction.  The bucket index is a counting sort over the
+prediction numerators when their denominator is at most 4 T, and
+``np.unique`` otherwise.  Reports convert to float64 only at the end,
+so an exactly-zero calibration error is reported as exactly 0.0.
 
 Signed functionals (differences of two half-groups) are measured from
 the signed weights directly, never by subtracting two separately rounded
@@ -36,8 +40,6 @@ from .groups import BlockLayout, GroupFamily, ThresholdGroup
 from .orthogonal import fwht
 
 STREAMING_FAMILY_LIMIT = 64
-
-_EXACT_SUM_LIMIT = 2**53
 
 
 @dataclass
@@ -170,13 +172,27 @@ class BiasLedger:
         return CalibrationReport.from_err(err)
 
 
+def _bucket_index(num: np.ndarray, den: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(num, return_inverse=True, return_counts=True)`` for
+    numerators in [0, den]: a counting sort (bincount, presence mask and a
+    cumsum lookup table) when den <= 4 T, ``np.unique`` otherwise.
+    """
+    if den > 4 * len(num):
+        return np.unique(num, return_inverse=True, return_counts=True)
+    counts = np.bincount(num, minlength=den + 1)
+    present = counts > 0
+    lut = np.cumsum(present) - 1
+    return np.flatnonzero(present), lut[num], counts[present]
+
+
 @dataclass(frozen=True, eq=False)
 class ScaledRun:
     """One run over one common scale: the lcm of the trajectory's and the
     predictions' denominators and of any extra ones (a family's
     ``required_denominators()``, eta).  ``p``, ``x``, ``y`` are predictions,
     context means and outcomes over ``scale``; round t falls in bucket
-    ``bucket_idx[t]`` of value ``bucket_scaled[.]`` and size ``bucket_counts[.]``.
+    ``bucket_idx[t]`` of value ``bucket_scaled[.]`` and size ``bucket_counts[.]``,
+    buckets in ascending value order.
     """
 
     traj: Trajectory
@@ -195,16 +211,23 @@ class ScaledRun:
         if pred.T != traj.T:
             raise ValueError(f"prediction length {pred.T} does not match T={traj.T}")
         scale = math.lcm(traj.den, pred.den, *dens)
-        if 4 * traj.T * scale >= _EXACT_SUM_LIMIT:
-            raise ValueError(f"scaled sums would overflow exact float range: T={traj.T}, scale={scale}")
-        p = pred.num * (scale // pred.den)
-        unit = scale // traj.den
-        buckets, idx, counts = np.unique(p, return_inverse=True, return_counts=True)
-        return cls(traj, traj.T, scale, p, traj.x_num * unit, traj.y_num * unit, buckets, idx, counts)
+        if 2 * traj.T * scale >= 2**63:
+            raise OverflowError(f"int64 bucket sums could overflow: 2 * T={traj.T} * scale={scale} >= 2^63")
+        unit = scale // pred.den
+        # v -> v * unit is increasing, so the buckets of pred.num are the buckets of p
+        buckets, idx, counts = _bucket_index(pred.num, pred.den)
+        p = pred.num * unit
+        x_unit = scale // traj.den
+        return cls(traj, traj.T, scale, p, traj.x_num * x_unit, traj.y_num * x_unit, buckets * unit, idx, counts)
 
     @cached_property
     def resid(self) -> np.ndarray:
         return self.p - self.y
+
+    @cached_property
+    def dev(self) -> np.ndarray:
+        """Honesty deviation p - x, shared by the threshold groups and the deviation statistics."""
+        return self.p - self.x
 
     @cached_property
     def sq_loss(self) -> float:
@@ -222,12 +245,17 @@ class ScaledRun:
         )
 
     def bucket_sums(self, values: np.ndarray, idx=None, n=None) -> np.ndarray:
-        """Exact int64 sums of integer ``values`` per bucket (per class of ``idx`` if given)."""
+        """Exact int64 sums of integer ``values`` per bucket (per class of ``idx`` if given).
+
+        Each value must be at most ``scale`` in magnitude, as w (p - y),
+        p - x and x - y are; ``build``'s 2 T scale < 2^63 check then
+        bounds every partial sum.
+        """
         if idx is None:
             idx, n = self.bucket_idx, len(self.bucket_scaled)
-        # float64 bincount is exact: all partial sums are < 2^53 by the build guard
-        out = np.bincount(idx, weights=values.astype(np.float64), minlength=n)
-        return np.rint(out).astype(np.int64)
+        out = np.zeros(n, dtype=np.int64)
+        np.add.at(out, idx, values)
+        return out
 
     def resid_coefficients(self, layout: BlockLayout) -> dict:
         """``_block_coefficients`` of the residual p - y, memoised per layout."""
@@ -288,7 +316,7 @@ def accumulate_run(run: ScaledRun, family: GroupFamily) -> RunLedger:
 
     ``run`` must be built with the family's ``required_denominators()``.
     """
-    bias = {g.id: run.bucket_sums(g.weights(run).astype(np.int64) * run.resid) for g in family.groups}
+    bias = {g.id: run.bucket_sums(run.resid * g.weights(run)) for g in family.groups}
     lay = family.layout
     if lay is None:
         return RunLedger(family=family, scaled=run, bias=bias)
@@ -334,8 +362,10 @@ def _block_coefficients(run: ScaledRun, layout: BlockLayout, values: np.ndarray)
 class DeviationStats:
     """Honesty-deviation and bucket-diversity statistics of one run.
 
-    Linear quantities (A, N_x, R_x) are exact integers over ``scale``;
-    quadratic ones (S, E_a) are float64, accurate to ~1e-11 relative at
+    Linear quantities (A, N_x, R_x) are exact integers over ``scale``,
+    summed in int64 (``ScaledRun.bucket_sums``, exact under ``build``'s
+    2 T scale < 2^63 check); ``honest_counts`` are exact round counts.
+    Quadratic ones (S, E_a) are float64, accurate to ~1e-11 relative at
     desk scale.
     """
 
@@ -372,10 +402,12 @@ def deviation_stats(
     scale = run.scale
     tp = layout.T_prime if layout is not None else run.T
     x_scaled = run.x[:tp]
-    delta = run.p[:tp] - x_scaled
+    delta = run.dev[:tp]
 
-    a_num = int(np.abs(delta).sum())
-    s_val = float(np.sum((delta / scale).astype(np.float64) ** 2))
+    abs_delta = np.abs(delta)
+    a_num = int(abs_delta.sum())
+    frac = delta / scale
+    s_val = float(np.square(frac, out=frac).sum())
     bucket_idx = run.bucket_idx[:tp]
     if tp == run.T:
         n_v = run.bucket_counts
@@ -402,12 +434,13 @@ def deviation_stats(
         eta_scaled = Fraction(eta) * scale
         if eta_scaled.denominator != 1:
             raise ValueError("scale does not absorb eta's denominator")
-        honest = np.abs(delta) < int(eta_scaled)
-        gidx = run.traj.grid_idx[:tp][honest]
+        honest = abs_delta < int(eta_scaled)
+        gidx = run.traj.grid_idx[:tp]
         n_grid = len(run.traj.grid)
-        n_x = run.bucket_sums((x_scaled - run.y[:tp])[honest], gidx, n_grid)
-        r_x = run.bucket_sums(delta[honest], gidx, n_grid)
-        honest_counts = np.bincount(gidx, minlength=n_grid)
+        # dishonest rounds weigh 0; the float counts are exact integers below 2^53
+        n_x = run.bucket_sums((x_scaled - run.y[:tp]) * honest, gidx, n_grid)
+        r_x = run.bucket_sums(delta * honest, gidx, n_grid)
+        honest_counts = np.bincount(gidx, weights=honest, minlength=n_grid).astype(np.int64)
 
     return DeviationStats(
         scale=scale,
@@ -610,13 +643,14 @@ def check_bits_mse(run: ScaledRun, report: CalibrationReport) -> list[CheckResul
     per-round miss penalty (exact) and squared loss <= (2 - 1/(2N)) MCerr."""
     n = 1 << run.traj.params["k"]
     scale = run.scale
-    # exact per-round penalty: a miss means (p - y)^2 >= 1/(4 N^2),
-    # i.e. (2 N scaled diff)^2 >= scale^2 in integers
-    miss_sq = run.resid[~run.in_interval] ** 2
-    floor_sq = (scale // (2 * n)) ** 2
-    miss_ok = bool(np.all(miss_sq >= floor_sq))
-    worst = float(miss_sq.min(initial=floor_sq)) / scale**2
-    results = [CheckResult("bits_miss_penalty", miss_ok, worst, floor_sq / scale**2)]
+    # exact per-round penalty: a miss means (p - y)^2 >= 1/(4 N^2), i.e.
+    # |scaled diff| >= scale / (2 N) in integers (2 N divides scale); the
+    # squares are taken in Python integers, as int64 would wrap above 2^63
+    miss = np.abs(run.resid[~run.in_interval])
+    floor = scale // (2 * n)
+    miss_ok = bool(np.all(miss >= floor))
+    worst = float(int(miss.min(initial=floor)) ** 2) / scale**2
+    results = [CheckResult("bits_miss_penalty", miss_ok, worst, floor**2 / scale**2)]
     rhs = (2.0 - 1.0 / (2 * n)) * report.mcerr
     results.append(_ge("bits_mse_vs_mcerr", rhs, run.sq_loss))
     return results

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -126,10 +126,6 @@ class Trajectory:
     def outcome(self, t: int) -> Fraction:
         return Fraction(int(self.y_num[t]), self.den)
 
-    def rounds(self) -> Iterator[tuple[ContextRecord, Fraction]]:
-        for t in range(self.T):
-            yield self.context(t), self.outcome(t)
-
     def context_counts(self) -> np.ndarray:
         return np.bincount(self.grid_idx, minlength=len(self.grid))
 
@@ -163,19 +159,27 @@ def grid_section4(m: int) -> list[Fraction]:
     return [Fraction(1, 4) + Fraction(i - 1, den) for i in range(1, m + 1)]
 
 
+def _round_robin_bernoulli(num: np.ndarray, den: int, T: int, rng: np.random.Generator):
+    """Round-robin grid indices, context numerators ``num[t % len(num)]`` and
+    Bernoulli(num / den) outcome numerators (den or 0) for T rounds.
+
+    The per-grid thresholds num / den are computed once and tiled, so each
+    draw is compared with the same float as ``x_num[t] / den``.
+    """
+    reps = -(-T // len(num))
+    idx = np.tile(np.arange(len(num), dtype=np.int64), reps)[:T]
+    x_num = np.tile(num, reps)[:T]
+    heads = rng.random(T) < np.tile(num / den, reps)[:T]
+    return idx, x_num, heads * np.int64(den)
+
+
 def sample_bernoulli_env(T: int, m: int, seed: int, stream: int = 0) -> Trajectory:
     """Round-robin grid contexts with independent Bernoulli(x^t) outcomes."""
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     grid = grid_section3(m)
-    m0 = len(grid)
-    idx = (np.arange(T, dtype=np.int64)) % m0
     num = np.array([f.numerator * (m // f.denominator) for f in grid], dtype=np.int64)
-    x_num = num[idx]
-    rng = substream(seed, stream)
-    u = rng.random(T)
-    heads = u < (x_num / m)
-    y_num = np.where(heads, m, 0).astype(np.int64)
+    idx, x_num, y_num = _round_robin_bernoulli(num, m, T, substream(seed, stream))
     return Trajectory(
         env_kind="bernoulli",
         T=T,
@@ -198,13 +202,8 @@ def sample_bernoulli_on_grid(grid, T: int, seed: int, stream: int = 0) -> Trajec
         raise ValueError("need T >= 1 and a nonempty grid")
     grid = [Fraction(x) for x in grid]
     den = math.lcm(*(x.denominator for x in grid))
-    m0 = len(grid)
-    idx = np.arange(T, dtype=np.int64) % m0
     num = np.array([x.numerator * (den // x.denominator) for x in grid], dtype=np.int64)
-    x_num = num[idx]
-    rng = substream(seed, stream)
-    heads = rng.random(T) < (x_num / den)
-    y_num = np.where(heads, den, 0).astype(np.int64)
+    idx, x_num, y_num = _round_robin_bernoulli(num, den, T, substream(seed, stream))
     return Trajectory(
         env_kind="bernoulli",
         T=T,
@@ -229,7 +228,7 @@ def sample_rademacher_env(T: int, seed: int, m: Optional[int] = None, stream: in
     idx = np.arange(T, dtype=np.int64) % m
     x_num = (m - 1) + 2 * idx
     rng = substream(seed, stream)
-    xi = np.where(rng.random(T) < 0.5, -1, 1).astype(np.int64)
+    xi = 1 - 2 * (rng.random(T) < 0.5)  # -1 on heads, +1 otherwise, int64
     y_num = x_num + xi * (m - 1)  # +- 1/4 in units of 1/(4(m-1))
     return Trajectory(
         env_kind="rademacher",

@@ -157,11 +157,11 @@ class ThresholdGroup(GroupFunction):
             raise ValueError("scale does not absorb eta's denominator")
         e = int(eta_scaled)
         if self.which == 1:
-            mask = run.p >= run.x + e
+            mask = run.dev >= e
         elif self.which == 2:
-            mask = run.p <= run.x - e
+            mask = run.dev <= -e
         else:
-            mask = np.abs(run.p - run.x) < e
+            mask = np.abs(run.dev) < e
         return mask.astype(np.int8)
 
     def describe(self):

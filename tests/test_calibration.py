@@ -220,6 +220,86 @@ def test_telescoping_exact():
         )
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_counting_sort_bucket_index_matches_unique(data):
+    T = data.draw(st.integers(1, 64))
+    traj = sample_bernoulli_env(T=T, m=8, seed=data.draw(st.integers(0, 2**16)))
+    # den on both sides of the counting-sort rule den <= 4 T
+    den = data.draw(st.one_of(st.integers(1, 4 * T), st.integers(4 * T + 1, 10**6)))
+    num = data.draw(
+        st.lists(st.one_of(st.just(0), st.just(den), st.integers(0, den)), min_size=T, max_size=T)
+    )
+    extra = data.draw(st.sampled_from([1, 3, 10, 49]))  # 3, 10, 49 make scale // den > 1
+    run = ScaledRun.build(traj, Predictions(num=np.array(num), den=den), extra)
+    ref = np.unique(run.p, return_inverse=True, return_counts=True)
+    for got, want in zip((run.bucket_scaled, run.bucket_idx, run.bucket_counts), ref):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bucket_sums_exact_beyond_float_range(data):
+    T = data.draw(st.integers(1, 64))
+    traj = sample_bernoulli_env(T=T, m=8, seed=data.draw(st.integers(0, 2**16)))
+    # scale = 8 k lies above 2^53 / T, where float64 partial sums would round,
+    # and below the 2 T scale < 2^63 ceiling
+    k = data.draw(st.integers(2**53 // (8 * T) + 1, (2**62 - 1) // (8 * T)))
+    scale = 8 * k
+    quarters = data.draw(st.lists(st.integers(0, 4), min_size=T, max_size=T))
+    run = ScaledRun.build(traj, Predictions(num=np.array(quarters) * 2 * k, den=scale))
+    assert run.scale == scale and T * scale > 2**53
+    edges = st.sampled_from([-scale, scale, min(scale, 2**53 + 1)])  # 2^53 + 1 is no float64
+    values = data.draw(st.lists(st.one_of(st.integers(-scale, scale), edges), min_size=T, max_size=T))
+    arr = np.array(values, dtype=np.int64)
+    by_bucket = {}
+    by_grid = [0] * len(traj.grid)
+    for p, g, v in zip(run.p.tolist(), traj.grid_idx.tolist(), values):
+        by_bucket[p] = by_bucket.get(p, 0) + v
+        by_grid[g] += v
+    assert run.bucket_sums(arr).tolist() == [by_bucket[p] for p in run.bucket_scaled.tolist()]
+    assert run.bucket_sums(arr, traj.grid_idx, len(traj.grid)).tolist() == by_grid
+
+
+def test_threshold_trio_beyond_old_float_guard_matches_streaming_ledger():
+    # 4 T scale >= 2^53: the float64 bucket sums needed 4 T scale < 2^53 and refused this run
+    T, m = 600, 8
+    traj = sample_bernoulli_env(T=T, m=m, seed=21)
+    eta = Fraction(1, 16)
+    fam = build_pred_threshold_family(m, eta)
+    den = 16 * 3**25
+    # p = x + offset, offsets around -eta, 0 and +eta in units of 1/den, so buckets repeat
+    e, one = den // 16, 1
+    offsets = np.array([-2 * e, -e - one, -e, -e + one, -one, 0, one, e - one, e, e + one, 2 * e])
+    rng = np.random.default_rng(22)
+    num = traj.x_num * (den // traj.den) + offsets[rng.integers(0, len(offsets), size=T)]
+    pred = Predictions(num=num, den=den)
+    run = ledger_of(traj, pred, fam)
+    assert 4 * T * run.scale >= 2**53
+    assert len(run.bucket_scaled) < T // 4
+    ledger = BiasLedger(fam)
+    for t in range(T):
+        ledger.record_round(traj.context(t), pred.fraction(t), traj.outcome(t))
+    buckets = run.bucket_fractions()
+    for gid in fam.ids():
+        assert run.err_exact(gid) == ledger.err_exact(gid) > 0, gid
+        for b, frac in zip(run.bias[gid], buckets):
+            assert Fraction(int(b), run.scale) == ledger.bias(gid, frac), (gid, frac)
+    assert check_telescoping(run).ok
+
+
+def test_scaled_run_overflow_guard_names_the_numbers():
+    pred = Predictions(num=np.zeros(4, dtype=np.int64), den=2**60)
+    # 2 * T * scale = 2^63: the int64 sums (and differences of two) could overflow
+    with pytest.raises(OverflowError, match=r"T=4 \* scale=1152921504606846976"):
+        ScaledRun.build(sample_bernoulli_env(T=4, m=8, seed=1), pred)
+    # one round fewer is summed exactly
+    traj = sample_bernoulli_env(T=3, m=8, seed=1)
+    run = ScaledRun.build(traj, Predictions(num=np.full(3, 2**60), den=2**60))
+    assert run.bucket_sums(run.resid).tolist() == [sum(2**60 - 2**57 * int(y) for y in traj.y_num)]
+
+
 def test_deviation_stats_honest():
     traj = sample_bernoulli_env(T=100, m=8, seed=1)
     eta = Fraction(1, 16)
@@ -412,6 +492,13 @@ def test_bits_mse_checks():
     # honest predictions never miss and have zero loss
     honest = honest_predictions(traj)
     assert miss_count(ScaledRun.build(traj, honest)) == 0
+    # every round misses by 3/4 over a scale of 2^40, whose squares exceed int64
+    traj = sample_bit_env(T=4, k=1, seed=1)
+    far = np.where(2 * traj.x_num > traj.den, 0, 2**40)
+    run = ScaledRun.build(traj, Predictions(num=far, den=2**40))
+    penalty = check_bits_mse(run, CalibrationReport.from_err({"g": 1.0}))[0]
+    assert miss_count(run) == 4
+    assert penalty.ok and penalty.rhs == 1 / 16
 
 
 def test_report_csv(tmp_path):

@@ -1,7 +1,10 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caliblab.environments import (
     ContextRecord,
@@ -9,6 +12,7 @@ from caliblab.environments import (
     grid_section4,
     icbrt,
     sample_bernoulli_env,
+    sample_bernoulli_on_grid,
     sample_bit_env,
     sample_rademacher_env,
     section3_grid_count,
@@ -73,6 +77,35 @@ def test_bernoulli_round_robin_counts():
     counts = traj.context_counts()
     assert counts.max() - counts.min() <= 1
     assert counts.sum() == 12
+
+
+@settings(max_examples=60, deadline=None)
+@given(T=st.integers(1, 300), m=st.integers(8, 40), seed=st.integers(0, 2**16), stream=st.integers(0, 3))
+def test_samplers_match_per_round_reference(T, m, seed, stream):
+    # the reference divides each round's context numerator and selects with np.where
+    def reference(num, den):
+        idx = np.arange(T, dtype=np.int64) % len(num)
+        x_num = num[idx]
+        heads = substream(seed, stream).random(T) < (x_num / den)
+        return idx, x_num, np.where(heads, den, 0).astype(np.int64)
+
+    grid = grid_section3(m)
+    num = np.array([int(x * m) for x in grid], dtype=np.int64)
+    on_grid = sorted(grid[:: 1 + seed % 3] + [Fraction(5, 7)])
+    den = math.lcm(7, *(x.denominator for x in on_grid))
+    on_num = np.array([int(x * den) for x in on_grid], dtype=np.int64)
+    for traj, (idx, x_num, y_num) in (
+        (sample_bernoulli_env(T, m, seed, stream), reference(num, m)),
+        (sample_bernoulli_on_grid(on_grid, T, seed, stream), reference(on_num, den)),
+    ):
+        for got, want in ((traj.grid_idx, idx), (traj.x_num, x_num), (traj.y_num, y_num)):
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want)
+    if T >= 2:
+        traj = sample_rademacher_env(T, seed, m=4, stream=stream)
+        xi = np.where(substream(seed, stream).random(T) < 0.5, -1, 1).astype(np.int64)
+        assert traj.y_num.dtype == np.int64
+        assert np.array_equal(traj.y_num, traj.x_num + 3 * xi)
 
 
 def test_bernoulli_outcomes_binary_and_mean():
