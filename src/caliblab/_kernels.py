@@ -1,40 +1,27 @@
-"""Hot numeric kernels.
+"""Hot numeric kernels, all plain numpy.
 
-The FWHT butterflies and the first-return walk have a numba ``@njit``
-version and a vectorized numpy version that produce bit-identical
-results.  The active variant is chosen once at import time: numba is
-used when it is importable unless the environment variable
-``CALIBLAB_BACKEND`` is set to ``numpy``.  Bucketing has one loop-free
-numpy implementation on every backend.
+One FWHT (``fwht_inplace``), one first-return test (``first_return_batch``)
+and one loop-free bucketing routine (``bucketing_batch``).  Randomness is
+always drawn outside the kernels (Philox streams, see
+``environments.substream``) and passed in as arrays.
 
-Randomness is always drawn outside the kernels (Philox streams, see
-``environments.substream``) and passed in as arrays, so results do not
-depend on the backend.
+The probes built on them back acceptance criteria 05 (first-return law)
+and 08 (bucketing floor); on a shared 2-core VM they take about 3 s and
+12 s of a 43 s tier-1 run.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-FORCE_NUMPY = os.environ.get("CALIBLAB_BACKEND", "").strip().lower() in {"numpy", "python"}
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and not FORCE_NUMPY
+USE_NUMBA = False  # there is no numba backend; kept only for perfbench/run.py::environment_record
 
 
 # ---------------------------------------------------------------------------
 # Fast Walsh-Hadamard transform (unnormalized butterflies, in place)
 # ---------------------------------------------------------------------------
 
-def _fwht_inplace_numpy(a):
+def fwht_inplace(a):
     n = a.shape[-1]
     h = 1
     while h < n:
@@ -47,66 +34,27 @@ def _fwht_inplace_numpy(a):
     return a
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _fwht_1d_numba(a):  # pragma: no cover - covered via dispatch tests
-        n = a.shape[0]
-        h = 1
-        while h < n:
-            for i in range(0, n, 2 * h):
-                for j in range(i, i + h):
-                    x = a[j]
-                    y = a[j + h]
-                    a[j] = x + y
-                    a[j + h] = x - y
-            h *= 2
-        return a
-
-    def _fwht_inplace_numba(a):
-        if a.ndim == 1:
-            _fwht_1d_numba(a)
-        else:
-            flat = a.reshape(-1, a.shape[-1])
-            for row in range(flat.shape[0]):
-                _fwht_1d_numba(flat[row])
-        return a
-
-
-fwht_inplace = _fwht_inplace_numba if USE_NUMBA else _fwht_inplace_numpy
+def _walk_dtype(steps: int):
+    # a walk of `steps` +-1 steps stays within +-steps; int16 halves the
+    # memory traffic of the cumsums that dominate these kernels
+    return np.int16 if steps < 2**15 else np.int32
 
 
 # ---------------------------------------------------------------------------
 # First return time of a +-1 simple random walk, truncated at horizon L
 # ---------------------------------------------------------------------------
 
-def _first_return_batch_numpy(signs):
-    steps = signs.cumsum(axis=1, dtype=np.int32)
-    hit = steps == 0
+def first_return_batch(signs, start=None):
+    """Steps until each row's walk first hits 0, or the row width if it never does.
+
+    ``start`` (int32, one per row, default all zero) is the position each
+    walk starts from, so a walk can be continued chunk by chunk.
+    """
+    steps = signs.cumsum(axis=1, dtype=_walk_dtype(signs.shape[1]))
+    hit = steps == 0 if start is None else steps == -start[:, None]
     first = hit.argmax(axis=1)
     tau = np.where(hit.any(axis=1), first + 1, signs.shape[1]).astype(np.int64)
     return tau
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _first_return_batch_numba(signs):  # pragma: no cover
-        reps, horizon = signs.shape
-        out = np.empty(reps, dtype=np.int64)
-        for r in range(reps):
-            s = 0
-            tau = horizon
-            for t in range(horizon):
-                s += signs[r, t]
-                if s == 0:
-                    tau = t + 1
-                    break
-            out[r] = tau
-        return out
-
-
-first_return_batch = _first_return_batch_numba if USE_NUMBA else _first_return_batch_numpy
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +94,7 @@ def _bucketing_fixed(signs, n_pool):
     pool = min(horizon, n_pool)
     rows = -(-horizon // pool)
     padded = np.pad(signs, ((0, 0), (0, rows * pool - horizon))) if horizon % pool else signs
-    walk = padded.reshape(reps, rows, pool).cumsum(axis=1, dtype=np.int32)
+    walk = padded.reshape(reps, rows, pool).cumsum(axis=1, dtype=_walk_dtype(rows))
     lengths = (horizon - np.arange(pool) + pool - 1) // pool
     sum_abs = np.abs(walk[:, -1, :]).sum(axis=1, dtype=np.int64)
     # steps taken from a zero bucket sum: the first step plus every step
@@ -161,7 +109,7 @@ def _bucketing_excursions(signs, n_pool):
     # Strategies 2 (n_pool = L, so never recycled) and 3: one bucket per
     # excursion of the global walk, recycled modulo n_pool.
     reps, horizon = signs.shape
-    walk = signs.cumsum(axis=1, dtype=np.int32)
+    walk = signs.cumsum(axis=1, dtype=_walk_dtype(horizon))
     ends = walk == 0
     ends[:, -1] = True  # the last step closes the open excursion
     rows, cols = np.divmod(np.flatnonzero(ends), horizon)
@@ -182,9 +130,9 @@ def _bucketing_zero_seeking(signs, n_pool):
     fresh = min(horizon, n_pool)
     first = signs[:, 0].astype(np.int64)
     # bucket 0's walk over the steps after the fresh ones, offset by sign[0]
-    tail = signs[:, fresh:].cumsum(axis=1, dtype=np.int32)
+    tail = signs[:, fresh:].cumsum(axis=1, dtype=_walk_dtype(horizon))
     final = first + (tail[:, -1] if horizon > fresh else 0)
-    l_eps = fresh + (tail[:, :-1] == -first[:, None]).sum(axis=1, dtype=np.int64)
+    l_eps = fresh + (tail[:, :-1] == -first.astype(tail.dtype)[:, None]).sum(axis=1, dtype=np.int64)
     # bucket 0 holds sign[0] and every later step; buckets 1..P-1 one step
     counts = np.r_[horizon - fresh + 1, np.ones(fresh - 1)]
     sum_sqrt = np.full(reps, np.sqrt(counts).cumsum()[-1])
@@ -193,7 +141,9 @@ def _bucketing_zero_seeking(signs, n_pool):
 
 def bucketing_batch(signs, strategy, n_pool):
     """(sum_abs, sum_sqrt, l_eps) per row of a +-1 sign batch (reps, L)."""
-    if signs.shape[1] == 0 or np.any(np.abs(signs) != 1):
+    # three reductions and no full-size temporaries: an elementwise
+    # |sign| != 1 test costs about 15% of the kernel
+    if signs.size == 0 or signs.min() < -1 or signs.max() > 1 or np.count_nonzero(signs) < signs.size:
         raise ValueError("bucketing needs a nonempty batch of +-1 signs")
     if n_pool < 1:
         raise ValueError(f"bucketing needs n_pool >= 1, got {n_pool}")

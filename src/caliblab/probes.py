@@ -82,21 +82,75 @@ def truncated_root_return_expectation(L: int) -> float:
 
 
 def _draw_signs(rng: np.random.Generator, shape) -> np.ndarray:
-    """+-1 steps as int8: -1 where a uniform draw falls below 1/2."""
-    return (rng.random(shape) >= 0.5).view(np.int8) * 2 - 1
+    """+-1 steps as C-contiguous int8: the bits of ``rng.bytes`` in
+    ``np.unpackbits`` order (most significant bit first), 1 -> +1, 0 -> -1."""
+    reps, horizon = shape
+    n = reps * horizon
+    raw = np.frombuffer(rng.bytes(-(-n // 8)), dtype=np.uint8)
+    signs = np.unpackbits(raw, count=n).view(np.int8).reshape(reps, horizon)
+    signs *= 2  # in place: a left shift or a fresh array costs 4x more here
+    signs -= 1
+    return signs
+
+
+# Largest sign batch drawn at once (4 MiB of int8 steps).
+_BATCH_SIGNS = 1 << 22
+# Width of the first first-return chunk; chunk k is _FIRST_CHUNK * 2^k wide.
+_FIRST_CHUNK = 64
+
+
+def _first_returns_chunked(L: int, replicates: int, source) -> np.ndarray:
+    """min(tau_0, L) per walk, extending only the walks that have not returned.
+
+    Chunk k covers steps [64 (2^k - 1), 64 (2^(k+1) - 1)), clipped to L.
+    ``source(rows, lo, hi)`` gives the int8 signs of steps [lo, hi) of the
+    walks ``rows``; a call covers at most ``_BATCH_SIGNS`` signs, or one
+    walk if a chunk is wider than that.  Each walk's position is carried
+    from chunk to chunk as int32, and the return test is
+    ``first_return_batch`` from that position.
+    """
+    out = np.full(replicates, L, dtype=np.int64)
+    alive = np.arange(replicates)
+    pos = np.zeros(replicates, dtype=np.int32)
+    lo, width = 0, _FIRST_CHUNK
+    while lo < L and alive.size:
+        hi = min(L, lo + width)
+        rows_per_batch = max(1, _BATCH_SIGNS // (hi - lo))
+        keep_rows, keep_pos = [], []
+        for i in range(0, alive.size, rows_per_batch):
+            rows, start = alive[i : i + rows_per_batch], pos[i : i + rows_per_batch]
+            signs = source(rows, lo, hi)
+            tau = first_return_batch(signs, start)
+            end = start + signs.sum(axis=1, dtype=np.int32)
+            done = (tau < hi - lo) | (end == 0)
+            out[rows[done]] = lo + tau[done]
+            keep_rows.append(rows[~done])
+            keep_pos.append(end[~done])
+        alive, pos = np.concatenate(keep_rows), np.concatenate(keep_pos)
+        lo, width = hi, 2 * width
+    return out
 
 
 def simulate_first_returns(L: int, replicates: int, seed: int, stream: int = 0) -> np.ndarray:
-    """min(tau_0, L) for `replicates` independent +-1 walks."""
+    """min(tau_0, L) for `replicates` independent +-1 walks.
+
+    Walks are drawn chunk by chunk (see ``_first_returns_chunked``), so a
+    walk that has returned draws no further signs.
+    """
+    if L < 1:
+        raise ValueError(f"first-return walks need L >= 1, got L={L}")
+    if replicates < 1:
+        raise ValueError(f"first-return walks need replicates >= 1, got replicates={replicates}")
     rng = substream(seed, stream)
-    batch = max(1, (1 << 22) // max(L, 1))
-    out = np.empty(replicates, dtype=np.int64)
-    done = 0
-    while done < replicates:
-        b = min(batch, replicates - done)
-        out[done : done + b] = first_return_batch(_draw_signs(rng, (b, L)))
-        done += b
-    return out
+    return _first_returns_chunked(L, replicates, lambda rows, lo, hi: _draw_signs(rng, (rows.size, hi - lo)))
+
+
+def _check_sizes(L: int, replicates: int) -> None:
+    # a probe's stderr needs two replicates; every probe needs one step
+    if L < 1:
+        raise ValueError(f"probe needs L >= 1, got L={L}")
+    if replicates < 2:
+        raise ValueError(f"probe needs replicates >= 2 for a standard error, got replicates={replicates}")
 
 
 def truncated_root_return_probe(
@@ -108,11 +162,12 @@ def truncated_root_return_probe(
     analytic value and the ratio estimate / log2(L+1) stays below 2x the
     analytic ratio (the log bound with a generous constant).
     """
+    _check_sizes(L, replicates)
+    analytic = truncated_root_return_expectation(L)
     taus = simulate_first_returns(L, replicates, seed, stream)
     roots = np.sqrt(taus.astype(np.float64))
     est = float(roots.mean())
     se = float(roots.std(ddof=1) / math.sqrt(replicates))
-    analytic = truncated_root_return_expectation(L)
     log_ratio = est / math.log2(L + 1)
     passed = abs(est - analytic) <= 3 * se and log_ratio <= 2.0 * analytic / math.log2(L + 1)
     return ProbeReport(
@@ -157,6 +212,7 @@ def martingale_transform_probe(
 
     Passes when E|N| / (sigma sqrt(L)) >= the calibrated floor.
     """
+    _check_sizes(L, replicates)
     if indicator_strategy not in MARTINGALE_STRATEGIES:
         raise ValueError(
             f"unknown indicator strategy {indicator_strategy!r}; "
@@ -168,7 +224,7 @@ def martingale_transform_probe(
         raise ValueError("residual model needs x in [1/4, 3/4]")
     rng = substream(seed, stream)
     sigma = math.sqrt(float(x) * (1.0 - float(x)))
-    batch = max(1, (1 << 22) // max(L, 1))
+    batch = max(1, _BATCH_SIGNS // L)
     abs_n = np.empty(replicates, dtype=np.float64)
     n_sel = np.empty(replicates, dtype=np.float64)
     done = 0
@@ -260,6 +316,7 @@ def bucketing_probe(
     (bucket sums, bucket counts, round index, rng) -> bucket label,
     invoked before each increment is revealed.
     """
+    _check_sizes(L, replicates)
     user_policy = callable(strategy)
     if not user_policy and strategy not in BUCKETING_STRATEGY_CODES:
         raise ValueError(f"unknown bucketing strategy {strategy!r}")
@@ -267,7 +324,7 @@ def bucketing_probe(
         raise ValueError(f"step size h must lie in (0, 1], got {h}")
     pool = n_pool if n_pool is not None else default_pool(L)
     rng = substream(seed, stream)
-    batch = max(1, (1 << 22) // max(L, 1))
+    batch = max(1, _BATCH_SIGNS // L)
     sum_abs = np.empty(replicates, dtype=np.float64)
     sum_sqrt = np.empty(replicates, dtype=np.float64)
     l_eps = np.empty(replicates, dtype=np.float64)

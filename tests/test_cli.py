@@ -159,6 +159,13 @@ def test_probe_unknown(tmp_path):
     assert main(["probe", "nonsense"]) == EXIT_CONFIG
 
 
+def test_probe_bad_size_names_it(tmp_path, capsys):
+    assert main(["probe", "root-return", "--L=0", "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "L=0" in capsys.readouterr().err
+    assert main(["probe", "bucketing", "--reps=1", "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "replicates=1" in capsys.readouterr().err
+
+
 def test_probe_bucketing(tmp_path):
     rc = main(
         [

@@ -1,11 +1,13 @@
-"""Byte-for-byte regression of ``caliblab scaling`` and ``caliblab bounds
-reduction`` against committed CSVs.
+"""Byte-for-byte regression of ``caliblab scaling``, ``caliblab bounds
+reduction`` and three Monte Carlo probes against committed CSVs.
 
 The files in tests/data were written by the CLI on the configs beside
-them.  Sampling, forecasting, pattern routing, the exact ledger, the
-per-group aggregation and the CSV formatting all feed these bytes, so a
-refactor that changes any result fails here.  Manifests are not pinned:
-they carry a timestamp.
+them, or on the probe arguments below.  Sampling, forecasting, pattern
+routing, the exact ledger, the per-group aggregation and the CSV
+formatting all feed these bytes, so a refactor that changes any result
+fails here.  The probe files pin the probe random streams: packed-bit
+sign draws and first-return walks drawn in chunks of 64 * 2^k.
+Manifests are not pinned: they carry a timestamp.
 """
 
 from pathlib import Path
@@ -31,3 +33,17 @@ def test_reduction_csvs_match_golden_bytes(tmp_path):
     for kind in ("bounds", "cells"):
         written = tmp_path / ("bounds_reduction.csv" if kind == "bounds" else "bounds_reduction_cells.csv")
         assert written.read_bytes() == (DATA / f"golden_reduction_{kind}.csv").read_bytes(), kind
+
+
+PROBES = {
+    "bucketing": ["--L", "512", "--strategy", "avoid_zero", "--reps", "400"],
+    "root-return": ["--L", "512", "--reps", "4000"],
+    "return-pmf": ["--n", "6", "--reps", "5000"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROBES))
+def test_probe_csvs_match_golden_bytes(name, tmp_path):
+    assert main(["probe", name, *PROBES[name], "--seed", "7", "--out", str(tmp_path)]) == EXIT_OK
+    written = tmp_path / f"probe_{name}.csv"
+    assert written.read_bytes() == (DATA / f"golden_probe_{name}.csv").read_bytes(), name

@@ -1,24 +1,21 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caliblab._kernels import (
-    BUCKETING_STRATEGY_CODES,
-    HAVE_NUMBA,
-    _first_return_batch_numpy,
-    _fwht_inplace_numpy,
-    bucketing_batch,
-    first_return_batch,
-)
+from caliblab import probes
+from caliblab._kernels import BUCKETING_STRATEGY_CODES, bucketing_batch, first_return_batch
 from caliblab.environments import substream
 from caliblab.probes import (
     BUCKETING_FLOOR,
     MARTINGALE_FLOOR,
     SINGLE_BUCKET_RHO,
+    _draw_signs,
+    _first_returns_chunked,
     bucketing_probe,
     bucketing_trace,
     first_return_pmf,
@@ -87,12 +84,112 @@ def test_root_return_probe_against_analytic():
     assert abs(rep.estimate - rep.bound) <= 3 * rep.stderr
 
 
-def test_backends_agree_first_return():
-    if not HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    rng = substream(11, 0)
-    signs = np.where(rng.random((200, 64)) < 0.5, -1, 1).astype(np.int8)
-    assert np.array_equal(first_return_batch(signs), _first_return_batch_numpy(signs))
+def _never_returning(L):
+    # +1 first, then +1, -1, +1, -1, ...: the walk stays in {1, 2}
+    row = np.ones(L, dtype=np.int8)
+    row[2::2] = -1
+    return row
+
+
+def _chunked_against_full(M, max_signs):
+    calls = []
+
+    def source(rows, lo, hi):
+        calls.append((rows.copy(), lo, hi))
+        return M[rows, lo:hi]
+
+    full = first_return_batch(M)
+    with mock.patch.object(probes, "_BATCH_SIGNS", max_signs):
+        chunked = _first_returns_chunked(M.shape[1], M.shape[0], source)
+    assert chunked.dtype == np.int64
+    assert np.array_equal(chunked, full)
+    for rows, lo, hi in calls:
+        # only walks still away from zero at step lo are extended
+        assert np.all(full[rows] > lo)
+        assert rows.size * (hi - lo) <= max(max_signs, hi - lo)
+    return calls
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_chunked_first_returns_match_full_horizon(data):
+    L = data.draw(st.sampled_from([1, 2]) | st.integers(3, 63) | st.integers(64, 1200), label="L")
+    reps = data.draw(st.integers(1, 40), label="reps")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    M = np.where(np.random.default_rng(seed).random((reps, L)) < 0.5, -1, 1).astype(np.int8)
+    for r in data.draw(st.lists(st.integers(0, reps - 1), max_size=3), label="never"):
+        M[r] = _never_returning(L)
+    max_signs = data.draw(st.sampled_from([1, 5, 64, 300, probes._BATCH_SIGNS]), label="max_signs")
+    _chunked_against_full(M, max_signs)
+
+
+@pytest.mark.parametrize("L", [1, 2, 17, 63, 64, 65, 192, 200, 1000])
+def test_chunked_first_returns_edge_horizons(L):
+    M = np.where(substream(21, L).random((50, L)) < 0.5, -1, 1).astype(np.int8)
+    M[::7] = _never_returning(L)
+    M[3::7] = -_never_returning(L)  # never returns from below
+    _chunked_against_full(M, 100)
+
+
+def test_chunked_first_returns_split_at_the_batch_limit():
+    # 70,000 walks x 64 steps is more than 2^22 signs: the first chunk
+    # takes two sub-batches; L = 200 ends on a partial chunk (64 + 128 + 8)
+    L, reps = 200, 70_000
+    M = np.where(substream(22, 0).random((reps, L)) < 0.5, -1, 1).astype(np.int8)
+    M[:100] = _never_returning(L)
+    assert probes._BATCH_SIGNS == 1 << 22
+    calls = _chunked_against_full(M, probes._BATCH_SIGNS)
+    assert [(lo, hi) for _, lo, hi in calls][:2] == [(0, 64), (0, 64)]
+    assert calls[-1][1:] == (192, 200)
+
+
+def test_simulate_first_returns_draws_only_open_walks():
+    drawn = []
+    draw = probes._draw_signs
+
+    def counting(rng, shape):
+        drawn.append(shape[0] * shape[1])
+        return draw(rng, shape)
+
+    with mock.patch.object(probes, "_draw_signs", counting):
+        taus = simulate_first_returns(L=4096, replicates=2000, seed=23)
+    # E[min(tau, L)] ~ sqrt(8 L / pi) ~ 102 steps, not L = 4096
+    assert sum(drawn) < 4096 * 2000 / 10
+    assert taus.dtype == np.int64
+    assert taus.min() == 2 and taus.max() == 4096
+    assert np.all(taus[taus < 4096] % 2 == 0)
+
+
+def test_draw_signs():
+    signs = _draw_signs(substream(24, 3), (3, 13))  # 39 signs: not a multiple of 8
+    assert signs.dtype == np.int8 and signs.shape == (3, 13) and signs.flags.c_contiguous
+    assert set(np.unique(signs)) <= {-1, 1}
+    assert np.array_equal(signs, _draw_signs(substream(24, 3), (3, 13)))
+    assert not np.array_equal(_draw_signs(substream(24, 4), (40, 13)), _draw_signs(substream(24, 3), (40, 13)))
+    # the bits of Generator.bytes, most significant first
+    bits = np.unpackbits(np.frombuffer(substream(24, 3).bytes(5), dtype=np.uint8))[:39]
+    assert np.array_equal(signs.ravel(), 2 * bits.astype(np.int8) - 1)
+    many = _draw_signs(substream(24, 5), (1000, 1000))
+    assert abs(many.mean(dtype=np.float64)) <= 5 / math.sqrt(many.size)
+
+
+def test_probes_reject_bad_sizes():
+    with pytest.raises(ValueError, match="L=0"):
+        simulate_first_returns(L=0, replicates=10, seed=1)
+    with pytest.raises(ValueError, match="replicates=0"):
+        simulate_first_returns(L=8, replicates=0, seed=1)
+    with pytest.raises(ValueError, match="L=0"):
+        truncated_root_return_probe(L=0, replicates=10)
+    with pytest.raises(ValueError, match="L=0"):
+        bucketing_probe(L=0, replicates=10)
+    with pytest.raises(ValueError, match="L=0"):
+        martingale_transform_probe(L=0, replicates=10)
+    with pytest.raises(ValueError, match="replicates=1"):
+        truncated_root_return_probe(L=64, replicates=1)
+    with pytest.raises(ValueError, match="replicates=1"):
+        bucketing_probe(L=64, replicates=1)
+    with pytest.raises(ValueError, match="replicates=1"):
+        martingale_transform_probe(L=64, replicates=1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -113,6 +210,19 @@ def test_bucketing_batch_matches_trace(data):
             assert math.isclose(float(sum_sqrt[r]), ref["sum_sqrt"], rel_tol=1e-12), name
 
 
+def test_kernels_exact_beyond_int16_walks():
+    # walks longer than 2^15 steps leave the int16 range the kernels use below it
+    L = 2**15 + 5
+    signs = np.ones((2, L), dtype=np.int8)
+    signs[1] = -1
+    assert first_return_batch(signs).tolist() == [L, L]
+    for name in ("single_bucket", "fresh_bucket_on_return", "avoid_zero"):
+        sum_abs, _, l_eps = bucketing_batch(signs, BUCKETING_STRATEGY_CODES[name], 4)
+        assert sum_abs.tolist() == [L, L] and l_eps.tolist() == [1, 1], name
+    sum_abs, _, _ = bucketing_batch(signs, BUCKETING_STRATEGY_CODES["zero_seeking"], 4)
+    assert sum_abs.tolist() == [L, L]
+
+
 def test_bucketing_batch_rejects_bad_input():
     for bad in ([[1, 0, -1]], [[1, 2, -1]], [[-128, 1, 1]]):
         for code in BUCKETING_STRATEGY_CODES.values():
@@ -120,16 +230,6 @@ def test_bucketing_batch_rejects_bad_input():
                 bucketing_batch(np.array(bad, dtype=np.int8), code, 2)
     with pytest.raises(ValueError, match="n_pool"):
         bucketing_batch(np.ones((1, 3), dtype=np.int8), 1, 0)
-
-
-def test_backends_agree_fwht():
-    if not HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    from caliblab._kernels import fwht_inplace
-
-    rng = substream(13, 0)
-    v = rng.integers(-50, 50, size=64).astype(np.int64)
-    assert np.array_equal(fwht_inplace(v.copy()), _fwht_inplace_numpy(v.copy()))
 
 
 def test_martingale_all_ones_closed_form():
