@@ -1,7 +1,8 @@
 """Hot numeric kernels, all plain numpy.
 
-One FWHT (``fwht_inplace``), one first-return test (``first_return_batch``)
-and one loop-free bucketing routine (``bucketing_batch``).  Randomness is
+One FWHT (``fwht_pingpong``, constant-geometry stages between two
+buffers), one first-return test (``first_return_batch``) and one
+loop-free bucketing routine (``bucketing_batch``).  Randomness is
 always drawn outside the kernels (Philox streams, see
 ``environments.substream``) and passed in as arrays.
 
@@ -18,20 +19,39 @@ USE_NUMBA = False  # there is no numba backend; kept only for perfbench/run.py::
 
 
 # ---------------------------------------------------------------------------
-# Fast Walsh-Hadamard transform (unnormalized butterflies, in place)
+# Fast Walsh-Hadamard transform (unnormalized, constant geometry)
 # ---------------------------------------------------------------------------
 
-def fwht_inplace(a):
+def fwht_pingpong(a):
+    """Unnormalized Walsh-Hadamard transform of ``a`` along its last axis,
+    returned in a new array; ``a`` is only read.
+
+    Each of the log2 n stages (Pease's constant-geometry form) reads the
+    even and odd columns of one buffer and writes their sums to the left
+    half and their differences to the right half of the other buffer.
+    Stage b pairs bit b of the input index and sends its frequency bit to
+    the top, which reaches bit b after the remaining stages, so the output
+    is in natural Walsh order.  Every output is the same sequence of adds
+    and subtracts as in the textbook strided butterflies, so integer and
+    float outputs equal theirs bit for bit.
+    """
     n = a.shape[-1]
-    h = 1
-    while h < n:
-        b = a.reshape(a.shape[:-1] + (n // (2 * h), 2, h))
-        top = b[..., 0, :] + b[..., 1, :]
-        bot = b[..., 0, :] - b[..., 1, :]
-        b[..., 0, :] = top
-        b[..., 1, :] = bot
-        h *= 2
-    return a
+    if n == 1:
+        return a.copy()
+    half = n // 2
+    buffers = (np.empty(a.shape, a.dtype), np.empty(a.shape, a.dtype) if n > 2 else None)
+    src = a
+    for stage in range(n.bit_length() - 1):
+        dst = buffers[stage % 2]
+        even, odd = src[..., 0::2], src[..., 1::2]
+        np.add(even, odd, out=dst[..., :half])
+        np.subtract(even, odd, out=dst[..., half:])
+        src = dst
+    return src
+
+
+# there is one kernel; the old name stays only for perfbench/run.py::kernel_timings
+fwht_inplace = fwht_pingpong
 
 
 def _walk_dtype(steps: int):

@@ -20,7 +20,15 @@ the signed weights directly, never by subtracting two separately rounded
 reports, so the bias + noise = ledger-bias identity is exact.  A family's
 blockwise Hadamard half-groups are never evaluated one by one: their
 Err numerators and difference-of-two checks are (K, L) arrays computed
-from the per-block transform of the residual.
+from the per-block transform of the residual, and a ledger reports one
+float64 error vector in ``family.ids()`` order.
+
+Each pathwise inequality yields one ``CheckSummary`` per run, however
+many comparisons it makes: their count, the number that fail, the exact
+tightest slack (a ``Fraction`` for the integer and rational checks) and
+the index, lhs and rhs of the first failure.  Difference-of-two compares
+one int64 vector of signed Errs with one of bounds, both over 2 scale,
+covering the direct pairs and the (K, L) block pairs alike.
 """
 
 from __future__ import annotations
@@ -30,7 +38,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -111,12 +118,17 @@ class CalibrationReport:
     argmax_group: Optional[str]
 
     @classmethod
-    def from_err(cls, err: dict) -> "CalibrationReport":
-        if not err:
+    def from_vector(cls, ids: list, err: np.ndarray) -> "CalibrationReport":
+        """Report of the float64 errors ``err[i]`` of groups ``ids[i]``."""
+        if not ids:
             return cls(err={}, mcerr=0.0, argmax_group=None)
-        mcerr = max(err.values())
-        best = min(gid for gid, e in err.items() if e == mcerr)
-        return cls(err=err, mcerr=mcerr, argmax_group=best)
+        mcerr = err.max()
+        best = min(ids[i] for i in np.flatnonzero(err == mcerr).tolist())
+        return cls(err=dict(zip(ids, err.tolist())), mcerr=float(mcerr), argmax_group=best)
+
+    @classmethod
+    def from_err(cls, err: dict) -> "CalibrationReport":
+        return cls.from_vector(list(err), np.array(list(err.values()), dtype=np.float64))
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -296,16 +308,17 @@ class RunLedger:
         half = self.block_plus_abs if sign == 1 else self.block_minus_abs
         return Fraction(int(half[a - 1, j]), 2 * self.scale)
 
-    def err_float(self) -> dict:
-        err = {gid: float(np.abs(b).sum()) / self.scale for gid, b in self.bias.items()}
-        if self.block_plus_abs is not None:
-            # (K, L, 2) in family order: a, then j, then +/-
-            halves = np.stack([self.block_plus_abs, self.block_minus_abs], axis=-1)
-            err.update(zip(self.family.block_ids, (halves.ravel() / (2.0 * self.scale)).tolist()))
-        return err
+    def err_vector(self) -> np.ndarray:
+        """float64 Err of every group, in ``family.ids()`` order."""
+        direct = [float(np.abs(b).sum()) / self.scale for b in self.bias.values()]
+        if self.block_plus_abs is None:
+            return np.array(direct, dtype=np.float64)
+        # (K, L, 2) in family order: a, then j, then +/-
+        halves = np.stack([self.block_plus_abs, self.block_minus_abs], axis=-1)
+        return np.concatenate([direct, halves.ravel() / (2.0 * self.scale)])
 
     def report(self) -> CalibrationReport:
-        return CalibrationReport.from_err(self.err_float())
+        return CalibrationReport.from_vector(self.family.ids(), self.err_vector())
 
     def telescoped(self) -> Fraction:
         return Fraction(int(self.scaled.resid.sum()), self.scale)
@@ -535,23 +548,56 @@ def block_decompose(run: ScaledRun, layout: BlockLayout) -> BlockDecomposition:
 REL_TOL = 1e-9
 
 
-@dataclass
-class CheckResult:
+@dataclass(frozen=True)
+class CheckSummary:
+    """All comparisons of one pathwise inequality in one run.
+
+    ``min_slack`` is the tightest margin by which a comparison holds
+    (negative when it fails): an exact ``Fraction`` for the exact checks,
+    a float for the float ones, None when there is nothing to compare.
+    A float check passes within ``REL_TOL``, so its slack can be slightly
+    negative on a pass.  ``first`` is the index of the first failing
+    comparison, with its two sides ``lhs`` and ``rhs`` in the check's own
+    units; all three are None when every comparison holds.
+    """
+
     name: str
-    ok: bool
-    lhs: float
-    rhs: float
+    count: int
+    failures: int
+    min_slack: object
+    first: Optional[int] = None
+    lhs: object = None
+    rhs: object = None
 
-    def __bool__(self):
-        return self.ok
+    @property
+    def ok(self) -> bool:
+        return self.failures == 0
+
+    @classmethod
+    def over(cls, name: str, lhs, rhs, slack, ok=None, value=float) -> "CheckSummary":
+        """Summary of the comparisons of ``lhs[i]`` with ``rhs[i]`` (scalars
+        or arrays), each holding by ``slack[i]`` and passing where ``ok[i]``
+        (by default where ``slack[i] >= 0``).  ``value`` converts an entry
+        to the number reported."""
+        lhs, rhs, slack = np.atleast_1d(lhs, rhs, slack)
+        if not slack.size:
+            return cls(name, 0, 0, None)
+        failed = np.flatnonzero(~(slack >= 0 if ok is None else np.atleast_1d(ok)))
+        tightest = value(slack.min())
+        if not failed.size:
+            return cls(name, slack.size, 0, tightest)
+        i = int(failed[0])
+        return cls(name, slack.size, failed.size, tightest, i, value(lhs[i]), value(rhs[i]))
 
 
-def _ge(name: str, lhs: float, rhs: float, exact: bool = False) -> CheckResult:
-    slack = 0.0 if exact else REL_TOL * max(abs(lhs), abs(rhs), 1.0)
-    return CheckResult(name=name, ok=lhs >= rhs - slack, lhs=float(lhs), rhs=float(rhs))
+def _float_ge(name: str, lhs, rhs) -> CheckSummary:
+    """lhs >= rhs per entry, up to REL_TOL relative to the larger side (or 1)."""
+    lhs, rhs = np.asarray(lhs, dtype=np.float64), np.asarray(rhs, dtype=np.float64)
+    tol = REL_TOL * np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
+    return CheckSummary.over(name, lhs, rhs, lhs - rhs, ok=lhs >= rhs - tol)
 
 
-def check_telescoping(ledger: RunLedger) -> CheckResult:
+def check_telescoping(ledger: RunLedger) -> CheckSummary:
     """sum_v B(v, g_all) telescopes to sum_t (p_t - y_t), exactly."""
     run = ledger.scaled
     if "g_all" in ledger.bias:
@@ -559,30 +605,34 @@ def check_telescoping(ledger: RunLedger) -> CheckResult:
     else:
         lhs = int(run.bucket_sums(run.resid).sum())
     rhs = int(run.resid.sum())
-    return CheckResult("telescoping", lhs == rhs, lhs / ledger.scale, rhs / ledger.scale)
+    return CheckSummary.over(
+        "telescoping", lhs, rhs, -abs(lhs - rhs), value=lambda v: Fraction(int(v), ledger.scale)
+    )
 
 
-def check_diff_two(ledger: RunLedger) -> list[CheckResult]:
-    """Err(g+ - g-) <= Err(g+) + Err(g-) for every constructed pair."""
-    out = []
+def check_diff_two(ledger: RunLedger) -> CheckSummary:
+    """Err(g+ - g-) <= Err(g+) + Err(g-) for every constructed pair.
+
+    One int64 vector of signed Errs and one of bounds, both over
+    ``2 * scale``, in ``signed_pairs()`` order: the direct pairs, then the
+    (a, j) pairs of the block layout.
+    """
+    lhs, rhs = [], []
     for plus, minus in ledger.family.direct_pairs():
-        signed = Fraction(int(np.abs(ledger.bias[plus.id] - ledger.bias[minus.id]).sum()), ledger.scale)
-        bound = ledger.err_exact(plus.id) + ledger.err_exact(minus.id)
-        out.append(CheckResult("diff_two", signed <= bound, float(signed), float(bound)))
+        bp, bm = ledger.bias[plus.id], ledger.bias[minus.id]
+        lhs.append(2 * int(np.abs(bp - bm).sum()))
+        rhs.append(2 * (int(np.abs(bp).sum()) + int(np.abs(bm).sum())))
+    lhs, rhs = np.array(lhs, dtype=np.int64), np.array(rhs, dtype=np.int64)
     if ledger.block_coeff_abs is not None:
-        # one result per (a, j), in family order; both sides over 2 * scale
-        lhs = 2 * ledger.block_coeff_abs.ravel()
-        rhs = (ledger.block_plus_abs + ledger.block_minus_abs).ravel()
-        den = 2 * ledger.scale
-        out.extend(
-            map(CheckResult, repeat("diff_two"), (lhs <= rhs).tolist(), (lhs / den).tolist(), (rhs / den).tolist())
-        )
-    return out
+        lhs = np.concatenate([lhs, 2 * ledger.block_coeff_abs.ravel()])
+        rhs = np.concatenate([rhs, (ledger.block_plus_abs + ledger.block_minus_abs).ravel()])
+    den = 2 * ledger.scale
+    return CheckSummary.over("diff_two", lhs, rhs, rhs - lhs, value=lambda v: Fraction(int(v), den))
 
 
 def check_g4_context_decomp(
     ledger: RunLedger, stats: DeviationStats, eta: Fraction, m: int
-) -> CheckResult:
+) -> CheckSummary:
     """sum_v |B(v, g3)| >= sum_x |N_x| - sum_x |R_x| whenever eta <= 1/(2m)."""
     if Fraction(eta) > Fraction(1, 2 * m):
         raise ValueError("context decomposition needs eta <= 1/(2m)")
@@ -593,52 +643,48 @@ def check_g4_context_decomp(
     rhs = Fraction(
         int(np.abs(stats.N_x_num).sum()) - int(np.abs(stats.R_x_num).sum()), stats.scale
     )
-    return CheckResult("g4_context_decomp", lhs >= rhs, float(lhs), float(rhs))
+    return CheckSummary.over("g4_context_decomp", lhs, rhs, lhs - rhs, value=Fraction)
 
 
-def check_l1_quantization(stats: DeviationStats, m: int) -> CheckResult:
+def check_l1_quantization(stats: DeviationStats, m: int) -> CheckSummary:
     """A >= sum_v n_v^2 / (16 T') - T'/m - 1, exactly in rationals."""
     tp = stats.T_prime
     lhs = stats.A
     rhs = Fraction(int(np.sum(stats.n_v**2)), 16 * tp) - Fraction(tp, m) - 1
-    return CheckResult("l1_quantization", lhs >= rhs, float(lhs), float(rhs))
+    return CheckSummary.over("l1_quantization", lhs, rhs, lhs - rhs, value=Fraction)
 
 
-def check_n_from_a(stats: DeviationStats, m: int) -> CheckResult:
+def check_n_from_a(stats: DeviationStats, m: int) -> CheckSummary:
     """N >= T' / (4 sqrt(A + T'/m + 1))."""
     tp = stats.T_prime
     rhs = tp / (4.0 * math.sqrt(float(stats.A) + tp / m + 1.0))
-    return _ge("n_from_a", stats.N, rhs)
+    return _float_ge("n_from_a", stats.N, rhs)
 
 
-def check_block_mass(stats: DeviationStats) -> list[CheckResult]:
+def check_block_mass(stats: DeviationStats) -> list[CheckSummary]:
     """N <= sum_a N_a <= sqrt(K) N."""
     total = float(stats.N_a.sum())
     k = len(stats.N_a)
     return [
-        _ge("block_mass_lower", total, stats.N),
-        _ge("block_mass_upper", math.sqrt(k) * stats.N, total),
+        _float_ge("block_mass_lower", total, stats.N),
+        _float_ge("block_mass_upper", math.sqrt(k) * stats.N, total),
     ]
 
 
-def check_bias_averaging(decomp: BlockDecomposition, stats: DeviationStats) -> list[CheckResult]:
-    """(1/L) sum_j sum_v |D| <= sqrt(q_a E_a) per block."""
-    out = []
+def check_bias_averaging(decomp: BlockDecomposition, stats: DeviationStats) -> CheckSummary:
+    """(1/L) sum_j sum_v |D| <= sqrt(q_a E_a), one comparison per block a."""
     lay = decomp.layout
-    for a in range(1, lay.K + 1):
-        _, d = decomp.D[a]
-        lhs = float(np.abs(d / decomp.scale).sum()) / lay.L
-        rhs = math.sqrt(float(stats.q_a[a - 1]) * float(stats.E_a[a - 1]))
-        out.append(_ge("bias_averaging", rhs, lhs))
-    return out
+    lhs = [float(np.abs(decomp.D[a][1] / decomp.scale).sum()) / lay.L for a in range(1, lay.K + 1)]
+    rhs = [math.sqrt(float(stats.q_a[a]) * float(stats.E_a[a])) for a in range(lay.K)]
+    return _float_ge("bias_averaging", rhs, lhs)
 
 
-def check_block_parseval(decomp: BlockDecomposition, stats: DeviationStats) -> CheckResult:
+def check_block_parseval(decomp: BlockDecomposition, stats: DeviationStats) -> CheckSummary:
     gap = decomp.block_parseval_gap(stats.E_a)
-    return CheckResult("block_parseval", gap <= REL_TOL, gap, REL_TOL)
+    return CheckSummary.over("block_parseval", gap, REL_TOL, REL_TOL - gap)
 
 
-def check_bits_mse(run: ScaledRun, report: CalibrationReport) -> list[CheckResult]:
+def check_bits_mse(run: ScaledRun, report: CalibrationReport) -> list[CheckSummary]:
     """Appendix-style squared loss controls for the bit environment:
     per-round miss penalty (exact) and squared loss <= (2 - 1/(2N)) MCerr."""
     n = 1 << run.traj.params["k"]
@@ -646,14 +692,15 @@ def check_bits_mse(run: ScaledRun, report: CalibrationReport) -> list[CheckResul
     # exact per-round penalty: a miss means (p - y)^2 >= 1/(4 N^2), i.e.
     # |scaled diff| >= scale / (2 N) in integers (2 N divides scale); the
     # squares are taken in Python integers, as int64 would wrap above 2^63
-    miss = np.abs(run.resid[~run.in_interval])
     floor = scale // (2 * n)
-    miss_ok = bool(np.all(miss >= floor))
-    worst = float(int(miss.min(initial=floor)) ** 2) / scale**2
-    results = [CheckResult("bits_miss_penalty", miss_ok, worst, floor**2 / scale**2)]
+    miss = np.abs(run.resid[~run.in_interval])
+    # one comparison, of the closest miss, when any round misses
+    worst = [int(miss.min()) ** 2] if miss.size else []
+    penalty = CheckSummary.over(
+        "bits_miss_penalty", worst, floor**2, [w - floor**2 for w in worst], value=lambda v: Fraction(int(v), scale**2)
+    )
     rhs = (2.0 - 1.0 / (2 * n)) * report.mcerr
-    results.append(_ge("bits_mse_vs_mcerr", rhs, run.sq_loss))
-    return results
+    return [penalty, _float_ge("bits_mse_vs_mcerr", rhs, run.sq_loss)]
 
 
 def miss_count(run: ScaledRun) -> int:

@@ -222,6 +222,10 @@ def cmd_scaling(args, overrides) -> int:
         family_path = out_dir / f"{config.experiment_id}_family.csv"
         write_family_csv(family_path, config)
         manifest.outputs.append(family_path.name)
+    for row in result.rows:
+        manifest.notes += [
+            f"pathwise_min_slack@T={row.T}/{name}={format_float(float(slack))}" for name, slack in row.min_slack.items()
+        ]
     manifest.write(out_dir / f"{config.experiment_id}_manifest.txt")
 
     lo = float(cfg.get("assert.exponent_min", EXPONENT_WINDOW[0]))

@@ -11,8 +11,11 @@ disabled): telescoping and difference-of-two everywhere, the context
 decomposition for the threshold trio, time-quantization and
 prediction-diversity on the signed-noise grid environment, block mass /
 Parseval / bias-averaging whenever a block layout is in play, and the
-squared-loss controls on the bit environment.  Violations are counted
-and must be zero.
+squared-loss controls on the bit environment.  Each inequality is one
+``calibration.CheckSummary`` per replicate; violations (one per failing
+comparison) are counted and must be zero, and each scaling row keeps the
+tightest slack per inequality over its replicates, which the scaling
+manifest records as ``pathwise_min_slack@T=<T>/<check>=`` lines.
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ from .groups import (
     default_block_count,
     default_eta,
 )
+from .orthogonal import walsh_rows
 
 # Exponent acceptance window for the honest/threshold scaling study;
 # config constants, not hidden defaults (theory predicts 2/3)
@@ -243,13 +247,13 @@ def run_replicate(config: ExperimentConfig, T: int, rep: int) -> dict:
         "err": report.err,
         "argmax": report.argmax_group,
         "violations": [],
+        "min_slack": {},
         "extras": {},
     }
     if not config.checks:
         return out
 
-    checks = [check_telescoping(ledger)]
-    checks.extend(check_diff_two(ledger))
+    checks = [check_telescoping(ledger), check_diff_two(ledger)]
     if family.kind == "pred_threshold":
         stats = deviation_stats(run, eta=eta)
         checks.append(check_g4_context_decomp(ledger, stats, eta, m_env))
@@ -263,12 +267,14 @@ def run_replicate(config: ExperimentConfig, T: int, rep: int) -> dict:
             checks.extend(check_block_mass(stats))
             decomp = block_decompose(run, layout)
             checks.append(check_block_parseval(decomp, stats))
-            checks.extend(check_bias_averaging(decomp, stats))
+            checks.append(check_bias_averaging(decomp, stats))
     if config.env == "bits":
         checks.extend(check_bits_mse(run, report))
         out["extras"]["sq_loss"] = run.sq_loss
         out["extras"]["misses"] = float(miss_count(run))
-    out["violations"] = [c.name for c in checks if not c.ok]
+    # one name per failing comparison, in check order
+    out["violations"] = [c.name for c in checks for _ in range(c.failures)]
+    out["min_slack"] = {c.name: c.min_slack for c in checks if c.count}
     return out
 
 
@@ -302,6 +308,7 @@ class ScalingRow:
     per_group_mean: dict
     violations: int
     extras_mean: dict
+    min_slack: dict  # check name -> tightest slack over the replicates
 
 
 @dataclass
@@ -351,6 +358,10 @@ def run_scaling(config: ExperimentConfig) -> ScalingResult:
             key: float(np.mean([r["extras"][key] for r in results]))
             for key in results[0]["extras"]
         }
+        min_slack: dict = {}
+        for r in results:
+            for name, slack in r["min_slack"].items():
+                min_slack[name] = min(slack, min_slack.get(name, slack))
         rows.append(
             ScalingRow(
                 T=T,
@@ -361,6 +372,7 @@ def run_scaling(config: ExperimentConfig) -> ScalingResult:
                 per_group_mean=per_group,
                 violations=sum(len(r["violations"]) for r in results),
                 extras_mean=extras_mean,
+                min_slack=min_slack,
             )
         )
 
@@ -433,7 +445,7 @@ def run_oracle_bound(
         mcerrs[rep] = report.mcerr
         sq_losses[rep] = run.sq_loss
         misses[rep] = miss_count(run)
-        violations += sum(not c.ok for c in check_bits_mse(run, report))
+        violations += sum(c.failures for c in check_bits_mse(run, report))
 
     mean_mcerr = float(mcerrs.mean())
     se = float(mcerrs.std(ddof=1) / math.sqrt(replicates))
@@ -595,6 +607,11 @@ def _standalone_cell_err(cell_grid, t_z, factory, seed, replicates) -> tuple[flo
 # ---------------------------------------------------------------------------
 
 
+# rows per block in the identity suite: memory O(128 n), never O(n^2), and
+# faster than 256-row blocks for the prefix scans
+IDENTITY_BLOCK_ROWS = 128
+
+
 def _powers_of_two(lo: int, hi: int):
     n = lo
     while n <= hi:
@@ -602,20 +619,17 @@ def _powers_of_two(lo: int, hi: int):
         n *= 2
 
 
-def walsh_prefix_violations(n: int, bounds: np.ndarray, block_rows: int = 256) -> int:
+def walsh_prefix_violations(n: int, bounds: np.ndarray, block_rows: int = IDENTITY_BLOCK_ROWS) -> int:
     """Rows j = 1..n-1 of the length-``n`` Walsh system whose largest
     |prefix sum| exceeds ``bounds[j - 1]``.
 
     Rows are built ``block_rows`` at a time with int32 prefix sums
     (|prefix| <= n), so memory stays O(block_rows * n), not O(n^2).
     """
-    s = np.arange(n, dtype=np.uint32)
     bad = 0
     for lo in range(1, n, block_rows):
         hi = min(lo + block_rows, n)
-        parity = np.bitwise_count(np.arange(lo, hi, dtype=np.uint32)[:, None] & s) & 1
-        signs = 1 - 2 * parity.astype(np.int8)
-        prefix_max_abs = np.abs(np.cumsum(signs, axis=1, dtype=np.int32)).max(axis=1)
+        prefix_max_abs = np.abs(np.cumsum(walsh_rows(lo, hi, n), axis=1, dtype=np.int32)).max(axis=1)
         bad += int(np.count_nonzero(prefix_max_abs > bounds[lo - 1 : hi - 1]))
     return bad
 
@@ -630,23 +644,19 @@ def run_identity_suite(
     """Zero-tolerance identity checks; measured values are violation counts."""
     from .calibration import BiasLedger
     from .groups import ConstantGroup
-    from .orthogonal import (
-        fwht,
-        threshold_coefficient_table,
-        threshold_l1_bound,
-        threshold_signs,
-        trailing_zeros,
-        walsh_matrix,
-    )
+    from .orthogonal import fwht, threshold_l1_bound, threshold_signs, trailing_zeros
 
     records = []
 
+    # every check below works on IDENTITY_BLOCK_ROWS rows at a time, never an
+    # n x n or (m + 1) x m array: fwht of Walsh rows lo..hi-1 is rows lo..hi-1 of n I
     bad = 0
     for n in _powers_of_two(1, h1_max):
-        w = walsh_matrix(n).astype(np.float32)
-        gram = w @ w.T
-        # +-1 rows of length <= 1024: float32 sums are exact here
-        bad += int(np.count_nonzero(gram != n * np.eye(n, dtype=np.float32)))
+        for lo in range(0, n, IDENTITY_BLOCK_ROWS):
+            hi = min(lo + IDENTITY_BLOCK_ROWS, n)
+            expected = np.zeros((hi - lo, n), dtype=np.int64)
+            expected[np.arange(hi - lo), np.arange(lo, hi)] = n
+            bad += int(np.count_nonzero(fwht(walsh_rows(lo, hi, n)) != expected))
     records.append(BoundRecord("identity_h1_orthogonality", float(bad), 0.0, "le"))
 
     bad = 0
@@ -655,14 +665,18 @@ def run_identity_suite(
         bad += walsh_prefix_violations(n, bounds)
     records.append(BoundRecord("identity_walsh_prefix", float(bad), 0.0, "le"))
 
+    # threshold ranks r = 0..m in row blocks; the running column max of
+    # |alpha_l(r)| is exact, so the L1 test sees the same float as a full table
     bad = 0
     for m in _powers_of_two(2, expansion_max):
-        table = threshold_coefficient_table(m)
-        scaled = np.rint(table * m).astype(np.int64)
-        recon = fwht(scaled) // m
-        signs = np.stack([threshold_signs(m, r) for r in range(m + 1)])
-        bad += int(np.count_nonzero(recon != signs))
-        if float(np.abs(table).max(axis=0).sum()) > threshold_l1_bound(m) + 1e-12:
+        col_max = np.zeros(m)
+        for lo in range(0, m + 1, IDENTITY_BLOCK_ROWS):
+            signs = np.stack([threshold_signs(m, r) for r in range(lo, min(lo + IDENTITY_BLOCK_ROWS, m + 1))])
+            table = fwht(signs) / m
+            recon = fwht(np.rint(table * m).astype(np.int64)) // m
+            bad += int(np.count_nonzero(recon != signs))
+            np.maximum(col_max, np.abs(table).max(axis=0), out=col_max)
+        if float(col_max.sum()) > threshold_l1_bound(m) + 1e-12:
             bad += 1
     records.append(BoundRecord("identity_threshold_expansion", float(bad), 0.0, "le"))
 

@@ -27,7 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -82,6 +82,16 @@ class BlockLayout:
 
     def local_time(self, t: int) -> int:
         return (t - 1) % self.L
+
+
+@lru_cache(maxsize=32)
+def block_ids(layout: BlockLayout) -> tuple[str, ...]:
+    """Ids of a layout's 2 K L block half-groups in family order: a, then
+    j, then +/-.  Memoised per layout, since every replicate rebuilds its
+    family over the same few layouts."""
+    heads = [(f"had+/{a}/", f"had-/{a}/") for a in range(1, layout.K + 1)]
+    tails = [str(j) for j in range(layout.L)]
+    return tuple(head + tail for pair in heads for tail in tails for head in pair)
 
 
 def build_block_layout(T: int, K: int) -> BlockLayout:
@@ -341,14 +351,9 @@ class GroupFamily:
         return (BlockHadamardHalfGroup(*key, self.layout) for key in self.block_keys.values())
 
     @cached_property
-    def block_ids(self) -> list[str]:
+    def block_ids(self) -> tuple[str, ...]:
         """Ids of the block half-groups, in family order."""
-        lay = self.layout
-        if lay is None:
-            return []
-        heads = [(f"had+/{a}/", f"had-/{a}/") for a in range(1, lay.K + 1)]
-        tails = [str(j) for j in range(lay.L)]
-        return [head + tail for pair in heads for tail in tails for head in pair]
+        return () if self.layout is None else block_ids(self.layout)
 
     @cached_property
     def block_keys(self) -> dict:
@@ -359,7 +364,7 @@ class GroupFamily:
         return dict(zip(self.block_ids, itertools.product(range(1, lay.K + 1), range(lay.L), (1, -1))))
 
     def ids(self) -> list[str]:
-        return [g.id for g in self.groups] + self.block_ids
+        return [*(g.id for g in self.groups), *self.block_ids]
 
     def by_id(self, gid: str) -> GroupFunction:
         for g in self.groups:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import fwht_inplace
+from ._kernels import fwht_pingpong
 
 
 def is_power_of_two(n: int) -> bool:
@@ -50,13 +50,18 @@ def walsh_row(j: int, n: int) -> np.ndarray:
     return np.where(parity, -1, 1).astype(np.int8)
 
 
+def walsh_rows(lo: int, hi: int, n: int) -> np.ndarray:
+    """Rows psi_lo .. psi_{hi-1} of the length-``n`` Walsh system, (hi - lo, n) int8."""
+    _require_power_of_two(n)
+    if not 0 <= lo <= hi <= n:
+        raise ValueError(f"row range must satisfy 0 <= lo <= hi <= n, got lo={lo}, hi={hi}, n={n}")
+    parity = np.bitwise_count(np.arange(lo, hi, dtype=np.uint32)[:, None] & np.arange(n, dtype=np.uint32)) & 1
+    return 1 - 2 * parity.astype(np.int8)
+
+
 def walsh_matrix(n: int) -> np.ndarray:
     """Full n x n Walsh sign matrix (int8)."""
-    _require_power_of_two(n)
-    j = np.arange(n, dtype=np.uint64)[:, None]
-    s = np.arange(n, dtype=np.uint64)[None, :]
-    parity = np.bitwise_count(j & s) & 1
-    return np.where(parity, -1, 1).astype(np.int8)
+    return walsh_rows(0, n, n)
 
 
 def trailing_zeros(j: int) -> int:
@@ -85,17 +90,13 @@ def fwht(values: np.ndarray) -> np.ndarray:
     """Unnormalized fast Walsh-Hadamard transform along the last axis.
 
     Output ``j`` equals ``sum_s values[s] * psi_j(s)``.  Integer inputs stay
-    exact (int64 butterflies); everything else is transformed in float64.
-    O(n log n).
+    exact (int64 adds and subtracts); everything else is transformed in
+    float64.  O(n log n) in log2 n constant-geometry stages between two
+    work buffers; ``values`` itself is never written.
     """
     a = np.asarray(values)
-    n = a.shape[-1]
-    _require_power_of_two(n)
-    if np.issubdtype(a.dtype, np.integer):
-        work = np.ascontiguousarray(a, dtype=np.int64).copy()
-    else:
-        work = np.ascontiguousarray(a, dtype=np.float64).copy()
-    return fwht_inplace(work)
+    _require_power_of_two(a.shape[-1])
+    return fwht_pingpong(a.astype(np.int64 if np.issubdtype(a.dtype, np.integer) else np.float64, copy=False))
 
 
 @dataclass(frozen=True)

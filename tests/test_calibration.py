@@ -397,8 +397,8 @@ def test_block_decompose_identity_and_parseval():
                 rhs = Fraction(int(run.block_coeff_abs[a - 1, j]), run.scale)
                 assert lhs == rhs
         assert check_block_parseval(dec, stats).ok
-        for chk in check_bias_averaging(dec, stats):
-            assert chk.ok
+        averaging = check_bias_averaging(dec, stats)
+        assert averaging.ok and averaging.count == layout.K
 
 
 @pytest.mark.parametrize("T,K,den", [(8, 1, 2), (32, 2, 4), (48, 3, 3), (100, 4, 8)])
@@ -437,6 +437,29 @@ def test_g4_context_decomposition():
         assert check_g4_context_decomp(run, stats, eta, m).ok
 
 
+def exact_err(run, w) -> Fraction:
+    return Fraction(int(np.abs(run.bucket_sums(w.astype(np.int64) * run.resid)).sum()), run.scale)
+
+
+def diff_two_reference(ledger) -> list:
+    """(Err(g+ - g-), Err(g+) + Err(g-)) per signed pair, from the half-groups' own weights."""
+    run = ledger.scaled
+    out = []
+    for plus, minus in ledger.family.signed_pairs():
+        wp, wm = plus.weights(run), minus.weights(run)
+        out.append((exact_err(run, wp.astype(np.int64) - wm), exact_err(run, wp) + exact_err(run, wm)))
+    return out
+
+
+def assert_summary_matches(summary, reference):
+    slacks = [bound - signed for signed, bound in reference]
+    failed = [i for i, slack in enumerate(slacks) if slack < 0]
+    assert (summary.name, summary.count, summary.failures) == ("diff_two", len(reference), len(failed))
+    assert summary.min_slack == min(slacks)
+    first = (failed[0], *reference[failed[0]]) if failed else (None, None, None)
+    assert (summary.first, summary.lhs, summary.rhs) == first
+
+
 def test_diff_two_pathwise():
     rng = np.random.default_rng(21)
     traj = sample_rademacher_env(T=128, seed=14, m=4)
@@ -444,9 +467,9 @@ def test_diff_two_pathwise():
     for _ in range(10):
         pred = random_predictions(traj, rng, den=8)
         run = ledger_of(traj, pred, fam)
-        checks = check_diff_two(run)
-        assert len(checks) > 0
-        assert all(c.ok for c in checks)
+        summary = check_diff_two(run)
+        assert summary.ok and summary.count == len(fam.signed_pairs()) > 0
+        assert_summary_matches(summary, diff_two_reference(run))
 
 
 @settings(max_examples=40, deadline=None)
@@ -461,21 +484,11 @@ def test_diff_two_matches_per_pair_reference(data):
     num = data.draw(st.lists(st.integers(0, den), min_size=T, max_size=T))
     ledger = ledger_of(traj, Predictions(num=np.array(num, dtype=np.int64), den=den), fam)
     run = ledger.scaled
-
-    def err_of(w):
-        return Fraction(int(np.abs(run.bucket_sums(w.astype(np.int64) * run.resid)).sum()), run.scale)
-
-    pairs = fam.signed_pairs()
-    checks = check_diff_two(ledger)
-    assert len(checks) == len(pairs)
-    err = ledger.err_float()
-    for (plus, minus), chk in zip(pairs, checks):
-        wp, wm = plus.weights(run), minus.weights(run)
-        assert ledger.err_exact(plus.id) == err_of(wp), plus.id
-        assert ledger.err_exact(minus.id) == err_of(wm), minus.id
-        signed, bound = err_of(wp.astype(np.int64) - wm), err_of(wp) + err_of(wm)
-        assert (chk.name, chk.ok) == ("diff_two", signed <= bound)
-        assert (chk.lhs, chk.rhs) == (float(signed), float(bound))
+    assert_summary_matches(check_diff_two(ledger), diff_two_reference(ledger))
+    for plus, minus in fam.signed_pairs():
+        assert ledger.err_exact(plus.id) == exact_err(run, plus.weights(run)), plus.id
+        assert ledger.err_exact(minus.id) == exact_err(run, minus.weights(run)), minus.id
+    err = ledger.report().err
     assert list(err) == fam.ids()
     assert all(err[gid] == float(ledger.err_exact(gid)) for gid in fam.ids())
 
@@ -498,7 +511,18 @@ def test_bits_mse_checks():
     run = ScaledRun.build(traj, Predictions(num=far, den=2**40))
     penalty = check_bits_mse(run, CalibrationReport.from_err({"g": 1.0}))[0]
     assert miss_count(run) == 4
-    assert penalty.ok and penalty.rhs == 1 / 16
+    # worst miss 3/4 against the floor 1/(2N) = 1/4, squared
+    assert penalty.ok and penalty.min_slack == Fraction(9, 16) - Fraction(1, 16)
+
+
+def test_vector_report_breaks_ties_on_the_smallest_id():
+    ids = ["wal+/2", "had-/1/0", "g_all", "had+/1/0"]
+    errs = [0.5, 0.75, 0.25, 0.75]
+    rep = CalibrationReport.from_vector(ids, np.array(errs))
+    # the first tied index is had-/1/0, the smallest tied id had+/1/0
+    assert (rep.mcerr, rep.argmax_group) == (0.75, "had+/1/0")
+    assert list(rep.err.items()) == list(zip(ids, errs))
+    assert CalibrationReport.from_vector([], np.zeros(0)).argmax_group is None
 
 
 def test_report_csv(tmp_path):

@@ -82,6 +82,16 @@ def test_scaling_family_manifest_opt_in(config_path, tmp_path):
     assert len(family) == 4  # the three threshold groups at one T
 
 
+def test_scaling_manifest_records_min_slack(config_path, tmp_path):
+    assert main(["scaling", "--config", str(config_path), "--out", str(tmp_path)]) == EXIT_OK
+    lines = (tmp_path / "scaling_manifest.txt").read_text().splitlines()
+    slack = dict(line.rpartition("=")[::2] for line in lines if line.startswith("pathwise_min_slack@"))
+    # the threshold trio has no signed pairs, so diff_two has nothing to report
+    assert list(slack) == ["pathwise_min_slack@T=1024/telescoping", "pathwise_min_slack@T=1024/g4_context_decomp"]
+    assert slack["pathwise_min_slack@T=1024/telescoping"] == "0"
+    assert float(slack["pathwise_min_slack@T=1024/g4_context_decomp"]) >= 0
+
+
 def test_scaling_deterministic_bytes(config_path, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["scaling", "--config", str(config_path), "--out", str(out1)]) == EXIT_OK

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from caliblab import experiments
+from caliblab.calibration import check_diff_two
 from caliblab.forecasters import PatternRouter
 from caliblab.experiments import (
     ExperimentConfig,
@@ -113,6 +114,38 @@ def test_cell_failure_names_the_cell(monkeypatch):
     with pytest.raises(ValueError) as info:
         run_scaling(cfg)
     assert str(info.value) == f"boom: cell T=64 rep=1 stream={broken}: sampler broke"
+
+
+@pytest.mark.parametrize("bad", [[(2, 3)], [(2, 3), (0, 7)]])
+def test_corrupted_block_entries_are_named_and_counted(monkeypatch, bad):
+    accumulate = experiments.accumulate_run
+    ledgers = []
+
+    def corrupted(run, family):
+        ledger = accumulate(run, family)
+        for a, j in bad:
+            # 2 |c| now exceeds Err(had+) + Err(had-) by 1 or 2, over 2 scale
+            ledger.block_coeff_abs[a, j] = (ledger.block_plus_abs[a, j] + ledger.block_minus_abs[a, j]) // 2 + 1
+        ledgers.append(ledger)
+        return ledger
+
+    monkeypatch.setattr(experiments, "accumulate_run", corrupted)
+    cfg = ExperimentConfig(
+        env="rademacher", forecaster="rounded_honest", groups="full_walsh", T_list=(256,), replicates=2, seed=5, Q=4
+    )
+    out = experiments.run_replicate(cfg, 256, 0)
+    ledger = ledgers[0]
+    summary = check_diff_two(ledger)
+    a, j = min(bad)  # the first failing pair in family order
+    den = 2 * ledger.scale
+    bound = int(ledger.block_plus_abs[a, j] + ledger.block_minus_abs[a, j])
+    index = len(ledger.family.direct_pairs()) + a * ledger.family.layout.L + j
+    assert (summary.count, summary.failures, summary.first) == (len(ledger.family.signed_pairs()), len(bad), index)
+    assert (summary.lhs, summary.rhs) == (Fraction(2 * (bound // 2 + 1), den), Fraction(bound, den))
+    assert out["violations"] == ["diff_two"] * len(bad)
+    assert out["min_slack"]["diff_two"] == summary.min_slack < 0
+    row = run_scaling(cfg).rows[0]
+    assert row.violations == 2 * len(bad) and row.min_slack["diff_two"] < 0
 
 
 def test_synthetic_exponent_injection():

@@ -102,6 +102,50 @@ def test_fwht_integer_exact():
     assert np.array_equal(out, brute_force_transform(v).astype(np.int64))
 
 
+def dense_transform(x, w):
+    """x @ w.T along the last axis, 512 rows of ``w`` at a time, in x's dtype."""
+    flat = x.reshape(-1, x.shape[-1])
+    out = np.empty(flat.shape, dtype=x.dtype)
+    for lo in range(0, len(w), 512):
+        out[:, lo : lo + 512] = flat @ w[lo : lo + 512].T.astype(x.dtype)
+    return out.reshape(x.shape)
+
+
+def strided_butterfly(a):
+    """The textbook in-place radix-2 butterflies, pairing bit 0 first."""
+    n, h = a.shape[-1], 1
+    while h < n:
+        b = a.reshape(a.shape[:-1] + (n // (2 * h), 2, h))
+        b[..., 0, :], b[..., 1, :] = b[..., 0, :] + b[..., 1, :], b[..., 0, :] - b[..., 1, :]
+        h *= 2
+    return a
+
+
+@pytest.mark.parametrize("log_n", range(13))
+def test_fwht_matches_dense_product(log_n):
+    # odd and even log2 n leave the result in either work buffer
+    n = 2**log_n
+    rng = np.random.default_rng(log_n)
+    w = walsh_matrix(n)
+    wide = rng.integers(-(2**20), 2**20, size=(2, 3, 2 * n))
+    column_major = rng.integers(-(2**20), 2**20, size=(n, 3)).T
+    inputs = [wide[0, 0, :n], wide[0, :, :n], wide[:, :, n:], wide[:, :, ::2], column_major]
+    assert n == 1 or not (column_major.flags.c_contiguous or wide[:, :, ::2].flags.c_contiguous)
+    before = [x.copy() for x in inputs]
+    for x in inputs:
+        out = fwht(x)
+        assert out.dtype == np.int64 and out.shape == x.shape
+        assert np.array_equal(out, dense_transform(x, w))
+        # floats on a 1/8 grid: every partial sum is exact in float64, in any order
+        eighths = x / 8.0
+        out = fwht(eighths)
+        assert out.dtype == np.float64 and not np.shares_memory(out, eighths)
+        assert np.array_equal(out, dense_transform(eighths, w))
+        gauss = rng.standard_normal(x.shape)
+        assert np.array_equal(fwht(gauss), strided_butterfly(gauss.copy()))
+    assert all(np.array_equal(x, b) for x, b in zip(inputs, before))
+
+
 def test_fwht_rejects_bad_length():
     with pytest.raises(ValueError):
         fwht(np.ones(3))
