@@ -648,8 +648,9 @@ def run_identity_suite(
 
     records = []
 
-    # every check below works on IDENTITY_BLOCK_ROWS rows at a time, never an
-    # n x n or (m + 1) x m array: fwht of Walsh rows lo..hi-1 is rows lo..hi-1 of n I
+    # the Walsh and threshold checks take IDENTITY_BLOCK_ROWS rows at a time,
+    # never an n x n or (m + 1) x m array: fwht of Walsh rows lo..hi-1 is
+    # rows lo..hi-1 of n I
     bad = 0
     for n in _powers_of_two(1, h1_max):
         for lo in range(0, n, IDENTITY_BLOCK_ROWS):

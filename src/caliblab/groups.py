@@ -85,7 +85,7 @@ class BlockLayout:
 
 
 @lru_cache(maxsize=32)
-def block_ids(layout: BlockLayout) -> tuple[str, ...]:
+def layout_block_ids(layout: BlockLayout) -> tuple[str, ...]:
     """Ids of a layout's 2 K L block half-groups in family order: a, then
     j, then +/-.  Memoised per layout, since every replicate rebuilds its
     family over the same few layouts."""
@@ -353,7 +353,7 @@ class GroupFamily:
     @cached_property
     def block_ids(self) -> tuple[str, ...]:
         """Ids of the block half-groups, in family order."""
-        return () if self.layout is None else block_ids(self.layout)
+        return () if self.layout is None else layout_block_ids(self.layout)
 
     @cached_property
     def block_keys(self) -> dict:
