@@ -18,7 +18,6 @@ from .calibration import (
 )
 from .environments import (
     ContextRecord,
-    RationalValue,
     Trajectory,
     grid_section3,
     grid_section4,
@@ -43,7 +42,6 @@ from .forecasters import (
     context_blind,
     make_forecaster_factory,
     run_forecaster,
-    simple_marginal_oracles,
 )
 from .groups import (
     BlockLayout,
@@ -56,7 +54,7 @@ from .groups import (
     default_eta,
     signed_diff,
 )
-from .orthogonal import OrthoSystem, fwht, prefix_extremum, threshold_expansion, walsh_sign
+from .orthogonal import fwht, prefix_extremum, threshold_expansion, walsh_sign
 from .probes import (
     bucketing_probe,
     first_return_pmf,

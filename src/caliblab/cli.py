@@ -2,18 +2,20 @@
 
 Configs are flat ``key=value`` text with dotted namespaces::
 
-    env.kind=bernoulli
     env.T_list=1024,4096,16384
-    forecaster.id=honest
-    groups.kind=pred_threshold
+    forecaster.Q=16
     run.replicates=100
     run.seed=42
 
 Any key can be overridden on the command line as ``--key=value``.  The
-environment variable ``CALIBLAB_SEED`` overrides ``run.seed``.  Exit
-codes: 0 success, 1 acceptance-window failure under ``--assert``,
-2 config parse error or unknown probe, 3 unresolved id.  CSV content is
-identical whether or not ``--assert`` is set.
+environment variable ``CALIBLAB_SEED`` overrides ``run.seed``.
+
+The kinds and ids a config names are the keys of ``experiments.ENVS``
+and ``experiments.FAMILIES`` and the ids of ``make_forecaster_factory``.
+Exit codes: 0 success, 1 failure under ``--assert``, 2 config parse
+error, missing or bad value, unbuildable run or unknown probe, 3 unknown
+kind or id (``unknown <config key>: <value>``) or unroutable reduction
+groups.  CSV content is identical whether or not ``--assert`` is set.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .calibration import format_float
 from .experiments import (
     EXPONENT_WINDOW,
     ExperimentConfig,
+    resolved_defaults,
     run_identity_suite,
     run_oracle_bound,
     run_reduction_bound,
@@ -121,32 +124,39 @@ def _int_list(raw: str) -> tuple:
     return tuple(int(s) for s in raw.split(",") if s.strip())
 
 
+def _given(**keywords) -> dict:
+    """The keywords a config sets; the others keep their defaults in ``experiments``."""
+    return {name: value for name, value in keywords.items() if value is not None}
+
+
 def experiment_config_from(cfg: dict) -> ExperimentConfig:
     t_list = _get(cfg, "env.T_list", None, _int_list)
     if t_list is None:
         t_list = (_get(cfg, "env.T", 1024, int),)
     try:
         return ExperimentConfig(
-            experiment_id=_get(cfg, "run.id", "scaling"),
-            env=_get(cfg, "env.kind", "bernoulli"),
-            forecaster=_get(cfg, "forecaster.id", "honest"),
-            groups=_get(cfg, "groups.kind", "pred_threshold"),
             T_list=t_list,
-            replicates=_get(cfg, "run.replicates", 10, int),
-            seed=_get(cfg, "run.seed", 42, int),
-            m=_get(cfg, "env.m", None, int),
-            k=_get(cfg, "env.k", 3, int),
-            Q=_get(cfg, "forecaster.Q", None, int),
-            offset=_get(cfg, "forecaster.offset", None),
-            value=_get(cfg, "forecaster.value", None),
-            eta=_get(cfg, "groups.eta", None),
-            K=_get(cfg, "groups.K", None, int),
-            pieces=_get(cfg, "groups.pieces", 3, int),
-            oracle=_get(cfg, "forecaster.oracle", "uniform_random"),
-            m_copies=_get(cfg, "forecaster.m_copies", 1, int),
-            update=_get(cfg, "forecaster.update", "largest"),
             workers=_get(cfg, "run.workers", os.cpu_count() or 1, int),
-            checks=_get(cfg, "run.checks", "true").lower() != "false",
+            **_given(
+                experiment_id=_get(cfg, "run.id"),
+                env=_get(cfg, "env.kind"),
+                forecaster=_get(cfg, "forecaster.id"),
+                groups=_get(cfg, "groups.kind"),
+                replicates=_get(cfg, "run.replicates", cast=int),
+                seed=_get(cfg, "run.seed", cast=int),
+                m=_get(cfg, "env.m", cast=int),
+                k=_get(cfg, "env.k", cast=int),
+                Q=_get(cfg, "forecaster.Q", cast=int),
+                offset=_get(cfg, "forecaster.offset"),
+                value=_get(cfg, "forecaster.value"),
+                eta=_get(cfg, "groups.eta"),
+                K=_get(cfg, "groups.K", cast=int),
+                pieces=_get(cfg, "groups.pieces", cast=int),
+                oracle=_get(cfg, "forecaster.oracle"),
+                m_copies=_get(cfg, "forecaster.m_copies", cast=int),
+                update=_get(cfg, "forecaster.update"),
+                checks=_get(cfg, "run.checks", cast=lambda raw: raw.lower() != "false"),
+            ),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -174,24 +184,6 @@ class Manifest:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _known_ids_ok(config: ExperimentConfig) -> str | None:
-    from .forecasters import make_forecaster_factory
-
-    known_groups = {"pred_threshold", "walsh", "block_hadamard", "full_walsh", "bits", "grid_ranges"}
-    if config.groups not in known_groups:
-        return f"unknown groups kind: {config.groups!r}"
-    if config.env not in {"bernoulli", "rademacher", "bits"}:
-        return f"unknown environment kind: {config.env!r}"
-    try:
-        params = {"Q": 4}
-        if config.forecaster == "overshoot":
-            params["offset"] = "1/100"
-        make_forecaster_factory(config.forecaster, **params)
-    except KeyError:
-        return f"unknown forecaster id: {config.forecaster!r}"
-    return None
-
-
 def cmd_scaling(args, overrides) -> int:
     try:
         cfg = load_config(args.config, overrides)
@@ -199,9 +191,8 @@ def cmd_scaling(args, overrides) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    problem = _known_ids_ok(config)
-    if problem:
-        print(problem, file=sys.stderr)
+    except KeyError as exc:
+        print(exc.args[0], file=sys.stderr)
         return EXIT_UNRESOLVED
 
     manifest = Manifest(__version__, config_digest(cfg), config.seed, time.time())
@@ -223,6 +214,8 @@ def cmd_scaling(args, overrides) -> int:
         write_family_csv(family_path, config)
         manifest.outputs.append(family_path.name)
     for row in result.rows:
+        resolved = ";".join(f"{key}={value}" for key, value in resolved_defaults(config, row.T).items())
+        manifest.notes.append(f"resolved@T={row.T}={resolved}")
         manifest.notes += [
             f"pathwise_min_slack@T={row.T}/{name}={format_float(float(slack))}" for name, slack in row.min_slack.items()
         ]
@@ -335,25 +328,29 @@ def cmd_bounds(args, overrides) -> int:
             records, details = run_oracle_bound(
                 T=_get(cfg, "oracle.T", 10_000, int),
                 k=_get(cfg, "oracle.k", 3, int),
-                m_copies=_get(cfg, "oracle.m_copies", 1, int),
-                oracle=_get(cfg, "oracle.oracle", "uniform_random"),
-                q=_get(cfg, "oracle.Q", None, int),
-                update=_get(cfg, "oracle.update", "largest"),
                 replicates=replicates,
                 seed=seed,
+                **_given(
+                    m_copies=_get(cfg, "oracle.m_copies", cast=int),
+                    oracle=_get(cfg, "oracle.oracle"),
+                    q=_get(cfg, "oracle.Q", cast=int),
+                    update=_get(cfg, "oracle.update"),
+                ),
             )
         else:
             records, details = run_reduction_bound(
                 T_list=_get(cfg, "reduction.T_list", (1024,), _int_list),
                 replicates=replicates,
                 seed=seed,
-                pieces=_get(cfg, "reduction.pieces", 3, int),
-                oracle=_get(cfg, "reduction.oracle", "empirical_mean_bucket"),
-                q=_get(cfg, "reduction.Q", 4, int),
-                groups_kind=_get(cfg, "reduction.groups", "grid_ranges"),
+                **_given(
+                    pieces=_get(cfg, "reduction.pieces", cast=int),
+                    oracle=_get(cfg, "reduction.oracle"),
+                    q=_get(cfg, "reduction.Q", cast=int),
+                    groups_kind=_get(cfg, "reduction.groups"),
+                ),
             )
     except KeyError as exc:
-        print(f"unknown id: {exc}", file=sys.stderr)
+        print(f"unknown id: {exc.args[0]}", file=sys.stderr)
         return EXIT_UNRESOLVED
     except ValueError as exc:
         if "routing is invalid" in str(exc):

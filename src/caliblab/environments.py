@@ -22,12 +22,6 @@ from typing import Optional
 
 import numpy as np
 
-RationalValue = Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
 def substream(seed: int, stream: int = 0) -> np.random.Generator:
     """Philox generator for the given (master seed, stream index) pair."""
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(stream & 0xFFFFFFFFFFFFFFFF)])
@@ -159,6 +153,12 @@ def grid_section4(m: int) -> list[Fraction]:
     return [Fraction(1, 4) + Fraction(i - 1, den) for i in range(1, m + 1)]
 
 
+def grid_bits(k: int) -> tuple[Fraction, ...]:
+    """The midpoint labels mu(v) = (2v + 1) / 2^(k+1) of the k-bit contexts v = 0..2^k - 1."""
+    n = 1 << k
+    return tuple(Fraction(2 * v + 1, 2 * n) for v in range(n))
+
+
 def _round_robin_bernoulli(num: np.ndarray, den: int, T: int, rng: np.random.Generator):
     """Round-robin grid indices, context numerators ``num[t % len(num)]`` and
     Bernoulli(num / den) outcome numerators (den or 0) for T rounds.
@@ -254,13 +254,12 @@ def sample_bit_env(T: int, k: int, seed: int, stream: int = 0) -> Trajectory:
     weights = (1 << np.arange(k - 1, -1, -1)).astype(np.int64)
     val = bits.astype(np.int64) @ weights
     mu_num = 2 * val + 1  # over 2N
-    grid = tuple(Fraction(2 * v + 1, 2 * n) for v in range(n))
     return Trajectory(
         env_kind="bits",
         T=T,
         seed=seed,
         params={"k": k, "stream": stream},
-        grid=grid,
+        grid=grid_bits(k),
         grid_idx=val,
         x_num=mu_num,
         y_num=mu_num.copy(),
@@ -268,9 +267,3 @@ def sample_bit_env(T: int, k: int, seed: int, stream: int = 0) -> Trajectory:
         bits=bits,
     )
 
-
-ENV_SAMPLERS = {
-    "bernoulli": sample_bernoulli_env,
-    "rademacher": sample_rademacher_env,
-    "bits": sample_bit_env,
-}

@@ -25,7 +25,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -50,7 +50,9 @@ from .calibration import (
 )
 from .environments import (
     Trajectory,
+    grid_bits,
     grid_section3,
+    grid_section4,
     sample_bernoulli_env,
     sample_bit_env,
     sample_rademacher_env,
@@ -59,6 +61,7 @@ from .environments import (
     substream,
 )
 from .forecasters import (
+    UPDATE_POLICIES,
     PatternRouter,
     ProperReduction,
     context_blind,
@@ -67,6 +70,7 @@ from .forecasters import (
 )
 from .groups import (
     build_bit_family,
+    build_block_layout,
     build_block_hadamard_family,
     build_full_walsh_family,
     build_grid_range_family,
@@ -122,6 +126,10 @@ def fit_exponent(points) -> tuple[float, float, float]:
 
 @dataclass
 class ExperimentConfig:
+    """One scaling study.  Construction checks the kinds against their
+    tables and resolves the forecaster at each T, so a bad config fails
+    before any cell runs."""
+
     experiment_id: str = "scaling"
     env: str = "bernoulli"
     forecaster: str = "honest"
@@ -151,76 +159,129 @@ class ExperimentConfig:
             raise ValueError(f"T={self.T_list[-1]} exceeds the desk-scale cap {MAX_T}")
         if self.replicates > MAX_REPLICATES:
             raise ValueError(f"replicates={self.replicates} exceeds the cap {MAX_REPLICATES}")
+        for key, kind, table in (("env.kind", self.env, ENVS), ("groups.kind", self.groups, FAMILIES)):
+            if kind not in table:
+                raise KeyError(f"unknown {key}: {kind!r}; accepted: {', '.join(table)}")
+        for T in self.T_list:
+            _forecaster_factory(self, _resolve_eta(self, _grid_count(self, T), T))()
 
 
-def _env_grid_count(config: ExperimentConfig, T: int) -> int:
-    if config.m is not None:
-        return int(config.m)
-    if config.env == "bernoulli":
-        return section3_grid_count(T)
-    return section4_grid_count(T)
+@dataclass(frozen=True)
+class EnvKind:
+    """An environment: its default grid size at T, grid for size m and sampler."""
+
+    grid_count: Callable[[int], int]
+    grid: Callable[[ExperimentConfig, int], tuple]
+    sample: Callable[[ExperimentConfig, int, int, int], Trajectory]
 
 
-def _resolve_eta(config: ExperimentConfig, m_env: int, T: int) -> Fraction:
-    if config.eta is not None:
-        return Fraction(config.eta)
-    return default_eta(m_env, T)
+@dataclass(frozen=True)
+class FamilyKind:
+    """A group family: whether it takes eta and K, and its builder."""
+
+    build: Callable[[ExperimentConfig, int, int], tuple]  # (config, T, m) -> (family, layout or None)
+    uses_eta: bool = False
+    uses_blocks: bool = False
 
 
-def _build_family(config: ExperimentConfig, T: int, m_env: int, traj_grid):
-    if config.groups == "pred_threshold":
-        return build_pred_threshold_family(m_env, _resolve_eta(config, m_env, T)), None
-    if config.groups == "walsh":
-        return build_walsh_family(m_env), None
-    if config.groups == "block_hadamard":
-        layout, fam = build_block_hadamard_family(T, config.K or default_block_count(T))
-        _check_block_cap(layout)
-        return fam, layout
-    if config.groups == "full_walsh":
-        layout, fam = build_full_walsh_family(T, m_env, config.K or default_block_count(T))
-        _check_block_cap(layout)
-        return fam, layout
-    if config.groups == "bits":
-        return build_bit_family(config.k), None
-    if config.groups == "grid_ranges":
-        return build_grid_range_family(list(traj_grid), config.pieces), None
-    raise KeyError(config.groups)
+# entries call samplers and family builders by this module's global names
+# at call time, so a wrapper installed on one of those names sees every call
+ENVS = {
+    "bernoulli": EnvKind(
+        grid_count=section3_grid_count,
+        grid=lambda config, m: tuple(grid_section3(m)),
+        sample=lambda config, T, m, stream: sample_bernoulli_env(T, m, config.seed, stream=stream),
+    ),
+    "rademacher": EnvKind(
+        grid_count=section4_grid_count,
+        grid=lambda config, m: tuple(grid_section4(m)),
+        sample=lambda config, T, m, stream: sample_rademacher_env(T, config.seed, m=m, stream=stream),
+    ),
+    "bits": EnvKind(
+        grid_count=section4_grid_count,
+        grid=lambda config, m: grid_bits(config.k),
+        sample=lambda config, T, m, stream: sample_bit_env(T, config.k, config.seed, stream=stream),
+    ),
+}
+
+FAMILIES = {
+    "pred_threshold": FamilyKind(
+        lambda config, T, m: (build_pred_threshold_family(m, _resolve_eta(config, m, T)), None), uses_eta=True
+    ),
+    "walsh": FamilyKind(lambda config, T, m: (build_walsh_family(m), None)),
+    "block_hadamard": FamilyKind(
+        lambda config, T, m: _capped(*build_block_hadamard_family(T, config.K or default_block_count(T))),
+        uses_blocks=True,
+    ),
+    "full_walsh": FamilyKind(
+        lambda config, T, m: _capped(*build_full_walsh_family(T, m, config.K or default_block_count(T))),
+        uses_blocks=True,
+    ),
+    "bits": FamilyKind(lambda config, T, m: (build_bit_family(config.k), None)),
+    "grid_ranges": FamilyKind(
+        lambda config, T, m: (build_grid_range_family(list(ENVS[config.env].grid(config, m)), config.pieces), None)
+    ),
+}
 
 
-def _check_block_cap(layout) -> None:
+def _grid_count(config: ExperimentConfig, T: int) -> int:
+    return int(config.m) if config.m is not None else ENVS[config.env].grid_count(T)
+
+
+def _fraction(key: str, raw) -> Fraction:
+    try:
+        return Fraction(raw)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"bad value for {key}: {raw!r}") from None
+
+
+def _resolve_eta(config: ExperimentConfig, m: int, T: int) -> Optional[Fraction]:
+    """groups.eta or its default at (m, T); None unless the family or a ``2eta`` offset takes it."""
+    if not (FAMILIES[config.groups].uses_eta or config.offset == "2eta"):
+        return None
+    return default_eta(m, T) if config.eta is None else _fraction("groups.eta", config.eta)
+
+
+def _capped(layout, family) -> tuple:
     if layout.L > MAX_BLOCK_LENGTH:
         raise ValueError(
             f"block length L={layout.L} exceeds the desk-scale cap {MAX_BLOCK_LENGTH}; "
             f"raise groups.K to shorten blocks"
         )
+    return family, layout
 
 
-def _forecaster_params(config: ExperimentConfig, eta: Optional[Fraction]) -> dict:
+def _forecaster_factory(config: ExperimentConfig, eta: Optional[Fraction]):
     params: dict = {}
     if config.Q is not None:
         params["Q"] = config.Q
     if config.offset is not None:
-        if config.offset == "2eta":
-            if eta is None:
-                raise ValueError("offset '2eta' needs a threshold family")
-            params["offset"] = 2 * eta
-        else:
-            params["offset"] = Fraction(config.offset)
+        params["offset"] = 2 * eta if config.offset == "2eta" else _fraction("forecaster.offset", config.offset)
     if config.value is not None:
-        params["value"] = Fraction(config.value)
+        params["value"] = _fraction("forecaster.value", config.value)
     if config.forecaster == "proper_reduction":
+        if config.update not in UPDATE_POLICIES:
+            raise ValueError(
+                f"bad value for forecaster.update: {config.update!r}; accepted: {', '.join(UPDATE_POLICIES)}"
+            )
         params.update(oracle=config.oracle, m=config.m_copies, update=config.update)
-    return params
+    try:
+        return make_forecaster_factory(config.forecaster, **params)
+    except KeyError as exc:
+        # proper_reduction is known, so under it only the oracle can be unknown
+        key = "forecaster.oracle" if config.forecaster == "proper_reduction" else "forecaster.id"
+        raise KeyError(f"unknown {key}: {exc.args[0]!r}") from None
 
 
-def _sample_env(config: ExperimentConfig, T: int, m_env: int, stream: int) -> Trajectory:
-    if config.env == "bernoulli":
-        return sample_bernoulli_env(T, m_env, config.seed, stream=stream)
-    if config.env == "rademacher":
-        return sample_rademacher_env(T, config.seed, m=m_env, stream=stream)
-    if config.env == "bits":
-        return sample_bit_env(T, config.k, config.seed, stream=stream)
-    raise KeyError(config.env)
+def resolved_defaults(config: ExperimentConfig, T: int) -> dict:
+    """The values a cell at T runs with: m, and eta, K and L where they apply."""
+    m = _grid_count(config, T)
+    eta = _resolve_eta(config, m, T)
+    out = {"m": m} if eta is None else {"m": m, "eta": eta}
+    if FAMILIES[config.groups].uses_blocks:
+        layout = build_block_layout(T, config.K or default_block_count(T))
+        out.update(K=layout.K, L=layout.L)
+    return out
 
 
 def _cell_stream(T: int, rep: int) -> int:
@@ -229,13 +290,12 @@ def _cell_stream(T: int, rep: int) -> int:
 
 def run_replicate(config: ExperimentConfig, T: int, rep: int) -> dict:
     """One (T, replicate) cell: sample, forecast, accumulate, check."""
-    m_env = _env_grid_count(config, T)
+    m_env = _grid_count(config, T)
     stream = _cell_stream(T, rep)
-    traj = _sample_env(config, T, m_env, stream)
-    family, layout = _build_family(config, T, m_env, traj.grid)
-    eta = family.eta if family.kind == "pred_threshold" else None
-    params = _forecaster_params(config, eta if eta is not None else _maybe_eta(config, m_env, T))
-    forecaster = make_forecaster_factory(config.forecaster, **params)()
+    traj = ENVS[config.env].sample(config, T, m_env, stream)
+    family, layout = FAMILIES[config.groups].build(config, T, m_env)
+    eta = _resolve_eta(config, m_env, T)
+    forecaster = _forecaster_factory(config, eta)()
     rng = substream(config.seed, stream | _FORECASTER_STREAM_BIT)
     pred = run_forecaster(traj, forecaster, rng)
 
@@ -276,12 +336,6 @@ def run_replicate(config: ExperimentConfig, T: int, rep: int) -> dict:
     out["violations"] = [c.name for c in checks for _ in range(c.failures)]
     out["min_slack"] = {c.name: c.min_slack for c in checks if c.count}
     return out
-
-
-def _maybe_eta(config: ExperimentConfig, m_env: int, T: int) -> Optional[Fraction]:
-    if config.offset == "2eta":
-        return _resolve_eta(config, m_env, T)
-    return None
 
 
 def _scaling_batch(args) -> list:
@@ -499,17 +553,13 @@ def run_reduction_bound(
     Err(g_j) <= sum of its cells' errors is checked pathwise.
     """
     factory = make_forecaster_factory(oracle, Q=q)
+    config = ExperimentConfig(env="bernoulli", groups=groups_kind, T_list=tuple(T_list), seed=seed, pieces=pieces)
+    build = FAMILIES[config.groups].build
     if groups_kind != "grid_ranges":
         # routing is only defined for binary prediction-independent groups;
         # constructing the router against anything else must hard-fail
-        m_probe = section3_grid_count(int(T_list[0]))
-        probe_family, _ = _build_family(
-            ExperimentConfig(groups=groups_kind, T_list=tuple(T_list)),
-            int(T_list[0]),
-            m_probe,
-            tuple(grid_section3(m_probe)),
-        )
-        PatternRouter(factory, probe_family)
+        T = config.T_list[0]
+        PatternRouter(factory, build(config, T, _grid_count(config, T))[0])
         raise ValueError(
             f"reduction bound runs on grid_ranges group families, got {groups_kind!r}"
         )
@@ -519,10 +569,10 @@ def run_reduction_bound(
     standalone: dict = {}
     setups: dict = {}
 
-    for T in T_list:
-        m_env = section3_grid_count(T)
-        grid = grid_section3(m_env)
-        family = build_grid_range_family(grid, pieces)
+    for T in config.T_list:
+        m_env = _grid_count(config, T)
+        family = build(config, T, m_env)[0]
+        grid = family.grid
         # realized cell lengths are deterministic under round-robin contexts
         counts = np.bincount(np.arange(T) % len(grid), minlength=len(grid))
         cell_lengths = [int(counts[g.lo : g.hi + 1].sum()) for g in family]
@@ -536,14 +586,15 @@ def run_reduction_bound(
     c, beta = _concave_envelope(envelope_points)
     details["envelope"] = {"c": c, "beta": beta}
 
-    for T in T_list:
+    sample = ENVS[config.env].sample
+    for T in config.T_list:
         m_env, family = setups[T]
         mcerrs = np.empty(replicates)
         per_group = {g.id: np.empty(replicates) for g in family}
         violations = []
         min_slack = None
         for rep in range(replicates):
-            traj = sample_bernoulli_env(T, m_env, seed, stream=_cell_stream(T, rep))
+            traj = sample(config, T, m_env, _cell_stream(T, rep))
             router = PatternRouter(factory, family)
             rng = substream(seed, _cell_stream(T, rep) | _FORECASTER_STREAM_BIT)
             pred = run_forecaster(traj, router, rng)
@@ -734,7 +785,6 @@ def l1_truthfulness_ratio(T: int, replicates: int, seed: int, q: Optional[int] =
         replicates=replicates,
         seed=seed,
         Q=q,
-        checks=True,
     )
     result = run_scaling(config)
     row = result.rows[0]
@@ -746,8 +796,6 @@ def l1_truthfulness_ratio(T: int, replicates: int, seed: int, q: Optional[int] =
 def noise_floor_diagnostic(T: int, K: int, replicates: int, seed: int) -> dict:
     """min over (a, j) of E[sum_v |Nz|] log2(L+1) / E[N_a], honest forecaster."""
     m_env = section4_grid_count(T)
-    from .groups import build_block_layout
-
     layout = build_block_layout(T, K)
     noise_sums = None
     n_a_sum = np.zeros(layout.K)
@@ -778,19 +826,10 @@ def noise_floor_diagnostic(T: int, K: int, replicates: int, seed: int) -> dict:
 
 
 def family_manifest_rows(config: ExperimentConfig) -> list[tuple]:
-    """(T, id, kind, params) rows for the families a config will build."""
-    from .environments import grid_section4
-
+    """(T, id, kind, params) rows for the families a config's cells build."""
     rows = []
     for T in config.T_list:
-        m_env = _env_grid_count(config, T)
-        if config.env == "bernoulli":
-            grid = tuple(grid_section3(m_env))
-        elif config.env == "rademacher":
-            grid = tuple(grid_section4(m_env))
-        else:
-            grid = ()
-        family, _ = _build_family(config, T, m_env, grid)
+        family, _ = FAMILIES[config.groups].build(config, T, _grid_count(config, T))
         for line in family.manifest_lines():
             gid, kind, params = line.split(",", 2)
             rows.append((T, gid, kind, params))

@@ -63,22 +63,16 @@ class PredictionDistribution:
         return len(self.support) == 1
 
     def sample(self, rng: np.random.Generator) -> Fraction:
+        """One exact draw: a uniform integer below the weights' common denominator."""
         if self.is_point_mass:
             return self.support[0][0]
-        u = rng.random()
-        acc = 0.0
+        den = math.lcm(*(prob.denominator for _, prob in self.support))
+        u = int(rng.integers(0, den))
         for value, prob in self.support:
-            acc += float(prob)
-            if u < acc:
+            u -= prob.numerator * (den // prob.denominator)
+            if u < 0:
                 return value
-        return self.support[-1][0]
-
-    def mass_in_interval(self, lo: Fraction, hi: Fraction, closed_right: bool) -> Fraction:
-        total = Fraction(0)
-        for value, prob in self.support:
-            if lo <= value < hi or (closed_right and value == hi):
-                total += prob
-        return total
+        raise AssertionError("weights sum to 1, so the draw lands in the support")
 
 
 class HistoryView:
@@ -294,6 +288,9 @@ def context_blind(oracle: Forecaster) -> ContextBlindWrapper:
     return ContextBlindWrapper(oracle)
 
 
+UPDATE_POLICIES = ("largest", "all", "none")
+
+
 def uniform_weights(m: int) -> Callable:
     def rule(ctx, history):
         return [Fraction(1, m)] * m
@@ -319,7 +316,7 @@ class ProperReduction(Forecaster):
     ):
         if m < 1:
             raise ValueError(f"copy count must be >= 1, got {m}")
-        if update_policy not in ("largest", "all", "none"):
+        if update_policy not in UPDATE_POLICIES:
             raise ValueError(f"unknown update policy: {update_policy!r}")
         self.copies = [oracle_factory() for _ in range(m)]
         for c in self.copies:
@@ -510,16 +507,12 @@ def run_forecaster(
     return Predictions.from_fractions(values)
 
 
-def simple_marginal_oracles(q: int) -> dict:
-    """Factories for the two shipped context-blind marginal oracles."""
-    return {
-        "empirical_mean_bucket": lambda: EmpiricalMeanBucketOracle(q),
-        "uniform_random": lambda: UniformRandomOracle(q),
-    }
-
-
 def make_forecaster_factory(fid: str, **params) -> Callable[[], Forecaster]:
-    """Resolve a forecaster id (as used in configs) to a fresh-instance factory."""
+    """Resolve a forecaster id (as used in configs) to a fresh-instance factory.
+
+    The one forecaster registry: an unknown id raises ``KeyError(id)``, a
+    missing parameter ``ValueError``.  A ``proper_reduction`` oracle takes ``Q`` only.
+    """
 
     def q(default):
         return int(params.get("Q", default))
@@ -529,6 +522,8 @@ def make_forecaster_factory(fid: str, **params) -> Callable[[], Forecaster]:
     if fid == "rounded_honest":
         return lambda: RoundedHonestForecaster(q(16))
     if fid == "overshoot":
+        if "offset" not in params:
+            raise ValueError("overshoot needs forecaster.offset")
         offset = Fraction(params["offset"])
         return lambda: OffsetForecaster(offset)
     if fid == "constant":
@@ -540,7 +535,7 @@ def make_forecaster_factory(fid: str, **params) -> Callable[[], Forecaster]:
         return lambda: UniformRandomOracle(q(7))
     if fid == "proper_reduction":
         oracle_id = params.get("oracle", "uniform_random")
-        oracle_factory = make_forecaster_factory(oracle_id, **params)
+        oracle_factory = make_forecaster_factory(oracle_id, **{k: v for k, v in params.items() if k == "Q"})
         m = int(params.get("m", 1))
         policy = params.get("update", "largest")
         return lambda: ProperReduction(oracle_factory, m, update_policy=policy)

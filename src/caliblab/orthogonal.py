@@ -99,32 +99,6 @@ def fwht(values: np.ndarray) -> np.ndarray:
     return fwht_pingpong(a.astype(np.int64 if np.issubdtype(a.dtype, np.integer) else np.float64, copy=False))
 
 
-@dataclass(frozen=True)
-class OrthoSystem:
-    """A +-1 orthogonal system of power-of-two length.
-
-    Only the Walsh instantiation ships; anything satisfying exact
-    orthogonality (H1) and +-1 values (H2) fits the same interface.
-    """
-
-    length: int
-    kind: str = "walsh"
-
-    def __post_init__(self):
-        _require_power_of_two(self.length)
-        if self.kind != "walsh":
-            raise ValueError(f"unsupported system kind: {self.kind!r}")
-
-    def sign(self, j: int, s: int) -> int:
-        return walsh_sign(j, s, self.length)
-
-    def row(self, j: int) -> np.ndarray:
-        return walsh_row(j, self.length)
-
-    def matrix(self) -> np.ndarray:
-        return walsh_matrix(self.length)
-
-
 def threshold_signs(m: int, r: int) -> np.ndarray:
     """f_r on {0..m-1}: +1 for u <= r-1, -1 for u >= r (int64)."""
     _require_power_of_two(m, "grid size m")

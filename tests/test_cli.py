@@ -12,10 +12,14 @@ from caliblab.cli import (
     EXIT_UNRESOLVED,
     ConfigError,
     config_digest,
+    experiment_config_from,
+    load_config,
     main,
     parse_config_text,
     parse_overrides,
 )
+from caliblab.experiments import ENVS, FAMILIES
+from caliblab.forecasters import make_forecaster_factory
 
 MINIMAL = """\
 # comment lines and blanks are skipped
@@ -90,6 +94,15 @@ def test_scaling_manifest_records_min_slack(config_path, tmp_path):
     assert list(slack) == ["pathwise_min_slack@T=1024/telescoping", "pathwise_min_slack@T=1024/g4_context_decomp"]
     assert slack["pathwise_min_slack@T=1024/telescoping"] == "0"
     assert float(slack["pathwise_min_slack@T=1024/g4_context_decomp"]) >= 0
+    # m = floor(1024^(1/3)) = 10 and eta = min(isqrt(10^3 1024) / (2 10 1024), 1/20) = 1011/20480
+    assert [line for line in lines if line.startswith("resolved@")] == ["resolved@T=1024=m=10;eta=1011/20480"]
+    walsh = ["--env.kind=rademacher", "--groups.kind=full_walsh", "--forecaster.id=rounded_honest", "--env.T_list=256,512"]
+    assert main(["scaling", "--config", str(config_path), "--out", str(tmp_path), *walsh]) == EXIT_OK
+    lines = (tmp_path / "scaling_manifest.txt").read_text().splitlines()
+    assert [line for line in lines if line.startswith("resolved@")] == [
+        "resolved@T=256=m=4;K=9;L=16",
+        "resolved@T=512=m=8;K=10;L=32",
+    ]
 
 
 def test_scaling_deterministic_bytes(config_path, tmp_path):
@@ -131,6 +144,43 @@ def test_bad_forecaster_id(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("forecaster.id=wizard\nenv.T=64\n")
     assert main(["scaling", "--config", str(cfg)]) == EXIT_UNRESOLVED
+
+
+@pytest.mark.parametrize(
+    "lines, code, key",
+    [
+        ("forecaster.id=proper_reduction\nforecaster.oracle=wizard\n", EXIT_UNRESOLVED, "forecaster.oracle"),
+        ("forecaster.id=proper_reduction\nforecaster.update=sideways\n", EXIT_CONFIG, "forecaster.update"),
+        ("forecaster.id=overshoot\n", EXIT_CONFIG, "forecaster.offset"),
+    ],
+    ids=["unknown-oracle", "bad-update", "overshoot-without-offset"],
+)
+def test_bad_forecaster_parameters_fail_before_any_cell(tmp_path, capsys, lines, code, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("env.T=64\nrun.replicates=2\nrun.workers=1\n" + lines)
+    out = tmp_path / "out"
+    assert main(["scaling", "--config", str(cfg), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "path", sorted([*ROOT.glob("configs/*.cfg"), *ROOT.glob("tests/data/*.cfg")]), ids=lambda p: p.name
+)
+def test_shipped_configs_resolve(path):
+    # every kind a shipped config names is in its table, without running a cell
+    cfg = load_config(path, {})
+    config = experiment_config_from(cfg)
+    assert config.env in ENVS and config.groups in FAMILIES
+    if "reduction.groups" in cfg:
+        assert cfg["reduction.groups"] in FAMILIES
+    for key in ("reduction.oracle", "oracle.oracle"):
+        if key in cfg:
+            assert make_forecaster_factory(cfg[key])().context_blind
 
 
 def test_parse_error(tmp_path):

@@ -101,19 +101,50 @@ def test_scaling_workers_deterministic():
 
 
 def test_cell_failure_names_the_cell(monkeypatch):
-    sample = experiments._sample_env
+    sample = experiments.sample_bernoulli_env
     broken = experiments._cell_stream(64, 1)
 
-    def sample_env(config, T, m_env, stream):
+    def sample_env(T, m, seed, stream):
         if stream == broken:
             raise ValueError("sampler broke")
-        return sample(config, T, m_env, stream)
+        return sample(T, m, seed, stream=stream)
 
-    monkeypatch.setattr(experiments, "_sample_env", sample_env)
+    # the ENVS entry looks the sampler up by its module-global name at call time
+    monkeypatch.setattr(experiments, "sample_bernoulli_env", sample_env)
     cfg = ExperimentConfig(experiment_id="boom", T_list=(64,), replicates=3, seed=5)
     with pytest.raises(ValueError) as info:
         run_scaling(cfg)
     assert str(info.value) == f"boom: cell T=64 rep=1 stream={broken}: sampler broke"
+
+
+@pytest.mark.parametrize("groups", sorted(experiments.FAMILIES))
+@pytest.mark.parametrize("env", sorted(experiments.ENVS))
+def test_family_manifest_matches_the_cells_groups(env, groups):
+    cfg = ExperimentConfig(env=env, groups=groups, T_list=(256, 512), replicates=1, seed=3)
+    try:
+        errs = {T: sorted(experiments.run_replicate(cfg, T, 0)["err"]) for T in cfg.T_list}
+    except ValueError as exc:
+        pytest.skip(f"{env} x {groups} does not build: {exc}")
+    rows = experiments.family_manifest_rows(cfg)
+    assert {T: sorted(gid for t, gid, _, _ in rows if t == T) for T in cfg.T_list} == errs
+
+
+@pytest.mark.parametrize(
+    "field, value, error, key",
+    [
+        ("env", "mars", KeyError, "env.kind"),
+        ("groups", "cliques", KeyError, "groups.kind"),
+        ("forecaster", "wizard", KeyError, "forecaster.id"),
+        ("oracle", "wizard", KeyError, "forecaster.oracle"),
+        ("update", "sideways", ValueError, "forecaster.update"),
+        ("offset", "one", ValueError, "forecaster.offset"),
+        ("eta", "small", ValueError, "groups.eta"),
+    ],
+)
+def test_config_names_the_bad_key(field, value, error, key):
+    base = {"forecaster": "proper_reduction"} if field in ("oracle", "update") else {}
+    with pytest.raises(error, match=key):
+        ExperimentConfig(**base, **{field: value})
 
 
 @pytest.mark.parametrize("bad", [[(2, 3)], [(2, 3), (0, 7)]])

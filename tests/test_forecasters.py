@@ -27,7 +27,6 @@ from caliblab.forecasters import (
     context_blind,
     make_forecaster_factory,
     run_forecaster,
-    simple_marginal_oracles,
 )
 from caliblab.groups import GridRangeGroup, build_grid_range_family, build_pred_threshold_family
 
@@ -48,6 +47,24 @@ def test_distribution_validation():
 def test_point_mass_sampling_skips_rng():
     dist = PredictionDistribution.point_mass(Fraction(3, 8))
     assert dist.sample(None) == Fraction(3, 8)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 7, 16, 255])
+def test_uniform_random_looped_draws_match_predict_sequence(q):
+    # one exact integer draw per looped round takes the same Philox values
+    # as the vectorized path's single batched draw
+    traj = sample_bernoulli_env(T=300, m=9, seed=4)
+    looped = run_forecaster(traj, UniformRandomOracle(q), substream(4, q), prefer_vectorized=False)
+    num, den = UniformRandomOracle(q).predict_sequence(traj.y_num, traj.den, substream(4, q))
+    assert [looped.fraction(t) for t in range(traj.T)] == [Fraction(int(v), den) for v in num]
+
+
+def test_sample_is_exact_over_the_common_denominator():
+    dist = PredictionDistribution(support=((Fraction(0), Fraction(1, 3)), (Fraction(1), Fraction(2, 3))))
+    rng = substream(11, 0)
+    draws = [dist.sample(rng) for _ in range(60)]
+    # integers below 3 decide each draw: 0 picks 0, 1 and 2 pick 1
+    assert draws == [Fraction(int(u > 0)) for u in substream(11, 0).integers(0, 3, size=60)]
 
 
 def test_honest_forecaster():
@@ -107,7 +124,8 @@ def test_uniform_random_support():
     # one support point per width-1/8 interval: mass exactly 1/N each
     for b in range(8):
         lo, hi = Fraction(b, 8), Fraction(b + 1, 8)
-        assert dist.mass_in_interval(lo, hi, closed_right=(b == 7)) == Fraction(1, 8)
+        mass = sum(p for v, p in dist.support if lo <= v < hi or (b == 7 and v == hi))
+        assert mass == Fraction(1, 8)
 
 
 def test_context_blind_wrapper_invariance():
@@ -314,6 +332,11 @@ def test_factory_registry():
     assert f.propose(ContextRecord(mean=HALF), HistoryView()).support[0][0] == Fraction(5, 8)
     with pytest.raises(KeyError):
         make_forecaster_factory("oracle_of_delphi")
-    oracles = simple_marginal_oracles(4)
-    assert set(oracles) == {"empirical_mean_bucket", "uniform_random"}
-    assert oracles["uniform_random"]().context_blind
+    for oracle in ("empirical_mean_bucket", "uniform_random"):
+        assert make_forecaster_factory(oracle, Q=4)().context_blind
+    with pytest.raises(ValueError, match="forecaster.offset"):
+        make_forecaster_factory("overshoot")
+    # an oracle is resolved with Q only, so a reduction cannot nest itself
+    nested = make_forecaster_factory("proper_reduction", oracle="proper_reduction")
+    with pytest.raises(ValueError, match="not context-blind"):
+        nested()

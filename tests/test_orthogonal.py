@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caliblab.orthogonal import (
-    OrthoSystem,
     fwht,
     is_power_of_two,
     prefix_extremum,
@@ -205,16 +204,6 @@ def test_threshold_reconstruction_property(log_m, data):
     r = data.draw(st.integers(0, m))
     exp = threshold_expansion(m, r)
     assert np.array_equal(exp.reconstruct(), threshold_signs(m, r))
-
-
-def test_ortho_system():
-    sys = OrthoSystem(8)
-    assert sys.sign(1, 1) == -1
-    assert np.array_equal(sys.row(3), walsh_row(3, 8))
-    with pytest.raises(ValueError):
-        OrthoSystem(12)
-    with pytest.raises(ValueError):
-        OrthoSystem(8, kind="fourier")
 
 
 def test_is_power_of_two():
