@@ -83,23 +83,21 @@ def marginal_err(p_num: np.ndarray, p_den: int, y_num: np.ndarray, y_den: int) -
     of predictions ``p_num / p_den`` against outcomes ``y_num / y_den``.
 
     Each round contributes d_t = p_t y_den - y_t p_den, an int64 of
-    magnitude at most p_den y_den; the rounds are stably sorted by
-    prediction and each run of equal predictions summed by
-    ``np.add.reduceat``.  Every partial sum is bounded by T p_den y_den,
-    which is checked below 2^63 in Python integers first.
+    magnitude at most p_den y_den; the rounds are grouped by prediction
+    with ``_bucket_index`` and summed with int64 ``np.add.at``, as
+    ``ScaledRun.bucket_sums`` does.  Every partial sum is bounded by
+    T p_den y_den, which is checked below 2^63 in Python integers first.
     """
     t = len(p_num)
     if t * p_den * y_den >= 2**63:
         raise OverflowError(
             f"int64 cell sums could overflow: T={t} * p_den={p_den} * y_den={y_den} >= 2^63"
         )
-    if t == 0:
-        return Fraction(0)
-    order = np.argsort(p_num, kind="stable")
-    p = np.asarray(p_num, dtype=np.int64)[order]
-    d = p * y_den - np.asarray(y_num, dtype=np.int64)[order] * p_den
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(p)) + 1))
-    return Fraction(int(np.abs(np.add.reduceat(d, starts)).sum()), p_den * y_den)
+    p = np.asarray(p_num, dtype=np.int64)
+    _, idx, counts = _bucket_index(p, p_den)
+    sums = np.zeros(len(counts), dtype=np.int64)
+    np.add.at(sums, idx, p * y_den - np.asarray(y_num, dtype=np.int64) * p_den)
+    return Fraction(int(np.abs(sums).sum()), p_den * y_den)
 
 
 def _check_unit_interval(value: Fraction, what: str) -> Fraction:

@@ -36,7 +36,6 @@ from .calibration import format_float
 from .experiments import (
     EXPONENT_WINDOW,
     ExperimentConfig,
-    resolved_defaults,
     run_identity_suite,
     run_oracle_bound,
     run_reduction_bound,
@@ -155,7 +154,6 @@ def experiment_config_from(cfg: dict) -> ExperimentConfig:
                 oracle=_get(cfg, "forecaster.oracle"),
                 m_copies=_get(cfg, "forecaster.m_copies", cast=int),
                 update=_get(cfg, "forecaster.update"),
-                checks=_get(cfg, "run.checks", cast=lambda raw: raw.lower() != "false"),
             ),
         )
     except ValueError as exc:
@@ -214,7 +212,7 @@ def cmd_scaling(args, overrides) -> int:
         write_family_csv(family_path, config)
         manifest.outputs.append(family_path.name)
     for row in result.rows:
-        resolved = ";".join(f"{key}={value}" for key, value in resolved_defaults(config, row.T).items())
+        resolved = ";".join(f"{key}={value}" for key, value in config.plans[row.T].resolved().items())
         manifest.notes.append(f"resolved@T={row.T}={resolved}")
         manifest.notes += [
             f"pathwise_min_slack@T={row.T}/{name}={format_float(float(slack))}" for name, slack in row.min_slack.items()
@@ -313,13 +311,11 @@ def cmd_probe(args) -> int:
 def cmd_bounds(args, overrides) -> int:
     try:
         cfg = load_config(args.config, overrides)
+        seed = _get(cfg, "run.seed", 42, int)
+        replicates = _get(cfg, "run.replicates", 100, int)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    seed = _get(cfg, "run.seed", 42, int)
-    replicates = _get(cfg, "run.replicates", 100, int)
-    out_dir = Path(args.out or cfg.get("output.dir", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(__version__, config_digest(cfg), seed, time.time())
 
     details: dict = {}
@@ -350,7 +346,7 @@ def cmd_bounds(args, overrides) -> int:
                 ),
             )
     except KeyError as exc:
-        print(f"unknown id: {exc.args[0]}", file=sys.stderr)
+        print(exc.args[0], file=sys.stderr)
         return EXIT_UNRESOLVED
     except ValueError as exc:
         if "routing is invalid" in str(exc):
@@ -359,6 +355,8 @@ def cmd_bounds(args, overrides) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    out_dir = Path(args.out or cfg.get("output.dir", "."))
+    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"bounds_{args.which}.csv"
     write_bounds_csv(path, records)
     manifest.outputs = [path.name]

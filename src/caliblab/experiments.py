@@ -1,14 +1,17 @@
 """Experiment orchestration: scaling studies, oracle/reduction bound checks,
 log-log exponent fits, and CSV outputs.
 
+An ``ExperimentConfig`` resolves each T once, at construction, into a
+``CellPlan`` (m, eta, family and layout, forecaster factory) that the
+cells, the family CSV, the manifest and the reduction runner all read.
+
 Every (T, replicate) cell derives its own Philox streams from the master
 seed, so results are independent of scheduling order; aggregation is a
 deterministic fold in (T, replicate) order.  Reruns with the same config
 and seed produce byte-identical CSVs.
 
-The pathwise inequality suite runs inside every replicate (unless
-disabled): telescoping and difference-of-two everywhere, the context
-decomposition for the threshold trio, time-quantization and
+The pathwise inequality suite runs inside every replicate: telescoping
+and difference-of-two everywhere, the context decomposition for the threshold trio, time-quantization and
 prediction-diversity on the signed-noise grid environment, block mass /
 Parseval / bias-averaging whenever a block layout is in play, and the
 squared-loss controls on the bit environment.  Each inequality is one
@@ -61,7 +64,7 @@ from .environments import (
     substream,
 )
 from .forecasters import (
-    UPDATE_POLICIES,
+    Forecaster,
     PatternRouter,
     ProperReduction,
     context_blind,
@@ -69,6 +72,7 @@ from .forecasters import (
     run_forecaster,
 )
 from .groups import (
+    GroupFamily,
     build_bit_family,
     build_block_layout,
     build_block_hadamard_family,
@@ -79,7 +83,7 @@ from .groups import (
     default_block_count,
     default_eta,
 )
-from .orthogonal import walsh_rows
+from .orthogonal import BLOCK_ROWS, walsh_rows
 
 # Exponent acceptance window for the honest/threshold scaling study;
 # config constants, not hidden defaults (theory predicts 2/3)
@@ -127,8 +131,8 @@ def fit_exponent(points) -> tuple[float, float, float]:
 @dataclass
 class ExperimentConfig:
     """One scaling study.  Construction checks the kinds against their
-    tables and resolves the forecaster at each T, so a bad config fails
-    before any cell runs."""
+    tables and builds ``plans``, one ``CellPlan`` per T, so a config that
+    cannot build a cell fails before any cell runs."""
 
     experiment_id: str = "scaling"
     env: str = "bernoulli"
@@ -149,7 +153,6 @@ class ExperimentConfig:
     m_copies: int = 1
     update: str = "largest"
     workers: int = 1
-    checks: bool = True
 
     def __post_init__(self):
         self.T_list = tuple(int(t) for t in self.T_list)
@@ -162,8 +165,30 @@ class ExperimentConfig:
         for key, kind, table in (("env.kind", self.env, ENVS), ("groups.kind", self.groups, FAMILIES)):
             if kind not in table:
                 raise KeyError(f"unknown {key}: {kind!r}; accepted: {', '.join(table)}")
-        for T in self.T_list:
-            _forecaster_factory(self, _resolve_eta(self, _grid_count(self, T), T))()
+        # an attribute, not a field: asdict() and the worker configs leave it out
+        self.plans = {T: _plan(self, T) for T in self.T_list}
+
+
+@dataclass(frozen=True)
+class CellPlan:
+    """What every cell at one T runs with: the grid size m, eta (None unless
+    the family or a ``2eta`` offset takes it), the group family with its
+    block layout (``family.layout``, None without blocks) and the
+    forecaster factory."""
+
+    m: int
+    eta: Optional[Fraction]
+    family: GroupFamily
+    forecaster: Callable[[], Forecaster]
+
+    def resolved(self) -> dict:
+        """m, and eta, K and L where they apply."""
+        out: dict = {"m": self.m}
+        if self.eta is not None:
+            out["eta"] = self.eta
+        if self.family.layout is not None:
+            out.update(K=self.family.layout.K, L=self.family.layout.L)
+        return out
 
 
 @dataclass(frozen=True)
@@ -173,15 +198,6 @@ class EnvKind:
     grid_count: Callable[[int], int]
     grid: Callable[[ExperimentConfig, int], tuple]
     sample: Callable[[ExperimentConfig, int, int, int], Trajectory]
-
-
-@dataclass(frozen=True)
-class FamilyKind:
-    """A group family: whether it takes eta and K, and its builder."""
-
-    build: Callable[[ExperimentConfig, int, int], tuple]  # (config, T, m) -> (family, layout or None)
-    uses_eta: bool = False
-    uses_blocks: bool = False
 
 
 # entries call samplers and family builders by this module's global names
@@ -204,28 +220,33 @@ ENVS = {
     ),
 }
 
+
+@dataclass(frozen=True)
+class FamilyKind:
+    """A group family: its builder, the environments it runs on and whether it takes eta."""
+
+    build: Callable[[ExperimentConfig, int, int, Optional[Fraction]], GroupFamily]  # (config, T, m, eta)
+    envs: tuple = tuple(ENVS)
+    uses_eta: bool = False
+
+
 FAMILIES = {
-    "pred_threshold": FamilyKind(
-        lambda config, T, m: (build_pred_threshold_family(m, _resolve_eta(config, m, T)), None), uses_eta=True
-    ),
-    "walsh": FamilyKind(lambda config, T, m: (build_walsh_family(m), None)),
+    "pred_threshold": FamilyKind(lambda config, T, m, eta: build_pred_threshold_family(m, eta), uses_eta=True),
+    # the Walsh halves index the signed-noise grid, grid_section4(m)
+    "walsh": FamilyKind(lambda config, T, m, eta: build_walsh_family(m), envs=("rademacher",)),
     "block_hadamard": FamilyKind(
-        lambda config, T, m: _capped(*build_block_hadamard_family(T, config.K or default_block_count(T))),
-        uses_blocks=True,
+        lambda config, T, m, eta: build_block_hadamard_family(T, config.K or default_block_count(T))[1]
     ),
     "full_walsh": FamilyKind(
-        lambda config, T, m: _capped(*build_full_walsh_family(T, m, config.K or default_block_count(T))),
-        uses_blocks=True,
+        lambda config, T, m, eta: build_full_walsh_family(T, m, config.K or default_block_count(T))[1],
+        envs=("rademacher",),
     ),
-    "bits": FamilyKind(lambda config, T, m: (build_bit_family(config.k), None)),
+    # bit groups read the bit context
+    "bits": FamilyKind(lambda config, T, m, eta: build_bit_family(config.k), envs=("bits",)),
     "grid_ranges": FamilyKind(
-        lambda config, T, m: (build_grid_range_family(list(ENVS[config.env].grid(config, m)), config.pieces), None)
+        lambda config, T, m, eta: build_grid_range_family(list(ENVS[config.env].grid(config, m)), config.pieces)
     ),
 }
-
-
-def _grid_count(config: ExperimentConfig, T: int) -> int:
-    return int(config.m) if config.m is not None else ENVS[config.env].grid_count(T)
 
 
 def _fraction(key: str, raw) -> Fraction:
@@ -233,22 +254,6 @@ def _fraction(key: str, raw) -> Fraction:
         return Fraction(raw)
     except (TypeError, ValueError, ZeroDivisionError):
         raise ValueError(f"bad value for {key}: {raw!r}") from None
-
-
-def _resolve_eta(config: ExperimentConfig, m: int, T: int) -> Optional[Fraction]:
-    """groups.eta or its default at (m, T); None unless the family or a ``2eta`` offset takes it."""
-    if not (FAMILIES[config.groups].uses_eta or config.offset == "2eta"):
-        return None
-    return default_eta(m, T) if config.eta is None else _fraction("groups.eta", config.eta)
-
-
-def _capped(layout, family) -> tuple:
-    if layout.L > MAX_BLOCK_LENGTH:
-        raise ValueError(
-            f"block length L={layout.L} exceeds the desk-scale cap {MAX_BLOCK_LENGTH}; "
-            f"raise groups.K to shorten blocks"
-        )
-    return family, layout
 
 
 def _forecaster_factory(config: ExperimentConfig, eta: Optional[Fraction]):
@@ -260,10 +265,6 @@ def _forecaster_factory(config: ExperimentConfig, eta: Optional[Fraction]):
     if config.value is not None:
         params["value"] = _fraction("forecaster.value", config.value)
     if config.forecaster == "proper_reduction":
-        if config.update not in UPDATE_POLICIES:
-            raise ValueError(
-                f"bad value for forecaster.update: {config.update!r}; accepted: {', '.join(UPDATE_POLICIES)}"
-            )
         params.update(oracle=config.oracle, m=config.m_copies, update=config.update)
     try:
         return make_forecaster_factory(config.forecaster, **params)
@@ -273,15 +274,38 @@ def _forecaster_factory(config: ExperimentConfig, eta: Optional[Fraction]):
         raise KeyError(f"unknown {key}: {exc.args[0]!r}") from None
 
 
-def resolved_defaults(config: ExperimentConfig, T: int) -> dict:
-    """The values a cell at T runs with: m, and eta, K and L where they apply."""
-    m = _grid_count(config, T)
-    eta = _resolve_eta(config, m, T)
-    out = {"m": m} if eta is None else {"m": m, "eta": eta}
-    if FAMILIES[config.groups].uses_blocks:
-        layout = build_block_layout(T, config.K or default_block_count(T))
-        out.update(K=layout.K, L=layout.L)
-    return out
+def _plan(config: ExperimentConfig, T: int) -> CellPlan:
+    """Resolve m, eta, the family, its layout and the forecaster factory at T."""
+    kind = FAMILIES[config.groups]
+    if config.env not in kind.envs:
+        raise ValueError(
+            f"groups.kind={config.groups} does not run on env.kind={config.env}; "
+            f"it runs on env.kind={', '.join(kind.envs)}"
+        )
+    m = int(config.m) if config.m is not None else ENVS[config.env].grid_count(T)
+    eta = None
+    if kind.uses_eta or config.offset == "2eta":
+        eta = default_eta(m, T) if config.eta is None else _fraction("groups.eta", config.eta)
+    try:
+        family = kind.build(config, T, m, eta)
+    except ValueError as exc:
+        raise ValueError(f"groups.kind={config.groups} at T={T}: {exc}") from None
+    if family.layout is not None and family.layout.L > MAX_BLOCK_LENGTH:
+        raise ValueError(
+            f"block length L={family.layout.L} at T={T} exceeds the desk-scale cap {MAX_BLOCK_LENGTH}; "
+            f"raise groups.K to shorten blocks"
+        )
+    forecaster = _forecaster_factory(config, eta)
+    try:
+        forecaster()
+    except ValueError as exc:
+        # name forecaster.id and the forecaster.* keys in play; proper_reduction's three always have values
+        names = ("Q", "offset", "value")
+        if config.forecaster == "proper_reduction":
+            names += ("oracle", "m_copies", "update")
+        given = "".join(f", forecaster.{n}={getattr(config, n)}" for n in names if getattr(config, n) is not None)
+        raise ValueError(f"forecaster.id={config.forecaster}{given}: {exc}") from None
+    return CellPlan(m, eta, family, forecaster)
 
 
 def _cell_stream(T: int, rep: int) -> int:
@@ -289,39 +313,27 @@ def _cell_stream(T: int, rep: int) -> int:
 
 
 def run_replicate(config: ExperimentConfig, T: int, rep: int) -> dict:
-    """One (T, replicate) cell: sample, forecast, accumulate, check."""
-    m_env = _grid_count(config, T)
+    """One (T, replicate) cell of the plan at T: sample, forecast, accumulate, check."""
+    plan = config.plans[T]
+    m, eta, family, layout = plan.m, plan.eta, plan.family, plan.family.layout
     stream = _cell_stream(T, rep)
-    traj = ENVS[config.env].sample(config, T, m_env, stream)
-    family, layout = FAMILIES[config.groups].build(config, T, m_env)
-    eta = _resolve_eta(config, m_env, T)
-    forecaster = _forecaster_factory(config, eta)()
+    traj = ENVS[config.env].sample(config, T, m, stream)
     rng = substream(config.seed, stream | _FORECASTER_STREAM_BIT)
-    pred = run_forecaster(traj, forecaster, rng)
+    pred = run_forecaster(traj, plan.forecaster(), rng)
 
     run = ScaledRun.build(traj, pred, *family.required_denominators())
     ledger = accumulate_run(run, family)
     report = ledger.report()
-    out = {
-        "mcerr": report.mcerr,
-        "err": report.err,
-        "argmax": report.argmax_group,
-        "violations": [],
-        "min_slack": {},
-        "extras": {},
-    }
-    if not config.checks:
-        return out
-
+    out = {"mcerr": report.mcerr, "err": report.err, "extras": {}}
     checks = [check_telescoping(ledger), check_diff_two(ledger)]
     if family.kind == "pred_threshold":
         stats = deviation_stats(run, eta=eta)
-        checks.append(check_g4_context_decomp(ledger, stats, eta, m_env))
+        checks.append(check_g4_context_decomp(ledger, stats, eta, m))
         out["extras"]["sum_abs_nx"] = float(np.abs(stats.N_x_num).sum()) / stats.scale
     if config.env == "rademacher":
         stats = deviation_stats(run, layout=layout)
-        checks.append(check_l1_quantization(stats, m_env))
-        checks.append(check_n_from_a(stats, m_env))
+        checks.append(check_l1_quantization(stats, m))
+        checks.append(check_n_from_a(stats, m))
         out["extras"]["A"] = float(stats.A)
         if layout is not None:
             checks.extend(check_block_mass(stats))
@@ -338,9 +350,7 @@ def run_replicate(config: ExperimentConfig, T: int, rep: int) -> dict:
     return out
 
 
-def _scaling_batch(args) -> list:
-    config_dict, T, lo, hi = args
-    config = ExperimentConfig(**config_dict)
+def _run_cells(config: ExperimentConfig, T: int, lo: int, hi: int) -> list:
     out = []
     for rep in range(lo, hi):
         try:
@@ -350,6 +360,12 @@ def _scaling_batch(args) -> list:
             exc.args = (f"{config.experiment_id}: cell T={T} rep={rep} stream={_cell_stream(T, rep)}: {exc}",)
             raise
     return out
+
+
+def _scaling_batch(args) -> list:
+    """A worker's batch: cells lo..hi-1 at T, under a config that plans only its own T."""
+    config_dict, T, lo, hi = args
+    return _run_cells(ExperimentConfig(**{**config_dict, "T_list": (T,)}), T, lo, hi)
 
 
 @dataclass
@@ -384,17 +400,16 @@ class ScalingResult:
 
 def run_scaling(config: ExperimentConfig) -> ScalingResult:
     """Replicated Monte Carlo across the T ladder plus a log-log fit."""
-    tasks = []
     batch = max(1, config.replicates // max(1, 4 * config.workers))
-    cd = asdict(config)
-    for T in config.T_list:
-        for lo in range(0, config.replicates, batch):
-            tasks.append((cd, T, lo, min(lo + batch, config.replicates)))
+    spans = [
+        (T, lo, min(lo + batch, config.replicates)) for T in config.T_list for lo in range(0, config.replicates, batch)
+    ]
     if config.workers > 1:
+        cd = asdict(config)
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            chunks = list(pool.map(_scaling_batch, tasks))
+            chunks = list(pool.map(_scaling_batch, [(cd, *span) for span in spans]))
     else:
-        chunks = [_scaling_batch(t) for t in tasks]
+        chunks = [_run_cells(config, *span) for span in spans]
     cells = sorted(
         (item for chunk in chunks for item in chunk), key=lambda item: (item[0], item[1])
     )
@@ -462,6 +477,14 @@ class BoundRecord:
         return self.margin >= 0
 
 
+def _oracle_factory(key: str, oracle: str, q: int):
+    """``make_forecaster_factory(oracle, Q=q)``; an unknown oracle names ``key``."""
+    try:
+        return make_forecaster_factory(oracle, Q=q)
+    except KeyError:
+        raise KeyError(f"unknown {key}: {oracle!r}") from None
+
+
 def oracle_bound_value(T: int, k: int, m_copies: int) -> float:
     n = 1 << k
     return (1.0 / 8.0) * (1.0 - m_copies / n) * T / n**2
@@ -480,7 +503,7 @@ def run_oracle_bound(
     """Proper m-copy reduction on the bit environment versus the theory floor."""
     n = 1 << k
     q = q if q is not None else n - 1
-    base = make_forecaster_factory(oracle, Q=q)
+    base = _oracle_factory("oracle.oracle", oracle, q)
     probe = base()
     factory = base if probe.context_blind else (lambda: context_blind(base()))
     family = build_bit_family(k)
@@ -552,14 +575,14 @@ def run_reduction_bound(
     against the cell sum; the per-replicate triangle inequality
     Err(g_j) <= sum of its cells' errors is checked pathwise.
     """
-    factory = make_forecaster_factory(oracle, Q=q)
+    factory = _oracle_factory("reduction.oracle", oracle, q)
+    if groups_kind not in FAMILIES:
+        raise KeyError(f"unknown reduction.groups: {groups_kind!r}; accepted: {', '.join(FAMILIES)}")
     config = ExperimentConfig(env="bernoulli", groups=groups_kind, T_list=tuple(T_list), seed=seed, pieces=pieces)
-    build = FAMILIES[config.groups].build
     if groups_kind != "grid_ranges":
         # routing is only defined for binary prediction-independent groups;
         # constructing the router against anything else must hard-fail
-        T = config.T_list[0]
-        PatternRouter(factory, build(config, T, _grid_count(config, T))[0])
+        PatternRouter(factory, config.plans[config.T_list[0]].family)
         raise ValueError(
             f"reduction bound runs on grid_ranges group families, got {groups_kind!r}"
         )
@@ -567,16 +590,13 @@ def run_reduction_bound(
     details: dict = {"per_T": {}}
     envelope_points = []
     standalone: dict = {}
-    setups: dict = {}
 
-    for T in config.T_list:
-        m_env = _grid_count(config, T)
-        family = build(config, T, m_env)[0]
+    for T, plan in config.plans.items():
+        family = plan.family
         grid = family.grid
         # realized cell lengths are deterministic under round-robin contexts
         counts = np.bincount(np.arange(T) % len(grid), minlength=len(grid))
         cell_lengths = [int(counts[g.lo : g.hi + 1].sum()) for g in family]
-        setups[T] = (m_env, family)
         for z, (g, t_z) in enumerate(zip(family, cell_lengths)):
             mean, se = _standalone_cell_err(grid[g.lo : g.hi + 1], t_z, factory, seed + 1000 + z, replicates)
             standalone[(T, z)] = (mean, se)
@@ -587,14 +607,14 @@ def run_reduction_bound(
     details["envelope"] = {"c": c, "beta": beta}
 
     sample = ENVS[config.env].sample
-    for T in config.T_list:
-        m_env, family = setups[T]
+    for T, plan in config.plans.items():
+        family = plan.family
         mcerrs = np.empty(replicates)
         per_group = {g.id: np.empty(replicates) for g in family}
         violations = []
         min_slack = None
         for rep in range(replicates):
-            traj = sample(config, T, m_env, _cell_stream(T, rep))
+            traj = sample(config, T, plan.m, _cell_stream(T, rep))
             router = PatternRouter(factory, family)
             rng = substream(seed, _cell_stream(T, rep) | _FORECASTER_STREAM_BIT)
             pred = run_forecaster(traj, router, rng)
@@ -658,11 +678,6 @@ def _standalone_cell_err(cell_grid, t_z, factory, seed, replicates) -> tuple[flo
 # ---------------------------------------------------------------------------
 
 
-# rows per block in the identity suite: memory O(128 n), never O(n^2), and
-# faster than 256-row blocks for the prefix scans
-IDENTITY_BLOCK_ROWS = 128
-
-
 def _powers_of_two(lo: int, hi: int):
     n = lo
     while n <= hi:
@@ -670,7 +685,7 @@ def _powers_of_two(lo: int, hi: int):
         n *= 2
 
 
-def walsh_prefix_violations(n: int, bounds: np.ndarray, block_rows: int = IDENTITY_BLOCK_ROWS) -> int:
+def walsh_prefix_violations(n: int, bounds: np.ndarray, block_rows: int = BLOCK_ROWS) -> int:
     """Rows j = 1..n-1 of the length-``n`` Walsh system whose largest
     |prefix sum| exceeds ``bounds[j - 1]``.
 
@@ -695,17 +710,17 @@ def run_identity_suite(
     """Zero-tolerance identity checks; measured values are violation counts."""
     from .calibration import BiasLedger
     from .groups import ConstantGroup
-    from .orthogonal import fwht, threshold_l1_bound, threshold_signs, trailing_zeros
+    from .orthogonal import fwht, threshold_l1_bound, threshold_l1_mass, threshold_signs, trailing_zeros
 
     records = []
 
-    # the Walsh and threshold checks take IDENTITY_BLOCK_ROWS rows at a time,
-    # never an n x n or (m + 1) x m array: fwht of Walsh rows lo..hi-1 is
-    # rows lo..hi-1 of n I
+    # the Walsh and threshold checks take BLOCK_ROWS rows at a time, never an
+    # n x n or (m + 1) x m array: fwht of Walsh rows lo..hi-1 is rows
+    # lo..hi-1 of n I
     bad = 0
     for n in _powers_of_two(1, h1_max):
-        for lo in range(0, n, IDENTITY_BLOCK_ROWS):
-            hi = min(lo + IDENTITY_BLOCK_ROWS, n)
+        for lo in range(0, n, BLOCK_ROWS):
+            hi = min(lo + BLOCK_ROWS, n)
             expected = np.zeros((hi - lo, n), dtype=np.int64)
             expected[np.arange(hi - lo), np.arange(lo, hi)] = n
             bad += int(np.count_nonzero(fwht(walsh_rows(lo, hi, n)) != expected))
@@ -717,18 +732,14 @@ def run_identity_suite(
         bad += walsh_prefix_violations(n, bounds)
     records.append(BoundRecord("identity_walsh_prefix", float(bad), 0.0, "le"))
 
-    # threshold ranks r = 0..m in row blocks; the running column max of
-    # |alpha_l(r)| is exact, so the L1 test sees the same float as a full table
     bad = 0
     for m in _powers_of_two(2, expansion_max):
-        col_max = np.zeros(m)
-        for lo in range(0, m + 1, IDENTITY_BLOCK_ROWS):
-            signs = np.stack([threshold_signs(m, r) for r in range(lo, min(lo + IDENTITY_BLOCK_ROWS, m + 1))])
+        for lo in range(0, m + 1, BLOCK_ROWS):
+            signs = np.stack([threshold_signs(m, r) for r in range(lo, min(lo + BLOCK_ROWS, m + 1))])
             table = fwht(signs) / m
             recon = fwht(np.rint(table * m).astype(np.int64)) // m
             bad += int(np.count_nonzero(recon != signs))
-            np.maximum(col_max, np.abs(table).max(axis=0), out=col_max)
-        if float(col_max.sum()) > threshold_l1_bound(m) + 1e-12:
+        if threshold_l1_mass(m) > threshold_l1_bound(m) + 1e-12:
             bad += 1
     records.append(BoundRecord("identity_threshold_expansion", float(bad), 0.0, "le"))
 
@@ -826,14 +837,10 @@ def noise_floor_diagnostic(T: int, K: int, replicates: int, seed: int) -> dict:
 
 
 def family_manifest_rows(config: ExperimentConfig) -> list[tuple]:
-    """(T, id, kind, params) rows for the families a config's cells build."""
-    rows = []
-    for T in config.T_list:
-        family, _ = FAMILIES[config.groups].build(config, T, _grid_count(config, T))
-        for line in family.manifest_lines():
-            gid, kind, params = line.split(",", 2)
-            rows.append((T, gid, kind, params))
-    return rows
+    """(T, id, kind, params) rows for the families of a config's plans."""
+    return [
+        (T, *line.split(",", 2)) for T, plan in config.plans.items() for line in plan.family.manifest_lines()
+    ]
 
 
 def write_family_csv(path, config: ExperimentConfig) -> None:

@@ -317,7 +317,7 @@ class ProperReduction(Forecaster):
         if m < 1:
             raise ValueError(f"copy count must be >= 1, got {m}")
         if update_policy not in UPDATE_POLICIES:
-            raise ValueError(f"unknown update policy: {update_policy!r}")
+            raise ValueError(f"unknown update policy: {update_policy!r}; accepted: {', '.join(UPDATE_POLICIES)}")
         self.copies = [oracle_factory() for _ in range(m)]
         for c in self.copies:
             if not c.context_blind:

@@ -27,12 +27,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .environments import ContextRecord, pow2_floor
+from .environments import ContextRecord, grid_section4, pow2_floor
 from .orthogonal import walsh_row, walsh_sign
 
 if TYPE_CHECKING:
@@ -82,16 +82,6 @@ class BlockLayout:
 
     def local_time(self, t: int) -> int:
         return (t - 1) % self.L
-
-
-@lru_cache(maxsize=32)
-def layout_block_ids(layout: BlockLayout) -> tuple[str, ...]:
-    """Ids of a layout's 2 K L block half-groups in family order: a, then
-    j, then +/-.  Memoised per layout, since every replicate rebuilds its
-    family over the same few layouts."""
-    heads = [(f"had+/{a}/", f"had-/{a}/") for a in range(1, layout.K + 1)]
-    tails = [str(j) for j in range(layout.L)]
-    return tuple(head + tail for pair in heads for tail in tails for head in pair)
 
 
 def build_block_layout(T: int, K: int) -> BlockLayout:
@@ -352,8 +342,13 @@ class GroupFamily:
 
     @cached_property
     def block_ids(self) -> tuple[str, ...]:
-        """Ids of the block half-groups, in family order."""
-        return () if self.layout is None else layout_block_ids(self.layout)
+        """Ids of the 2 K L block half-groups in family order: a, then j, then +/-."""
+        lay = self.layout
+        if lay is None:
+            return ()
+        heads = [(f"had+/{a}/", f"had-/{a}/") for a in range(1, lay.K + 1)]
+        tails = [str(j) for j in range(lay.L)]
+        return tuple(head + tail for pair in heads for tail in tails for head in pair)
 
     @cached_property
     def block_keys(self) -> dict:
@@ -405,14 +400,12 @@ def build_pred_threshold_family(m: int, eta: Fraction) -> GroupFamily:
     return GroupFamily(kind="pred_threshold", groups=groups, m=m, eta=eta)
 
 
-def build_walsh_family(m: int, grid: Optional[list[Fraction]] = None) -> GroupFamily:
-    """g_all plus the 2(m-1) global Walsh half-groups on the m-point grid."""
+def build_walsh_family(m: int) -> GroupFamily:
+    """g_all plus the 2(m-1) global Walsh half-groups on the m-point
+    signed-noise grid ``grid_section4(m)``."""
     if m < 2 or (m & (m - 1)) != 0:
         raise ValueError(f"m must be a power of two >= 2, got {m}")
-    if grid is None:
-        from .environments import grid_section4
-
-        grid = grid_section4(m)
+    grid = grid_section4(m)
     grid_to_idx = {x: i + 1 for i, x in enumerate(grid)}
     groups: list[GroupFunction] = [ConstantGroup()]
     for l in range(1, m):
@@ -434,10 +427,10 @@ def build_bit_family(k: int) -> GroupFamily:
     return GroupFamily(kind="bits", groups=[BitGroup(r) for r in range(k + 1)], k=k)
 
 
-def build_full_walsh_family(T: int, m: int, K: int, grid=None) -> tuple[BlockLayout, GroupFamily]:
+def build_full_walsh_family(T: int, m: int, K: int) -> tuple[BlockLayout, GroupFamily]:
     """The complete prediction-independent family: constant + global Walsh
     half-groups + blockwise Hadamard half-groups."""
-    walsh = build_walsh_family(m, grid=grid)
+    walsh = build_walsh_family(m)
     layout = build_block_layout(T, K)
     return layout, GroupFamily(kind="full_walsh", groups=walsh.groups, m=m, layout=layout, grid=walsh.grid)
 

@@ -152,8 +152,20 @@ def test_bad_forecaster_id(tmp_path):
         ("forecaster.id=proper_reduction\nforecaster.oracle=wizard\n", EXIT_UNRESOLVED, "forecaster.oracle"),
         ("forecaster.id=proper_reduction\nforecaster.update=sideways\n", EXIT_CONFIG, "forecaster.update"),
         ("forecaster.id=overshoot\n", EXIT_CONFIG, "forecaster.offset"),
+        ("forecaster.id=constant\nforecaster.value=2\n", EXIT_CONFIG, "forecaster.id=constant, forecaster.value=2: "),
+        ("forecaster.id=rounded_honest\nforecaster.Q=0\n", EXIT_CONFIG, "forecaster.id=rounded_honest, forecaster.Q=0: "),
+        ("forecaster.id=proper_reduction\nforecaster.m_copies=0\n", EXIT_CONFIG, "forecaster.m_copies=0"),
+        ("env.kind=bernoulli\ngroups.kind=walsh\n", EXIT_CONFIG, "groups.kind=walsh does not run on env.kind=bernoulli"),
     ],
-    ids=["unknown-oracle", "bad-update", "overshoot-without-offset"],
+    ids=[
+        "unknown-oracle",
+        "bad-update",
+        "overshoot-without-offset",
+        "constant-outside-unit-interval",
+        "zero-rounding-denominator",
+        "zero-copies",
+        "walsh-on-bernoulli",
+    ],
 )
 def test_bad_forecaster_parameters_fail_before_any_cell(tmp_path, capsys, lines, code, key):
     cfg = tmp_path / "bad.cfg"
@@ -162,7 +174,7 @@ def test_bad_forecaster_parameters_fail_before_any_cell(tmp_path, capsys, lines,
     assert main(["scaling", "--config", str(cfg), "--out", str(out)]) == code
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
-    assert not list(tmp_path.rglob("*.csv"))
+    assert not out.exists()
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -278,6 +290,31 @@ def test_bounds_reduction_and_guard(tmp_path):
     cfg2 = tmp_path / "r2.cfg"
     cfg2.write_text("reduction.T_list=512\nreduction.groups=pred_threshold\nrun.replicates=2\n")
     assert main(["bounds", "reduction", "--config", str(cfg2)]) == EXIT_UNRESOLVED
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("reduction.groups=cliques", "unknown reduction.groups: 'cliques'"),
+        ("reduction.oracle=wizard", "unknown reduction.oracle: 'wizard'"),
+    ],
+    ids=["groups", "oracle"],
+)
+def test_bounds_reduction_names_the_unknown_key(tmp_path, capsys, line, message):
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text(f"reduction.T_list=512\nrun.replicates=2\n{line}\n")
+    assert main(["bounds", "reduction", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_UNRESOLVED
+    assert capsys.readouterr().err.startswith(message)
+
+
+def test_bounds_bad_value_fails_before_any_output(tmp_path, capsys):
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text("reduction.T_list=512\nrun.seed=abc\n")
+    out = tmp_path / "out"
+    assert main(["bounds", "reduction", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "run.seed" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_bounds_reduction_manifest_records_min_slack(tmp_path):

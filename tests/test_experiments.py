@@ -57,11 +57,8 @@ def test_config_validation():
 
 
 def test_block_length_cap():
-    cfg = ExperimentConfig(
-        env="rademacher", groups="block_hadamard", T_list=(2**16,), replicates=1, K=1
-    )
     with pytest.raises(ValueError, match="desk-scale cap"):
-        run_scaling(cfg)
+        ExperimentConfig(env="rademacher", groups="block_hadamard", T_list=(2**16,), replicates=1, K=1)
 
 
 def test_scaling_smoke_and_violations():
@@ -117,14 +114,27 @@ def test_cell_failure_names_the_cell(monkeypatch):
     assert str(info.value) == f"boom: cell T=64 rep=1 stream={broken}: sampler broke"
 
 
+# the Walsh halves index the signed-noise grid, and bit groups read a bit context
+UNBUILDABLE = {
+    ("bernoulli", "walsh"),
+    ("bernoulli", "full_walsh"),
+    ("bits", "walsh"),
+    ("bits", "full_walsh"),
+    ("bernoulli", "bits"),
+    ("rademacher", "bits"),
+}
+
+
 @pytest.mark.parametrize("groups", sorted(experiments.FAMILIES))
 @pytest.mark.parametrize("env", sorted(experiments.ENVS))
 def test_family_manifest_matches_the_cells_groups(env, groups):
-    cfg = ExperimentConfig(env=env, groups=groups, T_list=(256, 512), replicates=1, seed=3)
-    try:
-        errs = {T: sorted(experiments.run_replicate(cfg, T, 0)["err"]) for T in cfg.T_list}
-    except ValueError as exc:
-        pytest.skip(f"{env} x {groups} does not build: {exc}")
+    kwargs = dict(env=env, groups=groups, T_list=(256, 512), replicates=1, seed=3)
+    if (env, groups) in UNBUILDABLE:
+        with pytest.raises(ValueError, match=f"groups.kind={groups} does not run on env.kind={env}"):
+            ExperimentConfig(**kwargs)
+        return
+    cfg = ExperimentConfig(**kwargs)
+    errs = {T: sorted(experiments.run_replicate(cfg, T, 0)["err"]) for T in cfg.T_list}
     rows = experiments.family_manifest_rows(cfg)
     assert {T: sorted(gid for t, gid, _, _ in rows if t == T) for T in cfg.T_list} == errs
 
@@ -145,6 +155,35 @@ def test_config_names_the_bad_key(field, value, error, key):
     base = {"forecaster": "proper_reduction"} if field in ("oracle", "update") else {}
     with pytest.raises(error, match=key):
         ExperimentConfig(**base, **{field: value})
+
+
+def test_run_scaling_builds_each_family_once_per_T(monkeypatch):
+    build = experiments.build_full_walsh_family
+    calls = {"cells": 0, "all": 0}
+    in_cell = []
+
+    def counted(*args, **kwargs):
+        calls["all"] += 1
+        calls["cells"] += bool(in_cell)
+        return build(*args, **kwargs)
+
+    replicate = experiments.run_replicate
+
+    def cell(config, T, rep):
+        in_cell.append(T)
+        try:
+            return replicate(config, T, rep)
+        finally:
+            in_cell.pop()
+
+    monkeypatch.setattr(experiments, "build_full_walsh_family", counted)
+    monkeypatch.setattr(experiments, "run_replicate", cell)
+    cfg = ExperimentConfig(
+        env="rademacher", forecaster="rounded_honest", groups="full_walsh", T_list=(256, 512), replicates=3, seed=5
+    )
+    assert calls == {"cells": 0, "all": 2}
+    run_scaling(cfg)
+    assert calls == {"cells": 0, "all": 2}
 
 
 @pytest.mark.parametrize("bad", [[(2, 3)], [(2, 3), (0, 7)]])
