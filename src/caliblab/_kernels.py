@@ -118,9 +118,13 @@ def _bucketing_fixed(signs, n_pool):
     lengths = (horizon - np.arange(pool) + pool - 1) // pool
     sum_abs = np.abs(walk[:, -1, :]).sum(axis=1, dtype=np.int64)
     # steps taken from a zero bucket sum: the first step plus every step
-    # following an interior return to zero (rows below len_b - 1)
-    interior = np.arange(rows)[:, None] < (lengths - 1)
-    l_eps = pool + ((walk == 0) & interior).sum(axis=(1, 2), dtype=np.int64)
+    # following an interior return to zero, on rows below len_b - 1: every
+    # row below rows - 2, and row rows - 2 of the buckets of full length;
+    # the counts stay below L, and int32 sums take a third of int64's time
+    zeros = (walk[:, : max(rows - 2, 0)] == 0).sum(axis=(1, 2), dtype=np.int32)
+    if rows >= 2:
+        zeros += (walk[:, rows - 2, : horizon - (rows - 1) * pool] == 0).sum(axis=1, dtype=np.int32)
+    l_eps = pool + zeros.astype(np.int64)
     sum_sqrt = np.full(reps, np.sqrt(lengths).cumsum()[-1])
     return sum_abs, sum_sqrt, l_eps
 

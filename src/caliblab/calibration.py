@@ -23,6 +23,22 @@ Err numerators and difference-of-two checks are (K, L) arrays computed
 from the per-block transform of the residual, and a ledger reports one
 float64 error vector in ``family.ids()`` order.
 
+Runs whose outcomes are linear in a heads sequence, y = y0 + step heads,
+and whose predictions and direct group weights repeat with the context
+period (the round-robin environments under an oblivious forecaster) have
+a ``RunSkeleton``: the run at heads = 0 reduced to per-column bucket and
+weight arrays, its biases and residual sums, and, with a layout, each
+round's residual and its slot in the block transform.  A ``SkeletonRun``
+(the skeleton plus one draw's heads) forms each direct bias and residual
+sum as its value at heads = 0 minus step times the same sum over the
+heads, counted per context column and mapped to buckets through the
+weights; for the layout, the rounds' residuals (at heads = 0, minus step
+times the head) go through one FWHT over the stacked rows of every
+(block, bucket) pair, split into runs of blocks of at most
+``STACK_ENTRIES`` entries.  ``accumulate_run`` and ``check_telescoping``
+read either kind of run; ``ScaledRun.build`` stays the general path and
+the reference the skeleton is tested against.
+
 Each pathwise inequality yields one ``CheckSummary`` per run, however
 many comparisons it makes: their count, the number that fail, the exact
 tightest slack (a ``Fraction`` for the integer and rational checks) and
@@ -35,7 +51,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -109,20 +125,17 @@ def _check_unit_interval(value: Fraction, what: str) -> Fraction:
 
 @dataclass
 class CalibrationReport:
-    """Per-group Err and their maximum; argmax ties break on group id."""
+    """Per-group Err and their maximum."""
 
     err: dict
     mcerr: float
-    argmax_group: Optional[str]
 
     @classmethod
     def from_vector(cls, ids: list, err: np.ndarray) -> "CalibrationReport":
         """Report of the float64 errors ``err[i]`` of groups ``ids[i]``."""
         if not ids:
-            return cls(err={}, mcerr=0.0, argmax_group=None)
-        mcerr = err.max()
-        best = min(ids[i] for i in np.flatnonzero(err == mcerr).tolist())
-        return cls(err=dict(zip(ids, err.tolist())), mcerr=float(mcerr), argmax_group=best)
+            return cls(err={}, mcerr=0.0)
+        return cls(err=dict(zip(ids, err.tolist())), mcerr=float(err.max()))
 
     @classmethod
     def from_err(cls, err: dict) -> "CalibrationReport":
@@ -267,6 +280,16 @@ class ScaledRun:
         np.add.at(out, idx, values)
         return out
 
+    def direct_biases(self, family: GroupFamily) -> dict:
+        """Group id -> int64 bias w (p - y) per bucket, for the family's direct groups."""
+        return {g.id: self.bucket_sums(self.resid * g.weights(self)) for g in family.groups}
+
+    def resid_bucket_sums(self) -> np.ndarray:
+        return self.bucket_sums(self.resid)
+
+    def resid_total(self) -> int:
+        return int(self.resid.sum())
+
     def resid_coefficients(self, layout: BlockLayout) -> dict:
         """``_block_coefficients`` of the residual p - y, memoised per layout."""
         if layout not in self._resid_coeffs:
@@ -278,6 +301,8 @@ class ScaledRun:
 class RunLedger:
     """Exact per-(group, bucket) biases for one run, vectorized.
 
+    ``scaled`` is the run: a ``ScaledRun``, or a ``SkeletonRun`` (one
+    outcome draw on a ``RunSkeleton``), which has no per-round arrays.
     Direct groups carry an int64 bias vector over the realized buckets
     (numerators over ``scale``).  The family's block half-groups are
     evaluated through the transform into (K, L) arrays at [a - 1, j]: the
@@ -319,15 +344,17 @@ class RunLedger:
         return CalibrationReport.from_vector(self.family.ids(), self.err_vector())
 
     def telescoped(self) -> Fraction:
-        return Fraction(int(self.scaled.resid.sum()), self.scale)
+        return Fraction(self.scaled.resid_total(), self.scale)
 
 
-def accumulate_run(run: ScaledRun, family: GroupFamily) -> RunLedger:
+def accumulate_run(run, family: GroupFamily) -> RunLedger:
     """Post-hoc exact accumulation of a whole run against a family.
 
-    ``run`` must be built with the family's ``required_denominators()``.
+    ``run`` is a ``ScaledRun`` built with the family's
+    ``required_denominators()``, or a ``SkeletonRun`` of a skeleton built
+    for this family.
     """
-    bias = {g.id: run.bucket_sums(run.resid * g.weights(run)) for g in family.groups}
+    bias = run.direct_biases(family)
     lay = family.layout
     if lay is None:
         return RunLedger(family=family, scaled=run, bias=bias)
@@ -362,6 +389,167 @@ def _block_coefficients(run: ScaledRun, layout: BlockLayout, values: np.ndarray)
         rows[pos, np.arange(hi - lo)] = values[lo:hi]
         out[a] = (present, fwht(rows))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Run skeletons: the outcome-free half of a run
+# ---------------------------------------------------------------------------
+
+# entries of the stacked (block, bucket) rows that one transform takes:
+# 32 MiB of int64, and the transform's two buffers as much again each
+STACK_ENTRIES = 1 << 22
+
+
+def _repeats(a: np.ndarray, n: int) -> bool:
+    """Whether a[t] == a[t % n] for every t."""
+    full = len(a) - len(a) % n
+    if not full:
+        return True
+    return bool((a[:full].reshape(-1, n) == a[:n]).all()) and np.array_equal(a[full:], a[: len(a) - full])
+
+
+@dataclass(frozen=True, eq=False)
+class RunSkeleton:
+    """The outcome-free half of every run on one family whose outcomes are
+    linear in a heads sequence, y = y0 + step heads, and whose predictions
+    and direct group weights repeat with the context period n.
+
+    It is built once from the ``ScaledRun`` at heads = 0 and keeps only
+    compact arrays: per context column j < n the bucket (``onehot[j]``, a
+    zero row for a column never shown) and each direct group's weight;
+    the direct biases, the residual bucket sums and the residual total at
+    heads = 0; and, with a layout, the residual of each round t < T' at
+    heads = 0 and its slot in the (block, bucket) rows of the block
+    transform, stacked over runs of consecutive blocks (``chunks``) of at
+    most ``STACK_ENTRIES`` entries each, or of one block if it alone has
+    more, so one transform's buffers stay bounded at large T.  ``step``
+    is over ``scale``.
+    Every outcome sum of a draw is its value at heads = 0 minus ``step``
+    times the same sum over the heads (``SkeletonRun``).
+    """
+
+    family: GroupFamily
+    T: int
+    period: int
+    scale: int
+    step: int
+    bucket_scaled: np.ndarray
+    onehot: np.ndarray  # (period, buckets) int64
+    weights: np.ndarray  # (direct groups, period) int64, 0 or 1
+    bias0: np.ndarray  # (direct groups, buckets) int64
+    resid0: np.ndarray  # (buckets,) int64
+    total0: int
+    blocks: tuple = ()  # per block: (present buckets, first row in its chunk)
+    chunks: tuple = ()  # per chunk: (first block, end block, stacked rows), blocks 0-based
+    slots: Optional[np.ndarray] = None  # (T',) flat slot of round t in its chunk's rows
+    resid_rounds0: Optional[np.ndarray] = None  # (T',) int64 residual per round at heads = 0
+
+    @classmethod
+    def build(cls, run0: ScaledRun, family: GroupFamily, period: int, step: int) -> "RunSkeleton":
+        """Skeleton of ``run0``, the run at heads = 0; ``step`` is the outcome
+        step over ``run0.traj.den``.  Raises ``ValueError`` unless the
+        bucket index and every direct group weight repeat with ``period``."""
+        T, cols = run0.T, min(period, run0.T)
+        if not _repeats(run0.bucket_idx, period):
+            raise ValueError(f"predictions do not repeat with the context period {period}")
+        onehot = np.zeros((period, len(run0.bucket_scaled)), dtype=np.int64)
+        onehot[np.arange(cols), run0.bucket_idx[:cols]] = 1
+        weights = np.zeros((len(family.groups), period), dtype=np.int64)
+        for row, g in zip(weights, family.groups):
+            w = g.weights(run0)
+            if not _repeats(w, period):
+                raise ValueError(f"weights of group {g.id} do not repeat with the context period {period}")
+            row[:cols] = w[:cols]
+        bias0 = np.array([*run0.direct_biases(family).values()], dtype=np.int64).reshape(-1, len(run0.bucket_scaled))
+        lay, extra = family.layout, {}
+        if lay is not None:
+            blocks, chunks, slots, start, first = [], [], [], 0, 0
+            for a in range(lay.K):
+                local = run0.bucket_idx[a * lay.L : (a + 1) * lay.L]
+                present = np.unique(local)
+                if a > first and (start + len(present)) * lay.L > STACK_ENTRIES:
+                    chunks.append((first, a, start))
+                    first, start = a, 0
+                slots.append((start + np.searchsorted(present, local)) * lay.L + np.arange(lay.L))
+                blocks.append((present, start))
+                start += len(present)
+            chunks.append((first, lay.K, start))
+            extra = dict(
+                blocks=tuple(blocks), chunks=tuple(chunks), slots=np.concatenate(slots),
+                resid_rounds0=run0.resid[: lay.T_prime].copy(),
+            )
+        step_scaled = step * (run0.scale // run0.traj.den)
+        return cls(
+            family, T, period, run0.scale, step_scaled, run0.bucket_scaled, onehot, weights, bias0,
+            run0.resid_bucket_sums(), run0.resid_total(), **extra,
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class SkeletonRun:
+    """One outcome draw on a ``RunSkeleton``: the run's heads (bool, T),
+    and the sums ``accumulate_run`` and ``check_telescoping`` read, formed
+    from them.  The direct biases take the heads per context column
+    through each group's weights and the column-to-bucket map; the layout
+    takes one FWHT of the residual rows of every (block, bucket) pair in
+    each of the skeleton's chunks."""
+
+    skeleton: RunSkeleton
+    heads: np.ndarray
+
+    T = property(lambda self: self.skeleton.T)
+    scale = property(lambda self: self.skeleton.scale)
+    bucket_scaled = property(lambda self: self.skeleton.bucket_scaled)
+
+    @cached_property
+    def column_heads(self) -> np.ndarray:
+        """Heads per context column j: over the rounds t with t % period == j."""
+        n, T = self.skeleton.period, self.T
+        full = T - T % n
+        out = np.count_nonzero(self.heads[:full].reshape(-1, n), axis=0)
+        out[: T - full] += self.heads[full:]
+        return out
+
+    def direct_biases(self, family: GroupFamily) -> dict:
+        sk = self.skeleton
+        if family is not sk.family:
+            raise ValueError("the skeleton was built for another family")
+        bias = sk.bias0 - sk.step * ((sk.weights * self.column_heads) @ sk.onehot)
+        return dict(zip((g.id for g in family.groups), bias))
+
+    def resid_bucket_sums(self) -> np.ndarray:
+        return self.skeleton.resid0 - self.skeleton.step * (self.column_heads @ self.skeleton.onehot)
+
+    def resid_total(self) -> int:
+        return self.skeleton.total0 - self.skeleton.step * int(np.count_nonzero(self.heads))
+
+    def resid_coefficients(self, layout: BlockLayout) -> dict:
+        """``_block_coefficients`` of the residual, one transform per chunk of blocks."""
+        sk, L = self.skeleton, layout.L
+        if layout != sk.family.layout:
+            raise ValueError("the skeleton was built for another layout")
+        resid = sk.resid_rounds0 - self.heads[: layout.T_prime] * np.int64(sk.step)
+        out = {}
+        for lo, hi, n_rows in sk.chunks:
+            rows = np.zeros(n_rows * L, dtype=np.int64)
+            rows[sk.slots[lo * L : hi * L]] = resid[lo * L : hi * L]
+            coeffs = fwht(rows.reshape(n_rows, L))
+            for a in range(lo, hi):
+                present, start = sk.blocks[a]
+                out[a + 1] = (present, coeffs[start : start + len(present)])
+        return out
+
+    def deviation_stats(self, stats0: DeviationStats) -> DeviationStats:
+        """This draw's statistics from ``stats0``, those of the run at
+        heads = 0 over all T rounds: only the noise sums N_x read outcomes.
+        Predictions repeat per column, so a column is eta-honest in every
+        round or in none, and ``honest_counts`` marks the honest ones."""
+        if stats0.T_prime != self.T:
+            raise ValueError("skeleton statistics cover all T rounds")
+        if stats0.N_x_num is None:
+            return stats0
+        honest = stats0.honest_counts > 0
+        return replace(stats0, N_x_num=stats0.N_x_num - self.skeleton.step * (honest * self.column_heads))
 
 
 # ---------------------------------------------------------------------------
@@ -601,8 +789,8 @@ def check_telescoping(ledger: RunLedger) -> CheckSummary:
     if "g_all" in ledger.bias:
         lhs = int(ledger.bias["g_all"].sum())
     else:
-        lhs = int(run.bucket_sums(run.resid).sum())
-    rhs = int(run.resid.sum())
+        lhs = int(run.resid_bucket_sums().sum())
+    rhs = run.resid_total()
     return CheckSummary.over(
         "telescoping", lhs, rhs, -abs(lhs - rhs), value=lambda v: Fraction(int(v), ledger.scale)
     )

@@ -159,38 +159,80 @@ def grid_bits(k: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(2 * v + 1, 2 * n) for v in range(n))
 
 
-def _round_robin_bernoulli(num: np.ndarray, den: int, T: int, rng: np.random.Generator):
-    """Round-robin grid indices, context numerators ``num[t % len(num)]`` and
-    Bernoulli(num / den) outcome numerators (den or 0) for T rounds.
+@dataclass(frozen=True, eq=False)
+class RoundRobin:
+    """The context half of a round-robin environment over T rounds.
 
-    The per-grid thresholds num / den are computed once and tiled, so each
-    draw is compared with the same float as ``x_num[t] / den``.
+    Round t shows grid point t % n, with context-mean numerator
+    ``num[t % n]`` over ``den``.  Its outcome numerator is
+    ``tails[t % n] + step * heads[t]``, heads drawn by ``draw``: every
+    outcome is linear in the heads.  Only per-grid-point arrays are kept.
     """
-    reps = -(-T // len(num))
-    idx = np.tile(np.arange(len(num), dtype=np.int64), reps)[:T]
-    x_num = np.tile(num, reps)[:T]
-    heads = rng.random(T) < np.tile(num / den, reps)[:T]
-    return idx, x_num, heads * np.int64(den)
+
+    kind: str
+    T: int
+    grid: tuple
+    num: np.ndarray
+    den: int
+    thresholds: np.ndarray  # P(heads) per grid point
+    tails: np.ndarray  # outcome numerator on tails, per grid point
+    step: int  # heads add step to the outcome numerator
+    params: dict
+    timed: bool = False
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        """The one outcome draw, for the samplers and the cell skeletons
+        alike: heads[t] is u_t < thresholds[t % n] for the T uniforms u_t
+        of ``rng.random(T)``, compared as a (T // n, n) block and a tail,
+        never with a tiled length-T copy of the thresholds."""
+        n, T = len(self.thresholds), self.T
+        u = rng.random(T)
+        full = T - T % n
+        heads = np.empty(T, dtype=bool)
+        np.less(u[:full].reshape(-1, n), self.thresholds, out=heads[:full].reshape(-1, n))
+        np.less(u[full:], self.thresholds[: T - full], out=heads[full:])
+        return heads
+
+    def trajectory(self, seed: int, stream: int, heads: np.ndarray) -> Trajectory:
+        n, T = len(self.num), self.T
+        reps, full = -(-T // n), T - T % n
+        y_num = heads * np.int64(self.step)
+        np.add(y_num[:full].reshape(-1, n), self.tails, out=y_num[:full].reshape(-1, n))
+        y_num[full:] += self.tails[: T - full]
+        return Trajectory(
+            env_kind=self.kind,
+            T=T,
+            seed=seed,
+            params={**self.params, "stream": stream},
+            grid=self.grid,
+            grid_idx=np.tile(np.arange(n, dtype=np.int64), reps)[:T],
+            x_num=np.tile(self.num, reps)[:T],
+            y_num=y_num,
+            den=self.den,
+            timed=self.timed,
+        )
+
+    def sample(self, seed: int, stream: int = 0) -> Trajectory:
+        return self.trajectory(seed, stream, self.draw(substream(seed, stream)))
+
+
+def _bernoulli_round_robin(grid: list, T: int, params: dict) -> RoundRobin:
+    """Bernoulli(x) outcomes (den on heads, 0 on tails) over an ascending rational grid."""
+    den = math.lcm(*(x.denominator for x in grid))
+    num = np.array([x.numerator * (den // x.denominator) for x in grid], dtype=np.int64)
+    return RoundRobin("bernoulli", T, tuple(grid), num, den, num / den, np.zeros_like(num), den, params)
+
+
+def bernoulli_contexts(T: int, m: int) -> RoundRobin:
+    """Round-robin contexts on the Section 3 grid of size m, Bernoulli(x^t) outcomes."""
+    if T < 1:
+        raise ValueError(f"T must be >= 1, got {T}")
+    return _bernoulli_round_robin(grid_section3(m), T, {"m": m})
 
 
 def sample_bernoulli_env(T: int, m: int, seed: int, stream: int = 0) -> Trajectory:
     """Round-robin grid contexts with independent Bernoulli(x^t) outcomes."""
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    grid = grid_section3(m)
-    num = np.array([f.numerator * (m // f.denominator) for f in grid], dtype=np.int64)
-    idx, x_num, y_num = _round_robin_bernoulli(num, m, T, substream(seed, stream))
-    return Trajectory(
-        env_kind="bernoulli",
-        T=T,
-        seed=seed,
-        params={"m": m, "stream": stream},
-        grid=tuple(grid),
-        grid_idx=idx,
-        x_num=x_num,
-        y_num=y_num,
-        den=m,
-    )
+    return bernoulli_contexts(T, m).sample(seed, stream)
 
 
 def sample_bernoulli_on_grid(grid, T: int, seed: int, stream: int = 0) -> Trajectory:
@@ -201,47 +243,27 @@ def sample_bernoulli_on_grid(grid, T: int, seed: int, stream: int = 0) -> Trajec
     if T < 1 or not grid:
         raise ValueError("need T >= 1 and a nonempty grid")
     grid = [Fraction(x) for x in grid]
-    den = math.lcm(*(x.denominator for x in grid))
-    num = np.array([x.numerator * (den // x.denominator) for x in grid], dtype=np.int64)
-    idx, x_num, y_num = _round_robin_bernoulli(num, den, T, substream(seed, stream))
-    return Trajectory(
-        env_kind="bernoulli",
-        T=T,
-        seed=seed,
-        params={"grid": tuple(str(x) for x in grid), "stream": stream},
-        grid=tuple(grid),
-        grid_idx=idx,
-        x_num=x_num,
-        y_num=y_num,
-        den=den,
-    )
+    env = _bernoulli_round_robin(grid, T, {"grid": tuple(str(x) for x in grid)})
+    return env.sample(seed, stream)
 
 
-def sample_rademacher_env(T: int, seed: int, m: Optional[int] = None, stream: int = 0) -> Trajectory:
-    """Time-augmented contexts with outcomes x^t +- 1/4 by fair signs."""
+def rademacher_contexts(T: int, m: Optional[int] = None) -> RoundRobin:
+    """Time-augmented contexts on the Section 4 grid, outcomes x^t -+ 1/4 by
+    fair signs: heads (u < 1/2) give x^t - 1/4, tails x^t + 1/4."""
     if T < 2:
         raise ValueError(f"T must be >= 2, got {T}")
     if m is None:
         m = section4_grid_count(T)
     grid = grid_section4(m)
-    den = 4 * (m - 1)
-    idx = np.arange(T, dtype=np.int64) % m
-    x_num = (m - 1) + 2 * idx
-    rng = substream(seed, stream)
-    xi = 1 - 2 * (rng.random(T) < 0.5)  # -1 on heads, +1 otherwise, int64
-    y_num = x_num + xi * (m - 1)  # +- 1/4 in units of 1/(4(m-1))
-    return Trajectory(
-        env_kind="rademacher",
-        T=T,
-        seed=seed,
-        params={"m": m, "stream": stream},
-        grid=tuple(grid),
-        grid_idx=idx,
-        x_num=x_num,
-        y_num=y_num,
-        den=den,
-        timed=True,
+    num = (m - 1) + 2 * np.arange(m, dtype=np.int64)  # over 4(m - 1)
+    return RoundRobin(
+        "rademacher", T, tuple(grid), num, 4 * (m - 1), np.full(m, 0.5), num + (m - 1), -2 * (m - 1), {"m": m}, timed=True
     )
+
+
+def sample_rademacher_env(T: int, seed: int, m: Optional[int] = None, stream: int = 0) -> Trajectory:
+    """Time-augmented contexts with outcomes x^t +- 1/4 by fair signs."""
+    return rademacher_contexts(T, m).sample(seed, stream)
 
 
 def sample_bit_env(T: int, k: int, seed: int, stream: int = 0) -> Trajectory:

@@ -5,6 +5,23 @@ An ``ExperimentConfig`` resolves each T once, at construction, into a
 ``CellPlan`` (m, eta, family and layout, forecaster factory) that the
 cells, the family CSV, the manifest and the reduction runner all read.
 
+The hard instances are oblivious: on the Bernoulli and signed-noise
+grids the contexts are a round robin fixed in advance and only the
+outcomes are random.  When the forecaster is oblivious too (its
+predictions read only the context means: honest, rounded_honest,
+overshoot, constant), the first cell at a T builds the plan's
+``CellSkeleton``, the outcome-free half of every cell at that T: the
+``calibration.RunSkeleton`` of the run at heads = 0, the deviation
+statistics and the checks that read no outcome.  Each replicate then
+makes the same outcome draw on the same stream as the sampler
+(``RoundRobin.draw``) and forms only the sums that read it, so every
+result is the one ``general_replicate`` (sample, forecast,
+``ScaledRun.build``, accumulate, check) returns; a differential test
+holds the two paths equal.  The bit environment, the outcome-reading
+forecasters and the bound runners take the general path.  Skeletons are
+built on first use, never when a config is resolved, and a pool worker
+builds each one-T config (plan and skeleton) once for all its batches.
+
 Every (T, replicate) cell derives its own Philox streams from the master
 seed, so results are independent of scheduling order; aggregation is a
 deterministic fold in (T, replicate) order.  Reruns with the same config
@@ -27,14 +44,18 @@ import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
 
 from .calibration import (
+    DeviationStats,
     Predictions,
+    RunSkeleton,
     ScaledRun,
+    SkeletonRun,
     accumulate_run,
     block_decompose,
     check_bias_averaging,
@@ -52,10 +73,13 @@ from .calibration import (
     miss_count,
 )
 from .environments import (
+    RoundRobin,
     Trajectory,
+    bernoulli_contexts,
     grid_bits,
     grid_section3,
     grid_section4,
+    rademacher_contexts,
     sample_bernoulli_env,
     sample_bit_env,
     sample_rademacher_env,
@@ -171,11 +195,14 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class CellPlan:
-    """What every cell at one T runs with: the grid size m, eta (None unless
-    the family or a ``2eta`` offset takes it), the group family with its
-    block layout (``family.layout``, None without blocks) and the
-    forecaster factory."""
+    """What every cell at one T runs with: the environment kind, T, the grid
+    size m, eta (None unless the family or a ``2eta`` offset takes it), the
+    group family with its block layout (``family.layout``, None without
+    blocks) and the forecaster factory.  ``skeleton`` builds the cells'
+    outcome-free half on first use."""
 
+    env: str
+    T: int
     m: int
     eta: Optional[Fraction]
     family: GroupFamily
@@ -190,14 +217,22 @@ class CellPlan:
             out.update(K=self.family.layout.K, L=self.family.layout.L)
         return out
 
+    @cached_property
+    def skeleton(self) -> Optional["CellSkeleton"]:
+        """The ``CellSkeleton`` of these cells, built on first access; None
+        when they take the general path (``general_replicate``)."""
+        return CellSkeleton.build(self)
+
 
 @dataclass(frozen=True)
 class EnvKind:
-    """An environment: its default grid size at T, grid for size m and sampler."""
+    """An environment: its default grid size at T, grid for size m and
+    sampler, and for a round-robin environment its contexts at (T, m)."""
 
     grid_count: Callable[[int], int]
     grid: Callable[[ExperimentConfig, int], tuple]
     sample: Callable[[ExperimentConfig, int, int, int], Trajectory]
+    contexts: Optional[Callable[[int, int], RoundRobin]] = None
 
 
 # entries call samplers and family builders by this module's global names
@@ -207,11 +242,13 @@ ENVS = {
         grid_count=section3_grid_count,
         grid=lambda config, m: tuple(grid_section3(m)),
         sample=lambda config, T, m, stream: sample_bernoulli_env(T, m, config.seed, stream=stream),
+        contexts=lambda T, m: bernoulli_contexts(T, m),
     ),
     "rademacher": EnvKind(
         grid_count=section4_grid_count,
         grid=lambda config, m: tuple(grid_section4(m)),
         sample=lambda config, T, m, stream: sample_rademacher_env(T, config.seed, m=m, stream=stream),
+        contexts=lambda T, m: rademacher_contexts(T, m),
     ),
     "bits": EnvKind(
         grid_count=section4_grid_count,
@@ -305,42 +342,104 @@ def _plan(config: ExperimentConfig, T: int) -> CellPlan:
             names += ("oracle", "m_copies", "update")
         given = "".join(f", forecaster.{n}={getattr(config, n)}" for n in names if getattr(config, n) is not None)
         raise ValueError(f"forecaster.id={config.forecaster}{given}: {exc}") from None
-    return CellPlan(m, eta, family, forecaster)
+    return CellPlan(config.env, T, m, eta, family, forecaster)
 
 
 def _cell_stream(T: int, rep: int) -> int:
     return (T << 24) + rep
 
 
+@dataclass(frozen=True, eq=False)
+class CellSkeleton:
+    """The outcome-free half of every cell at one T of a plan whose
+    environment is a round robin and whose forecaster is oblivious.
+
+    Contexts, predictions, the scale, the buckets, the direct group weights
+    and the deviation statistics are the same in every replicate; only
+    the heads differ.  The skeleton holds the contexts (``env``), the
+    ``RunSkeleton`` of the run at heads = 0, the eta statistics at
+    heads = 0 (None without the threshold trio), and the checks and
+    extras that read no outcome.
+    """
+
+    env: RoundRobin
+    run: RunSkeleton
+    stats: Optional[DeviationStats]
+    checks: list
+    extras: dict
+
+    @classmethod
+    def build(cls, plan: CellPlan) -> Optional["CellSkeleton"]:
+        contexts = ENVS[plan.env].contexts
+        forecaster = plan.forecaster()
+        if contexts is None or not forecaster.oblivious:
+            return None
+        env = contexts(plan.T, plan.m)
+        # the run at heads = 0; its seed and stream are labels only
+        traj = env.trajectory(0, 0, np.zeros(plan.T, dtype=bool))
+        run = ScaledRun.build(traj, run_forecaster(traj, forecaster), *plan.family.required_denominators())
+        checks, extras, stats = _outcome_free(plan, run)
+        skeleton = RunSkeleton.build(run, plan.family, len(env.grid), env.step)
+        return cls(env, skeleton, stats, checks, extras)
+
+
 def run_replicate(config: ExperimentConfig, T: int, rep: int) -> dict:
-    """One (T, replicate) cell of the plan at T: sample, forecast, accumulate, check."""
+    """One (T, replicate) cell of the plan at T.  With a skeleton it draws
+    the outcomes on the cell's stream and forms only the sums that read
+    them; otherwise it is ``general_replicate``."""
     plan = config.plans[T]
-    m, eta, family, layout = plan.m, plan.eta, plan.family, plan.family.layout
+    skeleton = plan.skeleton
+    if skeleton is None:
+        return general_replicate(config, T, rep)
+    run = SkeletonRun(skeleton.run, skeleton.env.draw(substream(config.seed, _cell_stream(T, rep))))
+    stats = None if skeleton.stats is None else run.deviation_stats(skeleton.stats)
+    return _cell_result(plan, run, skeleton.checks, skeleton.extras, stats)
+
+
+def general_replicate(config: ExperimentConfig, T: int, rep: int) -> dict:
+    """One (T, replicate) cell through ``ScaledRun.build``: sample, forecast,
+    accumulate, check.  Every plan can run it; for a plan with a skeleton
+    it is the reference ``run_replicate`` must equal."""
+    plan = config.plans[T]
     stream = _cell_stream(T, rep)
-    traj = ENVS[config.env].sample(config, T, m, stream)
+    traj = ENVS[config.env].sample(config, T, plan.m, stream)
     rng = substream(config.seed, stream | _FORECASTER_STREAM_BIT)
     pred = run_forecaster(traj, plan.forecaster(), rng)
+    run = ScaledRun.build(traj, pred, *plan.family.required_denominators())
+    return _cell_result(plan, run, *_outcome_free(plan, run))
 
-    run = ScaledRun.build(traj, pred, *family.required_denominators())
-    ledger = accumulate_run(run, family)
-    report = ledger.report()
-    out = {"mcerr": report.mcerr, "err": report.err, "extras": {}}
-    checks = [check_telescoping(ledger), check_diff_two(ledger)]
-    if family.kind == "pred_threshold":
-        stats = deviation_stats(run, eta=eta)
-        checks.append(check_g4_context_decomp(ledger, stats, eta, m))
-        out["extras"]["sum_abs_nx"] = float(np.abs(stats.N_x_num).sum()) / stats.scale
-    if config.env == "rademacher":
+
+def _outcome_free(plan: CellPlan, run: ScaledRun) -> tuple[list, dict, Optional[DeviationStats]]:
+    """The checks and extras of a cell that read no outcome: the signed-noise
+    grid's deviation statistics and block bias side.  Also the eta
+    statistics the context decomposition reads (None without the threshold
+    trio), whose N_x alone reads outcomes."""
+    m, layout = plan.m, plan.family.layout
+    eta_stats = deviation_stats(run, eta=plan.eta) if plan.family.kind == "pred_threshold" else None
+    checks, extras = [], {}
+    if plan.env == "rademacher":
         stats = deviation_stats(run, layout=layout)
-        checks.append(check_l1_quantization(stats, m))
-        checks.append(check_n_from_a(stats, m))
-        out["extras"]["A"] = float(stats.A)
+        checks += [check_l1_quantization(stats, m), check_n_from_a(stats, m)]
+        extras["A"] = float(stats.A)
         if layout is not None:
             checks.extend(check_block_mass(stats))
             decomp = block_decompose(run, layout)
-            checks.append(check_block_parseval(decomp, stats))
-            checks.append(check_bias_averaging(decomp, stats))
-    if config.env == "bits":
+            checks += [check_block_parseval(decomp, stats), check_bias_averaging(decomp, stats)]
+    return checks, extras, eta_stats
+
+
+def _cell_result(plan: CellPlan, run, free_checks: list, free_extras: dict, eta_stats) -> dict:
+    """Accumulate the run, check it and report: err, mcerr, extras, violations, min slack."""
+    ledger = accumulate_run(run, plan.family)
+    report = ledger.report()
+    out = {"mcerr": report.mcerr, "err": report.err, "extras": {}}
+    checks = [check_telescoping(ledger), check_diff_two(ledger)]
+    if eta_stats is not None:
+        checks.append(check_g4_context_decomp(ledger, eta_stats, plan.eta, plan.m))
+        out["extras"]["sum_abs_nx"] = float(np.abs(eta_stats.N_x_num).sum()) / eta_stats.scale
+    checks += free_checks
+    out["extras"].update(free_extras)
+    if plan.env == "bits":
         checks.extend(check_bits_mse(run, report))
         out["extras"]["sq_loss"] = run.sq_loss
         out["extras"]["misses"] = float(miss_count(run))
@@ -362,10 +461,17 @@ def _run_cells(config: ExperimentConfig, T: int, lo: int, hi: int) -> list:
     return out
 
 
+@lru_cache(maxsize=16)
+def _worker_config(items: tuple, T: int) -> ExperimentConfig:
+    """The config that plans only T, built once per (config items, T) for
+    the worker's lifetime, so its plan and skeleton serve every batch."""
+    return ExperimentConfig(**{**dict(items), "T_list": (T,)})
+
+
 def _scaling_batch(args) -> list:
     """A worker's batch: cells lo..hi-1 at T, under a config that plans only its own T."""
-    config_dict, T, lo, hi = args
-    return _run_cells(ExperimentConfig(**{**config_dict, "T_list": (T,)}), T, lo, hi)
+    items, T, lo, hi = args
+    return _run_cells(_worker_config(items, T), T, lo, hi)
 
 
 @dataclass
@@ -405,9 +511,9 @@ def run_scaling(config: ExperimentConfig) -> ScalingResult:
         (T, lo, min(lo + batch, config.replicates)) for T in config.T_list for lo in range(0, config.replicates, batch)
     ]
     if config.workers > 1:
-        cd = asdict(config)
+        items = tuple(asdict(config).items())
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            chunks = list(pool.map(_scaling_batch, [(cd, *span) for span in spans]))
+            chunks = list(pool.map(_scaling_batch, [(items, *span) for span in spans]))
     else:
         chunks = [_run_cells(config, *span) for span in spans]
     cells = sorted(
@@ -710,7 +816,7 @@ def run_identity_suite(
     """Zero-tolerance identity checks; measured values are violation counts."""
     from .calibration import BiasLedger
     from .groups import ConstantGroup
-    from .orthogonal import fwht, threshold_l1_bound, threshold_l1_mass, threshold_signs, trailing_zeros
+    from .orthogonal import fwht, threshold_l1_bound, threshold_signs, trailing_zeros
 
     records = []
 
@@ -732,14 +838,18 @@ def run_identity_suite(
         bad += walsh_prefix_violations(n, bounds)
     records.append(BoundRecord("identity_walsh_prefix", float(bad), 0.0, "le"))
 
+    # one transform per rank block serves the reconstruction and the L1
+    # column max, as in threshold_l1_mass
     bad = 0
     for m in _powers_of_two(2, expansion_max):
+        col_max = np.zeros(m)
         for lo in range(0, m + 1, BLOCK_ROWS):
             signs = np.stack([threshold_signs(m, r) for r in range(lo, min(lo + BLOCK_ROWS, m + 1))])
             table = fwht(signs) / m
             recon = fwht(np.rint(table * m).astype(np.int64)) // m
             bad += int(np.count_nonzero(recon != signs))
-        if threshold_l1_mass(m) > threshold_l1_bound(m) + 1e-12:
+            np.maximum(col_max, np.abs(table).max(axis=0), out=col_max)
+        if float(col_max.sum()) > threshold_l1_bound(m) + 1e-12:
             bad += 1
     records.append(BoundRecord("identity_threshold_expansion", float(bad), 0.0, "le"))
 

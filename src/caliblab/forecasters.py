@@ -98,6 +98,9 @@ class Forecaster:
     deterministic = False
     context_blind = False
     stateless = False
+    # predict_all reads only the context means (traj.x_num, traj.den, T),
+    # never the outcomes or the rng: equal means give equal predictions
+    oblivious = False
 
     def propose(self, ctx: ContextRecord, history: HistoryView) -> PredictionDistribution:
         raise NotImplementedError
@@ -115,6 +118,7 @@ class HonestForecaster(Forecaster):
 
     id = "honest"
     deterministic = True
+    oblivious = True
 
     def propose(self, ctx, history):
         return PredictionDistribution.point_mass(ctx.label_mean())
@@ -132,6 +136,7 @@ class RoundedHonestForecaster(Forecaster):
     """Honest mean rounded to the nearest multiple of 1/Q (half up)."""
 
     deterministic = True
+    oblivious = True
 
     def __init__(self, q: int):
         if q < 1:
@@ -154,6 +159,7 @@ class OffsetForecaster(Forecaster):
     """Always predicts the honest mean plus a fixed rational offset."""
 
     deterministic = True
+    oblivious = True
 
     def __init__(self, offset: Fraction):
         self.offset = Fraction(offset)
@@ -174,6 +180,7 @@ class ConstantForecaster(Forecaster):
     """Consolidates everything onto one prediction value."""
 
     deterministic = True
+    oblivious = True
 
     def __init__(self, value: Fraction = Fraction(1, 2)):
         self.value = Fraction(value)

@@ -96,11 +96,6 @@ def test_empty_report():
     assert rep.mcerr == 0.0
 
 
-def test_report_tiebreak_lexicographic():
-    rep = CalibrationReport.from_err({"b": 1.0, "a": 1.0, "c": 0.5})
-    assert rep.argmax_group == "a"
-
-
 def test_honest_err_g1_g2_zero_exact():
     traj = sample_bernoulli_env(T=4000, m=10, seed=3)
     eta = default_eta(10, 4000)
@@ -112,7 +107,6 @@ def test_honest_err_g1_g2_zero_exact():
     rep = run.report()
     assert rep.err[g1] == 0.0 and rep.err[g2] == 0.0
     assert rep.mcerr == rep.err[g3] > 0
-    assert rep.argmax_group == g3
 
 
 def test_streaming_matches_vectorized():
@@ -515,14 +509,14 @@ def test_bits_mse_checks():
     assert penalty.ok and penalty.min_slack == Fraction(9, 16) - Fraction(1, 16)
 
 
-def test_vector_report_breaks_ties_on_the_smallest_id():
+def test_vector_report_keeps_family_order():
     ids = ["wal+/2", "had-/1/0", "g_all", "had+/1/0"]
     errs = [0.5, 0.75, 0.25, 0.75]
     rep = CalibrationReport.from_vector(ids, np.array(errs))
-    # the first tied index is had-/1/0, the smallest tied id had+/1/0
-    assert (rep.mcerr, rep.argmax_group) == (0.75, "had+/1/0")
+    assert rep.mcerr == 0.75
     assert list(rep.err.items()) == list(zip(ids, errs))
-    assert CalibrationReport.from_vector([], np.zeros(0)).argmax_group is None
+    empty = CalibrationReport.from_vector([], np.zeros(0))
+    assert (empty.err, empty.mcerr) == ({}, 0.0)
 
 
 def test_report_csv(tmp_path):

@@ -1,10 +1,14 @@
 import math
+import re
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from caliblab import experiments
+from caliblab import calibration, experiments
 from caliblab.calibration import check_diff_two
 from caliblab.forecasters import PatternRouter
 from caliblab.experiments import (
@@ -82,23 +86,36 @@ def test_scaling_smoke_and_violations():
 
 
 def test_scaling_workers_deterministic():
-    base = dict(
-        env="bernoulli",
-        forecaster="rounded_honest",
-        groups="pred_threshold",
-        T_list=(1024,),
-        replicates=8,
-        seed=11,
-        Q=16,
-    )
-    serial = run_scaling(ExperimentConfig(**base, workers=1))
-    parallel = run_scaling(ExperimentConfig(**base, workers=2))
-    assert serial.rows[0].mean_mcerr == parallel.rows[0].mean_mcerr
-    assert serial.rows[0].per_group_mean == parallel.rows[0].per_group_mean
+    bases = [
+        dict(env="bernoulli", forecaster="rounded_honest", groups="pred_threshold", T_list=(1024,), Q=16),
+        dict(env="rademacher", forecaster="rounded_honest", groups="full_walsh", T_list=(512,), Q=8),
+    ]
+    for base in bases:
+        serial = run_scaling(ExperimentConfig(**base, replicates=8, seed=11, workers=1))
+        parallel = run_scaling(ExperimentConfig(**base, replicates=8, seed=11, workers=2))
+        # whole rows: means, argmax, per-group means, violations, min slack, extras
+        assert serial.rows == parallel.rows
+
+
+def test_scaling_batches_build_one_plan_per_T(monkeypatch):
+    plan, build = experiments._plan, experiments.CellSkeleton.build
+    plans, skeletons = [], []
+    monkeypatch.setattr(experiments, "_plan", lambda config, T: plans.append(T) or plan(config, T))
+    monkeypatch.setattr(experiments.CellSkeleton, "build", staticmethod(lambda p: skeletons.append(p.T) or build(p)))
+    cfg = ExperimentConfig(forecaster="honest", T_list=(256, 512), replicates=4, seed=3)
+    items = tuple(asdict(cfg).items())
+    experiments._worker_config.cache_clear()
+    try:
+        plans.clear()
+        batches = [experiments._scaling_batch((items, 512, lo, lo + 2)) for lo in (0, 2)]
+        assert plans == [512] and skeletons == [512]
+        assert batches[0] + batches[1] == experiments._run_cells(cfg, 512, 0, 4)
+    finally:
+        experiments._worker_config.cache_clear()
 
 
 def test_cell_failure_names_the_cell(monkeypatch):
-    sample = experiments.sample_bernoulli_env
+    sample, substream = experiments.sample_bernoulli_env, experiments.substream
     broken = experiments._cell_stream(64, 1)
 
     def sample_env(T, m, seed, stream):
@@ -106,12 +123,92 @@ def test_cell_failure_names_the_cell(monkeypatch):
             raise ValueError("sampler broke")
         return sample(T, m, seed, stream=stream)
 
-    # the ENVS entry looks the sampler up by its module-global name at call time
-    monkeypatch.setattr(experiments, "sample_bernoulli_env", sample_env)
-    cfg = ExperimentConfig(experiment_id="boom", T_list=(64,), replicates=3, seed=5)
-    with pytest.raises(ValueError) as info:
-        run_scaling(cfg)
-    assert str(info.value) == f"boom: cell T=64 rep=1 stream={broken}: sampler broke"
+    def outcome_stream(seed, stream=0):
+        if stream == broken:
+            raise ValueError("sampler broke")
+        return substream(seed, stream)
+
+    # the general path samples a trajectory, the skeleton path draws only the
+    # outcomes; each looks its function up by the module-global name at call time
+    for forecaster, name, broken_fn in (
+        ("uniform_random", "sample_bernoulli_env", sample_env),
+        ("honest", "substream", outcome_stream),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, name, broken_fn)
+            cfg = ExperimentConfig(experiment_id="boom", forecaster=forecaster, T_list=(64,), replicates=3, seed=5)
+            with pytest.raises(ValueError) as info:
+                run_scaling(cfg)
+        assert str(info.value) == f"boom: cell T=64 rep=1 stream={broken}: sampler broke"
+
+
+OBLIVIOUS = ("honest", "rounded_honest", "overshoot", "constant")
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_skeleton_cells_equal_the_general_path(data):
+    env = data.draw(st.sampled_from(("bernoulli", "rademacher")))
+    groups = data.draw(st.sampled_from(sorted(g for g, kind in experiments.FAMILIES.items() if env in kind.envs)))
+    forecaster = data.draw(st.sampled_from(OBLIVIOUS))
+    params = {
+        "honest": {},
+        "rounded_honest": {"Q": data.draw(st.integers(1, 24))},
+        "overshoot": {"offset": data.draw(st.sampled_from(("2eta", "1/16", "-1/8", "0")))},
+        "constant": {"value": data.draw(st.sampled_from(("0", "1/2", "3/7", "1")))},
+    }[forecaster]
+    low = 16 if groups in ("block_hadamard", "full_walsh") else 2
+    T = data.draw(st.one_of(st.integers(low, 64), st.integers(low, 4096)))
+    seed = data.draw(st.integers(0, 2**16))
+    try:
+        cfg = ExperimentConfig(env=env, forecaster=forecaster, groups=groups, T_list=(T,), replicates=2, seed=seed, **params)
+    except ValueError:  # too few grid points for the range pieces
+        assume(False)
+    try:
+        want = [experiments.general_replicate(cfg, T, rep) for rep in range(cfg.replicates)]
+    except ValueError as exc:  # an overshoot past 1: both paths refuse the cell alike
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            experiments.run_replicate(cfg, T, 0)
+        return
+    assert cfg.plans[T].skeleton is not None
+    assert [experiments.run_replicate(cfg, T, rep) for rep in range(cfg.replicates)] == want
+
+
+@pytest.mark.parametrize("entries, n_chunks", ((1, 11), (1200, 6), (1 << 22, 1)))
+def test_chunked_block_transforms_equal_the_general_path(monkeypatch, entries, n_chunks):
+    # T = 1024 has K = 11 blocks of L = 64 rounds and 8 buckets each (512
+    # entries): one block per transform, pairs of blocks, and all in one
+    monkeypatch.setattr(calibration, "STACK_ENTRIES", entries)
+    cfg = ExperimentConfig(env="rademacher", groups="full_walsh", T_list=(1024,), replicates=2, seed=11)
+    assert len(cfg.plans[1024].skeleton.run.chunks) == n_chunks
+    assert [experiments.run_replicate(cfg, 1024, rep) for rep in range(2)] == [
+        experiments.general_replicate(cfg, 1024, rep) for rep in range(2)
+    ]
+
+
+def test_only_round_robin_oblivious_plans_have_a_skeleton():
+    for env, forecaster, groups in (
+        ("bernoulli", "uniform_random", "pred_threshold"),
+        ("rademacher", "empirical_mean_bucket", "walsh"),
+        ("bernoulli", "proper_reduction", "grid_ranges"),
+        ("bits", "honest", "bits"),
+    ):
+        cfg = ExperimentConfig(env=env, forecaster=forecaster, groups=groups, T_list=(256,), replicates=2, seed=3)
+        assert cfg.plans[256].skeleton is None
+        assert experiments.run_replicate(cfg, 256, 1) == experiments.general_replicate(cfg, 256, 1)
+
+
+def test_scaling_argmax_breaks_ties_on_the_smallest_id(monkeypatch):
+    for err, best in (
+        ({"b": 1.0, "a": 1.0, "c": 0.5}, "a"),
+        # the first tied id in cell order is had-/1/0, the smallest had+/1/0
+        ({"wal+/2": 0.5, "had-/1/0": 0.75, "g_all": 0.25, "had+/1/0": 0.75}, "had+/1/0"),
+    ):
+        cell = {"mcerr": max(err.values()), "err": err, "extras": {}, "violations": [], "min_slack": {}}
+        monkeypatch.setattr(experiments, "run_replicate", lambda config, T, rep: cell)
+        row = run_scaling(ExperimentConfig(T_list=(64,), replicates=2)).rows[0]
+        assert row.argmax_group == best
+        assert row.per_group_mean == err
 
 
 # the Walsh halves index the signed-noise grid, and bit groups read a bit context
