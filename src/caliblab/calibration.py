@@ -23,21 +23,26 @@ Err numerators and difference-of-two checks are (K, L) arrays computed
 from the per-block transform of the residual, and a ledger reports one
 float64 error vector in ``family.ids()`` order.
 
+A layout's rounds are split into (block, bucket) rows once per run and
+layout: ``BlockRows``, which ``ScaledRun.block_rows`` memoises and the
+residual transform, the block decomposition and the per-block deviation
+statistics all read.  Its ``transform`` is the one Walsh transform of
+block rows: one FWHT per chunk of consecutive blocks of at most
+``STACK_ENTRIES`` entries.
+
 Runs whose outcomes are linear in a heads sequence, y = y0 + step heads,
 and whose predictions and direct group weights repeat with the context
 period (the round-robin environments under an oblivious forecaster) have
 a ``RunSkeleton``: the run at heads = 0 reduced to per-column bucket and
 weight arrays, its biases and residual sums, and, with a layout, each
-round's residual and its slot in the block transform.  A ``SkeletonRun``
+round's residual and the ``BlockRows`` of the run.  A ``SkeletonRun``
 (the skeleton plus one draw's heads) forms each direct bias and residual
 sum as its value at heads = 0 minus step times the same sum over the
 heads, counted per context column and mapped to buckets through the
 weights; for the layout, the rounds' residuals (at heads = 0, minus step
-times the head) go through one FWHT over the stacked rows of every
-(block, bucket) pair, split into runs of blocks of at most
-``STACK_ENTRIES`` entries.  ``accumulate_run`` and ``check_telescoping``
-read either kind of run; ``ScaledRun.build`` stays the general path and
-the reference the skeleton is tested against.
+times the head) go through ``BlockRows.transform``.  ``accumulate_run``
+and ``check_telescoping`` read either kind of run; ``ScaledRun.build``
+stays the general path and the reference the skeleton is tested against.
 
 Each pathwise inequality yields one ``CheckSummary`` per run, however
 many comparisons it makes: their count, the number that fail, the exact
@@ -49,7 +54,6 @@ covering the direct pairs and the (K, L) block pairs alike.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -141,13 +145,6 @@ class CalibrationReport:
     def from_err(cls, err: dict) -> "CalibrationReport":
         return cls.from_vector(list(err), np.array(list(err.values()), dtype=np.float64))
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["group_id", "err"])
-            for gid in sorted(self.err):
-                w.writerow([gid, format_float(self.err[gid])])
-
 
 def format_float(x: float) -> str:
     return f"{x:.17g}"
@@ -227,6 +224,7 @@ class ScaledRun:
     bucket_scaled: np.ndarray
     bucket_idx: np.ndarray
     bucket_counts: np.ndarray
+    _block_rows: dict = field(default_factory=dict, repr=False)
     _resid_coeffs: dict = field(default_factory=dict, repr=False)
 
     @classmethod
@@ -290,10 +288,16 @@ class ScaledRun:
     def resid_total(self) -> int:
         return int(self.resid.sum())
 
+    def block_rows(self, layout: BlockLayout) -> "BlockRows":
+        """The ``BlockRows`` of this run's buckets under ``layout``, memoised."""
+        if layout not in self._block_rows:
+            self._block_rows[layout] = BlockRows.build(self.bucket_idx, len(self.bucket_scaled), layout)
+        return self._block_rows[layout]
+
     def resid_coefficients(self, layout: BlockLayout) -> dict:
-        """``_block_coefficients`` of the residual p - y, memoised per layout."""
+        """Block transform of the residual p - y, memoised per layout."""
         if layout not in self._resid_coeffs:
-            self._resid_coeffs[layout] = _block_coefficients(self, layout, self.resid)
+            self._resid_coeffs[layout] = self.block_rows(layout).transform(self.resid)
         return self._resid_coeffs[layout]
 
 
@@ -367,37 +371,68 @@ def accumulate_run(run, family: GroupFamily) -> RunLedger:
     return RunLedger(family, run, bias, *block_abs)
 
 
-def _block_coefficients(run: ScaledRun, layout: BlockLayout, values: np.ndarray) -> dict:
-    """Per block: transform of the bucket-masked value rows.
-
-    Returns {a: (present_buckets, coeffs)} where coeffs[r, j] is the
-    transform coefficient <psi_j, block-a values restricted to bucket
-    present_buckets[r]>.  One transform per (block, realized bucket):
-    O(q_a L log L) per block.
-    """
-    out = {}
-    for a in range(1, layout.K + 1):
-        lo = (a - 1) * layout.L
-        hi = min(a * layout.L, run.T)
-        if lo >= hi:
-            out[a] = (np.zeros(0, dtype=np.int64), np.zeros((0, layout.L), dtype=np.int64))
-            continue
-        local_idx = run.bucket_idx[lo:hi]
-        present = np.unique(local_idx)
-        rows = np.zeros((len(present), layout.L), dtype=np.int64)
-        pos = np.searchsorted(present, local_idx)
-        rows[pos, np.arange(hi - lo)] = values[lo:hi]
-        out[a] = (present, fwht(rows))
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Run skeletons: the outcome-free half of a run
+# Block rows: one (block, bucket) split per run and layout
 # ---------------------------------------------------------------------------
 
 # entries of the stacked (block, bucket) rows that one transform takes:
 # 32 MiB of int64, and the transform's two buffers as much again each
 STACK_ENTRIES = 1 << 22
+
+
+@dataclass(frozen=True, eq=False)
+class BlockRows:
+    """The (block, bucket) split of a layout's T' = K L rounds: one row per
+    block and bucket realized in it, in block then bucket order.
+
+    Row r holds ``counts[r]`` rounds of bucket ``bucket[r]``; block a
+    (0-based) owns rows ``first[a]:first[a + 1]``; round t sits at the
+    flat entry ``slots[t]`` = row * L + t % L.  ``chunks`` runs consecutive
+    blocks [lo, hi) whose rows stack to at most ``STACK_ENTRIES`` entries,
+    or one block that alone has more, so one transform's buffers stay
+    bounded at large T.
+    """
+
+    L: int
+    bucket: np.ndarray
+    counts: np.ndarray
+    first: np.ndarray
+    slots: np.ndarray
+    chunks: tuple
+
+    @classmethod
+    def build(cls, bucket_idx: np.ndarray, n_buckets: int, layout: BlockLayout) -> "BlockRows":
+        K, L = layout.K, layout.L
+        code = np.repeat(np.arange(K), L) * n_buckets + bucket_idx[: K * L]
+        keys, row_of, counts = _bucket_index(code, K * n_buckets - 1)
+        first = np.searchsorted(keys, np.arange(K + 1) * n_buckets)
+        chunks, lo = [], 0
+        for a in range(1, K):
+            if (first[a + 1] - first[lo]) * L > STACK_ENTRIES:
+                chunks.append((lo, a))
+                lo = a
+        chunks.append((lo, K))
+        slots = row_of * L + np.tile(np.arange(L), K)
+        return cls(L, keys % n_buckets, counts, first, slots, tuple(chunks))
+
+    def transform(self, values: np.ndarray) -> dict:
+        """{a: (present buckets, coeffs)} for blocks a = 1..K, where
+        coeffs[r, j] = <psi_j, block-a ``values`` in bucket present[r]>: the
+        rows of ``values[:T']`` Walsh-transformed, one FWHT per chunk."""
+        L, first, out = self.L, self.first, {}
+        for lo, hi in self.chunks:
+            base = first[lo]
+            rows = np.zeros((first[hi] - base) * L, dtype=np.int64)
+            rows[self.slots[lo * L : hi * L] - base * L] = values[lo * L : hi * L]
+            coeffs = fwht(rows.reshape(-1, L))
+            for a in range(lo, hi):
+                out[a + 1] = (self.bucket[first[a] : first[a + 1]], coeffs[first[a] - base : first[a + 1] - base])
+        return out
+
+
+# ---------------------------------------------------------------------------
+# Run skeletons: the outcome-free half of a run
+# ---------------------------------------------------------------------------
 
 
 def _repeats(a: np.ndarray, n: int) -> bool:
@@ -419,11 +454,7 @@ class RunSkeleton:
     zero row for a column never shown) and each direct group's weight;
     the direct biases, the residual bucket sums and the residual total at
     heads = 0; and, with a layout, the residual of each round t < T' at
-    heads = 0 and its slot in the (block, bucket) rows of the block
-    transform, stacked over runs of consecutive blocks (``chunks``) of at
-    most ``STACK_ENTRIES`` entries each, or of one block if it alone has
-    more, so one transform's buffers stay bounded at large T.  ``step``
-    is over ``scale``.
+    heads = 0 and the run's ``BlockRows``.  ``step`` is over ``scale``.
     Every outcome sum of a draw is its value at heads = 0 minus ``step``
     times the same sum over the heads (``SkeletonRun``).
     """
@@ -439,9 +470,7 @@ class RunSkeleton:
     bias0: np.ndarray  # (direct groups, buckets) int64
     resid0: np.ndarray  # (buckets,) int64
     total0: int
-    blocks: tuple = ()  # per block: (present buckets, first row in its chunk)
-    chunks: tuple = ()  # per chunk: (first block, end block, stacked rows), blocks 0-based
-    slots: Optional[np.ndarray] = None  # (T',) flat slot of round t in its chunk's rows
+    rows: Optional[BlockRows] = None
     resid_rounds0: Optional[np.ndarray] = None  # (T',) int64 residual per round at heads = 0
 
     @classmethod
@@ -463,21 +492,7 @@ class RunSkeleton:
         bias0 = np.array([*run0.direct_biases(family).values()], dtype=np.int64).reshape(-1, len(run0.bucket_scaled))
         lay, extra = family.layout, {}
         if lay is not None:
-            blocks, chunks, slots, start, first = [], [], [], 0, 0
-            for a in range(lay.K):
-                local = run0.bucket_idx[a * lay.L : (a + 1) * lay.L]
-                present = np.unique(local)
-                if a > first and (start + len(present)) * lay.L > STACK_ENTRIES:
-                    chunks.append((first, a, start))
-                    first, start = a, 0
-                slots.append((start + np.searchsorted(present, local)) * lay.L + np.arange(lay.L))
-                blocks.append((present, start))
-                start += len(present)
-            chunks.append((first, lay.K, start))
-            extra = dict(
-                blocks=tuple(blocks), chunks=tuple(chunks), slots=np.concatenate(slots),
-                resid_rounds0=run0.resid[: lay.T_prime].copy(),
-            )
+            extra = dict(rows=run0.block_rows(lay), resid_rounds0=run0.resid[: lay.T_prime].copy())
         step_scaled = step * (run0.scale // run0.traj.den)
         return cls(
             family, T, period, run0.scale, step_scaled, run0.bucket_scaled, onehot, weights, bias0,
@@ -491,8 +506,7 @@ class SkeletonRun:
     and the sums ``accumulate_run`` and ``check_telescoping`` read, formed
     from them.  The direct biases take the heads per context column
     through each group's weights and the column-to-bucket map; the layout
-    takes one FWHT of the residual rows of every (block, bucket) pair in
-    each of the skeleton's chunks."""
+    takes the ``BlockRows.transform`` of the residual."""
 
     skeleton: RunSkeleton
     heads: np.ndarray
@@ -524,20 +538,11 @@ class SkeletonRun:
         return self.skeleton.total0 - self.skeleton.step * int(np.count_nonzero(self.heads))
 
     def resid_coefficients(self, layout: BlockLayout) -> dict:
-        """``_block_coefficients`` of the residual, one transform per chunk of blocks."""
-        sk, L = self.skeleton, layout.L
+        """Block transform of the residual."""
+        sk = self.skeleton
         if layout != sk.family.layout:
             raise ValueError("the skeleton was built for another layout")
-        resid = sk.resid_rounds0 - self.heads[: layout.T_prime] * np.int64(sk.step)
-        out = {}
-        for lo, hi, n_rows in sk.chunks:
-            rows = np.zeros(n_rows * L, dtype=np.int64)
-            rows[sk.slots[lo * L : hi * L]] = resid[lo * L : hi * L]
-            coeffs = fwht(rows.reshape(n_rows, L))
-            for a in range(lo, hi):
-                present, start = sk.blocks[a]
-                out[a + 1] = (present, coeffs[start : start + len(present)])
-        return out
+        return sk.rows.transform(sk.resid_rounds0 - self.heads[: layout.T_prime] * np.int64(sk.step))
 
     def deviation_stats(self, stats0: DeviationStats) -> DeviationStats:
         """This draw's statistics from ``stats0``, those of the run at
@@ -605,28 +610,23 @@ def deviation_stats(
 
     abs_delta = np.abs(delta)
     a_num = int(abs_delta.sum())
-    frac = delta / scale
-    s_val = float(np.square(frac, out=frac).sum())
-    bucket_idx = run.bucket_idx[:tp]
+    sq = delta / scale
+    s_val = float(np.square(sq, out=sq).sum())
     if tp == run.T:
         n_v = run.bucket_counts
     else:
         # prefix counts in bucket (= value) order, unrealized buckets dropped
-        n_v = np.bincount(bucket_idx)
+        n_v = np.bincount(run.bucket_idx[:tp])
         n_v = n_v[n_v > 0]
     n_big = float(np.sqrt(n_v).sum())
 
     n_a = e_a = q_a = None
     if layout is not None:
-        n_a = np.empty(layout.K, dtype=np.float64)
-        e_a = np.empty(layout.K, dtype=np.float64)
-        q_a = np.empty(layout.K, dtype=np.int64)
-        for a in range(layout.K):
-            sl = slice(a * layout.L, (a + 1) * layout.L)
-            counts = np.bincount(bucket_idx[sl])
-            n_a[a] = np.sqrt(counts[counts > 0]).sum()
-            q_a[a] = int((counts > 0).sum())
-            e_a[a] = float(np.sum((delta[sl] / scale).astype(np.float64) ** 2))
+        rows = run.block_rows(layout)
+        root = np.sqrt(rows.counts)
+        n_a = np.array([root[lo:hi].sum() for lo, hi in zip(rows.first[:-1], rows.first[1:])])
+        q_a = np.diff(rows.first)
+        e_a = sq.reshape(layout.K, layout.L).sum(axis=1)
 
     n_x = r_x = honest_counts = None
     if eta is not None:
@@ -694,25 +694,6 @@ class BlockDecomposition:
             worst = max(worst, abs(lhs - rhs) / denom)
         return worst
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["block", "j", "bucket_value", "D", "Nz"])
-            for a in range(1, self.layout.K + 1):
-                buckets, d = self.D[a]
-                _, z = self.Nz[a]
-                for r, b in enumerate(buckets):
-                    for j in range(self.layout.L):
-                        w.writerow(
-                            [
-                                a,
-                                j,
-                                str(Fraction(int(b), self.scale)),
-                                format_float(d[r, j] / self.scale),
-                                format_float(z[r, j] / self.scale),
-                            ]
-                        )
-
 
 def block_decompose(run: ScaledRun, layout: BlockLayout) -> BlockDecomposition:
     """Transform the bias (p - x) and noise (x - y) streams per (block, bucket).
@@ -722,7 +703,7 @@ def block_decompose(run: ScaledRun, layout: BlockLayout) -> BlockDecomposition:
     """
     if layout.T_prime > run.T:
         raise ValueError("layout covers more rounds than the trajectory")
-    d = _block_coefficients(run, layout, run.p - run.x)
+    d = run.block_rows(layout).transform(run.dev)
     nz = {a: (present, c - d[a][1]) for a, (present, c) in run.resid_coefficients(layout).items()}
     return BlockDecomposition(layout=layout, scale=run.scale, D=d, Nz=nz)
 

@@ -227,9 +227,11 @@ def cmd_scaling(args, overrides) -> int:
         f"violations={result.total_violations()}"
     )
     if args.do_assert:
-        window_ok = len(result.rows) < 2 or lo <= result.exponent <= hi
-        if not window_ok or result.total_violations() > 0:
-            print(f"assert failed: exponent outside [{lo}, {hi}] or violations > 0", file=sys.stderr)
+        failures = [f"T={row.T}: {row.violations} violations" for row in result.rows if row.violations]
+        if len(result.rows) >= 2 and not lo <= result.exponent <= hi:
+            failures.insert(0, f"exponent {result.exponent:.4f} outside [{lo}, {hi}]")
+        if failures:
+            print("assert failed: " + "; ".join(failures), file=sys.stderr)
             return EXIT_ASSERT
     return EXIT_OK
 

@@ -184,6 +184,8 @@ class ExperimentConfig:
             raise ValueError("T list must be strictly increasing")
         if self.T_list and self.T_list[-1] > MAX_T:
             raise ValueError(f"T={self.T_list[-1]} exceeds the desk-scale cap {MAX_T}")
+        if self.replicates < 1:
+            raise ValueError(f"run.replicates={self.replicates} must be at least 1")
         if self.replicates > MAX_REPLICATES:
             raise ValueError(f"replicates={self.replicates} exceeds the cap {MAX_REPLICATES}")
         for key, kind, table in (("env.kind", self.env, ENVS), ("groups.kind", self.groups, FAMILIES)):
@@ -591,6 +593,11 @@ def _oracle_factory(key: str, oracle: str, q: int):
         raise KeyError(f"unknown {key}: {oracle!r}") from None
 
 
+def _check_stderr_replicates(replicates: int) -> None:
+    if replicates < 2:
+        raise ValueError(f"bound needs replicates >= 2 for a standard error, got replicates={replicates}")
+
+
 def oracle_bound_value(T: int, k: int, m_copies: int) -> float:
     n = 1 << k
     return (1.0 / 8.0) * (1.0 - m_copies / n) * T / n**2
@@ -607,6 +614,7 @@ def run_oracle_bound(
     seed: int = 42,
 ) -> tuple[list[BoundRecord], dict]:
     """Proper m-copy reduction on the bit environment versus the theory floor."""
+    _check_stderr_replicates(replicates)
     n = 1 << k
     q = q if q is not None else n - 1
     base = _oracle_factory("oracle.oracle", oracle, q)
@@ -681,6 +689,7 @@ def run_reduction_bound(
     against the cell sum; the per-replicate triangle inequality
     Err(g_j) <= sum of its cells' errors is checked pathwise.
     """
+    _check_stderr_replicates(replicates)
     factory = _oracle_factory("reduction.oracle", oracle, q)
     if groups_kind not in FAMILIES:
         raise KeyError(f"unknown reduction.groups: {groups_kind!r}; accepted: {', '.join(FAMILIES)}")

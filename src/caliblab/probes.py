@@ -266,37 +266,6 @@ def default_pool(L: int) -> int:
     return max(2, math.isqrt(L))
 
 
-def _bucketing_batch_user(signs: np.ndarray, policy, n_pool: int, rng) -> tuple:
-    """Drive a user-supplied bucketing policy (Python path, no kernel).
-
-    The policy sees only pre-increment state: (bucket sums, bucket
-    counts, round index, rng) -> bucket label in [0, n_pool).  The
-    increment about to land is never exposed, so predictability is
-    structural.
-    """
-    reps, horizon = signs.shape
-    sum_abs = np.empty(reps, dtype=np.int64)
-    sum_sqrt = np.empty(reps, dtype=np.float64)
-    l_eps = np.empty(reps, dtype=np.int64)
-    for r in range(reps):
-        sums = np.zeros(n_pool, dtype=np.int64)
-        counts = np.zeros(n_pool, dtype=np.int64)
-        returns = 0
-        row = signs[r]
-        for t in range(horizon):
-            v = int(policy(sums.copy(), counts.copy(), t, rng))
-            if not 0 <= v < n_pool:
-                raise ValueError(f"strategy chose bucket {v} outside [0, {n_pool})")
-            if sums[v] == 0:
-                returns += 1
-            sums[v] += row[t]
-            counts[v] += 1
-        sum_abs[r] = np.abs(sums).sum()
-        sum_sqrt[r] = np.sqrt(counts[counts > 0]).sum()
-        l_eps[r] = returns
-    return sum_abs, sum_sqrt, l_eps
-
-
 def bucketing_probe(
     L: int,
     h: Fraction = Fraction(1, 4),
@@ -311,14 +280,10 @@ def bucketing_probe(
     Reports rho and checks two floors: the returns-count inequality
     E[sum_v |B_v|] >= h E[L_eps] (within Monte Carlo error), and the
     calibrated regression floor rho * log2(L+1) >= BUCKETING_FLOOR.
-
-    ``strategy`` is a shipped name or a user policy: a callable
-    (bucket sums, bucket counts, round index, rng) -> bucket label,
-    invoked before each increment is revealed.
+    ``strategy`` is a name in ``BUCKETING_STRATEGY_CODES``.
     """
     _check_sizes(L, replicates)
-    user_policy = callable(strategy)
-    if not user_policy and strategy not in BUCKETING_STRATEGY_CODES:
+    if strategy not in BUCKETING_STRATEGY_CODES:
         raise ValueError(f"unknown bucketing strategy {strategy!r}")
     if not 0 < h <= 1:
         raise ValueError(f"step size h must lie in (0, 1], got {h}")
@@ -331,11 +296,7 @@ def bucketing_probe(
     done = 0
     while done < replicates:
         b = min(batch, replicates - done)
-        signs = _draw_signs(rng, (b, L))
-        if user_policy:
-            sa, ss, le = _bucketing_batch_user(signs, strategy, pool, rng)
-        else:
-            sa, ss, le = bucketing_batch(signs, BUCKETING_STRATEGY_CODES[strategy], pool)
+        sa, ss, le = bucketing_batch(_draw_signs(rng, (b, L)), BUCKETING_STRATEGY_CODES[strategy], pool)
         sum_abs[done : done + b] = sa
         sum_sqrt[done : done + b] = ss
         l_eps[done : done + b] = le
@@ -351,15 +312,12 @@ def bucketing_probe(
     returns_se = hf * float(l_eps.std(ddof=1) / math.sqrt(replicates))
     returns_ok = returns_lhs >= returns_rhs - 3 * (noise_se + returns_se)
     passed = rho >= floor and returns_ok
-    strategy_id = strategy if isinstance(strategy, str) else getattr(
-        strategy, "id", getattr(strategy, "__name__", "user")
-    )
     return ProbeReport(
         probe="bucketing",
         estimate=rho,
         stderr=noise_se / (hf * diversity),
         replicates=replicates,
-        parameters={"L": L, "h": str(h), "strategy": strategy_id, "n_pool": pool, "seed": seed},
+        parameters={"L": L, "h": str(h), "strategy": strategy, "n_pool": pool, "seed": seed},
         bound=floor,
         passed=passed,
         extras={

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from caliblab import calibration
 from caliblab.calibration import (
     BiasLedger,
     CalibrationReport,
@@ -396,26 +397,38 @@ def test_block_decompose_identity_and_parseval():
 
 
 @pytest.mark.parametrize("T,K,den", [(8, 1, 2), (32, 2, 4), (48, 3, 3), (100, 4, 8)])
-def test_block_decompose_noise_matches_direct_transform(T, K, den):
-    # Nz is derived by linearity; check it against the transform of the
-    # bucket-masked x - y rows, built here round by round
+def test_block_decompose_noise_matches_direct_transform(monkeypatch, T, K, den):
+    # D and Nz against the transforms of the bucket-masked p - x and x - y
+    # rows, built here round by round; with one block per transform and
+    # with every block in one
     rng = np.random.default_rng(T)
     traj = sample_rademacher_env(T=T, seed=K, m=4)
     layout = build_block_layout(T, K)
     pred = random_predictions(traj, rng, den=den)
-    dec = block_decompose(ScaledRun.build(traj, pred), layout)
+    scale = ScaledRun.build(traj, pred).scale
     psi = walsh_matrix(layout.L).astype(np.int64)
+    want = {}
     for a in range(1, layout.K + 1):
         rounds = range((a - 1) * layout.L, a * layout.L)
         values = sorted({pred.fraction(t) for t in rounds})
-        rows = np.zeros((len(values), layout.L), dtype=np.int64)
+        bias = np.zeros((len(values), layout.L), dtype=np.int64)
+        noise = np.zeros((len(values), layout.L), dtype=np.int64)
         for s, t in enumerate(rounds):
-            noise = (traj.context(t).mean - traj.outcome(t)) * dec.scale
-            assert noise.denominator == 1
-            rows[values.index(pred.fraction(t)), s] = int(noise)
-        buckets, z = dec.Nz[a]
-        assert len(buckets) == len(values)
-        assert np.array_equal(z, rows @ psi.T)
+            r = values.index(pred.fraction(t))
+            d = (pred.fraction(t) - traj.context(t).mean) * scale
+            z = (traj.context(t).mean - traj.outcome(t)) * scale
+            assert d.denominator == z.denominator == 1
+            bias[r, s], noise[r, s] = int(d), int(z)
+        want[a] = values, bias @ psi.T, noise @ psi.T
+    for entries, n_chunks in ((1, layout.K), (calibration.STACK_ENTRIES, 1)):
+        monkeypatch.setattr(calibration, "STACK_ENTRIES", entries)
+        run = ScaledRun.build(traj, pred)
+        dec = block_decompose(run, layout)
+        assert len(run.block_rows(layout).chunks) == n_chunks
+        for a, (values, d, z) in want.items():
+            for buckets, coeffs, rows in (dec.D[a] + (d,), dec.Nz[a] + (z,)):
+                assert [Fraction(int(v), scale) for v in run.bucket_scaled[buckets]] == values
+                assert np.array_equal(coeffs, rows)
 
 
 def test_g4_context_decomposition():
@@ -517,25 +530,3 @@ def test_vector_report_keeps_family_order():
     assert list(rep.err.items()) == list(zip(ids, errs))
     empty = CalibrationReport.from_vector([], np.zeros(0))
     assert (empty.err, empty.mcerr) == ({}, 0.0)
-
-
-def test_report_csv(tmp_path):
-    rep = CalibrationReport.from_err({"g": 0.125, "h": 1.0 / 3.0})
-    path = tmp_path / "r.csv"
-    rep.write_csv(path)
-    text = path.read_text()
-    assert text.splitlines()[0] == "group_id,err"
-    assert "0.125" in text and "0.33333333333333331" in text
-
-
-def test_decomposition_csv(tmp_path):
-    traj = sample_rademacher_env(T=32, seed=20, m=2)
-    layout = build_block_layout(32, 2)
-    pred = honest_predictions(traj)
-    dec = block_decompose(ScaledRun.build(traj, pred), layout)
-    path = tmp_path / "dec.csv"
-    dec.write_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "block,j,bucket_value,D,Nz"
-    # 2 blocks x 2 realized buckets x L columns
-    assert len(lines) == 1 + 2 * 2 * layout.L

@@ -1,10 +1,13 @@
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from caliblab import cli
 from caliblab.cli import (
     EXIT_ASSERT,
     EXIT_CONFIG,
@@ -156,6 +159,7 @@ def test_bad_forecaster_id(tmp_path):
         ("forecaster.id=rounded_honest\nforecaster.Q=0\n", EXIT_CONFIG, "forecaster.id=rounded_honest, forecaster.Q=0: "),
         ("forecaster.id=proper_reduction\nforecaster.m_copies=0\n", EXIT_CONFIG, "forecaster.m_copies=0"),
         ("env.kind=bernoulli\ngroups.kind=walsh\n", EXIT_CONFIG, "groups.kind=walsh does not run on env.kind=bernoulli"),
+        ("run.replicates=-3\n", EXIT_CONFIG, "run.replicates=-3"),
     ],
     ids=[
         "unknown-oracle",
@@ -165,6 +169,7 @@ def test_bad_forecaster_id(tmp_path):
         "zero-rounding-denominator",
         "zero-copies",
         "walsh-on-bernoulli",
+        "negative-replicates",
     ],
 )
 def test_bad_forecaster_parameters_fail_before_any_cell(tmp_path, capsys, lines, code, key):
@@ -202,7 +207,7 @@ def test_parse_error(tmp_path):
     assert main(["scaling", "--config", str(tmp_path / "missing.cfg")]) == EXIT_CONFIG
 
 
-def test_assert_failure_sets_exit_code(tmp_path):
+def test_assert_failure_sets_exit_code(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(
         "env.kind=bernoulli\nenv.T_list=1024,2048\nforecaster.id=honest\n"
@@ -211,10 +216,26 @@ def test_assert_failure_sets_exit_code(tmp_path):
     )
     out = tmp_path / "o"
     assert main(["scaling", "--config", str(cfg), "--out", str(out), "--assert"]) == EXIT_ASSERT
+    printed = capsys.readouterr()
+    exponent = re.search(r"exponent=(\S+) ", printed.out).group(1)
+    assert printed.err == f"assert failed: exponent {exponent} outside [0.99, 1.0]\n"
     # CSV content identical regardless of --assert
     out2 = tmp_path / "o2"
     assert main(["scaling", "--config", str(cfg), "--out", str(out2)]) == EXIT_OK
     assert (out / "scaling_scaling.csv").read_bytes() == (out2 / "scaling_scaling.csv").read_bytes()
+    # inside the window, violations name their T and count
+    run_scaling = cli.run_scaling
+
+    def with_violations(config):
+        result = run_scaling(config)
+        result.rows[1] = replace(result.rows[1], violations=3)
+        return result
+
+    monkeypatch.setattr(cli, "run_scaling", with_violations)
+    cfg.write_text(cfg.read_text().replace("exponent_min=0.99", "exponent_min=0"))
+    capsys.readouterr()
+    assert main(["scaling", "--config", str(cfg), "--out", str(out), "--assert"]) == EXIT_ASSERT
+    assert capsys.readouterr().err == "assert failed: T=2048: 3 violations\n"
 
 
 def test_probe_identities(tmp_path):
@@ -314,6 +335,17 @@ def test_bounds_bad_value_fails_before_any_output(tmp_path, capsys):
     assert main(["bounds", "reduction", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "run.seed" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("replicates", [0, 1])
+@pytest.mark.parametrize("which, lines", [("oracle", "oracle.T=400\noracle.k=2\n"), ("reduction", "reduction.T_list=512\n")])
+def test_bounds_need_two_replicates(tmp_path, capsys, which, lines, replicates):
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text(f"{lines}run.replicates={replicates}\n")
+    out = tmp_path / "out"
+    assert main(["bounds", which, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert f"replicates={replicates}" in capsys.readouterr().err
     assert not out.exists()
 
 

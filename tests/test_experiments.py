@@ -180,7 +180,7 @@ def test_chunked_block_transforms_equal_the_general_path(monkeypatch, entries, n
     # entries): one block per transform, pairs of blocks, and all in one
     monkeypatch.setattr(calibration, "STACK_ENTRIES", entries)
     cfg = ExperimentConfig(env="rademacher", groups="full_walsh", T_list=(1024,), replicates=2, seed=11)
-    assert len(cfg.plans[1024].skeleton.run.chunks) == n_chunks
+    assert len(cfg.plans[1024].skeleton.run.rows.chunks) == n_chunks
     assert [experiments.run_replicate(cfg, 1024, rep) for rep in range(2)] == [
         experiments.general_replicate(cfg, 1024, rep) for rep in range(2)
     ]
@@ -246,6 +246,7 @@ def test_family_manifest_matches_the_cells_groups(env, groups):
         ("update", "sideways", ValueError, "forecaster.update"),
         ("offset", "one", ValueError, "forecaster.offset"),
         ("eta", "small", ValueError, "groups.eta"),
+        ("replicates", 0, ValueError, "run.replicates"),
     ],
 )
 def test_config_names_the_bad_key(field, value, error, key):
