@@ -17,11 +17,14 @@ so an exactly-zero calibration error is reported as exactly 0.0.
 
 Signed functionals (differences of two half-groups) are measured from
 the signed weights directly, never by subtracting two separately rounded
-reports, so the bias + noise = ledger-bias identity is exact.  A family's
-blockwise Hadamard half-groups are never evaluated one by one: their
-Err numerators and difference-of-two checks are (K, L) arrays computed
-from the per-block transform of the residual, and a ledger reports one
-float64 error vector in ``family.ids()`` order.
+reports, so the bias + noise = ledger-bias identity is exact.  Per-group
+quantities are arrays in family order, found by id through
+``GroupFamily.index``: a ledger's direct biases are one (direct groups,
+buckets) int64 array, and a family's blockwise Hadamard half-groups are
+never evaluated one by one: their Err numerators and difference-of-two
+checks are (K, L) arrays from the per-block transform of the residual.
+A ledger reports one float64 error vector in ``family.ids()`` order, as a
+``CalibrationReport``: a read-only mapping over that vector and the index.
 
 A layout's rounds are split into (block, bucket) rows once per run and
 layout: ``BlockRows``, which ``ScaledRun.block_rows`` memoises and the
@@ -55,6 +58,7 @@ covering the direct pairs and the (K, L) block pairs alike.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -127,23 +131,28 @@ def _check_unit_interval(value: Fraction, what: str) -> Fraction:
     return value
 
 
-@dataclass
-class CalibrationReport:
-    """Per-group Err and their maximum."""
+@dataclass(frozen=True, eq=False)
+class CalibrationReport(Mapping):
+    """Per-group Err, read-only: ``vector[index[gid]]`` is the float64 Err
+    of group ``gid``, and ``index`` is a ``GroupFamily.index`` (id ->
+    position in family order), so the report iterates in family order."""
 
-    err: dict
-    mcerr: float
+    index: dict
+    vector: np.ndarray
 
-    @classmethod
-    def from_vector(cls, ids: list, err: np.ndarray) -> "CalibrationReport":
-        """Report of the float64 errors ``err[i]`` of groups ``ids[i]``."""
-        if not ids:
-            return cls(err={}, mcerr=0.0)
-        return cls(err=dict(zip(ids, err.tolist())), mcerr=float(err.max()))
+    def __getitem__(self, gid: str) -> float:
+        return float(self.vector[self.index[gid]])
 
-    @classmethod
-    def from_err(cls, err: dict) -> "CalibrationReport":
-        return cls.from_vector(list(err), np.array(list(err.values()), dtype=np.float64))
+    def __iter__(self):
+        return iter(self.index)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    @property
+    def mcerr(self) -> float:
+        """The largest Err, 0.0 for an empty family."""
+        return float(self.vector.max()) if self.vector.size else 0.0
 
 
 def format_float(x: float) -> str:
@@ -188,8 +197,8 @@ class BiasLedger:
         return sum((b for (g, _), b in self.entries.items() if g == gid), Fraction(0))
 
     def report(self) -> CalibrationReport:
-        err = {g.id: float(self.err_exact(g.id)) for g in self.family}
-        return CalibrationReport.from_err(err)
+        err = np.array([float(self.err_exact(gid)) for gid in self.family.index], dtype=np.float64)
+        return CalibrationReport(self.family.index, err)
 
 
 def _bucket_index(num: np.ndarray, den: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -278,9 +287,10 @@ class ScaledRun:
         np.add.at(out, idx, values)
         return out
 
-    def direct_biases(self, family: GroupFamily) -> dict:
-        """Group id -> int64 bias w (p - y) per bucket, for the family's direct groups."""
-        return {g.id: self.bucket_sums(self.resid * g.weights(self)) for g in family.groups}
+    def direct_biases(self, family: GroupFamily) -> np.ndarray:
+        """(direct groups, buckets) int64 biases w (p - y), in family order."""
+        bias = [self.bucket_sums(self.resid * g.weights(self)) for g in family.groups]
+        return np.array(bias, dtype=np.int64).reshape(-1, len(self.bucket_scaled))
 
     def resid_bucket_sums(self) -> np.ndarray:
         return self.bucket_sums(self.resid)
@@ -307,8 +317,9 @@ class RunLedger:
 
     ``scaled`` is the run: a ``ScaledRun``, or a ``SkeletonRun`` (one
     outcome draw on a ``RunSkeleton``), which has no per-round arrays.
-    Direct groups carry an int64 bias vector over the realized buckets
-    (numerators over ``scale``).  The family's block half-groups are
+    ``bias`` is the (direct groups, buckets) int64 array of the direct
+    groups' biases over the realized buckets, in family order (numerators
+    over ``scale``).  The family's block half-groups are
     evaluated through the transform into (K, L) arrays at [a - 1, j]: the
     Err numerators of had+/a/j and had-/a/j over ``2 * scale``, and of the
     signed functional over ``scale``; None when the family has no layout.
@@ -316,7 +327,7 @@ class RunLedger:
 
     family: GroupFamily
     scaled: ScaledRun
-    bias: dict
+    bias: np.ndarray
     block_plus_abs: Optional[np.ndarray] = None
     block_minus_abs: Optional[np.ndarray] = None
     block_coeff_abs: Optional[np.ndarray] = None
@@ -329,23 +340,24 @@ class RunLedger:
         return [Fraction(int(v), self.scale) for v in self.bucket_scaled]
 
     def err_exact(self, gid: str) -> Fraction:
-        if gid in self.bias:
-            return Fraction(int(np.abs(self.bias[gid]).sum()), self.scale)
-        a, j, sign = self.family.block_keys[gid]
-        half = self.block_plus_abs if sign == 1 else self.block_minus_abs
-        return Fraction(int(half[a - 1, j]), 2 * self.scale)
+        i = self.family.index[gid]
+        if i < len(self.bias):
+            return Fraction(int(np.abs(self.bias[i]).sum()), self.scale)
+        g = self.family.by_id(gid)
+        half = self.block_plus_abs if g.sign == 1 else self.block_minus_abs
+        return Fraction(int(half[g.a - 1, g.j]), 2 * self.scale)
 
     def err_vector(self) -> np.ndarray:
         """float64 Err of every group, in ``family.ids()`` order."""
-        direct = [float(np.abs(b).sum()) / self.scale for b in self.bias.values()]
+        direct = np.abs(self.bias).sum(axis=1) / self.scale
         if self.block_plus_abs is None:
-            return np.array(direct, dtype=np.float64)
+            return direct
         # (K, L, 2) in family order: a, then j, then +/-
         halves = np.stack([self.block_plus_abs, self.block_minus_abs], axis=-1)
         return np.concatenate([direct, halves.ravel() / (2.0 * self.scale)])
 
     def report(self) -> CalibrationReport:
-        return CalibrationReport.from_vector(self.family.ids(), self.err_vector())
+        return CalibrationReport(self.family.index, self.err_vector())
 
     def telescoped(self) -> Fraction:
         return Fraction(self.scaled.resid_total(), self.scale)
@@ -489,7 +501,7 @@ class RunSkeleton:
             if not _repeats(w, period):
                 raise ValueError(f"weights of group {g.id} do not repeat with the context period {period}")
             row[:cols] = w[:cols]
-        bias0 = np.array([*run0.direct_biases(family).values()], dtype=np.int64).reshape(-1, len(run0.bucket_scaled))
+        bias0 = run0.direct_biases(family)
         lay, extra = family.layout, {}
         if lay is not None:
             extra = dict(rows=run0.block_rows(lay), resid_rounds0=run0.resid[: lay.T_prime].copy())
@@ -524,12 +536,11 @@ class SkeletonRun:
         out[: T - full] += self.heads[full:]
         return out
 
-    def direct_biases(self, family: GroupFamily) -> dict:
+    def direct_biases(self, family: GroupFamily) -> np.ndarray:
         sk = self.skeleton
         if family is not sk.family:
             raise ValueError("the skeleton was built for another family")
-        bias = sk.bias0 - sk.step * ((sk.weights * self.column_heads) @ sk.onehot)
-        return dict(zip((g.id for g in family.groups), bias))
+        return sk.bias0 - sk.step * ((sk.weights * self.column_heads) @ sk.onehot)
 
     def resid_bucket_sums(self) -> np.ndarray:
         return self.skeleton.resid0 - self.skeleton.step * (self.column_heads @ self.skeleton.onehot)
@@ -767,10 +778,8 @@ def _float_ge(name: str, lhs, rhs) -> CheckSummary:
 def check_telescoping(ledger: RunLedger) -> CheckSummary:
     """sum_v B(v, g_all) telescopes to sum_t (p_t - y_t), exactly."""
     run = ledger.scaled
-    if "g_all" in ledger.bias:
-        lhs = int(ledger.bias["g_all"].sum())
-    else:
-        lhs = int(run.resid_bucket_sums().sum())
+    i = ledger.family.index.get("g_all")
+    lhs = int((run.resid_bucket_sums() if i is None else ledger.bias[i]).sum())
     rhs = run.resid_total()
     return CheckSummary.over(
         "telescoping", lhs, rhs, -abs(lhs - rhs), value=lambda v: Fraction(int(v), ledger.scale)
@@ -784,12 +793,9 @@ def check_diff_two(ledger: RunLedger) -> CheckSummary:
     ``2 * scale``, in ``signed_pairs()`` order: the direct pairs, then the
     (a, j) pairs of the block layout.
     """
-    lhs, rhs = [], []
-    for plus, minus in ledger.family.direct_pairs():
-        bp, bm = ledger.bias[plus.id], ledger.bias[minus.id]
-        lhs.append(2 * int(np.abs(bp - bm).sum()))
-        rhs.append(2 * (int(np.abs(bp).sum()) + int(np.abs(bm).sum())))
-    lhs, rhs = np.array(lhs, dtype=np.int64), np.array(rhs, dtype=np.int64)
+    bp, bm = ledger.bias[ledger.family.direct_pair_rows]
+    lhs = 2 * np.abs(bp - bm).sum(axis=1)
+    rhs = 2 * (np.abs(bp).sum(axis=1) + np.abs(bm).sum(axis=1))
     if ledger.block_coeff_abs is not None:
         lhs = np.concatenate([lhs, 2 * ledger.block_coeff_abs.ravel()])
         rhs = np.concatenate([rhs, (ledger.block_plus_abs + ledger.block_minus_abs).ravel()])

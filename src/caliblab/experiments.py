@@ -180,9 +180,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.T_list = tuple(int(t) for t in self.T_list)
+        if not self.T_list:
+            raise ValueError("env.T_list is empty; give at least one T")
         if list(self.T_list) != sorted(set(self.T_list)):
             raise ValueError("T list must be strictly increasing")
-        if self.T_list and self.T_list[-1] > MAX_T:
+        if self.T_list[-1] > MAX_T:
             raise ValueError(f"T={self.T_list[-1]} exceeds the desk-scale cap {MAX_T}")
         if self.replicates < 1:
             raise ValueError(f"run.replicates={self.replicates} must be at least 1")
@@ -434,7 +436,7 @@ def _cell_result(plan: CellPlan, run, free_checks: list, free_extras: dict, eta_
     """Accumulate the run, check it and report: err, mcerr, extras, violations, min slack."""
     ledger = accumulate_run(run, plan.family)
     report = ledger.report()
-    out = {"mcerr": report.mcerr, "err": report.err, "extras": {}}
+    out = {"mcerr": report.mcerr, "err": report, "extras": {}}
     checks = [check_telescoping(ledger), check_diff_two(ledger)]
     if eta_stats is not None:
         checks.append(check_g4_context_decomp(ledger, eta_stats, plan.eta, plan.m))
@@ -481,9 +483,9 @@ class ScalingRow:
     T: int
     replicates: int
     mean_mcerr: float
-    stderr: float
+    stderr: float  # nan for one replicate
     argmax_group: str
-    per_group_mean: dict
+    per_group_mean: dict  # group id -> mean Err, in sorted id order
     violations: int
     extras_mean: dict
     min_slack: dict  # check name -> tightest slack over the replicates
@@ -526,11 +528,13 @@ def run_scaling(config: ExperimentConfig) -> ScalingResult:
     for T in config.T_list:
         results = [r for (t, _, r) in cells if t == T]
         mcerrs = np.array([r["mcerr"] for r in results])
-        group_ids = sorted(results[0]["err"])
+        ids = np.array(config.plans[T].family.ids())
+        order = np.argsort(ids)  # ids are unique, so any sort gives the one sorted order
         # C-contiguous (groups, replicates): each row mean sums in np.mean's order
-        means = np.array([[r["err"][gid] for r in results] for gid in group_ids]).mean(axis=-1)
-        per_group = dict(zip(group_ids, means.tolist()))
-        argmax = group_ids[int(np.argmax(means))]  # ids are sorted: ties go to the smallest
+        means = np.stack([r["err"].vector for r in results], axis=-1).mean(axis=-1)[order]
+        sorted_ids = ids[order].tolist()
+        per_group = dict(zip(sorted_ids, means.tolist()))
+        argmax = sorted_ids[int(np.argmax(means))]  # ties go to the smallest id
         extras_mean = {
             key: float(np.mean([r["extras"][key] for r in results]))
             for key in results[0]["extras"]
@@ -544,7 +548,7 @@ def run_scaling(config: ExperimentConfig) -> ScalingResult:
                 T=T,
                 replicates=len(results),
                 mean_mcerr=float(mcerrs.mean()),
-                stderr=float(mcerrs.std(ddof=1) / math.sqrt(len(mcerrs))) if len(mcerrs) > 1 else 0.0,
+                stderr=float(mcerrs.std(ddof=1) / math.sqrt(len(mcerrs))) if len(mcerrs) > 1 else math.nan,
                 argmax_group=argmax,
                 per_group_mean=per_group,
                 violations=sum(len(r["violations"]) for r in results),
@@ -690,6 +694,8 @@ def run_reduction_bound(
     Err(g_j) <= sum of its cells' errors is checked pathwise.
     """
     _check_stderr_replicates(replicates)
+    if not T_list:
+        raise ValueError("reduction.T_list is empty; give at least one T")
     factory = _oracle_factory("reduction.oracle", oracle, q)
     if groups_kind not in FAMILIES:
         raise KeyError(f"unknown reduction.groups: {groups_kind!r}; accepted: {', '.join(FAMILIES)}")
@@ -725,7 +731,7 @@ def run_reduction_bound(
     for T, plan in config.plans.items():
         family = plan.family
         mcerrs = np.empty(replicates)
-        per_group = {g.id: np.empty(replicates) for g in family}
+        per_group = np.empty((len(family), replicates))  # C-contiguous: one row per group
         violations = []
         min_slack = None
         for rep in range(replicates):
@@ -740,8 +746,8 @@ def run_reduction_bound(
             cell_err = {z: router.cell_err(z) for z in router.cells}
             if rep == 0:
                 details["per_T"][T]["cells"] = router.cell_summary(cell_err)
+            per_group[:, rep] = report.vector
             for j, g in enumerate(family):
-                per_group[g.id][rep] = report.err[g.id]
                 bound_j = sum((e for z, e in cell_err.items() if z[j] == 1), Fraction(0))
                 err_j = ledger.err_exact(g.id)
                 slack = bound_j - err_j
@@ -758,8 +764,8 @@ def run_reduction_bound(
         for j, g in enumerate(family):
             z = j  # disjoint groups: cell index == group index
             smean, sse = standalone[(T, z)]
-            rmean = float(per_group[g.id].mean())
-            rse = float(per_group[g.id].std(ddof=1) / math.sqrt(replicates))
+            rmean = float(per_group[j].mean())
+            rse = float(per_group[j].std(ddof=1) / math.sqrt(replicates))
             gap = abs(rmean - smean)
             tol = 3.0 * math.sqrt(sse**2 + rse**2)
             matched.append((g.id, rmean, smean, gap, tol))
@@ -991,11 +997,9 @@ def write_per_group_csv(path, result: ScalingResult) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["experiment_id", "T", "group_id", "mean_err"])
+        eid = result.config.experiment_id
         for row in result.rows:
-            for gid in sorted(row.per_group_mean):
-                w.writerow(
-                    [result.config.experiment_id, row.T, gid, format_float(row.per_group_mean[gid])]
-                )
+            w.writerows([eid, row.T, gid, format_float(v)] for gid, v in row.per_group_mean.items())
 
 
 def write_bounds_csv(path, records) -> None:

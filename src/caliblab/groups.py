@@ -338,7 +338,9 @@ class GroupFamily:
         return itertools.chain(self.groups, self._block_groups())
 
     def _block_groups(self):
-        return (BlockHadamardHalfGroup(*key, self.layout) for key in self.block_keys.values())
+        lay = self.layout
+        keys = itertools.product(range(1, lay.K + 1), range(lay.L), (1, -1)) if lay is not None else ()
+        return (BlockHadamardHalfGroup(a, j, sign, lay) for a, j, sign in keys)
 
     @cached_property
     def block_ids(self) -> tuple[str, ...]:
@@ -350,22 +352,22 @@ class GroupFamily:
         tails = [str(j) for j in range(lay.L)]
         return tuple(head + tail for pair in heads for tail in tails for head in pair)
 
-    @cached_property
-    def block_keys(self) -> dict:
-        """Block half-group id -> (a, j, sign), in family order."""
-        lay = self.layout
-        if lay is None:
-            return {}
-        return dict(zip(self.block_ids, itertools.product(range(1, lay.K + 1), range(lay.L), (1, -1))))
-
     def ids(self) -> list[str]:
         return [*(g.id for g in self.groups), *self.block_ids]
 
+    @cached_property
+    def index(self) -> dict:
+        """Group id -> position in family order (``ids()``)."""
+        return {gid: i for i, gid in enumerate(self.ids())}
+
     def by_id(self, gid: str) -> GroupFunction:
-        for g in self.groups:
-            if g.id == gid:
-                return g
-        return BlockHadamardHalfGroup(*self.block_keys[gid], self.layout)
+        i = self.index[gid]
+        if i < len(self.groups):
+            return self.groups[i]
+        # block half-groups follow in (a, j, +/-) order
+        cell, minus = divmod(i - len(self.groups), 2)
+        a, j = divmod(cell, self.layout.L)
+        return BlockHadamardHalfGroup(a + 1, j, -1 if minus else 1, self.layout)
 
     def required_denominators(self) -> list[int]:
         return [g.eta.denominator for g in self.groups if isinstance(g, ThresholdGroup)]
@@ -373,17 +375,17 @@ class GroupFamily:
     def manifest_lines(self) -> list[str]:
         return [f"{g.id},{type(g).__name__},{g.describe()}" for g in self]
 
-    def direct_pairs(self) -> list[tuple[GroupFunction, GroupFunction]]:
-        """(plus, minus) half-group pairs among the direct groups, in family order."""
-        by_id = {g.id: g for g in self.groups}
-        pairs = [(by_id.get(g.id.replace("-", "+", 1)), g) for g in self.groups if g.id[:4] in ("wal-", "had-")]
-        return [(plus, minus) for plus, minus in pairs if plus is not None]
+    @cached_property
+    def direct_pair_rows(self) -> np.ndarray:
+        """(2, pairs) positions of the (wal+/l, wal-/l) pairs among the direct groups, in family order."""
+        pairs = [(self.index.get("wal+" + g.id[4:]), i) for i, g in enumerate(self.groups) if g.id[:4] == "wal-"]
+        return np.array([pair for pair in pairs if pair[0] is not None], dtype=np.intp).reshape(-1, 2).T
 
     def signed_pairs(self) -> list[tuple[GroupFunction, GroupFunction]]:
         """(plus, minus) half-group pairs, in family order."""
         blocks = self._block_groups()
         # zip over one iterator pairs each had+/a/j with the had-/a/j after it
-        return self.direct_pairs() + list(zip(blocks, blocks))
+        return [(self.groups[p], self.groups[m]) for p, m in self.direct_pair_rows.T] + list(zip(blocks, blocks))
 
 
 def build_pred_threshold_family(m: int, eta: Fraction) -> GroupFamily:

@@ -34,6 +34,7 @@ from caliblab.environments import (
 )
 from caliblab.groups import (
     ConstantGroup,
+    GroupFamily,
     build_bit_family,
     build_block_hadamard_family,
     build_block_layout,
@@ -105,9 +106,9 @@ def test_honest_err_g1_g2_zero_exact():
     g1, g2, g3 = fam.ids()
     assert run.err_exact(g1) == 0
     assert run.err_exact(g2) == 0
-    rep = run.report()
-    assert rep.err[g1] == 0.0 and rep.err[g2] == 0.0
-    assert rep.mcerr == rep.err[g3] > 0
+    err = run.report().vector
+    assert err[fam.index[g1]] == 0.0 and err[fam.index[g2]] == 0.0
+    assert run.report().mcerr == err[fam.index[g3]] > 0
 
 
 def test_streaming_matches_vectorized():
@@ -123,8 +124,9 @@ def test_streaming_matches_vectorized():
     for gid in fam.ids():
         assert ledger.err_exact(gid) == run.err_exact(gid)
     # and bucketwise
-    for b, frac in zip(run.bias[fam.ids()[0]], run.bucket_fractions()):
-        assert Fraction(int(b), run.scale) == ledger.bias(fam.ids()[0], frac)
+    gid = fam.ids()[0]
+    for b, frac in zip(run.bias[fam.index[gid]], run.bucket_fractions()):
+        assert Fraction(int(b), run.scale) == ledger.bias(gid, frac)
 
 
 def test_streaming_matches_vectorized_walsh():
@@ -181,8 +183,9 @@ def test_streaming_ledger_matches_accumulate_run(kind, data):
         assert ledger.err_exact(gid) == run.err_exact(gid), gid
     buckets = run.bucket_fractions()
     assert {p for _, p in ledger.entries} <= set(buckets)
-    for gid, bias in run.bias.items():
-        for b, frac in zip(bias, buckets):
+    assert run.bias.shape == (len(fam.groups), len(buckets))
+    for gid in (g.id for g in fam.groups):
+        for b, frac in zip(run.bias[fam.index[gid]], buckets):
             assert Fraction(int(b), run.scale) == ledger.bias(gid, frac), (gid, frac)
 
 
@@ -279,7 +282,7 @@ def test_threshold_trio_beyond_old_float_guard_matches_streaming_ledger():
     buckets = run.bucket_fractions()
     for gid in fam.ids():
         assert run.err_exact(gid) == ledger.err_exact(gid) > 0, gid
-        for b, frac in zip(run.bias[gid], buckets):
+        for b, frac in zip(run.bias[fam.index[gid]], buckets):
             assert Fraction(int(b), run.scale) == ledger.bias(gid, frac), (gid, frac)
     assert check_telescoping(run).ok
 
@@ -467,6 +470,26 @@ def assert_summary_matches(summary, reference):
     assert (summary.first, summary.lhs, summary.rhs) == first
 
 
+def test_diff_two_direct_pairs_match_per_pair_reference():
+    # one (plus, minus) pair per family, so min_slack is that pair's own slack
+    rng = np.random.default_rng(23)
+    traj = sample_rademacher_env(T=96, seed=8, m=8)
+    walsh = build_walsh_family(8)
+    pred = random_predictions(traj, rng, den=8)
+    slacks = set()
+    for l in range(1, 8):
+        plus, minus = walsh.by_id(f"wal+/{l}"), walsh.by_id(f"wal-/{l}")
+        fam = GroupFamily(kind="walsh", groups=[ConstantGroup(), plus, minus], m=8, grid=walsh.grid)
+        ledger = ledger_of(traj, pred, fam)
+        run = ledger.scaled
+        wp, wm = plus.weights(run), minus.weights(run)
+        reference = [(exact_err(run, wp.astype(np.int64) - wm), exact_err(run, wp) + exact_err(run, wm))]
+        summary = check_diff_two(ledger)
+        assert_summary_matches(summary, reference)
+        slacks.add(summary.min_slack)
+    assert len(slacks) > 1 and max(slacks) > 0
+
+
 def test_diff_two_pathwise():
     rng = np.random.default_rng(21)
     traj = sample_rademacher_env(T=128, seed=14, m=4)
@@ -495,9 +518,9 @@ def test_diff_two_matches_per_pair_reference(data):
     for plus, minus in fam.signed_pairs():
         assert ledger.err_exact(plus.id) == exact_err(run, plus.weights(run)), plus.id
         assert ledger.err_exact(minus.id) == exact_err(run, minus.weights(run)), minus.id
-    err = ledger.report().err
-    assert list(err) == fam.ids()
-    assert all(err[gid] == float(ledger.err_exact(gid)) for gid in fam.ids())
+    report = ledger.report()
+    assert list(report) == fam.ids()
+    assert all(report.vector[fam.index[gid]] == float(ledger.err_exact(gid)) for gid in fam.ids())
 
 
 def test_bits_mse_checks():
@@ -516,7 +539,7 @@ def test_bits_mse_checks():
     traj = sample_bit_env(T=4, k=1, seed=1)
     far = np.where(2 * traj.x_num > traj.den, 0, 2**40)
     run = ScaledRun.build(traj, Predictions(num=far, den=2**40))
-    penalty = check_bits_mse(run, CalibrationReport.from_err({"g": 1.0}))[0]
+    penalty = check_bits_mse(run, CalibrationReport({"g": 0}, np.array([1.0])))[0]
     assert miss_count(run) == 4
     # worst miss 3/4 against the floor 1/(2N) = 1/4, squared
     assert penalty.ok and penalty.min_slack == Fraction(9, 16) - Fraction(1, 16)
@@ -525,8 +548,11 @@ def test_bits_mse_checks():
 def test_vector_report_keeps_family_order():
     ids = ["wal+/2", "had-/1/0", "g_all", "had+/1/0"]
     errs = [0.5, 0.75, 0.25, 0.75]
-    rep = CalibrationReport.from_vector(ids, np.array(errs))
+    rep = CalibrationReport({gid: i for i, gid in enumerate(ids)}, np.array(errs))
     assert rep.mcerr == 0.75
-    assert list(rep.err.items()) == list(zip(ids, errs))
-    empty = CalibrationReport.from_vector([], np.zeros(0))
-    assert (empty.err, empty.mcerr) == ({}, 0.0)
+    assert list(rep.items()) == list(zip(ids, errs))
+    assert all(type(e) is float for e in rep.values())
+    with pytest.raises(TypeError):
+        rep["g_all"] = 1.0  # a read-only mapping
+    empty = CalibrationReport({}, np.zeros(0))
+    assert (dict(empty), empty.mcerr) == ({}, 0.0)

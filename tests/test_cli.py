@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -108,6 +109,15 @@ def test_scaling_manifest_records_min_slack(config_path, tmp_path):
     ]
 
 
+def test_single_replicate_stderr_is_nan(config_path, tmp_path):
+    # one replicate has no standard error: the row must not read as exact
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["scaling", "--config", str(config_path), "--out", str(tmp_path), "--run.replicates=1"]) == EXIT_OK
+    header, row = (tmp_path / "scaling_scaling.csv").read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["stderr"] == "nan"
+
+
 def test_scaling_deterministic_bytes(config_path, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["scaling", "--config", str(config_path), "--out", str(out1)]) == EXIT_OK
@@ -160,6 +170,7 @@ def test_bad_forecaster_id(tmp_path):
         ("forecaster.id=proper_reduction\nforecaster.m_copies=0\n", EXIT_CONFIG, "forecaster.m_copies=0"),
         ("env.kind=bernoulli\ngroups.kind=walsh\n", EXIT_CONFIG, "groups.kind=walsh does not run on env.kind=bernoulli"),
         ("run.replicates=-3\n", EXIT_CONFIG, "run.replicates=-3"),
+        ("env.T_list=\n", EXIT_CONFIG, "env.T_list"),
     ],
     ids=[
         "unknown-oracle",
@@ -170,6 +181,7 @@ def test_bad_forecaster_id(tmp_path):
         "zero-copies",
         "walsh-on-bernoulli",
         "negative-replicates",
+        "empty-T-list",
     ],
 )
 def test_bad_forecaster_parameters_fail_before_any_cell(tmp_path, capsys, lines, code, key):
@@ -330,12 +342,13 @@ def test_bounds_reduction_names_the_unknown_key(tmp_path, capsys, line, message)
 
 def test_bounds_bad_value_fails_before_any_output(tmp_path, capsys):
     cfg = tmp_path / "r.cfg"
-    cfg.write_text("reduction.T_list=512\nrun.seed=abc\n")
     out = tmp_path / "out"
-    assert main(["bounds", "reduction", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "run.seed" in err and "Traceback" not in err
-    assert not out.exists()
+    for lines, key in (("reduction.T_list=512\nrun.seed=abc\n", "run.seed"), ("reduction.T_list=\n", "reduction.T_list")):
+        cfg.write_text(lines)
+        assert main(["bounds", "reduction", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("replicates", [0, 1])

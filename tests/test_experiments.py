@@ -1,5 +1,6 @@
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -199,16 +200,79 @@ def test_only_round_robin_oblivious_plans_have_a_skeleton():
 
 
 def test_scaling_argmax_breaks_ties_on_the_smallest_id(monkeypatch):
-    for err, best in (
-        ({"b": 1.0, "a": 1.0, "c": 0.5}, "a"),
-        # the first tied id in cell order is had-/1/0, the smallest had+/1/0
-        ({"wal+/2": 0.5, "had-/1/0": 0.75, "g_all": 0.25, "had+/1/0": 0.75}, "had+/1/0"),
+    cfg = ExperimentConfig(env="rademacher", groups="full_walsh", T_list=(64,), replicates=2, K=12)
+    family = cfg.plans[64].family
+    for tied, best in (
+        # family order puts wal+/1 first; the smallest id is had+/1/0
+        (("wal+/1", "had-/1/0", "had+/1/0"), "had+/1/0"),
+        # ids sort as strings: had-/10/0 < had-/2/0
+        (("wal-/3", "had-/2/0", "had-/10/0"), "had-/10/0"),
     ):
-        cell = {"mcerr": max(err.values()), "err": err, "extras": {}, "violations": [], "min_slack": {}}
+        vector = np.full(len(family), 0.25)
+        vector[[family.index[gid] for gid in tied]] = 0.75
+        err = calibration.CalibrationReport(family.index, vector)
+        cell = {"mcerr": err.mcerr, "err": err, "extras": {}, "violations": [], "min_slack": {}}
         monkeypatch.setattr(experiments, "run_replicate", lambda config, T, rep: cell)
-        row = run_scaling(ExperimentConfig(T_list=(64,), replicates=2)).rows[0]
+        row = run_scaling(cfg).rows[0]
         assert row.argmax_group == best
-        assert row.per_group_mean == err
+        assert row.per_group_mean == dict(err)
+        assert list(row.per_group_mean) == sorted(family.ids())
+
+
+def _cell_ledgers(monkeypatch) -> list:
+    """The ledgers of the cells run after this call, in order."""
+    accumulate, ledgers = experiments.accumulate_run, []
+
+    def kept(run, family):
+        ledgers.append(accumulate(run, family))
+        return ledgers[-1]
+
+    monkeypatch.setattr(experiments, "accumulate_run", kept)
+    return ledgers
+
+
+@pytest.mark.parametrize(
+    "env, forecaster, groups",
+    [("bernoulli", "honest", "pred_threshold"), ("rademacher", "rounded_honest", "full_walsh")],
+)
+def test_cell_err_is_a_mapping_in_family_order(monkeypatch, env, forecaster, groups):
+    # the cell result a benchmark reads: result["err"].items() in family order
+    cfg = ExperimentConfig(env=env, forecaster=forecaster, groups=groups, T_list=(512,), replicates=2, seed=5)
+    family = cfg.plans[512].family
+    ledgers = _cell_ledgers(monkeypatch)
+    for rep in range(2):
+        err = experiments.run_replicate(cfg, 512, rep)["err"]
+        assert isinstance(err, Mapping)
+        items = list(err.items())
+        assert [gid for gid, _ in items] == family.ids()
+        assert all(type(e) is float and e == float(ledgers[-1].err_exact(gid)) for gid, e in items)
+        if groups == "pred_threshold":  # honest: Err(g1) = Err(g2) = 0 exactly
+            assert [e for gid, e in items if gid[:3] in ("g1@", "g2@")] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("replicates", [3, 17])
+@pytest.mark.parametrize(
+    "env, forecaster, groups",
+    [
+        ("rademacher", "rounded_honest", "full_walsh"),
+        ("bernoulli", "uniform_random", "block_hadamard"),  # no direct groups
+        ("bits", "uniform_random", "bits"),
+    ],
+)
+def test_scaling_aggregation_matches_per_id_reference(env, forecaster, groups, replicates):
+    cfg = ExperimentConfig(
+        env=env, forecaster=forecaster, groups=groups, T_list=(256, 512), replicates=replicates, seed=9, Q=8
+    )
+    rows = run_scaling(cfg).rows
+    for T, row in zip(cfg.T_list, rows):
+        results = [r for _, _, r in experiments._run_cells(cfg, T, 0, replicates)]
+        # the per-id aggregation over dicts that the vector path replaced
+        group_ids = sorted(results[0]["err"])
+        means = np.array([[r["err"][gid] for r in results] for gid in group_ids]).mean(axis=-1)
+        assert row.per_group_mean == dict(zip(group_ids, means.tolist()))
+        assert list(row.per_group_mean) == group_ids
+        assert row.argmax_group == group_ids[int(np.argmax(means))]
+        assert row.mean_mcerr == float(np.array([r["mcerr"] for r in results]).mean())
 
 
 # the Walsh halves index the signed-noise grid, and bit groups read a bit context
@@ -247,6 +311,7 @@ def test_family_manifest_matches_the_cells_groups(env, groups):
         ("offset", "one", ValueError, "forecaster.offset"),
         ("eta", "small", ValueError, "groups.eta"),
         ("replicates", 0, ValueError, "run.replicates"),
+        ("T_list", (), ValueError, "env.T_list"),
     ],
 )
 def test_config_names_the_bad_key(field, value, error, key):
@@ -307,7 +372,7 @@ def test_corrupted_block_entries_are_named_and_counted(monkeypatch, bad):
     a, j = min(bad)  # the first failing pair in family order
     den = 2 * ledger.scale
     bound = int(ledger.block_plus_abs[a, j] + ledger.block_minus_abs[a, j])
-    index = len(ledger.family.direct_pairs()) + a * ledger.family.layout.L + j
+    index = ledger.family.direct_pair_rows.shape[1] + a * ledger.family.layout.L + j
     assert (summary.count, summary.failures, summary.first) == (len(ledger.family.signed_pairs()), len(bad), index)
     assert (summary.lhs, summary.rhs) == (Fraction(2 * (bound // 2 + 1), den), Fraction(bound, den))
     assert out["violations"] == ["diff_two"] * len(bad)
