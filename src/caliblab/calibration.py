@@ -30,8 +30,8 @@ A layout's rounds are split into (block, bucket) rows once per run and
 layout: ``BlockRows``, which ``ScaledRun.block_rows`` memoises and the
 residual transform, the block decomposition and the per-block deviation
 statistics all read.  Its ``transform`` is the one Walsh transform of
-block rows: one FWHT per chunk of consecutive blocks of at most
-``STACK_ENTRIES`` entries.
+block rows, one (rows, L) int64 array from one FWHT per chunk of at most
+``STACK_ENTRIES`` entries, and ``per_block`` its one per-block row sum.
 
 Runs whose outcomes are linear in a heads sequence, y = y0 + step heads,
 and whose predictions and direct group weights repeat with the context
@@ -304,8 +304,8 @@ class ScaledRun:
             self._block_rows[layout] = BlockRows.build(self.bucket_idx, len(self.bucket_scaled), layout)
         return self._block_rows[layout]
 
-    def resid_coefficients(self, layout: BlockLayout) -> dict:
-        """Block transform of the residual p - y, memoised per layout."""
+    def resid_coefficients(self, layout: BlockLayout) -> np.ndarray:
+        """(rows, L) block transform of the residual p - y, memoised per layout."""
         if layout not in self._resid_coeffs:
             self._resid_coeffs[layout] = self.block_rows(layout).transform(self.resid)
         return self._resid_coeffs[layout]
@@ -375,11 +375,12 @@ def accumulate_run(run, family: GroupFamily) -> RunLedger:
     if lay is None:
         return RunLedger(family=family, scaled=run, bias=bias)
     block_abs = np.zeros((3, lay.K, lay.L), dtype=np.int64)  # plus, minus, signed
-    for a, (_, c) in run.resid_coefficients(lay).items():
+    # one block at a time keeps the temporaries in cache: measured 2x faster than per_block
+    for a, c in enumerate(np.split(run.resid_coefficients(lay), run.block_rows(lay).first[1:-1])):
         # c has shape (buckets in block, L); column j holds the signed
         # functional bias, and the half-group biases are (c0 +- cj)/2
         c0 = c[:, :1]
-        block_abs[:, a - 1] = (np.abs(c0 + c).sum(axis=0), np.abs(c0 - c).sum(axis=0), np.abs(c).sum(axis=0))
+        block_abs[:, a] = (np.abs(c0 + c).sum(axis=0), np.abs(c0 - c).sum(axis=0), np.abs(c).sum(axis=0))
     return RunLedger(family, run, bias, *block_abs)
 
 
@@ -398,7 +399,7 @@ class BlockRows:
     block and bucket realized in it, in block then bucket order.
 
     Row r holds ``counts[r]`` rounds of bucket ``bucket[r]``; block a
-    (0-based) owns rows ``first[a]:first[a + 1]``; round t sits at the
+    (1-based, never empty) owns rows ``first[a - 1]:first[a]``; round t sits at the
     flat entry ``slots[t]`` = row * L + t % L.  ``chunks`` runs consecutive
     blocks [lo, hi) whose rows stack to at most ``STACK_ENTRIES`` entries,
     or one block that alone has more, so one transform's buffers stay
@@ -427,19 +428,20 @@ class BlockRows:
         slots = row_of * L + np.tile(np.arange(L), K)
         return cls(L, keys % n_buckets, counts, first, slots, tuple(chunks))
 
-    def transform(self, values: np.ndarray) -> dict:
-        """{a: (present buckets, coeffs)} for blocks a = 1..K, where
-        coeffs[r, j] = <psi_j, block-a ``values`` in bucket present[r]>: the
-        rows of ``values[:T']`` Walsh-transformed, one FWHT per chunk."""
-        L, first, out = self.L, self.first, {}
+    def transform(self, values: np.ndarray) -> np.ndarray:
+        """(rows, L) int64 coefficients in row order, one FWHT per chunk: entry
+        [r, j] is <psi_j, the ``values[:T']`` of row r's rounds in their block>."""
+        L, first, out = self.L, self.first, []
         for lo, hi in self.chunks:
             base = first[lo]
             rows = np.zeros((first[hi] - base) * L, dtype=np.int64)
             rows[self.slots[lo * L : hi * L] - base * L] = values[lo * L : hi * L]
-            coeffs = fwht(rows.reshape(-1, L))
-            for a in range(lo, hi):
-                out[a + 1] = (self.bucket[first[a] : first[a + 1]], coeffs[first[a] - base : first[a + 1] - base])
-        return out
+            out.append(fwht(rows.reshape(-1, L)))
+        return out[0] if len(out) == 1 else np.concatenate(out)
+
+    def per_block(self, x: np.ndarray) -> np.ndarray:
+        """Sums of the rows of ``x`` (rows first) over each block: (K, ...)."""
+        return np.add.reduceat(x, self.first[:-1], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +520,7 @@ class SkeletonRun:
     and the sums ``accumulate_run`` and ``check_telescoping`` read, formed
     from them.  The direct biases take the heads per context column
     through each group's weights and the column-to-bucket map; the layout
-    takes the ``BlockRows.transform`` of the residual."""
+    takes the skeleton's ``BlockRows`` and their transform of the residual."""
 
     skeleton: RunSkeleton
     heads: np.ndarray
@@ -548,12 +550,16 @@ class SkeletonRun:
     def resid_total(self) -> int:
         return self.skeleton.total0 - self.skeleton.step * int(np.count_nonzero(self.heads))
 
-    def resid_coefficients(self, layout: BlockLayout) -> dict:
-        """Block transform of the residual."""
-        sk = self.skeleton
-        if layout != sk.family.layout:
+    def block_rows(self, layout: BlockLayout) -> BlockRows:
+        """The skeleton's ``BlockRows``, which hold for its family's layout only."""
+        if layout != self.skeleton.family.layout:
             raise ValueError("the skeleton was built for another layout")
-        return sk.rows.transform(sk.resid_rounds0 - self.heads[: layout.T_prime] * np.int64(sk.step))
+        return self.skeleton.rows
+
+    def resid_coefficients(self, layout: BlockLayout) -> np.ndarray:
+        """(rows, L) block transform of the residual."""
+        sk = self.skeleton
+        return self.block_rows(layout).transform(sk.resid_rounds0 - self.heads[: layout.T_prime] * np.int64(sk.step))
 
     def deviation_stats(self, stats0: DeviationStats) -> DeviationStats:
         """This draw's statistics from ``stats0``, those of the run at
@@ -634,8 +640,7 @@ def deviation_stats(
     n_a = e_a = q_a = None
     if layout is not None:
         rows = run.block_rows(layout)
-        root = np.sqrt(rows.counts)
-        n_a = np.array([root[lo:hi].sum() for lo, hi in zip(rows.first[:-1], rows.first[1:])])
+        n_a = rows.per_block(np.sqrt(rows.counts))
         q_a = np.diff(rows.first)
         e_a = sq.reshape(layout.K, layout.L).sum(axis=1)
 
@@ -677,33 +682,31 @@ def deviation_stats(
 class BlockDecomposition:
     """Signed Hadamard bias (D) and noise (Nz) per (block, bucket, j).
 
-    ``D[a]`` and ``Nz[a]`` are (present_buckets, matrix) pairs with
-    integer entries over ``scale``: matrix[r, j] is the coefficient of
-    the bias (resp. noise) sequence of block a restricted to bucket r.
-    D + Nz equals the signed-functional ledger bias exactly.
+    ``D`` and ``Nz`` are (rows, L) int64 arrays over ``scale``: entry [r, j]
+    is the coefficient of the bias (resp. noise) sequence of the block a
+    owning row r (``rows.first[a - 1] <= r < rows.first[a]``) restricted to
+    bucket ``rows.bucket[r]``.  D + Nz equals the signed-functional ledger bias exactly.
     """
 
     layout: BlockLayout
     scale: int
-    D: dict
-    Nz: dict
+    rows: BlockRows
+    D: np.ndarray
+    Nz: np.ndarray
 
     def signed_err(self, a: int, j: int) -> Fraction:
         """Err of the signed functional h_{a,j} = sum_v |D + Nz|."""
-        _, d = self.D[a]
-        _, z = self.Nz[a]
-        return Fraction(int(np.abs(d[:, j] + z[:, j]).sum()), self.scale)
+        lo, hi = self.rows.first[a - 1 : a + 1]
+        return Fraction(int(np.abs((self.D + self.Nz)[lo:hi, j]).sum()), self.scale)
+
+    def bias_l1(self) -> np.ndarray:
+        """(1/L) sum_j sum_v |D| per block, the bias-averaging lhs."""
+        return self.rows.per_block(np.abs(self.D / self.scale)).sum(axis=1) / self.layout.L
 
     def block_parseval_gap(self, E_a: np.ndarray) -> float:
         """Max relative gap of sum_j sum_v D^2 = L * E_a across blocks."""
-        worst = 0.0
-        for a in range(1, self.layout.K + 1):
-            _, d = self.D[a]
-            lhs = float(np.sum((d / self.scale).astype(np.float64) ** 2))
-            rhs = self.layout.L * float(E_a[a - 1])
-            denom = max(abs(rhs), 1e-30)
-            worst = max(worst, abs(lhs - rhs) / denom)
-        return worst
+        lhs, rhs = self.rows.per_block(np.square(self.D / self.scale)).sum(axis=1), self.layout.L * E_a
+        return float((np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-30)).max())
 
 
 def block_decompose(run: ScaledRun, layout: BlockLayout) -> BlockDecomposition:
@@ -715,8 +718,7 @@ def block_decompose(run: ScaledRun, layout: BlockLayout) -> BlockDecomposition:
     if layout.T_prime > run.T:
         raise ValueError("layout covers more rounds than the trajectory")
     d = run.block_rows(layout).transform(run.dev)
-    nz = {a: (present, c - d[a][1]) for a, (present, c) in run.resid_coefficients(layout).items()}
-    return BlockDecomposition(layout=layout, scale=run.scale, D=d, Nz=nz)
+    return BlockDecomposition(layout, run.scale, run.block_rows(layout), d, run.resid_coefficients(layout) - d)
 
 
 # ---------------------------------------------------------------------------
@@ -846,10 +848,7 @@ def check_block_mass(stats: DeviationStats) -> list[CheckSummary]:
 
 def check_bias_averaging(decomp: BlockDecomposition, stats: DeviationStats) -> CheckSummary:
     """(1/L) sum_j sum_v |D| <= sqrt(q_a E_a), one comparison per block a."""
-    lay = decomp.layout
-    lhs = [float(np.abs(decomp.D[a][1] / decomp.scale).sum()) / lay.L for a in range(1, lay.K + 1)]
-    rhs = [math.sqrt(float(stats.q_a[a]) * float(stats.E_a[a])) for a in range(lay.K)]
-    return _float_ge("bias_averaging", rhs, lhs)
+    return _float_ge("bias_averaging", np.sqrt(stats.q_a * stats.E_a), decomp.bias_l1())
 
 
 def check_block_parseval(decomp: BlockDecomposition, stats: DeviationStats) -> CheckSummary:

@@ -194,14 +194,14 @@ def cmd_scaling(args, overrides) -> int:
         return EXIT_UNRESOLVED
 
     manifest = Manifest(__version__, config_digest(cfg), config.seed, time.time())
-    out_dir = Path(args.out or cfg.get("output.dir", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         result = run_scaling(config)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    out_dir = Path(args.out or cfg.get("output.dir", "."))
+    out_dir.mkdir(parents=True, exist_ok=True)
     scaling_path = out_dir / f"{config.experiment_id}_scaling.csv"
     groups_path = out_dir / f"{config.experiment_id}_groups.csv"
     write_scaling_csv(scaling_path, result)
@@ -350,7 +350,7 @@ def cmd_bounds(args, overrides) -> int:
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return EXIT_UNRESOLVED
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         if "routing is invalid" in str(exc):
             print(f"invalid groups for reduction: {exc}", file=sys.stderr)
             return EXIT_UNRESOLVED

@@ -276,10 +276,10 @@ FAMILIES = {
     # the Walsh halves index the signed-noise grid, grid_section4(m)
     "walsh": FamilyKind(lambda config, T, m, eta: build_walsh_family(m), envs=("rademacher",)),
     "block_hadamard": FamilyKind(
-        lambda config, T, m, eta: build_block_hadamard_family(T, config.K or default_block_count(T))[1]
+        lambda config, T, m, eta: build_block_hadamard_family(T, config.K or default_block_count(T))
     ),
     "full_walsh": FamilyKind(
-        lambda config, T, m, eta: build_full_walsh_family(T, m, config.K or default_block_count(T))[1],
+        lambda config, T, m, eta: build_full_walsh_family(T, m, config.K or default_block_count(T)),
         envs=("rademacher",),
     ),
     # bit groups read the bit context
@@ -589,17 +589,24 @@ class BoundRecord:
         return self.margin >= 0
 
 
-def _oracle_factory(key: str, oracle: str, q: int):
-    """``make_forecaster_factory(oracle, Q=q)``; an unknown oracle names ``key``."""
+def _oracle_factory(prefix: str, oracle: str, q: int):
+    """``make_forecaster_factory(oracle, Q=q)``, tried once: an unknown oracle
+    names ``<prefix>.oracle``, a refused Q names ``<prefix>.Q``."""
     try:
-        return make_forecaster_factory(oracle, Q=q)
+        factory = make_forecaster_factory(oracle, Q=q)
+        factory()
     except KeyError:
-        raise KeyError(f"unknown {key}: {oracle!r}") from None
+        raise KeyError(f"unknown {prefix}.oracle: {oracle!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"{prefix}.Q={q}: {exc}") from None
+    return factory
 
 
-def _check_stderr_replicates(replicates: int) -> None:
+def _check_replicates(replicates: int) -> None:
     if replicates < 2:
         raise ValueError(f"bound needs replicates >= 2 for a standard error, got replicates={replicates}")
+    if replicates > MAX_REPLICATES:
+        raise ValueError(f"run.replicates={replicates} exceeds the cap {MAX_REPLICATES}")
 
 
 def oracle_bound_value(T: int, k: int, m_copies: int) -> float:
@@ -618,10 +625,12 @@ def run_oracle_bound(
     seed: int = 42,
 ) -> tuple[list[BoundRecord], dict]:
     """Proper m-copy reduction on the bit environment versus the theory floor."""
-    _check_stderr_replicates(replicates)
+    _check_replicates(replicates)
+    if T > MAX_T:
+        raise ValueError(f"oracle.T={T} exceeds the desk-scale cap {MAX_T}")
     n = 1 << k
     q = q if q is not None else n - 1
-    base = _oracle_factory("oracle.oracle", oracle, q)
+    base = _oracle_factory("oracle", oracle, q)
     probe = base()
     factory = base if probe.context_blind else (lambda: context_blind(base()))
     family = build_bit_family(k)
@@ -693,10 +702,10 @@ def run_reduction_bound(
     against the cell sum; the per-replicate triangle inequality
     Err(g_j) <= sum of its cells' errors is checked pathwise.
     """
-    _check_stderr_replicates(replicates)
+    _check_replicates(replicates)
     if not T_list:
         raise ValueError("reduction.T_list is empty; give at least one T")
-    factory = _oracle_factory("reduction.oracle", oracle, q)
+    factory = _oracle_factory("reduction", oracle, q)
     if groups_kind not in FAMILIES:
         raise KeyError(f"unknown reduction.groups: {groups_kind!r}; accepted: {', '.join(FAMILIES)}")
     config = ExperimentConfig(env="bernoulli", groups=groups_kind, T_list=tuple(T_list), seed=seed, pieces=pieces)
@@ -872,7 +881,7 @@ def run_identity_suite(
     for L in _powers_of_two(2, block_max):
         T = 2 * L
         traj = sample_rademacher_env(T, seed, m=2)
-        _, fam = build_block_hadamard_family(T=T, K=2)
+        fam = build_block_hadamard_family(T=T, K=2)
         run = ScaledRun.build(traj, Predictions(num=np.zeros(T, dtype=np.int64), den=1))
         for plus, minus in fam.signed_pairs():
             w = plus.weights(run).astype(np.int64) + minus.weights(run)
@@ -933,19 +942,14 @@ def noise_floor_diagnostic(T: int, K: int, replicates: int, seed: int) -> dict:
     """min over (a, j) of E[sum_v |Nz|] log2(L+1) / E[N_a], honest forecaster."""
     m_env = section4_grid_count(T)
     layout = build_block_layout(T, K)
-    noise_sums = None
+    noise_sums = np.zeros((layout.K, layout.L))
     n_a_sum = np.zeros(layout.K)
     for rep in range(replicates):
         traj = sample_rademacher_env(T, seed, m=m_env, stream=rep)
         run = ScaledRun.build(traj, Predictions(num=traj.x_num.copy(), den=traj.den))
         dec = block_decompose(run, layout)
-        stats = deviation_stats(run, layout=layout)
-        n_a_sum += stats.N_a
-        block = np.empty((layout.K, layout.L))
-        for a in range(1, layout.K + 1):
-            _, z = dec.Nz[a]
-            block[a - 1] = np.abs(z / dec.scale).sum(axis=0)
-        noise_sums = block if noise_sums is None else noise_sums + block
+        n_a_sum += deviation_stats(run, layout=layout).N_a
+        noise_sums += dec.rows.per_block(np.abs(dec.Nz / dec.scale))
     mean_noise = noise_sums / replicates
     mean_n_a = n_a_sum / replicates
     ratios = mean_noise * math.log2(layout.L + 1) / mean_n_a[:, None]

@@ -26,6 +26,10 @@ from .environments import ContextRecord, Trajectory
 
 DUMMY_CONTEXT = ContextRecord(mean=Fraction(1, 2))
 
+# Desk-scale cap on the uniform oracle's grid, whose support holds Q + 1
+# Fractions: a memory and build-time guard, like experiments.MAX_T
+MAX_Q = 1 << 12
+
 
 @dataclass(frozen=True)
 class PredictionDistribution:
@@ -250,6 +254,8 @@ class UniformRandomOracle(Forecaster):
     def __init__(self, q: int):
         if q < 1:
             raise ValueError(f"grid denominator must be >= 1, got {q}")
+        if q > MAX_Q:
+            raise ValueError(f"grid denominator Q={q} exceeds the desk-scale cap {MAX_Q}")
         self.q = q
         self.id = f"uniform_random@Q={q}"
         self._dist = PredictionDistribution(

@@ -325,10 +325,7 @@ class GroupFamily:
 
     kind: str
     groups: list
-    m: Optional[int] = None
-    eta: Optional[Fraction] = None
     layout: Optional[BlockLayout] = None
-    k: Optional[int] = None
     grid: Optional[tuple] = None
 
     def __len__(self):
@@ -399,7 +396,7 @@ def build_pred_threshold_family(m: int, eta: Fraction) -> GroupFamily:
     if eta > Fraction(1, 2 * m):
         raise ValueError(f"eta={eta} violates the disjointness bound 1/(2m) for m={m}")
     groups = [ThresholdGroup(w, eta) for w in (1, 2, 3)]
-    return GroupFamily(kind="pred_threshold", groups=groups, m=m, eta=eta)
+    return GroupFamily(kind="pred_threshold", groups=groups)
 
 
 def build_walsh_family(m: int) -> GroupFamily:
@@ -413,28 +410,26 @@ def build_walsh_family(m: int) -> GroupFamily:
     for l in range(1, m):
         groups.append(WalshHalfGroup(l, +1, grid_to_idx, m))
         groups.append(WalshHalfGroup(l, -1, grid_to_idx, m))
-    return GroupFamily(kind="walsh", groups=groups, m=m, grid=tuple(grid))
+    return GroupFamily(kind="walsh", groups=groups, grid=tuple(grid))
 
 
-def build_block_hadamard_family(T: int, K: int) -> tuple[BlockLayout, GroupFamily]:
-    """2 K L blockwise Hadamard half-groups over the derived layout."""
-    layout = build_block_layout(T, K)
-    return layout, GroupFamily(kind="block_hadamard", groups=[], layout=layout)
+def build_block_hadamard_family(T: int, K: int) -> GroupFamily:
+    """2 K L blockwise Hadamard half-groups over the derived layout (``layout``)."""
+    return GroupFamily(kind="block_hadamard", groups=[], layout=build_block_layout(T, K))
 
 
 def build_bit_family(k: int) -> GroupFamily:
     """{g_0, ..., g_k}: the constant group plus one group per context bit."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    return GroupFamily(kind="bits", groups=[BitGroup(r) for r in range(k + 1)], k=k)
+    return GroupFamily(kind="bits", groups=[BitGroup(r) for r in range(k + 1)])
 
 
-def build_full_walsh_family(T: int, m: int, K: int) -> tuple[BlockLayout, GroupFamily]:
+def build_full_walsh_family(T: int, m: int, K: int) -> GroupFamily:
     """The complete prediction-independent family: constant + global Walsh
     half-groups + blockwise Hadamard half-groups."""
     walsh = build_walsh_family(m)
-    layout = build_block_layout(T, K)
-    return layout, GroupFamily(kind="full_walsh", groups=walsh.groups, m=m, layout=layout, grid=walsh.grid)
+    return GroupFamily(kind="full_walsh", groups=walsh.groups, layout=build_block_layout(T, K), grid=walsh.grid)
 
 
 def build_grid_range_family(grid: list[Fraction], pieces: int = 3) -> GroupFamily:

@@ -87,7 +87,7 @@ def test_record_round_validation():
 
 
 def test_streaming_limit():
-    _, fam = build_block_hadamard_family(T=256, K=2)
+    fam = build_block_hadamard_family(T=256, K=2)
     with pytest.raises(ValueError):
         BiasLedger(fam)
 
@@ -160,7 +160,7 @@ def _random_case(kind, data):
     if kind == "block_hadamard":
         T = data.draw(st.integers(4, 48))
         traj = sample_rademacher_env(T=T, seed=seed, m=4)
-        return traj, build_block_hadamard_family(T, data.draw(st.integers(1, T // 4)))[1]
+        return traj, build_block_hadamard_family(T, data.draw(st.integers(1, T // 4)))
     k = data.draw(st.integers(1, 3))
     return sample_bit_env(T=data.draw(st.integers(1, 48)), k=k, seed=seed), build_bit_family(k)
 
@@ -193,7 +193,7 @@ def test_block_groups_match_direct_evaluation():
     # FWHT-based block accumulation equals direct streaming on a small case
     rng = np.random.default_rng(14)
     traj = sample_rademacher_env(T=64, seed=7, m=4)
-    layout, fam = build_block_hadamard_family(T=64, K=2)
+    fam = build_block_hadamard_family(T=64, K=2)
     pred = random_predictions(traj, rng, den=4)
     ledger = BiasLedger(fam, streaming_limit=10_000)
     for t in range(traj.T):
@@ -356,10 +356,9 @@ def test_block_decompose_honest():
     layout = build_block_layout(128, 2)
     pred = honest_predictions(traj)
     dec = block_decompose(ScaledRun.build(traj, pred), layout)
-    for a in (1, 2):
-        _, d = dec.D[a]
-        assert np.all(d == 0)
-        _, z = dec.Nz[a]
+    assert dec.D.shape == dec.Nz.shape == (dec.rows.first[-1], layout.L)
+    assert np.all(dec.D == 0)
+    for a, z in enumerate(np.split(dec.Nz, dec.rows.first[1:-1]), start=1):
         assert dec.signed_err(a, 3) == Fraction(int(np.abs(z[:, 3]).sum()), dec.scale)
 
 
@@ -368,21 +367,23 @@ def test_block_decompose_constant_bias():
     traj = sample_rademacher_env(T=64, seed=11, m=2)
     layout = build_block_layout(64, 1)
     pred = Predictions(num=np.full(64, 5, dtype=np.int64), den=8)
-    dec = block_decompose(ScaledRun.build(traj, pred), layout)
-    buckets, d = dec.D[1]
-    assert len(buckets) == 1
+    run = ScaledRun.build(traj, pred)
+    dec = block_decompose(run, layout)
+    assert list(dec.rows.first) == [0, 1]
+    assert Fraction(int(run.bucket_scaled[dec.rows.bucket[0]]), dec.scale) == Fraction(5, 8)
     delta = (
         np.full(64, 5 * dec.scale // 8, dtype=np.int64)
         - traj.x_num * (dec.scale // traj.den)
     )
-    assert d[0, 0] == delta.sum()
+    (d,) = dec.D
+    assert d[0] == delta.sum()
 
 
 def test_block_decompose_identity_and_parseval():
     rng = np.random.default_rng(19)
     traj = sample_rademacher_env(T=256, seed=12, m=4)
     layout = build_block_layout(256, 2)
-    _, fam = build_block_hadamard_family(T=256, K=2)
+    fam = build_block_hadamard_family(T=256, K=2)
     for _ in range(5):
         pred = random_predictions(traj, rng, den=8)
         dec = block_decompose(ScaledRun.build(traj, pred), layout)
@@ -399,39 +400,62 @@ def test_block_decompose_identity_and_parseval():
         assert averaging.ok and averaging.count == layout.K
 
 
-@pytest.mark.parametrize("T,K,den", [(8, 1, 2), (32, 2, 4), (48, 3, 3), (100, 4, 8)])
-def test_block_decompose_noise_matches_direct_transform(monkeypatch, T, K, den):
+@pytest.mark.parametrize(
+    "T,K,den,flat",
+    [(8, 1, 2, None), (32, 2, 4, None), (48, 3, 3, None), (100, 4, 8, None), (64, 4, 8, 2)],
+    ids=["8-1-2", "32-2-4", "48-3-3", "100-4-8", "64-4-8-flat2"],
+)
+def test_block_decompose_noise_matches_direct_transform(monkeypatch, T, K, den, flat):
     # D and Nz against the transforms of the bucket-masked p - x and x - y
     # rows, built here round by round; with one block per transform and
-    # with every block in one
+    # with every block in one.  The per-block sums (N_a, the bias-averaging
+    # and Parseval lhs) against the same rows; ``flat`` names a block with
+    # one prediction, so one row
     rng = np.random.default_rng(T)
     traj = sample_rademacher_env(T=T, seed=K, m=4)
     layout = build_block_layout(T, K)
     pred = random_predictions(traj, rng, den=den)
+    if flat is not None:
+        pred.num[(flat - 1) * layout.L : flat * layout.L] = den // 2
     scale = ScaledRun.build(traj, pred).scale
     psi = walsh_matrix(layout.L).astype(np.int64)
-    want = {}
+    values, bias, noise, n_a = [], [], [], []
     for a in range(1, layout.K + 1):
         rounds = range((a - 1) * layout.L, a * layout.L)
-        values = sorted({pred.fraction(t) for t in rounds})
-        bias = np.zeros((len(values), layout.L), dtype=np.int64)
-        noise = np.zeros((len(values), layout.L), dtype=np.int64)
+        present = sorted({pred.fraction(t) for t in rounds})
+        d_rows = np.zeros((len(present), layout.L), dtype=np.int64)
+        z_rows = np.zeros((len(present), layout.L), dtype=np.int64)
+        counts = [0] * len(present)
         for s, t in enumerate(rounds):
-            r = values.index(pred.fraction(t))
+            r = present.index(pred.fraction(t))
             d = (pred.fraction(t) - traj.context(t).mean) * scale
             z = (traj.context(t).mean - traj.outcome(t)) * scale
             assert d.denominator == z.denominator == 1
-            bias[r, s], noise[r, s] = int(d), int(z)
-        want[a] = values, bias @ psi.T, noise @ psi.T
+            d_rows[r, s], z_rows[r, s] = int(d), int(z)
+            counts[r] += 1
+        values.append(present)
+        bias.append(d_rows @ psi.T)
+        noise.append(z_rows @ psi.T)
+        n_a.append(sum(math.sqrt(c) for c in counts))
+    first = np.cumsum([0] + [len(v) for v in values])
+    # (1/L) sum_j sum_v |D| and sum_j sum_v D^2 per block, exactly
+    averaging_lhs = [Fraction(int(np.abs(b).sum()), scale * layout.L) for b in bias]
+    parseval_lhs = [Fraction(int((b.astype(object) ** 2).sum()), scale**2) for b in bias]
+    assert flat is None or first[flat] - first[flat - 1] == 1
     for entries, n_chunks in ((1, layout.K), (calibration.STACK_ENTRIES, 1)):
         monkeypatch.setattr(calibration, "STACK_ENTRIES", entries)
         run = ScaledRun.build(traj, pred)
         dec = block_decompose(run, layout)
-        assert len(run.block_rows(layout).chunks) == n_chunks
-        for a, (values, d, z) in want.items():
-            for buckets, coeffs, rows in (dec.D[a] + (d,), dec.Nz[a] + (z,)):
-                assert [Fraction(int(v), scale) for v in run.bucket_scaled[buckets]] == values
-                assert np.array_equal(coeffs, rows)
+        rows = dec.rows
+        assert rows is run.block_rows(layout) and len(rows.chunks) == n_chunks
+        assert np.array_equal(rows.first, first)
+        assert [Fraction(int(v), scale) for v in run.bucket_scaled[rows.bucket]] == [v for vs in values for v in vs]
+        assert np.array_equal(dec.D, np.concatenate(bias))
+        assert np.array_equal(dec.Nz, np.concatenate(noise))
+        assert deviation_stats(run, layout=layout).N_a == pytest.approx(n_a, rel=1e-12)
+        assert dec.bias_l1() == pytest.approx([float(v) for v in averaging_lhs], rel=1e-12)
+        # a zero gap against L E_a = the reference sum of squares, block by block
+        assert dec.block_parseval_gap(np.array([float(v) / layout.L for v in parseval_lhs])) < 1e-12
 
 
 def test_g4_context_decomposition():
@@ -479,7 +503,7 @@ def test_diff_two_direct_pairs_match_per_pair_reference():
     slacks = set()
     for l in range(1, 8):
         plus, minus = walsh.by_id(f"wal+/{l}"), walsh.by_id(f"wal-/{l}")
-        fam = GroupFamily(kind="walsh", groups=[ConstantGroup(), plus, minus], m=8, grid=walsh.grid)
+        fam = GroupFamily(kind="walsh", groups=[ConstantGroup(), plus, minus], grid=walsh.grid)
         ledger = ledger_of(traj, pred, fam)
         run = ledger.scaled
         wp, wm = plus.weights(run), minus.weights(run)
@@ -493,7 +517,7 @@ def test_diff_two_direct_pairs_match_per_pair_reference():
 def test_diff_two_pathwise():
     rng = np.random.default_rng(21)
     traj = sample_rademacher_env(T=128, seed=14, m=4)
-    _, fam = build_full_walsh_family(T=128, m=4, K=2)
+    fam = build_full_walsh_family(T=128, m=4, K=2)
     for _ in range(10):
         pred = random_predictions(traj, rng, den=8)
         run = ledger_of(traj, pred, fam)
@@ -509,7 +533,7 @@ def test_diff_two_matches_per_pair_reference(data):
     T = data.draw(st.integers(4, 80))
     m = data.draw(st.sampled_from([2, 4]))
     traj = sample_rademacher_env(T=T, seed=data.draw(st.integers(0, 2**16)), m=m)
-    _, fam = build_full_walsh_family(T, m, data.draw(st.integers(1, T // 4)))
+    fam = build_full_walsh_family(T, m, data.draw(st.integers(1, T // 4)))
     den = data.draw(st.integers(1, 12))
     num = data.draw(st.lists(st.integers(0, den), min_size=T, max_size=T))
     ledger = ledger_of(traj, Predictions(num=np.array(num, dtype=np.int64), den=den), fam)

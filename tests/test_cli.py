@@ -171,6 +171,7 @@ def test_bad_forecaster_id(tmp_path):
         ("env.kind=bernoulli\ngroups.kind=walsh\n", EXIT_CONFIG, "groups.kind=walsh does not run on env.kind=bernoulli"),
         ("run.replicates=-3\n", EXIT_CONFIG, "run.replicates=-3"),
         ("env.T_list=\n", EXIT_CONFIG, "env.T_list"),
+        ("forecaster.id=uniform_random\nforecaster.Q=1000000000000001\n", EXIT_CONFIG, "forecaster.Q=1000000000000001"),
     ],
     ids=[
         "unknown-oracle",
@@ -182,6 +183,7 @@ def test_bad_forecaster_id(tmp_path):
         "walsh-on-bernoulli",
         "negative-replicates",
         "empty-T-list",
+        "huge-uniform-Q",
     ],
 )
 def test_bad_forecaster_parameters_fail_before_any_cell(tmp_path, capsys, lines, code, key):
@@ -341,11 +343,25 @@ def test_bounds_reduction_names_the_unknown_key(tmp_path, capsys, line, message)
 
 
 def test_bounds_bad_value_fails_before_any_output(tmp_path, capsys):
+    # the desk caps are refused at once, before a (T, k) bit array per
+    # replicate or a (Q + 1)-point oracle support is built
     cfg = tmp_path / "r.cfg"
     out = tmp_path / "out"
-    for lines, key in (("reduction.T_list=512\nrun.seed=abc\n", "run.seed"), ("reduction.T_list=\n", "reduction.T_list")):
+    for which, lines, key in (
+        ("reduction", "reduction.T_list=512\nrun.seed=abc\n", "run.seed"),
+        ("reduction", "reduction.T_list=\n", "reduction.T_list"),
+        ("reduction", "reduction.T_list=512\nrun.replicates=10001\n", "run.replicates=10001"),
+        (
+            "reduction",
+            "reduction.T_list=512\nreduction.oracle=uniform_random\nreduction.Q=1000000000000001\nrun.replicates=2\n",
+            "reduction.Q=1000000000000001",
+        ),
+        ("oracle", "oracle.T=2097152\nrun.replicates=2\n", "oracle.T=2097152"),
+        ("oracle", "oracle.T=400\nrun.replicates=10001\n", "run.replicates=10001"),
+        ("oracle", "oracle.T=400\noracle.Q=1000000000000001\nrun.replicates=2\n", "oracle.Q=1000000000000001"),
+    ):
         cfg.write_text(lines)
-        assert main(["bounds", "reduction", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert main(["bounds", which, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
         assert not out.exists()
@@ -359,6 +375,18 @@ def test_bounds_need_two_replicates(tmp_path, capsys, which, lines, replicates):
     out = tmp_path / "out"
     assert main(["bounds", which, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
     assert f"replicates={replicates}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scaling_int64_headroom_is_a_config_error(tmp_path, capsys):
+    # 2 T scale >= 2^63 at the first cell: exit 2 with the cell named, not an OverflowError
+    cfg = ROOT / "configs" / "overshoot_biglies.cfg"
+    overrides = ["--forecaster.offset=1/999999999989", "--groups.eta=1/128", "--env.T_list=131072"]
+    out = tmp_path / "out"
+    argv = ["scaling", "--config", str(cfg), *overrides, "--run.replicates=1", "--run.workers=1", "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "cell T=131072 rep=0" in err and "2 * T=131072 * scale=" in err and ">= 2^63" in err
     assert not out.exists()
 
 

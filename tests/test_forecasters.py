@@ -14,6 +14,7 @@ from caliblab.environments import (
     substream,
 )
 from caliblab.forecasters import (
+    MAX_Q,
     ConstantForecaster,
     EmpiricalMeanBucketOracle,
     HistoryView,
@@ -114,6 +115,14 @@ def test_empirical_mean_bucket_example():
     for y in (1, 1, 0, 1):
         oracle.observe(ContextRecord(mean=HALF), HALF, Fraction(y))
     assert oracle.propose(ContextRecord(mean=HALF), hist).support[0][0] == Fraction(3, 4)
+
+
+def test_uniform_random_refuses_q_above_the_cap():
+    # the support holds Q + 1 Fractions, so a huge Q is refused before it is built
+    assert len(UniformRandomOracle(MAX_Q).propose(ContextRecord(mean=HALF), HistoryView()).support) == MAX_Q + 1
+    for q in (MAX_Q + 1, 10**15 + 1):
+        with pytest.raises(ValueError, match=f"Q={q} exceeds the desk-scale cap {MAX_Q}"):
+            UniformRandomOracle(q)
 
 
 def test_uniform_random_support():

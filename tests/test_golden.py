@@ -1,12 +1,14 @@
 """Byte-for-byte regression of ``caliblab scaling``, ``caliblab bounds
-reduction`` and three Monte Carlo probes against committed CSVs.
+reduction``, ``caliblab bounds oracle`` and four Monte Carlo probes
+against committed CSVs.
 
 The files in tests/data were written by the CLI on the configs beside
 them, or on the probe arguments below.  Sampling, forecasting, pattern
-routing, the exact ledger, the per-group aggregation and the CSV
-formatting all feed these bytes, so a refactor that changes any result
-fails here.  The probe files pin the probe random streams: packed-bit
-sign draws and first-return walks drawn in chunks of 64 * 2^k.
+routing, the proper reduction, the exact ledger, the per-group
+aggregation and the CSV formatting all feed these bytes, so a refactor
+that changes any result fails here.  The probe files pin the probe
+random streams: packed-bit sign draws, first-return walks drawn in
+chunks of 64 * 2^k, and the martingale probe's residuals and thinning.
 Manifests are not pinned: they carry a timestamp.
 """
 
@@ -35,8 +37,15 @@ def test_reduction_csvs_match_golden_bytes(tmp_path):
         assert written.read_bytes() == (DATA / f"golden_reduction_{kind}.csv").read_bytes(), kind
 
 
+def test_oracle_csv_matches_golden_bytes(tmp_path):
+    cfg = DATA / "golden_oracle.cfg"
+    assert main(["bounds", "oracle", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    assert (tmp_path / "bounds_oracle.csv").read_bytes() == (DATA / "golden_oracle_bounds.csv").read_bytes()
+
+
 PROBES = {
     "bucketing": ["--L", "512", "--strategy", "avoid_zero", "--reps", "400"],
+    "martingale": ["--L", "512", "--strategy", "thinned", "--alpha", "0.5", "--reps", "400"],
     "root-return": ["--L", "512", "--reps", "4000"],
     "return-pmf": ["--n", "6", "--reps", "5000"],
 }

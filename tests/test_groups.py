@@ -138,7 +138,8 @@ def test_walsh_prediction_independence():
 
 
 def test_block_layout_example():
-    layout, fam = build_block_hadamard_family(T=20, K=2)
+    fam = build_block_hadamard_family(T=20, K=2)
+    layout = fam.layout
     assert layout.L == 8
     assert layout.T_prime == 16
     assert len(fam) == 32
@@ -157,7 +158,8 @@ def test_block_layout_t_prime_range():
 
 
 def test_block_half_groups():
-    layout, fam = build_block_hadamard_family(T=20, K=2)
+    fam = build_block_hadamard_family(T=20, K=2)
+    layout = fam.layout
     plus = fam.by_id("had+/1/3")
     minus = fam.by_id("had-/1/3")
     for t in range(1, 21):
@@ -183,7 +185,8 @@ def test_complementarity_exhaustive_vectorized():
     # exhaustive over L <= 256 through the vectorized path
     for T, K in ((256, 1), (512, 2), (1024, 4)):
         traj = sample_rademacher_env(T=T, seed=1)
-        layout, fam = build_block_hadamard_family(T=T, K=K)
+        fam = build_block_hadamard_family(T=T, K=K)
+        layout = fam.layout
         assert layout.L <= 256
         run = zero_run(traj)
         total = np.zeros(T, dtype=np.int64)
@@ -215,7 +218,8 @@ def test_signed_diff():
     grid = grid_section4(4)
     # at grid index 2 the l=1 Walsh sign is psi_1(1) = -1
     assert h.evaluate(ctx_mean(grid[1]), None) == -1
-    layout, bfam = build_block_hadamard_family(T=64, K=2)
+    bfam = build_block_hadamard_family(T=64, K=2)
+    layout = bfam.layout
     hb = signed_diff(bfam.by_id("had+/1/0"), bfam.by_id("had-/1/0"))
     assert hb.evaluate(ctx_timed(Fraction(1, 2), layout.L + 1), None) == 0
     # h + 2 g^- = g^+ + g^- pointwise
@@ -227,7 +231,8 @@ def test_signed_diff():
 
 
 def test_full_family_and_manifest():
-    layout, fam = build_full_walsh_family(T=64, m=4, K=2)
+    fam = build_full_walsh_family(T=64, m=4, K=2)
+    layout = fam.layout
     assert len(fam) == 1 + 2 * 3 + 2 * layout.K * layout.L
     lines = fam.manifest_lines()
     assert len(lines) == len(fam)
@@ -250,10 +255,8 @@ def test_block_family_matches_eager_reference(data):
     T = data.draw(st.integers(4, 96))
     K = data.draw(st.integers(1, T // 4))
     m = data.draw(st.sampled_from([None, 2, 4, 8]))
-    if m is None:
-        layout, fam = build_block_hadamard_family(T, K)
-    else:
-        layout, fam = build_full_walsh_family(T, m, K)
+    fam = build_block_hadamard_family(T, K) if m is None else build_full_walsh_family(T, m, K)
+    layout = fam.layout
     ref = _eager_family(T, K, m)
     assert len(fam) == len(ref)
     assert fam.ids() == [g.id for g in ref]
