@@ -39,7 +39,6 @@ from .forecasters import (
     PatternRouter,
     PredictionDistribution,
     ProperReduction,
-    context_blind,
     make_forecaster_factory,
     run_forecaster,
 )

@@ -12,10 +12,12 @@ environment variable ``CALIBLAB_SEED`` overrides ``run.seed``.
 
 The kinds and ids a config names are the keys of ``experiments.ENVS``
 and ``experiments.FAMILIES`` and the ids of ``make_forecaster_factory``.
-Exit codes: 0 success, 1 failure under ``--assert``, 2 config parse
-error, missing or bad value, unbuildable run or unknown probe, 3 unknown
-kind or id (``unknown <config key>: <value>``) or unroutable reduction
-groups.  CSV content is identical whether or not ``--assert`` is set.
+``scaling`` and ``bounds`` read and cast every key they use before the
+first cell, and refuse a key they do not read.  Exit codes: 0 success,
+1 failure under ``--assert``, 2 config parse error, unknown config key,
+missing or bad value, unbuildable run or unknown probe, 3 unknown kind
+or id (``unknown <config key>: <value>``).  CSV content is identical
+whether or not ``--assert`` is set.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from . import __version__
 from .calibration import format_float
 from .experiments import (
     EXPONENT_WINDOW,
+    MAX_WORKERS,
     ExperimentConfig,
     run_identity_suite,
     run_oracle_bound,
@@ -115,7 +118,7 @@ def _get(cfg: dict, key: str, default=None, cast=str):
         return default
     try:
         return cast(cfg[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad value for {key}: {cfg[key]!r}") from exc
 
 
@@ -123,9 +126,49 @@ def _int_list(raw: str) -> tuple:
     return tuple(int(s) for s in raw.split(",") if s.strip())
 
 
-def _given(**keywords) -> dict:
-    """The keywords a config sets; the others keep their defaults in ``experiments``."""
-    return {name: value for name, value in keywords.items() if value is not None}
+def _flag(raw: str) -> bool:
+    if raw.lower() not in ("true", "false"):
+        raise ValueError(raw)
+    return raw.lower() == "true"
+
+
+# config key -> (keyword, cast) of what a command hands its runner; a key
+# the config leaves out keeps the runner's default
+SCALING_KEYS = {
+    "run.id": ("experiment_id", str), "run.replicates": ("replicates", int), "run.seed": ("seed", int),
+    "env.kind": ("env", str), "env.m": ("m", int), "env.k": ("k", int),
+    "forecaster.id": ("forecaster", str), "forecaster.Q": ("Q", int), "forecaster.offset": ("offset", str),
+    "forecaster.value": ("value", str), "forecaster.oracle": ("oracle", str),
+    "forecaster.m_copies": ("m_copies", int), "forecaster.update": ("update", str),
+    "groups.kind": ("groups", str), "groups.eta": ("eta", str), "groups.K": ("K", int),
+    "groups.pieces": ("pieces", int),
+}
+BOUND_KEYS = {
+    "oracle": {
+        "oracle.T": ("T", int), "oracle.k": ("k", int), "oracle.m_copies": ("m_copies", int),
+        "oracle.oracle": ("oracle", str), "oracle.Q": ("q", int), "oracle.update": ("update", str),
+    },
+    "reduction": {
+        "reduction.T_list": ("T_list", _int_list), "reduction.pieces": ("pieces", int),
+        "reduction.oracle": ("oracle", str), "reduction.Q": ("q", int),
+    },
+}
+# the keys each command reads beside its table; it refuses every other key
+SCALING_OWN_KEYS = (
+    "env.T_list", "env.T", "run.workers", "output.dir", "output.family", "assert.exponent_min", "assert.exponent_max"
+)
+BOUND_OWN_KEYS = ("run.seed", "run.replicates", "output.dir")
+
+
+def _read(cfg: dict, keys: dict) -> dict:
+    """The runner keywords of the ``keys`` that ``cfg`` sets, cast."""
+    return {name: _get(cfg, key, cast=cast) for key, (name, cast) in keys.items() if key in cfg}
+
+
+def _refuse_unknown(cfg: dict, known) -> None:
+    unknown = sorted(set(cfg) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown config key {', '.join(unknown)}; accepted: {', '.join(sorted(known))}")
 
 
 def experiment_config_from(cfg: dict) -> ExperimentConfig:
@@ -135,26 +178,8 @@ def experiment_config_from(cfg: dict) -> ExperimentConfig:
     try:
         return ExperimentConfig(
             T_list=t_list,
-            workers=_get(cfg, "run.workers", os.cpu_count() or 1, int),
-            **_given(
-                experiment_id=_get(cfg, "run.id"),
-                env=_get(cfg, "env.kind"),
-                forecaster=_get(cfg, "forecaster.id"),
-                groups=_get(cfg, "groups.kind"),
-                replicates=_get(cfg, "run.replicates", cast=int),
-                seed=_get(cfg, "run.seed", cast=int),
-                m=_get(cfg, "env.m", cast=int),
-                k=_get(cfg, "env.k", cast=int),
-                Q=_get(cfg, "forecaster.Q", cast=int),
-                offset=_get(cfg, "forecaster.offset"),
-                value=_get(cfg, "forecaster.value"),
-                eta=_get(cfg, "groups.eta"),
-                K=_get(cfg, "groups.K", cast=int),
-                pieces=_get(cfg, "groups.pieces", cast=int),
-                oracle=_get(cfg, "forecaster.oracle"),
-                m_copies=_get(cfg, "forecaster.m_copies", cast=int),
-                update=_get(cfg, "forecaster.update"),
-            ),
+            workers=_get(cfg, "run.workers", min(os.cpu_count() or 1, MAX_WORKERS), int),
+            **_read(cfg, SCALING_KEYS),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -185,7 +210,11 @@ class Manifest:
 def cmd_scaling(args, overrides) -> int:
     try:
         cfg = load_config(args.config, overrides)
+        _refuse_unknown(cfg, [*SCALING_KEYS, *SCALING_OWN_KEYS])
         config = experiment_config_from(cfg)
+        lo = _get(cfg, "assert.exponent_min", EXPONENT_WINDOW[0], float)
+        hi = _get(cfg, "assert.exponent_max", EXPONENT_WINDOW[1], float)
+        family = _get(cfg, "output.family", False, _flag)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -207,7 +236,7 @@ def cmd_scaling(args, overrides) -> int:
     write_scaling_csv(scaling_path, result)
     write_per_group_csv(groups_path, result)
     manifest.outputs = [scaling_path.name, groups_path.name]
-    if cfg.get("output.family", "false").lower() == "true":
+    if family:
         family_path = out_dir / f"{config.experiment_id}_family.csv"
         write_family_csv(family_path, config)
         manifest.outputs.append(family_path.name)
@@ -219,8 +248,6 @@ def cmd_scaling(args, overrides) -> int:
         ]
     manifest.write(out_dir / f"{config.experiment_id}_manifest.txt")
 
-    lo = float(cfg.get("assert.exponent_min", EXPONENT_WINDOW[0]))
-    hi = float(cfg.get("assert.exponent_max", EXPONENT_WINDOW[1]))
     print(
         f"{config.experiment_id}: exponent={result.exponent:.4f} "
         f"ci95=({result.exponent_ci95[0]:.4f},{result.exponent_ci95[1]:.4f}) "
@@ -240,9 +267,12 @@ def _probe_rows(args) -> list:
     seed = args.seed
     if "CALIBLAB_SEED" in os.environ:
         seed = int(os.environ["CALIBLAB_SEED"])
+    given = {name: value for name, value in vars(args).items() if value is not None}
     if args.name == "return-pmf":
-        reps = int(args.reps or 100_000)
-        n_max = int(args.n or 20)
+        reps = _get(given, "reps", 100_000, int)
+        n_max = _get(given, "n", 20, int)
+        if n_max < 1:
+            raise ValueError(f"return-pmf needs n >= 1, got n={n_max}")
         horizon = 2 * n_max + 2
         taus = simulate_first_returns(horizon, reps, seed)
         rows = []
@@ -255,21 +285,21 @@ def _probe_rows(args) -> list:
             )
         return rows
     if args.name == "root-return":
-        rep = truncated_root_return_probe(int(args.L or 1024), int(args.reps or 100_000), seed)
+        rep = truncated_root_return_probe(_get(given, "L", 1024, int), _get(given, "reps", 100_000, int), seed)
     elif args.name == "martingale":
         rep = martingale_transform_probe(
-            int(args.L or 4096),
-            alpha=float(args.alpha or 1.0),
+            _get(given, "L", 4096, int),
+            alpha=_get(given, "alpha", 1.0, float),
             indicator_strategy=args.strategy or "all_ones",
-            replicates=int(args.reps or 20_000),
+            replicates=_get(given, "reps", 20_000, int),
             seed=seed,
         )
     else:
         rep = bucketing_probe(
-            int(args.L or 4096),
-            h=Fraction(args.h or "1/4"),
+            _get(given, "L", 4096, int),
+            h=_get(given, "h", Fraction(1, 4), Fraction),
             strategy=args.strategy or "single_bucket",
-            replicates=int(args.reps or 10_000),
+            replicates=_get(given, "reps", 10_000, int),
             seed=seed,
         )
     params = ";".join(f"{k}={v}" for k, v in sorted(rep.parameters.items()))
@@ -280,21 +310,23 @@ def cmd_probe(args) -> int:
     if args.name not in PROBE_NAMES:
         print(f"unknown probe {args.name!r}; choose from {', '.join(PROBE_NAMES)}", file=sys.stderr)
         return EXIT_CONFIG
-    out_dir = Path(args.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"probe_{args.name}.csv"
     if args.name == "identities":
         records = run_identity_suite(seed=args.seed)
-        write_bounds_csv(path, records)
-        ok = all(r.passed for r in records)
-        for r in records:
-            print(f"{r.check_id}: {'pass' if r.passed else 'FAIL'}")
     else:
         try:
             rows = _probe_rows(args)
         except ValueError as exc:
             print(f"probe error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
+    out_dir = Path(args.out or ".")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / f"probe_{args.name}.csv"
+    if args.name == "identities":
+        write_bounds_csv(path, records)
+        ok = all(r.passed for r in records)
+        for r in records:
+            print(f"{r.check_id}: {'pass' if r.passed else 'FAIL'}")
+    else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["probe", "parameters", "estimate", "stderr", "bound", "pass"])
@@ -311,49 +343,25 @@ def cmd_probe(args) -> int:
 
 
 def cmd_bounds(args, overrides) -> int:
+    keys = BOUND_KEYS[args.which]
     try:
         cfg = load_config(args.config, overrides)
+        _refuse_unknown(cfg, [*keys, *BOUND_OWN_KEYS])
         seed = _get(cfg, "run.seed", 42, int)
         replicates = _get(cfg, "run.replicates", 100, int)
+        params = _read(cfg, keys)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     manifest = Manifest(__version__, config_digest(cfg), seed, time.time())
 
-    details: dict = {}
+    runner = run_oracle_bound if args.which == "oracle" else run_reduction_bound
     try:
-        if args.which == "oracle":
-            records, details = run_oracle_bound(
-                T=_get(cfg, "oracle.T", 10_000, int),
-                k=_get(cfg, "oracle.k", 3, int),
-                replicates=replicates,
-                seed=seed,
-                **_given(
-                    m_copies=_get(cfg, "oracle.m_copies", cast=int),
-                    oracle=_get(cfg, "oracle.oracle"),
-                    q=_get(cfg, "oracle.Q", cast=int),
-                    update=_get(cfg, "oracle.update"),
-                ),
-            )
-        else:
-            records, details = run_reduction_bound(
-                T_list=_get(cfg, "reduction.T_list", (1024,), _int_list),
-                replicates=replicates,
-                seed=seed,
-                **_given(
-                    pieces=_get(cfg, "reduction.pieces", cast=int),
-                    oracle=_get(cfg, "reduction.oracle"),
-                    q=_get(cfg, "reduction.Q", cast=int),
-                    groups_kind=_get(cfg, "reduction.groups"),
-                ),
-            )
+        records, details = runner(replicates=replicates, seed=seed, **params)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return EXIT_UNRESOLVED
     except (ValueError, OverflowError) as exc:
-        if "routing is invalid" in str(exc):
-            print(f"invalid groups for reduction: {exc}", file=sys.stderr)
-            return EXIT_UNRESOLVED
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -17,15 +17,20 @@ makes the same outcome draw on the same stream as the sampler
 (``RoundRobin.draw``) and forms only the sums that read it, so every
 result is the one ``general_replicate`` (sample, forecast,
 ``ScaledRun.build``, accumulate, check) returns; a differential test
-holds the two paths equal.  The bit environment, the outcome-reading
-forecasters and the bound runners take the general path.  Skeletons are
-built on first use, never when a config is resolved, and a pool worker
-builds each one-T config (plan and skeleton) once for all its batches.
+holds the two paths equal.  The bit environment and the outcome-reading
+forecasters take the general path.  Skeletons are built on first use,
+never when a config is resolved, and a pool worker builds each one-T
+config (plan and skeleton) once for all its batches.
 
 Every (T, replicate) cell derives its own Philox streams from the master
 seed, so results are independent of scheduling order; aggregation is a
 deterministic fold in (T, replicate) order.  Reruns with the same config
 and seed produce byte-identical CSVs.
+
+The bound runners draw their replicates as scaling cells do, through
+``_draw_run`` on a plan of their own: the oracle bound's replicates are
+cells of a ``bits`` plan, checked by the same pathwise suite, and the
+reduction bound routes each cell of a ``grid_ranges`` plan.
 
 The pathwise inequality suite runs inside every replicate: telescoping
 and difference-of-two everywhere, the context decomposition for the threshold trio, time-quantization and
@@ -88,10 +93,10 @@ from .environments import (
     substream,
 )
 from .forecasters import (
+    MAX_Q,
     Forecaster,
     PatternRouter,
     ProperReduction,
-    context_blind,
     make_forecaster_factory,
     run_forecaster,
 )
@@ -121,6 +126,9 @@ NOISE_FLOOR_DIAG = 0.2
 MAX_T = 1 << 20
 MAX_REPLICATES = 10_000
 MAX_BLOCK_LENGTH = 1 << 14
+MAX_WORKERS = 64
+# bit contexts: 2^k grid Fractions per draw, and the default oracle Q = 2^k - 1 stays within MAX_Q
+MAX_K = MAX_Q.bit_length() - 1
 
 _FORECASTER_STREAM_BIT = 1 << 63
 
@@ -190,6 +198,10 @@ class ExperimentConfig:
             raise ValueError(f"run.replicates={self.replicates} must be at least 1")
         if self.replicates > MAX_REPLICATES:
             raise ValueError(f"replicates={self.replicates} exceeds the cap {MAX_REPLICATES}")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ValueError(f"run.workers={self.workers} must lie in 1..{MAX_WORKERS}")
+        if not 1 <= self.k <= MAX_K:
+            raise ValueError(f"env.k={self.k} must lie in 1..{MAX_K}, the desk-scale cap")
         for key, kind, table in (("env.kind", self.env, ENVS), ("groups.kind", self.groups, FAMILIES)):
             if kind not in table:
                 raise KeyError(f"unknown {key}: {kind!r}; accepted: {', '.join(table)}")
@@ -353,6 +365,14 @@ def _cell_stream(T: int, rep: int) -> int:
     return (T << 24) + rep
 
 
+def _draw_run(config: ExperimentConfig, plan: CellPlan, stream: int, forecaster: Forecaster) -> ScaledRun:
+    """Sample the plan's environment on ``stream``, run ``forecaster`` on the
+    paired forecaster stream and build the run."""
+    traj = ENVS[plan.env].sample(config, plan.T, plan.m, stream)
+    rng = substream(config.seed, stream | _FORECASTER_STREAM_BIT)
+    return ScaledRun.build(traj, run_forecaster(traj, forecaster, rng), *plan.family.required_denominators())
+
+
 @dataclass(frozen=True, eq=False)
 class CellSkeleton:
     """The outcome-free half of every cell at one T of a plan whose
@@ -405,11 +425,7 @@ def general_replicate(config: ExperimentConfig, T: int, rep: int) -> dict:
     accumulate, check.  Every plan can run it; for a plan with a skeleton
     it is the reference ``run_replicate`` must equal."""
     plan = config.plans[T]
-    stream = _cell_stream(T, rep)
-    traj = ENVS[config.env].sample(config, T, plan.m, stream)
-    rng = substream(config.seed, stream | _FORECASTER_STREAM_BIT)
-    pred = run_forecaster(traj, plan.forecaster(), rng)
-    run = ScaledRun.build(traj, pred, *plan.family.required_denominators())
+    run = _draw_run(config, plan, _cell_stream(T, rep), plan.forecaster())
     return _cell_result(plan, run, *_outcome_free(plan, run))
 
 
@@ -591,14 +607,20 @@ class BoundRecord:
 
 def _oracle_factory(prefix: str, oracle: str, q: int):
     """``make_forecaster_factory(oracle, Q=q)``, tried once: an unknown oracle
-    names ``<prefix>.oracle``, a refused Q names ``<prefix>.Q``."""
+    names ``<prefix>.oracle``; a forecaster that cannot be built with Q, or
+    that reads its context, names ``<prefix>.oracle`` and ``<prefix>.Q``."""
     try:
         factory = make_forecaster_factory(oracle, Q=q)
-        factory()
+        blind = factory().context_blind
     except KeyError:
         raise KeyError(f"unknown {prefix}.oracle: {oracle!r}") from None
     except ValueError as exc:
-        raise ValueError(f"{prefix}.Q={q}: {exc}") from None
+        raise ValueError(f"{prefix}.oracle={oracle}, {prefix}.Q={q}: {exc}") from None
+    if not blind:
+        raise ValueError(
+            f"{prefix}.oracle={oracle} reads its context; accepted: the context-blind "
+            f"oracles uniform_random, empirical_mean_bucket"
+        )
     return factory
 
 
@@ -615,8 +637,8 @@ def oracle_bound_value(T: int, k: int, m_copies: int) -> float:
 
 
 def run_oracle_bound(
-    T: int,
-    k: int,
+    T: int = 10_000,
+    k: int = 3,
     m_copies: int = 1,
     oracle: str = "uniform_random",
     q: Optional[int] = None,
@@ -624,32 +646,36 @@ def run_oracle_bound(
     replicates: int = 100,
     seed: int = 42,
 ) -> tuple[list[BoundRecord], dict]:
-    """Proper m-copy reduction on the bit environment versus the theory floor."""
+    """Proper m-copy reduction on the bit environment versus the theory floor.
+
+    Replicate ``rep`` is a cell of a ``bits`` plan drawn on environment
+    stream ``rep`` and checked by the cell's pathwise suite."""
     _check_replicates(replicates)
     if T > MAX_T:
         raise ValueError(f"oracle.T={T} exceeds the desk-scale cap {MAX_T}")
+    if not 1 <= k <= MAX_K:
+        raise ValueError(f"oracle.k={k} must lie in 1..{MAX_K}, the desk-scale cap")
     n = 1 << k
     q = q if q is not None else n - 1
-    base = _oracle_factory("oracle", oracle, q)
-    probe = base()
-    factory = base if probe.context_blind else (lambda: context_blind(base()))
-    family = build_bit_family(k)
-
-    mcerrs = np.empty(replicates)
-    sq_losses = np.empty(replicates)
-    misses = np.empty(replicates)
-    violations = 0
+    factory = _oracle_factory("oracle", oracle, q)
+    try:
+        ProperReduction(factory, m_copies, update_policy=update)
+    except ValueError as exc:
+        raise ValueError(f"oracle.m_copies={m_copies}, oracle.update={update}: {exc}") from None
+    config = ExperimentConfig(
+        env="bits", forecaster="proper_reduction", groups="bits", T_list=(T,), replicates=replicates, seed=seed,
+        k=k, Q=q, oracle=oracle, m_copies=m_copies, update=update,
+    )
+    plan = config.plans[T]
+    results = []
     for rep in range(replicates):
-        traj = sample_bit_env(T, k, seed, stream=rep)
-        reduction = ProperReduction(factory, m_copies, update_policy=update)
-        rng = substream(seed, rep | _FORECASTER_STREAM_BIT)
-        pred = run_forecaster(traj, reduction, rng)
-        run = ScaledRun.build(traj, pred, *family.required_denominators())
-        report = accumulate_run(run, family).report()
-        mcerrs[rep] = report.mcerr
-        sq_losses[rep] = run.sq_loss
-        misses[rep] = miss_count(run)
-        violations += sum(c.failures for c in check_bits_mse(run, report))
+        # environment stream rep, not _cell_stream(T, rep), so the bound's draws keep their bytes
+        run = _draw_run(config, plan, rep, plan.forecaster())
+        results.append(_cell_result(plan, run, *_outcome_free(plan, run)))
+    mcerrs = np.array([r["mcerr"] for r in results])
+    sq_losses = np.array([r["extras"]["sq_loss"] for r in results])
+    misses = np.array([r["extras"]["misses"] for r in results])
+    violations = sum(len(r["violations"]) for r in results)
 
     mean_mcerr = float(mcerrs.mean())
     se = float(mcerrs.std(ddof=1) / math.sqrt(replicates))
@@ -686,13 +712,12 @@ def _concave_envelope(points) -> tuple[float, float]:
 
 
 def run_reduction_bound(
-    T_list,
+    T_list=(1024,),
     replicates: int = 50,
     seed: int = 42,
     pieces: int = 3,
     oracle: str = "empirical_mean_bucket",
     q: int = 4,
-    groups_kind: str = "grid_ranges",
 ) -> tuple[list[BoundRecord], dict]:
     """Pattern routing over disjoint context groups versus cellwise envelopes.
 
@@ -706,16 +731,7 @@ def run_reduction_bound(
     if not T_list:
         raise ValueError("reduction.T_list is empty; give at least one T")
     factory = _oracle_factory("reduction", oracle, q)
-    if groups_kind not in FAMILIES:
-        raise KeyError(f"unknown reduction.groups: {groups_kind!r}; accepted: {', '.join(FAMILIES)}")
-    config = ExperimentConfig(env="bernoulli", groups=groups_kind, T_list=tuple(T_list), seed=seed, pieces=pieces)
-    if groups_kind != "grid_ranges":
-        # routing is only defined for binary prediction-independent groups;
-        # constructing the router against anything else must hard-fail
-        PatternRouter(factory, config.plans[config.T_list[0]].family)
-        raise ValueError(
-            f"reduction bound runs on grid_ranges group families, got {groups_kind!r}"
-        )
+    config = ExperimentConfig(env="bernoulli", groups="grid_ranges", T_list=tuple(T_list), seed=seed, pieces=pieces)
     records: list[BoundRecord] = []
     details: dict = {"per_T": {}}
     envelope_points = []
@@ -736,7 +752,6 @@ def run_reduction_bound(
     c, beta = _concave_envelope(envelope_points)
     details["envelope"] = {"c": c, "beta": beta}
 
-    sample = ENVS[config.env].sample
     for T, plan in config.plans.items():
         family = plan.family
         mcerrs = np.empty(replicates)
@@ -744,11 +759,8 @@ def run_reduction_bound(
         violations = []
         min_slack = None
         for rep in range(replicates):
-            traj = sample(config, T, plan.m, _cell_stream(T, rep))
             router = PatternRouter(factory, family)
-            rng = substream(seed, _cell_stream(T, rep) | _FORECASTER_STREAM_BIT)
-            pred = run_forecaster(traj, router, rng)
-            run = ScaledRun.build(traj, pred, *family.required_denominators())
+            run = _draw_run(config, plan, _cell_stream(T, rep), router)
             ledger = accumulate_run(run, family)
             report = ledger.report()
             mcerrs[rep] = report.mcerr

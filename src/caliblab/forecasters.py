@@ -10,6 +10,9 @@ at the previous round, and the current outcome is appended only after
 
 Deterministic forecasters emit point masses and never touch the RNG, so
 their looped and vectorized runs coincide bit for bit (tested).
+
+Only the context-blind marginal oracles serve a proper reduction or a
+pattern router; a forecaster that reads its context is refused, not wrapped.
 """
 
 from __future__ import annotations
@@ -24,11 +27,19 @@ import numpy as np
 from .calibration import Predictions, ScaledRun, marginal_err
 from .environments import ContextRecord, Trajectory
 
-DUMMY_CONTEXT = ContextRecord(mean=Fraction(1, 2))
-
-# Desk-scale cap on the uniform oracle's grid, whose support holds Q + 1
-# Fractions: a memory and build-time guard, like experiments.MAX_T
+# Desk-scale cap on every forecaster's Q, like experiments.MAX_T: the
+# uniform oracle's support holds Q + 1 Fractions, and the rounding
+# forecasters form 2 * numerator * Q in int64
 MAX_Q = 1 << 12
+
+
+def _grid_denominator(q: int, name: str) -> int:
+    """Q, refused outside 1..MAX_Q with a message that starts with ``name``."""
+    if q < 1:
+        raise ValueError(f"{name} must be >= 1, got {q}")
+    if q > MAX_Q:
+        raise ValueError(f"{name} Q={q} exceeds the desk-scale cap {MAX_Q}")
+    return q
 
 
 @dataclass(frozen=True)
@@ -143,9 +154,7 @@ class RoundedHonestForecaster(Forecaster):
     oblivious = True
 
     def __init__(self, q: int):
-        if q < 1:
-            raise ValueError(f"rounding denominator must be >= 1, got {q}")
-        self.q = q
+        self.q = _grid_denominator(q, "rounding denominator")
         self.id = f"rounded_honest@Q={q}"
 
     def propose(self, ctx, history):
@@ -207,9 +216,7 @@ class EmpiricalMeanBucketOracle(Forecaster):
     context_blind = True
 
     def __init__(self, q: int):
-        if q < 1:
-            raise ValueError(f"bucket denominator must be >= 1, got {q}")
-        self.q = q
+        self.q = _grid_denominator(q, "bucket denominator")
         self.id = f"empirical_mean_bucket@Q={q}"
         self._sum = Fraction(0)
         self._count = 0
@@ -252,11 +259,7 @@ class UniformRandomOracle(Forecaster):
     stateless = True
 
     def __init__(self, q: int):
-        if q < 1:
-            raise ValueError(f"grid denominator must be >= 1, got {q}")
-        if q > MAX_Q:
-            raise ValueError(f"grid denominator Q={q} exceeds the desk-scale cap {MAX_Q}")
-        self.q = q
+        self.q = _grid_denominator(q, "grid denominator")
         self.id = f"uniform_random@Q={q}"
         self._dist = PredictionDistribution(
             support=tuple((Fraction(i, q), Fraction(1, q + 1)) for i in range(q + 1))
@@ -271,34 +274,6 @@ class UniformRandomOracle(Forecaster):
     def predict_all(self, traj, rng):
         num, den = self.predict_sequence(traj.y_num, traj.den, rng)
         return Predictions(num=num, den=den)
-
-
-class ContextBlindWrapper(Forecaster):
-    """Feeds a fixed dummy context to the wrapped forecaster everywhere."""
-
-    context_blind = True
-
-    def __init__(self, inner: Forecaster):
-        self.inner = inner
-        self.id = f"context_blind({inner.id})"
-        self.deterministic = inner.deterministic
-        self.stateless = inner.stateless
-
-    def propose(self, ctx, history):
-        return self.inner.propose(DUMMY_CONTEXT, history)
-
-    def observe(self, ctx, p, y):
-        self.inner.observe(DUMMY_CONTEXT, p, y)
-
-    def predict_sequence(self, y_num, y_den, rng):
-        inner = getattr(self.inner, "predict_sequence", None)
-        if inner is None:
-            raise AttributeError("wrapped oracle has no sequence fast path")
-        return inner(y_num, y_den, rng)
-
-
-def context_blind(oracle: Forecaster) -> ContextBlindWrapper:
-    return ContextBlindWrapper(oracle)
 
 
 UPDATE_POLICIES = ("largest", "all", "none")

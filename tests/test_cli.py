@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from caliblab import cli
+from caliblab import cli, experiments
 from caliblab.cli import (
     EXIT_ASSERT,
     EXIT_CONFIG,
@@ -172,6 +172,14 @@ def test_bad_forecaster_id(tmp_path):
         ("run.replicates=-3\n", EXIT_CONFIG, "run.replicates=-3"),
         ("env.T_list=\n", EXIT_CONFIG, "env.T_list"),
         ("forecaster.id=uniform_random\nforecaster.Q=1000000000000001\n", EXIT_CONFIG, "forecaster.Q=1000000000000001"),
+        ("forecaster.id=rounded_honest\nforecaster.Q=1000000000000000000\n", EXIT_CONFIG, "forecaster.Q=1000000000000000000"),
+        ("env.kind=bits\ngroups.kind=bits\nenv.k=13\n", EXIT_CONFIG, "env.k=13"),
+        ("forecaster.id=proper_reduction\nforecaster.oracle=honest\n", EXIT_CONFIG, "forecaster.oracle=honest"),
+        ("run.replicate=3\n", EXIT_CONFIG, "config error: unknown config key run.replicate;"),
+        ("assert.exponent_min=abc\n", EXIT_CONFIG, "bad value for assert.exponent_min: 'abc'"),
+        ("output.family=yes\n", EXIT_CONFIG, "bad value for output.family: 'yes'"),
+        ("run.replicates=1\nrun.workers=0\n", EXIT_CONFIG, "run.workers=0 must lie in 1..64"),
+        ("run.replicates=1\nrun.workers=100000\n", EXIT_CONFIG, "run.workers=100000 must lie in 1..64"),
     ],
     ids=[
         "unknown-oracle",
@@ -184,9 +192,19 @@ def test_bad_forecaster_id(tmp_path):
         "negative-replicates",
         "empty-T-list",
         "huge-uniform-Q",
+        "huge-rounding-Q",
+        "huge-bit-k",
+        "oracle-reads-its-context",
+        "misspelled-key",
+        "bad-assert-value",
+        "bad-output-flag",
+        "no-workers",
+        "too-many-workers",
     ],
 )
-def test_bad_forecaster_parameters_fail_before_any_cell(tmp_path, capsys, lines, code, key):
+def test_bad_forecaster_parameters_fail_before_any_cell(tmp_path, capsys, monkeypatch, lines, code, key):
+    # a refused config starts no worker pool; the cap is checked before any pool
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", lambda **kw: pytest.fail("a pool started"))
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("env.T=64\nrun.replicates=2\nrun.workers=1\n" + lines)
     out = tmp_path / "out"
@@ -207,8 +225,10 @@ def test_shipped_configs_resolve(path):
     cfg = load_config(path, {})
     config = experiment_config_from(cfg)
     assert config.env in ENVS and config.groups in FAMILIES
-    if "reduction.groups" in cfg:
-        assert cfg["reduction.groups"] in FAMILIES
+    # and its command reads every key it sets
+    which = next((w for w in cli.BOUND_KEYS if any(key.startswith(f"{w}.") for key in cfg)), None)
+    known = [*cli.SCALING_KEYS, *cli.SCALING_OWN_KEYS] if which is None else [*cli.BOUND_KEYS[which], *cli.BOUND_OWN_KEYS]
+    assert set(cfg) <= set(known)
     for key in ("reduction.oracle", "oracle.oracle"):
         if key in cfg:
             assert make_forecaster_factory(cfg[key])().context_blind
@@ -267,10 +287,17 @@ def test_probe_unknown(tmp_path):
 
 
 def test_probe_bad_size_names_it(tmp_path, capsys):
-    assert main(["probe", "root-return", "--L=0", "--out", str(tmp_path)]) == EXIT_CONFIG
-    assert "L=0" in capsys.readouterr().err
-    assert main(["probe", "bucketing", "--reps=1", "--out", str(tmp_path)]) == EXIT_CONFIG
-    assert "replicates=1" in capsys.readouterr().err
+    out = tmp_path / "out"
+    for argv, message in (
+        (["root-return", "--L=0"], "L=0"),
+        (["bucketing", "--reps=1"], "replicates=1"),
+        (["bucketing", "--h=1/0"], "bad value for h: '1/0'"),
+        (["return-pmf", "--n=0"], "return-pmf needs n >= 1, got n=0"),
+    ):
+        assert main(["probe", *argv, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
 
 
 def test_probe_bucketing(tmp_path):
@@ -321,24 +348,26 @@ def test_bounds_reduction_and_guard(tmp_path):
     cells = (tmp_path / "bounds_reduction_cells.csv").read_text().splitlines()
     assert cells[0] == "T,pattern,T_z,cell_err"
     assert len(cells) == 4  # three disjoint cells at one T
-    # prediction-dependent family: hard error, exit 3
+    # the groups are always grid ranges: a groups key is refused before any output
+    out = tmp_path / "out"
     cfg2 = tmp_path / "r2.cfg"
     cfg2.write_text("reduction.T_list=512\nreduction.groups=pred_threshold\nrun.replicates=2\n")
-    assert main(["bounds", "reduction", "--config", str(cfg2)]) == EXIT_UNRESOLVED
+    assert main(["bounds", "reduction", "--config", str(cfg2), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
-    "line, message",
+    "line, code, message",
     [
-        ("reduction.groups=cliques", "unknown reduction.groups: 'cliques'"),
-        ("reduction.oracle=wizard", "unknown reduction.oracle: 'wizard'"),
+        ("reduction.groups=cliques", EXIT_CONFIG, "config error: unknown config key reduction.groups;"),
+        ("reduction.oracle=wizard", EXIT_UNRESOLVED, "unknown reduction.oracle: 'wizard'"),
     ],
     ids=["groups", "oracle"],
 )
-def test_bounds_reduction_names_the_unknown_key(tmp_path, capsys, line, message):
+def test_bounds_reduction_names_the_unknown_key(tmp_path, capsys, line, code, message):
     cfg = tmp_path / "r.cfg"
     cfg.write_text(f"reduction.T_list=512\nrun.replicates=2\n{line}\n")
-    assert main(["bounds", "reduction", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_UNRESOLVED
+    assert main(["bounds", "reduction", "--config", str(cfg), "--out", str(tmp_path)]) == code
     assert capsys.readouterr().err.startswith(message)
 
 
@@ -359,6 +388,28 @@ def test_bounds_bad_value_fails_before_any_output(tmp_path, capsys):
         ("oracle", "oracle.T=2097152\nrun.replicates=2\n", "oracle.T=2097152"),
         ("oracle", "oracle.T=400\nrun.replicates=10001\n", "run.replicates=10001"),
         ("oracle", "oracle.T=400\noracle.Q=1000000000000001\nrun.replicates=2\n", "oracle.Q=1000000000000001"),
+        ("reduction", "reduction.T_list=512\nreduction.Q=1000000000000001\nrun.replicates=2\n", "reduction.Q=1000000000000001"),
+        (
+            "oracle",
+            "oracle.T=400\noracle.oracle=empirical_mean_bucket\noracle.Q=4097\nrun.replicates=2\n",
+            "oracle.Q=4097",
+        ),
+        ("oracle", "oracle.T=400\noracle.k=13\nrun.replicates=2\n", "oracle.k=13"),
+        ("oracle", "oracle.T=400\noracle.k=0\nrun.replicates=2\n", "oracle.k=0"),
+        ("oracle", "oracle.T=400\noracle.m_copies=0\nrun.replicates=2\n", "oracle.m_copies=0"),
+        # bound oracles are context-blind, as forecaster.oracle is
+        ("oracle", "oracle.T=400\noracle.oracle=honest\nrun.replicates=2\n", "oracle.oracle=honest"),
+        ("oracle", "oracle.T=400\noracle.oracle=constant\nrun.replicates=2\n", "oracle.oracle=constant"),
+        ("reduction", "reduction.T_list=512\nreduction.oracle=honest\nrun.replicates=2\n", "reduction.oracle=honest"),
+        (
+            "reduction",
+            "reduction.T_list=512\nreduction.oracle=proper_reduction\nrun.replicates=2\n",
+            "reduction.oracle=proper_reduction",
+        ),
+        # each command refuses a key it does not read
+        ("oracle", "oracle.T=400\noracle.m_copy=2\nrun.replicates=2\n", "unknown config key oracle.m_copy;"),
+        ("oracle", "oracle.T=400\nrun.workers=2\nrun.replicates=2\n", "unknown config key run.workers;"),
+        ("reduction", "reduction.T_list=512\nreduction.piece=5\nrun.replicates=2\n", "unknown config key reduction.piece;"),
     ):
         cfg.write_text(lines)
         assert main(["bounds", which, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from caliblab import calibration, experiments
 from caliblab.calibration import check_diff_two
+from caliblab.cli import EXIT_CONFIG, main
 from caliblab.forecasters import PatternRouter
 from caliblab.experiments import (
     ExperimentConfig,
@@ -312,6 +313,9 @@ def test_family_manifest_matches_the_cells_groups(env, groups):
         ("eta", "small", ValueError, "groups.eta"),
         ("replicates", 0, ValueError, "run.replicates"),
         ("T_list", (), ValueError, "env.T_list"),
+        ("workers", 0, ValueError, "run.workers"),
+        ("workers", experiments.MAX_WORKERS + 1, ValueError, "run.workers"),
+        ("k", experiments.MAX_K + 1, ValueError, "env.k"),
     ],
 )
 def test_config_names_the_bad_key(field, value, error, key):
@@ -483,6 +487,16 @@ def test_oracle_bound_m_copies():
     assert all(r.passed for r in records)
 
 
+def test_oracle_bound_runs_the_cells_pathwise_suite(monkeypatch):
+    # each oracle replicate is a scaling cell, so telescoping is checked there too
+    def failing(ledger):
+        return calibration.CheckSummary("telescoping", count=1, failures=1, min_slack=Fraction(-1))
+
+    monkeypatch.setattr(experiments, "check_telescoping", failing)
+    records, _ = run_oracle_bound(T=200, k=2, replicates=3, seed=29)
+    assert {r.check_id: r.measured for r in records}["oracle_pathwise_violations"] == 3.0
+
+
 def test_reduction_bound_small():
     records, details = run_reduction_bound(T_list=(512,), replicates=8, seed=31)
     by_id = {r.check_id: r for r in records}
@@ -511,9 +525,14 @@ def test_reduction_pathwise_slack_and_named_violations(monkeypatch):
     assert info["pathwise_min_slack"] == -max(float(v["err"]) for v in bad)
 
 
-def test_reduction_rejects_prediction_dependent_groups():
-    with pytest.raises(ValueError, match="routing is invalid"):
-        run_reduction_bound(T_list=(512,), replicates=2, seed=1, groups_kind="pred_threshold")
+def test_reduction_rejects_prediction_dependent_groups(tmp_path, capsys):
+    # the reduction bound routes grid_ranges cells only; a groups key is refused as unknown
+    out = tmp_path / "out"
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text("reduction.T_list=512\nreduction.groups=pred_threshold\nrun.replicates=2\n")
+    assert main(["bounds", "reduction", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert "unknown config key reduction.groups" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_identity_suite_small():

@@ -25,7 +25,6 @@ from caliblab.forecasters import (
     ProperReduction,
     RoundedHonestForecaster,
     UniformRandomOracle,
-    context_blind,
     make_forecaster_factory,
     run_forecaster,
 )
@@ -125,6 +124,15 @@ def test_uniform_random_refuses_q_above_the_cap():
             UniformRandomOracle(q)
 
 
+@pytest.mark.parametrize("cls", [RoundedHonestForecaster, EmpiricalMeanBucketOracle])
+def test_rounding_forecasters_refuse_q_above_the_cap(cls):
+    # as the uniform oracle does: 2 * numerator * Q must stay inside int64
+    assert cls(MAX_Q).q == MAX_Q
+    for q in (MAX_Q + 1, 10**18):
+        with pytest.raises(ValueError, match=f"Q={q} exceeds the desk-scale cap {MAX_Q}"):
+            cls(q)
+
+
 def test_uniform_random_support():
     oracle = UniformRandomOracle(7)
     dist = oracle.propose(ContextRecord(mean=HALF), HistoryView())
@@ -135,22 +143,6 @@ def test_uniform_random_support():
         lo, hi = Fraction(b, 8), Fraction(b + 1, 8)
         mass = sum(p for v, p in dist.support if lo <= v < hi or (b == 7 and v == hi))
         assert mass == Fraction(1, 8)
-
-
-def test_context_blind_wrapper_invariance():
-    rng = np.random.default_rng(3)
-    wrapped = context_blind(RoundedHonestForecaster(10))
-    hist = HistoryView()
-    outs = set()
-    for _ in range(100):
-        ctx = ContextRecord(mean=Fraction(int(rng.integers(0, 101)), 100))
-        outs.add(wrapped.propose(ctx, hist).support[0][0])
-    assert outs == {HALF}  # dummy context mean is 1/2
-    # observe still updates the wrapped transcript
-    inner = EmpiricalMeanBucketOracle(4)
-    blind = context_blind(inner)
-    blind.observe(ContextRecord(mean=Fraction(1, 4)), HALF, Fraction(1))
-    assert inner._count == 1
 
 
 def test_proper_reduction_m1_identity():

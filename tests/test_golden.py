@@ -1,6 +1,6 @@
 """Byte-for-byte regression of ``caliblab scaling``, ``caliblab bounds
-reduction``, ``caliblab bounds oracle`` and four Monte Carlo probes
-against committed CSVs.
+reduction``, ``caliblab bounds oracle`` (each bound on its whole-run and
+its looped path) and four Monte Carlo probes against committed CSVs.
 
 The files in tests/data were written by the CLI on the configs beside
 them, or on the probe arguments below.  Sampling, forecasting, pattern
@@ -41,6 +41,19 @@ def test_oracle_csv_matches_golden_bytes(tmp_path):
     cfg = DATA / "golden_oracle.cfg"
     assert main(["bounds", "oracle", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
     assert (tmp_path / "bounds_oracle.csv").read_bytes() == (DATA / "golden_oracle_bounds.csv").read_bytes()
+
+
+# the looped paths: a 2-copy reduction whose copies all observe, and a
+# router whose randomized oracle has no whole-run path
+@pytest.mark.parametrize(
+    "which, kinds", [("oracle", ("bounds",)), ("reduction", ("bounds", "cells"))], ids=["oracle", "reduction"]
+)
+def test_looped_bound_csvs_match_golden_bytes(which, kinds, tmp_path):
+    cfg = DATA / f"golden_{which}_looped.cfg"
+    assert main(["bounds", which, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    for kind in kinds:
+        written = tmp_path / ("bounds_reduction_cells.csv" if kind == "cells" else f"bounds_{which}.csv")
+        assert written.read_bytes() == (DATA / f"golden_{which}_looped_{kind}.csv").read_bytes(), kind
 
 
 PROBES = {
