@@ -39,11 +39,12 @@ period (the round-robin environments under an oblivious forecaster) have
 a ``RunSkeleton``: the run at heads = 0 reduced to per-column bucket and
 weight arrays, its biases and residual sums, and, with a layout, each
 round's residual and the ``BlockRows`` of the run.  A ``SkeletonRun``
-(the skeleton plus one draw's heads) forms each direct bias and residual
-sum as its value at heads = 0 minus step times the same sum over the
-heads, counted per context column and mapped to buckets through the
-weights; for the layout, the rounds' residuals (at heads = 0, minus step
-times the head) go through ``BlockRows.transform``.  ``accumulate_run``
+(the skeleton plus one draw's heads per context column, and with a
+layout the per-round heads too) forms each direct bias and residual sum
+as its value at heads = 0 minus step times the same sum over the column
+heads, mapped to buckets through the weights; for the layout, the
+rounds' residuals (at heads = 0, minus step times the head) go through
+``BlockRows.transform``.  ``accumulate_run``
 and ``check_telescoping`` read either kind of run; ``ScaledRun.build``
 stays the general path and the reference the skeleton is tested against.
 
@@ -470,7 +471,11 @@ class RunSkeleton:
     heads = 0; and, with a layout, the residual of each round t < T' at
     heads = 0 and the run's ``BlockRows``.  ``step`` is over ``scale``.
     Every outcome sum of a draw is its value at heads = 0 minus ``step``
-    times the same sum over the heads (``SkeletonRun``).
+    times the same sum over the heads (``SkeletonRun``).  Without a layout
+    (``rows`` is None) a draw is read only through its heads per context
+    column, so it needs n column counts, not T per-round heads; with a
+    layout each round's residual enters the block transform, so it needs
+    the heads of every round.
     """
 
     family: GroupFamily
@@ -516,27 +521,31 @@ class RunSkeleton:
 
 @dataclass(frozen=True, eq=False)
 class SkeletonRun:
-    """One outcome draw on a ``RunSkeleton``: the run's heads (bool, T),
-    and the sums ``accumulate_run`` and ``check_telescoping`` read, formed
-    from them.  The direct biases take the heads per context column
-    through each group's weights and the column-to-bucket map; the layout
-    takes the skeleton's ``BlockRows`` and their transform of the residual."""
+    """One outcome draw on a ``RunSkeleton``: the heads per context column
+    (``column_heads``, int64, over the rounds t with t % period == j) and,
+    where the skeleton has a layout, the run's heads (bool, T), and the
+    sums ``accumulate_run`` and ``check_telescoping`` read, formed from
+    them.  The direct biases, the residual sums and the noise sums take
+    the column heads through each group's weights and the column-to-bucket
+    map; the layout takes the skeleton's ``BlockRows`` and their transform
+    of each round's residual, so it needs the heads themselves."""
 
     skeleton: RunSkeleton
-    heads: np.ndarray
+    column_heads: np.ndarray
+    heads: Optional[np.ndarray] = None
 
     T = property(lambda self: self.skeleton.T)
     scale = property(lambda self: self.skeleton.scale)
     bucket_scaled = property(lambda self: self.skeleton.bucket_scaled)
 
-    @cached_property
-    def column_heads(self) -> np.ndarray:
-        """Heads per context column j: over the rounds t with t % period == j."""
-        n, T = self.skeleton.period, self.T
+    @classmethod
+    def from_heads(cls, skeleton: RunSkeleton, heads: np.ndarray) -> "SkeletonRun":
+        """The draw of per-round ``heads``, counted per context column."""
+        n, T = skeleton.period, skeleton.T
         full = T - T % n
-        out = np.count_nonzero(self.heads[:full].reshape(-1, n), axis=0)
-        out[: T - full] += self.heads[full:]
-        return out
+        counts = np.count_nonzero(heads[:full].reshape(-1, n), axis=0).astype(np.int64, copy=False)
+        counts[: T - full] += heads[full:]
+        return cls(skeleton, counts, heads)
 
     def direct_biases(self, family: GroupFamily) -> np.ndarray:
         sk = self.skeleton
@@ -548,7 +557,7 @@ class SkeletonRun:
         return self.skeleton.resid0 - self.skeleton.step * (self.column_heads @ self.skeleton.onehot)
 
     def resid_total(self) -> int:
-        return self.skeleton.total0 - self.skeleton.step * int(np.count_nonzero(self.heads))
+        return self.skeleton.total0 - self.skeleton.step * int(self.column_heads.sum())
 
     def block_rows(self, layout: BlockLayout) -> BlockRows:
         """The skeleton's ``BlockRows``, which hold for its family's layout only."""
@@ -559,6 +568,8 @@ class SkeletonRun:
     def resid_coefficients(self, layout: BlockLayout) -> np.ndarray:
         """(rows, L) block transform of the residual."""
         sk = self.skeleton
+        if self.heads is None:
+            raise ValueError("the block transform reads per-round heads; this draw holds only the column heads")
         return self.block_rows(layout).transform(sk.resid_rounds0 - self.heads[: layout.T_prime] * np.int64(sk.step))
 
     def deviation_stats(self, stats0: DeviationStats) -> DeviationStats:

@@ -166,7 +166,8 @@ class RoundRobin:
     Round t shows grid point t % n, with context-mean numerator
     ``num[t % n]`` over ``den``.  Its outcome numerator is
     ``tails[t % n] + step * heads[t]``, heads drawn by ``draw``: every
-    outcome is linear in the heads.  Only per-grid-point arrays are kept.
+    outcome is linear in the heads.  ``draw_counts`` draws only the heads
+    per grid point.  Only per-grid-point arrays are kept.
     """
 
     kind: str
@@ -181,10 +182,11 @@ class RoundRobin:
     timed: bool = False
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
-        """The one outcome draw, for the samplers and the cell skeletons
-        alike: heads[t] is u_t < thresholds[t % n] for the T uniforms u_t
-        of ``rng.random(T)``, compared as a (T // n, n) block and a tail,
-        never with a tiled length-T copy of the thresholds."""
+        """The per-round outcome draw of the samplers and of the cells
+        with a block layout: heads[t] is u_t < thresholds[t % n] for the
+        T uniforms u_t of ``rng.random(T)``, compared as a (T // n, n)
+        block and a tail, never with a tiled length-T copy of the
+        thresholds."""
         n, T = len(self.thresholds), self.T
         u = rng.random(T)
         full = T - T % n
@@ -192,6 +194,18 @@ class RoundRobin:
         np.less(u[:full].reshape(-1, n), self.thresholds, out=heads[:full].reshape(-1, n))
         np.less(u[full:], self.thresholds[: T - full], out=heads[full:])
         return heads
+
+    def rounds_per_column(self) -> np.ndarray:
+        """Rounds shown at each grid point j: T // n, plus one for j < T % n."""
+        n, T = len(self.thresholds), self.T
+        return T // n + (np.arange(n) < T % n)
+
+    def draw_counts(self, rng: np.random.Generator) -> np.ndarray:
+        """The outcome draw of a cell that reads only the heads per grid
+        point: one Binomial(rounds_per_column[j], thresholds[j]) per column
+        j, int64.  It has the law of the column counts of ``draw`` but not
+        their bytes: it takes n draws of ``rng``, not T uniforms."""
+        return rng.binomial(self.rounds_per_column(), self.thresholds).astype(np.int64, copy=False)
 
     def trajectory(self, seed: int, stream: int, heads: np.ndarray) -> Trajectory:
         n, T = len(self.num), self.T

@@ -13,11 +13,17 @@ overshoot, constant), the first cell at a T builds the plan's
 ``CellSkeleton``, the outcome-free half of every cell at that T: the
 ``calibration.RunSkeleton`` of the run at heads = 0, the deviation
 statistics and the checks that read no outcome.  Each replicate then
-makes the same outcome draw on the same stream as the sampler
-(``RoundRobin.draw``) and forms only the sums that read it, so every
-result is the one ``general_replicate`` (sample, forecast,
-``ScaledRun.build``, accumulate, check) returns; a differential test
-holds the two paths equal.  The bit environment and the outcome-reading
+draws its outcomes on the cell's stream and forms only the sums that
+read them.  A skeleton without a block layout reads a draw only through
+its heads per context column, so its cell draws one binomial per column
+(``RoundRobin.draw_counts``): n draws, not T.  A skeleton with a layout
+transforms each round's residual, so its cell draws the T per-round
+heads as the sampler does (``RoundRobin.draw``).  Given the same heads,
+every skeleton result is the one ``general_replicate`` (sample,
+forecast, ``ScaledRun.build``, accumulate, check) returns; a
+differential test holds the two paths equal on the general path's own
+heads, and a law test holds the column counts to their binomials.  The
+bit environment and the outcome-reading
 forecasters take the general path.  Skeletons are built on first use,
 never when a config is resolved, and a pool worker builds each one-T
 config (plan and skeleton) once for all its batches.
@@ -410,20 +416,35 @@ class CellSkeleton:
 def run_replicate(config: ExperimentConfig, T: int, rep: int) -> dict:
     """One (T, replicate) cell of the plan at T.  With a skeleton it draws
     the outcomes on the cell's stream and forms only the sums that read
-    them; otherwise it is ``general_replicate``."""
+    them: without a block layout one binomial head count per context
+    column (``RoundRobin.draw_counts``), with one the T per-round heads
+    (``RoundRobin.draw``).  Otherwise it is ``general_replicate``."""
     plan = config.plans[T]
     skeleton = plan.skeleton
     if skeleton is None:
         return general_replicate(config, T, rep)
-    run = SkeletonRun(skeleton.run, skeleton.env.draw(substream(config.seed, _cell_stream(T, rep))))
+    rng = substream(config.seed, _cell_stream(T, rep))
+    if skeleton.run.rows is None:
+        run = SkeletonRun(skeleton.run, skeleton.env.draw_counts(rng))
+    else:
+        run = SkeletonRun.from_heads(skeleton.run, skeleton.env.draw(rng))
+    return _skeleton_cell(plan, run)
+
+
+def _skeleton_cell(plan: CellPlan, run: SkeletonRun) -> dict:
+    """The cell of one outcome draw on the plan's skeleton."""
+    skeleton = plan.skeleton
     stats = None if skeleton.stats is None else run.deviation_stats(skeleton.stats)
     return _cell_result(plan, run, skeleton.checks, skeleton.extras, stats)
 
 
 def general_replicate(config: ExperimentConfig, T: int, rep: int) -> dict:
     """One (T, replicate) cell through ``ScaledRun.build``: sample, forecast,
-    accumulate, check.  Every plan can run it; for a plan with a skeleton
-    it is the reference ``run_replicate`` must equal."""
+    accumulate, check.  Every plan can run it.  For a plan with a skeleton
+    it is the reference the skeleton cell must equal on the same heads
+    (``SkeletonRun.from_heads``).  A layout cell's ``run_replicate`` draws
+    those heads and equals it; a layout-free one draws its column counts
+    directly, so the two agree in law, not draw for draw."""
     plan = config.plans[T]
     run = _draw_run(config, plan, _cell_stream(T, rep), plan.forecaster())
     return _cell_result(plan, run, *_outcome_free(plan, run))
@@ -728,10 +749,19 @@ def run_reduction_bound(
     Err(g_j) <= sum of its cells' errors is checked pathwise.
     """
     _check_replicates(replicates)
+    T_list = tuple(T_list)
     if not T_list:
         raise ValueError("reduction.T_list is empty; give at least one T")
+    if list(T_list) != sorted(set(T_list)):
+        raise ValueError(f"reduction.T_list={','.join(map(str, T_list))} must be strictly increasing")
+    if T_list[0] < 1 or T_list[-1] > MAX_T:
+        raise ValueError(f"reduction.T_list={','.join(map(str, T_list))} must lie in 1..{MAX_T}, the desk-scale cap")
     factory = _oracle_factory("reduction", oracle, q)
-    config = ExperimentConfig(env="bernoulli", groups="grid_ranges", T_list=tuple(T_list), seed=seed, pieces=pieces)
+    for T in T_list:
+        points = len(grid_section3(section3_grid_count(T)))
+        if not 1 <= pieces <= points:
+            raise ValueError(f"reduction.pieces={pieces} must lie in 1..{points}, the grid points at T={T}")
+    config = ExperimentConfig(env="bernoulli", groups="grid_ranges", T_list=T_list, seed=seed, pieces=pieces)
     records: list[BoundRecord] = []
     details: dict = {"per_T": {}}
     envelope_points = []
@@ -743,6 +773,8 @@ def run_reduction_bound(
         # realized cell lengths are deterministic under round-robin contexts
         counts = np.bincount(np.arange(T) % len(grid), minlength=len(grid))
         cell_lengths = [int(counts[g.lo : g.hi + 1].sum()) for g in family]
+        if 0 in cell_lengths:
+            raise ValueError(f"reduction.T_list: T={T} leaves one of the reduction.pieces={pieces} cells without rounds")
         for z, (g, t_z) in enumerate(zip(family, cell_lengths)):
             mean, se = _standalone_cell_err(grid[g.lo : g.hi + 1], t_z, factory, seed + 1000 + z, replicates)
             standalone[(T, z)] = (mean, se)

@@ -371,6 +371,26 @@ def test_bounds_reduction_names_the_unknown_key(tmp_path, capsys, line, code, me
     assert capsys.readouterr().err.startswith(message)
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("reduction.pieces=0", "reduction.pieces=0 must lie in 1..5, the grid points at T=1024"),
+        ("reduction.pieces=40", "reduction.pieces=40 must lie in 1..5, the grid points at T=1024"),
+        ("reduction.T_list=4194304", "reduction.T_list=4194304 must lie in 1..1048576, the desk-scale cap"),
+        ("reduction.T_list=1024,512", "reduction.T_list=1024,512 must be strictly increasing"),
+        ("reduction.T_list=0", "reduction.T_list=0 must lie in 1..1048576, the desk-scale cap"),
+        ("reduction.T_list=2", "reduction.T_list: T=2 leaves one of the reduction.pieces=3 cells without rounds"),
+    ],
+    ids=["no-pieces", "too-many-pieces", "T-cap", "T-order", "T-zero", "T-below-the-cells"],
+)
+def test_bounds_reduction_bad_value_names_the_reduction_key(tmp_path, capsys, line, message):
+    out = tmp_path / "out"
+    argv = ["bounds", "reduction", "--config", str(ROOT / "configs" / "reduction_bound.cfg"), f"--{line}"]
+    assert main([*argv, "--run.replicates=2", "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_bounds_bad_value_fails_before_any_output(tmp_path, capsys):
     # the desk caps are refused at once, before a (T, k) bit array per
     # replicate or a (Q + 1)-point oracle support is built

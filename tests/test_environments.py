@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 
 from caliblab.environments import (
     ContextRecord,
+    _bernoulli_round_robin,
+    bernoulli_contexts,
     grid_section3,
     grid_section4,
     icbrt,
+    rademacher_contexts,
     sample_bernoulli_env,
     sample_bernoulli_on_grid,
     sample_bit_env,
@@ -77,6 +80,37 @@ def test_bernoulli_round_robin_counts():
     counts = traj.context_counts()
     assert counts.max() - counts.min() <= 1
     assert counts.sum() == 12
+
+
+@pytest.mark.parametrize("env", [bernoulli_contexts(1000, 16), rademacher_contexts(1001, 8)], ids=["bernoulli", "rademacher"])
+def test_draw_counts_follow_the_column_binomials(env):
+    # per column j, Binomial(n_j, p_j): the sample mean and variance over
+    # many streams lie within 4 standard errors of n_j p_j and n_j p_j q_j
+    streams = 4000
+    counts = np.array([env.draw_counts(substream(20240808, s)) for s in range(streams)])
+    n, p = env.rounds_per_column(), env.thresholds
+    assert n.sum() == env.T and n.max() - n.min() == 1  # the last round robin is partial
+    assert counts.dtype == np.int64 and counts.shape == (streams, len(p))
+    var = n * p * (1 - p)
+    mu4 = var * (1 + 3 * p * (1 - p) * (n - 2))  # the binomial's fourth central moment
+    mean_se = np.sqrt(var / streams)
+    var_se = np.sqrt((mu4 - var**2) / streams)
+    assert np.all(np.abs(counts.mean(axis=0) - n * p) <= 4 * mean_se)
+    assert np.all(np.abs(counts.var(axis=0, ddof=1) - var) <= 4 * var_se)
+
+
+def test_draw_counts_edge_cases():
+    grid = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
+    for T in (1, 3, 4, 11, 1000):
+        env = _bernoulli_round_robin(grid, T, {})
+        n = env.rounds_per_column()
+        assert n.tolist() == [T // 4 + (j < T % 4) for j in range(4)]
+        for stream in range(20):
+            counts = env.draw_counts(substream(5, stream))
+            assert np.all((0 <= counts) & (counts <= n))
+            # p = 0 never heads, p = 1 always; T < n leaves columns without rounds
+            assert counts[0] == 0 and counts[3] == n[3]
+            assert np.all(counts[n == 0] == 0)
 
 
 @settings(max_examples=60, deadline=None)

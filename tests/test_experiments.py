@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from caliblab import calibration, experiments
-from caliblab.calibration import check_diff_two
+from caliblab.calibration import SkeletonRun, check_diff_two
 from caliblab.cli import EXIT_CONFIG, main
 from caliblab.forecasters import PatternRouter
 from caliblab.experiments import (
@@ -172,8 +172,48 @@ def test_skeleton_cells_equal_the_general_path(data):
         with pytest.raises(ValueError, match=re.escape(str(exc))):
             experiments.run_replicate(cfg, T, 0)
         return
-    assert cfg.plans[T].skeleton is not None
-    assert [experiments.run_replicate(cfg, T, rep) for rep in range(cfg.replicates)] == want
+    plan = cfg.plans[T]
+    skeleton = plan.skeleton
+    assert skeleton is not None
+    if skeleton.run.rows is not None:
+        # a layout cell draws the general path's own per-round heads
+        assert [experiments.run_replicate(cfg, T, rep) for rep in range(cfg.replicates)] == want
+        return
+    # a layout-free cell reads only column counts: feed it those of the
+    # general path's own heads, with no per-round heads kept
+    got = []
+    for rep in range(cfg.replicates):
+        heads = skeleton.env.draw(experiments.substream(seed, experiments._cell_stream(T, rep)))
+        counts = SkeletonRun.from_heads(skeleton.run, heads).column_heads
+        got.append(experiments._skeleton_cell(plan, SkeletonRun(skeleton.run, counts)))
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "env, groups", [("bernoulli", "pred_threshold"), ("bernoulli", "grid_ranges"), ("rademacher", "walsh")]
+)
+def test_layout_free_cells_draw_one_binomial_per_column(env, groups):
+    # T = 1000 is no multiple of the grid size, so the last round robin is partial
+    cfg = ExperimentConfig(env=env, groups=groups, T_list=(1000,), replicates=3, seed=9)
+    plan = cfg.plans[1000]
+    skeleton = plan.skeleton
+    assert skeleton.run.rows is None
+    for rep in range(cfg.replicates):
+        counts = skeleton.env.draw_counts(experiments.substream(9, experiments._cell_stream(1000, rep)))
+        assert experiments.run_replicate(cfg, 1000, rep) == experiments._skeleton_cell(
+            plan, SkeletonRun(skeleton.run, counts)
+        )
+
+
+def test_layout_skeleton_runs_need_per_round_heads():
+    cfg = ExperimentConfig(env="rademacher", groups="full_walsh", T_list=(256,), replicates=2, seed=4)
+    skeleton = cfg.plans[256].skeleton.run
+    heads = cfg.plans[256].skeleton.env.draw(experiments.substream(4, 0))
+    counts_only = SkeletonRun(skeleton, SkeletonRun.from_heads(skeleton, heads).column_heads)
+    with pytest.raises(ValueError, match="per-round heads"):
+        counts_only.resid_coefficients(skeleton.family.layout)
+    with pytest.raises(ValueError, match="per-round heads"):
+        calibration.accumulate_run(counts_only, skeleton.family)
 
 
 @pytest.mark.parametrize("entries, n_chunks", ((1, 11), (1200, 6), (1 << 22, 1)))
