@@ -816,6 +816,17 @@ def check_diff_two(ledger: RunLedger) -> CheckSummary:
     return CheckSummary.over("diff_two", lhs, rhs, rhs - lhs, value=lambda v: Fraction(int(v), den))
 
 
+def check_cell_triangle(ledger: RunLedger, cell_errs: dict) -> CheckSummary:
+    """Err(g_j) <= sum of the exact ``cell_errs[z]`` over the routed cells z
+    with z[j] = 1, per direct group j: both sides Python integers (object
+    arrays, never int64) over lcm(scale, the cell-error denominators)."""
+    den = math.lcm(ledger.scale, *(e.denominator for e in cell_errs.values()))
+    lhs = np.abs(ledger.bias).sum(axis=1).astype(object) * (den // ledger.scale)
+    nums = {z: e.numerator * (den // e.denominator) for z, e in cell_errs.items()}
+    rhs = np.array([sum(n for z, n in nums.items() if z[j]) for j in range(len(lhs))], dtype=object)
+    return CheckSummary.over("cell_triangle", lhs, rhs, rhs - lhs, value=lambda v: Fraction(v, den))
+
+
 def check_g4_context_decomp(
     ledger: RunLedger, stats: DeviationStats, eta: Fraction, m: int
 ) -> CheckSummary:

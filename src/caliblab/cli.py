@@ -8,7 +8,8 @@ Configs are flat ``key=value`` text with dotted namespaces::
     run.seed=42
 
 Any key can be overridden on the command line as ``--key=value``.  The
-environment variable ``CALIBLAB_SEED`` overrides ``run.seed``.
+environment variable ``CALIBLAB_SEED`` overrides ``run.seed`` and every
+probe's ``--seed``.
 
 The kinds and ids a config names are the keys of ``experiments.ENVS``
 and ``experiments.FAMILIES`` and the ids of ``make_forecaster_factory``.
@@ -263,10 +264,7 @@ def cmd_scaling(args, overrides) -> int:
     return EXIT_OK
 
 
-def _probe_rows(args) -> list:
-    seed = args.seed
-    if "CALIBLAB_SEED" in os.environ:
-        seed = int(os.environ["CALIBLAB_SEED"])
+def _probe_rows(args, seed: int) -> list:
     given = {name: value for name, value in vars(args).items() if value is not None}
     if args.name == "return-pmf":
         reps = _get(given, "reps", 100_000, int)
@@ -310,18 +308,18 @@ def cmd_probe(args) -> int:
     if args.name not in PROBE_NAMES:
         print(f"unknown probe {args.name!r}; choose from {', '.join(PROBE_NAMES)}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.name == "identities":
-        records = run_identity_suite(seed=args.seed)
-    else:
-        try:
-            rows = _probe_rows(args)
-        except ValueError as exc:
-            print(f"probe error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+    try:
+        seed = _get(os.environ, "CALIBLAB_SEED", args.seed, int)
+        if args.name != "identities":
+            rows = _probe_rows(args, seed)
+    except ValueError as exc:
+        print(f"probe error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"probe_{args.name}.csv"
     if args.name == "identities":
+        records = run_identity_suite(seed=seed)
         write_bounds_csv(path, records)
         ok = all(r.passed for r in records)
         for r in records:
@@ -382,8 +380,8 @@ def cmd_bounds(args, overrides) -> int:
         for T, info in sorted(details["per_T"].items()):
             manifest.notes.append(f"pathwise_min_slack@T={T}={format_float(info['pathwise_min_slack'])}")
             manifest.notes += [
-                f"pathwise_violation@T={T}=rep={v['rep']};group={v['group']};err={v['err']};bound={v['bound']}"
-                for v in info["pathwise_violations"]
+                f"pathwise_violation@T={T}=rep={rep};check={s.name};index={s.first};lhs={s.lhs};rhs={s.rhs}"
+                for rep, s in info["pathwise_violations"]
             ]
     manifest.write(out_dir / f"bounds_{args.which}_manifest.txt")
     for r in records:

@@ -33,10 +33,10 @@ seed, so results are independent of scheduling order; aggregation is a
 deterministic fold in (T, replicate) order.  Reruns with the same config
 and seed produce byte-identical CSVs.
 
-The bound runners draw their replicates as scaling cells do, through
-``_draw_run`` on a plan of their own: the oracle bound's replicates are
-cells of a ``bits`` plan, checked by the same pathwise suite, and the
-reduction bound routes each cell of a ``grid_ranges`` plan.
+Every general-path cell is one ``_cell`` call: the oracle bound's
+replicates are cells of a ``bits`` plan, and the reduction bound's cells
+of a ``grid_ranges`` plan forecast by a fresh ``PatternRouter``, whose
+suite adds the exact cell triangle bound (``check_cell_triangle``).
 
 The pathwise inequality suite runs inside every replicate: telescoping
 and difference-of-two everywhere, the context decomposition for the threshold trio, time-quantization and
@@ -73,6 +73,7 @@ from .calibration import (
     check_bits_mse,
     check_block_mass,
     check_block_parseval,
+    check_cell_triangle,
     check_diff_two,
     check_g4_context_decomp,
     check_l1_quantization,
@@ -198,8 +199,11 @@ class ExperimentConfig:
             raise ValueError("env.T_list is empty; give at least one T")
         if list(self.T_list) != sorted(set(self.T_list)):
             raise ValueError("T list must be strictly increasing")
-        if self.T_list[-1] > MAX_T:
-            raise ValueError(f"T={self.T_list[-1]} exceeds the desk-scale cap {MAX_T}")
+        if self.T_list[0] < 1 or self.T_list[-1] > MAX_T:
+            raise ValueError(f"env.T_list={','.join(map(str, self.T_list))} must lie in 1..{MAX_T}, the desk-scale cap")
+        for key, value in (("env.m", self.m), ("groups.K", self.K)):
+            if value is not None and value < 1:
+                raise ValueError(f"{key}={value} must be at least 1")
         if self.replicates < 1:
             raise ValueError(f"run.replicates={self.replicates} must be at least 1")
         if self.replicates > MAX_REPLICATES:
@@ -371,12 +375,13 @@ def _cell_stream(T: int, rep: int) -> int:
     return (T << 24) + rep
 
 
-def _draw_run(config: ExperimentConfig, plan: CellPlan, stream: int, forecaster: Forecaster) -> ScaledRun:
+def _cell(config: ExperimentConfig, plan: CellPlan, stream: int, forecaster: Forecaster) -> dict:
     """Sample the plan's environment on ``stream``, run ``forecaster`` on the
-    paired forecaster stream and build the run."""
+    paired forecaster stream, build the run and return its cell result."""
     traj = ENVS[plan.env].sample(config, plan.T, plan.m, stream)
     rng = substream(config.seed, stream | _FORECASTER_STREAM_BIT)
-    return ScaledRun.build(traj, run_forecaster(traj, forecaster, rng), *plan.family.required_denominators())
+    run = ScaledRun.build(traj, run_forecaster(traj, forecaster, rng), *plan.family.required_denominators())
+    return _cell_result(plan, run, *_outcome_free(plan, run), forecaster)
 
 
 @dataclass(frozen=True, eq=False)
@@ -446,8 +451,7 @@ def general_replicate(config: ExperimentConfig, T: int, rep: int) -> dict:
     those heads and equals it; a layout-free one draws its column counts
     directly, so the two agree in law, not draw for draw."""
     plan = config.plans[T]
-    run = _draw_run(config, plan, _cell_stream(T, rep), plan.forecaster())
-    return _cell_result(plan, run, *_outcome_free(plan, run))
+    return _cell(config, plan, _cell_stream(T, rep), plan.forecaster())
 
 
 def _outcome_free(plan: CellPlan, run: ScaledRun) -> tuple[list, dict, Optional[DeviationStats]]:
@@ -469,12 +473,14 @@ def _outcome_free(plan: CellPlan, run: ScaledRun) -> tuple[list, dict, Optional[
     return checks, extras, eta_stats
 
 
-def _cell_result(plan: CellPlan, run, free_checks: list, free_extras: dict, eta_stats) -> dict:
-    """Accumulate the run, check it and report: err, mcerr, extras, violations, min slack."""
+def _cell_result(plan: CellPlan, run, free_checks: list, free_extras: dict, eta_stats, forecaster=None) -> dict:
+    """Accumulate the run, check it and report: err, mcerr, extras, violations, failed summaries, min slack."""
     ledger = accumulate_run(run, plan.family)
     report = ledger.report()
     out = {"mcerr": report.mcerr, "err": report, "extras": {}}
     checks = [check_telescoping(ledger), check_diff_two(ledger)]
+    if isinstance(forecaster, PatternRouter):
+        checks.append(check_cell_triangle(ledger, {z: forecaster.cell_err(z) for z in forecaster.cells}))
     if eta_stats is not None:
         checks.append(check_g4_context_decomp(ledger, eta_stats, plan.eta, plan.m))
         out["extras"]["sum_abs_nx"] = float(np.abs(eta_stats.N_x_num).sum()) / eta_stats.scale
@@ -486,6 +492,7 @@ def _cell_result(plan: CellPlan, run, free_checks: list, free_extras: dict, eta_
         out["extras"]["misses"] = float(miss_count(run))
     # one name per failing comparison, in check order
     out["violations"] = [c.name for c in checks for _ in range(c.failures)]
+    out["failed"] = [c for c in checks if c.failures]
     out["min_slack"] = {c.name: c.min_slack for c in checks if c.count}
     return out
 
@@ -672,8 +679,8 @@ def run_oracle_bound(
     Replicate ``rep`` is a cell of a ``bits`` plan drawn on environment
     stream ``rep`` and checked by the cell's pathwise suite."""
     _check_replicates(replicates)
-    if T > MAX_T:
-        raise ValueError(f"oracle.T={T} exceeds the desk-scale cap {MAX_T}")
+    if not 1 <= T <= MAX_T:
+        raise ValueError(f"oracle.T={T} must lie in 1..{MAX_T}, the desk-scale cap")
     if not 1 <= k <= MAX_K:
         raise ValueError(f"oracle.k={k} must lie in 1..{MAX_K}, the desk-scale cap")
     n = 1 << k
@@ -688,11 +695,8 @@ def run_oracle_bound(
         k=k, Q=q, oracle=oracle, m_copies=m_copies, update=update,
     )
     plan = config.plans[T]
-    results = []
-    for rep in range(replicates):
-        # environment stream rep, not _cell_stream(T, rep), so the bound's draws keep their bytes
-        run = _draw_run(config, plan, rep, plan.forecaster())
-        results.append(_cell_result(plan, run, *_outcome_free(plan, run)))
+    # environment stream rep, not _cell_stream(T, rep), so the bound's draws keep their bytes
+    results = [_cell(config, plan, rep, plan.forecaster()) for rep in range(replicates)]
     mcerrs = np.array([r["mcerr"] for r in results])
     sq_losses = np.array([r["extras"]["sq_loss"] for r in results])
     misses = np.array([r["extras"]["misses"] for r in results])
@@ -745,8 +749,9 @@ def run_reduction_bound(
     Measures the standalone oracle's marginal calibration curve on each
     cell's context sub-grid at the realized cell lengths, fits a concave
     power envelope, and checks the router's measured multicalibration
-    against the cell sum; the per-replicate triangle inequality
-    Err(g_j) <= sum of its cells' errors is checked pathwise.
+    against the cell sum.  Each replicate is a routed cell whose suite
+    checks the triangle inequality Err(g_j) <= sum of its cells' errors
+    pathwise; its failing summaries are kept as (rep, ``CheckSummary``).
     """
     _check_replicates(replicates)
     T_list = tuple(T_list)
@@ -785,38 +790,25 @@ def run_reduction_bound(
     details["envelope"] = {"c": c, "beta": beta}
 
     for T, plan in config.plans.items():
-        family = plan.family
-        mcerrs = np.empty(replicates)
-        per_group = np.empty((len(family), replicates))  # C-contiguous: one row per group
-        violations = []
-        min_slack = None
+        results = []
         for rep in range(replicates):
-            router = PatternRouter(factory, family)
-            run = _draw_run(config, plan, _cell_stream(T, rep), router)
-            ledger = accumulate_run(run, family)
-            report = ledger.report()
-            mcerrs[rep] = report.mcerr
-            cell_err = {z: router.cell_err(z) for z in router.cells}
+            router = PatternRouter(factory, plan.family)
+            results.append(_cell(config, plan, _cell_stream(T, rep), router))
             if rep == 0:
-                details["per_T"][T]["cells"] = router.cell_summary(cell_err)
-            per_group[:, rep] = report.vector
-            for j, g in enumerate(family):
-                bound_j = sum((e for z, e in cell_err.items() if z[j] == 1), Fraction(0))
-                err_j = ledger.err_exact(g.id)
-                slack = bound_j - err_j
-                min_slack = slack if min_slack is None else min(min_slack, slack)
-                if slack < 0:
-                    violations.append({"T": T, "rep": rep, "group": g.id, "err": err_j, "bound": bound_j})
+                details["per_T"][T]["cells"] = router.cell_summary()
+        mcerrs = np.array([r["mcerr"] for r in results])
+        # C-contiguous (groups, replicates): each row mean sums in np.mean's order
+        per_group = np.stack([r["err"].vector for r in results], axis=-1)
         cell_lengths = details["per_T"][T]["cell_lengths"]
         envelope_sum = sum(c * t_z**beta for t_z in cell_lengths)
         mean_mcerr = float(mcerrs.mean())
         se = float(mcerrs.std(ddof=1) / math.sqrt(replicates))
         records.append(BoundRecord(f"reduction_mcerr_vs_cells@T={T}", mean_mcerr, envelope_sum, "le"))
-        records.append(BoundRecord(f"reduction_pathwise@T={T}", float(len(violations)), 0.0, "le"))
+        pathwise = float(sum(len(r["violations"]) for r in results))
+        records.append(BoundRecord(f"reduction_pathwise@T={T}", pathwise, 0.0, "le"))
         matched = []
-        for j, g in enumerate(family):
-            z = j  # disjoint groups: cell index == group index
-            smean, sse = standalone[(T, z)]
+        for j, g in enumerate(plan.family):
+            smean, sse = standalone[(T, j)]  # disjoint groups: cell index == group index
             rmean = float(per_group[j].mean())
             rse = float(per_group[j].std(ddof=1) / math.sqrt(replicates))
             gap = abs(rmean - smean)
@@ -828,8 +820,8 @@ def run_reduction_bound(
             stderr=se,
             envelope_sum=envelope_sum,
             matched=matched,
-            pathwise_min_slack=float(min_slack),
-            pathwise_violations=violations,
+            pathwise_min_slack=float(min(r["min_slack"]["cell_triangle"] for r in results)),
+            pathwise_violations=[(rep, summary) for rep, r in enumerate(results) for summary in r["failed"]],
         )
     return records, details
 

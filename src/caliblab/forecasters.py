@@ -463,12 +463,10 @@ class PatternRouter(Forecaster):
         cell = self.cells[z]
         return marginal_err(cell.p.num, cell.p.den, cell.y_num, cell.y_den)
 
-    def cell_summary(self, errs: Optional[dict] = None) -> list[tuple]:
-        """(pattern string, T_z, cell Err) rows, sorted by pattern; ``errs``
-        holds cell errors already computed."""
-        errs = errs if errs is not None else {z: self.cell_err(z) for z in self.cells}
+    def cell_summary(self) -> list[tuple]:
+        """(pattern string, T_z, cell Err) rows, sorted by pattern."""
         sizes = self.cell_sizes()
-        return [("".join(map(str, z)), sizes[z], float(errs[z])) for z in sorted(errs)]
+        return [("".join(map(str, z)), sizes[z], float(self.cell_err(z))) for z in sorted(sizes)]
 
 
 def run_forecaster(

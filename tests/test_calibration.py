@@ -18,6 +18,7 @@ from caliblab.calibration import (
     check_bits_mse,
     check_block_mass,
     check_block_parseval,
+    check_cell_triangle,
     check_diff_two,
     check_g4_context_decomp,
     check_l1_quantization,
@@ -485,10 +486,10 @@ def diff_two_reference(ledger) -> list:
     return out
 
 
-def assert_summary_matches(summary, reference):
+def assert_summary_matches(summary, reference, name="diff_two"):
     slacks = [bound - signed for signed, bound in reference]
     failed = [i for i, slack in enumerate(slacks) if slack < 0]
-    assert (summary.name, summary.count, summary.failures) == ("diff_two", len(reference), len(failed))
+    assert (summary.name, summary.count, summary.failures) == (name, len(reference), len(failed))
     assert summary.min_slack == min(slacks)
     first = (failed[0], *reference[failed[0]]) if failed else (None, None, None)
     assert (summary.first, summary.lhs, summary.rhs) == first
@@ -545,6 +546,33 @@ def test_diff_two_matches_per_pair_reference(data):
     report = ledger.report()
     assert list(report) == fam.ids()
     assert all(report.vector[fam.index[gid]] == float(ledger.err_exact(gid)) for gid in fam.ids())
+
+
+def test_cell_triangle_matches_a_fraction_reference():
+    rng = np.random.default_rng(31)
+    traj = sample_bernoulli_env(T=200, m=8, seed=12)
+    fam = build_grid_range_family(list(traj.grid), 3)
+    ledger = ledger_of(traj, random_predictions(traj, rng, den=12), fam)
+    run = ledger.scaled
+    errs = [exact_err(run, g.weights(run)) for g in fam]
+    assert min(errs) > Fraction(1, 7)
+    third, seventh, two_fifths = Fraction(1, 3), Fraction(1, 7), Fraction(2, 5)
+    cases = [
+        # the overlapping cell (1, 1, 0) counts toward groups 0 and 1; group 2's cell is its Err, a tight pass
+        {(1, 1, 0): errs[0] + errs[1] + third, (0, 0, 1): errs[2], (1, 0, 0): seventh},
+        # group 1's only cell falls 1/7 short of its Err
+        {(1, 1, 0): errs[1] - seventh, (1, 0, 0): errs[0] + third, (0, 0, 1): errs[2] + two_fifths},
+        # no cells: every group fails
+        {},
+    ]
+    summaries = [check_cell_triangle(ledger, cells) for cells in cases]
+    for cells, summary in zip(cases, summaries):
+        reference = [(errs[j], sum((e for z, e in cells.items() if z[j]), Fraction(0))) for j in range(3)]
+        assert_summary_matches(summary, reference, "cell_triangle")
+    assert [s.failures for s in summaries] == [0, 1, 3]
+    assert summaries[0].min_slack == 0
+    assert (summaries[1].first, summaries[1].lhs, summaries[1].rhs) == (1, errs[1], errs[1] - seventh)
+    assert summaries[1].min_slack == -seventh
 
 
 def test_bits_mse_checks():

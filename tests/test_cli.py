@@ -4,6 +4,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -282,6 +283,27 @@ def test_probe_identities(tmp_path):
     assert text.count("true") == 5
 
 
+def test_probe_identities_honours_the_seed_variable(tmp_path, monkeypatch, capsys):
+    seeds = []
+
+    def suite(seed):
+        seeds.append(seed)
+        return experiments.run_identity_suite(h1_max=8, prefix_max=8, expansion_max=8, block_max=4, seed=seed)
+
+    monkeypatch.setattr(cli, "run_identity_suite", suite)
+    monkeypatch.setenv("CALIBLAB_SEED", "11")
+    assert main(["probe", "identities", "--seed", "3", "--out", str(tmp_path)]) == EXIT_OK
+    assert seeds == [11]
+    out = tmp_path / "out"
+    for name in ("identities", "return-pmf"):
+        monkeypatch.setenv("CALIBLAB_SEED", "abc")
+        capsys.readouterr()
+        assert main(["probe", name, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "probe error: bad value for CALIBLAB_SEED: 'abc'\n"
+        assert not out.exists()
+    assert seeds == [11]
+
+
 def test_probe_unknown(tmp_path):
     assert main(["probe", "nonsense"]) == EXIT_CONFIG
 
@@ -389,6 +411,58 @@ def test_bounds_reduction_bad_value_names_the_reduction_key(tmp_path, capsys, li
     assert main([*argv, "--run.replicates=2", "--out", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config, override, message",
+    [
+        ("walsh_pipeline.cfg", "groups.K=0", "groups.K=0 must be at least 1"),
+        ("walsh_pipeline.cfg", "groups.K=-2", "groups.K=-2 must be at least 1"),
+        ("thm31_scaling.cfg", "env.T_list=0", "env.T_list=0 must lie in 1..1048576, the desk-scale cap"),
+        ("thm31_scaling.cfg", "env.T_list=-8,16", "env.T_list=-8,16 must lie in 1..1048576, the desk-scale cap"),
+        ("thm31_scaling.cfg", "env.T_list=2097152", "env.T_list=2097152 must lie in 1..1048576, the desk-scale cap"),
+        ("thm31_scaling.cfg", "env.m=0", "env.m=0 must be at least 1"),
+        ("walsh_pipeline.cfg", "env.m=-4", "env.m=-4 must be at least 1"),
+    ],
+    ids=["K-zero", "K-negative", "T-zero", "T-negative", "T-cap", "m-zero", "m-negative"],
+)
+def test_scaling_bad_value_names_its_key(tmp_path, capsys, config, override, message):
+    out = tmp_path / "out"
+    argv = ["scaling", "--config", str(ROOT / "configs" / config), f"--{override}", "--run.replicates=1"]
+    assert main([*argv, "--run.workers=1", "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("T", [0, -5, 2097152])
+def test_bounds_oracle_T_names_its_range(tmp_path, capsys, T):
+    out = tmp_path / "out"
+    argv = ["bounds", "oracle", "--config", str(ROOT / "configs" / "oracle_bound.cfg"), f"--oracle.T={T}"]
+    assert main([*argv, "--run.replicates=2", "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: oracle.T={T} must lie in 1..1048576, the desk-scale cap\n")
+    assert not out.exists()
+
+
+def test_bounds_reduction_violation_fails_the_assert_and_is_named(tmp_path, monkeypatch):
+    # one failing telescoping summary, in the first routed cell only
+    telescoping = experiments.check_telescoping
+    calls = []
+
+    def once(ledger):
+        calls.append(ledger)
+        if len(calls) > 1:
+            return telescoping(ledger)
+        return replace(telescoping(ledger), failures=1, min_slack=Fraction(-1, 2), first=0, lhs=Fraction(1, 2), rhs=0)
+
+    monkeypatch.setattr(experiments, "check_telescoping", once)
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text("reduction.T_list=512\nrun.replicates=2\nrun.seed=5\n")
+    assert main(["bounds", "reduction", "--config", str(cfg), "--out", str(tmp_path), "--assert"]) == EXIT_ASSERT
+    lines = (tmp_path / "bounds_reduction_manifest.txt").read_text().splitlines()
+    named = [line for line in lines if line.startswith("pathwise_violation@")]
+    assert named == ["pathwise_violation@T=512=rep=0;check=telescoping;index=0;lhs=1/2;rhs=0"]
+    assert "pathwise_min_slack@T=512=0" in lines
+    assert "reduction_pathwise@T=512,1,0,-1,false" in (tmp_path / "bounds_reduction.csv").read_text()
 
 
 def test_bounds_bad_value_fails_before_any_output(tmp_path, capsys):

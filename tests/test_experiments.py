@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from caliblab import calibration, experiments
 from caliblab.calibration import SkeletonRun, check_diff_two
 from caliblab.cli import EXIT_CONFIG, main
-from caliblab.forecasters import PatternRouter
+from caliblab.forecasters import PatternRouter, make_forecaster_factory
 from caliblab.experiments import (
     ExperimentConfig,
     fit_exponent,
@@ -558,11 +558,35 @@ def test_reduction_pathwise_slack_and_named_violations(monkeypatch):
     records, details = run_reduction_bound(T_list=(256,), replicates=3, seed=31)
     info = details["per_T"][256]
     bad = info["pathwise_violations"]
-    assert bad and {r.check_id: r.measured for r in records}["reduction_pathwise@T=256"] == len(bad)
-    first = bad[0]
-    assert first["T"] == 256 and first["rep"] == 0 and first["bound"] == 0
-    assert first["group"].startswith("range/") and first["err"] > 0
-    assert info["pathwise_min_slack"] == -max(float(v["err"]) for v in bad)
+    assert bad and all(isinstance(s, calibration.CheckSummary) for _, s in bad)
+    assert {r.check_id: r.measured for r in records}["reduction_pathwise@T=256"] == sum(s.failures for _, s in bad)
+    rep, first = bad[0]
+    assert rep == 0 and first.name == "cell_triangle" and first.first in range(3)
+    assert first.lhs > 0 and first.rhs == 0
+    # every group's Err, recomputed cell by cell: the tightest slack is -max Err
+    config = ExperimentConfig(env="bernoulli", groups="grid_ranges", T_list=(256,), seed=31)
+    plan = config.plans[256]
+    factory = make_forecaster_factory("empirical_mean_bucket", Q=4)
+    errs = [
+        experiments._cell(config, plan, experiments._cell_stream(256, rep), PatternRouter(factory, plan.family))["err"]
+        for rep in range(3)
+    ]
+    assert info["pathwise_min_slack"] == -max(e.vector.max() for e in errs)
+
+
+def test_reduction_cells_run_the_pathwise_suite(monkeypatch):
+    # each routed cell is a general-path cell, so telescoping is checked there too
+    def failing(ledger):
+        return calibration.CheckSummary("telescoping", count=1, failures=1, min_slack=Fraction(-1))
+
+    monkeypatch.setattr(experiments, "check_telescoping", failing)
+    records, details = run_reduction_bound(T_list=(256,), replicates=3, seed=31)
+    assert {r.check_id: r.measured for r in records}["reduction_pathwise@T=256"] == 3.0
+    assert [(rep, s.name) for rep, s in details["per_T"][256]["pathwise_violations"]] == [
+        (0, "telescoping"), (1, "telescoping"), (2, "telescoping")
+    ]
+    # the triangle bound still holds with equality on the disjoint cells
+    assert details["per_T"][256]["pathwise_min_slack"] == 0.0
 
 
 def test_reduction_rejects_prediction_dependent_groups(tmp_path, capsys):
