@@ -9,16 +9,18 @@ Configs are flat ``key=value`` text with dotted namespaces::
 
 Any key can be overridden on the command line as ``--key=value``.  The
 environment variable ``CALIBLAB_SEED`` overrides ``run.seed`` and every
-probe's ``--seed``.
+probe's ``--seed``, within the same limits.
 
 The kinds and ids a config names are the keys of ``experiments.ENVS``
 and ``experiments.FAMILIES`` and the ids of ``make_forecaster_factory``.
-``scaling`` and ``bounds`` read and cast every key they use before the
-first cell, and refuse a key they do not read.  Exit codes: 0 success,
-1 failure under ``--assert``, 2 config parse error, unknown config key,
-missing or bad value, unbuildable run or unknown probe, 3 unknown kind
-or id (``unknown <config key>: <value>``).  CSV content is identical
-whether or not ``--assert`` is set.
+``scaling`` and ``bounds`` read and cast every key they use through
+``experiments.KEYS`` before the first cell, refuse a key they do not
+read, and exit 2 naming a key whose value lies outside the table's
+limits (the desk caps, ``run.seed`` in 0..2^64 - 1, pieces at least 1).
+Exit codes: 0 success, 1 failure under ``--assert``, 2 config parse
+error, unknown config key, missing or bad value, unbuildable run or
+unknown probe, 3 unknown kind or id (``unknown <config key>: <value>``).
+CSV content is identical whether or not ``--assert`` is set.
 """
 
 from __future__ import annotations
@@ -38,8 +40,10 @@ from . import __version__
 from .calibration import format_float
 from .experiments import (
     EXPONENT_WINDOW,
+    KEYS,
     MAX_WORKERS,
     ExperimentConfig,
+    cast_value,
     run_identity_suite,
     run_oracle_bound,
     run_reduction_bound,
@@ -95,6 +99,7 @@ def load_config(path, overrides) -> dict:
     cfg = parse_config_text(text)
     cfg.update(overrides)
     if "CALIBLAB_SEED" in os.environ:
+        _seed("CALIBLAB_SEED", os.environ["CALIBLAB_SEED"])  # checked; the config and its digest keep the text
         cfg["run.seed"] = os.environ["CALIBLAB_SEED"]
     return cfg
 
@@ -115,16 +120,7 @@ def parse_overrides(tokens) -> dict:
 
 
 def _get(cfg: dict, key: str, default=None, cast=str):
-    if key not in cfg:
-        return default
-    try:
-        return cast(cfg[key])
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad value for {key}: {cfg[key]!r}") from exc
-
-
-def _int_list(raw: str) -> tuple:
-    return tuple(int(s) for s in raw.split(",") if s.strip())
+    return cast_value(key, cfg[key], cast) if key in cfg else default
 
 
 def _flag(raw: str) -> bool:
@@ -133,37 +129,21 @@ def _flag(raw: str) -> bool:
     return raw.lower() == "true"
 
 
-# config key -> (keyword, cast) of what a command hands its runner; a key
-# the config leaves out keeps the runner's default
-SCALING_KEYS = {
-    "run.id": ("experiment_id", str), "run.replicates": ("replicates", int), "run.seed": ("seed", int),
-    "env.kind": ("env", str), "env.m": ("m", int), "env.k": ("k", int),
-    "forecaster.id": ("forecaster", str), "forecaster.Q": ("Q", int), "forecaster.offset": ("offset", str),
-    "forecaster.value": ("value", str), "forecaster.oracle": ("oracle", str),
-    "forecaster.m_copies": ("m_copies", int), "forecaster.update": ("update", str),
-    "groups.kind": ("groups", str), "groups.eta": ("eta", str), "groups.K": ("K", int),
-    "groups.pieces": ("pieces", int),
-}
-BOUND_KEYS = {
-    "oracle": {
-        "oracle.T": ("T", int), "oracle.k": ("k", int), "oracle.m_copies": ("m_copies", int),
-        "oracle.oracle": ("oracle", str), "oracle.Q": ("q", int), "oracle.update": ("update", str),
-    },
-    "reduction": {
-        "reduction.T_list": ("T_list", _int_list), "reduction.pieces": ("pieces", int),
-        "reduction.oracle": ("oracle", str), "reduction.Q": ("q", int),
-    },
-}
-# the keys each command reads beside its table; it refuses every other key
-SCALING_OWN_KEYS = (
-    "env.T_list", "env.T", "run.workers", "output.dir", "output.family", "assert.exponent_min", "assert.exponent_max"
-)
-BOUND_OWN_KEYS = ("run.seed", "run.replicates", "output.dir")
+# the keys a command reads that no runner does; it refuses a key in neither these nor experiments.KEYS
+SCALING_OWN_KEYS = ("env.T", "output.dir", "output.family", "assert.exponent_min", "assert.exponent_max")
+BOUND_OWN_KEYS = ("output.dir",)
 
 
-def _read(cfg: dict, keys: dict) -> dict:
-    """The runner keywords of the ``keys`` that ``cfg`` sets, cast."""
-    return {name: _get(cfg, key, cast=cast) for key, (name, cast) in keys.items() if key in cfg}
+def _read(cfg: dict, command: str) -> dict:
+    """The runner keywords of the keys of ``command`` that ``cfg`` sets, cast."""
+    return {spec.field: _get(cfg, key, cast=spec.cast) for key, spec in KEYS[command].items() if key in cfg}
+
+
+def _seed(name: str, raw) -> int:
+    """A seed given as ``name``, cast and checked against the limits of ``run.seed``."""
+    seed = cast_value(name, raw, int)
+    KEYS["scaling"]["run.seed"].check(name, seed)
+    return seed
 
 
 def _refuse_unknown(cfg: dict, known) -> None:
@@ -173,17 +153,10 @@ def _refuse_unknown(cfg: dict, known) -> None:
 
 
 def experiment_config_from(cfg: dict) -> ExperimentConfig:
-    t_list = _get(cfg, "env.T_list", None, _int_list)
-    if t_list is None:
-        t_list = (_get(cfg, "env.T", 1024, int),)
-    try:
-        return ExperimentConfig(
-            T_list=t_list,
-            workers=_get(cfg, "run.workers", min(os.cpu_count() or 1, MAX_WORKERS), int),
-            **_read(cfg, SCALING_KEYS),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    params = _read(cfg, "scaling")
+    params.setdefault("T_list", (_get(cfg, "env.T", 1024, int),))
+    params.setdefault("workers", min(os.cpu_count() or 1, MAX_WORKERS))
+    return ExperimentConfig(**params)
 
 
 @dataclass
@@ -211,12 +184,12 @@ class Manifest:
 def cmd_scaling(args, overrides) -> int:
     try:
         cfg = load_config(args.config, overrides)
-        _refuse_unknown(cfg, [*SCALING_KEYS, *SCALING_OWN_KEYS])
+        _refuse_unknown(cfg, [*KEYS["scaling"], *SCALING_OWN_KEYS])
         config = experiment_config_from(cfg)
         lo = _get(cfg, "assert.exponent_min", EXPONENT_WINDOW[0], float)
         hi = _get(cfg, "assert.exponent_max", EXPONENT_WINDOW[1], float)
         family = _get(cfg, "output.family", False, _flag)
-    except ConfigError as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except KeyError as exc:
@@ -309,7 +282,8 @@ def cmd_probe(args) -> int:
         print(f"unknown probe {args.name!r}; choose from {', '.join(PROBE_NAMES)}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        seed = _get(os.environ, "CALIBLAB_SEED", args.seed, int)
+        name = "CALIBLAB_SEED" if "CALIBLAB_SEED" in os.environ else "seed"
+        seed = _seed(name, os.environ.get("CALIBLAB_SEED", args.seed))
         if args.name != "identities":
             rows = _probe_rows(args, seed)
     except ValueError as exc:
@@ -341,21 +315,12 @@ def cmd_probe(args) -> int:
 
 
 def cmd_bounds(args, overrides) -> int:
-    keys = BOUND_KEYS[args.which]
     try:
         cfg = load_config(args.config, overrides)
-        _refuse_unknown(cfg, [*keys, *BOUND_OWN_KEYS])
-        seed = _get(cfg, "run.seed", 42, int)
-        replicates = _get(cfg, "run.replicates", 100, int)
-        params = _read(cfg, keys)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    manifest = Manifest(__version__, config_digest(cfg), seed, time.time())
-
-    runner = run_oracle_bound if args.which == "oracle" else run_reduction_bound
-    try:
-        records, details = runner(replicates=replicates, seed=seed, **params)
+        _refuse_unknown(cfg, [*KEYS[args.which], *BOUND_OWN_KEYS])
+        started = time.time()
+        runner = run_oracle_bound if args.which == "oracle" else run_reduction_bound
+        records, details = runner(**_read(cfg, args.which))
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return EXIT_UNRESOLVED
@@ -363,6 +328,7 @@ def cmd_bounds(args, overrides) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    manifest = Manifest(__version__, config_digest(cfg), details["seed"], started)
     out_dir = Path(args.out or cfg.get("output.dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"bounds_{args.which}.csv"

@@ -140,6 +140,71 @@ MAX_K = MAX_Q.bit_length() - 1
 _FORECASTER_STREAM_BIT = 1 << 63
 
 
+def _int_list(raw: str) -> tuple:
+    return tuple(int(s) for s in raw.split(",") if s.strip())
+
+
+@dataclass(frozen=True)
+class Key:
+    """A config key: the runner keyword it sets, the cast of its text, its least and greatest value
+    (None: unbounded) and what sets the greatest.  A list must also be nonempty and rise strictly."""
+
+    field: str
+    cast: Callable = str
+    lo: Optional[int] = None
+    hi: Optional[int] = None
+    cap: str = "the desk-scale cap"
+
+    def check(self, name: str, value) -> None:
+        """Raise ValueError naming ``name`` unless ``value`` (None: unset) keeps the limits."""
+        if value is None or self.lo is None:
+            return
+        shown, least, greatest = value, value, value
+        if isinstance(value, (tuple, list)):
+            if not value:
+                raise ValueError(f"{name} is empty; give at least one T")
+            shown, least, greatest = ",".join(map(str, value)), value[0], value[-1]
+            if list(value) != sorted(set(value)):
+                raise ValueError(f"{name}={shown} must be strictly increasing")
+        if least < self.lo or (self.hi is not None and greatest > self.hi):
+            limits = f"be at least {self.lo}" if self.hi is None else f"lie in {self.lo}..{self.hi}, {self.cap}"
+            raise ValueError(f"{name}={shown} must {limits}")
+
+
+_SEED = Key("seed", int, 0, (1 << 64) - 1, "the 64-bit seed range")  # substream keys Philox with its low 64 bits
+_BOUND_REPLICATES = Key("replicates", int, 2, MAX_REPLICATES)  # a bound needs two for a standard error
+
+# every key a command reads, declared once; a key the config leaves out keeps the runner's default
+KEYS = {
+    "scaling": {
+        "run.id": Key("experiment_id"), "run.replicates": Key("replicates", int, 1, MAX_REPLICATES),
+        "run.seed": _SEED, "run.workers": Key("workers", int, 1, MAX_WORKERS), "env.kind": Key("env"),
+        "env.T_list": Key("T_list", _int_list, 1, MAX_T), "env.m": Key("m", int, 1), "env.k": Key("k", int, 1, MAX_K),
+        "forecaster.id": Key("forecaster"), "forecaster.Q": Key("Q", int), "forecaster.offset": Key("offset"),
+        "forecaster.value": Key("value"), "forecaster.oracle": Key("oracle"),
+        "forecaster.m_copies": Key("m_copies", int), "forecaster.update": Key("update"), "groups.kind": Key("groups"),
+        "groups.eta": Key("eta"), "groups.K": Key("K", int, 1), "groups.pieces": Key("pieces", int, 1),
+    },
+    "oracle": {
+        "oracle.T": Key("T", int, 1, MAX_T), "oracle.k": Key("k", int, 1, MAX_K), "oracle.oracle": Key("oracle"),
+        "oracle.m_copies": Key("m_copies", int), "oracle.Q": Key("q", int), "oracle.update": Key("update"),
+        "run.replicates": _BOUND_REPLICATES, "run.seed": _SEED,
+    },
+    "reduction": {
+        "reduction.T_list": Key("T_list", _int_list, 1, MAX_T), "reduction.pieces": Key("pieces", int, 1),
+        "reduction.oracle": Key("oracle"), "reduction.Q": Key("q", int),
+        "run.replicates": _BOUND_REPLICATES, "run.seed": _SEED,
+    },
+}
+
+
+def check_limits(command: str, **values) -> None:
+    """Check ``values``, given by runner keyword, against the limits of ``command``'s keys, naming the key."""
+    for key, spec in KEYS[command].items():
+        if spec.field in values:
+            spec.check(key, values[spec.field])
+
+
 def fit_exponent(points) -> tuple[float, float, float]:
     """OLS slope of log(value) on log(T): (slope, intercept, slope stderr).
 
@@ -195,23 +260,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.T_list = tuple(int(t) for t in self.T_list)
-        if not self.T_list:
-            raise ValueError("env.T_list is empty; give at least one T")
-        if list(self.T_list) != sorted(set(self.T_list)):
-            raise ValueError("T list must be strictly increasing")
-        if self.T_list[0] < 1 or self.T_list[-1] > MAX_T:
-            raise ValueError(f"env.T_list={','.join(map(str, self.T_list))} must lie in 1..{MAX_T}, the desk-scale cap")
-        for key, value in (("env.m", self.m), ("groups.K", self.K)):
-            if value is not None and value < 1:
-                raise ValueError(f"{key}={value} must be at least 1")
-        if self.replicates < 1:
-            raise ValueError(f"run.replicates={self.replicates} must be at least 1")
-        if self.replicates > MAX_REPLICATES:
-            raise ValueError(f"replicates={self.replicates} exceeds the cap {MAX_REPLICATES}")
-        if not 1 <= self.workers <= MAX_WORKERS:
-            raise ValueError(f"run.workers={self.workers} must lie in 1..{MAX_WORKERS}")
-        if not 1 <= self.k <= MAX_K:
-            raise ValueError(f"env.k={self.k} must lie in 1..{MAX_K}, the desk-scale cap")
+        check_limits("scaling", **vars(self))
         for key, kind, table in (("env.kind", self.env, ENVS), ("groups.kind", self.groups, FAMILIES)):
             if kind not in table:
                 raise KeyError(f"unknown {key}: {kind!r}; accepted: {', '.join(table)}")
@@ -312,9 +361,10 @@ FAMILIES = {
 }
 
 
-def _fraction(key: str, raw) -> Fraction:
+def cast_value(key: str, raw, cast: Callable):
+    """``cast(raw)``; a value the cast refuses names ``key``."""
     try:
-        return Fraction(raw)
+        return cast(raw)
     except (TypeError, ValueError, ZeroDivisionError):
         raise ValueError(f"bad value for {key}: {raw!r}") from None
 
@@ -324,9 +374,9 @@ def _forecaster_factory(config: ExperimentConfig, eta: Optional[Fraction]):
     if config.Q is not None:
         params["Q"] = config.Q
     if config.offset is not None:
-        params["offset"] = 2 * eta if config.offset == "2eta" else _fraction("forecaster.offset", config.offset)
+        params["offset"] = 2 * eta if config.offset == "2eta" else cast_value("forecaster.offset", config.offset, Fraction)
     if config.value is not None:
-        params["value"] = _fraction("forecaster.value", config.value)
+        params["value"] = cast_value("forecaster.value", config.value, Fraction)
     if config.forecaster == "proper_reduction":
         params.update(oracle=config.oracle, m=config.m_copies, update=config.update)
     try:
@@ -348,7 +398,7 @@ def _plan(config: ExperimentConfig, T: int) -> CellPlan:
     m = int(config.m) if config.m is not None else ENVS[config.env].grid_count(T)
     eta = None
     if kind.uses_eta or config.offset == "2eta":
-        eta = default_eta(m, T) if config.eta is None else _fraction("groups.eta", config.eta)
+        eta = default_eta(m, T) if config.eta is None else cast_value("groups.eta", config.eta, Fraction)
     try:
         family = kind.build(config, T, m, eta)
     except ValueError as exc:
@@ -652,13 +702,6 @@ def _oracle_factory(prefix: str, oracle: str, q: int):
     return factory
 
 
-def _check_replicates(replicates: int) -> None:
-    if replicates < 2:
-        raise ValueError(f"bound needs replicates >= 2 for a standard error, got replicates={replicates}")
-    if replicates > MAX_REPLICATES:
-        raise ValueError(f"run.replicates={replicates} exceeds the cap {MAX_REPLICATES}")
-
-
 def oracle_bound_value(T: int, k: int, m_copies: int) -> float:
     n = 1 << k
     return (1.0 / 8.0) * (1.0 - m_copies / n) * T / n**2
@@ -677,12 +720,8 @@ def run_oracle_bound(
     """Proper m-copy reduction on the bit environment versus the theory floor.
 
     Replicate ``rep`` is a cell of a ``bits`` plan drawn on environment
-    stream ``rep`` and checked by the cell's pathwise suite."""
-    _check_replicates(replicates)
-    if not 1 <= T <= MAX_T:
-        raise ValueError(f"oracle.T={T} must lie in 1..{MAX_T}, the desk-scale cap")
-    if not 1 <= k <= MAX_K:
-        raise ValueError(f"oracle.k={k} must lie in 1..{MAX_K}, the desk-scale cap")
+    stream ``rep`` and checked by the cell's pathwise suite; ``details`` holds the seed."""
+    check_limits("oracle", T=T, k=k, replicates=replicates, seed=seed)
     n = 1 << k
     q = q if q is not None else n - 1
     factory = _oracle_factory("oracle", oracle, q)
@@ -719,6 +758,7 @@ def run_oracle_bound(
         BoundRecord("oracle_pathwise_violations", float(violations), 0.0, "le"),
     ]
     details = {
+        "seed": seed,
         "mean_mcerr": mean_mcerr,
         "stderr": se,
         "bound": bound,
@@ -752,23 +792,16 @@ def run_reduction_bound(
     against the cell sum.  Each replicate is a routed cell whose suite
     checks the triangle inequality Err(g_j) <= sum of its cells' errors
     pathwise; its failing summaries are kept as (rep, ``CheckSummary``).
+    ``details`` holds the seed.
     """
-    _check_replicates(replicates)
-    T_list = tuple(T_list)
-    if not T_list:
-        raise ValueError("reduction.T_list is empty; give at least one T")
-    if list(T_list) != sorted(set(T_list)):
-        raise ValueError(f"reduction.T_list={','.join(map(str, T_list))} must be strictly increasing")
-    if T_list[0] < 1 or T_list[-1] > MAX_T:
-        raise ValueError(f"reduction.T_list={','.join(map(str, T_list))} must lie in 1..{MAX_T}, the desk-scale cap")
+    check_limits("reduction", T_list=T_list, pieces=pieces, replicates=replicates, seed=seed)
     factory = _oracle_factory("reduction", oracle, q)
     for T in T_list:
         points = len(grid_section3(section3_grid_count(T)))
-        if not 1 <= pieces <= points:
-            raise ValueError(f"reduction.pieces={pieces} must lie in 1..{points}, the grid points at T={T}")
+        Key("pieces", int, 1, points, f"the grid points at T={T}").check("reduction.pieces", pieces)
     config = ExperimentConfig(env="bernoulli", groups="grid_ranges", T_list=T_list, seed=seed, pieces=pieces)
     records: list[BoundRecord] = []
-    details: dict = {"per_T": {}}
+    details: dict = {"seed": seed, "per_T": {}}
     envelope_points = []
     standalone: dict = {}
 

@@ -227,9 +227,9 @@ def test_shipped_configs_resolve(path):
     config = experiment_config_from(cfg)
     assert config.env in ENVS and config.groups in FAMILIES
     # and its command reads every key it sets
-    which = next((w for w in cli.BOUND_KEYS if any(key.startswith(f"{w}.") for key in cfg)), None)
-    known = [*cli.SCALING_KEYS, *cli.SCALING_OWN_KEYS] if which is None else [*cli.BOUND_KEYS[which], *cli.BOUND_OWN_KEYS]
-    assert set(cfg) <= set(known)
+    which = next((w for w in ("oracle", "reduction") if any(key.startswith(f"{w}.") for key in cfg)), "scaling")
+    own = cli.SCALING_OWN_KEYS if which == "scaling" else cli.BOUND_OWN_KEYS
+    assert set(cfg) <= {*experiments.KEYS[which], *own}
     for key in ("reduction.oracle", "oracle.oracle"):
         if key in cfg:
             assert make_forecaster_factory(cfg[key])().context_blind
@@ -396,7 +396,7 @@ def test_bounds_reduction_names_the_unknown_key(tmp_path, capsys, line, code, me
 @pytest.mark.parametrize(
     "line, message",
     [
-        ("reduction.pieces=0", "reduction.pieces=0 must lie in 1..5, the grid points at T=1024"),
+        ("reduction.pieces=0", "reduction.pieces=0 must be at least 1"),
         ("reduction.pieces=40", "reduction.pieces=40 must lie in 1..5, the grid points at T=1024"),
         ("reduction.T_list=4194304", "reduction.T_list=4194304 must lie in 1..1048576, the desk-scale cap"),
         ("reduction.T_list=1024,512", "reduction.T_list=1024,512 must be strictly increasing"),
@@ -441,6 +441,77 @@ def test_bounds_oracle_T_names_its_range(tmp_path, capsys, T):
     assert main([*argv, "--run.replicates=2", "--out", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr() == ("", f"config error: oracle.T={T} must lie in 1..1048576, the desk-scale cap\n")
     assert not out.exists()
+
+
+# a small config per command; an override of the key under test replaces its line
+LIMIT_CONFIGS = {
+    "scaling": ["scaling", "--config", str(ROOT / "tests" / "data" / "golden_thm31.cfg"), "--run.workers=1"],
+    "oracle": ["bounds", "oracle", "--config", str(ROOT / "tests" / "data" / "golden_oracle.cfg")],
+    "reduction": ["bounds", "reduction", "--config", str(ROOT / "tests" / "data" / "golden_reduction.cfg")],
+}
+LIMIT_CASES = [
+    (command, key, value)
+    for command, keys in experiments.KEYS.items()
+    for key, spec in keys.items()
+    if spec.lo is not None
+    for value in (spec.lo - 1, *(() if spec.hi is None else (spec.hi + 1,)))
+]
+
+
+@pytest.mark.parametrize("command, key, value", LIMIT_CASES, ids=[f"{c}-{k}={v}" for c, k, v in LIMIT_CASES])
+def test_every_limited_key_names_itself_outside_its_limits(tmp_path, capsys, command, key, value):
+    out = tmp_path / "out"
+    assert main([*LIMIT_CONFIGS[command], f"--{key}={value}", "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {key}={value} must ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", LIMIT_CONFIGS)
+def test_bad_seed_variable_names_itself(tmp_path, capsys, monkeypatch, command):
+    out = tmp_path / "out"
+    for raw, message in (
+        ("abc", "bad value for CALIBLAB_SEED: 'abc'"),
+        ("-1", "CALIBLAB_SEED=-1 must lie in 0..18446744073709551615, the 64-bit seed range"),
+        ("18446744073709551616", "CALIBLAB_SEED=18446744073709551616 must lie in 0..18446744073709551615"),
+    ):
+        monkeypatch.setenv("CALIBLAB_SEED", raw)
+        assert main([*LIMIT_CONFIGS[command], "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["run.seed", "CALIBLAB_SEED", "seed"])
+def test_seeds_a_multiple_of_two_to_the_64_apart_are_refused(tmp_path, capsys, monkeypatch, source):
+    # substream keeps a seed's low 64 bits, so these would share every stream with 2^64 - 1
+    out = tmp_path / "out"
+    for seed in (-1, 36893488147419103231):
+        if source == "run.seed":
+            argv = [*LIMIT_CONFIGS["scaling"], f"--run.seed={seed}"]
+        elif source == "CALIBLAB_SEED":
+            monkeypatch.setenv("CALIBLAB_SEED", str(seed))
+            argv = LIMIT_CONFIGS["scaling"]
+        else:
+            argv = ["probe", "root-return", "--L=16", "--reps=100", f"--seed={seed}"]
+        assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+        assert f"{source}={seed} must lie in 0..18446744073709551615" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_bounds_hand_the_runner_only_the_keys_the_config_sets(tmp_path, monkeypatch):
+    # an unset key keeps the default of the runner's signature, and the
+    # manifest's seed is the one the runner reports
+    seen = []
+
+    def runner(**params):
+        seen.append(params)
+        return experiments.run_reduction_bound(**{**params, "replicates": 2, "seed": 7})
+
+    monkeypatch.setattr(cli, "run_reduction_bound", runner)
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text("reduction.T_list=512\nreduction.pieces=3\n")
+    assert main(["bounds", "reduction", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    assert seen == [{"T_list": (512,), "pieces": 3}]
+    assert "master_seed=7" in (tmp_path / "bounds_reduction_manifest.txt").read_text().splitlines()
 
 
 def test_bounds_reduction_violation_fails_the_assert_and_is_named(tmp_path, monkeypatch):

@@ -62,6 +62,31 @@ def test_config_validation():
         ExperimentConfig(replicates=20_000)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ExperimentConfig(T_list=(1024, 512)), "env.T_list=1024,512 must be strictly increasing"),
+        (lambda: ExperimentConfig(replicates=20_000), "run.replicates=20000 must lie in 1..10000, the desk-scale cap"),
+        (lambda: ExperimentConfig(seed=-1), "run.seed=-1 must lie in 0..18446744073709551615, the 64-bit seed range"),
+        (lambda: ExperimentConfig(groups="grid_ranges", pieces=0), "groups.pieces=0 must be at least 1"),
+        (lambda: run_oracle_bound(T=64, replicates=1), "run.replicates=1 must lie in 2..10000, the desk-scale cap"),
+        (lambda: run_oracle_bound(T=0), "oracle.T=0 must lie in 1..1048576, the desk-scale cap"),
+        (lambda: run_reduction_bound(replicates=1), "run.replicates=1 must lie in 2..10000, the desk-scale cap"),
+        (lambda: run_reduction_bound(T_list=[]), "reduction.T_list is empty; give at least one T"),
+        (lambda: run_reduction_bound(T_list=[1024, 512]), "reduction.T_list=1024,512 must be strictly increasing"),
+        (lambda: run_reduction_bound(pieces=0), "reduction.pieces=0 must be at least 1"),
+    ],
+    ids=[
+        "T-order", "replicates-cap", "seed", "pieces", "oracle-replicates", "oracle-T", "reduction-replicates",
+        "reduction-T-empty", "reduction-T-order", "reduction-pieces",
+    ],
+)
+def test_limit_errors_name_their_own_commands_key(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_block_length_cap():
     with pytest.raises(ValueError, match="desk-scale cap"):
         ExperimentConfig(env="rademacher", groups="block_hadamard", T_list=(2**16,), replicates=1, K=1)
