@@ -17,6 +17,9 @@ and ``experiments.FAMILIES`` and the ids of ``make_forecaster_factory``.
 ``experiments.KEYS`` before the first cell, refuse a key they do not
 read, and exit 2 naming a key whose value lies outside the table's
 limits (the desk caps, ``run.seed`` in 0..2^64 - 1, pieces at least 1).
+``run.id`` must match ``[A-Za-z0-9_.-]+``: it prefixes the file names
+written in the output directory, and the CSVs hold it unquoted.  Probe
+sizes are capped alike (``PROBE_SIZES``), before any draw.
 Exit codes: 0 success, 1 failure under ``--assert``, 2 config parse
 error, unknown config key, missing or bad value, unbuildable run or
 unknown probe, 3 unknown kind or id (``unknown <config key>: <value>``).
@@ -26,7 +29,6 @@ CSV content is identical whether or not ``--assert`` is set.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import os
 import re
@@ -41,14 +43,17 @@ from .calibration import format_float
 from .experiments import (
     EXPONENT_WINDOW,
     KEYS,
+    MAX_T,
     MAX_WORKERS,
     ExperimentConfig,
+    Key,
     cast_value,
     run_identity_suite,
     run_oracle_bound,
     run_reduction_bound,
     run_scaling,
     write_bounds_csv,
+    write_csv,
     write_family_csv,
     write_per_group_csv,
     write_scaling_csv,
@@ -154,7 +159,11 @@ def _refuse_unknown(cfg: dict, known) -> None:
 
 def experiment_config_from(cfg: dict) -> ExperimentConfig:
     params = _read(cfg, "scaling")
-    params.setdefault("T_list", (_get(cfg, "env.T", 1024, int),))
+    if "env.T" in cfg:
+        if "T_list" in params:
+            raise ConfigError("env.T and env.T_list are both set; give one of them")
+        params["T_list"] = (_get(cfg, "env.T", cast=int),)
+        KEYS["scaling"]["env.T_list"].check("env.T", params["T_list"])
     params.setdefault("workers", min(os.cpu_count() or 1, MAX_WORKERS))
     return ExperimentConfig(**params)
 
@@ -237,13 +246,27 @@ def cmd_scaling(args, overrides) -> int:
     return EXIT_OK
 
 
+# probe sizes: L up to a scaling run's T, reps up to the largest example in the README, and n up to
+# 1000, where P(tau_0 = 2n) ~ 9e-6 leaves about 9 expected returns at the reps cap: a larger n tests nothing
+PROBE_SIZES = {
+    "L": Key("L", int, 1, MAX_T),
+    "reps": Key("replicates", int, 1, 10**6, "the probe cap"),
+    "n": Key("n", int, 1, 1000, "the probe cap"),
+}
+
+
+def _size(given: dict, name: str, default: int) -> int:
+    spec = PROBE_SIZES[name]
+    value = _get(given, name, default, spec.cast)
+    spec.check(name, value)
+    return value
+
+
 def _probe_rows(args, seed: int) -> list:
     given = {name: value for name, value in vars(args).items() if value is not None}
     if args.name == "return-pmf":
-        reps = _get(given, "reps", 100_000, int)
-        n_max = _get(given, "n", 20, int)
-        if n_max < 1:
-            raise ValueError(f"return-pmf needs n >= 1, got n={n_max}")
+        reps = _size(given, "reps", 100_000)
+        n_max = _size(given, "n", 20)
         horizon = 2 * n_max + 2
         taus = simulate_first_returns(horizon, reps, seed)
         rows = []
@@ -256,21 +279,21 @@ def _probe_rows(args, seed: int) -> list:
             )
         return rows
     if args.name == "root-return":
-        rep = truncated_root_return_probe(_get(given, "L", 1024, int), _get(given, "reps", 100_000, int), seed)
+        rep = truncated_root_return_probe(_size(given, "L", 1024), _size(given, "reps", 100_000), seed)
     elif args.name == "martingale":
         rep = martingale_transform_probe(
-            _get(given, "L", 4096, int),
+            _size(given, "L", 4096),
             alpha=_get(given, "alpha", 1.0, float),
             indicator_strategy=args.strategy or "all_ones",
-            replicates=_get(given, "reps", 20_000, int),
+            replicates=_size(given, "reps", 20_000),
             seed=seed,
         )
     else:
         rep = bucketing_probe(
-            _get(given, "L", 4096, int),
+            _size(given, "L", 4096),
             h=_get(given, "h", Fraction(1, 4), Fraction),
             strategy=args.strategy or "single_bucket",
-            replicates=_get(given, "reps", 10_000, int),
+            replicates=_size(given, "reps", 10_000),
             seed=seed,
         )
     params = ";".join(f"{k}={v}" for k, v in sorted(rep.parameters.items()))
@@ -299,13 +322,7 @@ def cmd_probe(args) -> int:
         for r in records:
             print(f"{r.check_id}: {'pass' if r.passed else 'FAIL'}")
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["probe", "parameters", "estimate", "stderr", "bound", "pass"])
-            for probe, params, est, se, bound, passed in rows:
-                w.writerow(
-                    [probe, params, format_float(est), format_float(se), format_float(bound), str(passed).lower()]
-                )
+        write_csv(path, ("probe", "parameters", "estimate", "stderr", "bound", "pass"), rows)
         ok = all(row[5] for row in rows)
         for row in rows:
             print(f"{row[0]}[{row[1]}]: {'pass' if row[5] else 'FAIL'}")
@@ -336,12 +353,8 @@ def cmd_bounds(args, overrides) -> int:
     manifest.outputs = [path.name]
     if args.which == "reduction":
         cells_path = out_dir / "bounds_reduction_cells.csv"
-        with open(cells_path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["T", "pattern", "T_z", "cell_err"])
-            for T, info in sorted(details["per_T"].items()):
-                for pattern, t_z, err in info.get("cells", []):
-                    w.writerow([T, pattern, t_z, format_float(err)])
+        rows = ((T, *cell) for T, info in sorted(details["per_T"].items()) for cell in info["cells"])
+        write_csv(cells_path, ("T", "pattern", "T_z", "cell_err"), rows)
         manifest.outputs.append(cells_path.name)
         for T, info in sorted(details["per_T"].items()):
             manifest.notes.append(f"pathwise_min_slack@T={T}={format_float(info['pathwise_min_slack'])}")

@@ -369,8 +369,8 @@ class GroupFamily:
     def required_denominators(self) -> list[int]:
         return [g.eta.denominator for g in self.groups if isinstance(g, ThresholdGroup)]
 
-    def manifest_lines(self) -> list[str]:
-        return [f"{g.id},{type(g).__name__},{g.describe()}" for g in self]
+    def manifest_rows(self) -> list[tuple[str, str, str]]:
+        return [(g.id, type(g).__name__, g.describe()) for g in self]
 
     @cached_property
     def direct_pair_rows(self) -> np.ndarray:

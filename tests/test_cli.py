@@ -101,7 +101,8 @@ def test_scaling_manifest_records_min_slack(config_path, tmp_path):
     assert float(slack["pathwise_min_slack@T=1024/g4_context_decomp"]) >= 0
     # m = floor(1024^(1/3)) = 10 and eta = min(isqrt(10^3 1024) / (2 10 1024), 1/20) = 1011/20480
     assert [line for line in lines if line.startswith("resolved@")] == ["resolved@T=1024=m=10;eta=1011/20480"]
-    walsh = ["--env.kind=rademacher", "--groups.kind=full_walsh", "--forecaster.id=rounded_honest", "--env.T_list=256,512"]
+    config_path.write_text(MINIMAL.replace("env.T=1024", "env.T_list=256,512"))  # a config sets env.T or env.T_list
+    walsh = ["--env.kind=rademacher", "--groups.kind=full_walsh", "--forecaster.id=rounded_honest"]
     assert main(["scaling", "--config", str(config_path), "--out", str(tmp_path), *walsh]) == EXIT_OK
     lines = (tmp_path / "scaling_manifest.txt").read_text().splitlines()
     assert [line for line in lines if line.startswith("resolved@")] == [
@@ -181,6 +182,8 @@ def test_bad_forecaster_id(tmp_path):
         ("output.family=yes\n", EXIT_CONFIG, "bad value for output.family: 'yes'"),
         ("run.replicates=1\nrun.workers=0\n", EXIT_CONFIG, "run.workers=0 must lie in 1..64"),
         ("run.replicates=1\nrun.workers=100000\n", EXIT_CONFIG, "run.workers=100000 must lie in 1..64"),
+        ("env.T=0\n", EXIT_CONFIG, "config error: env.T=0 must lie in 1..1048576, the desk-scale cap"),
+        ("env.T_list=1024,2048\n", EXIT_CONFIG, "config error: env.T and env.T_list are both set; give one of them"),
     ],
     ids=[
         "unknown-oracle",
@@ -201,6 +204,8 @@ def test_bad_forecaster_id(tmp_path):
         "bad-output-flag",
         "no-workers",
         "too-many-workers",
+        "zero-T",
+        "T-and-T-list",
     ],
 )
 def test_bad_forecaster_parameters_fail_before_any_cell(tmp_path, capsys, monkeypatch, lines, code, key):
@@ -314,7 +319,11 @@ def test_probe_bad_size_names_it(tmp_path, capsys):
         (["root-return", "--L=0"], "L=0"),
         (["bucketing", "--reps=1"], "replicates=1"),
         (["bucketing", "--h=1/0"], "bad value for h: '1/0'"),
-        (["return-pmf", "--n=0"], "return-pmf needs n >= 1, got n=0"),
+        (["return-pmf", "--n=0"], "n=0 must lie in 1..1000, the probe cap"),
+        # one past each cap, the other sizes small
+        (["root-return", "--L=1048577", "--reps=2"], "L=1048577 must lie in 1..1048576, the desk-scale cap"),
+        (["bucketing", "--L=2", "--reps=1000001"], "reps=1000001 must lie in 1..1000000, the probe cap"),
+        (["return-pmf", "--n=1001", "--reps=2"], "n=1001 must lie in 1..1000, the probe cap"),
     ):
         assert main(["probe", *argv, "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -432,6 +441,17 @@ def test_scaling_bad_value_names_its_key(tmp_path, capsys, config, override, mes
     assert main([*argv, "--run.workers=1", "--out", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr() == ("", f"config error: {message}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("run_id", ["x/y", "../esc", "a,b", ""], ids=["slash", "parent", "comma", "empty"])
+def test_scaling_run_id_must_be_a_file_name_prefix(tmp_path, capsys, monkeypatch, run_id):
+    monkeypatch.setattr(cli, "run_scaling", lambda config: pytest.fail("a cell ran"))
+    out = tmp_path / "out"
+    argv = ["scaling", "--config", str(ROOT / "configs" / "thm31_scaling.cfg"), f"--run.id={run_id}"]
+    assert main([*argv, "--env.T_list=1024,2048", "--run.replicates=2", "--out", str(out)]) == EXIT_CONFIG
+    message = f"run.id={run_id!r} must match [A-Za-z0-9_.-]+, a file name prefix in --out"
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("T", [0, -5, 2097152])

@@ -362,8 +362,10 @@ def test_family_manifest_matches_the_cells_groups(env, groups):
         return
     cfg = ExperimentConfig(**kwargs)
     errs = {T: sorted(experiments.run_replicate(cfg, T, 0)["err"]) for T in cfg.T_list}
-    rows = experiments.family_manifest_rows(cfg)
-    assert {T: sorted(gid for t, gid, _, _ in rows if t == T) for T in cfg.T_list} == errs
+    rows = {T: plan.family.manifest_rows() for T, plan in cfg.plans.items()}
+    assert {T: sorted(gid for gid, _, _ in rows[T]) for T in cfg.T_list} == errs
+    # write_csv quotes nothing, so no id, kind or params may hold a delimiter, a quote or a line break
+    assert [field for T in rows for row in rows[T] for field in row if set(field) & set(',"\r\n')] == []
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Byte-for-byte regression of ``caliblab scaling``, ``caliblab bounds
 reduction``, ``caliblab bounds oracle`` (each bound on its whole-run and
-its looped path) and four Monte Carlo probes against committed CSVs.
+its looped path), four Monte Carlo probes and the exact identity suite
+against committed CSVs.
 
 The files in tests/data were written by the CLI on the configs beside
 them, or on the probe arguments below.  Sampling, forecasting, pattern
@@ -12,11 +13,17 @@ chunks of 64 * 2^k, and the martingale probe's residuals and thinning.
 Manifests are not pinned: they carry a timestamp.
 """
 
+import csv
+import io
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from caliblab import cli, experiments
+from caliblab.calibration import format_float
 from caliblab.cli import EXIT_OK, main
+from caliblab.experiments import write_csv
 
 DATA = Path(__file__).parent / "data"
 
@@ -61,6 +68,7 @@ PROBES = {
     "martingale": ["--L", "512", "--strategy", "thinned", "--alpha", "0.5", "--reps", "400"],
     "root-return": ["--L", "512", "--reps", "4000"],
     "return-pmf": ["--n", "6", "--reps", "5000"],
+    "identities": [],
 }
 
 
@@ -69,3 +77,43 @@ def test_probe_csvs_match_golden_bytes(name, tmp_path):
     assert main(["probe", name, *PROBES[name], "--seed", "7", "--out", str(tmp_path)]) == EXIT_OK
     written = tmp_path / f"probe_{name}.csv"
     assert written.read_bytes() == (DATA / f"golden_probe_{name}.csv").read_bytes(), name
+
+
+def _formatted_as_before(value):
+    """A field as the csv.writer blocks that write_csv replaced formatted it."""
+    if isinstance(value, (bool, np.bool_)):
+        return str(value).lower()
+    return format_float(value) if isinstance(value, float) else value
+
+
+def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path, monkeypatch):
+    # every table the CLI writes, from one small run each, against csv.writer, which would quote a comma or a quote
+    tables = []
+
+    def record(path, header, rows):
+        rows = list(rows)
+        tables.append((Path(path).name, header, rows))
+        write_csv(path, header, rows)
+
+    monkeypatch.setattr(experiments, "write_csv", record)
+    monkeypatch.setattr(cli, "write_csv", record)
+    for argv in (
+        ["scaling", "--config", str(DATA / "golden_walsh.cfg")],
+        ["bounds", "reduction", "--config", str(DATA / "golden_reduction.cfg")],
+        ["probe", "return-pmf", *PROBES["return-pmf"]],
+    ):
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+    assert sorted(name for name, _, _ in tables) == [
+        "bounds_reduction.csv",
+        "bounds_reduction_cells.csv",
+        "golden_walsh_family.csv",
+        "golden_walsh_groups.csv",
+        "golden_walsh_scaling.csv",
+        "probe_return-pmf.csv",
+    ]
+    for name, header, rows in tables:
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_formatted_as_before(v) for v in row] for row in rows)
+        assert (tmp_path / name).read_bytes() == expected.getvalue().encode("utf-8"), name

@@ -234,9 +234,9 @@ def test_full_family_and_manifest():
     fam = build_full_walsh_family(T=64, m=4, K=2)
     layout = fam.layout
     assert len(fam) == 1 + 2 * 3 + 2 * layout.K * layout.L
-    lines = fam.manifest_lines()
-    assert len(lines) == len(fam)
-    assert lines[0].startswith("g_all,ConstantGroup")
+    rows = fam.manifest_rows()
+    assert len(rows) == len(fam)
+    assert rows[0][:2] == ("g_all", "ConstantGroup")
 
 
 def _eager_family(T, K, m=None):
@@ -260,7 +260,7 @@ def test_block_family_matches_eager_reference(data):
     ref = _eager_family(T, K, m)
     assert len(fam) == len(ref)
     assert fam.ids() == [g.id for g in ref]
-    assert fam.manifest_lines() == [f"{g.id},{type(g).__name__},{g.describe()}" for g in ref]
+    assert fam.manifest_rows() == [(g.id, type(g).__name__, g.describe()) for g in ref]
     assert fam.required_denominators() == []
     plus = {g.id: g for g in ref if g.id[3] == "+"}
     pairs = [(plus[g.id.replace("-", "+", 1)].id, g.id) for g in ref if g.id[3] == "-"]
