@@ -7,8 +7,8 @@ always drawn outside the kernels (Philox streams, see
 ``environments.substream``) and passed in as arrays.
 
 The probes built on them back acceptance criteria 05 (first-return law)
-and 08 (bucketing floor); on a shared 2-core VM they take about 3 s and
-12 s of a 43 s tier-1 run.
+and 08 (bucketing floor); on a shared 2-core VM they take about 2 s and
+8-8.5 s of a 26-29 s tier-1 run.
 """
 
 from __future__ import annotations

@@ -19,10 +19,12 @@ read, and exit 2 naming a key whose value lies outside the table's
 limits (the desk caps, ``run.seed`` in 0..2^64 - 1, pieces at least 1).
 ``run.id`` must match ``[A-Za-z0-9_.-]+``: it prefixes the file names
 written in the output directory, and the CSVs hold it unquoted.  Probe
-sizes are capped alike (``PROBE_SIZES``), before any draw.
+sizes are capped alike (``PROBE_SIZES``), and a probe refuses an
+argument it does not read (``PROBE_READS``), before any draw.
 Exit codes: 0 success, 1 failure under ``--assert``, 2 config parse
-error, unknown config key, missing or bad value, unbuildable run or
-unknown probe, 3 unknown kind or id (``unknown <config key>: <value>``).
+error, unknown config key, missing or bad value, unbuildable run,
+unknown probe or unread probe argument, 3 unknown kind or id
+(``unknown <config key>: <value>``).
 CSV content is identical whether or not ``--assert`` is set.
 """
 
@@ -70,8 +72,6 @@ EXIT_OK = 0
 EXIT_ASSERT = 1
 EXIT_CONFIG = 2
 EXIT_UNRESOLVED = 3
-
-PROBE_NAMES = ("return-pmf", "root-return", "martingale", "bucketing", "identities")
 
 _OVERRIDE_RE = re.compile(r"^--([A-Za-z0-9_.]+)=(.*)$")
 
@@ -255,6 +255,17 @@ PROBE_SIZES = {
 }
 
 
+# the arguments each probe reads, out of PROBE_OPTIONS; a probe refuses any other it is given
+PROBE_OPTIONS = ("L", "n", "reps", "strategy", "alpha", "h")
+PROBE_READS = {
+    "return-pmf": ("n", "reps"),
+    "root-return": ("L", "reps"),
+    "martingale": ("L", "reps", "strategy", "alpha"),
+    "bucketing": ("L", "reps", "strategy", "h"),
+    "identities": (),
+}
+
+
 def _size(given: dict, name: str, default: int) -> int:
     spec = PROBE_SIZES[name]
     value = _get(given, name, default, spec.cast)
@@ -301,8 +312,14 @@ def _probe_rows(args, seed: int) -> list:
 
 
 def cmd_probe(args) -> int:
-    if args.name not in PROBE_NAMES:
-        print(f"unknown probe {args.name!r}; choose from {', '.join(PROBE_NAMES)}", file=sys.stderr)
+    if args.name not in PROBE_READS:
+        print(f"unknown probe {args.name!r}; choose from {', '.join(PROBE_READS)}", file=sys.stderr)
+        return EXIT_CONFIG
+    reads = PROBE_READS[args.name]
+    unread = [f"--{name}" for name in PROBE_OPTIONS if getattr(args, name) is not None and name not in reads]
+    if unread:
+        accepted = ", ".join(f"--{name}" for name in reads) or "none of " + ", ".join(f"--{n}" for n in PROBE_OPTIONS)
+        print(f"probe error: probe {args.name} does not read {', '.join(unread)}; it reads {accepted}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         name = "CALIBLAB_SEED" if "CALIBLAB_SEED" in os.environ else "seed"
@@ -381,12 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pr = sub.add_parser("probe", help="stochastic probes and the exact identity suite")
     p_pr.add_argument("name")
-    p_pr.add_argument("--L", default=None)
-    p_pr.add_argument("--n", default=None)
-    p_pr.add_argument("--reps", default=None)
-    p_pr.add_argument("--strategy", default=None)
-    p_pr.add_argument("--alpha", default=None)
-    p_pr.add_argument("--h", default=None)
+    for name in PROBE_OPTIONS:
+        p_pr.add_argument(f"--{name}", default=None)
     p_pr.add_argument("--seed", type=int, default=42)
     p_pr.add_argument("--out", default=None)
     p_pr.add_argument("--assert", dest="do_assert", action="store_true")

@@ -62,6 +62,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._kernels import _walk_dtype
 from .calibration import (
     DeviationStats,
     Predictions,
@@ -893,13 +894,15 @@ def walsh_prefix_violations(n: int, bounds: np.ndarray, block_rows: int = BLOCK_
     """Rows j = 1..n-1 of the length-``n`` Walsh system whose largest
     |prefix sum| exceeds ``bounds[j - 1]``.
 
-    Rows are built ``block_rows`` at a time with int32 prefix sums
-    (|prefix| <= n), so memory stays O(block_rows * n), not O(n^2).
+    Rows are built ``block_rows`` at a time with prefix sums in the walk
+    width of ``n`` steps (int16 up to n < 2^15, as |prefix| <= n), so memory
+    stays O(block_rows * n), not O(n^2).
     """
     bad = 0
     for lo in range(1, n, block_rows):
         hi = min(lo + block_rows, n)
-        prefix_max_abs = np.abs(np.cumsum(walsh_rows(lo, hi, n), axis=1, dtype=np.int32)).max(axis=1)
+        prefix = np.cumsum(walsh_rows(lo, hi, n), axis=1, dtype=_walk_dtype(n))
+        prefix_max_abs = np.maximum(prefix.max(axis=1), -prefix.min(axis=1))
         bad += int(np.count_nonzero(prefix_max_abs > bounds[lo - 1 : hi - 1]))
     return bad
 
@@ -914,7 +917,7 @@ def run_identity_suite(
     """Zero-tolerance identity checks; measured values are violation counts."""
     from .calibration import BiasLedger
     from .groups import ConstantGroup
-    from .orthogonal import fwht, threshold_l1_bound, threshold_signs, trailing_zeros
+    from .orthogonal import fwht, threshold_blocks
 
     records = []
 
@@ -932,22 +935,22 @@ def run_identity_suite(
 
     bad = 0
     for n in _powers_of_two(2, prefix_max):
-        bounds = np.array([1 << trailing_zeros(j) for j in range(1, n)])
-        bad += walsh_prefix_violations(n, bounds)
+        j = np.arange(1, n)
+        bad += walsh_prefix_violations(n, j & -j)
     records.append(BoundRecord("identity_walsh_prefix", float(bad), 0.0, "le"))
 
     # one transform per rank block serves the reconstruction and the L1
-    # column max, as in threshold_l1_mass
+    # column max, both on the integer coefficients m * alpha (|m * alpha| <= m),
+    # and the L1 bound sum_l max_r |m * alpha_l(r)| <= m * (1 + log2 m) is
+    # compared exactly
     bad = 0
     for m in _powers_of_two(2, expansion_max):
-        col_max = np.zeros(m)
-        for lo in range(0, m + 1, BLOCK_ROWS):
-            signs = np.stack([threshold_signs(m, r) for r in range(lo, min(lo + BLOCK_ROWS, m + 1))])
-            table = fwht(signs) / m
-            recon = fwht(np.rint(table * m).astype(np.int64)) // m
+        col_max = np.zeros(m, dtype=np.int64)
+        for signs, coef in threshold_blocks(m):
+            recon = fwht(coef.astype(_walk_dtype(m))) // m
             bad += int(np.count_nonzero(recon != signs))
-            np.maximum(col_max, np.abs(table).max(axis=0), out=col_max)
-        if float(col_max.sum()) > threshold_l1_bound(m) + 1e-12:
+            np.maximum(col_max, np.abs(coef).max(axis=0), out=col_max)
+        if int(col_max.sum()) > m * m.bit_length():
             bad += 1
     records.append(BoundRecord("identity_threshold_expansion", float(bad), 0.0, "le"))
 

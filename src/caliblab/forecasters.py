@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -252,6 +253,13 @@ class EmpiricalMeanBucketOracle(Forecaster):
         return Predictions(num=num, den=den)
 
 
+@lru_cache(maxsize=16)
+def _uniform_distribution(q: int) -> PredictionDistribution:
+    # built once per Q, and only for the looped path: a reduction's copies
+    # are rebuilt every replicate, and their vectorized runs never read it
+    return PredictionDistribution(support=tuple((Fraction(i, q), Fraction(1, q + 1)) for i in range(q + 1)))
+
+
 class UniformRandomOracle(Forecaster):
     """Context-blind: the uniform distribution over {0, 1/Q, ..., 1}."""
 
@@ -261,12 +269,9 @@ class UniformRandomOracle(Forecaster):
     def __init__(self, q: int):
         self.q = _grid_denominator(q, "grid denominator")
         self.id = f"uniform_random@Q={q}"
-        self._dist = PredictionDistribution(
-            support=tuple((Fraction(i, q), Fraction(1, q + 1)) for i in range(q + 1))
-        )
 
     def propose(self, ctx, history):
-        return self._dist
+        return _uniform_distribution(self.q)
 
     def predict_sequence(self, y_num, y_den, rng):
         return rng.integers(0, self.q + 1, size=len(y_num)).astype(np.int64), self.q

@@ -331,6 +331,31 @@ def test_probe_bad_size_names_it(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        (["identities", "--L=4", "--reps=3"], "--L, --reps"),
+        (["return-pmf", "--L=64", "--reps=100"], "--L"),
+        (["root-return", "--strategy=avoid_zero", "--L=16", "--reps=10"], "--strategy"),
+        (["martingale", "--h=1/2", "--L=16", "--reps=10"], "--h"),
+        (["bucketing", "--n=3", "--alpha=2", "--L=16", "--reps=10"], "--n, --alpha"),
+    ],
+    ids=["identities", "return-pmf", "root-return", "martingale", "bucketing"],
+)
+def test_probe_refuses_arguments_it_does_not_read(tmp_path, capsys, monkeypatch, argv, unread):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the probe ran")
+
+    for name in ("run_identity_suite", "simulate_first_returns", "truncated_root_return_probe",
+                 "martingale_transform_probe", "bucketing_probe"):
+        monkeypatch.setattr(cli, name, no_draw)
+    out = tmp_path / "out"
+    assert main(["probe", *argv, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"probe {argv[0]} does not read {unread};" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_probe_bucketing(tmp_path):
     rc = main(
         [

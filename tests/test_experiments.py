@@ -644,6 +644,20 @@ def test_walsh_prefix_check_flags_a_bound_one_too_small():
         assert walsh_prefix_violations(n, tight) == 1
 
 
+def test_walsh_prefix_check_flags_a_bound_one_too_small_across_tiles():
+    # n = 512 builds its rows from 128 x 128 tiles; the default blocks hold
+    # rows 1..128, 129..256, ..., so 127 and 128 sit at a block's end and 129 at
+    # the next block's start, and 511 is the last row
+    n = 512
+    j = np.arange(1, n)
+    bounds = j & -j
+    assert walsh_prefix_violations(n, bounds) == 0
+    for row in (127, 128, 129, 511):
+        tight = bounds.copy()
+        tight[row - 1] -= 1
+        assert walsh_prefix_violations(n, tight) == 1
+
+
 def test_csv_writers(tmp_path):
     cfg = ExperimentConfig(T_list=(1024, 2048), replicates=3, seed=37)
     res = run_scaling(cfg)

@@ -14,6 +14,7 @@ from caliblab.orthogonal import (
     trailing_zeros,
     walsh_matrix,
     walsh_row,
+    walsh_rows,
     walsh_sign,
 )
 
@@ -44,6 +45,20 @@ def test_walsh_row_matches_scalar():
     for j in (0, 1, 5, 31):
         row = walsh_row(j, n)
         assert row.tolist() == [walsh_sign(j, s, n) for s in range(n)]
+
+
+def test_walsh_rows_match_scalar_across_tiles():
+    # n = 256 and 4096 take the tile product; ranges that start and end
+    # off a 128-row tile, and a range that ends at n
+    n = 256
+    signs = np.array([[walsh_sign(j, s, n) for s in range(n)] for j in range(n)], dtype=np.int8)
+    assert np.array_equal(walsh_rows(0, n, n), signs)
+    n = 4096
+    for lo, hi in ((1, 129), (100, 300), (4000, 4096)):
+        block = walsh_rows(lo, hi, n)
+        assert block.dtype == np.int8 and block.shape == (hi - lo, n)
+        for j in range(lo, hi):
+            assert block[j - lo].tolist() == [walsh_sign(j, s, n) for s in range(n)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 64])
@@ -143,6 +158,28 @@ def test_fwht_matches_dense_product(log_n):
         gauss = rng.standard_normal(x.shape)
         assert np.array_equal(fwht(gauss), strided_butterfly(gauss.copy()))
     assert all(np.array_equal(x, b) for x, b in zip(inputs, before))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16])
+@pytest.mark.parametrize("log_n", [0, 1, 7, 10, 15])
+def test_fwht_of_narrow_integers_equals_the_int64_transform(dtype, log_n):
+    n = 2**log_n
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(log_n)
+    j = int(rng.integers(n))
+    # the extreme: x = min where psi_j = -1 and max elsewhere makes
+    # coefficient j the sum of every |x|, about n * 2^15 for int16
+    extreme = np.where(walsh_row(j, n) < 0, info.min, info.max).astype(dtype)
+    rows = [extreme, rng.integers(info.min, info.max, size=n, endpoint=True, dtype=dtype)]
+    if n <= 1024:
+        rows.append(rng.integers(info.min, info.max, size=(3, n), endpoint=True, dtype=dtype))
+    for x in rows:
+        before = x.copy()
+        out = fwht(x)
+        assert out.dtype == np.int64 and out.shape == x.shape
+        assert np.array_equal(out, fwht(x.astype(np.int64)))
+        assert np.array_equal(x, before)
+    assert fwht(extreme)[j] == np.abs(extreme.astype(np.int64)).sum()
 
 
 def test_fwht_rejects_bad_length():
