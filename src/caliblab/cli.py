@@ -17,10 +17,11 @@ and ``experiments.FAMILIES`` and the ids of ``make_forecaster_factory``.
 ``experiments.KEYS`` before the first cell, refuse a key they do not
 read, and exit 2 naming a key whose value lies outside the table's
 limits (the desk caps, ``run.seed`` in 0..2^64 - 1, pieces at least 1).
-``run.id`` must match ``[A-Za-z0-9_.-]+``: it prefixes the file names
-written in the output directory, and the CSVs hold it unquoted.  Probe
-sizes are capped alike (``PROBE_SIZES``), and a probe refuses an
-argument it does not read (``PROBE_READS``), before any draw.
+``scaling`` runs its cells in one process and accepts ``run.workers``
+only as 1.  ``run.id`` must match ``[A-Za-z0-9_.-]+``: it prefixes the
+file names written in the output directory, and the CSVs hold it
+unquoted.  Probe sizes are capped alike (``PROBE_SIZES``), and a probe
+refuses an argument it does not read (``PROBE_READS``), before any draw.
 Exit codes: 0 success, 1 failure under ``--assert``, 2 config parse
 error, unknown config key, missing or bad value, unbuildable run,
 unknown probe or unread probe argument, 3 unknown kind or id
@@ -38,6 +39,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -46,7 +48,6 @@ from .experiments import (
     EXPONENT_WINDOW,
     KEYS,
     MAX_T,
-    MAX_WORKERS,
     ExperimentConfig,
     Key,
     cast_value,
@@ -135,7 +136,7 @@ def _flag(raw: str) -> bool:
 
 
 # the keys a command reads that no runner does; it refuses a key in neither these nor experiments.KEYS
-SCALING_OWN_KEYS = ("env.T", "output.dir", "output.family", "assert.exponent_min", "assert.exponent_max")
+SCALING_OWN_KEYS = ("env.T", "run.workers", "output.dir", "output.family", "assert.exponent_min", "assert.exponent_max")
 BOUND_OWN_KEYS = ("output.dir",)
 
 
@@ -158,13 +159,14 @@ def _refuse_unknown(cfg: dict, known) -> None:
 
 
 def experiment_config_from(cfg: dict) -> ExperimentConfig:
+    if _get(cfg, "run.workers", 1, int) != 1:
+        raise ConfigError(f"run.workers={cfg['run.workers']} must be 1: scaling runs its cells in one process")
     params = _read(cfg, "scaling")
     if "env.T" in cfg:
         if "T_list" in params:
             raise ConfigError("env.T and env.T_list are both set; give one of them")
         params["T_list"] = (_get(cfg, "env.T", cast=int),)
         KEYS["scaling"]["env.T_list"].check("env.T", params["T_list"])
-    params.setdefault("workers", min(os.cpu_count() or 1, MAX_WORKERS))
     return ExperimentConfig(**params)
 
 
@@ -387,6 +389,7 @@ def cmd_bounds(args, overrides) -> int:
     return EXIT_OK
 
 
+@cache  # built once per process: every main call parses with the one parser
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="caliblab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -414,8 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args, extra = parser.parse_known_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
     try:
         overrides = parse_overrides(extra)
     except ConfigError as exc:

@@ -123,16 +123,6 @@ class Trajectory:
     def context_counts(self) -> np.ndarray:
         return np.bincount(self.grid_idx, minlength=len(self.grid))
 
-    def dump(self, path) -> None:
-        """One text record per round: round, serialized context, outcome."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for t in range(self.T):
-                if self.bits is not None:
-                    ctx = "".join(str(int(b)) for b in self.bits[t])
-                else:
-                    ctx = str(self.grid[int(self.grid_idx[t])])
-                fh.write(f"{t + 1}\t{ctx}\t{Fraction(int(self.y_num[t]), self.den)}\n")
-
 
 def grid_section3(m: int) -> list[Fraction]:
     """Interior grid {j/m in [1/4, 3/4]}, ascending.  Size m0 >= (m-1)/2."""

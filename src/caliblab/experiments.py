@@ -25,13 +25,11 @@ differential test holds the two paths equal on the general path's own
 heads, and a law test holds the column counts to their binomials.  The
 bit environment and the outcome-reading
 forecasters take the general path.  Skeletons are built on first use,
-never when a config is resolved, and a pool worker builds each one-T
-config (plan and skeleton) once for all its batches.
+never when a config is resolved.
 
 Every (T, replicate) cell derives its own Philox streams from the master
-seed, so results are independent of scheduling order; aggregation is a
-deterministic fold in (T, replicate) order.  Reruns with the same config
-and seed produce byte-identical CSVs.
+seed; ``run_scaling`` runs them in one process, one T at a time.  Reruns
+with the same config and seed produce byte-identical CSVs.
 
 Every general-path cell is one ``_cell`` call: the oracle bound's
 replicates are cells of a ``bits`` plan, and the reduction bound's cells
@@ -53,9 +51,8 @@ from __future__ import annotations
 
 import math
 import re
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import chain
 from typing import Callable, Optional
@@ -135,7 +132,6 @@ NOISE_FLOOR_DIAG = 0.2
 MAX_T = 1 << 20
 MAX_REPLICATES = 10_000
 MAX_BLOCK_LENGTH = 1 << 14
-MAX_WORKERS = 64
 # bit contexts: 2^k grid Fractions per draw, and the default oracle Q = 2^k - 1 stays within MAX_Q
 MAX_K = MAX_Q.bit_length() - 1
 
@@ -182,7 +178,7 @@ _RUN_ID = re.compile(r"[A-Za-z0-9_.-]+")  # so the id names files inside --out a
 KEYS = {
     "scaling": {
         "run.id": Key("experiment_id"), "run.replicates": Key("replicates", int, 1, MAX_REPLICATES),
-        "run.seed": _SEED, "run.workers": Key("workers", int, 1, MAX_WORKERS), "env.kind": Key("env"),
+        "run.seed": _SEED, "env.kind": Key("env"),
         "env.T_list": Key("T_list", _int_list, 1, MAX_T), "env.m": Key("m", int, 1), "env.k": Key("k", int, 1, MAX_K),
         "forecaster.id": Key("forecaster"), "forecaster.Q": Key("Q", int), "forecaster.offset": Key("offset"),
         "forecaster.value": Key("value"), "forecaster.oracle": Key("oracle"),
@@ -260,7 +256,6 @@ class ExperimentConfig:
     oracle: str = "uniform_random"
     m_copies: int = 1
     update: str = "largest"
-    workers: int = 1
 
     def __post_init__(self):
         self.T_list = tuple(int(t) for t in self.T_list)
@@ -270,7 +265,6 @@ class ExperimentConfig:
         for key, kind, table in (("env.kind", self.env, ENVS), ("groups.kind", self.groups, FAMILIES)):
             if kind not in table:
                 raise KeyError(f"unknown {key}: {kind!r}; accepted: {', '.join(table)}")
-        # an attribute, not a field: asdict() and the worker configs leave it out
         self.plans = {T: _plan(self, T) for T in self.T_list}
 
 
@@ -553,29 +547,17 @@ def _cell_result(plan: CellPlan, run, free_checks: list, free_extras: dict, eta_
     return out
 
 
-def _run_cells(config: ExperimentConfig, T: int, lo: int, hi: int) -> list:
+def _run_cells(config: ExperimentConfig, T: int) -> list:
+    """The results of the cells rep = 0..replicates-1 at T, in replicate order."""
     out = []
-    for rep in range(lo, hi):
+    for rep in range(config.replicates):
         try:
-            out.append((T, rep, run_replicate(config, T, rep)))
+            out.append(run_replicate(config, T, rep))
         except Exception as exc:
             # same exception type, so callers' handlers still apply; the message names the cell
             exc.args = (f"{config.experiment_id}: cell T={T} rep={rep} stream={_cell_stream(T, rep)}: {exc}",)
             raise
     return out
-
-
-@lru_cache(maxsize=16)
-def _worker_config(items: tuple, T: int) -> ExperimentConfig:
-    """The config that plans only T, built once per (config items, T) for
-    the worker's lifetime, so its plan and skeleton serve every batch."""
-    return ExperimentConfig(**{**dict(items), "T_list": (T,)})
-
-
-def _scaling_batch(args) -> list:
-    """A worker's batch: cells lo..hi-1 at T, under a config that plans only its own T."""
-    items, T, lo, hi = args
-    return _run_cells(_worker_config(items, T), T, lo, hi)
 
 
 @dataclass
@@ -609,24 +591,11 @@ class ScalingResult:
 
 
 def run_scaling(config: ExperimentConfig) -> ScalingResult:
-    """Replicated Monte Carlo across the T ladder plus a log-log fit."""
-    batch = max(1, config.replicates // max(1, 4 * config.workers))
-    spans = [
-        (T, lo, min(lo + batch, config.replicates)) for T in config.T_list for lo in range(0, config.replicates, batch)
-    ]
-    if config.workers > 1:
-        items = tuple(asdict(config).items())
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            chunks = list(pool.map(_scaling_batch, [(items, *span) for span in spans]))
-    else:
-        chunks = [_run_cells(config, *span) for span in spans]
-    cells = sorted(
-        (item for chunk in chunks for item in chunk), key=lambda item: (item[0], item[1])
-    )
-
+    """Replicated Monte Carlo across the T ladder plus a log-log fit.  Each T's
+    cells run in (T, replicate) order and fold into its row before the next T's start."""
     rows = []
     for T in config.T_list:
-        results = [r for (t, _, r) in cells if t == T]
+        results = _run_cells(config, T)
         mcerrs = np.array([r["mcerr"] for r in results])
         ids = np.array(config.plans[T].family.ids())
         order = np.argsort(ids)  # ids are unique, so any sort gives the one sorted order

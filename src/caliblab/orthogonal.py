@@ -25,7 +25,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,7 +157,9 @@ class ThresholdExpansion:
     coefficients: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        """Evaluate sum_l alpha_l psi_l(u) for all u, exactly."""
+        """Evaluate sum_l alpha_l psi_l(u) for all u, exactly.  The scalar
+        reference the reconstruction tests hold to ``threshold_signs``; the
+        identity suite checks every rank block at once."""
         scaled = np.rint(self.coefficients * self.m).astype(np.int64)
         return fwht(scaled) // self.m
 
@@ -178,17 +179,3 @@ def threshold_blocks(m: int):
         ranks = np.arange(lo, min(lo + BLOCK_ROWS, m + 1))
         signs = np.where(u < ranks[:, None], np.int8(1), np.int8(-1))
         yield signs, fwht(signs)
-
-
-def threshold_l1_mass(m: int) -> float:
-    """sum_l max_r |alpha_l(r)|; bounded by 1 + log2(m).  The column max of
-    m * alpha runs exactly in integers, one rank block at a time."""
-    _require_power_of_two(m, "grid size m")
-    col_max = np.zeros(m, dtype=np.int64)
-    for _, coef in threshold_blocks(m):
-        np.maximum(col_max, np.abs(coef).max(axis=0), out=col_max)
-    return int(col_max.sum()) / m
-
-
-def threshold_l1_bound(m: int) -> float:
-    return 1.0 + math.log2(m)

@@ -180,8 +180,8 @@ def test_bad_forecaster_id(tmp_path):
         ("run.replicate=3\n", EXIT_CONFIG, "config error: unknown config key run.replicate;"),
         ("assert.exponent_min=abc\n", EXIT_CONFIG, "bad value for assert.exponent_min: 'abc'"),
         ("output.family=yes\n", EXIT_CONFIG, "bad value for output.family: 'yes'"),
-        ("run.replicates=1\nrun.workers=0\n", EXIT_CONFIG, "run.workers=0 must lie in 1..64"),
-        ("run.replicates=1\nrun.workers=100000\n", EXIT_CONFIG, "run.workers=100000 must lie in 1..64"),
+        ("run.replicates=1\nrun.workers=0\n", EXIT_CONFIG, "config error: run.workers=0 must be 1"),
+        ("run.replicates=1\nrun.workers=2\n", EXIT_CONFIG, "config error: run.workers=2 must be 1"),
         ("env.T=0\n", EXIT_CONFIG, "config error: env.T=0 must lie in 1..1048576, the desk-scale cap"),
         ("env.T_list=1024,2048\n", EXIT_CONFIG, "config error: env.T and env.T_list are both set; give one of them"),
     ],
@@ -209,8 +209,7 @@ def test_bad_forecaster_id(tmp_path):
     ],
 )
 def test_bad_forecaster_parameters_fail_before_any_cell(tmp_path, capsys, monkeypatch, lines, code, key):
-    # a refused config starts no worker pool; the cap is checked before any pool
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", lambda **kw: pytest.fail("a pool started"))
+    monkeypatch.setattr(experiments, "run_replicate", lambda config, T, rep: pytest.fail("a cell ran"))
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("env.T=64\nrun.replicates=2\nrun.workers=1\n" + lines)
     out = tmp_path / "out"
@@ -218,6 +217,15 @@ def test_bad_forecaster_parameters_fail_before_any_cell(tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_scaling_output_is_the_same_with_run_workers_one_or_unset(tmp_path, config_path):
+    unset = tmp_path / "unset.cfg"
+    unset.write_text(MINIMAL.replace("run.workers=1\n", ""))
+    for cfg, out in ((config_path, tmp_path / "one"), (unset, tmp_path / "unset")):
+        assert main(["scaling", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    for name in ("scaling_scaling.csv", "scaling_groups.csv"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "unset" / name).read_bytes()
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -377,6 +385,17 @@ def test_probe_bucketing(tmp_path):
     assert "avoid_zero" in lines[1]
 
 
+def test_main_calls_share_no_parser_state(tmp_path):
+    # main reuses one parser; an option given to one call must not reach the next
+    argv = ["probe", "bucketing", "--L=64", "--reps=200"]
+    assert main([*argv, "--strategy=zero_seeking", "--out", str(tmp_path / "first")]) == EXIT_OK
+    assert main([*argv, "--out", str(tmp_path / "second")]) == EXIT_OK
+    cli.build_parser.cache_clear()
+    assert main([*argv, "--out", str(tmp_path / "fresh")]) == EXIT_OK
+    second, fresh = ((tmp_path / d / "probe_bucketing.csv").read_text() for d in ("second", "fresh"))
+    assert "strategy=single_bucket" in second and second == fresh
+
+
 def test_probe_return_pmf(tmp_path):
     rc = main(
         ["probe", "return-pmf", "--n", "4", "--reps", "30000", "--out", str(tmp_path), "--assert"]
@@ -500,7 +519,7 @@ LIMIT_CASES = [
     for key, spec in keys.items()
     if spec.lo is not None
     for value in (spec.lo - 1, *(() if spec.hi is None else (spec.hi + 1,)))
-]
+] + [("scaling", "run.workers", 0), ("scaling", "run.workers", 2)]  # a key of the CLI's own, accepted only as 1
 
 
 @pytest.mark.parametrize("command, key, value", LIMIT_CASES, ids=[f"{c}-{k}={v}" for c, k, v in LIMIT_CASES])
@@ -661,12 +680,22 @@ def test_bounds_reduction_manifest_records_min_slack(tmp_path):
     assert not any(line.startswith("pathwise_violation@") for line in lines)
 
 
-def test_module_entry_point_help():
+def _python(*args) -> subprocess.CompletedProcess:
+    """A fresh interpreter with this checkout's ``src`` on its path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, "-m", "caliblab", "--help"], env=env, capture_output=True, text=True, timeout=60
-    )
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_cli_import_loads_no_process_machinery():
+    code = "import sys, caliblab.cli; print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])"
+    out = _python("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
+
+
+def test_module_entry_point_help():
+    out = _python("-m", "caliblab", "--help")
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("usage: caliblab")
     assert "bounds" in out.stdout

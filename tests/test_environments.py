@@ -231,18 +231,3 @@ def test_context_record_validation():
         ContextRecord()
     with pytest.raises(ValueError):
         ContextRecord(mean=Fraction(1, 2), bits=(0, 1))
-
-
-def test_dump(tmp_path):
-    traj = sample_bernoulli_env(T=3, m=8, seed=2)
-    out = tmp_path / "traj.txt"
-    traj.dump(out)
-    lines = out.read_text().splitlines()
-    assert len(lines) == 3
-    rnd, ctx, y = lines[0].split("\t")
-    assert rnd == "1" and ctx == "1/4" and y in {"0", "1"}
-    bits = sample_bit_env(T=2, k=3, seed=2)
-    out2 = tmp_path / "bits.txt"
-    bits.dump(out2)
-    rnd, ctx, y = out2.read_text().splitlines()[0].split("\t")
-    assert len(ctx) == 3 and set(ctx) <= {"0", "1"}

@@ -1,7 +1,6 @@
 import math
 import re
 from collections.abc import Mapping
-from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -112,33 +111,35 @@ def test_scaling_smoke_and_violations():
         assert row.argmax_group.startswith("g3")
 
 
-def test_scaling_workers_deterministic():
-    bases = [
-        dict(env="bernoulli", forecaster="rounded_honest", groups="pred_threshold", T_list=(1024,), Q=16),
-        dict(env="rademacher", forecaster="rounded_honest", groups="full_walsh", T_list=(512,), Q=8),
+@pytest.mark.parametrize(
+    "base",
+    [
+        dict(env="bernoulli", forecaster="honest", groups="pred_threshold", T_list=(256, 512)),
+        dict(env="rademacher", forecaster="rounded_honest", groups="full_walsh", T_list=(256, 512), Q=8),
+    ],
+    ids=["thm31", "full_walsh"],
+)
+def test_scaling_runs_each_cell_once_in_order(monkeypatch, base):
+    # one plan per T at construction; then per T its skeleton and its cells, in (T, rep) order
+    plan, build, replicate = experiments._plan, experiments.CellSkeleton.build, experiments.run_replicate
+    events = []
+    monkeypatch.setattr(experiments, "_plan", lambda config, T: events.append(("plan", T)) or plan(config, T))
+    monkeypatch.setattr(
+        experiments.CellSkeleton, "build", staticmethod(lambda p: events.append(("skeleton", p.T)) or build(p))
+    )
+
+    def cell(config, T, rep):
+        out = replicate(config, T, rep)  # the first cell at a T builds its skeleton
+        events.append(("cell", T, rep))
+        return out
+
+    monkeypatch.setattr(experiments, "run_replicate", cell)
+    cfg = ExperimentConfig(**base, replicates=3, seed=11)
+    rows = run_scaling(cfg).rows
+    assert events == [("plan", 256), ("plan", 512)] + [
+        event for T in (256, 512) for event in [("skeleton", T), *(("cell", T, rep) for rep in range(3))]
     ]
-    for base in bases:
-        serial = run_scaling(ExperimentConfig(**base, replicates=8, seed=11, workers=1))
-        parallel = run_scaling(ExperimentConfig(**base, replicates=8, seed=11, workers=2))
-        # whole rows: means, argmax, per-group means, violations, min slack, extras
-        assert serial.rows == parallel.rows
-
-
-def test_scaling_batches_build_one_plan_per_T(monkeypatch):
-    plan, build = experiments._plan, experiments.CellSkeleton.build
-    plans, skeletons = [], []
-    monkeypatch.setattr(experiments, "_plan", lambda config, T: plans.append(T) or plan(config, T))
-    monkeypatch.setattr(experiments.CellSkeleton, "build", staticmethod(lambda p: skeletons.append(p.T) or build(p)))
-    cfg = ExperimentConfig(forecaster="honest", T_list=(256, 512), replicates=4, seed=3)
-    items = tuple(asdict(cfg).items())
-    experiments._worker_config.cache_clear()
-    try:
-        plans.clear()
-        batches = [experiments._scaling_batch((items, 512, lo, lo + 2)) for lo in (0, 2)]
-        assert plans == [512] and skeletons == [512]
-        assert batches[0] + batches[1] == experiments._run_cells(cfg, 512, 0, 4)
-    finally:
-        experiments._worker_config.cache_clear()
+    assert [row.replicates for row in rows] == [3, 3]
 
 
 def test_cell_failure_names_the_cell(monkeypatch):
@@ -331,7 +332,7 @@ def test_scaling_aggregation_matches_per_id_reference(env, forecaster, groups, r
     )
     rows = run_scaling(cfg).rows
     for T, row in zip(cfg.T_list, rows):
-        results = [r for _, _, r in experiments._run_cells(cfg, T, 0, replicates)]
+        results = experiments._run_cells(cfg, T)
         # the per-id aggregation over dicts that the vector path replaced
         group_ids = sorted(results[0]["err"])
         means = np.array([[r["err"][gid] for r in results] for gid in group_ids]).mean(axis=-1)
@@ -380,8 +381,6 @@ def test_family_manifest_matches_the_cells_groups(env, groups):
         ("eta", "small", ValueError, "groups.eta"),
         ("replicates", 0, ValueError, "run.replicates"),
         ("T_list", (), ValueError, "env.T_list"),
-        ("workers", 0, ValueError, "run.workers"),
-        ("workers", experiments.MAX_WORKERS + 1, ValueError, "run.workers"),
         ("k", experiments.MAX_K + 1, ValueError, "env.k"),
     ],
 )

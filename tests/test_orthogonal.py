@@ -8,8 +8,6 @@ from caliblab.orthogonal import (
     is_power_of_two,
     prefix_extremum,
     threshold_expansion,
-    threshold_l1_bound,
-    threshold_l1_mass,
     threshold_signs,
     trailing_zeros,
     walsh_matrix,
@@ -227,11 +225,6 @@ def test_threshold_reconstruction_exact(m):
     for r in range(m + 1):
         exp = threshold_expansion(m, r)
         assert np.array_equal(exp.reconstruct(), threshold_signs(m, r))
-
-
-@pytest.mark.parametrize("m", [2, 8, 64, 512])
-def test_threshold_l1_mass_bound(m):
-    assert threshold_l1_mass(m) <= threshold_l1_bound(m) + 1e-12
 
 
 @settings(max_examples=30, deadline=None)
