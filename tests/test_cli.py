@@ -519,7 +519,7 @@ LIMIT_CASES = [
     for key, spec in keys.items()
     if spec.lo is not None
     for value in (spec.lo - 1, *(() if spec.hi is None else (spec.hi + 1,)))
-] + [("scaling", "run.workers", 0), ("scaling", "run.workers", 2)]  # a key of the CLI's own, accepted only as 1
+] + [("scaling", "run.workers", v) for v in (0, 2, 65)]  # a key of the CLI's own, accepted only as 1
 
 
 @pytest.mark.parametrize("command, key, value", LIMIT_CASES, ids=[f"{c}-{k}={v}" for c, k, v in LIMIT_CASES])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from caliblab import calibration, experiments
 from caliblab.calibration import SkeletonRun, check_diff_two
-from caliblab.cli import EXIT_CONFIG, main
+from caliblab.cli import EXIT_CONFIG, experiment_config_from, main
 from caliblab.forecasters import PatternRouter, make_forecaster_factory
 from caliblab.experiments import (
     ExperimentConfig,
@@ -381,13 +381,22 @@ def test_family_manifest_matches_the_cells_groups(env, groups):
         ("eta", "small", ValueError, "groups.eta"),
         ("replicates", 0, ValueError, "run.replicates"),
         ("T_list", (), ValueError, "env.T_list"),
+        ("workers", 0, ValueError, "run.workers"),
+        ("workers", 65, ValueError, "run.workers"),
         ("k", experiments.MAX_K + 1, ValueError, "env.k"),
     ],
 )
 def test_config_names_the_bad_key(field, value, error, key):
     base = {"forecaster": "proper_reduction"} if field in ("oracle", "update") else {}
     with pytest.raises(error, match=key):
-        ExperimentConfig(**base, **{field: value})
+        if field == "workers":  # a key the CLI reads, not a config field: only 1 builds a config
+            experiment_config_from({key: str(value)})
+        else:
+            ExperimentConfig(**base, **{field: value})
+
+
+def test_run_workers_one_builds_the_same_config_as_unset():
+    assert experiment_config_from({"run.workers": "1"}) == experiment_config_from({})
 
 
 def test_run_scaling_builds_each_family_once_per_T(monkeypatch):
