@@ -79,6 +79,28 @@ def test_probe_csvs_match_golden_bytes(name, tmp_path):
     assert written.read_bytes() == (DATA / f"golden_probe_{name}.csv").read_bytes(), name
 
 
+# every bucketing strategy beside the avoid_zero case above: L = 100 leaves a
+# batch that is not byte-aligned (401 rows of 100 steps end mid-byte), and
+# L = 2^15 + 8 walks beyond int16 over two sign batches (127 + 3 rows)
+BUCKETING = [
+    ("single_bucket", 512, 400),
+    ("round_robin", 512, 400),
+    ("fresh_bucket_on_return", 512, 400),
+    ("zero_seeking", 512, 400),
+    ("avoid_zero", 100, 401),
+    ("zero_seeking", 100, 401),
+    ("single_bucket", 2**15 + 8, 130),
+]
+
+
+@pytest.mark.parametrize("strategy, L, reps", BUCKETING, ids=[f"{s}-{L}" for s, L, _ in BUCKETING])
+def test_bucketing_probe_csvs_match_golden_bytes(strategy, L, reps, tmp_path):
+    argv = ["probe", "bucketing", "--L", str(L), "--strategy", strategy, "--reps", str(reps), "--seed", "7"]
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+    golden = DATA / f"golden_probe_bucketing_{strategy}_L{L}.csv"
+    assert (tmp_path / "probe_bucketing.csv").read_bytes() == golden.read_bytes(), golden.name
+
+
 def _formatted_as_before(value):
     """A field as the csv.writer blocks that write_csv replaced formatted it."""
     if isinstance(value, (bool, np.bool_)):
