@@ -129,6 +129,20 @@ def _bucketing_fixed(signs, n_pool):
     return sum_abs, sum_sqrt, l_eps
 
 
+def _excursion_roots(rows, cols, l_eps, n_pool):
+    # sum_v sqrt(n_v) when excursion e of row r ends at step cols[i] (rows,
+    # cols in row-major order, l_eps ends per row) and goes to bucket e mod n_pool
+    reps = l_eps.size
+    offsets = np.cumsum(l_eps) - l_eps
+    excursion = np.arange(rows.size) - offsets[rows]
+    starts = np.empty_like(cols)
+    starts[1:] = cols[:-1]
+    starts[offsets] = -1
+    width = min(n_pool, int(l_eps.max()))
+    counts = np.bincount(rows * width + excursion % n_pool, weights=cols - starts, minlength=reps * width)
+    return np.sqrt(counts.reshape(reps, width)).cumsum(axis=1)[:, -1]
+
+
 def _bucketing_excursions(signs, n_pool):
     # Strategies 2 (n_pool = L, so never recycled) and 3: one bucket per
     # excursion of the global walk, recycled modulo n_pool.
@@ -138,15 +152,14 @@ def _bucketing_excursions(signs, n_pool):
     ends[:, -1] = True  # the last step closes the open excursion
     rows, cols = np.divmod(np.flatnonzero(ends), horizon)
     l_eps = np.bincount(rows, minlength=reps)
-    offsets = np.cumsum(l_eps) - l_eps
-    excursion = np.arange(rows.size) - offsets[rows]
-    starts = np.empty_like(cols)
-    starts[1:] = cols[:-1]
-    starts[offsets] = -1
-    width = min(n_pool, int(l_eps.max()))
-    counts = np.bincount(rows * width + excursion % n_pool, weights=cols - starts, minlength=reps * width)
-    sum_sqrt = np.sqrt(counts.reshape(reps, width)).cumsum(axis=1)[:, -1]
+    sum_sqrt = _excursion_roots(rows, cols, l_eps, n_pool)
     return np.abs(walk[:, -1]).astype(np.int64), sum_sqrt, l_eps.astype(np.int64)
+
+
+def _zero_seeking_roots(reps, horizon, fresh):
+    # bucket 0 holds sign[0] and every later step; buckets 1..P-1 one step
+    counts = np.r_[horizon - fresh + 1, np.ones(fresh - 1)]
+    return np.full(reps, np.sqrt(counts).cumsum()[-1])
 
 
 def _bucketing_zero_seeking(signs, n_pool):
@@ -157,10 +170,7 @@ def _bucketing_zero_seeking(signs, n_pool):
     tail = signs[:, fresh:].cumsum(axis=1, dtype=_walk_dtype(horizon))
     final = first + (tail[:, -1] if horizon > fresh else 0)
     l_eps = fresh + (tail[:, :-1] == -first.astype(tail.dtype)[:, None]).sum(axis=1, dtype=np.int64)
-    # bucket 0 holds sign[0] and every later step; buckets 1..P-1 one step
-    counts = np.r_[horizon - fresh + 1, np.ones(fresh - 1)]
-    sum_sqrt = np.full(reps, np.sqrt(counts).cumsum()[-1])
-    return np.abs(final) + (fresh - 1), sum_sqrt, l_eps
+    return np.abs(final) + (fresh - 1), _zero_seeking_roots(reps, horizon, fresh), l_eps
 
 
 def bucketing_batch(signs, strategy, n_pool):
@@ -176,6 +186,98 @@ def bucketing_batch(signs, strategy, n_pool):
     if strategy == 4:
         return _bucketing_zero_seeking(signs, n_pool)
     return _bucketing_excursions(signs, n_pool if strategy == 3 else signs.shape[1])
+
+
+# ---------------------------------------------------------------------------
+# The same strategies on packed sign bytes
+#
+# A row holds L steps in ceil(L/8) bytes, most significant bit first
+# (1 -> +1, 0 -> -1), and the walk is taken one byte at a time: _NET is a
+# byte's net step, _PREFIX[b, k] the walk after its steps 0..k, and
+# _HIT[d + 8, b] the mask (first step in the top bit) of the steps k with
+# _PREFIX[b, k] == d.  The walk can only sit on a level inside a byte that
+# starts within +-8 of it, so only those bytes are looked at.  Round robin
+# strides across bytes and stays on bucketing_batch.
+# ---------------------------------------------------------------------------
+
+_PREFIX = np.cumsum(
+    2 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).view(np.int8) - 1, axis=1, dtype=np.int8
+)
+_NET = _PREFIX[:, -1].copy()
+_HIT = np.packbits(_PREFIX == np.arange(-8, 9)[:, None, None], axis=2)[:, :, 0]
+
+
+def _byte_starts(packed, horizon):
+    # the walk before each byte, in the dtype of a walk of `horizon` steps
+    starts = np.zeros(packed.shape, dtype=_walk_dtype(horizon))
+    np.cumsum(_NET.take(packed[:, :-1]), axis=1, dtype=starts.dtype, out=starts[:, 1:])
+    return starts
+
+
+def _walk_at(packed, starts, t):
+    # each row's walk after steps 0..t, as int64
+    return starts[:, t // 8].astype(np.int64) + _PREFIX[packed[:, t // 8], t % 8]
+
+
+def _level_hits(packed, starts, level, lo, hi):
+    # (rows, steps) with lo <= step < hi at which a row's walk equals its
+    # level (int64, one per row), in row-major order
+    width = starts.shape[1]
+    bound = np.iinfo(starts.dtype)
+    near = (starts >= np.maximum(level - 8, bound.min).astype(starts.dtype)[:, None]) & (
+        starts <= np.minimum(level + 8, bound.max).astype(starts.dtype)[:, None]
+    )
+    near[:, : lo // 8] = False
+    near[:, -(-hi // 8) :] = False
+    at = np.flatnonzero(near)
+    # _HIT[d + 8, byte] through the flat table: a 2-D gather costs 1.6x more
+    masks = _HIT.take((level[at // width] - starts.ravel()[at] + 8) * 256 + packed.ravel()[at])
+    some = masks != 0
+    # unpackbits gives 0/1 bytes; as bool, flatnonzero runs 3x faster
+    bits = np.flatnonzero(np.unpackbits(masks[some]).view(bool))
+    rows, cols = np.divmod(at[some][bits >> 3], width)
+    steps = 8 * cols + (bits & 7)
+    inside = (steps >= lo) & (steps < hi)
+    return rows[inside], steps[inside]
+
+
+def bucketing_packed(packed, horizon, strategy, n_pool):
+    """``bucketing_batch`` of the first ``horizon`` steps of each row of
+    packed sign bytes (reps, ceil(horizon / 8)), for strategies 0, 2, 3, 4.
+
+    Every strategy reduces to the steps at which the walk sits on a level:
+    zeros of w over [0, L - 1) for 0 (the returns) and 2, 3 (the excursion
+    ends, with L - 1 closing the open one), and w[P - 1] - sign[0] over
+    [P, L - 1) for 4 (bucket 0's returns).
+    """
+    reps, width = packed.shape
+    if packed.dtype != np.uint8 or reps == 0 or horizon < 1 or width != -(-horizon // 8):
+        raise ValueError(f"bucketing needs a nonempty uint8 batch of {-(-horizon // 8)} bytes per row")
+    if n_pool < 1:
+        raise ValueError(f"bucketing needs n_pool >= 1, got {n_pool}")
+    if strategy not in (0, 2, 3, 4):
+        raise ValueError(f"packed bucketing runs strategies 0, 2, 3 and 4, not {strategy}")
+    starts = _byte_starts(packed, horizon)
+    final = _walk_at(packed, starts, horizon - 1)
+    if strategy == 4:
+        fresh = min(horizon, n_pool)
+        first = 2 * (packed[:, 0] >> 7).astype(np.int64) - 1
+        before = _walk_at(packed, starts, fresh - 1)
+        rows, _ = _level_hits(packed, starts, before - first, fresh, horizon - 1)
+        l_eps = fresh + np.bincount(rows, minlength=reps)
+        return np.abs(first + final - before) + (fresh - 1), _zero_seeking_roots(reps, horizon, fresh), l_eps
+    rows, steps = _level_hits(packed, starts, np.zeros(reps, np.int64), 0, horizon - 1)
+    l_eps = np.bincount(rows, minlength=reps) + 1
+    if strategy == 0:
+        return np.abs(final), np.full(reps, np.sqrt(horizon, dtype=np.float64)), l_eps
+    # the last step closes each row's open excursion: it ends the row's run of ends
+    last = np.cumsum(l_eps) - 1
+    ends = np.full(last[-1] + 1, horizon - 1)
+    interior = np.ones(ends.size, dtype=bool)
+    interior[last] = False
+    ends[interior] = steps
+    rows = np.repeat(np.arange(reps), l_eps)
+    return np.abs(final), _excursion_roots(rows, ends, l_eps, n_pool if strategy == 3 else horizon), l_eps
 
 
 BUCKETING_STRATEGY_CODES = {

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import BUCKETING_STRATEGY_CODES, bucketing_batch, first_return_batch
+from ._kernels import BUCKETING_STRATEGY_CODES, bucketing_batch, bucketing_packed, first_return_batch
 from .environments import substream
 
 # Calibrated floors (seed 2024, >= 1e4 replicates per point; the smallest
@@ -53,12 +53,6 @@ def first_return_pmf(n: int) -> Fraction:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     return Fraction(math.comb(2 * n, n), (2 * n - 1) * 4**n)
-
-
-def first_return_tail(m: int) -> Fraction:
-    """P(tau_0 > m), exact."""
-    total = sum((first_return_pmf(j) for j in range(1, m // 2 + 1)), Fraction(0))
-    return 1 - total
 
 
 def truncated_root_return_expectation(L: int) -> float:
@@ -91,6 +85,16 @@ def _draw_signs(rng: np.random.Generator, shape) -> np.ndarray:
     signs *= 2  # in place: a left shift or a fresh array costs 4x more here
     signs -= 1
     return signs
+
+
+def _draw_packed(rng: np.random.Generator, shape) -> np.ndarray:
+    """The bits ``_draw_signs`` unpacks from the same draw, as uint8 rows of
+    ceil(horizon / 8) bytes: each walk starts on a byte, its pad bits are 0."""
+    reps, horizon = shape
+    raw = np.frombuffer(rng.bytes(-(-reps * horizon // 8)), dtype=np.uint8)
+    if horizon % 8 == 0:
+        return raw.reshape(reps, horizon // 8)
+    return np.packbits(np.unpackbits(raw, count=reps * horizon).reshape(reps, horizon), axis=1)
 
 
 # Largest sign batch drawn at once (4 MiB of int8 steps).
@@ -288,6 +292,7 @@ def bucketing_probe(
     if not 0 < h <= 1:
         raise ValueError(f"step size h must lie in (0, 1], got {h}")
     pool = n_pool if n_pool is not None else default_pool(L)
+    code = BUCKETING_STRATEGY_CODES[strategy]
     rng = substream(seed, stream)
     batch = max(1, _BATCH_SIGNS // L)
     sum_abs = np.empty(replicates, dtype=np.float64)
@@ -296,7 +301,10 @@ def bucketing_probe(
     done = 0
     while done < replicates:
         b = min(batch, replicates - done)
-        sa, ss, le = bucketing_batch(_draw_signs(rng, (b, L)), BUCKETING_STRATEGY_CODES[strategy], pool)
+        if code == 1:  # round robin strides across bytes: it walks unpacked signs
+            sa, ss, le = bucketing_batch(_draw_signs(rng, (b, L)), code, pool)
+        else:
+            sa, ss, le = bucketing_packed(_draw_packed(rng, (b, L)), L, code, pool)
         sum_abs[done : done + b] = sa
         sum_sqrt[done : done + b] = ss
         l_eps[done : done + b] = le
@@ -338,7 +346,9 @@ def bucketing_trace(signs: np.ndarray, strategy: str, n_pool: int) -> dict:
     decomposition sqrt(n_v) <= sum_j sqrt(l_j^v) and L_eps = sum_v R_v.
     """
     code = BUCKETING_STRATEGY_CODES[strategy]
-    (sum_abs,), (sum_sqrt,), (l_eps,) = bucketing_batch(signs[None, :], code, n_pool)
+    kernels = {"int8": bucketing_batch(signs[None, :], code, n_pool)}
+    if code != 1:  # the probe walks packed bytes for every strategy but round robin
+        kernels["packed"] = bucketing_packed(np.packbits(signs > 0)[None, :], signs.size, code, n_pool)
     sums: dict = {}
     counts: dict = {}
     excursions: dict = {}
@@ -388,9 +398,10 @@ def bucketing_trace(signs: np.ndarray, strategy: str, n_pool: int) -> dict:
         if rem:
             excursions.setdefault(v, []).append(rem)
     root_sum = math.fsum(math.sqrt(c) for c in counts.values())
-    assert returns == int(l_eps), "kernel and reference disagree on L_eps"
-    assert sum(abs(s) for s in sums.values()) == int(sum_abs)
-    assert math.isclose(root_sum, float(sum_sqrt), rel_tol=1e-12), "kernel and reference disagree on sum_sqrt"
+    for name, ((sum_abs,), (sum_sqrt,), (l_eps,)) in kernels.items():
+        assert returns == int(l_eps), f"{name} kernel and reference disagree on L_eps"
+        assert sum(abs(s) for s in sums.values()) == int(sum_abs), f"{name} kernel and reference disagree on sum_abs"
+        assert math.isclose(root_sum, float(sum_sqrt), rel_tol=1e-12), f"{name} kernel and reference disagree on sum_sqrt"
     return {
         "counts": counts,
         "sums": sums,

@@ -7,19 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caliblab import probes
-from caliblab._kernels import BUCKETING_STRATEGY_CODES, bucketing_batch, first_return_batch
+from caliblab import _kernels, probes
+from caliblab._kernels import BUCKETING_STRATEGY_CODES, bucketing_batch, bucketing_packed, first_return_batch
 from caliblab.environments import substream
 from caliblab.probes import (
     BUCKETING_FLOOR,
     MARTINGALE_FLOOR,
     SINGLE_BUCKET_RHO,
+    _draw_packed,
     _draw_signs,
     _first_returns_chunked,
     bucketing_probe,
     bucketing_trace,
     first_return_pmf,
-    first_return_tail,
     martingale_transform_probe,
     simulate_first_returns,
     truncated_root_return_expectation,
@@ -46,9 +46,9 @@ def test_first_return_pmf_subprobability():
 
 
 def test_first_return_tail():
-    assert first_return_tail(1) == 1
-    assert first_return_tail(2) == Fraction(1, 2)
-    assert first_return_tail(4) == Fraction(3, 8)
+    # P(tau_0 > m) = 1 - sum_{j <= m/2} P(tau_0 = 2j)
+    for m, tail in ((1, 1), (2, Fraction(1, 2)), (4, Fraction(3, 8))):
+        assert 1 - sum((first_return_pmf(j) for j in range(1, m // 2 + 1)), Fraction(0)) == tail
 
 
 def test_truncated_expectation_l2_exact():
@@ -221,6 +221,84 @@ def test_kernels_exact_beyond_int16_walks():
         assert sum_abs.tolist() == [L, L] and l_eps.tolist() == [1, 1], name
     sum_abs, _, _ = bucketing_batch(signs, BUCKETING_STRATEGY_CODES["zero_seeking"], 4)
     assert sum_abs.tolist() == [L, L]
+
+
+PACKED_CODES = [BUCKETING_STRATEGY_CODES[s] for s in ("single_bucket", "fresh_bucket_on_return", "avoid_zero", "zero_seeking")]
+
+
+def _packed_matches_batch(bits, n_pool):
+    # the packed kernel on packbits of the rows equals bucketing_batch on their signs, dtypes and float bits included
+    signs = np.where(bits, 1, -1).astype(np.int8)
+    packed = np.packbits(bits, axis=1)
+    for code in PACKED_CODES:
+        expected = bucketing_batch(signs, code, n_pool)
+        got = bucketing_packed(packed, bits.shape[1], code, n_pool)
+        for name, e, g in zip(("sum_abs", "sum_sqrt", "l_eps"), expected, got):
+            assert g.dtype == e.dtype and np.array_equal(g, e), (code, name, g, e)
+
+
+# rows of repeated bytes: 0x00 and 0xFF never return, 0xAA returns every second step, and
+# 0x00 0xFF / 0xFF 0x00 return on the last step of a byte that starts 8 away from zero
+PATTERNS = [(0x00,), (0xFF,), (0xAA,), (0x00, 0xFF), (0xFF, 0x00)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_bucketing_packed_matches_batch(data):
+    L = data.draw(st.integers(1, 300), label="L")
+    n_pool = data.draw(st.integers(1, 8) | st.integers(1, L + 2), label="n_pool")
+    reps = data.draw(st.integers(1, 5), label="reps")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    bits = np.random.default_rng(seed).random((reps, L)) < data.draw(st.sampled_from([0.5, 0.2, 0.8]), label="p")
+    for r in data.draw(st.lists(st.integers(0, reps - 1), max_size=2), label="patterned"):
+        pattern = data.draw(st.sampled_from(PATTERNS), label="pattern")
+        bits[r] = np.unpackbits(np.resize(np.array(pattern, dtype=np.uint8), -(-L // 8)))[:L]
+    _packed_matches_batch(bits, n_pool)
+
+
+def test_bucketing_packed_exact_beyond_int16_walks():
+    # all +1, all -1 and alternating rows of a walk longer than 2^15 steps, which takes an int32 cumsum
+    L = 2**15 + 8
+    bits = np.zeros((3, L), dtype=bool)
+    bits[0] = True
+    bits[2, ::2] = True
+    assert _kernels._walk_dtype(L) == np.int32
+    for n_pool in (1, 4, 181, L):
+        _packed_matches_batch(bits, n_pool)
+    sum_abs, _, l_eps = bucketing_packed(np.packbits(bits, axis=1), L, 0, 1)
+    assert sum_abs.tolist() == [L, L, 0] and l_eps.tolist() == [1, 1, L // 2]
+
+
+def test_packed_walk_tables():
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).astype(np.int64)
+    walk = np.cumsum(2 * bits - 1, axis=1)
+    assert np.array_equal(_kernels._PREFIX, walk) and _kernels._PREFIX.dtype == np.int8
+    assert np.array_equal(_kernels._NET, 2 * bits.sum(axis=1) - 8) and _kernels._NET.dtype == np.int8
+    assert _kernels._HIT.shape == (17, 256) and _kernels._HIT.dtype == np.uint8
+    for d in range(-8, 9):
+        assert np.array_equal(np.unpackbits(_kernels._HIT[d + 8][:, None], axis=1), walk == d), d
+
+
+def test_draw_packed_holds_the_drawn_signs():
+    for reps, L in ((3, 13), (4, 16), (5, 1), (2, 100)):
+        packed = _draw_packed(substream(24, 3), (reps, L))
+        assert packed.dtype == np.uint8 and packed.shape == (reps, -(-L // 8))
+        signs = _draw_signs(substream(24, 3), (reps, L))
+        assert np.array_equal(np.unpackbits(packed, axis=1, count=L), signs > 0)
+        assert not np.unpackbits(packed, axis=1)[:, L:].any()  # pad bits are zero
+
+
+def test_bucketing_packed_rejects_bad_input():
+    packed = np.zeros((2, 2), dtype=np.uint8)
+    with pytest.raises(ValueError, match="strategies 0, 2, 3 and 4"):
+        bucketing_packed(packed, 16, BUCKETING_STRATEGY_CODES["round_robin"], 2)
+    for horizon in (0, 8, 17):
+        with pytest.raises(ValueError, match="bytes per row"):
+            bucketing_packed(packed, horizon, 0, 2)
+    with pytest.raises(ValueError, match="bytes per row"):
+        bucketing_packed(packed.astype(np.int8), 16, 0, 2)
+    with pytest.raises(ValueError, match="n_pool"):
+        bucketing_packed(packed, 16, 3, 0)
 
 
 def test_bucketing_batch_rejects_bad_input():
