@@ -1,14 +1,17 @@
 """Hot numeric kernels, all plain numpy.
 
 One FWHT (``fwht_pingpong``, constant-geometry stages between two
-buffers), one first-return test (``first_return_batch``) and one
-loop-free bucketing routine (``bucketing_batch``).  Randomness is
-always drawn outside the kernels (Philox streams, see
-``environments.substream``) and passed in as arrays.
+buffers), one first-return test (``first_return_batch``) and loop-free
+noise bucketing on int8 signs (``bucketing_batch``) and on packed sign
+bytes (``bucketing_packed``).  The probe runs round robin on the int8
+kernel, whose buckets stride across bytes, and the other four strategies
+on the packed one; ``bucketing_batch`` stays the reference that
+``probes.bucketing_trace`` checks both against.  Randomness is always
+drawn outside the kernels (Philox streams, see ``environments.substream``)
+and passed in as arrays.
 
 The probes built on them back acceptance criteria 05 (first-return law)
-and 08 (bucketing floor); on a shared 2-core VM they take about 2 s and
-8-8.5 s of a 26-29 s tier-1 run.
+and 08 (bucketing floor).
 """
 
 from __future__ import annotations
@@ -97,12 +100,13 @@ def first_return_batch(signs, start=None):
 # with B_v kept in units of the increment h (exact integers), and
 # sqrt(n_v) added sequentially in bucket order (cumsum, never the pairwise
 # sum).  With +-1 steps the adaptive strategies never hold more than one
-# bucket with a nonzero sum, which reduces each of them to one cumsum:
+# bucket with a nonzero sum, which reduces each of them to one walk:
 #   2, 3  the open bucket's sum is the global walk w; each zero of
 #         w[:, :-1] closes an excursion, and excursion e goes to bucket e
 #         (strategy 2) or e mod n_pool (strategy 3).
 #   4     the first P = min(L, n_pool) steps each open a fresh bucket;
-#         every later step lands on bucket 0, which carries sign[0].
+#         every later step lands on bucket 0, which carries sign[0], so
+#         bucket 0 returns where w[t] = w[P - 1] - sign[0], P <= t < L - 1.
 # ---------------------------------------------------------------------------
 
 def _bucketing_fixed(signs, n_pool):

@@ -401,7 +401,9 @@ def bucketing_trace(signs: np.ndarray, strategy: str, n_pool: int) -> dict:
     for name, ((sum_abs,), (sum_sqrt,), (l_eps,)) in kernels.items():
         assert returns == int(l_eps), f"{name} kernel and reference disagree on L_eps"
         assert sum(abs(s) for s in sums.values()) == int(sum_abs), f"{name} kernel and reference disagree on sum_abs"
-        assert math.isclose(root_sum, float(sum_sqrt), rel_tol=1e-12), f"{name} kernel and reference disagree on sum_sqrt"
+        assert math.isclose(root_sum, float(sum_sqrt), rel_tol=1e-12), (
+            f"{name} kernel and reference disagree on sum_sqrt"
+        )
     return {
         "counts": counts,
         "sums": sums,

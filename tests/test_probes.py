@@ -223,7 +223,7 @@ def test_kernels_exact_beyond_int16_walks():
     assert sum_abs.tolist() == [L, L]
 
 
-PACKED_CODES = [BUCKETING_STRATEGY_CODES[s] for s in ("single_bucket", "fresh_bucket_on_return", "avoid_zero", "zero_seeking")]
+PACKED_CODES = [BUCKETING_STRATEGY_CODES[s] for s in BUCKETING_STRATEGY_CODES if s != "round_robin"]
 
 
 def _packed_matches_batch(bits, n_pool):
