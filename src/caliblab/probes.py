@@ -344,6 +344,8 @@ def bucketing_trace(signs: np.ndarray, strategy: str, n_pool: int) -> dict:
     Returns per-bucket counts, final sums (units of the step), returns
     count, and excursion lengths; used to verify the subadditivity
     decomposition sqrt(n_v) <= sum_j sqrt(l_j^v) and L_eps = sum_v R_v.
+    Asserts that ``bucketing_batch``, and ``bucketing_packed`` for every
+    strategy but round robin, agree with it.
     """
     code = BUCKETING_STRATEGY_CODES[strategy]
     kernels = {"int8": bucketing_batch(signs[None, :], code, n_pool)}
