@@ -218,6 +218,7 @@ def cmd_scaling(args, overrides) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     scaling_path = out_dir / f"{config.experiment_id}_scaling.csv"
     groups_path = out_dir / f"{config.experiment_id}_groups.csv"
+    start = time.perf_counter()
     write_scaling_csv(scaling_path, result)
     write_per_group_csv(groups_path, result)
     manifest.outputs = [scaling_path.name, groups_path.name]
@@ -225,6 +226,8 @@ def cmd_scaling(args, overrides) -> int:
         family_path = out_dir / f"{config.experiment_id}_family.csv"
         write_family_csv(family_path, config)
         manifest.outputs.append(family_path.name)
+    stages = {**result.stage_s, "write": time.perf_counter() - start}
+    manifest.notes += [f"stage_s@{stage}={seconds:.6f}" for stage, seconds in stages.items()]
     for row in result.rows:
         resolved = ";".join(f"{key}={value}" for key, value in config.plans[row.T].resolved().items())
         manifest.notes.append(f"resolved@T={row.T}={resolved}")

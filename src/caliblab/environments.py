@@ -120,9 +120,6 @@ class Trajectory:
     def outcome(self, t: int) -> Fraction:
         return Fraction(int(self.y_num[t]), self.den)
 
-    def context_counts(self) -> np.ndarray:
-        return np.bincount(self.grid_idx, minlength=len(self.grid))
-
 
 def grid_section3(m: int) -> list[Fraction]:
     """Interior grid {j/m in [1/4, 3/4]}, ascending.  Size m0 >= (m-1)/2."""

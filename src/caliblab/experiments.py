@@ -51,10 +51,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+import time
+from bisect import bisect_left
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from typing import Callable, Optional
 
 import numpy as np
@@ -560,6 +563,28 @@ def _run_cells(config: ExperimentConfig, T: int) -> list:
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class GroupMeans(Mapping):
+    """Per-group mean Err at one T, read-only: ``ids`` are the group ids in
+    sorted order and ``vector[i]`` is the float64 mean of ``ids[i]``.  An id
+    is found by bisection over ``ids``, so no second id table is built."""
+
+    ids: list
+    vector: np.ndarray
+
+    def __getitem__(self, gid: str) -> float:
+        i = bisect_left(self.ids, gid)
+        if i == len(self.ids) or self.ids[i] != gid:
+            raise KeyError(gid)
+        return float(self.vector[i])
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
 @dataclass
 class ScalingRow:
     T: int
@@ -567,7 +592,7 @@ class ScalingRow:
     mean_mcerr: float
     stderr: float  # nan for one replicate
     argmax_group: str
-    per_group_mean: dict  # group id -> mean Err, in sorted id order
+    per_group_mean: GroupMeans  # group id -> mean Err, sorted ids over one float64 vector
     violations: int
     extras_mean: dict
     min_slack: dict  # check name -> tightest slack over the replicates
@@ -580,6 +605,7 @@ class ScalingResult:
     exponent: float
     intercept: float
     exponent_stderr: float
+    stage_s: dict = field(default_factory=dict)  # stage name -> wall seconds, summed over the T ladder
 
     @property
     def exponent_ci95(self) -> tuple[float, float]:
@@ -592,17 +618,21 @@ class ScalingResult:
 
 def run_scaling(config: ExperimentConfig) -> ScalingResult:
     """Replicated Monte Carlo across the T ladder plus a log-log fit.  Each T's
-    cells run in (T, replicate) order and fold into its row before the next T's start."""
+    cells run in (T, replicate) order and fold into its row before the next T's
+    start.  ``stage_s`` holds the wall time of the cells and of the folds."""
     rows = []
+    cells_s = aggregate_s = 0.0
     for T in config.T_list:
+        start = time.perf_counter()
         results = _run_cells(config, T)
+        ran = time.perf_counter()
+        cells_s += ran - start
         mcerrs = np.array([r["mcerr"] for r in results])
-        ids = np.array(config.plans[T].family.ids())
-        order = np.argsort(ids)  # ids are unique, so any sort gives the one sorted order
+        ids = config.plans[T].family.ids()
+        order = sorted(range(len(ids)), key=ids.__getitem__)  # ids are unique: the one sorted order
         # C-contiguous (groups, replicates): each row mean sums in np.mean's order
         means = np.stack([r["err"].vector for r in results], axis=-1).mean(axis=-1)[order]
-        sorted_ids = ids[order].tolist()
-        per_group = dict(zip(sorted_ids, means.tolist()))
+        sorted_ids = [ids[i] for i in order]
         argmax = sorted_ids[int(np.argmax(means))]  # ties go to the smallest id
         extras_mean = {
             key: float(np.mean([r["extras"][key] for r in results]))
@@ -619,19 +649,21 @@ def run_scaling(config: ExperimentConfig) -> ScalingResult:
                 mean_mcerr=float(mcerrs.mean()),
                 stderr=float(mcerrs.std(ddof=1) / math.sqrt(len(mcerrs))) if len(mcerrs) > 1 else math.nan,
                 argmax_group=argmax,
-                per_group_mean=per_group,
+                per_group_mean=GroupMeans(sorted_ids, means),
                 violations=sum(len(r["violations"]) for r in results),
                 extras_mean=extras_mean,
                 min_slack=min_slack,
             )
         )
+        aggregate_s += time.perf_counter() - ran
 
     if len(rows) >= 2:
         slope, intercept, se = fit_exponent([(r.T, r.mean_mcerr) for r in rows])
     else:
         slope, intercept, se = float("nan"), float("nan"), float("nan")
     return ScalingResult(
-        config=config, rows=rows, exponent=slope, intercept=intercept, exponent_stderr=se
+        config=config, rows=rows, exponent=slope, intercept=intercept, exponent_stderr=se,
+        stage_s={"cells": cells_s, "aggregate": aggregate_s},
     )
 
 
@@ -1014,15 +1046,26 @@ def noise_floor_diagnostic(T: int, K: int, replicates: int, seed: int) -> dict:
 _BOOL = {True: "true", False: "false"}.__getitem__
 # keyed by exact type: one lookup per field keeps pace with the csv module; an isinstance chain took twice as long
 _FORMAT = {float: format_float, np.float64: format_float, bool: _BOOL, np.bool_: _BOOL}
+# lines per write: the file streams, and a whole-table join would hold every line at once
+CHUNK_LINES = 4096
+
+
+def write_lines(path, header, lines) -> None:
+    """Write ``header`` and then ``lines`` to ``path`` in the one CSV dialect of the package: utf-8,
+    fields joined by commas and never quoted, each line ended by ``\\n``.  ``lines`` are rendered
+    lines without their end, taken and written ``CHUNK_LINES`` at a time."""
+    lines = iter(lines)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        while chunk := list(islice(lines, CHUNK_LINES)):
+            fh.write("\n".join(chunk) + "\n")
 
 
 def write_csv(path, header, rows) -> None:
-    """Write ``header`` and then ``rows`` to ``path`` in the one CSV dialect of the package, a line
-    at a time: fields joined by commas and never quoted, each line ended by ``\\n``, a float (numpy's
-    float64 too) written by ``format_float``, a bool (numpy's too) as ``true``/``false`` and anything
-    else by ``str``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(",".join([_FORMAT.get(type(v), str)(v) for v in row]) + "\n" for row in chain([header], rows))
+    """Write ``header`` and then ``rows`` to ``path`` through ``write_lines``, a float (numpy's float64
+    too) written by ``format_float``, a bool (numpy's too) as ``true``/``false`` and anything else by
+    ``str``."""
+    write_lines(path, header, (",".join([_FORMAT.get(type(v), str)(v) for v in row]) for row in rows))
 
 
 def write_family_csv(path, config: ExperimentConfig) -> None:
@@ -1036,10 +1079,19 @@ def write_scaling_csv(path, result: ScalingResult) -> None:
     write_csv(path, ("experiment_id", "T", "replicate_count", "mean_mcerr", "stderr", "argmax_group"), rows)
 
 
+def _group_lines(eid: str, T: int, means: GroupMeans):
+    """The groups-CSV lines of one T, the bytes ``write_csv`` gives its (eid, T, id, mean) rows.  Each
+    distinct mean is formatted once, keyed by its float64 bits so that -0.0 stays apart from 0.0."""
+    bits, inverse = np.unique(means.vector.view(np.int64), return_inverse=True)
+    texts = ["," + format_float(v) for v in bits.view(np.float64).tolist()]
+    prefixes = map(f"{eid},{T},".__add__, means.ids)
+    return map(str.__add__, prefixes, map(texts.__getitem__, inverse.tolist()))
+
+
 def write_per_group_csv(path, result: ScalingResult) -> None:
     eid = result.config.experiment_id
-    rows = ((eid, row.T, gid, v) for row in result.rows for gid, v in row.per_group_mean.items())
-    write_csv(path, ("experiment_id", "T", "group_id", "mean_err"), rows)
+    lines = chain.from_iterable(_group_lines(eid, row.T, row.per_group_mean) for row in result.rows)
+    write_lines(path, ("experiment_id", "T", "group_id", "mean_err"), lines)
 
 
 def write_bounds_csv(path, records) -> None:

@@ -305,7 +305,7 @@ def test_deviation_stats_honest():
     stats = deviation_stats(ScaledRun.build(traj, honest_predictions(traj), eta.denominator), eta=eta)
     assert stats.A == 0
     assert stats.S == 0.0
-    counts = traj.context_counts()
+    counts = np.bincount(traj.grid_idx, minlength=len(traj.grid))
     assert stats.N == pytest.approx(np.sqrt(counts).sum())
     # honest rounds everywhere: R_x = 0, N_x free
     assert np.all(stats.R_x_num == 0)

@@ -101,6 +101,10 @@ def test_scaling_manifest_records_min_slack(config_path, tmp_path):
     assert float(slack["pathwise_min_slack@T=1024/g4_context_decomp"]) >= 0
     # m = floor(1024^(1/3)) = 10 and eta = min(isqrt(10^3 1024) / (2 10 1024), 1/20) = 1011/20480
     assert [line for line in lines if line.startswith("resolved@")] == ["resolved@T=1024=m=10;eta=1011/20480"]
+    # the wall time of each stage, summed over the T ladder
+    stages = dict(line.partition("=")[::2] for line in lines if line.startswith("stage_s@"))
+    assert list(stages) == ["stage_s@cells", "stage_s@aggregate", "stage_s@write"]
+    assert all(float(seconds) >= 0 for seconds in stages.values())
     config_path.write_text(MINIMAL.replace("env.T=1024", "env.T_list=256,512"))  # a config sets env.T or env.T_list
     walsh = ["--env.kind=rademacher", "--groups.kind=full_walsh", "--forecaster.id=rounded_honest"]
     assert main(["scaling", "--config", str(config_path), "--out", str(tmp_path), *walsh]) == EXIT_OK

@@ -75,9 +75,9 @@ def test_grid_section4_spacing_exact():
 def test_bernoulli_round_robin_counts():
     traj = sample_bernoulli_env(T=10, m=8, seed=1)
     assert traj.grid_idx.tolist() == [0, 1, 2, 3, 4, 0, 1, 2, 3, 4]
-    assert traj.context_counts().tolist() == [2, 2, 2, 2, 2]
+    assert np.bincount(traj.grid_idx, minlength=len(traj.grid)).tolist() == [2, 2, 2, 2, 2]
     traj = sample_bernoulli_env(T=12, m=8, seed=1)
-    counts = traj.context_counts()
+    counts = np.bincount(traj.grid_idx, minlength=len(traj.grid))
     assert counts.max() - counts.min() <= 1
     assert counts.sum() == 12
 

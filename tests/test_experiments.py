@@ -2,6 +2,7 @@ import math
 import re
 from collections.abc import Mapping
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from caliblab.calibration import SkeletonRun, check_diff_two
 from caliblab.cli import EXIT_CONFIG, experiment_config_from, main
 from caliblab.forecasters import PatternRouter, make_forecaster_factory
 from caliblab.experiments import (
+    CHUNK_LINES,
     ExperimentConfig,
+    GroupMeans,
     fit_exponent,
     l1_truthfulness_ratio,
     noise_floor_diagnostic,
@@ -340,6 +343,30 @@ def test_scaling_aggregation_matches_per_id_reference(env, forecaster, groups, r
         assert list(row.per_group_mean) == group_ids
         assert row.argmax_group == group_ids[int(np.argmax(means))]
         assert row.mean_mcerr == float(np.array([r["mcerr"] for r in results]).mean())
+
+
+def test_per_group_mean_is_a_read_only_mapping_in_sorted_id_order():
+    cfg = ExperimentConfig(env="rademacher", forecaster="rounded_honest", groups="full_walsh", T_list=(256,), seed=9)
+    means = run_scaling(cfg).rows[0].per_group_mean
+    assert isinstance(means, GroupMeans) and isinstance(means, Mapping)
+    # the dict of Python floats the mapping replaced, from the same cells
+    results = experiments._run_cells(cfg, 256)
+    vector = np.stack([r["err"].vector for r in results], axis=-1).mean(axis=-1)
+    old = dict(sorted(zip(cfg.plans[256].family.ids(), vector.tolist())))
+    assert means == old
+    assert list(means.items()) == list(old.items())
+    assert all(type(v) is float for v in means.values())
+    ids = list(means)
+    assert ids == sorted(cfg.plans[256].family.ids())
+    assert not hasattr(means, "__setitem__")
+    with pytest.raises(TypeError):
+        means[ids[0]] = 0.0
+    between = ids[5] + "\0"
+    assert ids[5] < between < ids[6]
+    for unknown in ("", "~", "g_all/0", between):
+        assert unknown not in means and means.get(unknown) is None
+        with pytest.raises(KeyError):
+            means[unknown]
 
 
 # the Walsh halves index the signed-noise grid, and bit groups read a bit context
@@ -681,6 +708,45 @@ def test_csv_writers(tmp_path):
     records, _ = run_oracle_bound(T=200, k=2, m_copies=1, replicates=4, seed=3)
     write_bounds_csv(b, records)
     assert b.read_text().splitlines()[0] == "check_id,measured,bound,margin,pass"
+
+
+def _groups_result(tables: dict):
+    """A scaling result that holds only what the groups CSV reads: one sorted-id mapping per T."""
+    rows = [
+        SimpleNamespace(T=T, per_group_mean=GroupMeans([f"g{i:05d}" for i in range(len(v))], np.asarray(v, float)))
+        for T, v in tables.items()
+    ]
+    return SimpleNamespace(config=SimpleNamespace(experiment_id="diff"), rows=rows)
+
+
+def _groups_csv_per_row(path, result) -> None:
+    """The groups CSV as ``write_csv`` writes its (eid, T, id, mean) rows: the reference of the column-wise writer."""
+    eid = result.config.experiment_id
+    rows = ((eid, row.T, gid, v) for row in result.rows for gid, v in row.per_group_mean.items())
+    experiments.write_csv(path, ("experiment_id", "T", "group_id", "mean_err"), rows)
+
+
+_SUBNORMALS = [5e-324, -5e-324, 1e-310, np.nextafter(2.0**-1022, 0.0), 2.0**-1074 * 3]
+_NAN_PAYLOAD = np.array([0x7FF8_0000_0000_0001], dtype=np.uint64).view(np.float64)[0]
+GROUP_TABLES = {
+    "signed_zeros": {8: [0.0, -0.0, 0.0, 0.5, -0.0]},
+    "non_finite_and_subnormal": {8: [np.nan, np.inf, -np.inf, _NAN_PAYLOAD, -np.nan, *_SUBNORMALS, 0.0, -0.0]},
+    "heavy_duplication": {16: [0.25, 1 / 3, -0.0, 0.25] * 2500},
+    "beyond_one_chunk": {32: np.random.default_rng(3).random(CHUNK_LINES + 7), 64: [0.1] * (CHUNK_LINES - 1)},
+    "empty_family": {2: [0.5, -0.0], 4: [], 8: [7.0]},
+    "only_empty": {4: []},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_TABLES))
+def test_groups_csv_matches_the_per_row_writer(name, tmp_path):
+    result = _groups_result(GROUP_TABLES[name])
+    write_per_group_csv(tmp_path / "columns.csv", result)
+    _groups_csv_per_row(tmp_path / "rows.csv", result)
+    written = (tmp_path / "columns.csv").read_bytes()
+    assert written == (tmp_path / "rows.csv").read_bytes()
+    if name == "signed_zeros":
+        assert written.decode().splitlines()[1:3] == ["diff,8,g00000,0", "diff,8,g00001,-0"]
 
 
 def test_l1_truthfulness_ratio_finite():

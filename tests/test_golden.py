@@ -23,7 +23,7 @@ import pytest
 from caliblab import cli, experiments
 from caliblab.calibration import format_float
 from caliblab.cli import EXIT_OK, main
-from caliblab.experiments import write_csv
+from caliblab.experiments import write_csv, write_per_group_csv
 
 DATA = Path(__file__).parent / "data"
 
@@ -117,8 +117,16 @@ def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path, monkeypatch):
         tables.append((Path(path).name, header, rows))
         write_csv(path, header, rows)
 
+    def record_groups(path, result):
+        # the groups table is rendered a column at a time, not through write_csv: rebuild its rows from the mapping
+        eid = result.config.experiment_id
+        rows = [(eid, row.T, gid, v) for row in result.rows for gid, v in row.per_group_mean.items()]
+        tables.append((Path(path).name, ("experiment_id", "T", "group_id", "mean_err"), rows))
+        write_per_group_csv(path, result)
+
     monkeypatch.setattr(experiments, "write_csv", record)
     monkeypatch.setattr(cli, "write_csv", record)
+    monkeypatch.setattr(cli, "write_per_group_csv", record_groups)
     for argv in (
         ["scaling", "--config", str(DATA / "golden_walsh.cfg")],
         ["bounds", "reduction", "--config", str(DATA / "golden_reduction.cfg")],
