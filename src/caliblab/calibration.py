@@ -38,7 +38,11 @@ and whose predictions and direct group weights repeat with the context
 period (the round-robin environments under an oblivious forecaster) have
 a ``RunSkeleton``: the run at heads = 0 reduced to per-column bucket and
 weight arrays, its biases and residual sums, and, with a layout, each
-round's residual and the ``BlockRows`` of the run.  A ``SkeletonRun``
+round's residual and the ``BlockRows`` of the run.  Without a layout
+nothing the skeleton keeps reads round order, so it is built from one
+round robin of columns: a ``ScaledRun`` whose entry j stands for the
+``mult[j]`` rounds that show column j, every sum over rounds weighted by
+those multiplicities.  A ``SkeletonRun``
 (the skeleton plus one draw's heads per context column, and with a
 layout the per-round heads too) forms each direct bias and residual sum
 as its value at heads = 0 minus step times the same sum over the column
@@ -223,6 +227,13 @@ class ScaledRun:
     context means and outcomes over ``scale``; round t falls in bucket
     ``bucket_idx[t]`` of value ``bucket_scaled[.]`` and size ``bucket_counts[.]``,
     buckets in ascending value order.
+
+    With ``mult``, entry t of the arrays stands for ``mult[t]`` equal
+    rounds: ``T`` is their total, and ``bucket_counts``, ``bucket_sums``,
+    ``total`` and what is built on them (the ledger, the deviation
+    statistics, a ``RunSkeleton``) weigh entry t by ``mult[t]``.  The
+    readers of round order, ``block_rows`` and the bit environment's
+    ``sq_loss`` and ``in_interval``, need a run of single rounds.
     """
 
     traj: Trajectory
@@ -234,22 +245,30 @@ class ScaledRun:
     bucket_scaled: np.ndarray
     bucket_idx: np.ndarray
     bucket_counts: np.ndarray
+    mult: Optional[np.ndarray] = None
     _block_rows: dict = field(default_factory=dict, repr=False)
     _resid_coeffs: dict = field(default_factory=dict, repr=False)
 
     @classmethod
-    def build(cls, traj: Trajectory, pred: Predictions, *dens: int) -> "ScaledRun":
+    def build(cls, traj: Trajectory, pred: Predictions, *dens: int, mult: Optional[np.ndarray] = None) -> "ScaledRun":
+        """The run of ``traj`` and ``pred``; with ``mult`` (int64, one
+        positive count per round of ``traj``) round t stands for ``mult[t]``
+        rounds, and the int64 ceiling is checked at their total."""
         if pred.T != traj.T:
             raise ValueError(f"prediction length {pred.T} does not match T={traj.T}")
+        T = traj.T if mult is None else int(mult.sum())
         scale = math.lcm(traj.den, pred.den, *dens)
-        if 2 * traj.T * scale >= 2**63:
-            raise OverflowError(f"int64 bucket sums could overflow: 2 * T={traj.T} * scale={scale} >= 2^63")
+        if 2 * T * scale >= 2**63:
+            raise OverflowError(f"int64 bucket sums could overflow: 2 * T={T} * scale={scale} >= 2^63")
         unit = scale // pred.den
         # v -> v * unit is increasing, so the buckets of pred.num are the buckets of p
         buckets, idx, counts = _bucket_index(pred.num, pred.den)
+        if mult is not None:
+            counts = np.zeros(len(buckets), dtype=np.int64)
+            np.add.at(counts, idx, mult)
         p = pred.num * unit
         x_unit = scale // traj.den
-        return cls(traj, traj.T, scale, p, traj.x_num * x_unit, traj.y_num * x_unit, buckets * unit, idx, counts)
+        return cls(traj, T, scale, p, traj.x_num * x_unit, traj.y_num * x_unit, buckets * unit, idx, counts, mult)
 
     @cached_property
     def resid(self) -> np.ndarray:
@@ -285,8 +304,12 @@ class ScaledRun:
         if idx is None:
             idx, n = self.bucket_idx, len(self.bucket_scaled)
         out = np.zeros(n, dtype=np.int64)
-        np.add.at(out, idx, values)
+        np.add.at(out, idx, values if self.mult is None else values * self.mult)
         return out
+
+    def total(self, values: np.ndarray) -> int:
+        """Exact sum of integer ``values`` over the rounds, bounded as in ``bucket_sums``."""
+        return int(values.sum() if self.mult is None else values @ self.mult)
 
     def direct_biases(self, family: GroupFamily) -> np.ndarray:
         """(direct groups, buckets) int64 biases w (p - y), in family order."""
@@ -297,10 +320,12 @@ class ScaledRun:
         return self.bucket_sums(self.resid)
 
     def resid_total(self) -> int:
-        return int(self.resid.sum())
+        return self.total(self.resid)
 
     def block_rows(self, layout: BlockLayout) -> "BlockRows":
         """The ``BlockRows`` of this run's buckets under ``layout``, memoised."""
+        if self.mult is not None:
+            raise ValueError("block rows read round order; build the run of every round")
         if layout not in self._block_rows:
             self._block_rows[layout] = BlockRows.build(self.bucket_idx, len(self.bucket_scaled), layout)
         return self._block_rows[layout]
@@ -336,9 +361,6 @@ class RunLedger:
     scale = property(lambda self: self.scaled.scale)
     T = property(lambda self: self.scaled.T)
     bucket_scaled = property(lambda self: self.scaled.bucket_scaled)
-
-    def bucket_fractions(self) -> list[Fraction]:
-        return [Fraction(int(v), self.scale) for v in self.bucket_scaled]
 
     def err_exact(self, gid: str) -> Fraction:
         i = self.family.index[gid]
@@ -450,14 +472,6 @@ class BlockRows:
 # ---------------------------------------------------------------------------
 
 
-def _repeats(a: np.ndarray, n: int) -> bool:
-    """Whether a[t] == a[t % n] for every t."""
-    full = len(a) - len(a) % n
-    if not full:
-        return True
-    return bool((a[:full].reshape(-1, n) == a[:n]).all()) and np.array_equal(a[full:], a[: len(a) - full])
-
-
 @dataclass(frozen=True, eq=False)
 class RunSkeleton:
     """The outcome-free half of every run on one family whose outcomes are
@@ -494,20 +508,22 @@ class RunSkeleton:
 
     @classmethod
     def build(cls, run0: ScaledRun, family: GroupFamily, period: int, step: int) -> "RunSkeleton":
-        """Skeleton of ``run0``, the run at heads = 0; ``step`` is the outcome
-        step over ``run0.traj.den``.  Raises ``ValueError`` unless the
-        bucket index and every direct group weight repeat with ``period``."""
+        """Skeleton of ``run0``, the run at heads = 0, whose predictions and
+        direct group weights repeat with ``period``; ``step`` is the
+        outcome step over ``run0.traj.den``.  Columns are read from the
+        first min(period, T) entries of ``run0``.
+
+        Without a layout ``run0`` may be one round robin of columns, each
+        entry weighted by its rounds (``ScaledRun.mult``); the biases and
+        residual sums are then sums over columns.  A layout reads round
+        order (the ``BlockRows`` and each round's residual), so its
+        ``run0`` holds every round."""
         T, cols = run0.T, min(period, run0.T)
-        if not _repeats(run0.bucket_idx, period):
-            raise ValueError(f"predictions do not repeat with the context period {period}")
         onehot = np.zeros((period, len(run0.bucket_scaled)), dtype=np.int64)
         onehot[np.arange(cols), run0.bucket_idx[:cols]] = 1
         weights = np.zeros((len(family.groups), period), dtype=np.int64)
         for row, g in zip(weights, family.groups):
-            w = g.weights(run0)
-            if not _repeats(w, period):
-                raise ValueError(f"weights of group {g.id} do not repeat with the context period {period}")
-            row[:cols] = w[:cols]
+            row[:cols] = g.weights(run0)[:cols]
         bias0 = run0.direct_biases(family)
         lay, extra = family.layout, {}
         if lay is not None:
@@ -595,16 +611,15 @@ class DeviationStats:
     """Honesty-deviation and bucket-diversity statistics of one run.
 
     Linear quantities (A, N_x, R_x) are exact integers over ``scale``,
-    summed in int64 (``ScaledRun.bucket_sums``, exact under ``build``'s
-    2 T scale < 2^63 check); ``honest_counts`` are exact round counts.
-    Quadratic ones (S, E_a) are float64, accurate to ~1e-11 relative at
-    desk scale.
+    summed in int64 (``ScaledRun.bucket_sums`` and ``total``, exact under
+    ``build``'s 2 T scale < 2^63 check); ``n_v`` and ``honest_counts`` are
+    exact round counts, and N is the float64 sum of sqrt(n_v).  The
+    quadratic E_a is float64, accurate to ~1e-11 relative at desk scale.
     """
 
     scale: int
     T_prime: int
     A_num: int
-    S: float
     n_v: np.ndarray
     N: float
     N_a: Optional[np.ndarray] = None
@@ -624,9 +639,12 @@ def deviation_stats(
     layout: Optional[BlockLayout] = None,
     eta: Optional[Fraction] = None,
 ) -> DeviationStats:
-    """A, S, bucket counts, per-block and per-context deviation summaries.
+    """A, bucket counts, per-block and per-context deviation summaries.
 
     With a layout, statistics cover rounds 1..T' = K L; otherwise all T.
+    Without a layout every statistic is a sum over rounds, so ``run`` may
+    be one round robin of columns weighted by their rounds
+    (``ScaledRun.mult``); the per-block E_a reads round order.
     Per-context noise/drift splits (N_x, R_x over eta-honest rounds) are
     computed only when ``eta`` is given; ``run`` must then be built with
     eta's denominator.
@@ -637,9 +655,7 @@ def deviation_stats(
     delta = run.dev[:tp]
 
     abs_delta = np.abs(delta)
-    a_num = int(abs_delta.sum())
-    sq = delta / scale
-    s_val = float(np.square(sq, out=sq).sum())
+    a_num = run.total(abs_delta)
     if tp == run.T:
         n_v = run.bucket_counts
     else:
@@ -653,26 +669,26 @@ def deviation_stats(
         rows = run.block_rows(layout)
         n_a = rows.per_block(np.sqrt(rows.counts))
         q_a = np.diff(rows.first)
-        e_a = sq.reshape(layout.K, layout.L).sum(axis=1)
+        sq = delta / scale
+        e_a = np.square(sq, out=sq).reshape(layout.K, layout.L).sum(axis=1)
 
     n_x = r_x = honest_counts = None
     if eta is not None:
         eta_scaled = Fraction(eta) * scale
         if eta_scaled.denominator != 1:
             raise ValueError("scale does not absorb eta's denominator")
-        honest = abs_delta < int(eta_scaled)
+        honest = (abs_delta < int(eta_scaled)).astype(np.int64)
         gidx = run.traj.grid_idx[:tp]
         n_grid = len(run.traj.grid)
-        # dishonest rounds weigh 0; the float counts are exact integers below 2^53
+        # dishonest rounds weigh 0
         n_x = run.bucket_sums((x_scaled - run.y[:tp]) * honest, gidx, n_grid)
         r_x = run.bucket_sums(delta * honest, gidx, n_grid)
-        honest_counts = np.bincount(gidx, weights=honest, minlength=n_grid).astype(np.int64)
+        honest_counts = run.bucket_sums(honest, gidx, n_grid)
 
     return DeviationStats(
         scale=scale,
         T_prime=tp,
         A_num=a_num,
-        S=s_val,
         n_v=n_v,
         N=n_big,
         N_a=n_a,
@@ -704,11 +720,6 @@ class BlockDecomposition:
     rows: BlockRows
     D: np.ndarray
     Nz: np.ndarray
-
-    def signed_err(self, a: int, j: int) -> Fraction:
-        """Err of the signed functional h_{a,j} = sum_v |D + Nz|."""
-        lo, hi = self.rows.first[a - 1 : a + 1]
-        return Fraction(int(np.abs((self.D + self.Nz)[lo:hi, j]).sum()), self.scale)
 
     def bias_l1(self) -> np.ndarray:
         """(1/L) sum_j sum_v |D| per block, the bias-averaging lhs."""

@@ -195,7 +195,8 @@ class RoundRobin:
         return rng.binomial(self.rounds_per_column(), self.thresholds).astype(np.int64, copy=False)
 
     def trajectory(self, seed: int, stream: int, heads: np.ndarray) -> Trajectory:
-        n, T = len(self.num), self.T
+        """The trajectory of the first len(heads) <= T rounds under ``heads``."""
+        n, T = len(self.num), len(heads)
         reps, full = -(-T // n), T - T % n
         y_num = heads * np.int64(self.step)
         np.add(y_num[:full].reshape(-1, n), self.tails, out=y_num[:full].reshape(-1, n))

@@ -12,7 +12,11 @@ predictions read only the context means: honest, rounded_honest,
 overshoot, constant), the first cell at a T builds the plan's
 ``CellSkeleton``, the outcome-free half of every cell at that T: the
 ``calibration.RunSkeleton`` of the run at heads = 0, the deviation
-statistics and the checks that read no outcome.  Each replicate then
+statistics and the checks that read no outcome.  Without a block layout
+none of these reads round order, so the run at heads = 0 is one round
+robin of context columns, each weighted by the rounds that show it; the
+forecaster still predicts all T rounds once, and predictions that do not
+repeat with the context period are refused.  Each replicate then
 draws its outcomes on the cell's stream and forms only the sums that
 read them.  A skeleton without a block layout reads a draw only through
 its heads per context column, so its cell draws one binomial per column
@@ -54,7 +58,7 @@ import re
 import time
 from bisect import bisect_left
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain, islice
@@ -458,17 +462,49 @@ class CellSkeleton:
 
     @classmethod
     def build(cls, plan: CellPlan) -> Optional["CellSkeleton"]:
+        """The skeleton of the plan's cells, or None without one.
+
+        An oblivious forecaster reads only the context means and T, so it
+        predicts all T rounds once, from the means alone; a prediction
+        that does not repeat with the context period n raises
+        ``ValueError``.  Without a layout nothing the skeleton keeps reads
+        round order, and its run at heads = 0 is one round robin of
+        columns: the first min(n, T) rounds, each weighted by the rounds
+        that show its column (``RoundRobin.rounds_per_column``).  A layout
+        reads round order (its ``BlockRows``, each round's residual and
+        E_a), so its run holds every round."""
         contexts = ENVS[plan.env].contexts
         forecaster = plan.forecaster()
         if contexts is None or not forecaster.oblivious:
             return None
         env = contexts(plan.T, plan.m)
+        n, T = len(env.grid), plan.T
         # the run at heads = 0; its seed and stream are labels only
-        traj = env.trajectory(0, 0, np.zeros(plan.T, dtype=bool))
-        run = ScaledRun.build(traj, run_forecaster(traj, forecaster), *plan.family.required_denominators())
+        if plan.family.layout is None:
+            traj = env.trajectory(0, 0, np.zeros(min(n, T), dtype=bool))
+            mult = env.rounds_per_column()[: traj.T]
+            # the one length-T input: the context means of all T rounds, all the forecaster reads
+            means = replace(traj, T=T, x_num=np.tile(env.num, -(-T // n))[:T])
+        else:
+            traj = means = env.trajectory(0, 0, np.zeros(T, dtype=bool))
+            mult = None
+        pred = run_forecaster(means, forecaster)
+        if not _repeats(pred.num, n):
+            raise ValueError(f"predictions do not repeat with the context period {n}")
+        run = ScaledRun.build(
+            traj, Predictions(pred.num[: traj.T], pred.den), *plan.family.required_denominators(), mult=mult
+        )
         checks, extras, stats = _outcome_free(plan, run)
-        skeleton = RunSkeleton.build(run, plan.family, len(env.grid), env.step)
+        skeleton = RunSkeleton.build(run, plan.family, n, env.step)
         return cls(env, skeleton, stats, checks, extras)
+
+
+def _repeats(a: np.ndarray, n: int) -> bool:
+    """Whether a[t] == a[t % n] for every t."""
+    full = len(a) - len(a) % n
+    if not full:
+        return True
+    return bool((a[:full].reshape(-1, n) == a[:n]).all()) and np.array_equal(a[full:], a[: len(a) - full])
 
 
 def run_replicate(config: ExperimentConfig, T: int, rep: int) -> dict:

@@ -115,7 +115,9 @@ class Forecaster:
     context_blind = False
     stateless = False
     # predict_all reads only the context means (traj.x_num, traj.den, T),
-    # never the outcomes or the rng: equal means give equal predictions
+    # never the outcomes or the rng: equal means give equal predictions.
+    # experiments.CellSkeleton hands it the means of all T rounds beside
+    # per-round index and outcome arrays that may cover one round robin only
     oblivious = False
 
     def propose(self, ctx: ContextRecord, history: HistoryView) -> PredictionDistribution:

@@ -10,7 +10,9 @@ plus a vectorized ``weights`` path over a whole run, used by the
 calibration accumulators.  The vectorized path reads a
 ``calibration.ScaledRun``: predictions and context means arrive as
 numerators over one common ``scale`` that the family's
-``required_denominators`` have been folded into.
+``required_denominators`` have been folded into, and ``weights`` gives
+one weight per entry of the run's arrays (per column, for a run of
+round-robin columns weighted by their rounds).
 
 A ``GroupFamily`` keeps only its direct groups (constant, Walsh halves,
 thresholds, bits, ranges) as objects.  The 2 K L blockwise Hadamard
@@ -122,7 +124,7 @@ class ConstantGroup(GroupFunction):
         return 1
 
     def weights(self, run):
-        return np.ones(run.T, dtype=np.int8)
+        return np.ones(len(run.p), dtype=np.int8)
 
     def describe(self):
         return "constant 1"
@@ -236,7 +238,12 @@ class BlockHadamardHalfGroup(GroupFunction):
         return out
 
     def describe(self):
-        return f"a={self.a};j={self.j};sign={self.sign:+d};L={self.layout.L}"
+        return self.params(self.a, self.j, self.sign, self.layout.L)
+
+    @staticmethod
+    def params(a: int, j: int, sign: int, L: int) -> str:
+        """``describe`` of the half-group (a, j, sign) on blocks of length L."""
+        return f"a={a};j={j};sign={sign:+d};L={L}"
 
 
 class BitGroup(GroupFunction):
@@ -257,7 +264,7 @@ class BitGroup(GroupFunction):
 
     def weights(self, run):
         if self.r == 0:
-            return np.ones(run.T, dtype=np.int8)
+            return np.ones(len(run.p), dtype=np.int8)
         if run.traj.bits is None:
             raise ValueError("bit groups need a bit-context trajectory")
         return run.traj.bits[:, self.r - 1].astype(np.int8)
@@ -370,7 +377,15 @@ class GroupFamily:
         return [g.eta.denominator for g in self.groups if isinstance(g, ThresholdGroup)]
 
     def manifest_rows(self) -> list[tuple[str, str, str]]:
-        return [(g.id, type(g).__name__, g.describe()) for g in self]
+        """(id, kind, params) per group in family order; the block half-groups' rows come from
+        their (a, j, sign) keys, never from objects."""
+        rows = [(g.id, type(g).__name__, g.describe()) for g in self.groups]
+        lay = self.layout
+        if lay is not None:
+            keys = itertools.product(range(1, lay.K + 1), range(lay.L), (1, -1))
+            kind, params = BlockHadamardHalfGroup.__name__, BlockHadamardHalfGroup.params
+            rows += [(gid, kind, params(a, j, sign, lay.L)) for gid, (a, j, sign) in zip(self.block_ids, keys)]
+        return rows
 
     @cached_property
     def direct_pair_rows(self) -> np.ndarray:

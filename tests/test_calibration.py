@@ -62,6 +62,17 @@ def ledger_of(traj, pred, fam):
     return accumulate_run(ScaledRun.build(traj, pred, *fam.required_denominators()), fam)
 
 
+def bucket_fractions(ledger) -> list[Fraction]:
+    """The ledger's bucket values, exactly, in bucket order."""
+    return [Fraction(int(v), ledger.scale) for v in ledger.bucket_scaled]
+
+
+def signed_err(dec, a: int, j: int) -> Fraction:
+    """Err of the signed functional h_{a,j} = sum_v |D + Nz| over block a's rows."""
+    lo, hi = dec.rows.first[a - 1 : a + 1]
+    return Fraction(int(np.abs((dec.D + dec.Nz)[lo:hi, j]).sum()), dec.scale)
+
+
 def test_record_round_examples():
     fam = build_pred_threshold_family(8, Fraction(1, 16))
     fam.groups.append(ConstantGroup())
@@ -126,7 +137,7 @@ def test_streaming_matches_vectorized():
         assert ledger.err_exact(gid) == run.err_exact(gid)
     # and bucketwise
     gid = fam.ids()[0]
-    for b, frac in zip(run.bias[fam.index[gid]], run.bucket_fractions()):
+    for b, frac in zip(run.bias[fam.index[gid]], bucket_fractions(run)):
         assert Fraction(int(b), run.scale) == ledger.bias(gid, frac)
 
 
@@ -182,7 +193,7 @@ def test_streaming_ledger_matches_accumulate_run(kind, data):
     run = ledger_of(traj, pred, fam)
     for gid in fam.ids():
         assert ledger.err_exact(gid) == run.err_exact(gid), gid
-    buckets = run.bucket_fractions()
+    buckets = bucket_fractions(run)
     assert {p for _, p in ledger.entries} <= set(buckets)
     assert run.bias.shape == (len(fam.groups), len(buckets))
     for gid in (g.id for g in fam.groups):
@@ -280,7 +291,7 @@ def test_threshold_trio_beyond_old_float_guard_matches_streaming_ledger():
     ledger = BiasLedger(fam)
     for t in range(T):
         ledger.record_round(traj.context(t), pred.fraction(t), traj.outcome(t))
-    buckets = run.bucket_fractions()
+    buckets = bucket_fractions(run)
     for gid in fam.ids():
         assert run.err_exact(gid) == ledger.err_exact(gid) > 0, gid
         for b, frac in zip(run.bias[fam.index[gid]], buckets):
@@ -289,14 +300,27 @@ def test_threshold_trio_beyond_old_float_guard_matches_streaming_ledger():
 
 
 def test_scaled_run_overflow_guard_names_the_numbers():
-    pred = Predictions(num=np.zeros(4, dtype=np.int64), den=2**60)
+    def pred_of(T):
+        return Predictions(num=np.zeros(T, dtype=np.int64), den=2**60)
+
     # 2 * T * scale = 2^63: the int64 sums (and differences of two) could overflow
     with pytest.raises(OverflowError, match=r"T=4 \* scale=1152921504606846976"):
-        ScaledRun.build(sample_bernoulli_env(T=4, m=8, seed=1), pred)
+        ScaledRun.build(sample_bernoulli_env(T=4, m=8, seed=1), pred_of(4))
+    # a run of columns weighted by their rounds is checked at the rounds it stands for, 3 + 1
+    with pytest.raises(OverflowError, match=r"T=4 \* scale=1152921504606846976"):
+        ScaledRun.build(sample_bernoulli_env(T=2, m=8, seed=1), pred_of(2), mult=np.array([3, 1]))
     # one round fewer is summed exactly
     traj = sample_bernoulli_env(T=3, m=8, seed=1)
     run = ScaledRun.build(traj, Predictions(num=np.full(3, 2**60), den=2**60))
     assert run.bucket_sums(run.resid).tolist() == [sum(2**60 - 2**57 * int(y) for y in traj.y_num)]
+
+
+def test_runs_of_weighted_columns_refuse_block_rows():
+    traj = sample_rademacher_env(T=8, seed=1, m=8)
+    run = ScaledRun.build(traj, honest_predictions(traj), mult=np.full(8, 4))
+    assert run.T == 32 and run.bucket_counts.tolist() == [4] * 8
+    with pytest.raises(ValueError, match="block rows read round order"):
+        run.block_rows(build_block_layout(32, 2))
 
 
 def test_deviation_stats_honest():
@@ -304,7 +328,6 @@ def test_deviation_stats_honest():
     eta = Fraction(1, 16)
     stats = deviation_stats(ScaledRun.build(traj, honest_predictions(traj), eta.denominator), eta=eta)
     assert stats.A == 0
-    assert stats.S == 0.0
     counts = np.bincount(traj.grid_idx, minlength=len(traj.grid))
     assert stats.N == pytest.approx(np.sqrt(counts).sum())
     # honest rounds everywhere: R_x = 0, N_x free
@@ -360,7 +383,7 @@ def test_block_decompose_honest():
     assert dec.D.shape == dec.Nz.shape == (dec.rows.first[-1], layout.L)
     assert np.all(dec.D == 0)
     for a, z in enumerate(np.split(dec.Nz, dec.rows.first[1:-1]), start=1):
-        assert dec.signed_err(a, 3) == Fraction(int(np.abs(z[:, 3]).sum()), dec.scale)
+        assert signed_err(dec, a, 3) == Fraction(int(np.abs(z[:, 3]).sum()), dec.scale)
 
 
 def test_block_decompose_constant_bias():
@@ -393,7 +416,7 @@ def test_block_decompose_identity_and_parseval():
         # D + Nz equals the signed ledger bias exactly
         for a in (1, 2):
             for j in (0, 1, layout.L - 1):
-                lhs = dec.signed_err(a, j)
+                lhs = signed_err(dec, a, j)
                 rhs = Fraction(int(run.block_coeff_abs[a - 1, j]), run.scale)
                 assert lhs == rhs
         assert check_block_parseval(dec, stats).ok

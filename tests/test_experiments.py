@@ -1,7 +1,9 @@
+import dataclasses
 import math
 import re
 from collections.abc import Mapping
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,9 +12,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from caliblab import calibration, experiments
-from caliblab.calibration import SkeletonRun, check_diff_two
-from caliblab.cli import EXIT_CONFIG, experiment_config_from, main
-from caliblab.forecasters import PatternRouter, make_forecaster_factory
+from caliblab.calibration import (
+    DeviationStats,
+    Predictions,
+    RunSkeleton,
+    ScaledRun,
+    SkeletonRun,
+    check_diff_two,
+)
+from caliblab.cli import EXIT_CONFIG, experiment_config_from, load_config, main
+from caliblab.forecasters import HonestForecaster, PatternRouter, make_forecaster_factory, run_forecaster
 from caliblab.experiments import (
     CHUNK_LINES,
     ExperimentConfig,
@@ -27,9 +36,13 @@ from caliblab.experiments import (
     run_scaling,
     walsh_prefix_violations,
     write_bounds_csv,
+    write_csv,
+    write_family_csv,
     write_per_group_csv,
     write_scaling_csv,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_fit_exponent_examples():
@@ -232,6 +245,85 @@ def test_layout_free_cells_draw_one_binomial_per_column(env, groups):
         assert experiments.run_replicate(cfg, 1000, rep) == experiments._skeleton_cell(
             plan, SkeletonRun(skeleton.run, counts)
         )
+
+
+OBLIVIOUS_PARAMS = {"honest": {}, "rounded_honest": {"Q": 7}, "overshoot": {"offset": "1/16"}, "constant": {"value": "3/7"}}
+LAYOUT_FREE = [
+    (env, groups)
+    for env in ("bernoulli", "rademacher")
+    for groups, kind in sorted(experiments.FAMILIES.items())
+    if env in kind.envs and groups not in ("block_hadamard", "full_walsh")
+]
+
+
+def _per_round_skeleton(plan):
+    """The run at heads = 0 over all T rounds and its per-round ``RunSkeleton``, as layout plans build them."""
+    env = experiments.ENVS[plan.env].contexts(plan.T, plan.m)
+    traj = env.trajectory(0, 0, np.zeros(plan.T, dtype=bool))
+    run = ScaledRun.build(traj, run_forecaster(traj, plan.forecaster()), *plan.family.required_denominators())
+    return run, RunSkeleton.build(run, plan.family, len(env.grid), env.step)
+
+
+def _assert_fields_equal(got, want, cls):
+    for f in dataclasses.fields(cls):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        else:
+            assert a is b if f.name == "family" else a == b, f.name
+
+
+# T < n (20 rounds of a 33- or 64-point grid), T no multiple of n (1001 rounds of 5 or 8), and T = 2^18
+@pytest.mark.parametrize("T, m", [(20, 64), (1001, None), (2**18, None)], ids=["short", "ragged", "2^18"])
+@pytest.mark.parametrize("forecaster", OBLIVIOUS)
+@pytest.mark.parametrize("env, groups", LAYOUT_FREE)
+def test_column_skeletons_equal_the_per_round_reference(env, groups, forecaster, T, m):
+    cfg = ExperimentConfig(
+        env=env, groups=groups, forecaster=forecaster, T_list=(T,), m=m, replicates=1, seed=1,
+        **OBLIVIOUS_PARAMS[forecaster],
+    )
+    plan = cfg.plans[T]
+    n = len(experiments.ENVS[env].grid(cfg, plan.m))
+    if T == 20:
+        assert T < n
+    elif T == 1001:
+        assert T % n
+    skeleton = plan.skeleton
+    run, want = _per_round_skeleton(plan)
+    assert skeleton.run.rows is None
+    _assert_fields_equal(skeleton.run, want, RunSkeleton)
+    # the statistics and the outcome-free checks and extras the per-round run gives
+    checks, extras, stats = experiments._outcome_free(plan, run)
+    assert skeleton.checks == checks and skeleton.extras == extras
+    assert (skeleton.stats is None) == (stats is None) == (groups != "pred_threshold")
+    if stats is not None:
+        _assert_fields_equal(skeleton.stats, stats, DeviationStats)
+
+
+class _Drifting(HonestForecaster):
+    """Declares itself oblivious, yet predicts one step higher from the middle round on."""
+
+    def predict_all(self, traj, rng):
+        return Predictions(num=traj.x_num + (np.arange(traj.T) >= traj.T // 2), den=traj.den)
+
+
+@pytest.mark.parametrize(
+    "env, groups", [("bernoulli", "pred_threshold"), ("rademacher", "walsh"), ("rademacher", "full_walsh")]
+)
+def test_skeletons_refuse_predictions_that_do_not_repeat(env, groups):
+    cfg = ExperimentConfig(env=env, groups=groups, T_list=(1000,), replicates=1, seed=2)
+    plan = dataclasses.replace(cfg.plans[1000], forecaster=_Drifting)
+    with pytest.raises(ValueError, match="predictions do not repeat with the context period"):
+        experiments.CellSkeleton.build(plan)
+
+
+def test_walsh_pipeline_family_csv_equals_the_per_object_rows(tmp_path):
+    # the reference: one row per group object, from iterating the family
+    config = experiment_config_from(load_config(ROOT / "configs" / "walsh_pipeline.cfg", {}))
+    write_family_csv(tmp_path / "family.csv", config)
+    rows = ((T, g.id, type(g).__name__, g.describe()) for T, plan in config.plans.items() for g in plan.family)
+    write_csv(tmp_path / "objects.csv", ("T", "group_id", "kind", "params"), rows)
+    assert (tmp_path / "family.csv").read_bytes() == (tmp_path / "objects.csv").read_bytes()
 
 
 def test_layout_skeleton_runs_need_per_round_heads():

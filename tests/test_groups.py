@@ -6,15 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caliblab.calibration import Predictions, ScaledRun
+from caliblab import groups as groups_module
 from caliblab.environments import (
     ContextRecord,
     grid_section4,
+    rademacher_contexts,
     sample_bernoulli_env,
     sample_bit_env,
     sample_rademacher_env,
 )
 from caliblab.groups import (
+    BitGroup,
     BlockHadamardHalfGroup,
+    GroupFunction,
     build_bit_family,
     build_block_hadamard_family,
     build_block_layout,
@@ -302,3 +306,27 @@ def test_threshold_vector_weights_match_scalar():
         for t in range(64):
             wanted = g.evaluate(traj.context(t), Fraction(int(p_num16[t]), p_den))
             assert int(w[t]) == wanted
+
+
+@pytest.mark.parametrize("T", [5, 1001])
+def test_direct_weights_on_a_round_robin_tile_their_column_weights(T):
+    # a skeleton evaluates direct groups on one round robin of columns: on every round
+    # of a run whose predictions repeat per column, each weight is its column's weight
+    m, eta = 8, Fraction(1, 16)
+    env = rademacher_contexts(T, m)
+    walsh = build_walsh_family(m).groups
+    ranges = build_grid_range_family(grid_section4(m), pieces=3).groups
+    groups = [*walsh, *ranges, *build_pred_threshold_family(m, eta).groups, signed_diff(walsh[1], ranges[0]), BitGroup(0)]
+    classes = {c for c in vars(groups_module).values() if isinstance(c, type) and issubclass(c, GroupFunction)}
+    assert {type(g) for g in groups} == classes - {GroupFunction, BlockHadamardHalfGroup}
+    column_pred = np.random.default_rng(T).integers(0, 17, size=m)
+    cols, reps = min(m, T), -(-T // m)
+    full = ScaledRun.build(env.sample(3), Predictions(np.tile(column_pred, reps)[:T], 16), eta.denominator)
+    period = ScaledRun.build(
+        env.trajectory(0, 0, np.zeros(cols, dtype=bool)),
+        Predictions(column_pred[:cols], 16),
+        eta.denominator,
+        mult=env.rounds_per_column()[:cols],
+    )
+    for g in groups:
+        assert np.array_equal(g.weights(full), np.tile(g.weights(period), reps)[:T]), g.id
