@@ -489,7 +489,8 @@ class CellSkeleton:
             traj = means = env.trajectory(0, 0, np.zeros(T, dtype=bool))
             mult = None
         pred = run_forecaster(means, forecaster)
-        if not _repeats(pred.num, n):
+        # p[t] == p[t % n] for every t: each prediction equals the one a period before it
+        if not np.array_equal(pred.num[n:], pred.num[:-n]):
             raise ValueError(f"predictions do not repeat with the context period {n}")
         run = ScaledRun.build(
             traj, Predictions(pred.num[: traj.T], pred.den), *plan.family.required_denominators(), mult=mult
@@ -497,14 +498,6 @@ class CellSkeleton:
         checks, extras, stats = _outcome_free(plan, run)
         skeleton = RunSkeleton.build(run, plan.family, n, env.step)
         return cls(env, skeleton, stats, checks, extras)
-
-
-def _repeats(a: np.ndarray, n: int) -> bool:
-    """Whether a[t] == a[t % n] for every t."""
-    full = len(a) - len(a) % n
-    if not full:
-        return True
-    return bool((a[:full].reshape(-1, n) == a[:n]).all()) and np.array_equal(a[full:], a[: len(a) - full])
 
 
 def run_replicate(config: ExperimentConfig, T: int, rep: int) -> dict:
