@@ -51,7 +51,6 @@ from .groups import (
     build_pred_threshold_family,
     build_walsh_family,
     default_eta,
-    signed_diff,
 )
 from .orthogonal import fwht, prefix_extremum, threshold_expansion, walsh_sign
 from .probes import (

@@ -1,14 +1,14 @@
 """Hot numeric kernels, all plain numpy.
 
 One FWHT (``fwht_pingpong``, constant-geometry stages between two
-buffers), one first-return test (``first_return_batch``) and loop-free
-noise bucketing on int8 signs (``bucketing_batch``) and on packed sign
-bytes (``bucketing_packed``).  The probe runs round robin on the int8
-kernel, whose buckets stride across bytes, and the other four strategies
-on the packed one; ``bucketing_batch`` stays the reference that
-``probes.bucketing_trace`` checks both against.  Randomness is always
-drawn outside the kernels (Philox streams, see ``environments.substream``)
-and passed in as arrays.
+buffers), one first-return test (``first_return_batch``) and one
+loop-free noise bucketing kernel (``bucketing_packed``), which walks
+packed sign bytes for all five strategies; round robin, whose buckets
+stride across bytes, unpacks its rows inside it.  ``bucketing_batch`` is
+its checked front door for int8 +-1 rows, and ``probes.bucketing_trace``
+the scalar reference it is checked against.  Randomness is always drawn
+outside the kernels (Philox streams, see ``environments.substream``) and
+passed in as arrays.
 
 The probes built on them back acceptance criteria 05 (first-return law)
 and 08 (bucketing floor).
@@ -109,11 +109,11 @@ def first_return_batch(signs, start=None):
 #         bucket 0 returns where w[t] = w[P - 1] - sign[0], P <= t < L - 1.
 # ---------------------------------------------------------------------------
 
-def _bucketing_fixed(signs, n_pool):
-    # Non-adaptive strategies: bucket b sees the sign subsequence at
-    # positions b, b + P, ... (P = min(L, n_pool) buckets ever used).
-    # Column b of the zero-padded (reps, rows, P) reshape is bucket b's
-    # walk; padded rows repeat its final sum.
+def _bucketing_round_robin(signs, n_pool):
+    # Bucket b sees the sign subsequence at positions b, b + P, ...
+    # (P = min(L, n_pool) buckets ever used).  Column b of the zero-padded
+    # (reps, rows, P) reshape is bucket b's walk; padded rows repeat its
+    # final sum.
     reps, horizon = signs.shape
     pool = min(horizon, n_pool)
     rows = -(-horizon // pool)
@@ -147,53 +147,14 @@ def _excursion_roots(rows, cols, l_eps, n_pool):
     return np.sqrt(counts.reshape(reps, width)).cumsum(axis=1)[:, -1]
 
 
-def _bucketing_excursions(signs, n_pool):
-    # Strategies 2 (n_pool = L, so never recycled) and 3: one bucket per
-    # excursion of the global walk, recycled modulo n_pool.
-    reps, horizon = signs.shape
-    walk = signs.cumsum(axis=1, dtype=_walk_dtype(horizon))
-    ends = walk == 0
-    ends[:, -1] = True  # the last step closes the open excursion
-    rows, cols = np.divmod(np.flatnonzero(ends), horizon)
-    l_eps = np.bincount(rows, minlength=reps)
-    sum_sqrt = _excursion_roots(rows, cols, l_eps, n_pool)
-    return np.abs(walk[:, -1]).astype(np.int64), sum_sqrt, l_eps.astype(np.int64)
-
-
 def _zero_seeking_roots(reps, horizon, fresh):
     # bucket 0 holds sign[0] and every later step; buckets 1..P-1 one step
     counts = np.r_[horizon - fresh + 1, np.ones(fresh - 1)]
     return np.full(reps, np.sqrt(counts).cumsum()[-1])
 
 
-def _bucketing_zero_seeking(signs, n_pool):
-    reps, horizon = signs.shape
-    fresh = min(horizon, n_pool)
-    first = signs[:, 0].astype(np.int64)
-    # bucket 0's walk over the steps after the fresh ones, offset by sign[0]
-    tail = signs[:, fresh:].cumsum(axis=1, dtype=_walk_dtype(horizon))
-    final = first + (tail[:, -1] if horizon > fresh else 0)
-    l_eps = fresh + (tail[:, :-1] == -first.astype(tail.dtype)[:, None]).sum(axis=1, dtype=np.int64)
-    return np.abs(final) + (fresh - 1), _zero_seeking_roots(reps, horizon, fresh), l_eps
-
-
-def bucketing_batch(signs, strategy, n_pool):
-    """(sum_abs, sum_sqrt, l_eps) per row of a +-1 sign batch (reps, L)."""
-    # three reductions and no full-size temporaries: an elementwise
-    # |sign| != 1 test costs about 15% of the kernel
-    if signs.size == 0 or signs.min() < -1 or signs.max() > 1 or np.count_nonzero(signs) < signs.size:
-        raise ValueError("bucketing needs a nonempty batch of +-1 signs")
-    if n_pool < 1:
-        raise ValueError(f"bucketing needs n_pool >= 1, got {n_pool}")
-    if strategy in (0, 1):
-        return _bucketing_fixed(signs, n_pool if strategy == 1 else 1)
-    if strategy == 4:
-        return _bucketing_zero_seeking(signs, n_pool)
-    return _bucketing_excursions(signs, n_pool if strategy == 3 else signs.shape[1])
-
-
 # ---------------------------------------------------------------------------
-# The same strategies on packed sign bytes
+# Packed sign bytes
 #
 # A row holds L steps in ceil(L/8) bytes, most significant bit first
 # (1 -> +1, 0 -> -1), and the walk is taken one byte at a time: _NET is a
@@ -201,7 +162,7 @@ def bucketing_batch(signs, strategy, n_pool):
 # _HIT[d + 8, b] the mask (first step in the top bit) of the steps k with
 # _PREFIX[b, k] == d.  The walk can only sit on a level inside a byte that
 # starts within +-8 of it, so only those bytes are looked at.  Round robin
-# strides across bytes and stays on bucketing_batch.
+# strides across bytes: it unpacks its rows to +-1 signs instead.
 # ---------------------------------------------------------------------------
 
 _PREFIX = np.cumsum(
@@ -246,21 +207,27 @@ def _level_hits(packed, starts, level, lo, hi):
 
 
 def bucketing_packed(packed, horizon, strategy, n_pool):
-    """``bucketing_batch`` of the first ``horizon`` steps of each row of
-    packed sign bytes (reps, ceil(horizon / 8)), for strategies 0, 2, 3, 4.
+    """(sum_abs, sum_sqrt, l_eps) of the first ``horizon`` steps of each row
+    of packed sign bytes (reps, ceil(horizon / 8)), for strategy codes 0-4.
 
-    Every strategy reduces to the steps at which the walk sits on a level:
-    zeros of w over [0, L - 1) for 0 (the returns) and 2, 3 (the excursion
-    ends, with L - 1 closing the open one), and w[P - 1] - sign[0] over
-    [P, L - 1) for 4 (bucket 0's returns).
+    Round robin unpacks the rows and walks each bucket's strided signs.
+    Every other strategy reduces to the steps at which the walk sits on a
+    level: zeros of w over [0, L - 1) for 0 (the returns) and 2, 3 (the
+    excursion ends, with L - 1 closing the open one), and
+    w[P - 1] - sign[0] over [P, L - 1) for 4 (bucket 0's returns).
     """
     reps, width = packed.shape
     if packed.dtype != np.uint8 or reps == 0 or horizon < 1 or width != -(-horizon // 8):
         raise ValueError(f"bucketing needs a nonempty uint8 batch of {-(-horizon // 8)} bytes per row")
     if n_pool < 1:
         raise ValueError(f"bucketing needs n_pool >= 1, got {n_pool}")
-    if strategy not in (0, 2, 3, 4):
-        raise ValueError(f"packed bucketing runs strategies 0, 2, 3 and 4, not {strategy}")
+    if strategy not in range(5):
+        raise ValueError(f"bucketing runs strategy codes 0 to 4, not {strategy}")
+    if strategy == 1:
+        signs = np.unpackbits(packed, axis=1, count=horizon).view(np.int8)
+        signs *= 2  # in place, as in probes._draw_signs: a fresh array costs more
+        signs -= 1
+        return _bucketing_round_robin(signs, n_pool)
     starts = _byte_starts(packed, horizon)
     final = _walk_at(packed, starts, horizon - 1)
     if strategy == 4:
@@ -282,6 +249,15 @@ def bucketing_packed(packed, horizon, strategy, n_pool):
     ends[interior] = steps
     rows = np.repeat(np.arange(reps), l_eps)
     return np.abs(final), _excursion_roots(rows, ends, l_eps, n_pool if strategy == 3 else horizon), l_eps
+
+
+def bucketing_batch(signs, strategy, n_pool):
+    """``bucketing_packed`` of a batch of +-1 int8 rows (reps, L), checked and packed."""
+    # three reductions and no full-size temporaries: an elementwise
+    # |sign| != 1 test costs about 15% of the kernel
+    if signs.size == 0 or signs.min() < -1 or signs.max() > 1 or np.count_nonzero(signs) < signs.size:
+        raise ValueError("bucketing needs a nonempty batch of +-1 signs")
+    return bucketing_packed(np.packbits(signs > 0, axis=1), signs.shape[1], strategy, n_pool)
 
 
 BUCKETING_STRATEGY_CODES = {

@@ -38,17 +38,21 @@ with the same config and seed produce byte-identical CSVs.
 Every general-path cell is one ``_cell`` call: the oracle bound's
 replicates are cells of a ``bits`` plan, and the reduction bound's cells
 of a ``grid_ranges`` plan forecast by a fresh ``PatternRouter``, whose
-suite adds the exact cell triangle bound (``check_cell_triangle``).
+suite adds the exact cell triangle bound (``check_cell_triangle``).  The
+scaling study and both bound runners run their replicates through one
+loop, ``_run_cells``, so a failing cell names its run, T, replicate and
+stream.
 
 The pathwise inequality suite runs inside every replicate: telescoping
-and difference-of-two everywhere, the context decomposition for the threshold trio, time-quantization and
-prediction-diversity on the signed-noise grid environment, block mass /
-Parseval / bias-averaging whenever a block layout is in play, and the
-squared-loss controls on the bit environment.  Each inequality is one
-``calibration.CheckSummary`` per replicate; violations (one per failing
-comparison) are counted and must be zero, and each scaling row keeps the
-tightest slack per inequality over its replicates, which the scaling
-manifest records as ``pathwise_min_slack@T=<T>/<check>=`` lines.
+and difference-of-two everywhere, the context decomposition for the
+threshold trio, time-quantization and prediction-diversity on the
+signed-noise grid environment, block mass / Parseval / bias-averaging
+whenever a block layout is in play, and the squared-loss controls on the
+bit environment.  Each inequality is one ``calibration.CheckSummary`` per
+replicate; violations (one per failing comparison) are counted and must
+be zero, and each scaling row keeps the tightest slack per inequality
+over its replicates, which the scaling manifest records as
+``pathwise_min_slack@T=<T>/<check>=`` lines.
 """
 
 from __future__ import annotations
@@ -116,7 +120,6 @@ from .forecasters import (
 from .groups import (
     GroupFamily,
     build_bit_family,
-    build_block_layout,
     build_block_hadamard_family,
     build_full_walsh_family,
     build_grid_range_family,
@@ -130,10 +133,6 @@ from .orthogonal import BLOCK_ROWS, walsh_rows
 # Exponent acceptance window for the honest/threshold scaling study;
 # config constants, not hidden defaults (theory predicts 2/3)
 EXPONENT_WINDOW = (0.60, 0.78)
-
-# Diagnostic floor for E[sum_v |Nz|] log2(L+1) / E[N_a] per Hadamard index,
-# calibrated on honest runs (observed minima ~2.2 across L in 2^5..2^11)
-NOISE_FLOOR_DIAG = 0.2
 
 # Desk-scale caps: memory and FWHT cost guards
 MAX_T = 1 << 20
@@ -579,15 +578,15 @@ def _cell_result(plan: CellPlan, run, free_checks: list, free_extras: dict, eta_
     return out
 
 
-def _run_cells(config: ExperimentConfig, T: int) -> list:
-    """The results of the cells rep = 0..replicates-1 at T, in replicate order."""
+def _run_cells(name: str, T: int, replicates: int, cell: Callable[[int, int], dict], stream=_cell_stream) -> list:
+    """``cell(rep, stream(T, rep))`` for rep = 0..replicates-1 at T, in replicate order."""
     out = []
-    for rep in range(config.replicates):
+    for rep in range(replicates):
         try:
-            out.append(run_replicate(config, T, rep))
+            out.append(cell(rep, stream(T, rep)))
         except Exception as exc:
             # same exception type, so callers' handlers still apply; the message names the cell
-            exc.args = (f"{config.experiment_id}: cell T={T} rep={rep} stream={_cell_stream(T, rep)}: {exc}",)
+            exc.args = (f"{name}: cell T={T} rep={rep} stream={stream(T, rep)}: {exc}",)
             raise
     return out
 
@@ -653,7 +652,7 @@ def run_scaling(config: ExperimentConfig) -> ScalingResult:
     cells_s = aggregate_s = 0.0
     for T in config.T_list:
         start = time.perf_counter()
-        results = _run_cells(config, T)
+        results = _run_cells(config.experiment_id, T, config.replicates, lambda rep, _: run_replicate(config, T, rep))
         ran = time.perf_counter()
         cells_s += ran - start
         mcerrs = np.array([r["mcerr"] for r in results])
@@ -771,7 +770,10 @@ def run_oracle_bound(
     )
     plan = config.plans[T]
     # environment stream rep, not _cell_stream(T, rep), so the bound's draws keep their bytes
-    results = [_cell(config, plan, rep, plan.forecaster()) for rep in range(replicates)]
+    results = _run_cells(
+        "oracle bound", T, replicates, lambda rep, stream: _cell(config, plan, stream, plan.forecaster()),
+        stream=lambda T, rep: rep,
+    )
     mcerrs = np.array([r["mcerr"] for r in results])
     sq_losses = np.array([r["extras"]["sq_loss"] for r in results])
     misses = np.array([r["extras"]["misses"] for r in results])
@@ -845,7 +847,7 @@ def run_reduction_bound(
         family = plan.family
         grid = family.grid
         # realized cell lengths are deterministic under round-robin contexts
-        counts = np.bincount(np.arange(T) % len(grid), minlength=len(grid))
+        counts = ENVS[plan.env].contexts(T, plan.m).rounds_per_column()
         cell_lengths = [int(counts[g.lo : g.hi + 1].sum()) for g in family]
         if 0 in cell_lengths:
             raise ValueError(f"reduction.T_list: T={T} leaves one of the reduction.pieces={pieces} cells without rounds")
@@ -859,12 +861,15 @@ def run_reduction_bound(
     details["envelope"] = {"c": c, "beta": beta}
 
     for T, plan in config.plans.items():
-        results = []
-        for rep in range(replicates):
+
+        def routed(rep, stream):
             router = PatternRouter(factory, plan.family)
-            results.append(_cell(config, plan, _cell_stream(T, rep), router))
+            result = _cell(config, plan, stream, router)
             if rep == 0:
                 details["per_T"][T]["cells"] = router.cell_summary()
+            return result
+
+        results = _run_cells("reduction bound", T, replicates, routed)
         mcerrs = np.array([r["mcerr"] for r in results])
         # C-contiguous (groups, replicates): each row mean sums in np.mean's order
         per_group = np.stack([r["err"].vector for r in results], axis=-1)
@@ -1017,54 +1022,6 @@ def run_identity_suite(
         )
     )
     return records
-
-
-# ---------------------------------------------------------------------------
-# Diagnostics
-# ---------------------------------------------------------------------------
-
-
-def l1_truthfulness_ratio(T: int, replicates: int, seed: int, q: Optional[int] = None) -> float:
-    """E[A] / (log2(m+1) E[MCerr]) for rounded-honest on the full family."""
-    m_env = section4_grid_count(T)
-    q = q if q is not None else m_env
-    config = ExperimentConfig(
-        experiment_id="l1-diag",
-        env="rademacher",
-        forecaster="rounded_honest",
-        groups="full_walsh",
-        T_list=(T,),
-        replicates=replicates,
-        seed=seed,
-        Q=q,
-    )
-    result = run_scaling(config)
-    row = result.rows[0]
-    if row.violations:
-        raise AssertionError(f"pathwise violations in diagnostic run: {row.violations}")
-    return row.extras_mean["A"] / (math.log2(m_env + 1) * row.mean_mcerr)
-
-
-def noise_floor_diagnostic(T: int, K: int, replicates: int, seed: int) -> dict:
-    """min over (a, j) of E[sum_v |Nz|] log2(L+1) / E[N_a], honest forecaster."""
-    m_env = section4_grid_count(T)
-    layout = build_block_layout(T, K)
-    noise_sums = np.zeros((layout.K, layout.L))
-    n_a_sum = np.zeros(layout.K)
-    for rep in range(replicates):
-        traj = sample_rademacher_env(T, seed, m=m_env, stream=rep)
-        run = ScaledRun.build(traj, Predictions(num=traj.x_num.copy(), den=traj.den))
-        dec = block_decompose(run, layout)
-        n_a_sum += deviation_stats(run, layout=layout).N_a
-        noise_sums += dec.rows.per_block(np.abs(dec.Nz / dec.scale))
-    mean_noise = noise_sums / replicates
-    mean_n_a = n_a_sum / replicates
-    ratios = mean_noise * math.log2(layout.L + 1) / mean_n_a[:, None]
-    return {
-        "min_ratio": float(ratios.min()),
-        "layout": layout,
-        "ratios": ratios,
-    }
 
 
 # ---------------------------------------------------------------------------

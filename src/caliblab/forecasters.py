@@ -286,29 +286,14 @@ class UniformRandomOracle(Forecaster):
 UPDATE_POLICIES = ("largest", "all", "none")
 
 
-def uniform_weights(m: int) -> Callable:
-    def rule(ctx, history):
-        return [Fraction(1, m)] * m
-
-    return rule
-
-
 class ProperReduction(Forecaster):
-    """Convex mixture of m context-blind oracle copies.
+    """Convex mixture of m context-blind oracle copies at weight 1/m each.
 
-    The weight rule maps (context, history) to exact simplex weights;
-    anything off the simplex is a hard error.  The per-copy update policy
-    is 'largest' (only the copy with the largest weight observes the
-    round; ties to the lowest index), 'all', or 'none'.
+    The per-copy update policy is 'largest' (only copy 0, the lowest-indexed
+    copy of largest weight, observes the round), 'all', or 'none'.
     """
 
-    def __init__(
-        self,
-        oracle_factory: Callable[[], Forecaster],
-        m: int,
-        weight_rule: Optional[Callable] = None,
-        update_policy: str = "largest",
-    ):
+    def __init__(self, oracle_factory: Callable[[], Forecaster], m: int, update_policy: str = "largest"):
         if m < 1:
             raise ValueError(f"copy count must be >= 1, got {m}")
         if update_policy not in UPDATE_POLICIES:
@@ -318,27 +303,15 @@ class ProperReduction(Forecaster):
             if not c.context_blind:
                 raise ValueError(f"oracle {c.id} is not context-blind")
         self.m = m
-        self.weight_rule = weight_rule or uniform_weights(m)
         self.update_policy = update_policy
-        self._last_weights: Optional[list] = None
         self.id = f"proper_reduction(m={m},oracle={self.copies[0].id},update={update_policy})"
 
-    def _weights(self, ctx, history) -> list:
-        w = [Fraction(v) for v in self.weight_rule(ctx, history)]
-        if len(w) != self.m or any(v < 0 for v in w) or sum(w) != 1:
-            raise ValueError(f"weight vector off the simplex: {w}")
-        return w
-
     def propose(self, ctx, history):
-        weights = self._weights(ctx, history)
-        self._last_weights = weights
         proposals = [c.propose(ctx, history) for c in self.copies]
         if self.m == 1:
             return proposals[0]
-        pairs = []
-        for w, dist in zip(weights, proposals):
-            for value, prob in dist.support:
-                pairs.append((value, w * prob))
+        w = Fraction(1, self.m)
+        pairs = [(value, w * prob) for dist in proposals for value, prob in dist.support]
         return PredictionDistribution.from_weights(pairs)
 
     def observe(self, ctx, p, y):
@@ -348,9 +321,7 @@ class ProperReduction(Forecaster):
             for c in self.copies:
                 c.observe(ctx, p, y)
             return
-        weights = self._last_weights or [Fraction(1, self.m)] * self.m
-        best = max(range(self.m), key=lambda i: (weights[i], -i))
-        self.copies[best].observe(ctx, p, y)
+        self.copies[0].observe(ctx, p, y)
 
     def predict_all(self, traj, rng):
         if self.m != 1:
@@ -388,8 +359,8 @@ _MAX_CODE_BITS = 62
 class PatternRouter(Forecaster):
     """Routes each round to a fresh oracle copy per realized group pattern.
 
-    Only binary prediction-independent families are admissible: the
-    routing pattern must be known before the prediction is made.  The
+    Only prediction-independent groups are admissible: the routing
+    pattern must be known before the prediction is made.  The
     whole-run path keys rounds by an int64 code of the k weight bits,
     group 0 most significant, so ascending codes are the lexicographic
     pattern order in which cells are created and draw from ``rng``.
@@ -397,10 +368,8 @@ class PatternRouter(Forecaster):
 
     def __init__(self, oracle_factory: Callable[[], Forecaster], groups):
         for g in groups:
-            if not g.prediction_independent or not g.binary:
-                raise ValueError(
-                    f"group {g.id} is prediction-dependent or non-binary; routing is invalid"
-                )
+            if not g.prediction_independent:
+                raise ValueError(f"group {g.id} is prediction-dependent; routing is invalid")
         self.groups = list(groups)
         self.oracle_factory = oracle_factory
         self.copies: dict = {}

@@ -1,9 +1,10 @@
 """Group families: evaluatable weighting functions g(context, prediction).
 
-All lower-bound families are binary valued.  Signed functionals (Walsh
-features, blockwise Hadamard signs) are exposed as differences of two
-binary half-groups, never as standalone [-1,1] groups, matching how the
-bound constructions are assembled.
+Every group is binary valued.  Signed functionals (Walsh features,
+blockwise Hadamard signs) exist only as pairs of binary half-groups
+(``GroupFamily.signed_pairs``), never as standalone [-1,1] groups,
+matching how the bound constructions are assembled; the difference-of-two
+check reads the signed weights of each pair directly.
 
 Each group supports exact scalar evaluation on (ContextRecord, Fraction)
 plus a vectorized ``weights`` path over a whole run, used by the
@@ -99,9 +100,7 @@ class GroupFunction:
     """Base weighting function; subclasses fill in evaluation."""
 
     id: str
-    binary = True
     prediction_independent = True
-    signed = False
 
     def evaluate(self, ctx: ContextRecord, p: Optional[Fraction]):
         raise NotImplementedError
@@ -295,34 +294,6 @@ class GridRangeGroup(GroupFunction):
 
     def describe(self):
         return f"lo={self.lo};hi={self.hi}"
-
-
-class SignedDiffGroup(GroupFunction):
-    """Pointwise difference plus - minus of two [0,1]-valued groups."""
-
-    binary = False
-    signed = True
-
-    def __init__(self, plus: GroupFunction, minus: GroupFunction):
-        if plus.signed or minus.signed:
-            raise ValueError("signed_diff takes [0,1]-valued groups")
-        self.plus = plus
-        self.minus = minus
-        self.prediction_independent = plus.prediction_independent and minus.prediction_independent
-        self.id = f"diff({plus.id},{minus.id})"
-
-    def evaluate(self, ctx, p):
-        return self.plus.evaluate(ctx, p) - self.minus.evaluate(ctx, p)
-
-    def weights(self, run):
-        return self.plus.weights(run).astype(np.int8) - self.minus.weights(run)
-
-    def describe(self):
-        return f"plus={self.plus.id};minus={self.minus.id}"
-
-
-def signed_diff(plus: GroupFunction, minus: GroupFunction) -> SignedDiffGroup:
-    return SignedDiffGroup(plus, minus)
 
 
 @dataclass

@@ -301,10 +301,7 @@ def bucketing_probe(
     done = 0
     while done < replicates:
         b = min(batch, replicates - done)
-        if code == 1:  # round robin strides across bytes: it walks unpacked signs
-            sa, ss, le = bucketing_batch(_draw_signs(rng, (b, L)), code, pool)
-        else:
-            sa, ss, le = bucketing_packed(_draw_packed(rng, (b, L)), L, code, pool)
+        sa, ss, le = bucketing_packed(_draw_packed(rng, (b, L)), L, code, pool)
         sum_abs[done : done + b] = sa
         sum_sqrt[done : done + b] = ss
         l_eps[done : done + b] = le
@@ -344,13 +341,11 @@ def bucketing_trace(signs: np.ndarray, strategy: str, n_pool: int) -> dict:
     Returns per-bucket counts, final sums (units of the step), returns
     count, and excursion lengths; used to verify the subadditivity
     decomposition sqrt(n_v) <= sum_j sqrt(l_j^v) and L_eps = sum_v R_v.
-    Asserts that ``bucketing_batch``, and ``bucketing_packed`` for every
-    strategy but round robin, agree with it.
+    Asserts that the kernel the probe runs, ``bucketing_packed`` (through
+    ``bucketing_batch``, which checks and packs the signs), agrees with it.
     """
     code = BUCKETING_STRATEGY_CODES[strategy]
-    kernels = {"int8": bucketing_batch(signs[None, :], code, n_pool)}
-    if code != 1:  # the probe walks packed bytes for every strategy but round robin
-        kernels["packed"] = bucketing_packed(np.packbits(signs > 0)[None, :], signs.size, code, n_pool)
+    (sum_abs,), (sum_sqrt,), (l_eps,) = bucketing_batch(signs[None, :], code, n_pool)
     sums: dict = {}
     counts: dict = {}
     excursions: dict = {}
@@ -400,12 +395,9 @@ def bucketing_trace(signs: np.ndarray, strategy: str, n_pool: int) -> dict:
         if rem:
             excursions.setdefault(v, []).append(rem)
     root_sum = math.fsum(math.sqrt(c) for c in counts.values())
-    for name, ((sum_abs,), (sum_sqrt,), (l_eps,)) in kernels.items():
-        assert returns == int(l_eps), f"{name} kernel and reference disagree on L_eps"
-        assert sum(abs(s) for s in sums.values()) == int(sum_abs), f"{name} kernel and reference disagree on sum_abs"
-        assert math.isclose(root_sum, float(sum_sqrt), rel_tol=1e-12), (
-            f"{name} kernel and reference disagree on sum_sqrt"
-        )
+    assert returns == int(l_eps), "kernel and reference disagree on L_eps"
+    assert sum(abs(s) for s in sums.values()) == int(sum_abs), "kernel and reference disagree on sum_abs"
+    assert math.isclose(root_sum, float(sum_sqrt), rel_tol=1e-12), "kernel and reference disagree on sum_sqrt"
     return {
         "counts": counts,
         "sums": sums,

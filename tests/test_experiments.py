@@ -21,14 +21,14 @@ from caliblab.calibration import (
     check_diff_two,
 )
 from caliblab.cli import EXIT_CONFIG, experiment_config_from, load_config, main
+from caliblab.environments import sample_rademacher_env, section4_grid_count
 from caliblab.forecasters import HonestForecaster, PatternRouter, make_forecaster_factory, run_forecaster
+from caliblab.groups import build_block_layout
 from caliblab.experiments import (
     CHUNK_LINES,
     ExperimentConfig,
     GroupMeans,
     fit_exponent,
-    l1_truthfulness_ratio,
-    noise_floor_diagnostic,
     oracle_bound_value,
     run_identity_suite,
     run_oracle_bound,
@@ -184,6 +184,30 @@ def test_cell_failure_names_the_cell(monkeypatch):
             with pytest.raises(ValueError) as info:
                 run_scaling(cfg)
         assert str(info.value) == f"boom: cell T=64 rep=1 stream={broken}: sampler broke"
+
+
+def test_bound_runner_failures_name_the_cell(monkeypatch):
+    # the second cell's difference-of-two check raises: the error keeps its type and names the
+    # runner, T, replicate and environment stream (rep for the oracle, the cell stream for the reduction)
+    check_diff_two = experiments.check_diff_two
+    for runner, kwargs, name, T, stream in (
+        (run_oracle_bound, dict(T=64, k=2, replicates=3, seed=5), "oracle bound", 64, 1),
+        (run_reduction_bound, dict(T_list=(256,), replicates=3, seed=5), "reduction bound", 256,
+         experiments._cell_stream(256, 1)),
+    ):
+        calls = []
+
+        def second_check_raises(ledger):
+            calls.append(ledger)
+            if len(calls) == 2:
+                raise ArithmeticError("check broke")
+            return check_diff_two(ledger)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "check_diff_two", second_check_raises)
+            with pytest.raises(ArithmeticError) as info:
+                runner(**kwargs)
+        assert str(info.value) == f"{name}: cell T={T} rep=1 stream={stream}: check broke"
 
 
 OBLIVIOUS = ("honest", "rounded_honest", "overshoot", "constant")
@@ -427,7 +451,7 @@ def test_scaling_aggregation_matches_per_id_reference(env, forecaster, groups, r
     )
     rows = run_scaling(cfg).rows
     for T, row in zip(cfg.T_list, rows):
-        results = experiments._run_cells(cfg, T)
+        results = [experiments.run_replicate(cfg, T, rep) for rep in range(cfg.replicates)]
         # the per-id aggregation over dicts that the vector path replaced
         group_ids = sorted(results[0]["err"])
         means = np.array([[r["err"][gid] for r in results] for gid in group_ids]).mean(axis=-1)
@@ -442,7 +466,7 @@ def test_per_group_mean_is_a_read_only_mapping_in_sorted_id_order():
     means = run_scaling(cfg).rows[0].per_group_mean
     assert isinstance(means, GroupMeans) and isinstance(means, Mapping)
     # the dict of Python floats the mapping replaced, from the same cells
-    results = experiments._run_cells(cfg, 256)
+    results = [experiments.run_replicate(cfg, 256, rep) for rep in range(cfg.replicates)]
     vector = np.stack([r["err"].vector for r in results], axis=-1).mean(axis=-1)
     old = dict(sorted(zip(cfg.plans[256].family.ids(), vector.tolist())))
     assert means == old
@@ -841,6 +865,50 @@ def test_groups_csv_matches_the_per_row_writer(name, tmp_path):
         assert written.decode().splitlines()[1:3] == ["diff,8,g00000,0", "diff,8,g00001,-0"]
 
 
+# Section 4 diagnostics, computed from the library's public pieces
+
+
+def l1_truthfulness_ratio(T: int, replicates: int, seed: int) -> float:
+    """E[A] / (log2(m+1) E[MCerr]) for rounded-honest on the full family."""
+    m_env = section4_grid_count(T)
+    config = ExperimentConfig(
+        experiment_id="l1-diag",
+        env="rademacher",
+        forecaster="rounded_honest",
+        groups="full_walsh",
+        T_list=(T,),
+        replicates=replicates,
+        seed=seed,
+        Q=m_env,
+    )
+    row = run_scaling(config).rows[0]
+    assert not row.violations, f"pathwise violations in diagnostic run: {row.violations}"
+    return row.extras_mean["A"] / (math.log2(m_env + 1) * row.mean_mcerr)
+
+
+# Diagnostic floor for E[sum_v |Nz|] log2(L+1) / E[N_a] per Hadamard index,
+# calibrated on honest runs (observed minima ~2.2 across L in 2^5..2^11)
+NOISE_FLOOR_DIAG = 0.2
+
+
+def noise_floor_diagnostic(T: int, K: int, replicates: int, seed: int) -> dict:
+    """min over (a, j) of E[sum_v |Nz|] log2(L+1) / E[N_a], honest forecaster."""
+    m_env = section4_grid_count(T)
+    layout = build_block_layout(T, K)
+    noise_sums = np.zeros((layout.K, layout.L))
+    n_a_sum = np.zeros(layout.K)
+    for rep in range(replicates):
+        traj = sample_rademacher_env(T, seed, m=m_env, stream=rep)
+        run = ScaledRun.build(traj, Predictions(num=traj.x_num.copy(), den=traj.den))
+        dec = calibration.block_decompose(run, layout)
+        n_a_sum += calibration.deviation_stats(run, layout=layout).N_a
+        noise_sums += dec.rows.per_block(np.abs(dec.Nz / dec.scale))
+    mean_noise = noise_sums / replicates
+    mean_n_a = n_a_sum / replicates
+    ratios = mean_noise * math.log2(layout.L + 1) / mean_n_a[:, None]
+    return {"min_ratio": float(ratios.min()), "layout": layout, "ratios": ratios}
+
+
 def test_l1_truthfulness_ratio_finite():
     ratio = l1_truthfulness_ratio(T=512, replicates=4, seed=41)
     assert np.isfinite(ratio) and ratio >= 0
@@ -859,8 +927,6 @@ def test_noise_floor_diagnostic_small():
 
 
 def test_noise_floor_pinned_across_layouts():
-    from caliblab.experiments import NOISE_FLOOR_DIAG
-
     for T, K in ((256, 2), (1024, 4), (4096, 8)):
         out = noise_floor_diagnostic(T=T, K=K, replicates=60, seed=103)
         assert out["min_ratio"] >= NOISE_FLOOR_DIAG, (T, K, out["min_ratio"])

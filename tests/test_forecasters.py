@@ -156,17 +156,6 @@ def test_proper_reduction_m1_identity():
     assert np.array_equal(p1.num, p2.num) and p1.den == p2.den
 
 
-def test_proper_reduction_rejects_bad_weights():
-    bad_rule = lambda ctx, hist: [Fraction(1, 2), Fraction(1, 3)]
-    red = ProperReduction(lambda: UniformRandomOracle(3), m=2, weight_rule=bad_rule)
-    with pytest.raises(ValueError):
-        red.propose(ContextRecord(mean=HALF), HistoryView())
-    neg_rule = lambda ctx, hist: [Fraction(3, 2), Fraction(-1, 2)]
-    red2 = ProperReduction(lambda: UniformRandomOracle(3), m=2, weight_rule=neg_rule)
-    with pytest.raises(ValueError):
-        red2.propose(ContextRecord(mean=HALF), HistoryView())
-
-
 def test_proper_reduction_requires_context_blind():
     with pytest.raises(ValueError):
         ProperReduction(HonestForecaster, m=2)

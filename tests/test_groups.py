@@ -28,7 +28,6 @@ from caliblab.groups import (
     build_walsh_family,
     default_block_count,
     default_eta,
-    signed_diff,
     ThresholdGroup,
 )
 
@@ -214,26 +213,6 @@ def test_bit_family():
     assert np.array_equal(w, traj.bits[:, 1])
 
 
-def test_signed_diff():
-    fam = build_walsh_family(4)
-    plus = fam.by_id("wal+/1")
-    minus = fam.by_id("wal-/1")
-    h = signed_diff(plus, minus)
-    grid = grid_section4(4)
-    # at grid index 2 the l=1 Walsh sign is psi_1(1) = -1
-    assert h.evaluate(ctx_mean(grid[1]), None) == -1
-    bfam = build_block_hadamard_family(T=64, K=2)
-    layout = bfam.layout
-    hb = signed_diff(bfam.by_id("had+/1/0"), bfam.by_id("had-/1/0"))
-    assert hb.evaluate(ctx_timed(Fraction(1, 2), layout.L + 1), None) == 0
-    # h + 2 g^- = g^+ + g^- pointwise
-    for x in grid:
-        c = ctx_mean(x)
-        assert h.evaluate(c, None) + 2 * minus.evaluate(c, None) == plus.evaluate(
-            c, None
-        ) + minus.evaluate(c, None)
-
-
 def test_full_family_and_manifest():
     fam = build_full_walsh_family(T=64, m=4, K=2)
     layout = fam.layout
@@ -316,7 +295,7 @@ def test_direct_weights_on_a_round_robin_tile_their_column_weights(T):
     env = rademacher_contexts(T, m)
     walsh = build_walsh_family(m).groups
     ranges = build_grid_range_family(grid_section4(m), pieces=3).groups
-    groups = [*walsh, *ranges, *build_pred_threshold_family(m, eta).groups, signed_diff(walsh[1], ranges[0]), BitGroup(0)]
+    groups = [*walsh, *ranges, *build_pred_threshold_family(m, eta).groups, BitGroup(0)]
     classes = {c for c in vars(groups_module).values() if isinstance(c, type) and issubclass(c, GroupFunction)}
     assert {type(g) for g in groups} == classes - {GroupFunction, BlockHadamardHalfGroup}
     column_pred = np.random.default_rng(T).integers(0, 17, size=m)

@@ -223,18 +223,18 @@ def test_kernels_exact_beyond_int16_walks():
     assert sum_abs.tolist() == [L, L]
 
 
-PACKED_CODES = [BUCKETING_STRATEGY_CODES[s] for s in BUCKETING_STRATEGY_CODES if s != "round_robin"]
-
-
-def _packed_matches_batch(bits, n_pool):
-    # the packed kernel on packbits of the rows equals bucketing_batch on their signs, dtypes and float bits included
+def _packed_matches_trace(bits, n_pool):
+    # the kernel on packbits of the rows equals the scalar bucketing_trace of each row's signs, for every strategy
     signs = np.where(bits, 1, -1).astype(np.int8)
     packed = np.packbits(bits, axis=1)
-    for code in PACKED_CODES:
-        expected = bucketing_batch(signs, code, n_pool)
-        got = bucketing_packed(packed, bits.shape[1], code, n_pool)
-        for name, e, g in zip(("sum_abs", "sum_sqrt", "l_eps"), expected, got):
-            assert g.dtype == e.dtype and np.array_equal(g, e), (code, name, g, e)
+    for name, code in BUCKETING_STRATEGY_CODES.items():
+        sum_abs, sum_sqrt, l_eps = bucketing_packed(packed, bits.shape[1], code, n_pool)
+        assert (sum_abs.dtype, sum_sqrt.dtype, l_eps.dtype) == (np.int64, np.float64, np.int64)
+        for r, row in enumerate(signs):
+            ref = bucketing_trace(row, name, n_pool)
+            assert int(sum_abs[r]) == sum(abs(v) for v in ref["sums"].values()), (name, r)
+            assert int(l_eps[r]) == ref["returns"], (name, r)
+            assert math.isclose(float(sum_sqrt[r]), ref["sum_sqrt"], rel_tol=1e-12), (name, r)
 
 
 # rows of repeated bytes: 0x00 and 0xFF never return, 0xAA returns every second step, and
@@ -244,7 +244,7 @@ PATTERNS = [(0x00,), (0xFF,), (0xAA,), (0x00, 0xFF), (0xFF, 0x00)]
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
-def test_bucketing_packed_matches_batch(data):
+def test_bucketing_packed_matches_trace(data):
     L = data.draw(st.integers(1, 300), label="L")
     n_pool = data.draw(st.integers(1, 8) | st.integers(1, L + 2), label="n_pool")
     reps = data.draw(st.integers(1, 5), label="reps")
@@ -253,7 +253,7 @@ def test_bucketing_packed_matches_batch(data):
     for r in data.draw(st.lists(st.integers(0, reps - 1), max_size=2), label="patterned"):
         pattern = data.draw(st.sampled_from(PATTERNS), label="pattern")
         bits[r] = np.unpackbits(np.resize(np.array(pattern, dtype=np.uint8), -(-L // 8)))[:L]
-    _packed_matches_batch(bits, n_pool)
+    _packed_matches_trace(bits, n_pool)
 
 
 def test_bucketing_packed_exact_beyond_int16_walks():
@@ -264,7 +264,7 @@ def test_bucketing_packed_exact_beyond_int16_walks():
     bits[2, ::2] = True
     assert _kernels._walk_dtype(L) == np.int32
     for n_pool in (1, 4, 181, L):
-        _packed_matches_batch(bits, n_pool)
+        _packed_matches_trace(bits, n_pool)
     sum_abs, _, l_eps = bucketing_packed(np.packbits(bits, axis=1), L, 0, 1)
     assert sum_abs.tolist() == [L, L, 0] and l_eps.tolist() == [1, 1, L // 2]
 
@@ -290,8 +290,8 @@ def test_draw_packed_holds_the_drawn_signs():
 
 def test_bucketing_packed_rejects_bad_input():
     packed = np.zeros((2, 2), dtype=np.uint8)
-    with pytest.raises(ValueError, match="strategies 0, 2, 3 and 4"):
-        bucketing_packed(packed, 16, BUCKETING_STRATEGY_CODES["round_robin"], 2)
+    with pytest.raises(ValueError, match="strategy codes 0 to 4"):
+        bucketing_packed(packed, 16, 5, 2)
     for horizon in (0, 8, 17):
         with pytest.raises(ValueError, match="bytes per row"):
             bucketing_packed(packed, horizon, 0, 2)
