@@ -1,11 +1,11 @@
 """Scaled runs, bias ledgers, Err/MCerr reports, deviation statistics,
-block decompositions.
+block bias transforms and the pathwise inequality suite.
 
 Biases accumulate exactly.  The streaming ledger works in Fractions; the
 vectorized path works in int64 numerators over one common scale.
 ``ScaledRun`` is the one place where that scale, the scaled prediction,
 context-mean and outcome arrays and the prediction-bucket index live; the
-accumulator, the deviation statistics, the block decomposition and the
+accumulator, the deviation statistics, the block bias transform and the
 bit-environment checks all read one ``ScaledRun`` per run.  Building it
 checks once, in Python integers, that 2 T scale < 2^63: every per-round
 value summed is at most ``scale`` in magnitude, so every int64 sum (and
@@ -28,7 +28,7 @@ A ledger reports one float64 error vector in ``family.ids()`` order, as a
 
 A layout's rounds are split into (block, bucket) rows once per run and
 layout: ``BlockRows``, which ``ScaledRun.block_rows`` memoises and the
-residual transform, the block decomposition and the per-block deviation
+residual transform, the bias transform D and the per-block deviation
 statistics all read.  Its ``transform`` is the one Walsh transform of
 block rows, one (rows, L) int64 array from one FWHT per chunk of at most
 ``STACK_ENTRIES`` entries, and ``per_block`` its one per-block row sum.
@@ -54,10 +54,11 @@ stays the general path and the reference the skeleton is tested against.
 
 Each pathwise inequality yields one ``CheckSummary`` per run, however
 many comparisons it makes: their count, the number that fail, the exact
-tightest slack (a ``Fraction`` for the integer and rational checks) and
-the index, lhs and rhs of the first failure.  Difference-of-two compares
-one int64 vector of signed Errs with one of bounds, both over 2 scale,
-covering the direct pairs and the (K, L) block pairs alike.
+tightest slack and the index, lhs and rhs of the first failure, all
+``Fraction``s.  Every check compares integer numerators over one
+denominator, in int64 under a checked ceiling and in Python integers above
+it; bias averaging is compared squared, so its slack is in squared units.
+Sums of square roots are decided on certified brackets (``_roots_ge``).
 """
 
 from __future__ import annotations
@@ -219,6 +220,11 @@ def _bucket_index(num: np.ndarray, den: int) -> tuple[np.ndarray, np.ndarray, np
     return np.flatnonzero(present), lut[num], counts[present]
 
 
+def _wide(x: np.ndarray, ceiling: int) -> np.ndarray:
+    """``x`` if ``ceiling``, a bound on every value formed from it, is below 2^63, else as Python ints."""
+    return x if ceiling < 2**63 else x.astype(object)
+
+
 @dataclass(frozen=True, eq=False)
 class ScaledRun:
     """One run over one common scale: the lcm of the trajectory's and the
@@ -233,7 +239,7 @@ class ScaledRun:
     ``total`` and what is built on them (the ledger, the deviation
     statistics, a ``RunSkeleton``) weigh entry t by ``mult[t]``.  The
     readers of round order, ``block_rows`` and the bit environment's
-    ``sq_loss`` and ``in_interval``, need a run of single rounds.
+    ``sq_loss_num`` and ``in_interval``, need a run of single rounds.
     """
 
     traj: Trajectory
@@ -280,9 +286,10 @@ class ScaledRun:
         return self.p - self.x
 
     @cached_property
-    def sq_loss(self) -> float:
-        """sum_t (p_t - y_t)^2 in float64."""
-        return float(np.sum((self.resid / self.scale) ** 2))
+    def sq_loss_num(self) -> int:
+        """sum_t (p_t - y_t)^2 over scale^2, exactly: in int64 under T scale^2 < 2^63, else in Python ints."""
+        r = _wide(self.resid, self.T * self.scale**2)
+        return int((r * r).sum())
 
     @cached_property
     def in_interval(self) -> np.ndarray:
@@ -381,6 +388,14 @@ class RunLedger:
 
     def report(self) -> CalibrationReport:
         return CalibrationReport(self.family.index, self.err_vector())
+
+    def mcerr_num(self) -> int:
+        """MCerr's numerator over ``2 * scale``: the largest Err, block
+        half-groups included, 0 for an empty family."""
+        errs = [2 * np.abs(self.bias).sum(axis=1)]
+        if self.block_plus_abs is not None:
+            errs += [self.block_plus_abs.ravel(), self.block_minus_abs.ravel()]
+        return int(np.concatenate(errs).max(initial=0))
 
     def telescoped(self) -> Fraction:
         return Fraction(self.scaled.resid_total(), self.scale)
@@ -608,23 +623,21 @@ class SkeletonRun:
 
 @dataclass
 class DeviationStats:
-    """Honesty-deviation and bucket-diversity statistics of one run.
+    """Honesty-deviation and bucket-diversity statistics of one run, all exact integers.
 
-    Linear quantities (A, N_x, R_x) are exact integers over ``scale``,
-    summed in int64 (``ScaledRun.bucket_sums`` and ``total``, exact under
-    ``build``'s 2 T scale < 2^63 check); ``n_v`` and ``honest_counts`` are
-    exact round counts, and N is the float64 sum of sqrt(n_v).  The
-    quadratic E_a is float64, accurate to ~1e-11 relative at desk scale.
+    Linear quantities (A, N_x, R_x) are over ``scale``, summed in int64
+    (``ScaledRun.bucket_sums`` and ``total``, exact under ``build``'s
+    2 T scale < 2^63 check); ``n_v`` and ``honest_counts`` are round counts.
+    With a layout, ``rows`` is its ``BlockRows``, whose ``counts`` are the
+    n_{a,v}, and ``sq_dev[a - 1]`` is sum_t delta_t^2 over block a, over scale^2.
     """
 
     scale: int
     T_prime: int
     A_num: int
     n_v: np.ndarray
-    N: float
-    N_a: Optional[np.ndarray] = None
-    E_a: Optional[np.ndarray] = None
-    q_a: Optional[np.ndarray] = None
+    rows: Optional[BlockRows] = None
+    sq_dev: Optional[np.ndarray] = None
     N_x_num: Optional[np.ndarray] = None
     R_x_num: Optional[np.ndarray] = None
     honest_counts: Optional[np.ndarray] = None
@@ -644,7 +657,7 @@ def deviation_stats(
     With a layout, statistics cover rounds 1..T' = K L; otherwise all T.
     Without a layout every statistic is a sum over rounds, so ``run`` may
     be one round robin of columns weighted by their rounds
-    (``ScaledRun.mult``); the per-block E_a reads round order.
+    (``ScaledRun.mult``); the per-block sum_t delta_t^2 reads round order.
     Per-context noise/drift splits (N_x, R_x over eta-honest rounds) are
     computed only when ``eta`` is given; ``run`` must then be built with
     eta's denominator.
@@ -662,15 +675,12 @@ def deviation_stats(
         # prefix counts in bucket (= value) order, unrealized buckets dropped
         n_v = np.bincount(run.bucket_idx[:tp])
         n_v = n_v[n_v > 0]
-    n_big = float(np.sqrt(n_v).sum())
 
-    n_a = e_a = q_a = None
+    rows = sq_dev = None
     if layout is not None:
         rows = run.block_rows(layout)
-        n_a = rows.per_block(np.sqrt(rows.counts))
-        q_a = np.diff(rows.first)
-        sq = delta / scale
-        e_a = np.square(sq, out=sq).reshape(layout.K, layout.L).sum(axis=1)
+        d = _wide(delta, layout.L * scale**2)
+        sq_dev = (d * d).reshape(layout.K, layout.L).sum(axis=1)
 
     n_x = r_x = honest_counts = None
     if eta is not None:
@@ -685,82 +695,36 @@ def deviation_stats(
         r_x = run.bucket_sums(delta * honest, gidx, n_grid)
         honest_counts = run.bucket_sums(honest, gidx, n_grid)
 
-    return DeviationStats(
-        scale=scale,
-        T_prime=tp,
-        A_num=a_num,
-        n_v=n_v,
-        N=n_big,
-        N_a=n_a,
-        E_a=e_a,
-        q_a=q_a,
-        N_x_num=n_x,
-        R_x_num=r_x,
-        honest_counts=honest_counts,
-    )
+    return DeviationStats(scale, tp, a_num, n_v, rows, sq_dev, n_x, r_x, honest_counts)
 
 
-# ---------------------------------------------------------------------------
-# Blockwise bias/noise decomposition
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class BlockDecomposition:
-    """Signed Hadamard bias (D) and noise (Nz) per (block, bucket, j).
-
-    ``D`` and ``Nz`` are (rows, L) int64 arrays over ``scale``: entry [r, j]
-    is the coefficient of the bias (resp. noise) sequence of the block a
-    owning row r (``rows.first[a - 1] <= r < rows.first[a]``) restricted to
-    bucket ``rows.bucket[r]``.  D + Nz equals the signed-functional ledger bias exactly.
-    """
-
-    layout: BlockLayout
-    scale: int
-    rows: BlockRows
-    D: np.ndarray
-    Nz: np.ndarray
-
-    def bias_l1(self) -> np.ndarray:
-        """(1/L) sum_j sum_v |D| per block, the bias-averaging lhs."""
-        return self.rows.per_block(np.abs(self.D / self.scale)).sum(axis=1) / self.layout.L
-
-    def block_parseval_gap(self, E_a: np.ndarray) -> float:
-        """Max relative gap of sum_j sum_v D^2 = L * E_a across blocks."""
-        lhs, rhs = self.rows.per_block(np.square(self.D / self.scale)).sum(axis=1), self.layout.L * E_a
-        return float((np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-30)).max())
-
-
-def block_decompose(run: ScaledRun, layout: BlockLayout) -> BlockDecomposition:
-    """Transform the bias (p - x) and noise (x - y) streams per (block, bucket).
-
-    Nz follows by linearity as coeffs(p - y) - D, from the residual
-    transform the run memoises per layout (shared with ``accumulate_run``).
-    """
+def block_decompose(run: ScaledRun, layout: BlockLayout) -> np.ndarray:
+    """D, the (rows, L) int64 transform of the bias p - x over ``scale`` in
+    the rows of ``run.block_rows(layout)``: entry [r, j] is the coefficient
+    of the bias sequence of the block owning row r restricted to its bucket.
+    The noise x - y is never formed: D plus it is the residual transform."""
     if layout.T_prime > run.T:
         raise ValueError("layout covers more rounds than the trajectory")
-    d = run.block_rows(layout).transform(run.dev)
-    return BlockDecomposition(layout, run.scale, run.block_rows(layout), d, run.resid_coefficients(layout) - d)
+    return run.block_rows(layout).transform(run.dev)
 
 
 # ---------------------------------------------------------------------------
 # Pathwise inequality suite
 # ---------------------------------------------------------------------------
 
-REL_TOL = 1e-9
+# resolutions, in bits, of the square-root brackets, tried in turn until they decide
+SQRT_BITS = (64, 128, 256)
 
 
 @dataclass(frozen=True)
 class CheckSummary:
     """All comparisons of one pathwise inequality in one run.
 
-    ``min_slack`` is the tightest margin by which a comparison holds
-    (negative when it fails): an exact ``Fraction`` for the exact checks,
-    a float for the float ones, None when there is nothing to compare.
-    A float check passes within ``REL_TOL``, so its slack can be slightly
-    negative on a pass.  ``first`` is the index of the first failing
-    comparison, with its two sides ``lhs`` and ``rhs`` in the check's own
-    units; all three are None when every comparison holds.
+    ``min_slack`` is the exact ``Fraction`` by which the tightest comparison
+    holds (negative when it fails), None when there is nothing to compare.
+    ``first`` is the index of the first failing comparison, with its two
+    sides ``lhs`` and ``rhs`` as ``Fraction``s in the check's own units;
+    all three are None when every comparison holds.
     """
 
     name: str
@@ -776,27 +740,48 @@ class CheckSummary:
         return self.failures == 0
 
     @classmethod
-    def over(cls, name: str, lhs, rhs, slack, ok=None, value=float) -> "CheckSummary":
-        """Summary of the comparisons of ``lhs[i]`` with ``rhs[i]`` (scalars
-        or arrays), each holding by ``slack[i]`` and passing where ``ok[i]``
-        (by default where ``slack[i] >= 0``).  ``value`` converts an entry
-        to the number reported."""
+    def over(cls, name: str, lhs, rhs, slack, den: int = 1) -> "CheckSummary":
+        """Summary of the comparisons of ``lhs[i]`` with ``rhs[i]``, each
+        holding by ``slack[i]`` and passing where ``slack[i] >= 0``: integer
+        scalars or arrays (int64, or Python ints where int64 could wrap),
+        all numerators over the one denominator ``den``."""
         lhs, rhs, slack = np.atleast_1d(lhs, rhs, slack)
         if not slack.size:
             return cls(name, 0, 0, None)
-        failed = np.flatnonzero(~(slack >= 0 if ok is None else np.atleast_1d(ok)))
-        tightest = value(slack.min())
+        failed = np.flatnonzero(slack < 0)
+        tightest = Fraction(int(slack.min()), den)
         if not failed.size:
             return cls(name, slack.size, 0, tightest)
         i = int(failed[0])
-        return cls(name, slack.size, failed.size, tightest, i, value(lhs[i]), value(rhs[i]))
+        return cls(name, slack.size, failed.size, tightest, i, Fraction(int(lhs[i]), den), Fraction(int(rhs[i]), den))
 
 
-def _float_ge(name: str, lhs, rhs) -> CheckSummary:
-    """lhs >= rhs per entry, up to REL_TOL relative to the larger side (or 1)."""
-    lhs, rhs = np.asarray(lhs, dtype=np.float64), np.asarray(rhs, dtype=np.float64)
-    tol = REL_TOL * np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
-    return CheckSummary.over(name, lhs, rhs, lhs - rhs, ok=lhs >= rhs - tol)
+def _root_sum(values, bits: int) -> tuple[int, int]:
+    """Integers lo <= 2^bits sum_i sqrt(values[i]) <= hi, from ``math.isqrt``;
+    lo == hi when every value times 4^bits is a square."""
+    lo = hi = 0
+    for v in values:
+        v = int(v) << 2 * bits
+        r = math.isqrt(v)
+        lo, hi = lo + r, hi + r + (r * r != v)
+    return lo, hi
+
+
+def _roots_ge(name: str, big, small, den: int = 1, equal: bool = False) -> CheckSummary:
+    """sum_i sqrt(big[i]) >= sum_i sqrt(small[i]), both over ``den``, as one
+    comparison of certified ``_root_sum`` brackets refined through
+    ``SQRT_BITS``.  ``equal`` says the two sides are known equal: slack 0.
+    Otherwise the sides reported are the lower end of the big bracket and
+    the upper end of the small one, so the slack is a certified lower bound,
+    and a comparison no bracket decides counts as a failure."""
+    if equal:
+        return CheckSummary.over(name, 0, 0, 0)
+    for bits in SQRT_BITS:
+        big_lo, big_hi = _root_sum(big, bits)
+        small_lo, small_hi = _root_sum(small, bits)
+        if big_lo >= small_hi or big_hi < small_lo:
+            break
+    return CheckSummary.over(name, big_lo, small_hi, big_lo - small_hi, den << bits)
 
 
 def check_telescoping(ledger: RunLedger) -> CheckSummary:
@@ -805,9 +790,7 @@ def check_telescoping(ledger: RunLedger) -> CheckSummary:
     i = ledger.family.index.get("g_all")
     lhs = int((run.resid_bucket_sums() if i is None else ledger.bias[i]).sum())
     rhs = run.resid_total()
-    return CheckSummary.over(
-        "telescoping", lhs, rhs, -abs(lhs - rhs), value=lambda v: Fraction(int(v), ledger.scale)
-    )
+    return CheckSummary.over("telescoping", lhs, rhs, -abs(lhs - rhs), ledger.scale)
 
 
 def check_diff_two(ledger: RunLedger) -> CheckSummary:
@@ -823,8 +806,7 @@ def check_diff_two(ledger: RunLedger) -> CheckSummary:
     if ledger.block_coeff_abs is not None:
         lhs = np.concatenate([lhs, 2 * ledger.block_coeff_abs.ravel()])
         rhs = np.concatenate([rhs, (ledger.block_plus_abs + ledger.block_minus_abs).ravel()])
-    den = 2 * ledger.scale
-    return CheckSummary.over("diff_two", lhs, rhs, rhs - lhs, value=lambda v: Fraction(int(v), den))
+    return CheckSummary.over("diff_two", lhs, rhs, rhs - lhs, 2 * ledger.scale)
 
 
 def check_cell_triangle(ledger: RunLedger, cell_errs: dict) -> CheckSummary:
@@ -835,77 +817,93 @@ def check_cell_triangle(ledger: RunLedger, cell_errs: dict) -> CheckSummary:
     lhs = np.abs(ledger.bias).sum(axis=1).astype(object) * (den // ledger.scale)
     nums = {z: e.numerator * (den // e.denominator) for z, e in cell_errs.items()}
     rhs = np.array([sum(n for z, n in nums.items() if z[j]) for j in range(len(lhs))], dtype=object)
-    return CheckSummary.over("cell_triangle", lhs, rhs, rhs - lhs, value=lambda v: Fraction(v, den))
+    return CheckSummary.over("cell_triangle", lhs, rhs, rhs - lhs, den)
 
 
 def check_g4_context_decomp(
     ledger: RunLedger, stats: DeviationStats, eta: Fraction, m: int
 ) -> CheckSummary:
-    """sum_v |B(v, g3)| >= sum_x |N_x| - sum_x |R_x| whenever eta <= 1/(2m)."""
+    """sum_v |B(v, g3)| >= sum_x |N_x| - sum_x |R_x| whenever eta <= 1/(2m),
+    in Python integers over lcm(the two scales)."""
     if Fraction(eta) > Fraction(1, 2 * m):
         raise ValueError("context decomposition needs eta <= 1/(2m)")
-    g3 = next(
-        g.id for g in ledger.family if isinstance(g, ThresholdGroup) and g.which == 3
-    )
-    lhs = ledger.err_exact(g3)
-    rhs = Fraction(
-        int(np.abs(stats.N_x_num).sum()) - int(np.abs(stats.R_x_num).sum()), stats.scale
-    )
-    return CheckSummary.over("g4_context_decomp", lhs, rhs, lhs - rhs, value=Fraction)
+    g3 = next(i for i, g in enumerate(ledger.family.groups) if isinstance(g, ThresholdGroup) and g.which == 3)
+    den = math.lcm(ledger.scale, stats.scale)
+    lhs = int(np.abs(ledger.bias[g3]).sum()) * (den // ledger.scale)
+    rhs = (int(np.abs(stats.N_x_num).sum()) - int(np.abs(stats.R_x_num).sum())) * (den // stats.scale)
+    return CheckSummary.over("g4_context_decomp", lhs, rhs, lhs - rhs, den)
 
 
 def check_l1_quantization(stats: DeviationStats, m: int) -> CheckSummary:
-    """A >= sum_v n_v^2 / (16 T') - T'/m - 1, exactly in rationals."""
-    tp = stats.T_prime
-    lhs = stats.A
-    rhs = Fraction(int(np.sum(stats.n_v**2)), 16 * tp) - Fraction(tp, m) - 1
-    return CheckSummary.over("l1_quantization", lhs, rhs, lhs - rhs, value=Fraction)
+    """A >= sum_v n_v^2 / (16 T') - T'/m - 1, exactly: over 16 T' m scale."""
+    tp, scale = stats.T_prime, stats.scale
+    lhs = stats.A_num * 16 * tp * m
+    rhs = int(np.sum(stats.n_v**2)) * scale * m - 16 * tp * scale * (tp + m)
+    return CheckSummary.over("l1_quantization", lhs, rhs, lhs - rhs, 16 * tp * m * scale)
 
 
 def check_n_from_a(stats: DeviationStats, m: int) -> CheckSummary:
-    """N >= T' / (4 sqrt(A + T'/m + 1))."""
-    tp = stats.T_prime
-    rhs = tp / (4.0 * math.sqrt(float(stats.A) + tp / m + 1.0))
-    return _float_ge("n_from_a", stats.N, rhs)
+    """N = sum_v sqrt(n_v) >= T' / (4 sqrt(B)), B = A + T'/m + 1 = b / (m scale):
+    over 4 b, sum_v sqrt(16 b^2 n_v) >= sqrt(T'^2 m scale b), on brackets."""
+    tp, scale = stats.T_prime, stats.scale
+    b = stats.A_num * m + (tp + m) * scale
+    return _roots_ge("n_from_a", [16 * b * b * int(n) for n in stats.n_v], [tp * tp * m * scale * b], 4 * b)
 
 
 def check_block_mass(stats: DeviationStats) -> list[CheckSummary]:
-    """N <= sum_a N_a <= sqrt(K) N."""
-    total = float(stats.N_a.sum())
-    k = len(stats.N_a)
+    """N <= sum_a N_a <= sqrt(K) N, N_a = sum_v sqrt(n_{a,v}), on brackets.
+
+    Each equality case is found in integers from the terms: the lower one
+    when the n_{a,v} are the n_v (no bucket in two blocks), the upper one
+    (Cauchy-Schwarz) when the K n_{a,v} are the n_v, each K times (every
+    bucket has the same count in every block)."""
+    counts, n_v, k = stats.rows.counts, stats.n_v, len(stats.rows.first) - 1
+    lower = sorted(counts.tolist()) == sorted(n_v.tolist())
+    upper = sorted((k * counts).tolist()) == sorted(np.repeat(n_v, k).tolist())
     return [
-        _float_ge("block_mass_lower", total, stats.N),
-        _float_ge("block_mass_upper", math.sqrt(k) * stats.N, total),
+        _roots_ge("block_mass_lower", counts, n_v, equal=lower),
+        _roots_ge("block_mass_upper", k * n_v, counts, equal=upper),
     ]
 
 
-def check_bias_averaging(decomp: BlockDecomposition, stats: DeviationStats) -> CheckSummary:
-    """(1/L) sum_j sum_v |D| <= sqrt(q_a E_a), one comparison per block a."""
-    return _float_ge("bias_averaging", np.sqrt(stats.q_a * stats.E_a), decomp.bias_l1())
+def check_bias_averaging(d: np.ndarray, stats: DeviationStats) -> CheckSummary:
+    """(1/L) sum_j sum_v |D| <= sqrt(q_a E_a) per block a, squared: in
+    Python integers over scale^2, (sum_j sum_v |D|)^2 <= L^2 q_a sum_t delta_t^2,
+    q_a the buckets of block a.  Its slack is in these squared units."""
+    rows = stats.rows
+    # |D[r, j]| <= n_r scale for a row of n_r rounds, so a block's sum is at most L^2 scale
+    l1 = rows.per_block(np.abs(_wide(d, rows.L**2 * stats.scale)).sum(axis=1)).astype(object)
+    rhs = rows.L**2 * np.diff(rows.first).astype(object) * stats.sq_dev.astype(object)
+    return CheckSummary.over("bias_averaging", l1 * l1, rhs, rhs - l1 * l1, stats.scale**2)
 
 
-def check_block_parseval(decomp: BlockDecomposition, stats: DeviationStats) -> CheckSummary:
-    gap = decomp.block_parseval_gap(stats.E_a)
-    return CheckSummary.over("block_parseval", gap, REL_TOL, REL_TOL - gap)
+def check_block_parseval(d: np.ndarray, stats: DeviationStats) -> CheckSummary:
+    """sum_j sum_v D^2 = L sum_t delta_t^2 per block, exactly, over scale^2."""
+    rows = stats.rows
+    # |D[r, j]| <= n_r scale for a row of n_r rounds, so a block's sum of squares is at most L^3 scale^2
+    d = _wide(d, rows.L**3 * stats.scale**2)
+    lhs = rows.per_block((d * d).sum(axis=1))
+    rhs = rows.L * stats.sq_dev.astype(object)
+    return CheckSummary.over("block_parseval", lhs, rhs, -abs(lhs - rhs), stats.scale**2)
 
 
-def check_bits_mse(run: ScaledRun, report: CalibrationReport) -> list[CheckSummary]:
-    """Appendix-style squared loss controls for the bit environment:
-    per-round miss penalty (exact) and squared loss <= (2 - 1/(2N)) MCerr."""
+def check_bits_mse(ledger: RunLedger) -> list[CheckSummary]:
+    """Appendix-style squared loss controls for the bit environment, exactly:
+    the per-round miss penalty, and sum_t (p_t - y_t)^2 <= (2 - 1/(2N)) MCerr,
+    as 4 N sum_t (scaled diff)^2 <= (4 N - 1) scale M over 4 N scale^2, with
+    M the numerator of MCerr over 2 scale (``RunLedger.mcerr_num``)."""
+    run = ledger.scaled
     n = 1 << run.traj.params["k"]
     scale = run.scale
-    # exact per-round penalty: a miss means (p - y)^2 >= 1/(4 N^2), i.e.
-    # |scaled diff| >= scale / (2 N) in integers (2 N divides scale); the
-    # squares are taken in Python integers, as int64 would wrap above 2^63
+    # a miss means (p - y)^2 >= 1/(4 N^2), i.e. |scaled diff| >= scale / (2 N)
+    # in integers (2 N divides scale); the squares are Python integers
     floor = scale // (2 * n)
     miss = np.abs(run.resid[~run.in_interval])
     # one comparison, of the closest miss, when any round misses
     worst = [int(miss.min()) ** 2] if miss.size else []
-    penalty = CheckSummary.over(
-        "bits_miss_penalty", worst, floor**2, [w - floor**2 for w in worst], value=lambda v: Fraction(int(v), scale**2)
-    )
-    rhs = (2.0 - 1.0 / (2 * n)) * report.mcerr
-    return [penalty, _float_ge("bits_mse_vs_mcerr", rhs, run.sq_loss)]
+    penalty = CheckSummary.over("bits_miss_penalty", worst, floor**2, [w - floor**2 for w in worst], scale**2)
+    lhs, rhs = 4 * n * run.sq_loss_num, (4 * n - 1) * scale * ledger.mcerr_num()
+    return [penalty, CheckSummary.over("bits_mse_vs_mcerr", lhs, rhs, rhs - lhs, 4 * n * scale**2)]
 
 
 def miss_count(run: ScaledRun) -> int:

@@ -49,10 +49,10 @@ threshold trio, time-quantization and prediction-diversity on the
 signed-noise grid environment, block mass / Parseval / bias-averaging
 whenever a block layout is in play, and the squared-loss controls on the
 bit environment.  Each inequality is one ``calibration.CheckSummary`` per
-replicate; violations (one per failing comparison) are counted and must
-be zero, and each scaling row keeps the tightest slack per inequality
-over its replicates, which the scaling manifest records as
-``pathwise_min_slack@T=<T>/<check>=`` lines.
+replicate, decided exactly in integers; violations (one per failing
+comparison) are counted and must be zero, and each scaling row keeps the
+tightest slack per inequality over its replicates, which the scaling
+manifest records as ``pathwise_min_slack@T=<T>/<check>=`` lines.
 """
 
 from __future__ import annotations
@@ -470,8 +470,8 @@ class CellSkeleton:
         round order, and its run at heads = 0 is one round robin of
         columns: the first min(n, T) rounds, each weighted by the rounds
         that show its column (``RoundRobin.rounds_per_column``).  A layout
-        reads round order (its ``BlockRows``, each round's residual and
-        E_a), so its run holds every round."""
+        reads round order (its ``BlockRows``, each round's residual and the
+        per-block squared deviations), so its run holds every round."""
         contexts = ENVS[plan.env].contexts
         forecaster = plan.forecaster()
         if contexts is None or not forecaster.oblivious:
@@ -537,7 +537,7 @@ def general_replicate(config: ExperimentConfig, T: int, rep: int) -> dict:
 
 def _outcome_free(plan: CellPlan, run: ScaledRun) -> tuple[list, dict, Optional[DeviationStats]]:
     """The checks and extras of a cell that read no outcome: the signed-noise
-    grid's deviation statistics and block bias side.  Also the eta
+    grid's deviation statistics and its block bias transform D.  Also the eta
     statistics the context decomposition reads (None without the threshold
     trio), whose N_x alone reads outcomes."""
     m, layout = plan.m, plan.family.layout
@@ -549,8 +549,8 @@ def _outcome_free(plan: CellPlan, run: ScaledRun) -> tuple[list, dict, Optional[
         extras["A"] = float(stats.A)
         if layout is not None:
             checks.extend(check_block_mass(stats))
-            decomp = block_decompose(run, layout)
-            checks += [check_block_parseval(decomp, stats), check_bias_averaging(decomp, stats)]
+            d = block_decompose(run, layout)
+            checks += [check_block_parseval(d, stats), check_bias_averaging(d, stats)]
     return checks, extras, eta_stats
 
 
@@ -568,8 +568,8 @@ def _cell_result(plan: CellPlan, run, free_checks: list, free_extras: dict, eta_
     checks += free_checks
     out["extras"].update(free_extras)
     if plan.env == "bits":
-        checks.extend(check_bits_mse(run, report))
-        out["extras"]["sq_loss"] = run.sq_loss
+        checks.extend(check_bits_mse(ledger))
+        out["extras"]["sq_loss"] = run.sq_loss_num / run.scale**2
         out["extras"]["misses"] = float(miss_count(run))
     # one name per failing comparison, in check order
     out["violations"] = [c.name for c in checks for _ in range(c.failures)]

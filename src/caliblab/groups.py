@@ -312,10 +312,13 @@ class GroupFamily:
     def __iter__(self):
         return itertools.chain(self.groups, self._block_groups())
 
-    def _block_groups(self):
+    def block_keys(self):
+        """(a, j, sign) of the block half-groups, in family order."""
         lay = self.layout
-        keys = itertools.product(range(1, lay.K + 1), range(lay.L), (1, -1)) if lay is not None else ()
-        return (BlockHadamardHalfGroup(a, j, sign, lay) for a, j, sign in keys)
+        return itertools.product(range(1, lay.K + 1), range(lay.L), (1, -1)) if lay is not None else ()
+
+    def _block_groups(self):
+        return (BlockHadamardHalfGroup(a, j, sign, self.layout) for a, j, sign in self.block_keys())
 
     @cached_property
     def block_ids(self) -> tuple[str, ...]:
@@ -349,14 +352,11 @@ class GroupFamily:
 
     def manifest_rows(self) -> list[tuple[str, str, str]]:
         """(id, kind, params) per group in family order; the block half-groups' rows come from
-        their (a, j, sign) keys, never from objects."""
+        their ``block_keys``, never from objects."""
         rows = [(g.id, type(g).__name__, g.describe()) for g in self.groups]
-        lay = self.layout
-        if lay is not None:
-            keys = itertools.product(range(1, lay.K + 1), range(lay.L), (1, -1))
-            kind, params = BlockHadamardHalfGroup.__name__, BlockHadamardHalfGroup.params
-            rows += [(gid, kind, params(a, j, sign, lay.L)) for gid, (a, j, sign) in zip(self.block_ids, keys)]
-        return rows
+        kind, params = BlockHadamardHalfGroup.__name__, BlockHadamardHalfGroup.params
+        keys = zip(self.block_ids, self.block_keys())
+        return rows + [(gid, kind, params(a, j, sign, self.layout.L)) for gid, (a, j, sign) in keys]
 
     @cached_property
     def direct_pair_rows(self) -> np.ndarray:

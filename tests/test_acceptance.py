@@ -79,8 +79,9 @@ def test_criterion_02_fwht_vs_brute_force():
 
 
 def test_criterion_03_block_parseval():
+    # sum_j sum_v D^2 = L sum_t delta_t^2 per block, compared in integers: every block exactly equal
     rng = substream(SEED, 3)
-    worst = 0.0
+    blocks = 0
     for run in range(50):
         k = int(rng.integers(1, 5))
         log_l = int(rng.integers(3, 13))  # L <= 2^12
@@ -91,13 +92,10 @@ def test_criterion_03_block_parseval():
         den = 2 ** int(rng.integers(2, 6))
         pred = Predictions(num=rng.integers(0, den + 1, size=T), den=den)
         scaled = ScaledRun.build(traj, pred)
-        dec = block_decompose(scaled, layout)
-        stats = deviation_stats(scaled, layout=layout)
-        gap = dec.block_parseval_gap(stats.E_a)
-        worst = max(worst, gap)
-        assert check_block_parseval(dec, stats).ok
-    assert worst <= 1e-9
-    report(3, "block Parseval identity", f"(50 runs, worst rel gap {worst:.2e})")
+        summary = check_block_parseval(block_decompose(scaled, layout), deviation_stats(scaled, layout=layout))
+        assert (summary.count, summary.failures, summary.min_slack) == (k, 0, 0)
+        blocks += summary.count
+    report(3, "block Parseval identity", f"(50 runs, all {blocks} blocks exact)")
 
 
 def test_criterion_04_pathwise_suite_zero_violations():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +10,11 @@ from hypothesis import strategies as st
 from caliblab import calibration
 from caliblab.calibration import (
     BiasLedger,
+    BlockRows,
     CalibrationReport,
+    DeviationStats,
     Predictions,
+    RunLedger,
     ScaledRun,
     accumulate_run,
     block_decompose,
@@ -29,6 +33,7 @@ from caliblab.calibration import (
 )
 from caliblab.environments import (
     ContextRecord,
+    Trajectory,
     sample_bernoulli_env,
     sample_bit_env,
     sample_rademacher_env,
@@ -67,10 +72,13 @@ def bucket_fractions(ledger) -> list[Fraction]:
     return [Fraction(int(v), ledger.scale) for v in ledger.bucket_scaled]
 
 
-def signed_err(dec, a: int, j: int) -> Fraction:
-    """Err of the signed functional h_{a,j} = sum_v |D + Nz| over block a's rows."""
-    lo, hi = dec.rows.first[a - 1 : a + 1]
-    return Fraction(int(np.abs((dec.D + dec.Nz)[lo:hi, j]).sum()), dec.scale)
+def signed_err(run, layout, a: int, j: int) -> Fraction:
+    """Err of the signed functional h_{a,j} = sum_v |D + noise| over block a's rows, from the bias
+    transform D and the noise transform of x - y, each built from its own stream."""
+    rows = run.block_rows(layout)
+    lo, hi = rows.first[a - 1 : a + 1]
+    both = block_decompose(run, layout) + rows.transform(run.x - run.y)
+    return Fraction(int(np.abs(both[lo:hi, j]).sum()), run.scale)
 
 
 def test_record_round_examples():
@@ -329,7 +337,8 @@ def test_deviation_stats_honest():
     stats = deviation_stats(ScaledRun.build(traj, honest_predictions(traj), eta.denominator), eta=eta)
     assert stats.A == 0
     counts = np.bincount(traj.grid_idx, minlength=len(traj.grid))
-    assert stats.N == pytest.approx(np.sqrt(counts).sum())
+    # honest predictions are the means, so the buckets are the realized grid points
+    assert np.array_equal(stats.n_v, counts[counts > 0])
     # honest rounds everywhere: R_x = 0, N_x free
     assert np.all(stats.R_x_num == 0)
     assert np.array_equal(stats.honest_counts, counts)
@@ -339,8 +348,7 @@ def test_deviation_stats_constant_predictor():
     traj = sample_bernoulli_env(T=100, m=8, seed=2)
     pred = Predictions(num=np.full(100, 1, dtype=np.int64), den=2)
     stats = deviation_stats(ScaledRun.build(traj, pred))
-    assert len(stats.n_v) == 1
-    assert stats.N == pytest.approx(np.sqrt(100))
+    assert stats.n_v.tolist() == [100]
 
 
 def test_l1_quantization_on_random_sequences():
@@ -379,11 +387,14 @@ def test_block_decompose_honest():
     traj = sample_rademacher_env(T=128, seed=10, m=4)
     layout = build_block_layout(128, 2)
     pred = honest_predictions(traj)
-    dec = block_decompose(ScaledRun.build(traj, pred), layout)
-    assert dec.D.shape == dec.Nz.shape == (dec.rows.first[-1], layout.L)
-    assert np.all(dec.D == 0)
-    for a, z in enumerate(np.split(dec.Nz, dec.rows.first[1:-1]), start=1):
-        assert signed_err(dec, a, 3) == Fraction(int(np.abs(z[:, 3]).sum()), dec.scale)
+    run = ScaledRun.build(traj, pred)
+    d = block_decompose(run, layout)
+    rows = run.block_rows(layout)
+    assert d.shape == (rows.first[-1], layout.L)
+    assert np.all(d == 0)
+    # with no bias the residual transform is all noise
+    for a, z in enumerate(np.split(run.resid_coefficients(layout), rows.first[1:-1]), start=1):
+        assert signed_err(run, layout, a, 3) == Fraction(int(np.abs(z[:, 3]).sum()), run.scale)
 
 
 def test_block_decompose_constant_bias():
@@ -392,14 +403,14 @@ def test_block_decompose_constant_bias():
     layout = build_block_layout(64, 1)
     pred = Predictions(num=np.full(64, 5, dtype=np.int64), den=8)
     run = ScaledRun.build(traj, pred)
-    dec = block_decompose(run, layout)
-    assert list(dec.rows.first) == [0, 1]
-    assert Fraction(int(run.bucket_scaled[dec.rows.bucket[0]]), dec.scale) == Fraction(5, 8)
+    (d,) = block_decompose(run, layout)
+    rows = run.block_rows(layout)
+    assert list(rows.first) == [0, 1]
+    assert Fraction(int(run.bucket_scaled[rows.bucket[0]]), run.scale) == Fraction(5, 8)
     delta = (
-        np.full(64, 5 * dec.scale // 8, dtype=np.int64)
-        - traj.x_num * (dec.scale // traj.den)
+        np.full(64, 5 * run.scale // 8, dtype=np.int64)
+        - traj.x_num * (run.scale // traj.den)
     )
-    (d,) = dec.D
     assert d[0] == delta.sum()
 
 
@@ -410,17 +421,19 @@ def test_block_decompose_identity_and_parseval():
     fam = build_block_hadamard_family(T=256, K=2)
     for _ in range(5):
         pred = random_predictions(traj, rng, den=8)
-        dec = block_decompose(ScaledRun.build(traj, pred), layout)
+        scaled = ScaledRun.build(traj, pred)
+        d = block_decompose(scaled, layout)
         run = ledger_of(traj, pred, fam)
-        stats = deviation_stats(ScaledRun.build(traj, pred), layout=layout)
-        # D + Nz equals the signed ledger bias exactly
+        stats = deviation_stats(scaled, layout=layout)
+        # bias plus noise equals the signed ledger bias exactly
         for a in (1, 2):
             for j in (0, 1, layout.L - 1):
-                lhs = signed_err(dec, a, j)
+                lhs = signed_err(scaled, layout, a, j)
                 rhs = Fraction(int(run.block_coeff_abs[a - 1, j]), run.scale)
                 assert lhs == rhs
-        assert check_block_parseval(dec, stats).ok
-        averaging = check_bias_averaging(dec, stats)
+        parseval = check_block_parseval(d, stats)
+        assert parseval.ok and parseval.min_slack == 0
+        averaging = check_bias_averaging(d, stats)
         assert averaging.ok and averaging.count == layout.K
 
 
@@ -430,11 +443,11 @@ def test_block_decompose_identity_and_parseval():
     ids=["8-1-2", "32-2-4", "48-3-3", "100-4-8", "64-4-8-flat2"],
 )
 def test_block_decompose_noise_matches_direct_transform(monkeypatch, T, K, den, flat):
-    # D and Nz against the transforms of the bucket-masked p - x and x - y
-    # rows, built here round by round; with one block per transform and
-    # with every block in one.  The per-block sums (N_a, the bias-averaging
-    # and Parseval lhs) against the same rows; ``flat`` names a block with
-    # one prediction, so one row
+    # D and the noise against the transforms of the bucket-masked p - x and
+    # x - y rows, built here round by round; with one block per transform and
+    # with every block in one.  The per-block sums (the row counts, the
+    # bias-averaging l1 and the Parseval sums) against the same rows;
+    # ``flat`` names a block with one prediction, so one row
     rng = np.random.default_rng(T)
     traj = sample_rademacher_env(T=T, seed=K, m=4)
     layout = build_block_layout(T, K)
@@ -443,7 +456,7 @@ def test_block_decompose_noise_matches_direct_transform(monkeypatch, T, K, den, 
         pred.num[(flat - 1) * layout.L : flat * layout.L] = den // 2
     scale = ScaledRun.build(traj, pred).scale
     psi = walsh_matrix(layout.L).astype(np.int64)
-    values, bias, noise, n_a = [], [], [], []
+    values, bias, noise, n_a, sq_dev = [], [], [], [], []
     for a in range(1, layout.K + 1):
         rounds = range((a - 1) * layout.L, a * layout.L)
         present = sorted({pred.fraction(t) for t in rounds})
@@ -460,26 +473,29 @@ def test_block_decompose_noise_matches_direct_transform(monkeypatch, T, K, den, 
         values.append(present)
         bias.append(d_rows @ psi.T)
         noise.append(z_rows @ psi.T)
-        n_a.append(sum(math.sqrt(c) for c in counts))
+        n_a += counts
+        sq_dev.append(int((d_rows**2).sum()))
     first = np.cumsum([0] + [len(v) for v in values])
-    # (1/L) sum_j sum_v |D| and sum_j sum_v D^2 per block, exactly
-    averaging_lhs = [Fraction(int(np.abs(b).sum()), scale * layout.L) for b in bias]
-    parseval_lhs = [Fraction(int((b.astype(object) ** 2).sum()), scale**2) for b in bias]
+    # sum_j sum_v |D| and sum_j sum_v D^2 per block, exactly
+    averaging_lhs = [int(np.abs(b).sum()) for b in bias]
+    parseval_lhs = [int((b.astype(object) ** 2).sum()) for b in bias]
     assert flat is None or first[flat] - first[flat - 1] == 1
     for entries, n_chunks in ((1, layout.K), (calibration.STACK_ENTRIES, 1)):
         monkeypatch.setattr(calibration, "STACK_ENTRIES", entries)
         run = ScaledRun.build(traj, pred)
-        dec = block_decompose(run, layout)
-        rows = dec.rows
+        d = block_decompose(run, layout)
+        stats = deviation_stats(run, layout=layout)
+        rows = stats.rows
         assert rows is run.block_rows(layout) and len(rows.chunks) == n_chunks
         assert np.array_equal(rows.first, first)
         assert [Fraction(int(v), scale) for v in run.bucket_scaled[rows.bucket]] == [v for vs in values for v in vs]
-        assert np.array_equal(dec.D, np.concatenate(bias))
-        assert np.array_equal(dec.Nz, np.concatenate(noise))
-        assert deviation_stats(run, layout=layout).N_a == pytest.approx(n_a, rel=1e-12)
-        assert dec.bias_l1() == pytest.approx([float(v) for v in averaging_lhs], rel=1e-12)
-        # a zero gap against L E_a = the reference sum of squares, block by block
-        assert dec.block_parseval_gap(np.array([float(v) / layout.L for v in parseval_lhs])) < 1e-12
+        assert np.array_equal(d, np.concatenate(bias))
+        assert np.array_equal(run.resid_coefficients(layout) - d, np.concatenate(noise))
+        assert rows.counts.tolist() == n_a
+        assert rows.per_block(np.abs(d).sum(axis=1)).tolist() == averaging_lhs
+        # L sum_t delta_t^2 is the reference sum of squares, block by block
+        assert [layout.L * int(v) for v in stats.sq_dev] == [layout.L * v for v in sq_dev] == parseval_lhs
+        assert check_block_parseval(d, stats).min_slack == 0
 
 
 def test_g4_context_decomposition():
@@ -598,13 +614,144 @@ def test_cell_triangle_matches_a_fraction_reference():
     assert summaries[1].min_slack == -seventh
 
 
+def run_on(x, p, den) -> ScaledRun:
+    """The run of predictions ``p`` on contexts of means ``x`` whose outcomes are the means, all
+    numerators over ``den``."""
+    x = np.array(x, dtype=np.int64)
+    grid = sorted(set(x.tolist()))
+    traj = Trajectory("rademacher", len(x), 0, {}, tuple(Fraction(v, den) for v in grid),
+                      np.searchsorted(grid, x), x, x.copy(), den)
+    return ScaledRun.build(traj, Predictions(num=np.array(p), den=den))
+
+
+def test_n_from_a_equality_and_one_unit_short():
+    # N = sqrt(4) = 2 against T'/(4 sqrt(A + T'/m + 1)) = 16 / (4 sqrt(2 + 1 + 1)) = 2
+    stats = DeviationStats(scale=1, T_prime=16, A_num=2, n_v=np.array([4]))
+    summary = check_n_from_a(stats, m=16)
+    assert summary.ok and summary.min_slack == 0
+    # one round fewer in the bucket: N = sqrt(3) < 2, reported on its lower bracket end
+    short = check_n_from_a(replace(stats, n_v=np.array([3])), m=16)
+    assert (short.failures, short.first, short.rhs) == (1, 0, 2)
+    assert short.lhs**2 <= 3 < (short.lhs + Fraction(1, 2**60)) ** 2
+    assert short.min_slack == short.lhs - 2
+
+
+def test_block_mass_equality_cases_and_one_unit_perturbations():
+    layout = build_block_layout(8, 2)
+    x = [1, 3, 1, 3, 3, 1, 3, 1]
+    # one bucket per block, none shared: N = sum_a N_a exactly
+    lower = deviation_stats(run_on(x, [1, 1, 1, 1, 2, 2, 2, 2], 4), layout=layout)
+    # two buckets, two rounds each, in every block: sum_a N_a = sqrt(K) N exactly
+    upper = deviation_stats(run_on(x, [1, 2, 1, 2, 2, 1, 2, 1], 4), layout=layout)
+    for stats, tight in ((lower, 0), (upper, 1)):
+        summaries = check_block_mass(stats)
+        assert all(s.ok for s in summaries)
+        assert summaries[tight].min_slack == 0 and summaries[1 - tight].min_slack > 0
+    # one more round in the first bucket: N = sqrt(5) + 2 > sum_a N_a = 4
+    bad = check_block_mass(replace(lower, n_v=lower.n_v + [1, 0]))[0]
+    assert (bad.name, bad.failures, bad.first, bad.lhs) == ("block_mass_lower", 1, 0, 4)
+    assert (bad.rhs - 2) ** 2 >= 5 > (bad.rhs - 2 - Fraction(1, 2**60)) ** 2
+    # one fewer: sqrt(2) (sqrt(3) + 2) < sum_a N_a = 4 sqrt(2)
+    bad = check_block_mass(replace(upper, n_v=upper.n_v - [1, 0]))[1]
+    assert (bad.name, bad.failures, bad.first) == ("block_mass_upper", 1, 0)
+    assert float(bad.lhs) == pytest.approx(math.sqrt(6) + math.sqrt(8), rel=1e-15) and bad.lhs < bad.rhs
+    assert bad.rhs**2 >= 32 > (bad.rhs - Fraction(1, 2**60)) ** 2
+
+
+def test_undecided_bracket_counts_as_a_failure(monkeypatch):
+    # sqrt(6) > sqrt(5), but whole-number brackets [2, 3] and [2, 3] cannot tell them apart
+    rows = BlockRows(8, np.array([0]), np.array([6]), np.array([0, 1]), np.zeros(0, dtype=np.int64), ((0, 1),))
+    stats = DeviationStats(scale=1, T_prime=6, A_num=0, n_v=np.array([5]), rows=rows)
+    decided = check_block_mass(stats)[0]
+    assert decided.ok and float(decided.min_slack) == pytest.approx(math.sqrt(6) - math.sqrt(5), rel=1e-15)
+    monkeypatch.setattr(calibration, "SQRT_BITS", (0, 1))
+    undecided = check_block_mass(stats)[0]
+    # at 1 bit the brackets are [4, 5] / 2 on both sides
+    assert (undecided.failures, undecided.first, undecided.lhs, undecided.rhs) == (1, 0, 2, Fraction(5, 2))
+    assert undecided.min_slack == Fraction(-1, 2)
+
+
+def test_bias_averaging_equality_and_one_unit_perturbation():
+    # delta = (1, 1, 1, -1) / 4 in each block of one bucket: every |D| is 2/4, the Cauchy-Schwarz equality
+    layout = build_block_layout(8, 2)
+    run = run_on([1, 1, 1, 3] * 2, [2] * 8, 4)
+    d = block_decompose(run, layout)
+    assert np.array_equal(np.abs(d), np.full((2, 4), 2))
+    stats = deviation_stats(run, layout=layout)
+    summary = check_bias_averaging(d, stats)
+    assert (summary.count, summary.failures, summary.min_slack) == (2, 0, 0)
+    # (sum |D|)^2 = 8^2 against L^2 q sum delta^2 = 16 * 1 * 4, over scale^2 = 16; one unit less of
+    # sum delta^2 in block 2
+    bad = check_bias_averaging(d, replace(stats, sq_dev=stats.sq_dev - [0, 1]))
+    assert (bad.failures, bad.first, bad.lhs, bad.rhs, bad.min_slack) == (1, 1, 4, 3, -1)
+
+
+def test_block_parseval_equality_and_one_unit_perturbation():
+    layout = build_block_layout(8, 2)
+    run = run_on([1, 1, 1, 3] * 2, [2] * 8, 4)
+    d, stats = block_decompose(run, layout), deviation_stats(run, layout=layout)
+    summary = check_block_parseval(d, stats)
+    assert (summary.count, summary.failures, summary.min_slack) == (2, 0, 0)
+    # one unit more, then one less, on a coefficient of block 2: 3^2 or 1^2, plus 3 * 2^2, against
+    # L sum delta^2 = 16, over 16; an equality fails on either side
+    for unit, lhs in ((1, 21), (-1, 13)):
+        bad = d.copy()
+        bad[1, 0] += unit
+        bad = check_block_parseval(bad, stats)
+        assert (bad.failures, bad.first, bad.lhs, bad.rhs) == (1, 1, Fraction(lhs, 16), 1)
+        assert bad.min_slack == -abs(Fraction(lhs - 16, 16))
+
+
+def test_block_checks_take_python_ints_above_the_int64_ceiling():
+    # scale 2^31 puts L^3 scale^2 above 2^63: the sums of squares are taken in Python integers
+    rng = np.random.default_rng(29)
+    traj = sample_rademacher_env(T=64, seed=3, m=4)
+    layout = build_block_layout(64, 2)
+    run = ScaledRun.build(traj, random_predictions(traj, rng, den=2**31))
+    assert layout.L**3 * run.scale**2 >= 2**63
+    d, stats = block_decompose(run, layout), deviation_stats(run, layout=layout)
+    assert stats.sq_dev.dtype == object and sum(stats.sq_dev) > 2**63
+    assert check_block_parseval(d, stats).min_slack == 0
+    assert check_bias_averaging(d, stats).ok
+
+
+def test_bits_mse_vs_mcerr_equality_and_one_unit_perturbation():
+    # two rounds at p = 1/2 with y in {1/4, 3/4}: sum (p - y)^2 = 1/8 over scale 28, and a ledger whose
+    # MCerr is 2/28 makes (2 - 1/(2N)) MCerr = 7/4 * 1/14 = 1/8, the equality
+    traj = sample_bit_env(T=2, k=1, seed=1)
+    run = ScaledRun.build(traj, Predictions(num=np.full(2, 14), den=28))
+    fam = build_bit_family(1)
+    assert run.scale == 28 and Fraction(run.sq_loss_num, run.scale**2) == Fraction(1, 8)
+    mse = check_bits_mse(RunLedger(fam, run, np.array([[2], [0]])))[1]
+    assert (mse.name, mse.count, mse.failures, mse.min_slack) == ("bits_mse_vs_mcerr", 1, 0, 0)
+    # one unit less of bias: MCerr 1/28 and a bound of 1/16
+    bad = check_bits_mse(RunLedger(fam, run, np.array([[1], [0]])))[1]
+    assert (bad.failures, bad.first, bad.lhs, bad.rhs, bad.min_slack) == (1, 0, Fraction(1, 8), Fraction(1, 16), Fraction(-1, 16))
+
+
+@pytest.mark.parametrize("kind", ["bits", "block_hadamard", "empty"])
+def test_mcerr_num_is_the_reports_largest_err(kind):
+    # the block half-groups count, over 2 scale, and an empty family's MCerr is 0
+    traj = sample_bit_env(T=64, k=2, seed=3)
+    fam = {
+        "bits": build_bit_family(2),
+        "block_hadamard": build_block_hadamard_family(T=64, K=2),
+        "empty": GroupFamily(kind="empty", groups=[]),
+    }[kind]
+    ledger = ledger_of(traj, random_predictions(traj, np.random.default_rng(5), den=8), fam)
+    assert float(Fraction(ledger.mcerr_num(), 2 * ledger.scale)) == ledger.report().mcerr
+    assert (ledger.mcerr_num() == 0) == (kind == "empty")
+    # with no group at all the bound is 0 and the squared loss is not
+    assert [s.ok for s in check_bits_mse(ledger)] == [True, kind != "empty"]
+
+
 def test_bits_mse_checks():
     rng = np.random.default_rng(22)
     traj = sample_bit_env(T=500, k=3, seed=15)
     fam = build_bit_family(3)
     pred = random_predictions(traj, rng, den=7)
     run = ledger_of(traj, pred, fam)
-    for chk in check_bits_mse(run.scaled, run.report()):
+    for chk in check_bits_mse(run):
         assert chk.ok
     assert 0 <= miss_count(run.scaled) <= traj.T
     # honest predictions never miss and have zero loss
@@ -613,11 +760,15 @@ def test_bits_mse_checks():
     # every round misses by 3/4 over a scale of 2^40, whose squares exceed int64
     traj = sample_bit_env(T=4, k=1, seed=1)
     far = np.where(2 * traj.x_num > traj.den, 0, 2**40)
-    run = ScaledRun.build(traj, Predictions(num=far, den=2**40))
-    penalty = check_bits_mse(run, CalibrationReport({"g": 0}, np.array([1.0])))[0]
+    ledger = ledger_of(traj, Predictions(num=far, den=2**40), build_bit_family(1))
+    run = ledger.scaled
+    penalty, mse = check_bits_mse(ledger)
     assert miss_count(run) == 4
     # worst miss 3/4 against the floor 1/(2N) = 1/4, squared
     assert penalty.ok and penalty.min_slack == Fraction(9, 16) - Fraction(1, 16)
+    # sum_t (p - y)^2 = 4 (3/4)^2, taken in Python integers
+    assert Fraction(run.sq_loss_num, run.scale**2) == Fraction(9, 4)
+    assert mse.count == 1 and mse.min_slack == Fraction(7, 4) * Fraction(ledger.mcerr_num(), 2 * run.scale) - Fraction(9, 4)
 
 
 def test_vector_report_keeps_family_order():

@@ -703,3 +703,16 @@ def test_module_entry_point_help():
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("usage: caliblab")
     assert "bounds" in out.stdout
+
+
+def test_walsh_pipeline_manifest_reads_exact_slacks(tmp_path):
+    # the block checks read no outcome, so two replicates give each T's slacks; the block mass upper
+    # bound sits on its Cauchy-Schwarz equality case and Parseval is an identity, both exactly 0
+    config = ROOT / "configs" / "walsh_pipeline.cfg"
+    assert main(["scaling", "--config", str(config), "--out", str(tmp_path), "--run.replicates=2"]) == EXIT_OK
+    lines = (tmp_path / "walsh_manifest.txt").read_text().splitlines()
+    for T in (2048, 8192):
+        for check in ("block_mass_upper", "block_parseval"):
+            assert f"pathwise_min_slack@T={T}/{check}=0" in lines
+    slacks = [float(line.rpartition("=")[2]) for line in lines if line.startswith("pathwise_min_slack@")]
+    assert len(slacks) == 16 and min(slacks) >= 0

@@ -900,9 +900,10 @@ def noise_floor_diagnostic(T: int, K: int, replicates: int, seed: int) -> dict:
     for rep in range(replicates):
         traj = sample_rademacher_env(T, seed, m=m_env, stream=rep)
         run = ScaledRun.build(traj, Predictions(num=traj.x_num.copy(), den=traj.den))
-        dec = calibration.block_decompose(run, layout)
-        n_a_sum += calibration.deviation_stats(run, layout=layout).N_a
-        noise_sums += dec.rows.per_block(np.abs(dec.Nz / dec.scale))
+        rows = run.block_rows(layout)
+        noise = run.resid_coefficients(layout) - calibration.block_decompose(run, layout)
+        n_a_sum += rows.per_block(np.sqrt(rows.counts))
+        noise_sums += rows.per_block(np.abs(noise / run.scale))
     mean_noise = noise_sums / replicates
     mean_n_a = n_a_sum / replicates
     ratios = mean_noise * math.log2(layout.L + 1) / mean_n_a[:, None]
