@@ -1,14 +1,16 @@
 """Hot numeric kernels, all plain numpy.
 
 One FWHT (``fwht_pingpong``, constant-geometry stages between two
-buffers), one first-return test (``first_return_batch``) and one
-loop-free noise bucketing kernel (``bucketing_packed``), which walks
-packed sign bytes for all five strategies; round robin, whose buckets
-stride across bytes, unpacks its rows inside it.  ``bucketing_batch`` is
-its checked front door for int8 +-1 rows, and ``probes.bucketing_trace``
-the scalar reference it is checked against.  Randomness is always drawn
-outside the kernels (Philox streams, see ``environments.substream``) and
-passed in as arrays.
+buffers), one first-return test (``first_return_batch``), and two walks
+of packed sign bytes that share per-byte tables: the loop-free noise
+bucketing kernel (``bucketing_packed``) for all five strategies, where
+round robin, whose buckets stride across bytes, unpacks its rows inside
+it, and the largest |prefix sum| of each row (``prefix_extent``), which
+the identity suite's Walsh prefix scan runs on.  ``bucketing_batch`` is
+the bucketing kernel's checked front door for int8 +-1 rows, and
+``probes.bucketing_trace`` the scalar reference it is checked against.
+Randomness is always drawn outside the kernels (Philox streams, see
+``environments.substream``) and passed in as arrays.
 
 The probes built on them back acceptance criteria 05 (first-return law)
 and 08 (bucketing floor).
@@ -158,7 +160,8 @@ def _zero_seeking_roots(reps, horizon, fresh):
 #
 # A row holds L steps in ceil(L/8) bytes, most significant bit first
 # (1 -> +1, 0 -> -1), and the walk is taken one byte at a time: _NET is a
-# byte's net step, _PREFIX[b, k] the walk after its steps 0..k, and
+# byte's net step, _PREFIX[b, k] the walk after its steps 0..k,
+# _PREFIX_MAX[b] and _PREFIX_MIN[b] its extremes over k = 0..7, and
 # _HIT[d + 8, b] the mask (first step in the top bit) of the steps k with
 # _PREFIX[b, k] == d.  The walk can only sit on a level inside a byte that
 # starts within +-8 of it, so only those bytes are looked at.  Round robin
@@ -170,6 +173,8 @@ _PREFIX = np.cumsum(
 )
 _NET = _PREFIX[:, -1].copy()
 _HIT = np.packbits(_PREFIX == np.arange(-8, 9)[:, None, None], axis=2)[:, :, 0]
+_PREFIX_MAX = _PREFIX.max(axis=1)
+_PREFIX_MIN = _PREFIX.min(axis=1)
 
 
 def _byte_starts(packed, horizon):
@@ -204,6 +209,26 @@ def _level_hits(packed, starts, level, lo, hi):
     steps = 8 * cols + (bits & 7)
     inside = (steps >= lo) & (steps < hi)
     return rows[inside], steps[inside]
+
+
+def prefix_extent(packed, horizon):
+    """max |walk| over the first ``horizon`` steps of each row of packed sign
+    bytes (rows, ceil(horizon / 8)), in the walk dtype of ``horizon`` steps.
+
+    The walk's extremes inside a byte are its start plus the byte's
+    ``_PREFIX_MAX`` or ``_PREFIX_MIN``; a last byte holding fewer than 8
+    steps takes its extremes over those steps alone, never its padding.
+    """
+    if packed.dtype != np.uint8 or horizon < 1 or packed.shape[1] != -(-horizon // 8):
+        raise ValueError(f"a prefix scan needs uint8 rows of {-(-horizon // 8)} bytes")
+    starts = _byte_starts(packed, horizon)
+    top = starts + _PREFIX_MAX.take(packed)
+    bottom = starts + _PREFIX_MIN.take(packed)
+    if tail := horizon % 8:
+        last = _PREFIX[packed[:, -1], :tail]
+        top[:, -1] = starts[:, -1] + last.max(axis=1)
+        bottom[:, -1] = starts[:, -1] + last.min(axis=1)
+    return np.maximum(top.max(axis=1), -bottom.min(axis=1))
 
 
 def bucketing_packed(packed, horizon, strategy, n_pool):

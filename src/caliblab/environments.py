@@ -275,8 +275,12 @@ def sample_bit_env(T: int, k: int, seed: int, stream: int = 0) -> Trajectory:
     n = 1 << k
     rng = substream(seed, stream)
     bits = rng.integers(0, 2, size=(T, k), dtype=np.uint8)
-    weights = (1 << np.arange(k - 1, -1, -1)).astype(np.int64)
-    val = bits.astype(np.int64) @ weights
+    # the context value, most significant bit first: k shift-or steps over
+    # the uint8 columns take half the time of an int64 matmul
+    val = np.zeros(T, dtype=np.int64)
+    for column in bits.T:
+        val <<= 1
+        val |= column
     mu_num = 2 * val + 1  # over 2N
     return Trajectory(
         env_kind="bits",

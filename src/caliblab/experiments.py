@@ -70,7 +70,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._kernels import _walk_dtype
+from ._kernels import _walk_dtype, prefix_extent
 from .calibration import (
     DeviationStats,
     Predictions,
@@ -128,7 +128,7 @@ from .groups import (
     default_block_count,
     default_eta,
 )
-from .orthogonal import BLOCK_ROWS, walsh_rows
+from .orthogonal import BLOCK_ROWS, walsh_rows, walsh_rows_packed
 
 # Exponent acceptance window for the honest/threshold scaling study;
 # config constants, not hidden defaults (theory predicts 2/3)
@@ -929,16 +929,16 @@ def walsh_prefix_violations(n: int, bounds: np.ndarray, block_rows: int = BLOCK_
     """Rows j = 1..n-1 of the length-``n`` Walsh system whose largest
     |prefix sum| exceeds ``bounds[j - 1]``.
 
-    Rows are built ``block_rows`` at a time with prefix sums in the walk
-    width of ``n`` steps (int16 up to n < 2^15, as |prefix| <= n), so memory
-    stays O(block_rows * n), not O(n^2).
+    Rows are built ``block_rows`` at a time as packed sign bytes and each
+    row's largest |prefix sum| is taken byte by byte (``prefix_extent``:
+    one cumsum over the n/8 byte starts and the per-byte prefix extremes),
+    so memory stays O(block_rows * n / 8), not O(n^2).
     """
     bad = 0
     for lo in range(1, n, block_rows):
         hi = min(lo + block_rows, n)
-        prefix = np.cumsum(walsh_rows(lo, hi, n), axis=1, dtype=_walk_dtype(n))
-        prefix_max_abs = np.maximum(prefix.max(axis=1), -prefix.min(axis=1))
-        bad += int(np.count_nonzero(prefix_max_abs > bounds[lo - 1 : hi - 1]))
+        extent = prefix_extent(walsh_rows_packed(lo, hi, n), n)
+        bad += int(np.count_nonzero(extent > bounds[lo - 1 : hi - 1]))
     return bad
 
 
@@ -995,11 +995,11 @@ def run_identity_suite(
         traj = sample_rademacher_env(T, seed, m=2)
         fam = build_block_hadamard_family(T=T, K=2)
         run = ScaledRun.build(traj, Predictions(num=np.zeros(T, dtype=np.int64), den=1))
+        # row a - 1 is the indicator of block a
+        expected = np.repeat(np.eye(2, dtype=np.int64), L, axis=1)
         for plus, minus in fam.signed_pairs():
             w = plus.weights(run).astype(np.int64) + minus.weights(run)
-            expected = np.zeros(T, dtype=np.int64)
-            expected[(plus.a - 1) * L : plus.a * L] = 1
-            bad += int(np.count_nonzero(w != expected))
+            bad += int(np.count_nonzero(w != expected[plus.a - 1]))
     records.append(BoundRecord("identity_half_group_complement", float(bad), 0.0, "le"))
 
     traj = sample_bernoulli_env(T=512, m=8, seed=seed)

@@ -30,7 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -201,6 +201,15 @@ class WalshHalfGroup(GroupFunction):
         return f"l={self.l};sign={self.sign:+d};m={self.m}"
 
 
+@lru_cache(maxsize=1024)
+def _block_row(j: int, L: int) -> np.ndarray:
+    # psi_j on one block, read-only: built once for a had+ and had- pair and
+    # for every block of a layout
+    row = walsh_row(j, L)
+    row.flags.writeable = False
+    return row
+
+
 class BlockHadamardHalfGroup(GroupFunction):
     """1[t in J_a] (1 +- psi_{a,j}(local time))/2 on a block layout."""
 
@@ -232,8 +241,8 @@ class BlockHadamardHalfGroup(GroupFunction):
         lo = (self.a - 1) * lay.L
         hi = min(self.a * lay.L, run.T)
         if lo < hi:
-            row = walsh_row(self.j, lay.L)[: hi - lo]
-            out[lo:hi] = (1 + self.sign * row) // 2
+            # (1 + sign * psi) / 2 is 1 exactly where psi equals the sign
+            out[lo:hi] = _block_row(self.j, lay.L)[: hi - lo] == self.sign
         return out
 
     def describe(self):

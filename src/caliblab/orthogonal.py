@@ -17,6 +17,12 @@ Conventions used throughout the package:
   popcount block times rows of one cached, read-only 128 x 128 tile.
   Requests under 8,192 entries (a single row up to n = 4096) keep one
   popcount per entry, which is cheaper there.
+* Packed Walsh rows (``walsh_rows_packed``) are (rows, ceil(n / 8)) uint8,
+  ``np.packbits`` order: most significant bit first, 1 for +1 and 0 for -1,
+  and the padding bits of a row shorter than a byte (n = 2, 4) are 0.  Byte
+  k of row j is the byte pattern of ``psi_{j & 7}`` on 0..7, flipped where
+  ``<j >> 3, k>_2`` is odd.  The identity suite's prefix scan walks them
+  with ``_kernels.prefix_extent``.
 * ``fwht`` picks its integer width from the input dtype, never from the
   data: int8 and int16 inputs of length n <= 2^15 run in int32 (every
   partial sum is at most n * 2^15 <= 2^30), other integers in int64.
@@ -70,12 +76,16 @@ _H_TILE = _popcount_rows(np.arange(TILE, dtype=np.uint32), TILE)
 _H_TILE.flags.writeable = False
 
 
-def walsh_rows(lo: int, hi: int, n: int) -> np.ndarray:
-    """Rows psi_lo .. psi_{hi-1} of the length-``n`` Walsh system, (hi - lo, n) int8."""
+def _row_range(lo: int, hi: int, n: int) -> np.ndarray:
     _require_power_of_two(n)
     if not 0 <= lo <= hi <= n:
         raise ValueError(f"row range must satisfy 0 <= lo <= hi <= n, got lo={lo}, hi={hi}, n={n}")
-    rows = np.arange(lo, hi, dtype=np.uint32)
+    return np.arange(lo, hi, dtype=np.uint32)
+
+
+def walsh_rows(lo: int, hi: int, n: int) -> np.ndarray:
+    """Rows psi_lo .. psi_{hi-1} of the length-``n`` Walsh system, (hi - lo, n) int8."""
+    rows = _row_range(lo, hi, n)
     # a popcount per entry is cheaper below about 8k entries (a single row
     # up to n = 4096); above, the tile product is 2-5x faster
     if n <= TILE or (hi - lo) * n < 1 << 13:
@@ -85,6 +95,25 @@ def walsh_rows(lo: int, hi: int, n: int) -> np.ndarray:
     out = np.empty((hi - lo, n // TILE, TILE), dtype=np.int8)
     np.multiply(high[:, :, None], _H_TILE[rows % TILE][:, None, :], out=out)
     return out.reshape(hi - lo, n)
+
+
+# packed psi_j(0..7) of j = 0..7, most significant bit first, 1 for +1
+_BYTE_ROWS = np.packbits(_H_TILE[:8, :8] > 0, axis=1)[:, 0]
+
+
+def walsh_rows_packed(lo: int, hi: int, n: int) -> np.ndarray:
+    """Rows psi_lo .. psi_{hi-1} of the length-``n`` Walsh system as packed
+    sign bytes, (hi - lo, ceil(n / 8)) uint8: ``packbits(walsh_rows(lo, hi, n) > 0)``."""
+    rows = _row_range(lo, hi, n)
+    if n < 8:
+        # the one byte's padding bits stay 0, as packbits leaves them
+        return (_BYTE_ROWS[rows] & np.uint8(0xFF << (8 - n) & 0xFF))[:, None]
+    # psi_j(8k + i) = psi_{j >> 3}(k) * psi_{j & 7}(i): byte k of row j is the
+    # pattern of j & 7, flipped where <j >> 3, k>_2 is odd; rows sharing j >> 3
+    # share their flips
+    high = np.arange(lo >> 3, (hi + 7) >> 3, dtype=np.uint32)
+    flips = np.negative((np.bitwise_count(high[:, None] & np.arange(n // 8, dtype=np.uint32)) & 1).astype(np.uint8))
+    return flips[(rows >> 3) - (lo >> 3)] ^ _BYTE_ROWS[rows & 7][:, None]
 
 
 def walsh_matrix(n: int) -> np.ndarray:

@@ -783,12 +783,15 @@ def test_identity_suite_small():
     assert len(records) == 5
 
 
-def test_walsh_prefix_check_flags_a_bound_one_too_small():
-    n = 64
+@pytest.mark.parametrize("n", [2, 4, 8, 64, 4096])
+def test_walsh_prefix_check_flags_a_bound_one_too_small(n):
+    # n = 2 and 4 fill part of one packed byte, n = 8 exactly one, and
+    # n = 4096 is the largest system the identity suite scans
     bounds = np.array([1 << ((j & -j).bit_length() - 1) for j in range(1, n)])
     # the dyadic bound 2^tz(j) is attained, so every row is tight
     assert walsh_prefix_violations(n, bounds, block_rows=5) == 0
-    for j in (1, 4, 5, 32, 63):  # inside and at the edges of 5-row blocks
+    # inside and at the edges of 5-row blocks, and the last row
+    for j in sorted({1, 2, 3, 4, 5, 32, 63, 2048, n - 1} & set(range(1, n))):
         tight = bounds.copy()
         tight[j - 1] -= 1
         assert walsh_prefix_violations(n, tight, block_rows=5) == 1

@@ -203,6 +203,23 @@ def test_complementarity_exhaustive_vectorized():
         assert np.array_equal(total[: layout.T_prime], np.full(layout.T_prime, layout.L))
 
 
+@pytest.mark.parametrize("T, K", [(4, 2), (37, 2), (100, 3)])
+def test_block_half_group_weights_match_evaluate(T, K):
+    layout = build_block_layout(T, K)
+    run = zero_run(sample_rademacher_env(T=T, seed=2))
+    for a in range(1, K + 1):
+        for j in range(layout.L):
+            for sign in (1, -1):
+                g = BlockHadamardHalfGroup(a, j, sign, layout)
+                expected = [g.evaluate(ctx_timed(Fraction(1, 2), t), None) for t in range(1, T + 1)]
+                w = g.weights(run)
+                assert w.dtype == np.int8 and w.tolist() == expected, g.id
+                # the row a pair shares is never aliased into an output: writing
+                # into one result leaves the next call, and the other sign's, intact
+                w[:] = 7
+                assert g.weights(run).tolist() == expected, g.id
+
+
 def test_bit_family():
     fam = build_bit_family(2)
     assert len(fam) == 3

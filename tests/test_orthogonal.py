@@ -13,6 +13,7 @@ from caliblab.orthogonal import (
     walsh_matrix,
     walsh_row,
     walsh_rows,
+    walsh_rows_packed,
     walsh_sign,
 )
 
@@ -57,6 +58,17 @@ def test_walsh_rows_match_scalar_across_tiles():
         assert block.dtype == np.int8 and block.shape == (hi - lo, n)
         for j in range(lo, hi):
             assert block[j - lo].tolist() == [walsh_sign(j, s, n) for s in range(n)]
+
+
+@pytest.mark.parametrize("n", [2**e for e in range(1, 13)])
+def test_walsh_rows_packed_match_packbits(n):
+    # whole rows for n <= 256; longer systems take ranges that cross an
+    # 8-row and a 128-row boundary, a range in the middle, and the last rows
+    ranges = [(0, n)] if n <= 256 else [(0, 9), (5, 21), (120, 136), (127, 385), (n // 2 - 3, n // 2 + 70), (n - 9, n)]
+    for lo, hi in ranges + [(n - 1, n), (n // 2, n // 2)]:
+        packed = walsh_rows_packed(lo, hi, n)
+        assert packed.dtype == np.uint8 and packed.shape == (hi - lo, -(-n // 8))
+        assert np.array_equal(packed, np.packbits(walsh_rows(lo, hi, n) > 0, axis=1)), (lo, hi)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 64])

@@ -8,8 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caliblab import _kernels, probes
-from caliblab._kernels import BUCKETING_STRATEGY_CODES, bucketing_batch, bucketing_packed, first_return_batch
+from caliblab._kernels import (
+    BUCKETING_STRATEGY_CODES,
+    bucketing_batch,
+    bucketing_packed,
+    first_return_batch,
+    prefix_extent,
+)
 from caliblab.environments import substream
+from caliblab.orthogonal import walsh_rows
 from caliblab.probes import (
     BUCKETING_FLOOR,
     MARTINGALE_FLOOR,
@@ -274,9 +281,36 @@ def test_packed_walk_tables():
     walk = np.cumsum(2 * bits - 1, axis=1)
     assert np.array_equal(_kernels._PREFIX, walk) and _kernels._PREFIX.dtype == np.int8
     assert np.array_equal(_kernels._NET, 2 * bits.sum(axis=1) - 8) and _kernels._NET.dtype == np.int8
+    assert np.array_equal(_kernels._PREFIX_MAX, walk.max(axis=1)) and _kernels._PREFIX_MAX.dtype == np.int8
+    assert np.array_equal(_kernels._PREFIX_MIN, walk.min(axis=1)) and _kernels._PREFIX_MIN.dtype == np.int8
     assert _kernels._HIT.shape == (17, 256) and _kernels._HIT.dtype == np.uint8
     for d in range(-8, 9):
         assert np.array_equal(np.unpackbits(_kernels._HIT[d + 8][:, None], axis=1), walk == d), d
+
+
+def test_prefix_extent_matches_cumsum_on_every_walsh_row():
+    # every row j = 0..n-1 of n = 2..4096, 512 rows at a time; n = 2 and 4
+    # fill part of one byte, whose padding bits must not count as steps
+    for e in range(1, 13):
+        n = 2**e
+        for lo in range(0, n, 512):
+            signs = walsh_rows(lo, min(lo + 512, n), n)
+            prefix = np.cumsum(signs, axis=1, dtype=np.int16)
+            reference = np.maximum(prefix.max(axis=1), -prefix.min(axis=1))
+            assert np.array_equal(prefix_extent(np.packbits(signs > 0, axis=1), n), reference), (n, lo)
+
+
+def test_prefix_extent_matches_cumsum_on_random_rows():
+    rng = np.random.default_rng(27)
+    for horizon in [*range(1, 41), 255, 1000, 4096, 2**15 + 3]:
+        signs = (2 * rng.integers(0, 2, (40, horizon)) - 1).astype(np.int8)
+        signs[0] = 1  # a walk that only climbs, and one that only falls
+        signs[1] = -1
+        prefix = np.cumsum(signs, axis=1, dtype=np.int64)
+        reference = np.maximum(prefix.max(axis=1), -prefix.min(axis=1))
+        assert np.array_equal(prefix_extent(np.packbits(signs > 0, axis=1), horizon), reference), horizon
+    with pytest.raises(ValueError, match="2 bytes"):
+        prefix_extent(np.zeros((3, 1), dtype=np.uint8), 9)
 
 
 def test_draw_packed_holds_the_drawn_signs():
