@@ -192,6 +192,10 @@ class Manifest:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _violation_lines(T: int, failed) -> list:  # one manifest line per failing (rep, CheckSummary) at T
+    return [f"pathwise_violation@T={T}=rep={rep};check={s.name};index={s.first};lhs={s.lhs};rhs={s.rhs}" for rep, s in failed]
+
+
 def cmd_scaling(args, overrides) -> int:
     try:
         cfg = load_config(args.config, overrides)
@@ -234,6 +238,7 @@ def cmd_scaling(args, overrides) -> int:
         manifest.notes += [
             f"pathwise_min_slack@T={row.T}/{name}={format_float(float(slack))}" for name, slack in row.min_slack.items()
         ]
+        manifest.notes += _violation_lines(row.T, row.failed)
     manifest.write(out_dir / f"{config.experiment_id}_manifest.txt")
 
     print(
@@ -380,10 +385,7 @@ def cmd_bounds(args, overrides) -> int:
         manifest.outputs.append(cells_path.name)
         for T, info in sorted(details["per_T"].items()):
             manifest.notes.append(f"pathwise_min_slack@T={T}={format_float(info['pathwise_min_slack'])}")
-            manifest.notes += [
-                f"pathwise_violation@T={T}=rep={rep};check={s.name};index={s.first};lhs={s.lhs};rhs={s.rhs}"
-                for rep, s in info["pathwise_violations"]
-            ]
+            manifest.notes += _violation_lines(T, info["pathwise_violations"])
     manifest.write(out_dir / f"bounds_{args.which}_manifest.txt")
     for r in records:
         print(f"{r.check_id}: measured={r.measured:.6g} bound={r.bound:.6g} {'pass' if r.passed else 'FAIL'}")

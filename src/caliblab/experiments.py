@@ -36,12 +36,13 @@ seed; ``run_scaling`` runs them in one process, one T at a time.  Reruns
 with the same config and seed produce byte-identical CSVs.
 
 Every general-path cell is one ``_cell`` call: the oracle bound's
-replicates are cells of a ``bits`` plan, and the reduction bound's cells
-of a ``grid_ranges`` plan forecast by a fresh ``PatternRouter``, whose
-suite adds the exact cell triangle bound (``check_cell_triangle``).  The
-scaling study and both bound runners run their replicates through one
-loop, ``_run_cells``, so a failing cell names its run, T, replicate and
-stream.
+replicates are cells of a ``bits`` plan, and the reduction bound's routed
+cells of a ``grid_ranges`` plan forecast by a fresh ``PatternRouter``,
+whose suite adds the exact cell triangle bound (``check_cell_triangle``).
+A cell result holds what one cell knows: ``err``, ``checks``, ``extras``
+and ``violations``.  Every replicate, the reduction's standalone cells
+too, runs through ``_run_cells``, which names a failing cell's run, T,
+replicate and stream and folds a T's cells once into ``Cells``.
 
 The pathwise inequality suite runs inside every replicate: telescoping
 and difference-of-two everywhere, the context decomposition for the
@@ -50,9 +51,9 @@ signed-noise grid environment, block mass / Parseval / bias-averaging
 whenever a block layout is in play, and the squared-loss controls on the
 bit environment.  Each inequality is one ``calibration.CheckSummary`` per
 replicate, decided exactly in integers; violations (one per failing
-comparison) are counted and must be zero, and each scaling row keeps the
-tightest slack per inequality over its replicates, which the scaling
-manifest records as ``pathwise_min_slack@T=<T>/<check>=`` lines.
+comparison) are counted and must be zero; each scaling row keeps the
+tightest slack per inequality and the failing summaries, recorded in the
+manifest as ``pathwise_min_slack@T=<T>/<check>=`` and ``pathwise_violation@``.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ import numpy as np
 
 from ._kernels import _walk_dtype, prefix_extent
 from .calibration import (
+    CalibrationReport,
     DeviationStats,
     Predictions,
     RunSkeleton,
@@ -555,31 +557,49 @@ def _outcome_free(plan: CellPlan, run: ScaledRun) -> tuple[list, dict, Optional[
 
 
 def _cell_result(plan: CellPlan, run, free_checks: list, free_extras: dict, eta_stats, forecaster=None) -> dict:
-    """Accumulate the run, check it and report: err, mcerr, extras, violations, failed summaries, min slack."""
+    """Accumulate the run, check it and report: err, checks, extras and violations."""
     ledger = accumulate_run(run, plan.family)
-    report = ledger.report()
-    out = {"mcerr": report.mcerr, "err": report, "extras": {}}
+    err, extras = ledger.report(), {}
     checks = [check_telescoping(ledger), check_diff_two(ledger)]
     if isinstance(forecaster, PatternRouter):
         checks.append(check_cell_triangle(ledger, {z: forecaster.cell_err(z) for z in forecaster.cells}))
     if eta_stats is not None:
         checks.append(check_g4_context_decomp(ledger, eta_stats, plan.eta, plan.m))
-        out["extras"]["sum_abs_nx"] = float(np.abs(eta_stats.N_x_num).sum()) / eta_stats.scale
+        extras["sum_abs_nx"] = float(np.abs(eta_stats.N_x_num).sum()) / eta_stats.scale
     checks += free_checks
-    out["extras"].update(free_extras)
+    extras.update(free_extras)
     if plan.env == "bits":
         checks.extend(check_bits_mse(ledger))
-        out["extras"]["sq_loss"] = run.sq_loss_num / run.scale**2
-        out["extras"]["misses"] = float(miss_count(run))
+        extras["misses"] = float(miss_count(run))
     # one name per failing comparison, in check order
-    out["violations"] = [c.name for c in checks for _ in range(c.failures)]
-    out["failed"] = [c for c in checks if c.failures]
-    out["min_slack"] = {c.name: c.min_slack for c in checks if c.count}
-    return out
+    violations = [c.name for c in checks for _ in range(c.failures)]
+    return {"err": err, "checks": checks, "extras": extras, "violations": violations}
 
 
-def _run_cells(name: str, T: int, replicates: int, cell: Callable[[int, int], dict], stream=_cell_stream) -> list:
-    """``cell(rep, stream(T, rep))`` for rep = 0..replicates-1 at T, in replicate order."""
+class Cells:
+    """The results of one T's cells, folded once, in replicate order."""
+
+    def __init__(self, results: list):
+        # C-contiguous (groups, replicates) float64 in family order: each row mean sums in np.mean's order
+        self.err = np.stack([r["err"].vector for r in results], axis=-1)
+        self.mcerr = np.array([r["err"].mcerr for r in results])
+        self.extras = {key: np.array([r["extras"][key] for r in results]) for key in results[0]["extras"]}
+        # every failing (rep, CheckSummary), in replicate and then check order
+        self.failed = [(rep, c) for rep, r in enumerate(results) for c in r["checks"] if c.failures]
+        self.violations = sum(c.failures for _, c in self.failed)  # one per failing comparison
+        self.min_slack: dict = {}  # check name -> tightest slack, in the order the checks are first seen
+        for c in chain.from_iterable(r["checks"] for r in results):
+            if c.count:
+                self.min_slack[c.name] = min(c.min_slack, self.min_slack.get(c.name, c.min_slack))
+
+
+def mean_se(x: np.ndarray) -> tuple[float, float]:
+    """The mean of ``x`` and its standard error, nan for one value."""
+    return float(x.mean()), (float(x.std(ddof=1) / math.sqrt(len(x))) if len(x) > 1 else math.nan)
+
+
+def _run_cells(name: str, T: int, replicates: int, cell: Callable[[int, int], dict], stream=_cell_stream) -> Cells:
+    """The fold of ``cell(rep, stream(T, rep))`` for rep = 0..replicates-1 at T, run in replicate order."""
     out = []
     for rep in range(replicates):
         try:
@@ -588,7 +608,7 @@ def _run_cells(name: str, T: int, replicates: int, cell: Callable[[int, int], di
             # same exception type, so callers' handlers still apply; the message names the cell
             exc.args = (f"{name}: cell T={T} rep={rep} stream={stream(T, rep)}: {exc}",)
             raise
-    return out
+    return Cells(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -624,6 +644,7 @@ class ScalingRow:
     violations: int
     extras_mean: dict
     min_slack: dict  # check name -> tightest slack over the replicates
+    failed: list  # every failing (rep, CheckSummary), in replicate and then check order
 
 
 @dataclass
@@ -647,40 +668,31 @@ class ScalingResult:
 def run_scaling(config: ExperimentConfig) -> ScalingResult:
     """Replicated Monte Carlo across the T ladder plus a log-log fit.  Each T's
     cells run in (T, replicate) order and fold into its row before the next T's
-    start.  ``stage_s`` holds the wall time of the cells and of the folds."""
+    start.  ``stage_s`` holds the wall time of the cells and of their rows."""
     rows = []
     cells_s = aggregate_s = 0.0
     for T in config.T_list:
         start = time.perf_counter()
-        results = _run_cells(config.experiment_id, T, config.replicates, lambda rep, _: run_replicate(config, T, rep))
+        cells = _run_cells(config.experiment_id, T, config.replicates, lambda rep, _: run_replicate(config, T, rep))
         ran = time.perf_counter()
         cells_s += ran - start
-        mcerrs = np.array([r["mcerr"] for r in results])
         ids = config.plans[T].family.ids()
         order = sorted(range(len(ids)), key=ids.__getitem__)  # ids are unique: the one sorted order
-        # C-contiguous (groups, replicates): each row mean sums in np.mean's order
-        means = np.stack([r["err"].vector for r in results], axis=-1).mean(axis=-1)[order]
+        means = cells.err.mean(axis=-1)[order]
         sorted_ids = [ids[i] for i in order]
-        argmax = sorted_ids[int(np.argmax(means))]  # ties go to the smallest id
-        extras_mean = {
-            key: float(np.mean([r["extras"][key] for r in results]))
-            for key in results[0]["extras"]
-        }
-        min_slack: dict = {}
-        for r in results:
-            for name, slack in r["min_slack"].items():
-                min_slack[name] = min(slack, min_slack.get(name, slack))
+        mean_mcerr, stderr = mean_se(cells.mcerr)
         rows.append(
             ScalingRow(
                 T=T,
-                replicates=len(results),
-                mean_mcerr=float(mcerrs.mean()),
-                stderr=float(mcerrs.std(ddof=1) / math.sqrt(len(mcerrs))) if len(mcerrs) > 1 else math.nan,
-                argmax_group=argmax,
+                replicates=len(cells.mcerr),
+                mean_mcerr=mean_mcerr,
+                stderr=stderr,
+                argmax_group=sorted_ids[int(np.argmax(means))],  # ties go to the smallest id
                 per_group_mean=GroupMeans(sorted_ids, means),
-                violations=sum(len(r["violations"]) for r in results),
-                extras_mean=extras_mean,
-                min_slack=min_slack,
+                violations=cells.violations,
+                extras_mean={key: float(v.mean()) for key, v in cells.extras.items()},
+                min_slack=cells.min_slack,
+                failed=cells.failed,
             )
         )
         aggregate_s += time.perf_counter() - ran
@@ -770,39 +782,28 @@ def run_oracle_bound(
     )
     plan = config.plans[T]
     # environment stream rep, not _cell_stream(T, rep), so the bound's draws keep their bytes
-    results = _run_cells(
+    cells = _run_cells(
         "oracle bound", T, replicates, lambda rep, stream: _cell(config, plan, stream, plan.forecaster()),
         stream=lambda T, rep: rep,
     )
-    mcerrs = np.array([r["mcerr"] for r in results])
-    sq_losses = np.array([r["extras"]["sq_loss"] for r in results])
-    misses = np.array([r["extras"]["misses"] for r in results])
-    violations = sum(len(r["violations"]) for r in results)
-
-    mean_mcerr = float(mcerrs.mean())
-    se = float(mcerrs.std(ddof=1) / math.sqrt(replicates))
+    misses = cells.extras["misses"]
+    mean_mcerr, se = mean_se(cells.mcerr)
     bound = oracle_bound_value(T, k, m_copies)
     miss_rate = float(misses.mean()) / T
-    miss_se = float(misses.std(ddof=1)) / T / math.sqrt(replicates)
+    miss_spread = misses.std(ddof=1)
+    miss_se = float(miss_spread) / T / math.sqrt(replicates)
     records = [
         BoundRecord("oracle_mcerr_floor", mean_mcerr, bound, "ge"),
         BoundRecord("oracle_miss_rate", miss_rate, (1 - m_copies / n) - 3 * miss_se, "ge"),
         BoundRecord(
             "oracle_correct_mass",
             float(T - misses.mean()),
-            (m_copies / n) * T + 3 * float(misses.std(ddof=1) / math.sqrt(replicates)),
+            (m_copies / n) * T + 3 * float(miss_spread / math.sqrt(replicates)),
             "le",
         ),
-        BoundRecord("oracle_pathwise_violations", float(violations), 0.0, "le"),
+        BoundRecord("oracle_pathwise_violations", float(cells.violations), 0.0, "le"),
     ]
-    details = {
-        "seed": seed,
-        "mean_mcerr": mean_mcerr,
-        "stderr": se,
-        "bound": bound,
-        "mean_sq_loss": float(sq_losses.mean()),
-        "miss_rate": miss_rate,
-    }
+    details = {"seed": seed, "mean_mcerr": mean_mcerr, "stderr": se, "bound": bound, "miss_rate": miss_rate}
     return records, details
 
 
@@ -852,9 +853,14 @@ def run_reduction_bound(
         if 0 in cell_lengths:
             raise ValueError(f"reduction.T_list: T={T} leaves one of the reduction.pieces={pieces} cells without rounds")
         for z, (g, t_z) in enumerate(zip(family, cell_lengths)):
-            mean, se = _standalone_cell_err(grid[g.lo : g.hi + 1], t_z, factory, seed + 1000 + z, replicates)
-            standalone[(T, z)] = (mean, se)
-            envelope_points.append((t_z, mean))
+            cell_grid, cell_seed = grid[g.lo : g.hi + 1], seed + 1000 + z
+            cells = _run_cells(
+                f"reduction bound standalone z={z} seed={cell_seed}", T, replicates,
+                lambda rep, stream: _standalone_cell(cell_grid, t_z, factory, cell_seed, stream),
+                stream=lambda T, rep: rep,
+            )
+            standalone[(T, z)] = mean_se(cells.mcerr)
+            envelope_points.append((t_z, standalone[(T, z)][0]))
         details["per_T"][T] = {"cell_lengths": cell_lengths}
 
     c, beta = _concave_envelope(envelope_points)
@@ -869,22 +875,16 @@ def run_reduction_bound(
                 details["per_T"][T]["cells"] = router.cell_summary()
             return result
 
-        results = _run_cells("reduction bound", T, replicates, routed)
-        mcerrs = np.array([r["mcerr"] for r in results])
-        # C-contiguous (groups, replicates): each row mean sums in np.mean's order
-        per_group = np.stack([r["err"].vector for r in results], axis=-1)
+        cells = _run_cells("reduction bound", T, replicates, routed)
         cell_lengths = details["per_T"][T]["cell_lengths"]
         envelope_sum = sum(c * t_z**beta for t_z in cell_lengths)
-        mean_mcerr = float(mcerrs.mean())
-        se = float(mcerrs.std(ddof=1) / math.sqrt(replicates))
+        mean_mcerr, se = mean_se(cells.mcerr)
         records.append(BoundRecord(f"reduction_mcerr_vs_cells@T={T}", mean_mcerr, envelope_sum, "le"))
-        pathwise = float(sum(len(r["violations"]) for r in results))
-        records.append(BoundRecord(f"reduction_pathwise@T={T}", pathwise, 0.0, "le"))
+        records.append(BoundRecord(f"reduction_pathwise@T={T}", float(cells.violations), 0.0, "le"))
         matched = []
         for j, g in enumerate(plan.family):
             smean, sse = standalone[(T, j)]  # disjoint groups: cell index == group index
-            rmean = float(per_group[j].mean())
-            rse = float(per_group[j].std(ddof=1) / math.sqrt(replicates))
+            rmean, rse = mean_se(cells.err[j])
             gap = abs(rmean - smean)
             tol = 3.0 * math.sqrt(sse**2 + rse**2)
             matched.append((g.id, rmean, smean, gap, tol))
@@ -894,23 +894,20 @@ def run_reduction_bound(
             stderr=se,
             envelope_sum=envelope_sum,
             matched=matched,
-            pathwise_min_slack=float(min(r["min_slack"]["cell_triangle"] for r in results)),
-            pathwise_violations=[(rep, summary) for rep, r in enumerate(results) for summary in r["failed"]],
+            pathwise_min_slack=float(cells.min_slack["cell_triangle"]),
+            pathwise_violations=cells.failed,
         )
     return records, details
 
 
-def _standalone_cell_err(cell_grid, t_z, factory, seed, replicates) -> tuple[float, float]:
-    """Marginal Err of the standalone oracle on one cell's sub-grid environment."""
+def _standalone_cell(cell_grid, t_z: int, factory, seed: int, stream: int) -> dict:
+    """The cell result of the standalone oracle on one cell's sub-grid, drawn on ``stream``: its marginal Err."""
     from .environments import sample_bernoulli_on_grid
 
-    errs = np.empty(replicates)
-    for rep in range(replicates):
-        traj = sample_bernoulli_on_grid(cell_grid, t_z, seed, stream=rep)
-        rng = substream(seed, rep | _FORECASTER_STREAM_BIT)
-        pred = run_forecaster(traj, factory(), rng)
-        errs[rep] = float(marginal_err(pred.num, pred.den, traj.y_num, traj.den))
-    return float(errs.mean()), float(errs.std(ddof=1) / math.sqrt(replicates))
+    traj = sample_bernoulli_on_grid(cell_grid, t_z, seed, stream=stream)
+    pred = run_forecaster(traj, factory(), substream(seed, stream | _FORECASTER_STREAM_BIT))
+    err = float(marginal_err(pred.num, pred.den, traj.y_num, traj.den))
+    return {"err": CalibrationReport({"marginal": 0}, np.array([err])), "checks": [], "extras": {}, "violations": []}
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,7 @@ def test_scaling_manifest_records_min_slack(config_path, tmp_path):
     assert list(slack) == ["pathwise_min_slack@T=1024/telescoping", "pathwise_min_slack@T=1024/g4_context_decomp"]
     assert slack["pathwise_min_slack@T=1024/telescoping"] == "0"
     assert float(slack["pathwise_min_slack@T=1024/g4_context_decomp"]) >= 0
+    assert not any(line.startswith("pathwise_violation@") for line in lines)  # a passing run names no cell
     # m = floor(1024^(1/3)) = 10 and eta = min(isqrt(10^3 1024) / (2 10 1024), 1/20) = 1011/20480
     assert [line for line in lines if line.startswith("resolved@")] == ["resolved@T=1024=m=10;eta=1011/20480"]
     # the wall time of each stage, summed over the T ladder
@@ -113,6 +114,27 @@ def test_scaling_manifest_records_min_slack(config_path, tmp_path):
         "resolved@T=256=m=4;K=9;L=16",
         "resolved@T=512=m=8;K=10;L=32",
     ]
+
+
+def test_scaling_violation_fails_the_assert_and_is_named(config_path, tmp_path, monkeypatch, capsys):
+    # failing telescoping summaries in the second and fourth cells only
+    telescoping = experiments.check_telescoping
+    calls = []
+
+    def twice(ledger):
+        calls.append(ledger)
+        if len(calls) not in (2, 4):
+            return telescoping(ledger)
+        return replace(telescoping(ledger), failures=1, min_slack=Fraction(-1, 2), first=0, lhs=Fraction(1, 2), rhs=0)
+
+    monkeypatch.setattr(experiments, "check_telescoping", twice)
+    assert main(["scaling", "--config", str(config_path), "--out", str(tmp_path), "--assert"]) == EXIT_ASSERT
+    assert capsys.readouterr().err == "assert failed: T=1024: 2 violations\n"
+    lines = (tmp_path / "scaling_manifest.txt").read_text().splitlines()
+    assert [line for line in lines if line.startswith("pathwise_violation@")] == [
+        f"pathwise_violation@T=1024=rep={rep};check=telescoping;index=0;lhs=1/2;rhs=0" for rep in (1, 3)
+    ]
+    assert "pathwise_min_slack@T=1024/telescoping=-0.5" in lines
 
 
 def test_single_replicate_stderr_is_nan(config_path, tmp_path):

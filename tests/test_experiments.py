@@ -397,7 +397,7 @@ def test_scaling_argmax_breaks_ties_on_the_smallest_id(monkeypatch):
         vector = np.full(len(family), 0.25)
         vector[[family.index[gid] for gid in tied]] = 0.75
         err = calibration.CalibrationReport(family.index, vector)
-        cell = {"mcerr": err.mcerr, "err": err, "extras": {}, "violations": [], "min_slack": {}}
+        cell = {"err": err, "checks": [], "extras": {}, "violations": []}
         monkeypatch.setattr(experiments, "run_replicate", lambda config, T, rep: cell)
         row = run_scaling(cfg).rows[0]
         assert row.argmax_group == best
@@ -458,7 +458,7 @@ def test_scaling_aggregation_matches_per_id_reference(env, forecaster, groups, r
         assert row.per_group_mean == dict(zip(group_ids, means.tolist()))
         assert list(row.per_group_mean) == group_ids
         assert row.argmax_group == group_ids[int(np.argmax(means))]
-        assert row.mean_mcerr == float(np.array([r["mcerr"] for r in results]).mean())
+        assert row.mean_mcerr == float(np.array([r["err"].mcerr for r in results]).mean())
 
 
 def test_per_group_mean_is_a_read_only_mapping_in_sorted_id_order():
@@ -598,9 +598,138 @@ def test_corrupted_block_entries_are_named_and_counted(monkeypatch, bad):
     assert (summary.count, summary.failures, summary.first) == (len(ledger.family.signed_pairs()), len(bad), index)
     assert (summary.lhs, summary.rhs) == (Fraction(2 * (bound // 2 + 1), den), Fraction(bound, den))
     assert out["violations"] == ["diff_two"] * len(bad)
-    assert out["min_slack"]["diff_two"] == summary.min_slack < 0
+    assert {c.name: c.min_slack for c in out["checks"]}["diff_two"] == summary.min_slack < 0
     row = run_scaling(cfg).rows[0]
     assert row.violations == 2 * len(bad) and row.min_slack["diff_two"] < 0
+
+
+def _recorded_folds(monkeypatch) -> list:
+    """(fold, cell results) of every ``_run_cells`` call after this one, in call order."""
+    run_cells, folds = experiments._run_cells, []
+
+    def recorded(name, T, replicates, cell, stream=experiments._cell_stream):
+        results = []
+
+        def kept(rep, key):
+            results.append(cell(rep, key))
+            return results[-1]
+
+        folds.append((run_cells(name, T, replicates, kept, stream), results))
+        return folds[-1][0]
+
+    monkeypatch.setattr(experiments, "_run_cells", recorded)
+    return folds
+
+
+def _assert_fold_is_the_cells(fold, results):
+    """The fold against each cell's own checks and err, recomputed cell by cell."""
+    failed, slack = [], {}
+    for rep, r in enumerate(results):
+        for c in r["checks"]:
+            if c.failures:
+                failed.append((rep, c))
+            if c.count and (c.name not in slack or c.min_slack < slack[c.name]):
+                slack[c.name] = c.min_slack
+    assert [(rep, id(c)) for rep, c in fold.failed] == [(rep, id(c)) for rep, c in failed]
+    assert fold.violations == sum(len(r["violations"]) for r in results) == sum(c.failures for _, c in failed)
+    assert fold.min_slack == slack and list(fold.min_slack) == list(slack)
+    assert fold.err.dtype == np.float64 and fold.err.flags.c_contiguous
+    assert fold.err.shape == (len(results[0]["err"]), len(results))
+    for rep, r in enumerate(results):
+        assert fold.err[:, rep].tolist() == list(r["err"].values())
+        assert fold.mcerr[rep] == max(r["err"].values())
+    for key in results[0]["extras"]:
+        assert fold.extras[key].tolist() == [r["extras"][key] for r in results]
+
+
+def test_fold_matches_the_cells_of_a_corrupted_scaling_run(monkeypatch):
+    # rep 0 fails diff_two once, rep 1 passes, rep 2 fails telescoping and then diff_two twice
+    accumulate, reps = experiments.accumulate_run, []
+
+    def corrupted(run, family):
+        ledger = accumulate(run, family)
+        rep = len(reps)
+        reps.append(rep)
+        for a, j in ([(2, 3)], [], [(2, 3), (0, 7)])[rep]:
+            ledger.block_coeff_abs[a, j] = (ledger.block_plus_abs[a, j] + ledger.block_minus_abs[a, j]) // 2 + 1
+        if rep == 2:
+            ledger.bias = ledger.bias.copy()
+            ledger.bias[family.index["g_all"], 0] += 1
+        return ledger
+
+    monkeypatch.setattr(experiments, "accumulate_run", corrupted)
+    folds = _recorded_folds(monkeypatch)
+    cfg = ExperimentConfig(
+        env="rademacher", forecaster="rounded_honest", groups="full_walsh", T_list=(256,), replicates=3, seed=5, Q=4
+    )
+    row = run_scaling(cfg).rows[0]
+    (fold, results), = folds
+    _assert_fold_is_the_cells(fold, results)
+    assert [(rep, c.name) for rep, c in fold.failed] == [(0, "diff_two"), (2, "telescoping"), (2, "diff_two")]
+    assert fold.violations == 4
+    assert (row.failed, row.violations, row.min_slack) == (fold.failed, fold.violations, fold.min_slack)
+    assert row.min_slack["diff_two"] < 0 and row.min_slack["telescoping"] < 0
+    assert row.mean_mcerr == float(fold.mcerr.mean())
+
+
+def test_fold_matches_the_cells_of_a_corrupted_reduction_run(monkeypatch):
+    # routed rep 0 doubles group 2's biases, rep 2 groups 0 and 1: each fails the cell triangle bound
+    accumulate, reps = experiments.accumulate_run, []
+
+    def corrupted(run, family):
+        ledger = accumulate(run, family)
+        rep = len(reps)
+        reps.append(rep)
+        rows = ([2], [], [0, 1])[rep]
+        ledger.bias = ledger.bias.copy()
+        ledger.bias[rows] *= 2
+        return ledger
+
+    monkeypatch.setattr(experiments, "accumulate_run", corrupted)
+    folds = _recorded_folds(monkeypatch)
+    records, details = run_reduction_bound(T_list=(256,), replicates=3, seed=31)
+    assert len(folds) == 4  # three standalone cells, then the routed ones
+    for fold, results in folds:
+        _assert_fold_is_the_cells(fold, results)
+    fold, results = folds[-1]
+    assert [(rep, c.name) for rep, c in fold.failed] == [(0, "cell_triangle"), (2, "cell_triangle")]
+    assert [c.failures for _, c in fold.failed] == [1, 2]
+    info = details["per_T"][256]
+    assert info["pathwise_violations"] == fold.failed
+    assert info["pathwise_min_slack"] == float(fold.min_slack["cell_triangle"]) < 0
+    assert {r.check_id: r.measured for r in records}["reduction_pathwise@T=256"] == fold.violations == 3
+    # the standalone cells check nothing and carry one error each, their marginal Err
+    assert all(f.failed == [] and f.min_slack == {} and f.err.shape == (1, 3) for f, _ in folds[:3])
+
+
+def test_failing_standalone_cell_names_itself(monkeypatch):
+    # the standalone cells run through the one replicate loop: an error keeps its type and names
+    # the runner, the cell z and its seed, T, the replicate and its stream
+    from caliblab import environments
+
+    sample, marginal = environments.sample_bernoulli_on_grid, experiments.marginal_err
+    calls = []
+
+    def second_draw_raises(grid, T, seed, stream=0):
+        if stream == 1:
+            raise ArithmeticError("sampler broke")
+        return sample(grid, T, seed, stream=stream)
+
+    def second_err_raises(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ArithmeticError("marginal_err broke")
+        return marginal(*args)
+
+    for owner, name, broken, what in (
+        (environments, "sample_bernoulli_on_grid", second_draw_raises, "sampler broke"),
+        (experiments, "marginal_err", second_err_raises, "marginal_err broke"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, broken)
+            with pytest.raises(ArithmeticError) as info:
+                run_reduction_bound(T_list=(256,), replicates=3, seed=5)
+        assert str(info.value) == f"reduction bound standalone z=0 seed=1005: cell T=256 rep=1 stream=1: {what}"
 
 
 def test_synthetic_exponent_injection():
@@ -697,7 +826,6 @@ def test_oracle_bound_small():
     by_id = {r.check_id: r for r in records}
     assert by_id["oracle_mcerr_floor"].passed
     assert by_id["oracle_pathwise_violations"].measured == 0.0
-    assert details["mean_sq_loss"] > 0
 
 
 def test_oracle_bound_m_copies():

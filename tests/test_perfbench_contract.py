@@ -33,3 +33,41 @@ def test_the_benchmark_finds_every_name_it_reads(monkeypatch):
         assert callable(getattr(probes, name)), name
     assert probes.BUCKETING_STRATEGY_CODES is _kernels.BUCKETING_STRATEGY_CODES
     assert sorted(_kernels.BUCKETING_STRATEGY_CODES) == sorted(workloads.BUCKETING_STRATEGIES)
+
+
+def test_the_cell_clock_books_each_bound_replicate_once(monkeypatch, tmp_path):
+    # spans.CellClock starts a bound runner's cell at each routed or oracle draw, so every
+    # standalone draw of the reduction must come before its first routed draw
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    from caliblab import cli, environments, experiments
+
+    calls = []
+
+    def logged(name):
+        def make(fn):
+            def draw(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return draw
+
+        return make
+
+    (tmp_path / "r.cfg").write_text("reduction.T_list=256,512\nrun.replicates=3\nrun.seed=5\n")
+    (tmp_path / "o.cfg").write_text("oracle.T=64\noracle.k=2\nrun.replicates=4\nrun.seed=5\n")
+    clock = spans.CellClock()
+    with spans.Patches() as patches:
+        clock.install(patches)
+        for owner, name in ((environments, "sample_bernoulli_on_grid"), (experiments, "sample_bernoulli_env")):
+            patches.wrap(owner, name, logged(name))
+        for which in ("reduction", "oracle"):
+            args = ["bounds", which, "--config", str(tmp_path / f"{which[0]}.cfg"), "--out", str(tmp_path)]
+            assert cli.main(args) == cli.EXIT_OK
+    booked = {key: len(seconds) for key, seconds in clock.latencies.items()}
+    assert booked == {("reduction", 256): 3, ("reduction", 512): 3, ("oracle", 64): 4}
+    assert clock.cells == 10
+    routed = calls.index("sample_bernoulli_env")
+    assert calls[:routed] == ["sample_bernoulli_on_grid"] * (2 * 3 * 3)  # two T, three pieces, three replicates
+    assert calls[routed:] == ["sample_bernoulli_env"] * (2 * 3)
