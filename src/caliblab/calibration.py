@@ -253,7 +253,6 @@ class ScaledRun:
     bucket_counts: np.ndarray
     mult: Optional[np.ndarray] = None
     _block_rows: dict = field(default_factory=dict, repr=False)
-    _resid_coeffs: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(cls, traj: Trajectory, pred: Predictions, *dens: int, mult: Optional[np.ndarray] = None) -> "ScaledRun":
@@ -338,10 +337,8 @@ class ScaledRun:
         return self._block_rows[layout]
 
     def resid_coefficients(self, layout: BlockLayout) -> np.ndarray:
-        """(rows, L) block transform of the residual p - y, memoised per layout."""
-        if layout not in self._resid_coeffs:
-            self._resid_coeffs[layout] = self.block_rows(layout).transform(self.resid)
-        return self._resid_coeffs[layout]
+        """(rows, L) block transform of the residual p - y."""
+        return self.block_rows(layout).transform(self.resid)
 
 
 @dataclass

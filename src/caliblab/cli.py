@@ -26,7 +26,13 @@ Exit codes: 0 success, 1 failure under ``--assert``, 2 config parse
 error, unknown config key, missing or bad value, unbuildable run,
 unknown probe or unread probe argument, 3 unknown kind or id
 (``unknown <config key>: <value>``).
-CSV content is identical whether or not ``--assert`` is set.
+CSV content is identical whether or not ``--assert`` is set.  The
+manifests of ``scaling``, ``bounds oracle`` and ``bounds reduction`` are
+written from each T's fold of its cells by one formatter: one
+``pathwise_min_slack@T=<T>/<check>=`` line per pathwise check, then one
+``pathwise_violation@`` line per failing summary.  A scaling run whose
+mean MCerr is 0 at some T has no log-log fit: its exponent is nan, and
+``--assert`` fails on it.
 """
 
 from __future__ import annotations
@@ -192,8 +198,11 @@ class Manifest:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _violation_lines(T: int, failed) -> list:  # one manifest line per failing (rep, CheckSummary) at T
-    return [f"pathwise_violation@T={T}=rep={rep};check={s.name};index={s.first};lhs={s.lhs};rhs={s.rhs}" for rep, s in failed]
+def _pathwise_lines(T: int, min_slack: dict, failed) -> list:
+    """The manifest lines of one T's fold: each check's tightest slack, then each failing (rep, CheckSummary)."""
+    slack = [f"pathwise_min_slack@T={T}/{name}={format_float(float(v))}" for name, v in min_slack.items()]
+    named = (f"rep={rep};check={s.name};index={s.first};lhs={s.lhs};rhs={s.rhs}" for rep, s in failed)
+    return slack + [f"pathwise_violation@T={T}={line}" for line in named]
 
 
 def cmd_scaling(args, overrides) -> int:
@@ -235,10 +244,7 @@ def cmd_scaling(args, overrides) -> int:
     for row in result.rows:
         resolved = ";".join(f"{key}={value}" for key, value in config.plans[row.T].resolved().items())
         manifest.notes.append(f"resolved@T={row.T}={resolved}")
-        manifest.notes += [
-            f"pathwise_min_slack@T={row.T}/{name}={format_float(float(slack))}" for name, slack in row.min_slack.items()
-        ]
-        manifest.notes += _violation_lines(row.T, row.failed)
+        manifest.notes += _pathwise_lines(row.T, row.min_slack, row.failed)
     manifest.write(out_dir / f"{config.experiment_id}_manifest.txt")
 
     print(
@@ -380,12 +386,11 @@ def cmd_bounds(args, overrides) -> int:
     manifest.outputs = [path.name]
     if args.which == "reduction":
         cells_path = out_dir / "bounds_reduction_cells.csv"
-        rows = ((T, *cell) for T, info in sorted(details["per_T"].items()) for cell in info["cells"])
+        rows = ((T, *cell) for T, info in details["per_T"].items() for cell in info["cells"])
         write_csv(cells_path, ("T", "pattern", "T_z", "cell_err"), rows)
         manifest.outputs.append(cells_path.name)
-        for T, info in sorted(details["per_T"].items()):
-            manifest.notes.append(f"pathwise_min_slack@T={T}={format_float(info['pathwise_min_slack'])}")
-            manifest.notes += _violation_lines(T, info["pathwise_violations"])
+    for T, info in details["per_T"].items():  # the T ladder rises strictly
+        manifest.notes += _pathwise_lines(T, info["min_slack"], info["failed"])
     manifest.write(out_dir / f"bounds_{args.which}_manifest.txt")
     for r in records:
         print(f"{r.check_id}: measured={r.measured:.6g} bound={r.bound:.6g} {'pass' if r.passed else 'FAIL'}")

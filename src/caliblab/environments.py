@@ -98,9 +98,7 @@ class Trajectory:
     numerators over the shared denominator ``den``.
     """
 
-    env_kind: str
     T: int
-    seed: int
     params: dict
     grid: tuple[Fraction, ...]
     grid_idx: np.ndarray
@@ -157,7 +155,6 @@ class RoundRobin:
     per grid point.  Only per-grid-point arrays are kept.
     """
 
-    kind: str
     T: int
     grid: tuple
     num: np.ndarray
@@ -194,7 +191,7 @@ class RoundRobin:
         their bytes: it takes n draws of ``rng``, not T uniforms."""
         return rng.binomial(self.rounds_per_column(), self.thresholds).astype(np.int64, copy=False)
 
-    def trajectory(self, seed: int, stream: int, heads: np.ndarray) -> Trajectory:
+    def trajectory(self, heads: np.ndarray) -> Trajectory:
         """The trajectory of the first len(heads) <= T rounds under ``heads``."""
         n, T = len(self.num), len(heads)
         reps, full = -(-T // n), T - T % n
@@ -202,10 +199,8 @@ class RoundRobin:
         np.add(y_num[:full].reshape(-1, n), self.tails, out=y_num[:full].reshape(-1, n))
         y_num[full:] += self.tails[: T - full]
         return Trajectory(
-            env_kind=self.kind,
             T=T,
-            seed=seed,
-            params={**self.params, "stream": stream},
+            params=self.params,
             grid=self.grid,
             grid_idx=np.tile(np.arange(n, dtype=np.int64), reps)[:T],
             x_num=np.tile(self.num, reps)[:T],
@@ -215,14 +210,14 @@ class RoundRobin:
         )
 
     def sample(self, seed: int, stream: int = 0) -> Trajectory:
-        return self.trajectory(seed, stream, self.draw(substream(seed, stream)))
+        return self.trajectory(self.draw(substream(seed, stream)))
 
 
 def _bernoulli_round_robin(grid: list, T: int, params: dict) -> RoundRobin:
     """Bernoulli(x) outcomes (den on heads, 0 on tails) over an ascending rational grid."""
     den = math.lcm(*(x.denominator for x in grid))
     num = np.array([x.numerator * (den // x.denominator) for x in grid], dtype=np.int64)
-    return RoundRobin("bernoulli", T, tuple(grid), num, den, num / den, np.zeros_like(num), den, params)
+    return RoundRobin(T, tuple(grid), num, den, num / den, np.zeros_like(num), den, params)
 
 
 def bernoulli_contexts(T: int, m: int) -> RoundRobin:
@@ -258,9 +253,7 @@ def rademacher_contexts(T: int, m: Optional[int] = None) -> RoundRobin:
         m = section4_grid_count(T)
     grid = grid_section4(m)
     num = (m - 1) + 2 * np.arange(m, dtype=np.int64)  # over 4(m - 1)
-    return RoundRobin(
-        "rademacher", T, tuple(grid), num, 4 * (m - 1), np.full(m, 0.5), num + (m - 1), -2 * (m - 1), {"m": m}, timed=True
-    )
+    return RoundRobin(T, tuple(grid), num, 4 * (m - 1), np.full(m, 0.5), num + (m - 1), -2 * (m - 1), {"m": m}, timed=True)
 
 
 def sample_rademacher_env(T: int, seed: int, m: Optional[int] = None, stream: int = 0) -> Trajectory:
@@ -283,10 +276,8 @@ def sample_bit_env(T: int, k: int, seed: int, stream: int = 0) -> Trajectory:
         val |= column
     mu_num = 2 * val + 1  # over 2N
     return Trajectory(
-        env_kind="bits",
         T=T,
-        seed=seed,
-        params={"k": k, "stream": stream},
+        params={"k": k},
         grid=grid_bits(k),
         grid_idx=val,
         x_num=mu_num,

@@ -51,9 +51,13 @@ signed-noise grid environment, block mass / Parseval / bias-averaging
 whenever a block layout is in play, and the squared-loss controls on the
 bit environment.  Each inequality is one ``calibration.CheckSummary`` per
 replicate, decided exactly in integers; violations (one per failing
-comparison) are counted and must be zero; each scaling row keeps the
-tightest slack per inequality and the failing summaries, recorded in the
-manifest as ``pathwise_min_slack@T=<T>/<check>=`` and ``pathwise_violation@``.
+comparison) are counted and must be zero.  A T's ``Cells`` fold keeps the
+tightest slack per inequality and the failing summaries; each scaling row
+and each bound runner's ``details["per_T"][T]`` hand them on as
+``min_slack`` and ``failed``, which the manifest of every command records
+as ``pathwise_min_slack@T=<T>/<check>=`` and ``pathwise_violation@`` lines.
+A row's ``per_group_mean`` is a ``CalibrationReport`` of the mean Err
+vector in family order; the groups CSV sorts its ids when it is written.
 """
 
 from __future__ import annotations
@@ -61,8 +65,6 @@ from __future__ import annotations
 import math
 import re
 import time
-from bisect import bisect_left
-from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
@@ -480,14 +482,14 @@ class CellSkeleton:
             return None
         env = contexts(plan.T, plan.m)
         n, T = len(env.grid), plan.T
-        # the run at heads = 0; its seed and stream are labels only
+        # the run at heads = 0
         if plan.family.layout is None:
-            traj = env.trajectory(0, 0, np.zeros(min(n, T), dtype=bool))
+            traj = env.trajectory(np.zeros(min(n, T), dtype=bool))
             mult = env.rounds_per_column()[: traj.T]
             # the one length-T input: the context means of all T rounds, all the forecaster reads
             means = replace(traj, T=T, x_num=np.tile(env.num, -(-T // n))[:T])
         else:
-            traj = means = env.trajectory(0, 0, np.zeros(T, dtype=bool))
+            traj = means = env.trajectory(np.zeros(T, dtype=bool))
             mult = None
         pred = run_forecaster(means, forecaster)
         # p[t] == p[t % n] for every t: each prediction equals the one a period before it
@@ -611,28 +613,6 @@ def _run_cells(name: str, T: int, replicates: int, cell: Callable[[int, int], di
     return Cells(out)
 
 
-@dataclass(frozen=True, eq=False)
-class GroupMeans(Mapping):
-    """Per-group mean Err at one T, read-only: ``ids`` are the group ids in
-    sorted order and ``vector[i]`` is the float64 mean of ``ids[i]``.  An id
-    is found by bisection over ``ids``, so no second id table is built."""
-
-    ids: list
-    vector: np.ndarray
-
-    def __getitem__(self, gid: str) -> float:
-        i = bisect_left(self.ids, gid)
-        if i == len(self.ids) or self.ids[i] != gid:
-            raise KeyError(gid)
-        return float(self.vector[i])
-
-    def __iter__(self):
-        return iter(self.ids)
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
 @dataclass
 class ScalingRow:
     T: int
@@ -640,7 +620,7 @@ class ScalingRow:
     mean_mcerr: float
     stderr: float  # nan for one replicate
     argmax_group: str
-    per_group_mean: GroupMeans  # group id -> mean Err, sorted ids over one float64 vector
+    per_group_mean: CalibrationReport  # group id -> mean Err, in family order
     violations: int
     extras_mean: dict
     min_slack: dict  # check name -> tightest slack over the replicates
@@ -676,10 +656,9 @@ def run_scaling(config: ExperimentConfig) -> ScalingResult:
         cells = _run_cells(config.experiment_id, T, config.replicates, lambda rep, _: run_replicate(config, T, rep))
         ran = time.perf_counter()
         cells_s += ran - start
-        ids = config.plans[T].family.ids()
-        order = sorted(range(len(ids)), key=ids.__getitem__)  # ids are unique: the one sorted order
-        means = cells.err.mean(axis=-1)[order]
-        sorted_ids = [ids[i] for i in order]
+        family = config.plans[T].family
+        means = cells.err.mean(axis=-1)
+        ids = family.ids()
         mean_mcerr, stderr = mean_se(cells.mcerr)
         rows.append(
             ScalingRow(
@@ -687,8 +666,8 @@ def run_scaling(config: ExperimentConfig) -> ScalingResult:
                 replicates=len(cells.mcerr),
                 mean_mcerr=mean_mcerr,
                 stderr=stderr,
-                argmax_group=sorted_ids[int(np.argmax(means))],  # ties go to the smallest id
-                per_group_mean=GroupMeans(sorted_ids, means),
+                argmax_group=min(ids[i] for i in np.flatnonzero(means == means.max())),  # ties: the smallest id
+                per_group_mean=CalibrationReport(family.index, means),
                 violations=cells.violations,
                 extras_mean={key: float(v.mean()) for key, v in cells.extras.items()},
                 min_slack=cells.min_slack,
@@ -697,7 +676,8 @@ def run_scaling(config: ExperimentConfig) -> ScalingResult:
         )
         aggregate_s += time.perf_counter() - ran
 
-    if len(rows) >= 2:
+    # a zero mean (an exactly calibrated run) has no logarithm: its exponent is nan, as for one T
+    if len(rows) >= 2 and all(r.mean_mcerr > 0 for r in rows):
         slope, intercept, se = fit_exponent([(r.T, r.mean_mcerr) for r in rows])
     else:
         slope, intercept, se = float("nan"), float("nan"), float("nan")
@@ -767,7 +747,8 @@ def run_oracle_bound(
     """Proper m-copy reduction on the bit environment versus the theory floor.
 
     Replicate ``rep`` is a cell of a ``bits`` plan drawn on environment
-    stream ``rep`` and checked by the cell's pathwise suite; ``details`` holds the seed."""
+    stream ``rep`` and checked by the cell's pathwise suite.  ``details``
+    holds the seed and ``per_T[T]``: the fold's ``min_slack`` and ``failed``."""
     check_limits("oracle", T=T, k=k, replicates=replicates, seed=seed)
     n = 1 << k
     q = q if q is not None else n - 1
@@ -787,14 +768,11 @@ def run_oracle_bound(
         stream=lambda T, rep: rep,
     )
     misses = cells.extras["misses"]
-    mean_mcerr, se = mean_se(cells.mcerr)
-    bound = oracle_bound_value(T, k, m_copies)
-    miss_rate = float(misses.mean()) / T
     miss_spread = misses.std(ddof=1)
     miss_se = float(miss_spread) / T / math.sqrt(replicates)
     records = [
-        BoundRecord("oracle_mcerr_floor", mean_mcerr, bound, "ge"),
-        BoundRecord("oracle_miss_rate", miss_rate, (1 - m_copies / n) - 3 * miss_se, "ge"),
+        BoundRecord("oracle_mcerr_floor", float(cells.mcerr.mean()), oracle_bound_value(T, k, m_copies), "ge"),
+        BoundRecord("oracle_miss_rate", float(misses.mean()) / T, (1 - m_copies / n) - 3 * miss_se, "ge"),
         BoundRecord(
             "oracle_correct_mass",
             float(T - misses.mean()),
@@ -803,8 +781,7 @@ def run_oracle_bound(
         ),
         BoundRecord("oracle_pathwise_violations", float(cells.violations), 0.0, "le"),
     ]
-    details = {"seed": seed, "mean_mcerr": mean_mcerr, "stderr": se, "bound": bound, "miss_rate": miss_rate}
-    return records, details
+    return records, {"seed": seed, "per_T": {T: {"min_slack": cells.min_slack, "failed": cells.failed}}}
 
 
 def _concave_envelope(points) -> tuple[float, float]:
@@ -830,8 +807,9 @@ def run_reduction_bound(
     power envelope, and checks the router's measured multicalibration
     against the cell sum.  Each replicate is a routed cell whose suite
     checks the triangle inequality Err(g_j) <= sum of its cells' errors
-    pathwise; its failing summaries are kept as (rep, ``CheckSummary``).
-    ``details`` holds the seed.
+    pathwise.  ``details`` holds the seed, the envelope's ``c`` and
+    ``beta``, and ``per_T[T]``: the first routed cell's ``cells`` summary
+    and the fold's ``min_slack`` and ``failed``.
     """
     check_limits("reduction", T_list=T_list, pieces=pieces, replicates=replicates, seed=seed)
     factory = _oracle_factory("reduction", oracle, q)
@@ -840,16 +818,16 @@ def run_reduction_bound(
         Key("pieces", int, 1, points, f"the grid points at T={T}").check("reduction.pieces", pieces)
     config = ExperimentConfig(env="bernoulli", groups="grid_ranges", T_list=T_list, seed=seed, pieces=pieces)
     records: list[BoundRecord] = []
-    details: dict = {"seed": seed, "per_T": {}}
     envelope_points = []
     standalone: dict = {}
+    lengths: dict = {}  # T -> the realized cell lengths
 
     for T, plan in config.plans.items():
         family = plan.family
         grid = family.grid
         # realized cell lengths are deterministic under round-robin contexts
         counts = ENVS[plan.env].contexts(T, plan.m).rounds_per_column()
-        cell_lengths = [int(counts[g.lo : g.hi + 1].sum()) for g in family]
+        cell_lengths = lengths[T] = [int(counts[g.lo : g.hi + 1].sum()) for g in family]
         if 0 in cell_lengths:
             raise ValueError(f"reduction.T_list: T={T} leaves one of the reduction.pieces={pieces} cells without rounds")
         for z, (g, t_z) in enumerate(zip(family, cell_lengths)):
@@ -861,42 +839,30 @@ def run_reduction_bound(
             )
             standalone[(T, z)] = mean_se(cells.mcerr)
             envelope_points.append((t_z, standalone[(T, z)][0]))
-        details["per_T"][T] = {"cell_lengths": cell_lengths}
 
     c, beta = _concave_envelope(envelope_points)
-    details["envelope"] = {"c": c, "beta": beta}
+    details: dict = {"seed": seed, "envelope": {"c": c, "beta": beta}, "per_T": {}}
 
     for T, plan in config.plans.items():
+        per_T = details["per_T"][T] = {}
 
         def routed(rep, stream):
             router = PatternRouter(factory, plan.family)
             result = _cell(config, plan, stream, router)
             if rep == 0:
-                details["per_T"][T]["cells"] = router.cell_summary()
+                per_T["cells"] = router.cell_summary()
             return result
 
         cells = _run_cells("reduction bound", T, replicates, routed)
-        cell_lengths = details["per_T"][T]["cell_lengths"]
-        envelope_sum = sum(c * t_z**beta for t_z in cell_lengths)
-        mean_mcerr, se = mean_se(cells.mcerr)
-        records.append(BoundRecord(f"reduction_mcerr_vs_cells@T={T}", mean_mcerr, envelope_sum, "le"))
+        envelope_sum = sum(c * t_z**beta for t_z in lengths[T])
+        records.append(BoundRecord(f"reduction_mcerr_vs_cells@T={T}", float(cells.mcerr.mean()), envelope_sum, "le"))
         records.append(BoundRecord(f"reduction_pathwise@T={T}", float(cells.violations), 0.0, "le"))
-        matched = []
         for j, g in enumerate(plan.family):
             smean, sse = standalone[(T, j)]  # disjoint groups: cell index == group index
             rmean, rse = mean_se(cells.err[j])
-            gap = abs(rmean - smean)
             tol = 3.0 * math.sqrt(sse**2 + rse**2)
-            matched.append((g.id, rmean, smean, gap, tol))
-            records.append(BoundRecord(f"reduction_matched@T={T}/{g.id}", gap, tol, "le"))
-        details["per_T"][T].update(
-            mean_mcerr=mean_mcerr,
-            stderr=se,
-            envelope_sum=envelope_sum,
-            matched=matched,
-            pathwise_min_slack=float(cells.min_slack["cell_triangle"]),
-            pathwise_violations=cells.failed,
-        )
+            records.append(BoundRecord(f"reduction_matched@T={T}/{g.id}", abs(rmean - smean), tol, "le"))
+        per_T.update(min_slack=cells.min_slack, failed=cells.failed)
     return records, details
 
 
@@ -1062,12 +1028,15 @@ def write_scaling_csv(path, result: ScalingResult) -> None:
     write_csv(path, ("experiment_id", "T", "replicate_count", "mean_mcerr", "stderr", "argmax_group"), rows)
 
 
-def _group_lines(eid: str, T: int, means: GroupMeans):
-    """The groups-CSV lines of one T, the bytes ``write_csv`` gives its (eid, T, id, mean) rows.  Each
-    distinct mean is formatted once, keyed by its float64 bits so that -0.0 stays apart from 0.0."""
-    bits, inverse = np.unique(means.vector.view(np.int64), return_inverse=True)
+def _group_lines(eid: str, T: int, means: CalibrationReport):
+    """The groups-CSV lines of one T in sorted id order, the bytes ``write_csv`` gives its sorted
+    (eid, T, id, mean) rows.  Each distinct mean is formatted once, keyed by its float64 bits so that
+    -0.0 stays apart from 0.0."""
+    ids = sorted(means.index)
+    vector = means.vector[[means.index[gid] for gid in ids]]
+    bits, inverse = np.unique(vector.view(np.int64), return_inverse=True)
     texts = ["," + format_float(v) for v in bits.view(np.float64).tolist()]
-    prefixes = map(f"{eid},{T},".__add__, means.ids)
+    prefixes = map(f"{eid},{T},".__add__, ids)
     return map(str.__add__, prefixes, map(texts.__getitem__, inverse.tolist()))
 
 

@@ -619,7 +619,7 @@ def run_on(x, p, den) -> ScaledRun:
     numerators over ``den``."""
     x = np.array(x, dtype=np.int64)
     grid = sorted(set(x.tolist()))
-    traj = Trajectory("rademacher", len(x), 0, {}, tuple(Fraction(v, den) for v in grid),
+    traj = Trajectory(len(x), {}, tuple(Fraction(v, den) for v in grid),
                       np.searchsorted(grid, x), x, x.copy(), den)
     return ScaledRun.build(traj, Predictions(num=np.array(p), den=den))
 

@@ -146,6 +146,22 @@ def test_single_replicate_stderr_is_nan(config_path, tmp_path):
     assert dict(zip(header.split(","), row.split(",")))["stderr"] == "nan"
 
 
+def test_zero_error_run_writes_its_csvs_and_fails_only_the_exponent_assert(tmp_path, capsys):
+    # honest forecasts of the bit midpoints are exactly calibrated: MCerr is 0 at every T, which has no logarithm
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(
+        "run.id=zero\nenv.kind=bits\nenv.T_list=256,512\ngroups.kind=bits\nforecaster.id=honest\nrun.replicates=2\n"
+    )
+    assert main(["scaling", "--config", str(cfg), "--out", str(tmp_path / "a")]) == EXIT_OK
+    assert capsys.readouterr().out == "zero: exponent=nan ci95=(nan,nan) violations=0\n"
+    header, *rows = (tmp_path / "a" / "zero_scaling.csv").read_text().splitlines()
+    assert [dict(zip(header.split(","), row.split(",")))["mean_mcerr"] for row in rows] == ["0", "0"]
+    assert (tmp_path / "a" / "zero_groups.csv").exists() and (tmp_path / "a" / "zero_manifest.txt").exists()
+    assert main(["scaling", "--config", str(cfg), "--out", str(tmp_path / "b"), "--assert"]) == EXIT_ASSERT
+    assert capsys.readouterr().err == "assert failed: exponent nan outside [0.6, 0.78]\n"
+    assert (tmp_path / "b" / "zero_scaling.csv").read_bytes() == (tmp_path / "a" / "zero_scaling.csv").read_bytes()
+
+
 def test_scaling_deterministic_bytes(config_path, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["scaling", "--config", str(config_path), "--out", str(out1)]) == EXIT_OK
@@ -604,8 +620,15 @@ def test_bounds_hand_the_runner_only_the_keys_the_config_sets(tmp_path, monkeypa
     assert "master_seed=7" in (tmp_path / "bounds_reduction_manifest.txt").read_text().splitlines()
 
 
-def test_bounds_reduction_violation_fails_the_assert_and_is_named(tmp_path, monkeypatch):
-    # one failing telescoping summary, in the first routed cell only
+@pytest.mark.parametrize(
+    "which, lines, T, record",
+    [
+        ("oracle", "oracle.T=400\noracle.k=2\n", 400, "oracle_pathwise_violations,1,0,-1,false"),
+        ("reduction", "reduction.T_list=512\n", 512, "reduction_pathwise@T=512,1,0,-1,false"),
+    ],
+)
+def test_bounds_violation_fails_the_assert_and_is_named(tmp_path, monkeypatch, which, lines, T, record):
+    # one failing telescoping summary, in the first (routed) cell only
     telescoping = experiments.check_telescoping
     calls = []
 
@@ -617,13 +640,16 @@ def test_bounds_reduction_violation_fails_the_assert_and_is_named(tmp_path, monk
 
     monkeypatch.setattr(experiments, "check_telescoping", once)
     cfg = tmp_path / "r.cfg"
-    cfg.write_text("reduction.T_list=512\nrun.replicates=2\nrun.seed=5\n")
-    assert main(["bounds", "reduction", "--config", str(cfg), "--out", str(tmp_path), "--assert"]) == EXIT_ASSERT
-    lines = (tmp_path / "bounds_reduction_manifest.txt").read_text().splitlines()
+    cfg.write_text(f"{lines}run.replicates=2\nrun.seed=5\n")
+    assert main(["bounds", which, "--config", str(cfg), "--out", str(tmp_path), "--assert"]) == EXIT_ASSERT
+    lines = (tmp_path / f"bounds_{which}_manifest.txt").read_text().splitlines()
     named = [line for line in lines if line.startswith("pathwise_violation@")]
-    assert named == ["pathwise_violation@T=512=rep=0;check=telescoping;index=0;lhs=1/2;rhs=0"]
-    assert "pathwise_min_slack@T=512=0" in lines
-    assert "reduction_pathwise@T=512,1,0,-1,false" in (tmp_path / "bounds_reduction.csv").read_text()
+    assert named == [f"pathwise_violation@T={T}=rep=0;check=telescoping;index=0;lhs=1/2;rhs=0"]
+    # the fold's tightest slack of each check, the failing one too
+    assert f"pathwise_min_slack@T={T}/telescoping=-0.5" in lines
+    if which == "reduction":
+        assert "pathwise_min_slack@T=512/cell_triangle=0" in lines
+    assert record in (tmp_path / f"bounds_{which}.csv").read_text().splitlines()
 
 
 def test_bounds_bad_value_fails_before_any_output(tmp_path, capsys):
@@ -701,8 +727,24 @@ def test_bounds_reduction_manifest_records_min_slack(tmp_path):
     cfg.write_text("reduction.T_list=256,512\nrun.replicates=3\nrun.seed=5\n")
     assert main(["bounds", "reduction", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
     lines = (tmp_path / "bounds_reduction_manifest.txt").read_text().splitlines()
-    assert "pathwise_min_slack@T=256=0" in lines
-    assert "pathwise_min_slack@T=512=0" in lines
+    # one line per check of each T's fold; the grid ranges have no signed pairs, so diff_two reports nothing,
+    # and each disjoint range is one cell, so the triangle bound holds with equality
+    assert [line for line in lines if line.startswith("pathwise_min_slack@")] == [
+        f"pathwise_min_slack@T={T}/{check}=0" for T in (256, 512) for check in ("telescoping", "cell_triangle")
+    ]
+    assert not any(line.startswith("pathwise_violation@") for line in lines)
+
+
+def test_bounds_oracle_manifest_records_min_slack(tmp_path):
+    cfg = tmp_path / "o.cfg"
+    cfg.write_text("oracle.T=400\noracle.k=2\nrun.replicates=5\nrun.seed=9\n")
+    assert main(["bounds", "oracle", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    lines = (tmp_path / "bounds_oracle_manifest.txt").read_text().splitlines()
+    slack = dict(line.rpartition("=")[::2] for line in lines if line.startswith("pathwise_min_slack@"))
+    checks = ("telescoping", "bits_miss_penalty", "bits_mse_vs_mcerr")
+    assert list(slack) == [f"pathwise_min_slack@T=400/{check}" for check in checks]
+    assert slack["pathwise_min_slack@T=400/telescoping"] == "0"
+    assert all(float(value) >= 0 for value in slack.values())
     assert not any(line.startswith("pathwise_violation@") for line in lines)
 
 
@@ -738,3 +780,10 @@ def test_walsh_pipeline_manifest_reads_exact_slacks(tmp_path):
             assert f"pathwise_min_slack@T={T}/{check}=0" in lines
     slacks = [float(line.rpartition("=")[2]) for line in lines if line.startswith("pathwise_min_slack@")]
     assert len(slacks) == 16 and min(slacks) >= 0
+
+
+def test_readme_names_every_config_key():
+    # a key added to a command's table, or to a command's own keys, must be documented
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    keys = [*(key for table in experiments.KEYS.values() for key in table), *cli.SCALING_OWN_KEYS, *cli.BOUND_OWN_KEYS]
+    assert [key for key in keys if f"`{key}`" not in readme] == []

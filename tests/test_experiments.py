@@ -27,7 +27,6 @@ from caliblab.groups import build_block_layout
 from caliblab.experiments import (
     CHUNK_LINES,
     ExperimentConfig,
-    GroupMeans,
     fit_exponent,
     oracle_bound_value,
     run_identity_suite,
@@ -283,7 +282,7 @@ LAYOUT_FREE = [
 def _per_round_skeleton(plan):
     """The run at heads = 0 over all T rounds and its per-round ``RunSkeleton``, as layout plans build them."""
     env = experiments.ENVS[plan.env].contexts(plan.T, plan.m)
-    traj = env.trajectory(0, 0, np.zeros(plan.T, dtype=bool))
+    traj = env.trajectory(np.zeros(plan.T, dtype=bool))
     run = ScaledRun.build(traj, run_forecaster(traj, plan.forecaster()), *plan.family.required_denominators())
     return run, RunSkeleton.build(run, plan.family, len(env.grid), env.step)
 
@@ -402,7 +401,7 @@ def test_scaling_argmax_breaks_ties_on_the_smallest_id(monkeypatch):
         row = run_scaling(cfg).rows[0]
         assert row.argmax_group == best
         assert row.per_group_mean == dict(err)
-        assert list(row.per_group_mean) == sorted(family.ids())
+        assert list(row.per_group_mean) == family.ids()
 
 
 def _cell_ledgers(monkeypatch) -> list:
@@ -456,24 +455,25 @@ def test_scaling_aggregation_matches_per_id_reference(env, forecaster, groups, r
         group_ids = sorted(results[0]["err"])
         means = np.array([[r["err"][gid] for r in results] for gid in group_ids]).mean(axis=-1)
         assert row.per_group_mean == dict(zip(group_ids, means.tolist()))
-        assert list(row.per_group_mean) == group_ids
+        assert list(row.per_group_mean) == cfg.plans[T].family.ids()
         assert row.argmax_group == group_ids[int(np.argmax(means))]
         assert row.mean_mcerr == float(np.array([r["err"].mcerr for r in results]).mean())
 
 
-def test_per_group_mean_is_a_read_only_mapping_in_sorted_id_order():
+def test_per_group_mean_is_a_read_only_report_in_family_order():
     cfg = ExperimentConfig(env="rademacher", forecaster="rounded_honest", groups="full_walsh", T_list=(256,), seed=9)
+    family = cfg.plans[256].family
     means = run_scaling(cfg).rows[0].per_group_mean
-    assert isinstance(means, GroupMeans) and isinstance(means, Mapping)
+    # the cells' own mapping, over the family's cached index: no second id table
+    assert isinstance(means, calibration.CalibrationReport) and means.index is family.index
     # the dict of Python floats the mapping replaced, from the same cells
     results = [experiments.run_replicate(cfg, 256, rep) for rep in range(cfg.replicates)]
     vector = np.stack([r["err"].vector for r in results], axis=-1).mean(axis=-1)
-    old = dict(sorted(zip(cfg.plans[256].family.ids(), vector.tolist())))
+    old = dict(zip(family.ids(), vector.tolist()))
     assert means == old
     assert list(means.items()) == list(old.items())
     assert all(type(v) is float for v in means.values())
-    ids = list(means)
-    assert ids == sorted(cfg.plans[256].family.ids())
+    ids = sorted(means)
     assert not hasattr(means, "__setitem__")
     with pytest.raises(TypeError):
         means[ids[0]] = 0.0
@@ -695,8 +695,8 @@ def test_fold_matches_the_cells_of_a_corrupted_reduction_run(monkeypatch):
     assert [(rep, c.name) for rep, c in fold.failed] == [(0, "cell_triangle"), (2, "cell_triangle")]
     assert [c.failures for _, c in fold.failed] == [1, 2]
     info = details["per_T"][256]
-    assert info["pathwise_violations"] == fold.failed
-    assert info["pathwise_min_slack"] == float(fold.min_slack["cell_triangle"]) < 0
+    assert (info["failed"], info["min_slack"]) == (fold.failed, fold.min_slack)
+    assert info["min_slack"]["cell_triangle"] < 0
     assert {r.check_id: r.measured for r in records}["reduction_pathwise@T=256"] == fold.violations == 3
     # the standalone cells check nothing and carry one error each, their marginal Err
     assert all(f.failed == [] and f.min_slack == {} and f.err.shape == (1, 3) for f, _ in folds[:3])
@@ -857,13 +857,13 @@ def test_reduction_pathwise_slack_and_named_violations(monkeypatch):
     for T in (256, 512):
         info = details["per_T"][T]
         # disjoint groups: each group is one cell, so the triangle bound is tight
-        assert info["pathwise_min_slack"] == 0.0
-        assert info["pathwise_violations"] == []
+        assert info["min_slack"]["cell_triangle"] == 0
+        assert info["failed"] == []
     # cells that claim zero error make every group with Err > 0 a violation
     monkeypatch.setattr(PatternRouter, "cell_err", lambda self, z: Fraction(0))
     records, details = run_reduction_bound(T_list=(256,), replicates=3, seed=31)
     info = details["per_T"][256]
-    bad = info["pathwise_violations"]
+    bad = info["failed"]
     assert bad and all(isinstance(s, calibration.CheckSummary) for _, s in bad)
     assert {r.check_id: r.measured for r in records}["reduction_pathwise@T=256"] == sum(s.failures for _, s in bad)
     rep, first = bad[0]
@@ -877,7 +877,7 @@ def test_reduction_pathwise_slack_and_named_violations(monkeypatch):
         experiments._cell(config, plan, experiments._cell_stream(256, rep), PatternRouter(factory, plan.family))["err"]
         for rep in range(3)
     ]
-    assert info["pathwise_min_slack"] == -max(e.vector.max() for e in errs)
+    assert float(info["min_slack"]["cell_triangle"]) == -max(e.vector.max() for e in errs)
 
 
 def test_reduction_cells_run_the_pathwise_suite(monkeypatch):
@@ -888,11 +888,11 @@ def test_reduction_cells_run_the_pathwise_suite(monkeypatch):
     monkeypatch.setattr(experiments, "check_telescoping", failing)
     records, details = run_reduction_bound(T_list=(256,), replicates=3, seed=31)
     assert {r.check_id: r.measured for r in records}["reduction_pathwise@T=256"] == 3.0
-    assert [(rep, s.name) for rep, s in details["per_T"][256]["pathwise_violations"]] == [
+    assert [(rep, s.name) for rep, s in details["per_T"][256]["failed"]] == [
         (0, "telescoping"), (1, "telescoping"), (2, "telescoping")
     ]
     # the triangle bound still holds with equality on the disjoint cells
-    assert details["per_T"][256]["pathwise_min_slack"] == 0.0
+    assert details["per_T"][256]["min_slack"]["cell_triangle"] == 0
 
 
 def test_reduction_rejects_prediction_dependent_groups(tmp_path, capsys):
@@ -957,19 +957,23 @@ def test_csv_writers(tmp_path):
     assert b.read_text().splitlines()[0] == "check_id,measured,bound,margin,pass"
 
 
+def _reversed_report(values) -> calibration.CalibrationReport:
+    """The report of ``values[i]`` for id ``g{i:05d}``, its family order the reverse of the id order."""
+    n = len(values)
+    index = {f"g{i:05d}": n - 1 - i for i in reversed(range(n))}
+    return calibration.CalibrationReport(index, np.asarray(values, float)[::-1])
+
+
 def _groups_result(tables: dict):
-    """A scaling result that holds only what the groups CSV reads: one sorted-id mapping per T."""
-    rows = [
-        SimpleNamespace(T=T, per_group_mean=GroupMeans([f"g{i:05d}" for i in range(len(v))], np.asarray(v, float)))
-        for T, v in tables.items()
-    ]
+    """A scaling result that holds only what the groups CSV reads: one report per T, whose ids the writer sorts."""
+    rows = [SimpleNamespace(T=T, per_group_mean=_reversed_report(v)) for T, v in tables.items()]
     return SimpleNamespace(config=SimpleNamespace(experiment_id="diff"), rows=rows)
 
 
 def _groups_csv_per_row(path, result) -> None:
     """The groups CSV as ``write_csv`` writes its (eid, T, id, mean) rows: the reference of the column-wise writer."""
     eid = result.config.experiment_id
-    rows = ((eid, row.T, gid, v) for row in result.rows for gid, v in row.per_group_mean.items())
+    rows = ((eid, row.T, gid, v) for row in result.rows for gid, v in sorted(row.per_group_mean.items()))
     experiments.write_csv(path, ("experiment_id", "T", "group_id", "mean_err"), rows)
 
 

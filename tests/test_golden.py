@@ -120,7 +120,7 @@ def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path, monkeypatch):
     def record_groups(path, result):
         # the groups table is rendered a column at a time, not through write_csv: rebuild its rows from the mapping
         eid = result.config.experiment_id
-        rows = [(eid, row.T, gid, v) for row in result.rows for gid, v in row.per_group_mean.items()]
+        rows = [(eid, row.T, gid, v) for row in result.rows for gid, v in sorted(row.per_group_mean.items())]
         tables.append((Path(path).name, ("experiment_id", "T", "group_id", "mean_err"), rows))
         write_per_group_csv(path, result)
 

@@ -319,7 +319,7 @@ def test_direct_weights_on_a_round_robin_tile_their_column_weights(T):
     cols, reps = min(m, T), -(-T // m)
     full = ScaledRun.build(env.sample(3), Predictions(np.tile(column_pred, reps)[:T], 16), eta.denominator)
     period = ScaledRun.build(
-        env.trajectory(0, 0, np.zeros(cols, dtype=bool)),
+        env.trajectory(np.zeros(cols, dtype=bool)),
         Predictions(column_pred[:cols], 16),
         eta.denominator,
         mult=env.rounds_per_column()[:cols],
