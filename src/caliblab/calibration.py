@@ -37,20 +37,22 @@ Runs whose outcomes are linear in a heads sequence, y = y0 + step heads,
 and whose predictions and direct group weights repeat with the context
 period (the round-robin environments under an oblivious forecaster) have
 a ``RunSkeleton``: the run at heads = 0 reduced to per-column bucket and
-weight arrays, its biases and residual sums, and, with a layout, each
-round's residual and the ``BlockRows`` of the run.  Without a layout
-nothing the skeleton keeps reads round order, so it is built from one
-round robin of columns: a ``ScaledRun`` whose entry j stands for the
-``mult[j]`` rounds that show column j, every sum over rounds weighted by
-those multiplicities.  A ``SkeletonRun``
-(the skeleton plus one draw's heads per context column, and with a
-layout the per-round heads too) forms each direct bias and residual sum
-as its value at heads = 0 minus step times the same sum over the column
-heads, mapped to buckets through the weights; for the layout, the
-rounds' residuals (at heads = 0, minus step times the head) go through
-``BlockRows.transform``.  ``accumulate_run``
-and ``check_telescoping`` read either kind of run; ``ScaledRun.build``
-stays the general path and the reference the skeleton is tested against.
+weight arrays, its biases and residual sums, and, with a layout, the
+``BlockRows`` of the run and their transform of the residual at
+heads = 0.  Without a layout nothing the skeleton keeps reads round
+order, so it is built from one round robin of columns: a ``ScaledRun``
+whose entry j stands for the ``mult[j]`` rounds that show column j,
+every sum over rounds weighted by those multiplicities.  A
+``SkeletonRun`` (the skeleton plus one draw's heads per context column,
+and with a layout the per-round heads too) forms each direct bias and
+residual sum as its value at heads = 0 minus step times the same sum
+over the column heads, mapped to buckets through the weights; the block
+transform is linear, so a draw's block coefficients are the skeleton's
+minus step times ``BlockRows.transform`` of its 0/1 heads, which
+``fwht`` runs as two float32 matrix products, exact for any summation
+order BLAS picks.  ``accumulate_run`` and ``check_telescoping`` read
+either kind of run; ``ScaledRun.build`` stays the general path and the
+reference the skeleton is tested against.
 
 Each pathwise inequality yields one ``CheckSummary`` per run, however
 many comparisons it makes: their count, the number that fail, the exact
@@ -424,7 +426,9 @@ def accumulate_run(run, family: GroupFamily) -> RunLedger:
 # ---------------------------------------------------------------------------
 
 # entries of the stacked (block, bucket) rows that one transform takes:
-# 32 MiB of int64, and the transform's two buffers as much again each
+# 32 MiB of int64 residual, and the integer transform's two buffers as much
+# again each; 4 MiB of bool heads, and 16 MiB for each float32 product
+# and 32 MiB for the int64 result
 STACK_ENTRIES = 1 << 22
 
 
@@ -465,11 +469,14 @@ class BlockRows:
 
     def transform(self, values: np.ndarray) -> np.ndarray:
         """(rows, L) int64 coefficients in row order, one FWHT per chunk: entry
-        [r, j] is <psi_j, the ``values[:T']`` of row r's rounds in their block>."""
+        [r, j] is <psi_j, the ``values[:T']`` of row r's rounds in their block>.
+        The rows keep the dtype of ``values``, which picks ``fwht``'s path:
+        int64 residuals run its integer stages, bool heads its float32
+        matrix products."""
         L, first, out = self.L, self.first, []
         for lo, hi in self.chunks:
             base = first[lo]
-            rows = np.zeros((first[hi] - base) * L, dtype=np.int64)
+            rows = np.zeros((first[hi] - base) * L, dtype=values.dtype)
             rows[self.slots[lo * L : hi * L] - base * L] = values[lo * L : hi * L]
             out.append(fwht(rows.reshape(-1, L)))
         return out[0] if len(out) == 1 else np.concatenate(out)
@@ -494,14 +501,16 @@ class RunSkeleton:
     compact arrays: per context column j < n the bucket (``onehot[j]``, a
     zero row for a column never shown) and each direct group's weight;
     the direct biases, the residual bucket sums and the residual total at
-    heads = 0; and, with a layout, the residual of each round t < T' at
-    heads = 0 and the run's ``BlockRows``.  ``step`` is over ``scale``.
-    Every outcome sum of a draw is its value at heads = 0 minus ``step``
-    times the same sum over the heads (``SkeletonRun``).  Without a layout
-    (``rows`` is None) a draw is read only through its heads per context
-    column, so it needs n column counts, not T per-round heads; with a
-    layout each round's residual enters the block transform, so it needs
-    the heads of every round.
+    heads = 0; and, with a layout, the run's ``BlockRows`` and their
+    transform of the residual at heads = 0, ``coeff0``, taken once with
+    the int64 kernel.  ``step`` is over ``scale``.  Every outcome sum of a
+    draw is its value at heads = 0 minus ``step`` times the same sum over
+    the heads (``SkeletonRun``); the block transform is linear, so that
+    holds for its coefficients too.  Without a layout (``rows`` is None) a
+    draw is read only through its heads per context column, so it needs n
+    column counts, not T per-round heads; with a layout the heads enter
+    the block transform round by round, so it needs the heads of every
+    round.
     """
 
     family: GroupFamily
@@ -516,7 +525,7 @@ class RunSkeleton:
     resid0: np.ndarray  # (buckets,) int64
     total0: int
     rows: Optional[BlockRows] = None
-    resid_rounds0: Optional[np.ndarray] = None  # (T',) int64 residual per round at heads = 0
+    coeff0: Optional[np.ndarray] = None  # (rows, L) int64 block transform of the residual at heads = 0
 
     @classmethod
     def build(cls, run0: ScaledRun, family: GroupFamily, period: int, step: int) -> "RunSkeleton":
@@ -528,7 +537,7 @@ class RunSkeleton:
         Without a layout ``run0`` may be one round robin of columns, each
         entry weighted by its rounds (``ScaledRun.mult``); the biases and
         residual sums are then sums over columns.  A layout reads round
-        order (the ``BlockRows`` and each round's residual), so its
+        order (the ``BlockRows`` and the residual transform), so its
         ``run0`` holds every round."""
         T, cols = run0.T, min(period, run0.T)
         onehot = np.zeros((period, len(run0.bucket_scaled)), dtype=np.int64)
@@ -539,7 +548,7 @@ class RunSkeleton:
         bias0 = run0.direct_biases(family)
         lay, extra = family.layout, {}
         if lay is not None:
-            extra = dict(rows=run0.block_rows(lay), resid_rounds0=run0.resid[: lay.T_prime].copy())
+            extra = dict(rows=run0.block_rows(lay), coeff0=run0.resid_coefficients(lay))
         step_scaled = step * (run0.scale // run0.traj.den)
         return cls(
             family, T, period, run0.scale, step_scaled, run0.bucket_scaled, onehot, weights, bias0,
@@ -555,8 +564,9 @@ class SkeletonRun:
     sums ``accumulate_run`` and ``check_telescoping`` read, formed from
     them.  The direct biases, the residual sums and the noise sums take
     the column heads through each group's weights and the column-to-bucket
-    map; the layout takes the skeleton's ``BlockRows`` and their transform
-    of each round's residual, so it needs the heads themselves."""
+    map; the layout's residual coefficients are the skeleton's ``coeff0``
+    minus ``step`` times the transform of the heads themselves, bool rows
+    through ``BlockRows.transform``."""
 
     skeleton: RunSkeleton
     column_heads: np.ndarray
@@ -594,11 +604,15 @@ class SkeletonRun:
         return self.skeleton.rows
 
     def resid_coefficients(self, layout: BlockLayout) -> np.ndarray:
-        """(rows, L) block transform of the residual."""
+        """(rows, L) block transform of the residual: ``coeff0`` minus
+        ``step`` times the transform of the bool heads, formed in place."""
         sk = self.skeleton
         if self.heads is None:
             raise ValueError("the block transform reads per-round heads; this draw holds only the column heads")
-        return self.block_rows(layout).transform(sk.resid_rounds0 - self.heads[: layout.T_prime] * np.int64(sk.step))
+        out = self.block_rows(layout).transform(self.heads[: layout.T_prime])
+        out *= -sk.step
+        out += sk.coeff0
+        return out
 
     def deviation_stats(self, stats0: DeviationStats) -> DeviationStats:
         """This draw's statistics from ``stats0``, those of the run at

@@ -30,9 +30,10 @@ CSV content is identical whether or not ``--assert`` is set.  The
 manifests of ``scaling``, ``bounds oracle`` and ``bounds reduction`` are
 written from each T's fold of its cells by one formatter: one
 ``pathwise_min_slack@T=<T>/<check>=`` line per pathwise check, then one
-``pathwise_violation@`` line per failing summary.  A scaling run whose
-mean MCerr is 0 at some T has no log-log fit: its exponent is nan, and
-``--assert`` fails on it.
+``pathwise_violation@`` line per failing summary; ``scaling --assert``
+names each T's first failing cell on stderr from the same fold.  A
+scaling run whose mean MCerr is 0 at some T has no log-log fit: its
+exponent is nan, and ``--assert`` fails on it.
 """
 
 from __future__ import annotations
@@ -198,11 +199,22 @@ class Manifest:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _named(rep: int, s, sep: str) -> str:
+    """A failing (rep, CheckSummary) as its replicate, check, first failing index and that comparison's sides."""
+    fields = (("rep", rep), ("check", s.name), ("index", s.first), ("lhs", s.lhs), ("rhs", s.rhs))
+    return sep.join(f"{key}={value}" for key, value in fields)
+
+
 def _pathwise_lines(T: int, min_slack: dict, failed) -> list:
     """The manifest lines of one T's fold: each check's tightest slack, then each failing (rep, CheckSummary)."""
     slack = [f"pathwise_min_slack@T={T}/{name}={format_float(float(v))}" for name, v in min_slack.items()]
-    named = (f"rep={rep};check={s.name};index={s.first};lhs={s.lhs};rhs={s.rhs}" for rep, s in failed)
-    return slack + [f"pathwise_violation@T={T}={line}" for line in named]
+    return slack + [f"pathwise_violation@T={T}={_named(rep, s, ';')}" for rep, s in failed]
+
+
+def _violations(row) -> str:
+    """A T's violation count under ``--assert``, with its first failing cell when the fold kept one."""
+    line = f"T={row.T}: {row.violations} violations"
+    return f"{line}, first {_named(*row.failed[0], ' ')}" if row.failed else line
 
 
 def cmd_scaling(args, overrides) -> int:
@@ -253,7 +265,7 @@ def cmd_scaling(args, overrides) -> int:
         f"violations={result.total_violations()}"
     )
     if args.do_assert:
-        failures = [f"T={row.T}: {row.violations} violations" for row in result.rows if row.violations]
+        failures = [_violations(row) for row in result.rows if row.violations]
         if len(result.rows) >= 2 and not lo <= result.exponent <= hi:
             failures.insert(0, f"exponent {result.exponent:.4f} outside [{lo}, {hi}]")
         if failures:

@@ -26,7 +26,13 @@ Conventions used throughout the package:
 * ``fwht`` picks its integer width from the input dtype, never from the
   data: int8 and int16 inputs of length n <= 2^15 run in int32 (every
   partial sum is at most n * 2^15 <= 2^30), other integers in int64.
-  Integer outputs are int64 either way.
+  A bool (0/1) input of length n <= 2^14 is instead two float32 matrix
+  products with leading sub-blocks of the cached tile, the Kronecker
+  split above: Y = H_{n/b} X H_b for X the (n/b, b) reshape of a row,
+  b = min(n, 128).  Every partial sum is an integer of magnitude at most
+  n <= 2^14 < 2^24, so the products are exact whatever summation order
+  BLAS picks; a longer bool input runs as int8.  Integer and bool
+  outputs are int64 either way.
 """
 
 from __future__ import annotations
@@ -74,6 +80,9 @@ def _popcount_rows(rows: np.ndarray, n: int) -> np.ndarray:
 
 _H_TILE = _popcount_rows(np.arange(TILE, dtype=np.uint32), TILE)
 _H_TILE.flags.writeable = False
+# the tile as the operand of the bool transform's float32 matrix products
+_H_TILE_F32 = _H_TILE.astype(np.float32)
+_H_TILE_F32.flags.writeable = False
 
 
 def _row_range(lo: int, hi: int, n: int) -> np.ndarray:
@@ -143,19 +152,40 @@ def prefix_extremum(j: int, n: int) -> tuple[int, int]:
     return tz, int(np.abs(prefix).max())
 
 
+def _fwht_bool(a: np.ndarray) -> np.ndarray:
+    # psi_j(s) = psi_{j // b}(s // b) * psi_{j % b}(s % b), so a row reshaped
+    # to X (n/b, b) transforms to H_{n/b} X H_b: every partial sum of either
+    # product is an integer of magnitude at most n <= 2^14, exact in float32
+    n = a.shape[-1]
+    b = min(n, TILE)
+    x = a.reshape(-1, n // b, b).astype(np.float32)
+    if n > b:
+        x = np.matmul(_H_TILE_F32[: n // b, : n // b], x)
+    x = x.reshape(-1, b) @ _H_TILE_F32[:b, :b]
+    return x.astype(np.int64).reshape(a.shape)
+
+
 def fwht(values: np.ndarray) -> np.ndarray:
     """Unnormalized fast Walsh-Hadamard transform along the last axis.
 
-    Output ``j`` equals ``sum_s values[s] * psi_j(s)``.  Integer inputs stay
-    exact and come back as int64; everything else is transformed in
-    float64.  An int8 or int16 input of length n <= 2^15 is transformed in
+    Output ``j`` equals ``sum_s values[s] * psi_j(s)``.  Integer and bool
+    inputs stay exact and come back as int64; everything else is
+    transformed in float64.  A bool input of length n <= 2^14 is two
+    float32 matrix products with the cached tile (Y = H_{n/b} X H_b), exact
+    because no partial sum exceeds n < 2^24 in magnitude; a longer one runs
+    as int8.  An int8 or int16 input of length n <= 2^15 is transformed in
     int32, since every partial sum is at most n * 2^15 <= 2^30; any other
-    integer input in int64.  O(n log n) in log2 n constant-geometry stages
-    between two work buffers; ``values`` itself is never written.
+    integer input in int64.  Those take O(n log n) in log2 n
+    constant-geometry stages between two work buffers.  ``values`` itself
+    is never written.
     """
     a = np.asarray(values)
     n = a.shape[-1]
     _require_power_of_two(n)
+    if a.dtype == np.bool_:
+        if n <= TILE * TILE:
+            return _fwht_bool(a)
+        a = a.astype(np.int8)
     if a.dtype in (np.int8, np.int16) and n <= 1 << 15:
         return fwht_pingpong(a.astype(np.int32)).astype(np.int64)
     return fwht_pingpong(a.astype(np.int64 if np.issubdtype(a.dtype, np.integer) else np.float64, copy=False))

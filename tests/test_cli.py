@@ -129,12 +129,41 @@ def test_scaling_violation_fails_the_assert_and_is_named(config_path, tmp_path, 
 
     monkeypatch.setattr(experiments, "check_telescoping", twice)
     assert main(["scaling", "--config", str(config_path), "--out", str(tmp_path), "--assert"]) == EXIT_ASSERT
-    assert capsys.readouterr().err == "assert failed: T=1024: 2 violations\n"
+    assert capsys.readouterr().err == (
+        "assert failed: T=1024: 2 violations, first rep=1 check=telescoping index=0 lhs=1/2 rhs=0\n"
+    )
     lines = (tmp_path / "scaling_manifest.txt").read_text().splitlines()
     assert [line for line in lines if line.startswith("pathwise_violation@")] == [
         f"pathwise_violation@T=1024=rep={rep};check=telescoping;index=0;lhs=1/2;rhs=0" for rep in (1, 3)
     ]
     assert "pathwise_min_slack@T=1024/telescoping=-0.5" in lines
+
+
+def test_scaling_assert_names_the_first_cell_of_a_corrupted_ledger(config_path, tmp_path, monkeypatch, capsys):
+    # one signed block coefficient of replicates 2 and 4 raised past its
+    # half-groups' bound: diff_two itself fails, and --assert names rep 2
+    accumulate = experiments.accumulate_run
+    calls = []
+
+    def corrupted(run, family):
+        ledger = accumulate(run, family)
+        calls.append(ledger)
+        if len(calls) in (3, 5):
+            ledger.block_coeff_abs[1, 2] += 10**6
+        return ledger
+
+    monkeypatch.setattr(experiments, "accumulate_run", corrupted)
+    walsh = ["--env.kind=rademacher", "--groups.kind=full_walsh", "--forecaster.id=rounded_honest"]
+    assert main(["scaling", "--config", str(config_path), "--out", str(tmp_path), "--assert", *walsh]) == EXIT_ASSERT
+    lines = (tmp_path / "scaling_manifest.txt").read_text().splitlines()
+    named = [line.split("=", 2)[2] for line in lines if line.startswith("pathwise_violation@T=1024=")]
+    assert [line.split(";")[:2] for line in named] == [["rep=2", "check=diff_two"], ["rep=4", "check=diff_two"]]
+    first = dict(field.split("=") for field in named[0].split(";"))
+    # the (a, j) = (2, 2) pair, after the direct pairs and block 1's L pairs
+    family = calls[0].family
+    assert int(first["index"]) == family.direct_pair_rows.shape[1] + family.layout.L + 2
+    assert Fraction(first["lhs"]) > Fraction(first["rhs"])
+    assert capsys.readouterr().err == f"assert failed: T=1024: 2 violations, first {named[0].replace(';', ' ')}\n"
 
 
 def test_single_replicate_stderr_is_nan(config_path, tmp_path):

@@ -372,6 +372,22 @@ def test_chunked_block_transforms_equal_the_general_path(monkeypatch, entries, n
     ]
 
 
+# T = 8192 and 32768 have blocks of L = 512 and 2048 rounds: the heads'
+# transform is two float32 matrix products there, above the range the
+# hypothesis test above draws T from
+@pytest.mark.parametrize("T", [8192, 32768])
+@pytest.mark.parametrize("forecaster", ["honest", "rounded_honest"])
+@pytest.mark.parametrize("env, groups", [("rademacher", "full_walsh"), ("bernoulli", "block_hadamard")])
+def test_layout_skeleton_cells_equal_the_general_path_at_long_blocks(env, groups, forecaster, T):
+    params = {"Q": 16} if forecaster == "rounded_honest" else {}
+    cfg = ExperimentConfig(env=env, groups=groups, forecaster=forecaster, T_list=(T,), replicates=2, seed=T, **params)
+    plan = cfg.plans[T]
+    assert plan.family.layout.L == {8192: 512, 32768: 2048}[T] and plan.skeleton.run.coeff0 is not None
+    assert [experiments.run_replicate(cfg, T, rep) for rep in range(2)] == [
+        experiments.general_replicate(cfg, T, rep) for rep in range(2)
+    ]
+
+
 def test_only_round_robin_oblivious_plans_have_a_skeleton():
     for env, forecaster, groups in (
         ("bernoulli", "uniform_random", "pred_threshold"),

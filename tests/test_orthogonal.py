@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from caliblab._kernels import fwht_pingpong
 from caliblab.orthogonal import (
     fwht,
     is_power_of_two,
@@ -190,6 +191,29 @@ def test_fwht_of_narrow_integers_equals_the_int64_transform(dtype, log_n):
         assert np.array_equal(out, fwht(x.astype(np.int64)))
         assert np.array_equal(x, before)
     assert fwht(extreme)[j] == np.abs(extreme.astype(np.int64)).sum()
+
+
+@pytest.mark.parametrize("log_n", range(16))
+def test_fwht_of_bool_rows_equals_the_int64_kernel(log_n):
+    # n <= 2^14 runs as float32 matrix products with the tile, n = 2^15 as
+    # int8; all-one rows reach the largest coefficient, |coef| = n
+    n = 2**log_n
+    rng = np.random.default_rng(log_n)
+    wide = rng.random((2, 3, 2 * n)) < 0.5
+    wide[0, 0] = False
+    wide[0, 1] = True
+    # 1-D, 2-D and 3-D leading shapes, then a strided and a column-major input
+    inputs = [wide[0, 1, :n], wide[1, 2, n:], wide[0, :, :n], wide[:, :, n:], wide[:, :, ::2]]
+    inputs.append(np.asfortranarray(wide[1, :, :n]))
+    assert n == 1 or not (inputs[-2].flags.c_contiguous or inputs[-1].flags.c_contiguous)
+    for x in inputs:
+        before = x.copy()
+        out = fwht(x)
+        assert out.dtype == np.int64 and out.shape == x.shape
+        assert np.array_equal(out, fwht_pingpong(x.astype(np.int64)))
+        assert np.array_equal(x, before)
+    assert np.array_equal(fwht(wide[0, 0, :n]), np.zeros(n, dtype=np.int64))
+    assert np.array_equal(fwht(wide[0, 1, :n]), np.eye(1, n, dtype=np.int64)[0] * n)
 
 
 def test_fwht_rejects_bad_length():
