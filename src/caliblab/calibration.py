@@ -19,12 +19,15 @@ Signed functionals (differences of two half-groups) are measured from
 the signed weights directly, never by subtracting two separately rounded
 reports, so the bias + noise = ledger-bias identity is exact.  Per-group
 quantities are arrays in family order, found by id through
-``GroupFamily.index``: a ledger's direct biases are one (direct groups,
-buckets) int64 array, and a family's blockwise Hadamard half-groups are
-never evaluated one by one: their Err numerators and difference-of-two
-checks are (K, L) arrays from the per-block transform of the residual.
-A ledger reports one float64 error vector in ``family.ids()`` order, as a
-``CalibrationReport``: a read-only mapping over that vector and the index.
+``GroupFamily.index``.  A ledger's direct biases are one (direct groups,
+buckets) int64 array, and every group's Err numerator over 2 scale is one
+int64 vector, ``err``, in ``family.ids()`` order, formed once per ledger:
+the report, MCerr and every pathwise check read it.  A family's blockwise
+Hadamard half-groups are never evaluated one by one: their entries of
+``err`` and their signed functionals (one (K, L) array over scale) come
+from the per-block transform of the residual.  A ledger reports ``err``
+over 2 scale as one float64 vector, a ``CalibrationReport``: a read-only
+mapping over that vector and the index.
 
 A layout's rounds are split into (block, bucket) rows once per run and
 layout: ``BlockRows``, which ``ScaledRun.block_rows`` memoises and the
@@ -345,56 +348,38 @@ class ScaledRun:
 
 @dataclass
 class RunLedger:
-    """Exact per-(group, bucket) biases for one run, vectorized.
+    """Exact per-group Err numerators for one run, vectorized.
 
     ``scaled`` is the run: a ``ScaledRun``, or a ``SkeletonRun`` (one
     outcome draw on a ``RunSkeleton``), which has no per-round arrays.
     ``bias`` is the (direct groups, buckets) int64 array of the direct
     groups' biases over the realized buckets, in family order (numerators
-    over ``scale``).  The family's block half-groups are
-    evaluated through the transform into (K, L) arrays at [a - 1, j]: the
-    Err numerators of had+/a/j and had-/a/j over ``2 * scale``, and of the
-    signed functional over ``scale``; None when the family has no layout.
+    over ``scale``).  ``err`` is the int64 Err numerator over ``2 * scale``
+    of every group in ``family.ids()`` order, block half-groups included;
+    ``signed`` is the (K, L) array of the block signed functionals' Err
+    numerators over ``scale`` at [a - 1, j], None when the family has no
+    layout.
     """
 
     family: GroupFamily
     scaled: ScaledRun
     bias: np.ndarray
-    block_plus_abs: Optional[np.ndarray] = None
-    block_minus_abs: Optional[np.ndarray] = None
-    block_coeff_abs: Optional[np.ndarray] = None
+    err: np.ndarray
+    signed: Optional[np.ndarray] = None
 
     scale = property(lambda self: self.scaled.scale)
     T = property(lambda self: self.scaled.T)
     bucket_scaled = property(lambda self: self.scaled.bucket_scaled)
 
     def err_exact(self, gid: str) -> Fraction:
-        i = self.family.index[gid]
-        if i < len(self.bias):
-            return Fraction(int(np.abs(self.bias[i]).sum()), self.scale)
-        g = self.family.by_id(gid)
-        half = self.block_plus_abs if g.sign == 1 else self.block_minus_abs
-        return Fraction(int(half[g.a - 1, g.j]), 2 * self.scale)
-
-    def err_vector(self) -> np.ndarray:
-        """float64 Err of every group, in ``family.ids()`` order."""
-        direct = np.abs(self.bias).sum(axis=1) / self.scale
-        if self.block_plus_abs is None:
-            return direct
-        # (K, L, 2) in family order: a, then j, then +/-
-        halves = np.stack([self.block_plus_abs, self.block_minus_abs], axis=-1)
-        return np.concatenate([direct, halves.ravel() / (2.0 * self.scale)])
+        return Fraction(int(self.err[self.family.index[gid]]), 2 * self.scale)
 
     def report(self) -> CalibrationReport:
-        return CalibrationReport(self.family.index, self.err_vector())
+        return CalibrationReport(self.family.index, self.err / (2.0 * self.scale))
 
     def mcerr_num(self) -> int:
-        """MCerr's numerator over ``2 * scale``: the largest Err, block
-        half-groups included, 0 for an empty family."""
-        errs = [2 * np.abs(self.bias).sum(axis=1)]
-        if self.block_plus_abs is not None:
-            errs += [self.block_plus_abs.ravel(), self.block_minus_abs.ravel()]
-        return int(np.concatenate(errs).max(initial=0))
+        """MCerr's numerator over ``2 * scale``: the largest Err, 0 for an empty family."""
+        return int(self.err.max(initial=0))
 
     def telescoped(self) -> Fraction:
         return Fraction(self.scaled.resid_total(), self.scale)
@@ -408,9 +393,12 @@ def accumulate_run(run, family: GroupFamily) -> RunLedger:
     for this family.
     """
     bias = run.direct_biases(family)
+    n = len(bias)
+    err = np.empty(len(family), dtype=np.int64)
+    err[:n] = 2 * np.abs(bias).sum(axis=1)
     lay = family.layout
     if lay is None:
-        return RunLedger(family=family, scaled=run, bias=bias)
+        return RunLedger(family, run, bias, err)
     block_abs = np.zeros((3, lay.K, lay.L), dtype=np.int64)  # plus, minus, signed
     # one block at a time keeps the temporaries in cache: measured 2x faster than per_block
     for a, c in enumerate(np.split(run.resid_coefficients(lay), run.block_rows(lay).first[1:-1])):
@@ -418,7 +406,9 @@ def accumulate_run(run, family: GroupFamily) -> RunLedger:
         # functional bias, and the half-group biases are (c0 +- cj)/2
         c0 = c[:, :1]
         block_abs[:, a] = (np.abs(c0 + c).sum(axis=0), np.abs(c0 - c).sum(axis=0), np.abs(c).sum(axis=0))
-    return RunLedger(family, run, bias, *block_abs)
+    # family order: a, then j, then +/-
+    err[n::2], err[n + 1 :: 2] = block_abs[0].ravel(), block_abs[1].ravel()
+    return RunLedger(family, run, bias, err, block_abs[2])
 
 
 # ---------------------------------------------------------------------------
@@ -811,21 +801,22 @@ def check_diff_two(ledger: RunLedger) -> CheckSummary:
     ``2 * scale``, in ``signed_pairs()`` order: the direct pairs, then the
     (a, j) pairs of the block layout.
     """
-    bp, bm = ledger.bias[ledger.family.direct_pair_rows]
-    lhs = 2 * np.abs(bp - bm).sum(axis=1)
-    rhs = 2 * (np.abs(bp).sum(axis=1) + np.abs(bm).sum(axis=1))
-    if ledger.block_coeff_abs is not None:
-        lhs = np.concatenate([lhs, 2 * ledger.block_coeff_abs.ravel()])
-        rhs = np.concatenate([rhs, (ledger.block_plus_abs + ledger.block_minus_abs).ravel()])
+    plus, minus = ledger.family.direct_pair_rows
+    lhs = 2 * np.abs(ledger.bias[plus] - ledger.bias[minus]).sum(axis=1)
+    rhs = ledger.err[plus] + ledger.err[minus]
+    if ledger.signed is not None:
+        halves = ledger.err[len(ledger.bias) :]
+        lhs = np.concatenate([lhs, 2 * ledger.signed.ravel()])
+        rhs = np.concatenate([rhs, halves[0::2] + halves[1::2]])
     return CheckSummary.over("diff_two", lhs, rhs, rhs - lhs, 2 * ledger.scale)
 
 
 def check_cell_triangle(ledger: RunLedger, cell_errs: dict) -> CheckSummary:
     """Err(g_j) <= sum of the exact ``cell_errs[z]`` over the routed cells z
     with z[j] = 1, per direct group j: both sides Python integers (object
-    arrays, never int64) over lcm(scale, the cell-error denominators)."""
-    den = math.lcm(ledger.scale, *(e.denominator for e in cell_errs.values()))
-    lhs = np.abs(ledger.bias).sum(axis=1).astype(object) * (den // ledger.scale)
+    arrays, never int64) over lcm(2 scale, the cell-error denominators)."""
+    den = math.lcm(2 * ledger.scale, *(e.denominator for e in cell_errs.values()))
+    lhs = ledger.err[: len(ledger.bias)].astype(object) * (den // (2 * ledger.scale))
     nums = {z: e.numerator * (den // e.denominator) for z, e in cell_errs.items()}
     rhs = np.array([sum(n for z, n in nums.items() if z[j]) for j in range(len(lhs))], dtype=object)
     return CheckSummary.over("cell_triangle", lhs, rhs, rhs - lhs, den)
@@ -835,12 +826,12 @@ def check_g4_context_decomp(
     ledger: RunLedger, stats: DeviationStats, eta: Fraction, m: int
 ) -> CheckSummary:
     """sum_v |B(v, g3)| >= sum_x |N_x| - sum_x |R_x| whenever eta <= 1/(2m),
-    in Python integers over lcm(the two scales)."""
+    in Python integers over lcm(2 scale, the statistics' scale)."""
     if Fraction(eta) > Fraction(1, 2 * m):
         raise ValueError("context decomposition needs eta <= 1/(2m)")
     g3 = next(i for i, g in enumerate(ledger.family.groups) if isinstance(g, ThresholdGroup) and g.which == 3)
-    den = math.lcm(ledger.scale, stats.scale)
-    lhs = int(np.abs(ledger.bias[g3]).sum()) * (den // ledger.scale)
+    den = math.lcm(2 * ledger.scale, stats.scale)
+    lhs = int(ledger.err[g3]) * (den // (2 * ledger.scale))
     rhs = (int(np.abs(stats.N_x_num).sum()) - int(np.abs(stats.R_x_num).sum())) * (den // stats.scale)
     return CheckSummary.over("g4_context_decomp", lhs, rhs, lhs - rhs, den)
 

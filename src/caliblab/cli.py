@@ -16,7 +16,10 @@ and ``experiments.FAMILIES`` and the ids of ``make_forecaster_factory``.
 ``scaling`` and ``bounds`` read and cast every key they use through
 ``experiments.KEYS`` before the first cell, refuse a key they do not
 read, and exit 2 naming a key whose value lies outside the table's
-limits (the desk caps, ``run.seed`` in 0..2^64 - 1, pieces at least 1).
+limits (the desk caps, ``run.seed`` in 0..2^64 - 1, pieces at least 1)
+or an exponent window no exponent can pass (a NaN end, or
+``assert.exponent_min`` above ``assert.exponent_max``; an infinite end
+is accepted).
 ``scaling`` runs its cells in one process and accepts ``run.workers``
 only as 1.  ``run.id`` must match ``[A-Za-z0-9_.-]+``: it prefixes the
 file names written in the output directory, and the CSVs hold it
@@ -224,6 +227,8 @@ def cmd_scaling(args, overrides) -> int:
         config = experiment_config_from(cfg)
         lo = _get(cfg, "assert.exponent_min", EXPONENT_WINDOW[0], float)
         hi = _get(cfg, "assert.exponent_max", EXPONENT_WINDOW[1], float)
+        if not lo <= hi:  # a NaN end, or min above max, passes no exponent
+            raise ConfigError(f"assert.exponent_min={lo} and assert.exponent_max={hi} admit no exponent")
         family = _get(cfg, "output.family", False, _flag)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -429,7 +429,7 @@ def test_block_decompose_identity_and_parseval():
         for a in (1, 2):
             for j in (0, 1, layout.L - 1):
                 lhs = signed_err(scaled, layout, a, j)
-                rhs = Fraction(int(run.block_coeff_abs[a - 1, j]), run.scale)
+                rhs = Fraction(int(run.signed[a - 1, j]), run.scale)
                 assert lhs == rhs
         parseval = check_block_parseval(d, stats)
         assert parseval.ok and parseval.min_slack == 0
@@ -722,10 +722,11 @@ def test_bits_mse_vs_mcerr_equality_and_one_unit_perturbation():
     run = ScaledRun.build(traj, Predictions(num=np.full(2, 14), den=28))
     fam = build_bit_family(1)
     assert run.scale == 28 and Fraction(run.sq_loss_num, run.scale**2) == Fraction(1, 8)
-    mse = check_bits_mse(RunLedger(fam, run, np.array([[2], [0]])))[1]
+    # err holds each group's Err numerator over 2 scale: twice its |bias| sum
+    mse = check_bits_mse(RunLedger(fam, run, np.array([[2], [0]]), np.array([4, 0])))[1]
     assert (mse.name, mse.count, mse.failures, mse.min_slack) == ("bits_mse_vs_mcerr", 1, 0, 0)
     # one unit less of bias: MCerr 1/28 and a bound of 1/16
-    bad = check_bits_mse(RunLedger(fam, run, np.array([[1], [0]])))[1]
+    bad = check_bits_mse(RunLedger(fam, run, np.array([[1], [0]]), np.array([2, 0])))[1]
     assert (bad.failures, bad.first, bad.lhs, bad.rhs, bad.min_slack) == (1, 0, Fraction(1, 8), Fraction(1, 16), Fraction(-1, 16))
 
 

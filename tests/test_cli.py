@@ -149,7 +149,7 @@ def test_scaling_assert_names_the_first_cell_of_a_corrupted_ledger(config_path, 
         ledger = accumulate(run, family)
         calls.append(ledger)
         if len(calls) in (3, 5):
-            ledger.block_coeff_abs[1, 2] += 10**6
+            ledger.signed[1, 2] += 10**6
         return ledger
 
     monkeypatch.setattr(experiments, "accumulate_run", corrupted)
@@ -250,6 +250,13 @@ def test_bad_forecaster_id(tmp_path):
         ("forecaster.id=proper_reduction\nforecaster.oracle=honest\n", EXIT_CONFIG, "forecaster.oracle=honest"),
         ("run.replicate=3\n", EXIT_CONFIG, "config error: unknown config key run.replicate;"),
         ("assert.exponent_min=abc\n", EXIT_CONFIG, "bad value for assert.exponent_min: 'abc'"),
+        ("assert.exponent_min=nan\n", EXIT_CONFIG, "config error: assert.exponent_min=nan and assert.exponent_max="),
+        ("assert.exponent_max=NaN\n", EXIT_CONFIG, "and assert.exponent_max=nan admit no exponent"),
+        (
+            "assert.exponent_min=0.9\nassert.exponent_max=0.5\n",
+            EXIT_CONFIG,
+            "config error: assert.exponent_min=0.9 and assert.exponent_max=0.5 admit no exponent",
+        ),
         ("output.family=yes\n", EXIT_CONFIG, "bad value for output.family: 'yes'"),
         ("run.replicates=1\nrun.workers=0\n", EXIT_CONFIG, "config error: run.workers=0 must be 1"),
         ("run.replicates=1\nrun.workers=2\n", EXIT_CONFIG, "config error: run.workers=2 must be 1"),
@@ -272,6 +279,9 @@ def test_bad_forecaster_id(tmp_path):
         "oracle-reads-its-context",
         "misspelled-key",
         "bad-assert-value",
+        "nan-exponent-min",
+        "nan-exponent-max",
+        "exponent-min-above-max",
         "bad-output-flag",
         "no-workers",
         "too-many-workers",
@@ -288,6 +298,16 @@ def test_bad_forecaster_parameters_fail_before_any_cell(tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_infinite_exponent_bounds_are_accepted(tmp_path):
+    # an open window passes any finite exponent: two T, so --assert fits one
+    cfg = tmp_path / "open.cfg"
+    cfg.write_text(MINIMAL.replace("env.T=1024\n", "env.T_list=256,1024\n"))
+    run = ["scaling", "--config", str(cfg), "--out", str(tmp_path), "--assert"]
+    assert main([*run, "--assert.exponent_min=-inf", "--assert.exponent_max=inf"]) == EXIT_OK
+    # and one infinite end still leaves the other a bound
+    assert main([*run, "--assert.exponent_min=2", "--assert.exponent_max=inf"]) == EXIT_ASSERT
 
 
 def test_scaling_output_is_the_same_with_run_workers_one_or_unset(tmp_path, config_path):

@@ -587,6 +587,12 @@ def test_run_scaling_builds_each_family_once_per_T(monkeypatch):
     assert calls == {"cells": 0, "all": 2}
 
 
+def _half_pair_err(ledger, a: int, j: int) -> int:
+    """Err(had+/a+1/j) + Err(had-/a+1/j), over 2 scale: the diff_two bound of block pair (a, j)."""
+    index = ledger.family.index
+    return int(ledger.err[index[f"had+/{a + 1}/{j}"]] + ledger.err[index[f"had-/{a + 1}/{j}"]])
+
+
 @pytest.mark.parametrize("bad", [[(2, 3)], [(2, 3), (0, 7)]])
 def test_corrupted_block_entries_are_named_and_counted(monkeypatch, bad):
     accumulate = experiments.accumulate_run
@@ -596,7 +602,7 @@ def test_corrupted_block_entries_are_named_and_counted(monkeypatch, bad):
         ledger = accumulate(run, family)
         for a, j in bad:
             # 2 |c| now exceeds Err(had+) + Err(had-) by 1 or 2, over 2 scale
-            ledger.block_coeff_abs[a, j] = (ledger.block_plus_abs[a, j] + ledger.block_minus_abs[a, j]) // 2 + 1
+            ledger.signed[a, j] = _half_pair_err(ledger, a, j) // 2 + 1
         ledgers.append(ledger)
         return ledger
 
@@ -609,7 +615,7 @@ def test_corrupted_block_entries_are_named_and_counted(monkeypatch, bad):
     summary = check_diff_two(ledger)
     a, j = min(bad)  # the first failing pair in family order
     den = 2 * ledger.scale
-    bound = int(ledger.block_plus_abs[a, j] + ledger.block_minus_abs[a, j])
+    bound = _half_pair_err(ledger, a, j)
     index = ledger.family.direct_pair_rows.shape[1] + a * ledger.family.layout.L + j
     assert (summary.count, summary.failures, summary.first) == (len(ledger.family.signed_pairs()), len(bad), index)
     assert (summary.lhs, summary.rhs) == (Fraction(2 * (bound // 2 + 1), den), Fraction(bound, den))
@@ -667,7 +673,7 @@ def test_fold_matches_the_cells_of_a_corrupted_scaling_run(monkeypatch):
         rep = len(reps)
         reps.append(rep)
         for a, j in ([(2, 3)], [], [(2, 3), (0, 7)])[rep]:
-            ledger.block_coeff_abs[a, j] = (ledger.block_plus_abs[a, j] + ledger.block_minus_abs[a, j]) // 2 + 1
+            ledger.signed[a, j] = _half_pair_err(ledger, a, j) // 2 + 1
         if rep == 2:
             ledger.bias = ledger.bias.copy()
             ledger.bias[family.index["g_all"], 0] += 1
@@ -689,16 +695,14 @@ def test_fold_matches_the_cells_of_a_corrupted_scaling_run(monkeypatch):
 
 
 def test_fold_matches_the_cells_of_a_corrupted_reduction_run(monkeypatch):
-    # routed rep 0 doubles group 2's biases, rep 2 groups 0 and 1: each fails the cell triangle bound
+    # routed rep 0 doubles group 2's Err, rep 2 those of groups 0 and 1: each fails the cell triangle bound
     accumulate, reps = experiments.accumulate_run, []
 
     def corrupted(run, family):
         ledger = accumulate(run, family)
         rep = len(reps)
         reps.append(rep)
-        rows = ([2], [], [0, 1])[rep]
-        ledger.bias = ledger.bias.copy()
-        ledger.bias[rows] *= 2
+        ledger.err[([2], [], [0, 1])[rep]] *= 2
         return ledger
 
     monkeypatch.setattr(experiments, "accumulate_run", corrupted)

@@ -3,9 +3,11 @@
 The benchmark wraps package attributes by name (``spans.SPANS``,
 ``spans.CellClock``), checks the bucketing kernel against its scalar
 reference (``workloads.bucketing_differential``) and times a few kernels
-directly (``run.kernel_timings``).  A name missing from the package fails
-here instead of failing every benchmark run.  Nothing in ``perfbench/`` is
-changed.
+directly (``run.kernel_timings``).  Its ``--trace 1`` counters read fields
+of what the wrapped calls return (a ledger's ``T``, ``scale`` and
+``bucket_scaled``, a trajectory's rounds, a family's size).  A name missing
+from the package fails here instead of failing every benchmark run.
+Nothing in ``perfbench/`` is changed.
 """
 
 from pathlib import Path
@@ -71,3 +73,38 @@ def test_the_cell_clock_books_each_bound_replicate_once(monkeypatch, tmp_path):
     routed = calls.index("sample_bernoulli_env")
     assert calls[:routed] == ["sample_bernoulli_on_grid"] * (2 * 3 * 3)  # two T, three pieces, three replicates
     assert calls[routed:] == ["sample_bernoulli_env"] * (2 * 3)
+
+
+def test_the_traced_counters_read_every_layer(monkeypatch, tmp_path):
+    # a --trace 1 run: each counter reads the output of the call it wraps (a ledger's
+    # T, scale and buckets, a family's size, a trajectory's rounds), so a renamed field fails here
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    from caliblab import cli
+
+    data = Path(__file__).parent / "data"
+    calls = [
+        ["scaling", "--config", str(data / "golden_walsh.cfg")],
+        ["scaling", "--config", str(data / "golden_thm31.cfg")],
+        ["bounds", "oracle", "--config", str(data / "golden_oracle.cfg")],
+        ["bounds", "reduction", "--config", str(data / "golden_reduction_looped.cfg")],
+        ["probe", "bucketing", "--L=64", "--reps=4"],
+        ["probe", "root-return", "--L=64", "--reps=4"],
+    ]
+    tracer = spans.Tracer(())
+    with spans.Patches() as patches:
+        tracer.install(patches)
+        for args in calls:
+            assert cli.main([*args, "--out", str(tmp_path)]) == cli.EXIT_OK, args
+    counters = tracer.acc
+    for name in (
+        "calibration.buckets",
+        "orthogonal.fwht_calls",
+        "environments.rounds",
+        "groups.members",
+        "kernels.steps",
+        "probes.calls",
+    ):
+        assert counters[name] > 0, name
+    assert "calibration.headroom_bits" in counters.gauges
