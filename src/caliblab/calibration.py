@@ -33,8 +33,14 @@ A layout's rounds are split into (block, bucket) rows once per run and
 layout: ``BlockRows``, which ``ScaledRun.block_rows`` memoises and the
 residual transform, the bias transform D and the per-block deviation
 statistics all read.  Its ``transform`` is the one Walsh transform of
-block rows, one (rows, L) int64 array from one FWHT per chunk of at most
+block rows, one (rows, L) array from one FWHT per chunk of at most
 ``STACK_ENTRIES`` entries, and ``per_block`` its one per-block row sum.
+The ledger's block Err sums are ``abs_sums``: per chunk, one product of
+the (K, rows) 0/1 ``members`` matrix with |c0 + c|, |c0 - c| and |c|.
+Every coefficient is at most L scale in magnitude and every one of those
+sums at most 2 L scale, so they are formed in ``_exact(2 L scale)``, the
+narrowest of float32, float64 and Python ints that holds every integer
+up to that ceiling: exact whatever order BLAS sums in.
 
 Runs whose outcomes are linear in a heads sequence, y = y0 + step heads,
 and whose predictions and direct group weights repeat with the context
@@ -53,9 +59,11 @@ over the column heads, mapped to buckets through the weights; the block
 transform is linear, so a draw's block coefficients are the skeleton's
 minus step times ``BlockRows.transform`` of its 0/1 heads, which
 ``fwht`` runs as two float32 matrix products, exact for any summation
-order BLAS picks.  ``accumulate_run`` and ``check_telescoping`` read
-either kind of run; ``ScaledRun.build`` stays the general path and the
-reference the skeleton is tested against.
+order BLAS picks.  The skeleton keeps its coefficients in the ceiling's
+dtype, so at the desk sizes a draw's coefficients stay float32 from the
+heads product to the block Err sums.  ``accumulate_run`` and
+``check_telescoping`` read either kind of run; ``ScaledRun.build`` stays
+the general path and the reference the skeleton is tested against.
 
 Each pathwise inequality yields one ``CheckSummary`` per run, however
 many comparisons it makes: their count, the number that fail, the exact
@@ -230,6 +238,25 @@ def _wide(x: np.ndarray, ceiling: int) -> np.ndarray:
     return x if ceiling < 2**63 else x.astype(object)
 
 
+# float dtypes, narrowest first, each with the largest magnitude up to which it holds every integer
+EXACT_FLOATS = ((1 << 24, np.dtype(np.float32)), (1 << 53, np.dtype(np.float64)))
+
+
+def _exact(ceiling: int) -> np.dtype:
+    """The narrowest dtype in which every integer of magnitude at most
+    ``ceiling``, a bound on every value and partial sum formed, is exact
+    whatever the order of summation: float32, float64, else Python ints."""
+    return next((dtype for limit, dtype in EXACT_FLOATS if ceiling <= limit), np.dtype(object))
+
+
+def _as_exact(x: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """Integer-valued ``x`` in ``dtype``, an ``_exact`` dtype; floats reach
+    Python ints through int64, never as Python floats."""
+    if dtype == object and x.dtype != object:
+        x = x.astype(np.int64, copy=False)
+    return x.astype(dtype, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class ScaledRun:
     """One run over one common scale: the lcm of the trajectory's and the
@@ -399,13 +426,10 @@ def accumulate_run(run, family: GroupFamily) -> RunLedger:
     lay = family.layout
     if lay is None:
         return RunLedger(family, run, bias, err)
-    block_abs = np.zeros((3, lay.K, lay.L), dtype=np.int64)  # plus, minus, signed
-    # one block at a time keeps the temporaries in cache: measured 2x faster than per_block
-    for a, c in enumerate(np.split(run.resid_coefficients(lay), run.block_rows(lay).first[1:-1])):
-        # c has shape (buckets in block, L); column j holds the signed
-        # functional bias, and the half-group biases are (c0 +- cj)/2
-        c0 = c[:, :1]
-        block_abs[:, a] = (np.abs(c0 + c).sum(axis=0), np.abs(c0 - c).sum(axis=0), np.abs(c).sum(axis=0))
+    # every coefficient is at most L scale in magnitude, so every |c0 +- c|
+    # and every partial block sum of them at most 2 L scale
+    coeffs = _as_exact(run.resid_coefficients(lay), _exact(2 * lay.L * run.scale))
+    block_abs = run.block_rows(lay).abs_sums(coeffs)  # plus, minus, signed
     # family order: a, then j, then +/-
     err[n::2], err[n + 1 :: 2] = block_abs[0].ravel(), block_abs[1].ravel()
     return RunLedger(family, run, bias, err, block_abs[2])
@@ -417,8 +441,9 @@ def accumulate_run(run, family: GroupFamily) -> RunLedger:
 
 # entries of the stacked (block, bucket) rows that one transform takes:
 # 32 MiB of int64 residual, and the integer transform's two buffers as much
-# again each; 4 MiB of bool heads, and 16 MiB for each float32 product
-# and 32 MiB for the int64 result
+# again each; 4 MiB of bool heads and 16 MiB for each float32 product; and
+# the rows of one chunk of ``BlockRows.abs_sums``, whose three planes are
+# 48 MiB in float32
 STACK_ENTRIES = 1 << 22
 
 
@@ -428,8 +453,9 @@ class BlockRows:
     block and bucket realized in it, in block then bucket order.
 
     Row r holds ``counts[r]`` rounds of bucket ``bucket[r]``; block a
-    (1-based, never empty) owns rows ``first[a - 1]:first[a]``; round t sits at the
-    flat entry ``slots[t]`` = row * L + t % L.  ``chunks`` runs consecutive
+    (1-based, never empty) owns rows ``first[a - 1]:first[a]``, the True
+    entries of ``members[a - 1]``; round t sits at the flat entry
+    ``slots[t]`` = row * L + t % L.  ``chunks`` runs consecutive
     blocks [lo, hi) whose rows stack to at most ``STACK_ENTRIES`` entries,
     or one block that alone has more, so one transform's buffers stay
     bounded at large T.
@@ -458,11 +484,11 @@ class BlockRows:
         return cls(L, keys % n_buckets, counts, first, slots, tuple(chunks))
 
     def transform(self, values: np.ndarray) -> np.ndarray:
-        """(rows, L) int64 coefficients in row order, one FWHT per chunk: entry
+        """(rows, L) coefficients in row order, one FWHT per chunk: entry
         [r, j] is <psi_j, the ``values[:T']`` of row r's rounds in their block>.
-        The rows keep the dtype of ``values``, which picks ``fwht``'s path:
-        int64 residuals run its integer stages, bool heads its float32
-        matrix products."""
+        The rows keep the dtype of ``values``, which picks ``fwht``'s path
+        and output: int64 residuals run its integer stages into int64, bool
+        heads its float32 matrix products into exact float32."""
         L, first, out = self.L, self.first, []
         for lo, hi in self.chunks:
             base = first[lo]
@@ -470,6 +496,29 @@ class BlockRows:
             rows[self.slots[lo * L : hi * L] - base * L] = values[lo * L : hi * L]
             out.append(fwht(rows.reshape(-1, L)))
         return out[0] if len(out) == 1 else np.concatenate(out)
+
+    @cached_property
+    def members(self) -> np.ndarray:
+        """(K, rows) bool: row r belongs to block a + 1 where ``members[a, r]``."""
+        row = np.arange(self.first[-1])
+        return (row >= self.first[:-1, None]) & (row < self.first[1:, None])
+
+    def abs_sums(self, coeffs: np.ndarray) -> np.ndarray:
+        """(3, K, L) int64 sums over each block's rows of |c0 + c|, |c0 - c|
+        and |c|, for ``coeffs`` (rows, L) and c0 its column 0: one product of
+        ``members`` per chunk, in the dtype of ``coeffs``, which must hold
+        every partial sum exactly (``_exact``).  Row r's column j is a signed
+        functional's bias, and its half-groups' biases are (c0 +- c) / 2."""
+        out = np.empty((3, len(self.first) - 1, self.L), dtype=coeffs.dtype)
+        for lo, hi in self.chunks:
+            c = coeffs[self.first[lo] : self.first[hi]]
+            terms = np.empty((3, *c.shape), dtype=c.dtype)
+            np.add(c[:, :1], c, out=terms[0])
+            np.subtract(c[:, :1], c, out=terms[1])
+            np.abs(terms[:2], out=terms[:2])
+            np.abs(c, out=terms[2])
+            np.matmul(self.members[lo:hi, self.first[lo] : self.first[hi]], terms, out=out[:, lo:hi])
+        return out.astype(np.int64)
 
     def per_block(self, x: np.ndarray) -> np.ndarray:
         """Sums of the rows of ``x`` (rows first) over each block: (K, ...)."""
@@ -493,7 +542,8 @@ class RunSkeleton:
     the direct biases, the residual bucket sums and the residual total at
     heads = 0; and, with a layout, the run's ``BlockRows`` and their
     transform of the residual at heads = 0, ``coeff0``, taken once with
-    the int64 kernel.  ``step`` is over ``scale``.  Every outcome sum of a
+    the int64 kernel and kept in ``_exact(2 L scale)``, the dtype of the
+    ledger's block sums.  ``step`` is over ``scale``.  Every outcome sum of a
     draw is its value at heads = 0 minus ``step`` times the same sum over
     the heads (``SkeletonRun``); the block transform is linear, so that
     holds for its coefficients too.  Without a layout (``rows`` is None) a
@@ -515,7 +565,7 @@ class RunSkeleton:
     resid0: np.ndarray  # (buckets,) int64
     total0: int
     rows: Optional[BlockRows] = None
-    coeff0: Optional[np.ndarray] = None  # (rows, L) int64 block transform of the residual at heads = 0
+    coeff0: Optional[np.ndarray] = None  # (rows, L) residual transform at heads = 0, in _exact(2 L scale)
 
     @classmethod
     def build(cls, run0: ScaledRun, family: GroupFamily, period: int, step: int) -> "RunSkeleton":
@@ -538,7 +588,8 @@ class RunSkeleton:
         bias0 = run0.direct_biases(family)
         lay, extra = family.layout, {}
         if lay is not None:
-            extra = dict(rows=run0.block_rows(lay), coeff0=run0.resid_coefficients(lay))
+            coeff0 = _as_exact(run0.resid_coefficients(lay), _exact(2 * lay.L * run0.scale))
+            extra = dict(rows=run0.block_rows(lay), coeff0=coeff0)
         step_scaled = step * (run0.scale // run0.traj.den)
         return cls(
             family, T, period, run0.scale, step_scaled, run0.bucket_scaled, onehot, weights, bias0,
@@ -594,12 +645,13 @@ class SkeletonRun:
         return self.skeleton.rows
 
     def resid_coefficients(self, layout: BlockLayout) -> np.ndarray:
-        """(rows, L) block transform of the residual: ``coeff0`` minus
-        ``step`` times the transform of the bool heads, formed in place."""
+        """(rows, L) block transform of the residual in ``coeff0``'s dtype:
+        ``coeff0`` minus ``step`` times the transform of the bool heads,
+        formed in place."""
         sk = self.skeleton
         if self.heads is None:
             raise ValueError("the block transform reads per-round heads; this draw holds only the column heads")
-        out = self.block_rows(layout).transform(self.heads[: layout.T_prime])
+        out = _as_exact(self.block_rows(layout).transform(self.heads[: layout.T_prime]), sk.coeff0.dtype)
         out *= -sk.step
         out += sk.coeff0
         return out

@@ -579,18 +579,33 @@ def _cell_result(plan: CellPlan, run, free_checks: list, free_extras: dict, eta_
 
 
 class Cells:
-    """The results of one T's cells, folded once, in replicate order."""
+    """The results of one T's cells, folded once, in replicate order, each
+    as its cell finishes; no cell result is kept."""
 
-    def __init__(self, results: list):
+    def __init__(self, replicates: int):
+        self.replicates = replicates
         # C-contiguous (groups, replicates) float64 in family order: each row mean sums in np.mean's order
-        self.err = np.stack([r["err"].vector for r in results], axis=-1)
-        self.mcerr = np.array([r["err"].mcerr for r in results])
-        self.extras = {key: np.array([r["extras"][key] for r in results]) for key in results[0]["extras"]}
-        # every failing (rep, CheckSummary), in replicate and then check order
-        self.failed = [(rep, c) for rep, r in enumerate(results) for c in r["checks"] if c.failures]
-        self.violations = sum(c.failures for _, c in self.failed)  # one per failing comparison
+        self.err: Optional[np.ndarray] = None
+        self.mcerr = np.empty(replicates)
+        self.extras: dict = {}  # key -> (replicates,) float64
+        self.failed: list = []  # every failing (rep, CheckSummary), in replicate and then check order
+        self.violations = 0  # one per failing comparison
         self.min_slack: dict = {}  # check name -> tightest slack, in the order the checks are first seen
-        for c in chain.from_iterable(r["checks"] for r in results):
+
+    def add(self, rep: int, result: dict) -> None:
+        """Fold replicate ``rep``'s cell result: its error vector into column ``rep``."""
+        report = result["err"]
+        if self.err is None:
+            self.err = np.empty((len(report.vector), self.replicates))
+            self.extras = {key: np.empty(self.replicates) for key in result["extras"]}
+        self.err[:, rep] = report.vector
+        self.mcerr[rep] = report.mcerr
+        for key, values in self.extras.items():
+            values[rep] = result["extras"][key]
+        for c in result["checks"]:
+            if c.failures:
+                self.failed.append((rep, c))
+                self.violations += c.failures
             if c.count:
                 self.min_slack[c.name] = min(c.min_slack, self.min_slack.get(c.name, c.min_slack))
 
@@ -602,15 +617,16 @@ def mean_se(x: np.ndarray) -> tuple[float, float]:
 
 def _run_cells(name: str, T: int, replicates: int, cell: Callable[[int, int], dict], stream=_cell_stream) -> Cells:
     """The fold of ``cell(rep, stream(T, rep))`` for rep = 0..replicates-1 at T, run in replicate order."""
-    out = []
+    cells = Cells(replicates)
     for rep in range(replicates):
         try:
-            out.append(cell(rep, stream(T, rep)))
+            result = cell(rep, stream(T, rep))
         except Exception as exc:
             # same exception type, so callers' handlers still apply; the message names the cell
             exc.args = (f"{name}: cell T={T} rep={rep} stream={stream(T, rep)}: {exc}",)
             raise
-    return Cells(out)
+        cells.add(rep, result)
+    return cells
 
 
 @dataclass

@@ -21,7 +21,7 @@ half-groups of ``block_hadamard`` and ``full_walsh`` families are the
 family's ``layout``: ids, length, manifest and signed pairs derive from
 it, the ledger evaluates them as (K, L) arrays, and a
 ``BlockHadamardHalfGroup`` object is created only when the family is
-iterated or looked up by id.
+iterated.
 """
 
 from __future__ import annotations
@@ -346,15 +346,6 @@ class GroupFamily:
     def index(self) -> dict:
         """Group id -> position in family order (``ids()``)."""
         return {gid: i for i, gid in enumerate(self.ids())}
-
-    def by_id(self, gid: str) -> GroupFunction:
-        i = self.index[gid]
-        if i < len(self.groups):
-            return self.groups[i]
-        # block half-groups follow in (a, j, +/-) order
-        cell, minus = divmod(i - len(self.groups), 2)
-        a, j = divmod(cell, self.layout.L)
-        return BlockHadamardHalfGroup(a + 1, j, -1 if minus else 1, self.layout)
 
     def required_denominators(self) -> list[int]:
         return [g.eta.denominator for g in self.groups if isinstance(g, ThresholdGroup)]

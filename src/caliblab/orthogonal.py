@@ -23,16 +23,18 @@ Conventions used throughout the package:
   k of row j is the byte pattern of ``psi_{j & 7}`` on 0..7, flipped where
   ``<j >> 3, k>_2`` is odd.  The identity suite's prefix scan walks them
   with ``_kernels.prefix_extent``.
-* ``fwht`` picks its integer width from the input dtype, never from the
+* ``fwht`` picks its output dtype from the input dtype, never from the
   data: int8 and int16 inputs of length n <= 2^15 run in int32 (every
-  partial sum is at most n * 2^15 <= 2^30), other integers in int64.
-  A bool (0/1) input of length n <= 2^14 is instead two float32 matrix
-  products with leading sub-blocks of the cached tile, the Kronecker
-  split above: Y = H_{n/b} X H_b for X the (n/b, b) reshape of a row,
-  b = min(n, 128).  Every partial sum is an integer of magnitude at most
-  n <= 2^14 < 2^24, so the products are exact whatever summation order
-  BLAS picks; a longer bool input runs as int8.  Integer and bool
-  outputs are int64 either way.
+  partial sum is at most n * 2^15 <= 2^30), other integers in int64, and
+  integer outputs are int64.  A bool (0/1) input comes back as float32,
+  every coefficient an integer of magnitude at most n, exact to n = 2^24.
+  Up to n = 2^14 it is two float32 matrix products with leading
+  sub-blocks of the cached tile, the Kronecker split above:
+  Y = H_{n/b} X H_b for X the (n/b, b) reshape of a row, b = min(n, 128).
+  Every partial sum is an integer of magnitude at most n <= 2^14, so the
+  products are exact whatever summation order BLAS picks.  A longer bool
+  input runs the integer stages, as int8 does, and is cast; one longer
+  than 2^24 is refused.
 """
 
 from __future__ import annotations
@@ -162,22 +164,24 @@ def _fwht_bool(a: np.ndarray) -> np.ndarray:
     if n > b:
         x = np.matmul(_H_TILE_F32[: n // b, : n // b], x)
     x = x.reshape(-1, b) @ _H_TILE_F32[:b, :b]
-    return x.astype(np.int64).reshape(a.shape)
+    return x.reshape(a.shape)
 
 
 def fwht(values: np.ndarray) -> np.ndarray:
     """Unnormalized fast Walsh-Hadamard transform along the last axis.
 
-    Output ``j`` equals ``sum_s values[s] * psi_j(s)``.  Integer and bool
-    inputs stay exact and come back as int64; everything else is
-    transformed in float64.  A bool input of length n <= 2^14 is two
-    float32 matrix products with the cached tile (Y = H_{n/b} X H_b), exact
-    because no partial sum exceeds n < 2^24 in magnitude; a longer one runs
-    as int8.  An int8 or int16 input of length n <= 2^15 is transformed in
-    int32, since every partial sum is at most n * 2^15 <= 2^30; any other
-    integer input in int64.  Those take O(n log n) in log2 n
-    constant-geometry stages between two work buffers.  ``values`` itself
-    is never written.
+    Output ``j`` equals ``sum_s values[s] * psi_j(s)``.  Integer inputs
+    stay exact and come back as int64; everything else but bool is
+    transformed in float64.  A bool input comes back as float32, exact
+    because no coefficient exceeds n <= 2^24 in magnitude: up to n = 2^14
+    it is two float32 matrix products with the cached tile
+    (Y = H_{n/b} X H_b), exact because no partial sum exceeds n either; a
+    longer one runs the integer stages as int8 does and is cast, and one
+    longer than 2^24 is refused.  An int8 or int16 input of length
+    n <= 2^15 is transformed in int32, since every partial sum is at most
+    n * 2^15 <= 2^30; any other integer input in int64.  Those take
+    O(n log n) in log2 n constant-geometry stages between two work
+    buffers.  ``values`` itself is never written.
     """
     a = np.asarray(values)
     n = a.shape[-1]
@@ -185,7 +189,10 @@ def fwht(values: np.ndarray) -> np.ndarray:
     if a.dtype == np.bool_:
         if n <= TILE * TILE:
             return _fwht_bool(a)
-        a = a.astype(np.int8)
+        if n > 1 << 24:
+            raise ValueError(f"a bool transform of length {n} > 2^24 is not exact in float32")
+        # the integer stages: int32 up to n = 2^15, as for int8, then int64
+        return fwht_pingpong(a.astype(np.int32 if n <= 1 << 15 else np.int64)).astype(np.float32)
     if a.dtype in (np.int8, np.int16) and n <= 1 << 15:
         return fwht_pingpong(a.astype(np.int32)).astype(np.int64)
     return fwht_pingpong(a.astype(np.int64 if np.issubdtype(a.dtype, np.integer) else np.float64, copy=False))

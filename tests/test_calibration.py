@@ -542,7 +542,7 @@ def test_diff_two_direct_pairs_match_per_pair_reference():
     pred = random_predictions(traj, rng, den=8)
     slacks = set()
     for l in range(1, 8):
-        plus, minus = walsh.by_id(f"wal+/{l}"), walsh.by_id(f"wal-/{l}")
+        plus, minus = walsh.groups[walsh.index[f"wal+/{l}"]], walsh.groups[walsh.index[f"wal-/{l}"]]
         fam = GroupFamily(kind="walsh", groups=[ConstantGroup(), plus, minus], grid=walsh.grid)
         ledger = ledger_of(traj, pred, fam)
         run = ledger.scaled
@@ -656,6 +656,43 @@ def test_block_mass_equality_cases_and_one_unit_perturbations():
     assert (bad.name, bad.failures, bad.first) == ("block_mass_upper", 1, 0)
     assert float(bad.lhs) == pytest.approx(math.sqrt(6) + math.sqrt(8), rel=1e-15) and bad.lhs < bad.rhs
     assert bad.rhs**2 >= 32 > (bad.rhs - Fraction(1, 2**60)) ** 2
+
+
+def _block_abs_reference(coeffs: np.ndarray, first) -> np.ndarray:
+    """The int64 sums of |c0 + c|, |c0 - c| and |c| over each block's rows, block by block."""
+    sums = []
+    for lo, hi in zip(first[:-1], first[1:]):
+        c = coeffs[lo:hi].astype(np.int64)
+        sums.append([np.abs(c[:, :1] + c).sum(axis=0), np.abs(c[:, :1] - c).sum(axis=0), np.abs(c).sum(axis=0)])
+    return np.array(sums).transpose(1, 0, 2)
+
+
+@pytest.mark.parametrize(
+    "limit, extra, dtype",
+    [(2**24, 0, np.float32), (2**24, 1, np.float64), (2**53, 0, np.float64), (2**53, 1, object)],
+    ids=["2^24", "2^24+1", "2^53", "2^53+1"],
+)
+def test_block_abs_sums_are_exact_up_to_the_ceiling(limit, extra, dtype):
+    # two blocks of L = 4 rounds: rows 0 and 1 in block 1, row 2 in block 2.
+    # Block 1's plus sums reach limit + extra in columns 0 and 1, the
+    # ceiling, and no value formed exceeds it
+    h = limit // 4
+    coeffs = np.array([[h, h, -h, 3], [h, h + extra, 5, -h], [7, -7, 2 * h, 0]], dtype=np.int64)
+    first = np.array([0, 2, 3])
+    want = _block_abs_reference(coeffs, first)
+    assert want[0, 0, :2].tolist() == [limit, limit + extra]
+    exact = calibration._exact(limit + extra)
+    assert exact == dtype
+    # from int64 and from float64 coefficients (every one exact there): Python
+    # ints must come from either, never Python floats, which round 2^53 + 1
+    for chunks, source in ((((0, 2),), np.int64), (((0, 1), (1, 2)), np.float64)):
+        rows = BlockRows(4, np.array([0, 1, 0]), np.array([2, 2, 4]), first, np.zeros(0, dtype=np.int64), chunks)
+        got = rows.abs_sums(calibration._as_exact(coeffs.astype(source), exact))
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    if extra:
+        # one past the limit the narrower float rounds limit + 1 away
+        narrower = calibration._exact(limit)
+        assert not np.array_equal(rows.abs_sums(coeffs.astype(narrower)), want)
 
 
 def test_undecided_bracket_counts_as_a_failure(monkeypatch):

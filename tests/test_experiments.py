@@ -388,6 +388,23 @@ def test_layout_skeleton_cells_equal_the_general_path_at_long_blocks(env, groups
     ]
 
 
+# the block coefficients' dtype comes from the ceiling 2 L scale alone: with
+# the float limits lowered, the same cells run in float64 and in Python ints
+@pytest.mark.parametrize(
+    "limits, dtype", [((0, 2**53), np.float64), ((0, 0), object)], ids=["float64", "python-int"]
+)
+@pytest.mark.parametrize("T", [1024, 8192])
+@pytest.mark.parametrize("env, groups", [("rademacher", "full_walsh"), ("bernoulli", "block_hadamard")])
+def test_layout_skeleton_cells_equal_the_general_path_in_wider_dtypes(monkeypatch, env, groups, T, limits, dtype):
+    floats = tuple(zip(limits, (np.dtype(np.float32), np.dtype(np.float64))))
+    monkeypatch.setattr(calibration, "EXACT_FLOATS", floats)
+    cfg = ExperimentConfig(env=env, groups=groups, T_list=(T,), replicates=2, seed=T)
+    assert cfg.plans[T].skeleton.run.coeff0.dtype == dtype
+    assert [experiments.run_replicate(cfg, T, rep) for rep in range(2)] == [
+        experiments.general_replicate(cfg, T, rep) for rep in range(2)
+    ]
+
+
 def test_only_round_robin_oblivious_plans_have_a_skeleton():
     for env, forecaster, groups in (
         ("bernoulli", "uniform_random", "pred_threshold"),

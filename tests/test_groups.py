@@ -116,24 +116,24 @@ def test_walsh_half_complementarity_and_idx():
     fam = build_walsh_family(m)
     grid = grid_section4(m)
     for l in (1, 2, 3):
-        plus = fam.by_id(f"wal+/{l}")
-        minus = fam.by_id(f"wal-/{l}")
+        plus = fam.groups[fam.index[f"wal+/{l}"]]
+        minus = fam.groups[fam.index[f"wal-/{l}"]]
         for x in grid:
             for t in (1, 5):
                 c = ctx_timed(x, t)
                 assert plus.evaluate(c, None) + minus.evaluate(c, None) == 1
     # idx example: 7/12 is grid point 3 of the m=4 grid
-    plus1 = fam.by_id("wal+/1")
+    plus1 = fam.groups[fam.index["wal+/1"]]
     assert plus1._grid_to_idx[Fraction(7, 12)] == 3
     # off-grid falls back to idx = 1, whose Walsh signs are all +1
     off = ctx_mean(Fraction(3, 10))
     for l in (1, 2, 3):
-        assert fam.by_id(f"wal+/{l}").feature_sign(off) == 1
+        assert fam.groups[fam.index[f"wal+/{l}"]].feature_sign(off) == 1
 
 
 def test_walsh_prediction_independence():
     fam = build_walsh_family(8)
-    g = fam.by_id("wal+/5")
+    g = fam.groups[fam.index["wal+/5"]]
     c = ctx_timed(Fraction(1, 4), 3)
     rng = np.random.default_rng(0)
     vals = {g.evaluate(c, Fraction(int(rng.integers(0, 101)), 100)) for _ in range(100)}
@@ -163,8 +163,9 @@ def test_block_layout_t_prime_range():
 def test_block_half_groups():
     fam = build_block_hadamard_family(T=20, K=2)
     layout = fam.layout
-    plus = fam.by_id("had+/1/3")
-    minus = fam.by_id("had-/1/3")
+    groups = list(fam)
+    plus = groups[fam.index["had+/1/3"]]
+    minus = groups[fam.index["had-/1/3"]]
     for t in range(1, 21):
         c = ctx_timed(Fraction(1, 2), t)
         s = plus.evaluate(c, None) + minus.evaluate(c, None)
@@ -173,11 +174,11 @@ def test_block_half_groups():
     for a in (1, 2):
         for j in range(layout.L):
             tp = sum(
-                fam.by_id(f"had+/{a}/{j}").evaluate(ctx_timed(Fraction(1, 2), t), None)
+                groups[fam.index[f"had+/{a}/{j}"]].evaluate(ctx_timed(Fraction(1, 2), t), None)
                 for t in range(1, layout.T_prime + 1)
             )
             tm = sum(
-                fam.by_id(f"had-/{a}/{j}").evaluate(ctx_timed(Fraction(1, 2), t), None)
+                groups[fam.index[f"had-/{a}/{j}"]].evaluate(ctx_timed(Fraction(1, 2), t), None)
                 for t in range(1, layout.T_prime + 1)
             )
             assert tp + tm == layout.L
@@ -226,7 +227,7 @@ def test_bit_family():
     c = ContextRecord(bits=(1, 0))
     assert [g.evaluate(c, None) for g in fam] == [1, 1, 0]
     traj = sample_bit_env(T=50, k=2, seed=4)
-    w = fam.by_id("bit/2").weights(zero_run(traj))
+    w = fam.groups[fam.index["bit/2"]].weights(zero_run(traj))
     assert np.array_equal(w, traj.bits[:, 1])
 
 
@@ -266,13 +267,14 @@ def test_block_family_matches_eager_reference(data):
     pairs = [(plus[g.id.replace("-", "+", 1)].id, g.id) for g in ref if g.id[3] == "-"]
     assert [(p.id, q.id) for p, q in fam.signed_pairs()] == pairs
     grid = grid_section4(m) if m is not None else [Fraction(1, 2)]
+    groups = list(fam)
     for _ in range(8):
         g = data.draw(st.sampled_from(ref))
         ctx = ctx_timed(data.draw(st.sampled_from(grid)), data.draw(st.integers(1, T)))
-        assert fam.by_id(g.id).evaluate(ctx, None) == g.evaluate(ctx, None), g.id
+        assert groups[fam.index[g.id]].evaluate(ctx, None) == g.evaluate(ctx, None), g.id
     for bad in (f"had+/{layout.K + 1}/0", f"had-/1/{layout.L}", "had+/01/0", "had+/0/0", "wal+/0"):
         with pytest.raises(KeyError):
-            fam.by_id(bad)
+            fam.index[bad]
 
 
 def test_block_count_defaults():

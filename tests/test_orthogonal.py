@@ -193,10 +193,11 @@ def test_fwht_of_narrow_integers_equals_the_int64_transform(dtype, log_n):
     assert fwht(extreme)[j] == np.abs(extreme.astype(np.int64)).sum()
 
 
-@pytest.mark.parametrize("log_n", range(16))
+@pytest.mark.parametrize("log_n", range(17))
 def test_fwht_of_bool_rows_equals_the_int64_kernel(log_n):
-    # n <= 2^14 runs as float32 matrix products with the tile, n = 2^15 as
-    # int8; all-one rows reach the largest coefficient, |coef| = n
+    # n <= 2^14 runs as float32 matrix products with the tile, n = 2^15 and
+    # 2^16 as the int32 and int64 stages; every path returns exact float32.
+    # All-one rows reach the largest coefficient, |coef| = n
     n = 2**log_n
     rng = np.random.default_rng(log_n)
     wide = rng.random((2, 3, 2 * n)) < 0.5
@@ -209,11 +210,17 @@ def test_fwht_of_bool_rows_equals_the_int64_kernel(log_n):
     for x in inputs:
         before = x.copy()
         out = fwht(x)
-        assert out.dtype == np.int64 and out.shape == x.shape
+        assert out.dtype == np.float32 and out.shape == x.shape
         assert np.array_equal(out, fwht_pingpong(x.astype(np.int64)))
         assert np.array_equal(x, before)
-    assert np.array_equal(fwht(wide[0, 0, :n]), np.zeros(n, dtype=np.int64))
-    assert np.array_equal(fwht(wide[0, 1, :n]), np.eye(1, n, dtype=np.int64)[0] * n)
+    assert np.array_equal(fwht(wide[0, 0, :n]), np.zeros(n))
+    assert np.array_equal(fwht(wide[0, 1, :n]), np.eye(1, n)[0] * n)
+
+
+def test_fwht_refuses_bool_rows_past_float32_exactness():
+    # a read-only broadcast of one False: nothing of length 2^25 is allocated
+    with pytest.raises(ValueError, match="not exact in float32"):
+        fwht(np.broadcast_to(False, 2**25))
 
 
 def test_fwht_rejects_bad_length():

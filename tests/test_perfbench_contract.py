@@ -108,3 +108,20 @@ def test_the_traced_counters_read_every_layer(monkeypatch, tmp_path):
     ):
         assert counters[name] > 0, name
     assert "calibration.headroom_bits" in counters.gauges
+
+
+def test_the_tracer_books_each_heads_transform_to_fwht(monkeypatch, tmp_path):
+    # golden_walsh.cfg has two T, each with coeff0 and block_decompose once and
+    # one heads transform in each of its 3 cells; a cell whose heads product
+    # bypassed fwht would leave the count at 4
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    from caliblab import cli
+
+    config = Path(__file__).parent / "data" / "golden_walsh.cfg"
+    tracer = spans.Tracer(())
+    with spans.Patches() as patches:
+        tracer.install(patches)
+        assert cli.main(["scaling", "--config", str(config), "--out", str(tmp_path)]) == cli.EXIT_OK
+    assert tracer.acc["orthogonal.fwht_calls"] == 10
