@@ -35,12 +35,13 @@ residual transform, the bias transform D and the per-block deviation
 statistics all read.  Its ``transform`` is the one Walsh transform of
 block rows, one (rows, L) array from one FWHT per chunk of at most
 ``STACK_ENTRIES`` entries, and ``per_block`` its one per-block row sum.
-The ledger's block Err sums are ``abs_sums``: per chunk, one product of
-the (K, rows) 0/1 ``members`` matrix with |c0 + c|, |c0 - c| and |c|.
-Every coefficient is at most L scale in magnitude and every one of those
-sums at most 2 L scale, so they are formed in ``_exact(2 L scale)``, the
-narrowest of float32, float64 and Python ints that holds every integer
-up to that ceiling: exact whatever order BLAS sums in.
+The ledger's block Err sums are ``abs_sums``: per run of at most
+``SUM_BLOCKS`` blocks of a chunk, one product of those blocks' 0/1
+membership matrix with |c0 + c|, |c0 - c| and |c|.  Every coefficient
+is at most L scale in magnitude and every one of those sums at most
+2 L scale, so they are formed in ``_exact(2 L scale)``, the narrowest of
+float32, float64 and int64 that holds every integer up to that ceiling:
+exact whatever order BLAS sums in.
 
 Runs whose outcomes are linear in a heads sequence, y = y0 + step heads,
 and whose predictions and direct group weights repeat with the context
@@ -245,16 +246,10 @@ EXACT_FLOATS = ((1 << 24, np.dtype(np.float32)), (1 << 53, np.dtype(np.float64))
 def _exact(ceiling: int) -> np.dtype:
     """The narrowest dtype in which every integer of magnitude at most
     ``ceiling``, a bound on every value and partial sum formed, is exact
-    whatever the order of summation: float32, float64, else Python ints."""
-    return next((dtype for limit, dtype in EXACT_FLOATS if ceiling <= limit), np.dtype(object))
-
-
-def _as_exact(x: np.ndarray, dtype: np.dtype) -> np.ndarray:
-    """Integer-valued ``x`` in ``dtype``, an ``_exact`` dtype; floats reach
-    Python ints through int64, never as Python floats."""
-    if dtype == object and x.dtype != object:
-        x = x.astype(np.int64, copy=False)
-    return x.astype(dtype, copy=False)
+    whatever the order of summation: float32, float64, else int64.  The
+    ceilings read here, 2 L scale, stay below 2^63 because
+    ``ScaledRun.build`` refuses a run with 2 T scale >= 2^63."""
+    return next((dtype for limit, dtype in EXACT_FLOATS if ceiling <= limit), np.dtype(np.int64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -428,7 +423,7 @@ def accumulate_run(run, family: GroupFamily) -> RunLedger:
         return RunLedger(family, run, bias, err)
     # every coefficient is at most L scale in magnitude, so every |c0 +- c|
     # and every partial block sum of them at most 2 L scale
-    coeffs = _as_exact(run.resid_coefficients(lay), _exact(2 * lay.L * run.scale))
+    coeffs = run.resid_coefficients(lay).astype(_exact(2 * lay.L * run.scale), copy=False)
     block_abs = run.block_rows(lay).abs_sums(coeffs)  # plus, minus, signed
     # family order: a, then j, then +/-
     err[n::2], err[n + 1 :: 2] = block_abs[0].ravel(), block_abs[1].ravel()
@@ -441,10 +436,20 @@ def accumulate_run(run, family: GroupFamily) -> RunLedger:
 
 # entries of the stacked (block, bucket) rows that one transform takes:
 # 32 MiB of int64 residual, and the integer transform's two buffers as much
-# again each; 4 MiB of bool heads and 16 MiB for each float32 product; and
-# the rows of one chunk of ``BlockRows.abs_sums``, whose three planes are
-# 48 MiB in float32
+# again each; 4 MiB of bool heads and 16 MiB for each float32 product.
+# ``BlockRows.abs_sums`` reads at most one chunk's rows at a time: three
+# planes of them, 48 MiB in float32 (96 MiB in float64 or int64)
 STACK_ENTRIES = 1 << 22
+
+# blocks whose Err sums one membership product takes.  A block has at most
+# L rows, so the (blocks, rows) 0/1 matrix of a run of them is at most
+# SUM_BLOCKS^2 L entries and the product does at most SUM_BLOCKS times the
+# additions the sums need; one product over all K blocks would grow as K
+# times the rows.  Timed against 8, 32 and 64 and against a reduceat over
+# the float32 planes at K = 14 to 4096 (BENCH_block_f32.json), 16 ran
+# within 30% of the fastest everywhere, and ahead of reduceat everywhere
+# but at K = 4096 blocks of L = 4
+SUM_BLOCKS = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -453,12 +458,11 @@ class BlockRows:
     block and bucket realized in it, in block then bucket order.
 
     Row r holds ``counts[r]`` rounds of bucket ``bucket[r]``; block a
-    (1-based, never empty) owns rows ``first[a - 1]:first[a]``, the True
-    entries of ``members[a - 1]``; round t sits at the flat entry
-    ``slots[t]`` = row * L + t % L.  ``chunks`` runs consecutive
-    blocks [lo, hi) whose rows stack to at most ``STACK_ENTRIES`` entries,
-    or one block that alone has more, so one transform's buffers stay
-    bounded at large T.
+    (1-based, never empty) owns rows ``first[a - 1]:first[a]``; round t
+    sits at the flat entry ``slots[t]`` = row * L + t % L.  ``chunks``
+    runs consecutive blocks [lo, hi) whose rows stack to at most
+    ``STACK_ENTRIES`` entries, or one block that alone has more, so one
+    transform's buffers stay bounded at large T.
     """
 
     L: int
@@ -497,28 +501,30 @@ class BlockRows:
             out.append(fwht(rows.reshape(-1, L)))
         return out[0] if len(out) == 1 else np.concatenate(out)
 
-    @cached_property
-    def members(self) -> np.ndarray:
-        """(K, rows) bool: row r belongs to block a + 1 where ``members[a, r]``."""
-        row = np.arange(self.first[-1])
-        return (row >= self.first[:-1, None]) & (row < self.first[1:, None])
-
     def abs_sums(self, coeffs: np.ndarray) -> np.ndarray:
         """(3, K, L) int64 sums over each block's rows of |c0 + c|, |c0 - c|
-        and |c|, for ``coeffs`` (rows, L) and c0 its column 0: one product of
-        ``members`` per chunk, in the dtype of ``coeffs``, which must hold
-        every partial sum exactly (``_exact``).  Row r's column j is a signed
-        functional's bias, and its half-groups' biases are (c0 +- c) / 2."""
-        out = np.empty((3, len(self.first) - 1, self.L), dtype=coeffs.dtype)
-        for lo, hi in self.chunks:
-            c = coeffs[self.first[lo] : self.first[hi]]
-            terms = np.empty((3, *c.shape), dtype=c.dtype)
-            np.add(c[:, :1], c, out=terms[0])
-            np.subtract(c[:, :1], c, out=terms[1])
-            np.abs(terms[:2], out=terms[:2])
-            np.abs(c, out=terms[2])
-            np.matmul(self.members[lo:hi, self.first[lo] : self.first[hi]], terms, out=out[:, lo:hi])
-        return out.astype(np.int64)
+        and |c|, for ``coeffs`` (rows, L) and c0 its column 0, in the dtype
+        of ``coeffs``, which must hold every partial sum exactly
+        (``_exact``): per run [lo, hi) of at most ``SUM_BLOCKS`` blocks of a
+        chunk, one product of its (hi - lo, rows) 0/1 block-membership
+        matrix with the three planes of its rows.  Row r's column j is a
+        signed functional's bias, and its half-groups' biases are
+        (c0 +- c) / 2."""
+        first = self.first
+        out = np.empty((3, len(first) - 1, self.L), dtype=coeffs.dtype)
+        for start, stop in self.chunks:
+            for lo in range(start, stop, SUM_BLOCKS):
+                hi = min(lo + SUM_BLOCKS, stop)
+                c = coeffs[first[lo] : first[hi]]
+                terms = np.empty((3, *c.shape), dtype=c.dtype)
+                np.add(c[:, :1], c, out=terms[0])
+                np.subtract(c[:, :1], c, out=terms[1])
+                np.abs(terms[:2], out=terms[:2])
+                np.abs(c, out=terms[2])
+                row = np.arange(first[lo], first[hi])
+                members = (row >= first[lo:hi, None]) & (row < first[lo + 1 : hi + 1, None])
+                np.matmul(members.astype(c.dtype), terms, out=out[:, lo:hi])
+        return out.astype(np.int64, copy=False)
 
     def per_block(self, x: np.ndarray) -> np.ndarray:
         """Sums of the rows of ``x`` (rows first) over each block: (K, ...)."""
@@ -588,7 +594,7 @@ class RunSkeleton:
         bias0 = run0.direct_biases(family)
         lay, extra = family.layout, {}
         if lay is not None:
-            coeff0 = _as_exact(run0.resid_coefficients(lay), _exact(2 * lay.L * run0.scale))
+            coeff0 = run0.resid_coefficients(lay).astype(_exact(2 * lay.L * run0.scale), copy=False)
             extra = dict(rows=run0.block_rows(lay), coeff0=coeff0)
         step_scaled = step * (run0.scale // run0.traj.den)
         return cls(
@@ -651,7 +657,7 @@ class SkeletonRun:
         sk = self.skeleton
         if self.heads is None:
             raise ValueError("the block transform reads per-round heads; this draw holds only the column heads")
-        out = _as_exact(self.block_rows(layout).transform(self.heads[: layout.T_prime]), sk.coeff0.dtype)
+        out = self.block_rows(layout).transform(self.heads[: layout.T_prime]).astype(sk.coeff0.dtype, copy=False)
         out *= -sk.step
         out += sk.coeff0
         return out

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -669,7 +670,7 @@ def _block_abs_reference(coeffs: np.ndarray, first) -> np.ndarray:
 
 @pytest.mark.parametrize(
     "limit, extra, dtype",
-    [(2**24, 0, np.float32), (2**24, 1, np.float64), (2**53, 0, np.float64), (2**53, 1, object)],
+    [(2**24, 0, np.float32), (2**24, 1, np.float64), (2**53, 0, np.float64), (2**53, 1, np.int64)],
     ids=["2^24", "2^24+1", "2^53", "2^53+1"],
 )
 def test_block_abs_sums_are_exact_up_to_the_ceiling(limit, extra, dtype):
@@ -683,16 +684,41 @@ def test_block_abs_sums_are_exact_up_to_the_ceiling(limit, extra, dtype):
     assert want[0, 0, :2].tolist() == [limit, limit + extra]
     exact = calibration._exact(limit + extra)
     assert exact == dtype
-    # from int64 and from float64 coefficients (every one exact there): Python
-    # ints must come from either, never Python floats, which round 2^53 + 1
+    # from int64 and from float64 coefficients, every one exact in both
     for chunks, source in ((((0, 2),), np.int64), (((0, 1), (1, 2)), np.float64)):
         rows = BlockRows(4, np.array([0, 1, 0]), np.array([2, 2, 4]), first, np.zeros(0, dtype=np.int64), chunks)
-        got = rows.abs_sums(calibration._as_exact(coeffs.astype(source), exact))
+        got = rows.abs_sums(coeffs.astype(source).astype(exact))
         assert got.dtype == np.int64 and np.array_equal(got, want)
     if extra:
         # one past the limit the narrower float rounds limit + 1 away
         narrower = calibration._exact(limit)
         assert not np.array_equal(rows.abs_sums(coeffs.astype(narrower)), want)
+
+
+def test_block_abs_sums_at_many_short_blocks_stay_exact_and_small():
+    # K = 2^12 blocks of L = 4 rounds at T = 2^14: about 4 rows a block, so a
+    # (K, rows) membership matrix would be 2^26 entries.  Per-round values of
+    # magnitude at most scale = 2^21 put the ceiling 2 L scale at 2^24, the
+    # float32 limit, and the block sums run SUM_BLOCKS blocks at a time
+    layout = build_block_layout(2**14, 2**12)
+    rng = np.random.default_rng(14)
+    rows = BlockRows.build(rng.integers(0, 8, 2**14), 8, layout)
+    scale = 2**21
+    values = rng.choice(np.array([-scale, scale, 3 - scale]), 2**14)
+    coeffs = rows.transform(values)
+    exact = calibration._exact(2 * layout.L * scale)
+    assert exact == np.float32 and rows.first[-1] > 3 * layout.K
+    want = _block_abs_reference(coeffs, rows.first)
+    assert want.max() == 2**24
+    tracemalloc.start()
+    try:
+        got = rows.abs_sums(coeffs.astype(exact))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    # the (3, K, L) result and the planes of SUM_BLOCKS blocks: under 2 MiB
+    assert peak < 2**21
 
 
 def test_undecided_bracket_counts_as_a_failure(monkeypatch):

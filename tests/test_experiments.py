@@ -389,9 +389,9 @@ def test_layout_skeleton_cells_equal_the_general_path_at_long_blocks(env, groups
 
 
 # the block coefficients' dtype comes from the ceiling 2 L scale alone: with
-# the float limits lowered, the same cells run in float64 and in Python ints
+# the float limits lowered, the same cells run in float64 and in int64
 @pytest.mark.parametrize(
-    "limits, dtype", [((0, 2**53), np.float64), ((0, 0), object)], ids=["float64", "python-int"]
+    "limits, dtype", [((0, 2**53), np.float64), ((0, 0), np.int64)], ids=["float64", "int64"]
 )
 @pytest.mark.parametrize("T", [1024, 8192])
 @pytest.mark.parametrize("env, groups", [("rademacher", "full_walsh"), ("bernoulli", "block_hadamard")])
