@@ -37,7 +37,8 @@ with the same config and seed produce byte-identical CSVs.
 
 Every general-path cell is one ``_cell`` call: the oracle bound's
 replicates are cells of a ``bits`` plan, and the reduction bound's routed
-cells of a ``grid_ranges`` plan forecast by a fresh ``PatternRouter``,
+cells of a ``grid_ranges`` plan forecast by a fresh ``PatternRouter`` on
+the plan's one ``route`` (the pattern split of its round-robin contexts),
 whose suite adds the exact cell triangle bound (``check_cell_triangle``).
 A cell result holds what one cell knows: ``err``, ``checks``, ``extras``
 and ``violations``.  Every replicate, the reduction's standalone cells
@@ -118,6 +119,7 @@ from .forecasters import (
     Forecaster,
     PatternRouter,
     ProperReduction,
+    Route,
     make_forecaster_factory,
     run_forecaster,
 )
@@ -284,7 +286,7 @@ class CellPlan:
     size m, eta (None unless the family or a ``2eta`` offset takes it), the
     group family with its block layout (``family.layout``, None without
     blocks) and the forecaster factory.  ``skeleton`` builds the cells'
-    outcome-free half on first use."""
+    outcome-free half, and ``route`` their pattern split, on first use."""
 
     env: str
     T: int
@@ -307,6 +309,14 @@ class CellPlan:
         """The ``CellSkeleton`` of these cells, built on first access; None
         when they take the general path (``general_replicate``)."""
         return CellSkeleton.build(self)
+
+    @cached_property
+    def route(self) -> Optional[Route]:
+        """The family's ``Route`` over a round-robin environment's contexts; None otherwise."""
+        contexts = ENVS[self.env].contexts
+        if contexts is None:
+            return None
+        return Route.of(self.family, contexts(self.T, self.m).trajectory(np.zeros(self.T, dtype=bool)))
 
 
 @dataclass(frozen=True)
@@ -863,7 +873,7 @@ def run_reduction_bound(
         per_T = details["per_T"][T] = {}
 
         def routed(rep, stream):
-            router = PatternRouter(factory, plan.family)
+            router = PatternRouter(factory, plan.family, plan.route)
             result = _cell(config, plan, stream, router)
             if rep == 0:
                 per_T["cells"] = router.cell_summary()

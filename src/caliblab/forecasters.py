@@ -356,22 +356,56 @@ class RoutedCell:
 _MAX_CODE_BITS = 62
 
 
+@dataclass(frozen=True, eq=False)
+class Route:
+    """The pattern split of one run's contexts: one (pattern z, int64 round
+    indices in round order) pair per realized pattern, in ascending code
+    order.  Prediction-independent groups read only T and the contexts, so
+    one route serves every trajectory that shows them."""
+
+    T: int
+    grid_idx: np.ndarray
+    bits: Optional[np.ndarray]
+    cells: tuple
+
+    @classmethod
+    def of(cls, groups, traj: Trajectory) -> "Route":
+        """Key each round by an int64 code of the k weight bits, group 0 most significant."""
+        k = len(groups)
+        if k > _MAX_CODE_BITS:
+            raise ValueError(f"{k} groups exceed the {_MAX_CODE_BITS} bits of a pattern code")
+        run = ScaledRun.build(traj, Predictions(num=np.zeros(traj.T, dtype=np.int64), den=1))
+        codes = np.zeros(traj.T, dtype=np.int64)
+        for g in groups:
+            codes = (codes << 1) | g.weights(run)
+        order = np.argsort(codes, kind="stable")
+        cells = []
+        for idx in np.split(order, np.flatnonzero(np.diff(codes[order])) + 1) if traj.T else ():
+            code = int(codes[idx[0]])
+            cells.append((tuple((code >> (k - 1 - j)) & 1 for j in range(k)), idx))
+        return cls(traj.T, traj.grid_idx, traj.bits, tuple(cells))
+
+
 class PatternRouter(Forecaster):
     """Routes each round to a fresh oracle copy per realized group pattern.
 
     Only prediction-independent groups are admissible: the routing
-    pattern must be known before the prediction is made.  The
-    whole-run path keys rounds by an int64 code of the k weight bits,
-    group 0 most significant, so ascending codes are the lexicographic
-    pattern order in which cells are created and draw from ``rng``.
+    pattern must be known before the prediction is made.  The whole-run
+    path (a deterministic oracle with ``predict_sequence``, k groups that
+    fit a pattern code) reads one ``Route``: the given one, checked against
+    the trajectory, or else one formed from it.  Ascending codes are the
+    lexicographic pattern order in which cells are created and draw from ``rng``.
     """
 
-    def __init__(self, oracle_factory: Callable[[], Forecaster], groups):
+    def __init__(self, oracle_factory: Callable[[], Forecaster], groups, route: Optional[Route] = None):
         for g in groups:
             if not g.prediction_independent:
                 raise ValueError(f"group {g.id} is prediction-dependent; routing is invalid")
         self.groups = list(groups)
         self.oracle_factory = oracle_factory
+        self.route = route
+        probe = oracle_factory()
+        self._whole_run = hasattr(probe, "predict_sequence") and probe.deterministic and len(self.groups) <= _MAX_CODE_BITS
         self.copies: dict = {}
         self._histories: dict = {}
         self._cells: dict = {}
@@ -406,19 +440,14 @@ class PatternRouter(Forecaster):
         self._cells.pop(z, None)
 
     def predict_all(self, traj, rng):
-        probe = self.oracle_factory()
-        k = len(self.groups)
-        if getattr(probe, "predict_sequence", None) is None or not probe.deterministic or k > _MAX_CODE_BITS:
+        if not self._whole_run:
             return None
-        run = ScaledRun.build(traj, Predictions(num=np.zeros(traj.T, dtype=np.int64), den=1))
-        codes = np.zeros(traj.T, dtype=np.int64)
-        for g in self.groups:
-            codes = (codes << 1) | g.weights(run)
-        order = np.argsort(codes, kind="stable")
+        route = self.route or Route.of(self.groups, traj)
+        contexts = np.array_equal(route.grid_idx, traj.grid_idx) and np.array_equal(route.bits, traj.bits)
+        if route.T != traj.T or not contexts:
+            raise ValueError(f"a route built for T={route.T} does not serve this trajectory at T={traj.T}")
         parts = []
-        for idx in np.split(order, np.flatnonzero(np.diff(codes[order])) + 1) if traj.T else ():
-            code = int(codes[idx[0]])
-            z = tuple((code >> (k - 1 - j)) & 1 for j in range(k))
+        for z, idx in route.cells:
             copy = self.oracle_factory()
             y_num = traj.y_num[idx]
             num, den = copy.predict_sequence(y_num, traj.den, rng)

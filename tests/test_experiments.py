@@ -917,6 +917,26 @@ def test_reduction_pathwise_slack_and_named_violations(monkeypatch):
     assert float(info["min_slack"]["cell_triangle"]) == -max(e.vector.max() for e in errs)
 
 
+@pytest.mark.parametrize("T", [512, 1024, 16384])
+def test_a_routed_cell_on_the_plan_route_equals_the_self_routed_cell(T):
+    config = ExperimentConfig(env="bernoulli", groups="grid_ranges", T_list=(T,), seed=20240808, pieces=3)
+    plan = config.plans[T]
+    factory = make_forecaster_factory("empirical_mean_bucket", Q=4)
+    stream = experiments._cell_stream(T, 1)
+    traj = experiments.ENVS[plan.env].sample(config, T, plan.m, stream)
+    shared, own = PatternRouter(factory, plan.family, plan.route), PatternRouter(factory, plan.family)
+    p_shared, p_own = (run_forecaster(traj, r) for r in (shared, own))
+    assert (p_shared.den, p_shared.num.tolist()) == (p_own.den, p_own.num.tolist())
+    routers = [PatternRouter(factory, plan.family, plan.route), PatternRouter(factory, plan.family)]
+    results = [experiments._cell(config, plan, stream, r) for r in routers]
+    for router in (shared, *routers):
+        assert router.cell_sizes() == own.cell_sizes() and list(router.cells) == list(own.cells)
+        assert [router.cell_err(z) for z in own.cells] == [own.cell_err(z) for z in own.cells]
+    assert results[0]["err"].vector.tolist() == results[1]["err"].vector.tolist()
+    assert results[0]["checks"] == results[1]["checks"]
+    assert [s.name for s in results[0]["checks"]] == ["telescoping", "diff_two", "cell_triangle"]
+
+
 def test_reduction_cells_run_the_pathwise_suite(monkeypatch):
     # each routed cell is a general-path cell, so telescoping is checked there too
     def failing(ledger):

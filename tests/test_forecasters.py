@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from caliblab.calibration import marginal_err
 from caliblab.environments import (
     ContextRecord,
+    bernoulli_contexts,
     sample_bernoulli_env,
     sample_bit_env,
     sample_rademacher_env,
@@ -24,11 +25,12 @@ from caliblab.forecasters import (
     PredictionDistribution,
     ProperReduction,
     RoundedHonestForecaster,
+    Route,
     UniformRandomOracle,
     make_forecaster_factory,
     run_forecaster,
 )
-from caliblab.groups import GridRangeGroup, build_grid_range_family, build_pred_threshold_family
+from caliblab.groups import BitGroup, GridRangeGroup, build_grid_range_family, build_pred_threshold_family
 
 HALF = Fraction(1, 2)
 
@@ -242,19 +244,70 @@ def test_router_vectorized_looped_and_scalar_reference_agree(data):
     q = data.draw(st.integers(1, 8))
     fast = PatternRouter(lambda: EmpiricalMeanBucketOracle(q), groups)
     slow = PatternRouter(lambda: EmpiricalMeanBucketOracle(q), groups)
+    # a route formed once from the contexts alone, as a round-robin plan forms it
+    route = Route.of(groups, bernoulli_contexts(T, m).trajectory(np.zeros(T, dtype=bool)))
+    routed = PatternRouter(lambda: EmpiricalMeanBucketOracle(q), groups, route)
     p_fast = run_forecaster(traj, fast, None, prefer_vectorized=True)
     p_slow = run_forecaster(traj, slow, None, prefer_vectorized=False)
+    p_routed = run_forecaster(traj, routed, None, prefer_vectorized=True)
     assert [p_fast.fraction(t) for t in range(T)] == [p_slow.fraction(t) for t in range(T)]
+    assert (p_routed.den, p_routed.num.tolist()) == (p_fast.den, p_fast.num.tolist())
+    assert list(routed.cells) == list(fast.cells) == [z for z, _ in route.cells]
 
     transcripts: dict = {}
     for t in range(T):
         z = tuple(int(g.evaluate(traj.context(t), None)) for g in groups)
         transcripts.setdefault(z, []).append((p_slow.fraction(t), traj.outcome(t)))
     assert set(fast.cells) == set(slow.cells) == set(transcripts)
+    # cells in ascending code order, i.e. lexicographic pattern order, each with its rounds in round order
+    assert [z for z, _ in route.cells] == sorted(transcripts)
+    assert all(np.all(np.diff(idx) > 0) for _, idx in route.cells)
     sizes = {z: len(pairs) for z, pairs in transcripts.items()}
-    assert fast.cell_sizes() == slow.cell_sizes() == sizes
+    assert fast.cell_sizes() == slow.cell_sizes() == routed.cell_sizes() == sizes
     for z, pairs in transcripts.items():
-        assert fast.cell_err(z) == slow.cell_err(z) == _reference_err(pairs)
+        assert fast.cell_err(z) == slow.cell_err(z) == routed.cell_err(z) == _reference_err(pairs)
+
+
+def test_a_route_refuses_a_trajectory_it_was_not_formed_from():
+    fam = build_grid_range_family(list(sample_bernoulli_env(T=120, m=9, seed=9).grid), pieces=3)
+    route = Route.of(fam.groups, bernoulli_contexts(120, 9).trajectory(np.zeros(120, dtype=bool)))
+    router = PatternRouter(lambda: EmpiricalMeanBucketOracle(4), fam.groups, route)
+    with pytest.raises(ValueError, match=r"T=120 .* T=121"):
+        router.predict_all(sample_bernoulli_env(T=121, m=9, seed=9), None)
+    # the same T on another grid shows other contexts
+    with pytest.raises(ValueError, match=r"T=120 .* T=120"):
+        router.predict_all(sample_bernoulli_env(T=120, m=12, seed=9), None)
+    # the same T with other bit contexts
+    bit_groups = [BitGroup(1), BitGroup(2)]
+    bit_route = Route.of(bit_groups, sample_bit_env(64, 2, seed=1))
+    with pytest.raises(ValueError, match=r"T=64 .* T=64"):
+        PatternRouter(lambda: EmpiricalMeanBucketOracle(4), bit_groups, bit_route).predict_all(
+            sample_bit_env(64, 2, seed=2), None
+        )
+    assert PatternRouter(lambda: EmpiricalMeanBucketOracle(4), bit_groups, bit_route).predict_all(
+        sample_bit_env(64, 2, seed=1), None
+    ).T == 64
+
+
+def test_router_decides_its_path_once_and_a_random_oracle_loops_without_its_route():
+    made = []
+
+    def factory():
+        made.append(1)
+        return EmpiricalMeanBucketOracle(4)
+
+    traj = sample_bernoulli_env(T=120, m=9, seed=9)
+    fam = build_grid_range_family(list(traj.grid), pieces=3)
+    router = PatternRouter(factory, fam.groups)
+    assert len(made) == 1
+    run_forecaster(traj, router, None)
+    assert len(made) == 1 + len(router.cells) == 4  # one copy per cell, no further probe
+    # a non-deterministic oracle takes the round loop and never reads the route, even one built for another T
+    other = Route.of(fam.groups, bernoulli_contexts(60, 9).trajectory(np.zeros(60, dtype=bool)))
+    looped = PatternRouter(lambda: UniformRandomOracle(3), fam.groups, other)
+    assert looped.predict_all(traj, substream(1)) is None
+    assert run_forecaster(traj, looped, substream(1)).T == traj.T
+    assert looped.cell_sizes() == router.cell_sizes()
 
 
 def test_marginal_err_matches_scalar_reference():
