@@ -124,13 +124,16 @@ class Predictions:
 
 def marginal_err(p_num: np.ndarray, p_den: int, y_num: np.ndarray, y_den: int) -> Fraction:
     """Exact marginal calibration error sum_v |sum_{t: p_t = v} (p_t - y_t)|
-    of predictions ``p_num / p_den`` against outcomes ``y_num / y_den``.
+    of predictions ``p_num / p_den`` (numerators in [0, p_den]) against
+    outcomes ``y_num / y_den``.
 
     Each round contributes d_t = p_t y_den - y_t p_den, an int64 of
-    magnitude at most p_den y_den; the rounds are grouped by prediction
-    with ``_bucket_index`` and summed with int64 ``np.add.at``, as
-    ``ScaledRun.bucket_sums`` does.  Every partial sum is bounded by
-    T p_den y_den, which is checked below 2^63 in Python integers first.
+    magnitude at most p_den y_den, summed per prediction with an int64
+    ``np.add.at``: when p_den <= 4 t into p_den + 1 slots indexed by the
+    numerators themselves (a slot no round takes adds |0|), otherwise into
+    the classes of ``_bucket_index`` (``np.unique``), so that the slots
+    never outnumber 4 t + 1.  Every partial sum is bounded by
+    t p_den y_den, which is checked below 2^63 in Python integers first.
     """
     t = len(p_num)
     if t * p_den * y_den >= 2**63:
@@ -138,9 +141,13 @@ def marginal_err(p_num: np.ndarray, p_den: int, y_num: np.ndarray, y_den: int) -
             f"int64 cell sums could overflow: T={t} * p_den={p_den} * y_den={y_den} >= 2^63"
         )
     p = np.asarray(p_num, dtype=np.int64)
-    _, idx, counts = _bucket_index(p, p_den)
-    sums = np.zeros(len(counts), dtype=np.int64)
-    np.add.at(sums, idx, p * y_den - np.asarray(y_num, dtype=np.int64) * p_den)
+    d = p * y_den - np.asarray(y_num, dtype=np.int64) * p_den
+    if p_den <= 4 * t:
+        sums = np.zeros(p_den + 1, dtype=np.int64)
+    else:
+        _, p, counts = _bucket_index(p, p_den)
+        sums = np.zeros(len(counts), dtype=np.int64)
+    np.add.at(sums, p, d)
     return Fraction(int(np.abs(sums).sum()), p_den * y_den)
 
 
@@ -349,6 +356,26 @@ class ScaledRun:
         bias = [self.bucket_sums(self.resid * g.weights(self)) for g in family.groups]
         return np.array(bias, dtype=np.int64).reshape(-1, len(self.bucket_scaled))
 
+    def route_biases(self, route, family: GroupFamily) -> np.ndarray:
+        """``direct_biases(family)`` read through ``route``, a
+        ``forecasters.Route`` of this run's contexts formed from the
+        family's direct groups (a whole-run ``PatternRouter`` checks its
+        route against the trajectory it predicts): one
+        int64 sum of p - y per (bucket, route cell), then each group's row
+        the sum of the rows of the cells whose pattern sets its bit, one
+        product with ``route.members``.  Every row is a sum over distinct
+        rounds, so it is bounded as in ``bucket_sums`` and exact in int64,
+        for overlapping groups too."""
+        if route.ids != tuple(g.id for g in family.groups):
+            raise ValueError(f"a route of groups {route.ids} does not serve the direct groups of {family.kind}")
+        if self.mult is not None or route.T != self.T:
+            raise ValueError(f"a route built for T={route.T} does not serve a run of {len(self.p)} entries")
+        n, buckets = len(route.cells), len(self.bucket_scaled)
+        key = self.bucket_idx * n
+        key += route.label
+        sums = self.bucket_sums(self.resid, key, buckets * n).reshape(buckets, n)
+        return route.members @ sums.T
+
     def resid_bucket_sums(self) -> np.ndarray:
         return self.bucket_sums(self.resid)
 
@@ -407,14 +434,16 @@ class RunLedger:
         return Fraction(self.scaled.resid_total(), self.scale)
 
 
-def accumulate_run(run, family: GroupFamily) -> RunLedger:
+def accumulate_run(run, family: GroupFamily, route=None) -> RunLedger:
     """Post-hoc exact accumulation of a whole run against a family.
 
     ``run`` is a ``ScaledRun`` built with the family's
     ``required_denominators()``, or a ``SkeletonRun`` of a skeleton built
-    for this family.
+    for this family.  Given the ``Route`` of a ``ScaledRun``'s contexts
+    over the family's direct groups, the direct biases are its
+    ``route_biases``; ``direct_biases`` is their reference.
     """
-    bias = run.direct_biases(family)
+    bias = run.direct_biases(family) if route is None else run.route_biases(route, family)
     n = len(bias)
     err = np.empty(len(family), dtype=np.int64)
     err[:n] = 2 * np.abs(bias).sum(axis=1)

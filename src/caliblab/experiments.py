@@ -39,7 +39,9 @@ Every general-path cell is one ``_cell`` call: the oracle bound's
 replicates are cells of a ``bits`` plan, and the reduction bound's routed
 cells of a ``grid_ranges`` plan forecast by a fresh ``PatternRouter`` on
 the plan's one ``route`` (the pattern split of its round-robin contexts),
-whose suite adds the exact cell triangle bound (``check_cell_triangle``).
+whose ledger reads its direct biases through that route
+(``ScaledRun.route_biases``) and whose suite adds the exact cell triangle
+bound (``check_cell_triangle``).
 A cell result holds what one cell knows: ``err``, ``checks``, ``extras``
 and ``violations``.  Every replicate, the reduction's standalone cells
 too, runs through ``_run_cells``, which names a failing cell's run, T,
@@ -570,10 +572,11 @@ def _outcome_free(plan: CellPlan, run: ScaledRun) -> tuple[list, dict, Optional[
 
 def _cell_result(plan: CellPlan, run, free_checks: list, free_extras: dict, eta_stats, forecaster=None) -> dict:
     """Accumulate the run, check it and report: err, checks, extras and violations."""
-    ledger = accumulate_run(run, plan.family)
+    router = isinstance(forecaster, PatternRouter)
+    ledger = accumulate_run(run, plan.family, forecaster.route if router else None)
     err, extras = ledger.report(), {}
     checks = [check_telescoping(ledger), check_diff_two(ledger)]
-    if isinstance(forecaster, PatternRouter):
+    if router:
         checks.append(check_cell_triangle(ledger, {z: forecaster.cell_err(z) for z in forecaster.cells}))
     if eta_stats is not None:
         checks.append(check_g4_context_decomp(ledger, eta_stats, plan.eta, plan.m))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -360,13 +360,18 @@ _MAX_CODE_BITS = 62
 class Route:
     """The pattern split of one run's contexts: one (pattern z, int64 round
     indices in round order) pair per realized pattern, in ascending code
-    order.  Prediction-independent groups read only T and the contexts, so
-    one route serves every trajectory that shows them."""
+    order.  ``ids`` names the groups whose weight bits the patterns hold,
+    and ``label`` gives each round the position of its cell in ``cells``,
+    in the narrowest unsigned dtype that holds it.  Prediction-independent
+    groups read only T and the contexts, so one route serves every
+    trajectory that shows them."""
 
     T: int
     grid_idx: np.ndarray
     bits: Optional[np.ndarray]
+    ids: tuple
     cells: tuple
+    label: np.ndarray
 
     @classmethod
     def of(cls, groups, traj: Trajectory) -> "Route":
@@ -383,7 +388,15 @@ class Route:
         for idx in np.split(order, np.flatnonzero(np.diff(codes[order])) + 1) if traj.T else ():
             code = int(codes[idx[0]])
             cells.append((tuple((code >> (k - 1 - j)) & 1 for j in range(k)), idx))
-        return cls(traj.T, traj.grid_idx, traj.bits, tuple(cells))
+        label = np.empty(traj.T, dtype=np.min_scalar_type(max(len(cells) - 1, 0)))
+        for pos, (_, idx) in enumerate(cells):
+            label[idx] = pos
+        return cls(traj.T, traj.grid_idx, traj.bits, tuple(g.id for g in groups), tuple(cells), label)
+
+    @cached_property
+    def members(self) -> np.ndarray:
+        """The (groups, cells) int64 0/1 matrix: entry [j, c] is bit j of cell c's pattern."""
+        return np.array([z for z, _ in self.cells], dtype=np.int64).reshape(len(self.cells), len(self.ids)).T
 
 
 class PatternRouter(Forecaster):
@@ -392,9 +405,12 @@ class PatternRouter(Forecaster):
     Only prediction-independent groups are admissible: the routing
     pattern must be known before the prediction is made.  The whole-run
     path (a deterministic oracle with ``predict_sequence``, k groups that
-    fit a pattern code) reads one ``Route``: the given one, checked against
-    the trajectory, or else one formed from it.  Ascending codes are the
-    lexicographic pattern order in which cells are created and draw from ``rng``.
+    fit a pattern code) reads one ``Route``, checked against the
+    trajectory: the given one, or else one formed from it.  It is kept as
+    ``route``, so that the ledger reads the split the predictions were
+    routed by; a looped router keeps none.  Ascending codes are the
+    lexicographic pattern order in which cells are created and draw from
+    ``rng``.
     """
 
     def __init__(self, oracle_factory: Callable[[], Forecaster], groups, route: Optional[Route] = None):
@@ -403,9 +419,9 @@ class PatternRouter(Forecaster):
                 raise ValueError(f"group {g.id} is prediction-dependent; routing is invalid")
         self.groups = list(groups)
         self.oracle_factory = oracle_factory
-        self.route = route
         probe = oracle_factory()
         self._whole_run = hasattr(probe, "predict_sequence") and probe.deterministic and len(self.groups) <= _MAX_CODE_BITS
+        self.route = route if self._whole_run else None
         self.copies: dict = {}
         self._histories: dict = {}
         self._cells: dict = {}
@@ -442,7 +458,7 @@ class PatternRouter(Forecaster):
     def predict_all(self, traj, rng):
         if not self._whole_run:
             return None
-        route = self.route or Route.of(self.groups, traj)
+        route = self.route = self.route or Route.of(self.groups, traj)
         contexts = np.array_equal(route.grid_idx, traj.grid_idx) and np.array_equal(route.bits, traj.bits)
         if route.T != traj.T or not contexts:
             raise ValueError(f"a route built for T={route.T} does not serve this trajectory at T={traj.T}")

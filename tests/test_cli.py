@@ -145,8 +145,8 @@ def test_scaling_assert_names_the_first_cell_of_a_corrupted_ledger(config_path, 
     accumulate = experiments.accumulate_run
     calls = []
 
-    def corrupted(run, family):
-        ledger = accumulate(run, family)
+    def corrupted(run, family, route=None):
+        ledger = accumulate(run, family, route)
         calls.append(ledger)
         if len(calls) in (3, 5):
             ledger.signed[1, 2] += 10**6

@@ -19,6 +19,7 @@ from caliblab.calibration import (
     ScaledRun,
     SkeletonRun,
     check_diff_two,
+    marginal_err,
 )
 from caliblab.cli import EXIT_CONFIG, experiment_config_from, load_config, main
 from caliblab.environments import sample_rademacher_env, section4_grid_count
@@ -441,8 +442,8 @@ def _cell_ledgers(monkeypatch) -> list:
     """The ledgers of the cells run after this call, in order."""
     accumulate, ledgers = experiments.accumulate_run, []
 
-    def kept(run, family):
-        ledgers.append(accumulate(run, family))
+    def kept(run, family, route=None):
+        ledgers.append(accumulate(run, family, route))
         return ledgers[-1]
 
     monkeypatch.setattr(experiments, "accumulate_run", kept)
@@ -615,8 +616,8 @@ def test_corrupted_block_entries_are_named_and_counted(monkeypatch, bad):
     accumulate = experiments.accumulate_run
     ledgers = []
 
-    def corrupted(run, family):
-        ledger = accumulate(run, family)
+    def corrupted(run, family, route=None):
+        ledger = accumulate(run, family, route)
         for a, j in bad:
             # 2 |c| now exceeds Err(had+) + Err(had-) by 1 or 2, over 2 scale
             ledger.signed[a, j] = _half_pair_err(ledger, a, j) // 2 + 1
@@ -685,8 +686,8 @@ def test_fold_matches_the_cells_of_a_corrupted_scaling_run(monkeypatch):
     # rep 0 fails diff_two once, rep 1 passes, rep 2 fails telescoping and then diff_two twice
     accumulate, reps = experiments.accumulate_run, []
 
-    def corrupted(run, family):
-        ledger = accumulate(run, family)
+    def corrupted(run, family, route=None):
+        ledger = accumulate(run, family, route)
         rep = len(reps)
         reps.append(rep)
         for a, j in ([(2, 3)], [], [(2, 3), (0, 7)])[rep]:
@@ -715,8 +716,8 @@ def test_fold_matches_the_cells_of_a_corrupted_reduction_run(monkeypatch):
     # routed rep 0 doubles group 2's Err, rep 2 those of groups 0 and 1: each fails the cell triangle bound
     accumulate, reps = experiments.accumulate_run, []
 
-    def corrupted(run, family):
-        ledger = accumulate(run, family)
+    def corrupted(run, family, route=None):
+        ledger = accumulate(run, family, route)
         rep = len(reps)
         reps.append(rep)
         ledger.err[([2], [], [0, 1])[rep]] *= 2
@@ -918,7 +919,8 @@ def test_reduction_pathwise_slack_and_named_violations(monkeypatch):
 
 
 @pytest.mark.parametrize("T", [512, 1024, 16384])
-def test_a_routed_cell_on_the_plan_route_equals_the_self_routed_cell(T):
+def test_a_routed_cell_on_the_plan_route_equals_the_self_routed_cell(T, monkeypatch):
+    ledgers = _cell_ledgers(monkeypatch)
     config = ExperimentConfig(env="bernoulli", groups="grid_ranges", T_list=(T,), seed=20240808, pieces=3)
     plan = config.plans[T]
     factory = make_forecaster_factory("empirical_mean_bucket", Q=4)
@@ -935,6 +937,33 @@ def test_a_routed_cell_on_the_plan_route_equals_the_self_routed_cell(T):
     assert results[0]["err"].vector.tolist() == results[1]["err"].vector.tolist()
     assert results[0]["checks"] == results[1]["checks"]
     assert [s.name for s in results[0]["checks"]] == ["telescoping", "diff_two", "cell_triangle"]
+    # both ledgers read one route, the self-routed one the route it formed, and equal the weights' ledger
+    assert routers[0].route is plan.route and routers[1].route is not plan.route
+    assert routers[1].route.label.tolist() == plan.route.label.tolist()
+    reference = calibration.accumulate_run(ledgers[0].scaled, plan.family)
+    assert len(ledgers) == 2
+    for ledger in ledgers:
+        assert ledger.bias.tolist() == reference.bias.tolist() and ledger.err.tolist() == reference.err.tolist()
+
+
+def test_a_routed_err_equals_a_fresh_oracle_on_its_groups_one_cell(monkeypatch):
+    """The exact companion of the routed cells on a disjoint family: each
+    group is one route cell, so Err(g_j) is the marginal error of a fresh
+    oracle copy run on that cell's outcomes alone."""
+    ledgers = _cell_ledgers(monkeypatch)
+    T_list, replicates, seed = (256, 1000), 4, 31
+    run_reduction_bound(T_list=T_list, replicates=replicates, seed=seed)
+    assert len(ledgers) == len(T_list) * replicates  # the standalone cells keep no ledger
+    factory = make_forecaster_factory("empirical_mean_bucket", Q=4)
+    config = ExperimentConfig(env="bernoulli", groups="grid_ranges", T_list=T_list, seed=seed, pieces=3)
+    for ledger in ledgers:
+        traj, family = ledger.scaled.traj, config.plans[ledger.T].family
+        cells = dict(config.plans[ledger.T].route.cells)
+        for j, g in enumerate(family.groups):
+            idx = np.flatnonzero(g.weights(ledger.scaled))
+            assert cells[tuple(int(i == j) for i in range(len(family.groups)))].tolist() == idx.tolist()
+            num, den = factory().predict_sequence(traj.y_num[idx], traj.den, None)
+            assert ledger.err_exact(g.id) == marginal_err(num, den, traj.y_num[idx], traj.den)
 
 
 def test_reduction_cells_run_the_pathwise_suite(monkeypatch):

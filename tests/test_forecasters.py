@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caliblab.calibration import marginal_err
+from caliblab import calibration
+from caliblab.calibration import Predictions, ScaledRun, accumulate_run, marginal_err
 from caliblab.environments import (
     ContextRecord,
     bernoulli_contexts,
@@ -30,7 +31,13 @@ from caliblab.forecasters import (
     make_forecaster_factory,
     run_forecaster,
 )
-from caliblab.groups import BitGroup, GridRangeGroup, build_grid_range_family, build_pred_threshold_family
+from caliblab.groups import (
+    BitGroup,
+    GroupFamily,
+    GridRangeGroup,
+    build_grid_range_family,
+    build_pred_threshold_family,
+)
 
 HALF = Fraction(1, 2)
 
@@ -310,18 +317,81 @@ def test_router_decides_its_path_once_and_a_random_oracle_loops_without_its_rout
     assert looped.cell_sizes() == router.cell_sizes()
 
 
-def test_marginal_err_matches_scalar_reference():
+def _ranges(traj, overlapping: bool) -> GroupFamily:
+    """Three disjoint grid ranges, plus one range overlapping two of them."""
+    fam = build_grid_range_family(list(traj.grid), pieces=3)
+    if not overlapping:
+        return fam
+    n = len(traj.grid)
+    overlap = GridRangeGroup(n // 4, (3 * n) // 4, {x: i + 1 for i, x in enumerate(traj.grid)})
+    return GroupFamily("grid_ranges", [*fam.groups, overlap], grid=fam.grid)
+
+
+@pytest.mark.parametrize("overlapping", [False, True])
+@pytest.mark.parametrize("T, m", [(1, 9), (3 * 7 + 5, 12), (1001, 9), (16384, 25)])
+def test_route_biases_equal_the_weight_biases(T, m, overlapping):
+    traj = sample_bernoulli_env(T=T, m=m, seed=T + m)
+    n = len(traj.grid)
+    assert T == 1 or T % n  # a partial last round robin
+    fam = _ranges(traj, overlapping)
+    route = Route.of(fam.groups, bernoulli_contexts(T, m).trajectory(np.zeros(T, dtype=bool)))
+    assert route.ids == tuple(g.id for g in fam.groups)
+    assert route.label.dtype == np.uint8 and route.members.shape == (len(fam.groups), len(route.cells))
+    assert all(np.all(route.label[idx] == c) for c, (_, idx) in enumerate(route.cells))
+    rng = np.random.default_rng(T)
+    router = PatternRouter(lambda: EmpiricalMeanBucketOracle(4), fam.groups)
+    # the router's predictions, and predictions on a grid of 1/7 that cut across every cell
+    for pred in (run_forecaster(traj, router), Predictions(rng.integers(0, 8, size=T), 7)):
+        run = ScaledRun.build(traj, pred, *fam.required_denominators())
+        reference = run.direct_biases(fam)
+        for r in (route, router.route):
+            assert run.route_biases(r, fam).tolist() == reference.tolist()
+            ledger, weights = accumulate_run(run, fam, r), accumulate_run(run, fam)
+            assert ledger.bias.tolist() == weights.bias.tolist() and ledger.err.tolist() == weights.err.tolist()
+    # the self-routed router keeps the route it formed: the same split
+    assert router.route.ids == route.ids and router.route.label.tolist() == route.label.tolist()
+    assert [(z, idx.tolist()) for z, idx in router.route.cells] == [(z, idx.tolist()) for z, idx in route.cells]
+
+
+def test_route_biases_refuse_a_route_of_other_groups_or_another_T():
+    traj = sample_bernoulli_env(T=120, m=9, seed=9)
+    fam = build_grid_range_family(list(traj.grid), pieces=3)
+    run = ScaledRun.build(traj, run_forecaster(traj, HonestForecaster()), *fam.required_denominators())
+    with pytest.raises(ValueError, match="does not serve the direct groups"):
+        run.route_biases(Route.of(fam.groups[:2], traj), fam)
+    with pytest.raises(ValueError, match="T=60"):
+        run.route_biases(Route.of(fam.groups, bernoulli_contexts(60, 9).trajectory(np.zeros(60, dtype=bool))), fam)
+    # a looped router keeps no route, so its ledger reads the weights
+    assert PatternRouter(lambda: UniformRandomOracle(3), fam.groups, Route.of(fam.groups, traj)).route is None
+
+
+def test_marginal_err_matches_scalar_reference(monkeypatch):
+    bucket_index, unique = calibration._bucket_index, []
+
+    def counted(num, den):
+        unique.append(den)
+        return bucket_index(num, den)
+
+    monkeypatch.setattr(calibration, "_bucket_index", counted)
     empty = np.zeros(0, dtype=np.int64)
     assert marginal_err(empty, 4, empty, 9) == 0
     assert marginal_err(np.array([3]), 4, np.array([0]), 9) == Fraction(3, 4)
     rng = np.random.default_rng(5)
-    for _ in range(200):
-        t = int(rng.integers(1, 60))
-        p_den, y_den = (int(v) for v in rng.integers(1, 50, size=2))
+    # t = 0 and t = 1, the boundaries p_den = 4 t and 4 t + 1, then random sizes on both sides
+    cases = [(0, d) for d in (1, 5)] + [(1, d) for d in (1, 2, 3, 4, 5, 6, 40)]
+    cases += [(t, 4 * t + e) for t in (2, 7, 30) for e in (-1, 0, 1, 2)]
+    cases += [(int(rng.integers(1, 60)), int(rng.integers(1, 300))) for _ in range(200)]
+    for t, p_den in cases:
+        y_den = int(rng.integers(1, 50))
         p = rng.integers(0, p_den + 1, size=t)
         y = rng.integers(0, y_den + 1, size=t)
         pairs = [(Fraction(int(a), p_den), Fraction(int(b), y_den)) for a, b in zip(p, y)]
+        unique.clear()
         assert marginal_err(p, p_den, y, y_den) == _reference_err(pairs)
+        # the numerators index p_den + 1 slots directly up to p_den = 4 t, np.unique's classes above
+        assert unique == ([p_den] if p_den > 4 * t else [])
+    # every prediction at one end of the grid: the slots of the direct index at 0 and at p_den
+    assert marginal_err(np.array([0, 0, 4]), 4, np.array([1, 0, 0]), 1) == 2
 
 
 def test_marginal_err_overflow_guard_names_the_numbers():
