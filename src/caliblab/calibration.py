@@ -39,9 +39,8 @@ The ledger's block Err sums are ``abs_sums``: per run of at most
 ``SUM_BLOCKS`` blocks of a chunk, one product of those blocks' 0/1
 membership matrix with |c0 + c|, |c0 - c| and |c|.  Every coefficient
 is at most L scale in magnitude and every one of those sums at most
-2 L scale, so they are formed in ``_exact(2 L scale)``, the narrowest of
-float32, float64 and int64 that holds every integer up to that ceiling:
-exact whatever order BLAS sums in.
+2 L scale, so they are formed in ``exact_dtype(2 L scale)``, the package's
+one exactness rule (``orthogonal``).
 
 Runs whose outcomes are linear in a heads sequence, y = y0 + step heads,
 and whose predictions and direct group weights repeat with the context
@@ -58,13 +57,12 @@ and with a layout the per-round heads too) forms each direct bias and
 residual sum as its value at heads = 0 minus step times the same sum
 over the column heads, mapped to buckets through the weights; the block
 transform is linear, so a draw's block coefficients are the skeleton's
-minus step times ``BlockRows.transform`` of its 0/1 heads, which
-``fwht`` runs as two float32 matrix products, exact for any summation
-order BLAS picks.  The skeleton keeps its coefficients in the ceiling's
-dtype, so at the desk sizes a draw's coefficients stay float32 from the
-heads product to the block Err sums.  ``accumulate_run`` and
-``check_telescoping`` read either kind of run; ``ScaledRun.build`` stays
-the general path and the reference the skeleton is tested against.
+minus step times ``BlockRows.transform`` of its 0/1 heads.  The
+skeleton keeps its coefficients in ``exact_dtype(2 L scale)``, so at the
+desk sizes a draw's coefficients stay float32 from the heads product to
+the block Err sums.  ``accumulate_run`` and ``check_telescoping`` read
+either kind of run; ``ScaledRun.build`` stays the general path and the
+reference the skeleton is tested against.
 
 Each pathwise inequality yields one ``CheckSummary`` per run, however
 many comparisons it makes: their count, the number that fail, the exact
@@ -88,7 +86,7 @@ import numpy as np
 
 from .environments import ContextRecord, Trajectory
 from .groups import BlockLayout, GroupFamily, ThresholdGroup
-from .orthogonal import fwht
+from .orthogonal import exact_dtype, fwht
 
 STREAMING_FAMILY_LIMIT = 64
 
@@ -244,19 +242,6 @@ def _bucket_index(num: np.ndarray, den: int) -> tuple[np.ndarray, np.ndarray, np
 def _wide(x: np.ndarray, ceiling: int) -> np.ndarray:
     """``x`` if ``ceiling``, a bound on every value formed from it, is below 2^63, else as Python ints."""
     return x if ceiling < 2**63 else x.astype(object)
-
-
-# float dtypes, narrowest first, each with the largest magnitude up to which it holds every integer
-EXACT_FLOATS = ((1 << 24, np.dtype(np.float32)), (1 << 53, np.dtype(np.float64)))
-
-
-def _exact(ceiling: int) -> np.dtype:
-    """The narrowest dtype in which every integer of magnitude at most
-    ``ceiling``, a bound on every value and partial sum formed, is exact
-    whatever the order of summation: float32, float64, else int64.  The
-    ceilings read here, 2 L scale, stay below 2^63 because
-    ``ScaledRun.build`` refuses a run with 2 T scale >= 2^63."""
-    return next((dtype for limit, dtype in EXACT_FLOATS if ceiling <= limit), np.dtype(np.int64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -452,7 +437,7 @@ def accumulate_run(run, family: GroupFamily, route=None) -> RunLedger:
         return RunLedger(family, run, bias, err)
     # every coefficient is at most L scale in magnitude, so every |c0 +- c|
     # and every partial block sum of them at most 2 L scale
-    coeffs = run.resid_coefficients(lay).astype(_exact(2 * lay.L * run.scale), copy=False)
+    coeffs = run.resid_coefficients(lay).astype(exact_dtype(2 * lay.L * run.scale), copy=False)
     block_abs = run.block_rows(lay).abs_sums(coeffs)  # plus, minus, signed
     # family order: a, then j, then +/-
     err[n::2], err[n + 1 :: 2] = block_abs[0].ravel(), block_abs[1].ravel()
@@ -464,8 +449,8 @@ def accumulate_run(run, family: GroupFamily, route=None) -> RunLedger:
 # ---------------------------------------------------------------------------
 
 # entries of the stacked (block, bucket) rows that one transform takes:
-# 32 MiB of int64 residual, and the integer transform's two buffers as much
-# again each; 4 MiB of bool heads and 16 MiB for each float32 product.
+# 32 MiB of int64 residual or 4 MiB of bool heads, and a ``fwht`` peak of
+# 32 MiB in float32 or 64 MiB in float64 or int64 (tracemalloc).
 # ``BlockRows.abs_sums`` reads at most one chunk's rows at a time: three
 # planes of them, 48 MiB in float32 (96 MiB in float64 or int64)
 STACK_ENTRIES = 1 << 22
@@ -519,22 +504,24 @@ class BlockRows:
     def transform(self, values: np.ndarray) -> np.ndarray:
         """(rows, L) coefficients in row order, one FWHT per chunk: entry
         [r, j] is <psi_j, the ``values[:T']`` of row r's rounds in their block>.
-        The rows keep the dtype of ``values``, which picks ``fwht``'s path
-        and output: int64 residuals run its integer stages into int64, bool
-        heads its float32 matrix products into exact float32."""
+        The rows keep the dtype of ``values``; the output is in the dtype
+        ``fwht`` picks for them by ``exact_dtype``, or in int64 where two
+        chunks pick different ones."""
         L, first, out = self.L, self.first, []
         for lo, hi in self.chunks:
             base = first[lo]
             rows = np.zeros((first[hi] - base) * L, dtype=values.dtype)
             rows[self.slots[lo * L : hi * L] - base * L] = values[lo * L : hi * L]
             out.append(fwht(rows.reshape(-1, L)))
+        if len({c.dtype for c in out}) > 1:  # integer coefficients, exact in int64 from any dtype
+            out = [c.astype(np.int64) for c in out]
         return out[0] if len(out) == 1 else np.concatenate(out)
 
     def abs_sums(self, coeffs: np.ndarray) -> np.ndarray:
         """(3, K, L) int64 sums over each block's rows of |c0 + c|, |c0 - c|
         and |c|, for ``coeffs`` (rows, L) and c0 its column 0, in the dtype
         of ``coeffs``, which must hold every partial sum exactly
-        (``_exact``): per run [lo, hi) of at most ``SUM_BLOCKS`` blocks of a
+        (``exact_dtype``): per run [lo, hi) of at most ``SUM_BLOCKS`` blocks of a
         chunk, one product of its (hi - lo, rows) 0/1 block-membership
         matrix with the three planes of its rows.  Row r's column j is a
         signed functional's bias, and its half-groups' biases are
@@ -573,19 +560,18 @@ class RunSkeleton:
 
     It is built once from the ``ScaledRun`` at heads = 0 and keeps only
     compact arrays: per context column j < n the bucket (``onehot[j]``, a
-    zero row for a column never shown) and each direct group's weight;
-    the direct biases, the residual bucket sums and the residual total at
+    zero row for a column never shown) and each direct group's weight; the
+    direct biases, the residual bucket sums and the residual total at
     heads = 0; and, with a layout, the run's ``BlockRows`` and their
-    transform of the residual at heads = 0, ``coeff0``, taken once with
-    the int64 kernel and kept in ``_exact(2 L scale)``, the dtype of the
-    ledger's block sums.  ``step`` is over ``scale``.  Every outcome sum of a
-    draw is its value at heads = 0 minus ``step`` times the same sum over
-    the heads (``SkeletonRun``); the block transform is linear, so that
-    holds for its coefficients too.  Without a layout (``rows`` is None) a
-    draw is read only through its heads per context column, so it needs n
-    column counts, not T per-round heads; with a layout the heads enter
-    the block transform round by round, so it needs the heads of every
-    round.
+    transform of the residual at heads = 0, ``coeff0``, taken once and
+    kept in ``exact_dtype(2 L scale)``, the dtype of the ledger's block
+    sums.  ``step`` is over ``scale``.  Every outcome sum of a draw is its
+    value at heads = 0 minus ``step`` times the same sum over the heads
+    (``SkeletonRun``); the block transform is linear, so that holds for
+    its coefficients too.  Without a layout (``rows`` is None) a draw is
+    read only through its heads per context column, so it needs n column
+    counts, not T per-round heads; with a layout the heads enter the block
+    transform round by round, so it needs the heads of every round.
     """
 
     family: GroupFamily
@@ -600,7 +586,7 @@ class RunSkeleton:
     resid0: np.ndarray  # (buckets,) int64
     total0: int
     rows: Optional[BlockRows] = None
-    coeff0: Optional[np.ndarray] = None  # (rows, L) residual transform at heads = 0, in _exact(2 L scale)
+    coeff0: Optional[np.ndarray] = None  # (rows, L) residual transform at heads = 0, in exact_dtype(2 L scale)
 
     @classmethod
     def build(cls, run0: ScaledRun, family: GroupFamily, period: int, step: int) -> "RunSkeleton":
@@ -623,7 +609,7 @@ class RunSkeleton:
         bias0 = run0.direct_biases(family)
         lay, extra = family.layout, {}
         if lay is not None:
-            coeff0 = run0.resid_coefficients(lay).astype(_exact(2 * lay.L * run0.scale), copy=False)
+            coeff0 = run0.resid_coefficients(lay).astype(exact_dtype(2 * lay.L * run0.scale), copy=False)
             extra = dict(rows=run0.block_rows(lay), coeff0=coeff0)
         step_scaled = step * (run0.scale // run0.traj.den)
         return cls(
@@ -793,7 +779,7 @@ def block_decompose(run: ScaledRun, layout: BlockLayout) -> np.ndarray:
     The noise x - y is never formed: D plus it is the residual transform."""
     if layout.T_prime > run.T:
         raise ValueError("layout covers more rounds than the trajectory")
-    return run.block_rows(layout).transform(run.dev)
+    return run.block_rows(layout).transform(run.dev).astype(np.int64, copy=False)
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._kernels import _walk_dtype, prefix_extent
+from ._kernels import fwht_pingpong, prefix_extent
 from .calibration import (
     CalibrationReport,
     DeviationStats,
@@ -949,15 +949,16 @@ def run_identity_suite(
     records = []
 
     # the Walsh and threshold checks take BLOCK_ROWS rows at a time, never an
-    # n x n or (m + 1) x m array: fwht of Walsh rows lo..hi-1 is rows
-    # lo..hi-1 of n I
+    # n x n or (m + 1) x m array: the transform of Walsh rows lo..hi-1 is
+    # rows lo..hi-1 of n I.  The rows are built from the tile, so they are
+    # checked with the integer stages, which do not use it
     bad = 0
     for n in _powers_of_two(1, h1_max):
         for lo in range(0, n, BLOCK_ROWS):
             hi = min(lo + BLOCK_ROWS, n)
             expected = np.zeros((hi - lo, n), dtype=np.int64)
             expected[np.arange(hi - lo), np.arange(lo, hi)] = n
-            bad += int(np.count_nonzero(fwht(walsh_rows(lo, hi, n)) != expected))
+            bad += int(np.count_nonzero(fwht_pingpong(walsh_rows(lo, hi, n).astype(np.int32)) != expected))
     records.append(BoundRecord("identity_h1_orthogonality", float(bad), 0.0, "le"))
 
     bad = 0
@@ -967,15 +968,14 @@ def run_identity_suite(
     records.append(BoundRecord("identity_walsh_prefix", float(bad), 0.0, "le"))
 
     # one transform per rank block serves the reconstruction and the L1
-    # column max, both on the integer coefficients m * alpha (|m * alpha| <= m),
-    # and the L1 bound sum_l max_r |m * alpha_l(r)| <= m * (1 + log2 m) is
-    # compared exactly
+    # column max, both on the integer coefficients m * alpha (|m * alpha| <= m):
+    # their transform is m f_r, and the L1 bound
+    # sum_l max_r |m * alpha_l(r)| <= m * (1 + log2 m) is compared exactly
     bad = 0
     for m in _powers_of_two(2, expansion_max):
         col_max = np.zeros(m, dtype=np.int64)
         for signs, coef in threshold_blocks(m):
-            recon = fwht(coef.astype(_walk_dtype(m))) // m
-            bad += int(np.count_nonzero(recon != signs))
+            bad += int(np.count_nonzero(fwht(coef) != m * signs.astype(np.int64)))
             np.maximum(col_max, np.abs(coef).max(axis=0), out=col_max)
         if int(col_max.sum()) > m * m.bit_length():
             bad += 1

@@ -23,23 +23,17 @@ Conventions used throughout the package:
   k of row j is the byte pattern of ``psi_{j & 7}`` on 0..7, flipped where
   ``<j >> 3, k>_2`` is odd.  The identity suite's prefix scan walks them
   with ``_kernels.prefix_extent``.
-* ``fwht`` picks its output dtype from the input dtype, never from the
-  data: int8 and int16 inputs of length n <= 2^15 run in int32 (every
-  partial sum is at most n * 2^15 <= 2^30), other integers in int64, and
-  integer outputs are int64.  A bool (0/1) input comes back as float32,
-  every coefficient an integer of magnitude at most n, exact to n = 2^24.
-  Up to n = 2^14 it is two float32 matrix products with leading
-  sub-blocks of the cached tile, the Kronecker split above:
-  Y = H_{n/b} X H_b for X the (n/b, b) reshape of a row, b = min(n, 128).
-  Every partial sum is an integer of magnitude at most n <= 2^14, so the
-  products are exact whatever summation order BLAS picks.  A longer bool
-  input runs the integer stages, as int8 does, and is cast; one longer
-  than 2^24 is refused.
+* One rule keeps integer sums exact, ``exact_dtype(ceiling)``: the
+  narrowest of float32, float64 and int64 that holds every integer up to a
+  bound on every value and partial sum formed.  ``fwht`` applies it to
+  integer and bool input with the ceiling n * max|x|, and the ledger's
+  block sums with 2 L scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -82,9 +76,6 @@ def _popcount_rows(rows: np.ndarray, n: int) -> np.ndarray:
 
 _H_TILE = _popcount_rows(np.arange(TILE, dtype=np.uint32), TILE)
 _H_TILE.flags.writeable = False
-# the tile as the operand of the bool transform's float32 matrix products
-_H_TILE_F32 = _H_TILE.astype(np.float32)
-_H_TILE_F32.flags.writeable = False
 
 
 def _row_range(lo: int, hi: int, n: int) -> np.ndarray:
@@ -154,48 +145,69 @@ def prefix_extremum(j: int, n: int) -> tuple[int, int]:
     return tz, int(np.abs(prefix).max())
 
 
-def _fwht_bool(a: np.ndarray) -> np.ndarray:
+# float dtypes, narrowest first, each with the largest magnitude up to which it holds every integer
+EXACT_FLOATS = ((1 << 24, np.dtype(np.float32)), (1 << 53, np.dtype(np.float64)))
+
+
+def exact_dtype(ceiling: int) -> np.dtype:
+    """The package's one exactness rule: the narrowest of float32 (up to 2^24),
+    float64 (up to 2^53) and int64 that holds every integer of magnitude at
+    most ``ceiling``.  With ``ceiling`` a bound on every value and partial
+    sum formed, sums in it are exact in any order, BLAS's included.  A
+    ceiling of 2^63 or more has no such dtype: ``OverflowError``."""
+    if ceiling >= 1 << 63:
+        raise OverflowError(f"no exact dtype holds integers up to {ceiling} >= 2^63")
+    return next((dtype for limit, dtype in EXACT_FLOATS if ceiling <= limit), np.dtype(np.int64))
+
+
+@cache
+def _tile(dtype: np.dtype) -> np.ndarray:
+    tile = _H_TILE.astype(dtype)
+    tile.flags.writeable = False
+    return tile
+
+
+def _fwht_gemm(a: np.ndarray, dtype: np.dtype) -> np.ndarray:
     # psi_j(s) = psi_{j // b}(s // b) * psi_{j % b}(s % b), so a row reshaped
-    # to X (n/b, b) transforms to H_{n/b} X H_b: every partial sum of either
-    # product is an integer of magnitude at most n <= 2^14, exact in float32
+    # to X (n/b, b) transforms to H_{n/b} X H_b with leading sub-blocks of the tile
     n = a.shape[-1]
     b = min(n, TILE)
-    x = a.reshape(-1, n // b, b).astype(np.float32)
+    h = _tile(dtype)
+    x = a.reshape(-1, n // b, b).astype(dtype)
     if n > b:
-        x = np.matmul(_H_TILE_F32[: n // b, : n // b], x)
-    x = x.reshape(-1, b) @ _H_TILE_F32[:b, :b]
+        x = np.matmul(h[: n // b, : n // b], x)
+    x = x.reshape(-1, b) @ h[:b, :b]
     return x.reshape(a.shape)
 
 
 def fwht(values: np.ndarray) -> np.ndarray:
     """Unnormalized fast Walsh-Hadamard transform along the last axis.
 
-    Output ``j`` equals ``sum_s values[s] * psi_j(s)``.  Integer inputs
-    stay exact and come back as int64; everything else but bool is
-    transformed in float64.  A bool input comes back as float32, exact
-    because no coefficient exceeds n <= 2^24 in magnitude: up to n = 2^14
-    it is two float32 matrix products with the cached tile
-    (Y = H_{n/b} X H_b), exact because no partial sum exceeds n either; a
-    longer one runs the integer stages as int8 does and is cast, and one
-    longer than 2^24 is refused.  An int8 or int16 input of length
-    n <= 2^15 is transformed in int32, since every partial sum is at most
-    n * 2^15 <= 2^30; any other integer input in int64.  Those take
-    O(n log n) in log2 n constant-geometry stages between two work
-    buffers.  ``values`` itself is never written.
+    Output ``j`` equals ``sum_s values[s] * psi_j(s)``.  Float input runs
+    log2 n constant-geometry stages in float64.  Integer and bool input is
+    exact: no partial sum exceeds the ceiling n * max|x| (bool counts as 1,
+    unscanned), so up to n = TILE^2 it is the Kronecker product
+    H_{n/b} X H_b (X the (n/b, b) reshape of a row, b = min(n, TILE)) in
+    ``exact_dtype(ceiling)`` when that is a float, else the stages in int64,
+    and comes back in that dtype.  ``values`` itself is never written.
     """
     a = np.asarray(values)
+    if a.ndim == 0:
+        raise ValueError("fwht needs at least one axis")
     n = a.shape[-1]
     _require_power_of_two(n)
     if a.dtype == np.bool_:
-        if n <= TILE * TILE:
-            return _fwht_bool(a)
-        if n > 1 << 24:
-            raise ValueError(f"a bool transform of length {n} > 2^24 is not exact in float32")
-        # the integer stages: int32 up to n = 2^15, as for int8, then int64
-        return fwht_pingpong(a.astype(np.int32 if n <= 1 << 15 else np.int64)).astype(np.float32)
-    if a.dtype in (np.int8, np.int16) and n <= 1 << 15:
-        return fwht_pingpong(a.astype(np.int32)).astype(np.int64)
-    return fwht_pingpong(a.astype(np.int64 if np.issubdtype(a.dtype, np.integer) else np.float64, copy=False))
+        top = 1
+    elif np.issubdtype(a.dtype, np.integer):
+        top = max(int(a.max()), -int(a.min())) if a.size else 0
+    else:
+        return fwht_pingpong(a.astype(np.float64, copy=False))
+    if n * top >= 1 << 63:
+        raise OverflowError(f"fwht of length {n} with max|x| = {top} could overflow int64")
+    dtype = exact_dtype(n * top)
+    if n <= TILE * TILE and dtype.kind == "f":
+        return _fwht_gemm(a, dtype)
+    return fwht_pingpong(a.astype(np.int64, copy=False))
 
 
 def threshold_signs(m: int, r: int) -> np.ndarray:
@@ -227,11 +239,11 @@ class ThresholdExpansion:
         reference the reconstruction tests hold to ``threshold_signs``; the
         identity suite checks every rank block at once."""
         scaled = np.rint(self.coefficients * self.m).astype(np.int64)
-        return fwht(scaled) // self.m
+        return fwht(scaled).astype(np.int64) // self.m
 
 
 def threshold_expansion(m: int, r: int) -> ThresholdExpansion:
-    coeffs_scaled = fwht(threshold_signs(m, r))  # integer, = m * alpha
+    coeffs_scaled = fwht(threshold_signs(m, r)).astype(np.float64)  # integer, = m * alpha
     return ThresholdExpansion(m=m, r=r, coefficients=coeffs_scaled / m)
 
 
@@ -244,4 +256,4 @@ def threshold_blocks(m: int):
     for lo in range(0, m + 1, BLOCK_ROWS):
         ranks = np.arange(lo, min(lo + BLOCK_ROWS, m + 1))
         signs = np.where(u < ranks[:, None], np.int8(1), np.int8(-1))
-        yield signs, fwht(signs)
+        yield signs, fwht(signs).astype(np.int64)

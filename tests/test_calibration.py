@@ -51,7 +51,7 @@ from caliblab.groups import (
     build_walsh_family,
     default_eta,
 )
-from caliblab.orthogonal import walsh_matrix
+from caliblab.orthogonal import exact_dtype, walsh_matrix
 
 HALF = Fraction(1, 2)
 
@@ -682,7 +682,7 @@ def test_block_abs_sums_are_exact_up_to_the_ceiling(limit, extra, dtype):
     first = np.array([0, 2, 3])
     want = _block_abs_reference(coeffs, first)
     assert want[0, 0, :2].tolist() == [limit, limit + extra]
-    exact = calibration._exact(limit + extra)
+    exact = exact_dtype(limit + extra)
     assert exact == dtype
     # from int64 and from float64 coefficients, every one exact in both
     for chunks, source in ((((0, 2),), np.int64), (((0, 1), (1, 2)), np.float64)):
@@ -691,7 +691,7 @@ def test_block_abs_sums_are_exact_up_to_the_ceiling(limit, extra, dtype):
         assert got.dtype == np.int64 and np.array_equal(got, want)
     if extra:
         # one past the limit the narrower float rounds limit + 1 away
-        narrower = calibration._exact(limit)
+        narrower = exact_dtype(limit)
         assert not np.array_equal(rows.abs_sums(coeffs.astype(narrower)), want)
 
 
@@ -706,7 +706,7 @@ def test_block_abs_sums_at_many_short_blocks_stay_exact_and_small():
     scale = 2**21
     values = rng.choice(np.array([-scale, scale, 3 - scale]), 2**14)
     coeffs = rows.transform(values)
-    exact = calibration._exact(2 * layout.L * scale)
+    exact = exact_dtype(2 * layout.L * scale)
     assert exact == np.float32 and rows.first[-1] > 3 * layout.K
     want = _block_abs_reference(coeffs, rows.first)
     assert want.max() == 2**24

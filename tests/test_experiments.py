@@ -11,7 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from caliblab import calibration, experiments
+from caliblab import calibration, experiments, orthogonal
+from caliblab._kernels import fwht_pingpong
 from caliblab.calibration import (
     DeviationStats,
     Predictions,
@@ -398,7 +399,7 @@ def test_layout_skeleton_cells_equal_the_general_path_at_long_blocks(env, groups
 @pytest.mark.parametrize("env, groups", [("rademacher", "full_walsh"), ("bernoulli", "block_hadamard")])
 def test_layout_skeleton_cells_equal_the_general_path_in_wider_dtypes(monkeypatch, env, groups, T, limits, dtype):
     floats = tuple(zip(limits, (np.dtype(np.float32), np.dtype(np.float64))))
-    monkeypatch.setattr(calibration, "EXACT_FLOATS", floats)
+    monkeypatch.setattr(orthogonal, "EXACT_FLOATS", floats)
     cfg = ExperimentConfig(env=env, groups=groups, T_list=(T,), replicates=2, seed=T)
     assert cfg.plans[T].skeleton.run.coeff0.dtype == dtype
     assert [experiments.run_replicate(cfg, T, rep) for rep in range(2)] == [
@@ -1024,6 +1025,27 @@ def test_walsh_prefix_check_flags_a_bound_one_too_small_across_tiles():
         tight = bounds.copy()
         tight[row - 1] -= 1
         assert walsh_prefix_violations(n, tight) == 1
+
+
+def test_a_flipped_tile_entry_fails_the_h1_and_walsh_prefix_identities(monkeypatch):
+    # one sign of the Walsh tile flipped inside its 8 x 8 corner, which the
+    # packed byte rows are read from: the tile-built rows of n = 256 and the
+    # packed rows both go wrong.  H1 checks the rows with the integer stages,
+    # which never read the tile, so it sees the flip
+    tile = orthogonal._H_TILE.copy()
+    tile[5, 3] *= -1
+    monkeypatch.setattr(orthogonal, "_H_TILE", tile)
+    monkeypatch.setattr(orthogonal, "_BYTE_ROWS", np.packbits(tile[:8, :8] > 0, axis=1)[:, 0])
+    orthogonal._tile.cache_clear()
+    try:
+        # the float tiles of fwht's matrix products are built from the flipped tile
+        ones = np.ones(orthogonal.TILE, dtype=bool)
+        assert not np.array_equal(orthogonal.fwht(ones), fwht_pingpong(ones.astype(np.int64)))
+        suite = run_identity_suite(h1_max=256, prefix_max=16, expansion_max=2, block_max=2)
+    finally:
+        orthogonal._tile.cache_clear()
+    measured = {r.check_id: r.measured for r in suite}
+    assert measured["identity_h1_orthogonality"] > 0 and measured["identity_walsh_prefix"] > 0
 
 
 def test_csv_writers(tmp_path):

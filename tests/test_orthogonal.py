@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from caliblab._kernels import fwht_pingpong
 from caliblab.orthogonal import (
+    TILE,
+    exact_dtype,
     fwht,
     is_power_of_two,
     prefix_extremum,
@@ -122,9 +124,7 @@ def test_fwht_matches_brute_force():
 def test_fwht_integer_exact():
     rng = np.random.default_rng(8)
     v = rng.integers(-1000, 1000, size=128)
-    out = fwht(v)
-    assert out.dtype == np.int64
-    assert np.array_equal(out, brute_force_transform(v).astype(np.int64))
+    assert np.array_equal(fwht(v), brute_force_transform(v).astype(np.int64))
 
 
 def dense_transform(x, w):
@@ -159,7 +159,7 @@ def test_fwht_matches_dense_product(log_n):
     before = [x.copy() for x in inputs]
     for x in inputs:
         out = fwht(x)
-        assert out.dtype == np.int64 and out.shape == x.shape
+        assert out.shape == x.shape
         assert np.array_equal(out, dense_transform(x, w))
         # floats on a 1/8 grid: every partial sum is exact in float64, in any order
         eighths = x / 8.0
@@ -187,8 +187,8 @@ def test_fwht_of_narrow_integers_equals_the_int64_transform(dtype, log_n):
     for x in rows:
         before = x.copy()
         out = fwht(x)
-        assert out.dtype == np.int64 and out.shape == x.shape
-        assert np.array_equal(out, fwht(x.astype(np.int64)))
+        assert out.shape == x.shape
+        assert np.array_equal(out, fwht_pingpong(x.astype(np.int64)))
         assert np.array_equal(x, before)
     assert fwht(extreme)[j] == np.abs(extreme.astype(np.int64)).sum()
 
@@ -196,8 +196,8 @@ def test_fwht_of_narrow_integers_equals_the_int64_transform(dtype, log_n):
 @pytest.mark.parametrize("log_n", range(17))
 def test_fwht_of_bool_rows_equals_the_int64_kernel(log_n):
     # n <= 2^14 runs as float32 matrix products with the tile, n = 2^15 and
-    # 2^16 as the int32 and int64 stages; every path returns exact float32.
-    # All-one rows reach the largest coefficient, |coef| = n
+    # 2^16 as the int64 stages.  All-one rows reach the largest coefficient,
+    # |coef| = n
     n = 2**log_n
     rng = np.random.default_rng(log_n)
     wide = rng.random((2, 3, 2 * n)) < 0.5
@@ -210,17 +210,79 @@ def test_fwht_of_bool_rows_equals_the_int64_kernel(log_n):
     for x in inputs:
         before = x.copy()
         out = fwht(x)
-        assert out.dtype == np.float32 and out.shape == x.shape
+        assert out.shape == x.shape
         assert np.array_equal(out, fwht_pingpong(x.astype(np.int64)))
         assert np.array_equal(x, before)
     assert np.array_equal(fwht(wide[0, 0, :n]), np.zeros(n))
     assert np.array_equal(fwht(wide[0, 1, :n]), np.eye(1, n)[0] * n)
 
 
-def test_fwht_refuses_bool_rows_past_float32_exactness():
-    # a read-only broadcast of one False: nothing of length 2^25 is allocated
-    with pytest.raises(ValueError, match="not exact in float32"):
-        fwht(np.broadcast_to(False, 2**25))
+def _row_reaching(target, j, n):
+    """An int64 row whose coefficient j is ``target``: |x| sums to it, with the
+    sign of psi_j, so no coefficient is larger; max|x| = ceil(target / n)."""
+    q, r = divmod(target, n)
+    mags = np.full(n, q, dtype=np.int64)
+    mags[:r] += 1
+    return mags * walsh_row(j, n)
+
+
+# each dtype's extreme row reaches its largest coefficient; int64 rows reach
+# the float limits and one past them.  At n = 2^14 the float limits pick
+# the product's dtype, at 2^15 (past TILE^2) every integer runs in int64
+TIERS = [("bool", None), ("int8", None), ("int16", None), ("uint8", None)] + [
+    ("int64", t) for t in (2**24, 2**24 + 1, 2**53, 2**53 + 1)
+]
+
+
+@pytest.mark.parametrize("log_n", [14, 15])
+@pytest.mark.parametrize("dtype, target", TIERS, ids=[f"{d}-{t}" if t else d for d, t in TIERS])
+def test_fwht_dtype_follows_the_exact_dtype_of_its_ceiling(dtype, target, log_n):
+    n = 2**log_n
+    rng = np.random.default_rng(log_n)
+    j = int(rng.integers(n))
+    if dtype == "bool":
+        extreme = np.ones(n, dtype=bool)
+    elif target is not None:
+        extreme = _row_reaching(target, j, n)
+    else:
+        info = np.iinfo(dtype)
+        extreme = np.where(walsh_row(j, n) < 0, info.min, info.max).astype(dtype)
+    top = 1 if dtype == "bool" else int(np.abs(extreme.astype(object)).max())
+    exact = exact_dtype(n * top)
+    want = exact if n <= TILE * TILE else np.dtype(np.int64)
+    # the extreme row and shuffles of it (the same max|x|): strided and column-major
+    wide = np.empty((2, 3, 2 * n), dtype=extreme.dtype)
+    wide[..., ::2] = extreme
+    wide[1, 1:, ::2] = rng.permutation(extreme)
+    wide[..., 1::2] = rng.permutation(extreme)
+    inputs = [extreme, wide[..., ::2], np.asfortranarray(wide[1, :, 1::2])]
+    assert not (inputs[1].flags.c_contiguous or inputs[2].flags.c_contiguous)
+    for x in inputs:
+        before = x.copy()
+        out = fwht(x)
+        assert out.dtype == want and out.shape == x.shape
+        assert np.array_equal(out, fwht_pingpong(x.astype(np.int64)))
+        assert np.array_equal(x, before)
+    coef = fwht(extreme)[0 if dtype in ("bool", "uint8") else j]
+    assert coef == (target or int(np.abs(extreme.astype(np.int64)).sum()))
+
+
+def test_fwht_refuses_integer_rows_that_could_overflow_int64():
+    with pytest.raises(OverflowError, match=r"length 2 with max\|x\| = 4611686018427387904"):
+        fwht(np.array([2**62, 2**62]))
+    with pytest.raises(OverflowError, match=r"length 2 with max\|x\| = 9223372036854775808"):
+        fwht(np.array([2**63, 0], dtype=np.uint64))
+    # n * max|x| = 2^63 - 2 is the largest ceiling int64 holds at n = 2
+    x = [2**62 - 1, -(2**62 - 1)]
+    out = fwht(np.array(x))
+    assert out.dtype == np.int64 and out.tolist() == [x[0] + x[1], x[0] - x[1]]
+
+
+def test_fwht_of_empty_and_0d_input():
+    out = fwht(np.zeros((0, 8), dtype=np.int64))
+    assert out.shape == (0, 8) and out.dtype == exact_dtype(0)
+    with pytest.raises(ValueError, match="at least one axis"):
+        fwht(np.array(3))
 
 
 def test_fwht_rejects_bad_length():
